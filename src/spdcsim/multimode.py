@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq, curve_fit
 
 from .sampling import RngStream, sample_vacuum
 
@@ -225,6 +224,7 @@ def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float,
     mean photon number."""
     if photons_per_pixel <= 0:
         raise ValueError("photons_per_pixel must be positive")
+    from scipy.optimize import brentq  # imported here: only hom2d needs scipy
 
     def brightest(g0):
         dec = schmidt_decompose(build_kernel(replace(config, gain_scale=g0)),
@@ -302,21 +302,26 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int,
     return (signal, idler) if vacuum else (signal[0], idler[0])
 
 
-def shift_field(fields: np.ndarray, shift_px: float, axis: int = -1) -> np.ndarray:
+def shift_field(fields: np.ndarray, shift_px: float, axis: int = -1,
+                spectrum: np.ndarray | None = None) -> np.ndarray:
     """Displace a pixel-plane field by ``shift_px`` pixels along one axis.
 
     Integer shifts reduce to a circular roll; fractional shifts use the
     unitary Fourier phase ramp, which preserves the vacuum level exactly
-    (linear interpolation of amplitudes would not).
+    (linear interpolation of amplitudes would not).  A caller shifting one
+    field by many amounts may pass its ``spectrum``,
+    ``np.fft.fft(fields, axis=axis)``, so the forward transform is done once.
     """
     if shift_px == int(shift_px):
         return np.roll(fields, int(shift_px), axis=axis)
+    if spectrum is None:
+        spectrum = np.fft.fft(fields, axis=axis)
     n = fields.shape[axis]
     k = np.fft.fftfreq(n)
     shape = [1] * fields.ndim
     shape[axis] = n
     ramp = np.exp(-2j * np.pi * k * shift_px).reshape(shape)
-    return np.fft.ifft(np.fft.fft(fields, axis=axis) * ramp, axis=axis)
+    return np.fft.ifft(spectrum * ramp, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -343,50 +348,70 @@ def _coherence_aggregate(n_eff, m1r, m1i, s1, m2r, m2i, s2):
     return (c1 + c2).sum(axis=-1)
 
 
-def _ratio_with_jackknife(stats_num, stats_den):
+def _aggregate_with_loo(stats):
+    """Pair-coherence aggregate of ``stats`` (reps x pairs samples) and its
+    delete-one-rep values, one per repetition."""
+    reps = stats[0].shape[0]
+    value = _coherence_aggregate(reps, *[s.mean(axis=0) for s in stats])
+    loo = [(s.sum(axis=0)[None, :] - s) / (reps - 1) for s in stats]
+    return value, _coherence_aggregate(reps - 1, *loo)
+
+
+def _ratio_with_jackknife(num, den):
     """Dip ratio at one tilt over the reference tilt, with a delete-one-rep
-    jackknife standard error."""
-    reps = stats_num[0].shape[0]
-    value = float(
-        _coherence_aggregate(reps, *[s.mean(axis=0) for s in stats_num])
-        / _coherence_aggregate(reps, *[s.mean(axis=0) for s in stats_den]))
-    loo_n = [(s.sum(axis=0)[None, :] - s) / (reps - 1) for s in stats_num]
-    loo_d = [(s.sum(axis=0)[None, :] - s) / (reps - 1) for s in stats_den]
-    theta_i = (_coherence_aggregate(reps - 1, *loo_n)
-               / _coherence_aggregate(reps - 1, *loo_d))
+    jackknife standard error; ``num`` and ``den`` come from
+    :func:`_aggregate_with_loo`."""
+    value = float(num[0] / den[0])
+    theta_i = num[1] / den[1]
+    reps = theta_i.shape[0]
     se = math.sqrt((reps - 1) * np.mean((theta_i - theta_i.mean()) ** 2))
     return value, se
 
 
-def _port_fields(signal, idler, band_l, band_m, shift_px):
-    """Output-port fields at one tilt: e1 at the band pixels ``band_l`` and
-    e2 at their partners ``band_m`` (flat indices over the last two axes).
+def _port_sweep(signal, idler, band_l, band_m):
+    """Output-port fields as a function of the tilt shift: ``ports(shift_px)``
+    gives e1 at the band pixels ``band_l`` and e2 at their partners
+    ``band_m`` (flat indices over the last two axes).
 
     The tilt displaces the two reflected beams by +/- ``shift_px`` along
     the horizontal image axis (opposite senses, as unitarity of a tilted
-    splitter requires).
+    splitter requires).  The tilt-invariant work is done once: the forward
+    transforms of both planes and the transmitted fields at the pixels
+    used.
     """
-    ei_refl = shift_field(idler, shift_px, axis=-1)
-    es_refl = shift_field(signal, -shift_px, axis=-1)
+    flat = signal.shape[:-2] + (-1,)
+    signal_l = signal.reshape(flat)[..., band_l]
+    idler_m = idler.reshape(flat)[..., band_m]
+    spectrum_s = np.fft.fft(signal, axis=-1)
+    spectrum_i = np.fft.fft(idler, axis=-1)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    e1 = (signal + 1j * ei_refl) * inv_sqrt2
-    e2 = (1j * es_refl + idler) * inv_sqrt2
-    flat = e1.shape[:-2] + (-1,)
-    return e1.reshape(flat)[..., band_l], e2.reshape(flat)[..., band_m]
+
+    def ports(shift_px):
+        ei_refl = shift_field(idler, shift_px, spectrum=spectrum_i)
+        es_refl = shift_field(signal, -shift_px, spectrum=spectrum_s)
+        e1 = (signal_l + 1j * ei_refl.reshape(flat)[..., band_l]) * inv_sqrt2
+        e2 = (1j * es_refl.reshape(flat)[..., band_m] + idler_m) * inv_sqrt2
+        return e1, e2
+
+    return ports
 
 
-def _band_pair_stats(signal, idler, band_l, band_m, shift_px):
+def _port_fields(signal, idler, band_l, band_m, shift_px):
+    """Output-port fields at one tilt; see :func:`_port_sweep`."""
+    return _port_sweep(signal, idler, band_l, band_m)(shift_px)
+
+
+def _band_pair_stats(e1, e2):
     """Cross-port pair-moment samples (reps x pairs) at one tilt: both
     field products and their squared magnitudes (for the sampling-variance
     correction), each less its vacuum control variate.
 
-    ``signal`` and ``idler`` stack the amplified fields (index 0) on the
-    input vacua (index 1).  The vacuum products e1v e2v* and e1v e2v have
-    mean exactly zero at every pixel pair and shift: the two vacua are
-    independent and circular, and the shift is unitary (T- = T+^H), so
-    the two cross terms of e1v e2v* cancel.
+    ``e1`` and ``e2`` stack the port fields of the amplified beams (index
+    0) on those of the input vacua (index 1).  The vacuum products e1v e2v*
+    and e1v e2v have mean exactly zero at every pixel pair and shift: the
+    two vacua are independent and circular, and the shift is unitary
+    (T- = T+^H), so the two cross terms of e1v e2v* cancel.
     """
-    e1, e2 = _port_fields(signal, idler, band_l, band_m, shift_px)
     z1 = e1[0] * np.conj(e2[0]) - e1[1] * np.conj(e2[1])
     z2 = e1[0] * e2[0] - e1[1] * e2[1]
     return (z1.real, z1.imag, np.abs(z1) ** 2,
@@ -423,7 +448,9 @@ def run_hom2d(config: Hom2dConfig) -> DipCurve:
     statistic at a reference tilt of half the grid.  Only the image rows
     holding band pixels are synthesised, together with the unamplified
     input vacua whose pair products serve as a zero-mean control variate
-    (see :func:`_band_pair_stats`).
+    (see :func:`_band_pair_stats`).  The work that does not depend on the
+    tilt (forward transforms, transmitted band fields, the reference-tilt
+    aggregate and its delete-one values) is done once for the sweep.
     """
     if config.n_pixels < 8:
         raise ValueError("the HOM sweep needs n_pixels >= 8")
@@ -434,15 +461,14 @@ def run_hom2d(config: Hom2dConfig) -> DipCurve:
     signal, idler = sample_image_planes(dec, RngStream(config.seed, 0),
                                         config.reps, rows=rows, vacuum=True)
 
-    ref_stats = _band_pair_stats(signal, idler, band_l, band_m,
-                                 config.n_pixels // 2)
+    ports = _port_sweep(signal, idler, band_l, band_m)
+    ref = _aggregate_with_loo(_band_pair_stats(*ports(config.n_pixels // 2)))
     thetas = np.asarray(config.theta_sweep, dtype=float)
     amps = np.empty_like(thetas)
     errs = np.empty_like(thetas)
     for j, theta in enumerate(thetas):
-        shift_px = 2.0 * theta / config.pitch
-        stats = _band_pair_stats(signal, idler, band_l, band_m, shift_px)
-        amps[j], errs[j] = _ratio_with_jackknife(stats, ref_stats)
+        stats = _band_pair_stats(*ports(2.0 * theta / config.pitch))
+        amps[j], errs[j] = _ratio_with_jackknife(_aggregate_with_loo(stats), ref)
 
     sigma = _fit_dip_width(thetas, amps, errs)
     return DipCurve(theta=thetas, amplitude=amps, std_error=errs,
@@ -453,6 +479,7 @@ def run_hom2d(config: Hom2dConfig) -> DipCurve:
 def _fit_dip_width(thetas: np.ndarray, amps: np.ndarray,
                    errs: np.ndarray | None = None) -> float | None:
     """Gaussian-dip fit 1 - a exp(-theta^2 / 2 sigma^2); None if it fails."""
+    from scipy.optimize import curve_fit  # imported here: only hom2d needs scipy
 
     def model(t, a, sigma):
         return 1.0 - a * np.exp(-(t ** 2) / (2.0 * sigma ** 2))

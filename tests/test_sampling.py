@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from spdcsim import sampling
 from spdcsim.sampling import (ORDERING, RngStream, derive_stream, raw_words,
                               sample_vacuum)
-from spdcsim.sampling import _philox_block
+from spdcsim.sampling import _per_row_is_faster, _philox_block
 
 
 def test_ordering_constants_exact():
@@ -119,3 +122,72 @@ def test_stream_ids_wrap_to_uint64():
 def test_samples_finite():
     ens = sample_vacuum(derive_stream(123, 0), 50_000, 4)
     assert np.all(np.isfinite(ens.data.view(np.float64)))
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+# Recorded with the row-vectorised Philox and the original Box-Muller,
+# before the per-row path existed; any change to the words or the Gaussians
+# drawn from them shows here.
+@pytest.mark.parametrize("draw,digest", [
+    (lambda: raw_words(RngStream(42, 0), 16, 4096),  # wide: per-row path
+     "641f3014536a566344c392f07df3d7eadc44f8d1a8e6fb571d79a06f0a1d5d25"),
+    (lambda: raw_words(RngStream(42, 5), 4096, 8),  # tall: vectorised path
+     "2bc14acd1c695d25973bf703967650e05b6eb42c840b81d5e38575ed1d86476f"),
+    (lambda: raw_words(RngStream(2 ** 64 - 1, 2 ** 64 - 7), 12, 1001),
+     "385fc0d5eb9a70c8953f32c435f14a0e9a56f45e41552abb382b78b700af238f"),
+    (lambda: sample_vacuum(derive_stream(42, 0), 1000, 3).data,
+     "f36049557a86328ec0b7ed86ca7404b95d8e925c09ea62068b01c3b8288f6bd3"),
+    (lambda: sample_vacuum(derive_stream(7, 2 ** 64 - 3), 4, 1001).data,
+     "cc8e69919675f9966c90e1e77528caf6f96016e8bc6a5d5573bf43371ec267c4"),
+], ids=["raw-wide", "raw-tall", "raw-wrapping", "vacuum-tall", "vacuum-wide"])
+def test_fixed_seed_output_is_pinned(draw, digest):
+    assert _sha256(draw()) == digest
+
+
+def test_dispatch_keeps_tall_ensembles_vectorised():
+    # sample_vacuum hands raw_words at most 65536 rows at a time
+    assert not _per_row_is_faster(1 << 16, 1)   # twin: one block per row
+    assert not _per_row_is_faster(1 << 16, 2)   # fourfold: two blocks
+    assert _per_row_is_faster(100, 4096)        # hom2d image planes
+    assert _per_row_is_faster(1, 1)
+
+
+def _both_paths(monkeypatch, stream, reps, n_words):
+    with monkeypatch.context() as m:
+        m.setattr(sampling, "_per_row_is_faster", lambda reps, n_blocks: True)
+        rows = raw_words(stream, reps, n_words)
+    with monkeypatch.context() as m:
+        m.setattr(sampling, "_per_row_is_faster", lambda reps, n_blocks: False)
+        vectorised = raw_words(stream, reps, n_words)
+    return rows, vectorised
+
+
+@pytest.mark.parametrize("reps,n_words", [
+    (100, 4 * 5), (100, 4 * 6), (100, 4 * 4), (1000, 4 * 36), (1000, 4 * 38),
+    (3, 7), (1, 1), (7, 4 * 64 + 3),
+])
+def test_per_row_and_vectorised_paths_agree(monkeypatch, reps, n_words):
+    stream = derive_stream(42, 11)
+    rows, vectorised = _both_paths(monkeypatch, stream, reps, n_words)
+    assert rows.shape == vectorised.shape == (reps, n_words)
+    assert np.array_equal(rows, vectorised)
+    assert np.array_equal(raw_words(stream, reps, n_words), rows)
+
+
+@pytest.mark.parametrize("seed,stream_id", [
+    (42, 2 ** 64 - 3),          # stream ids wrap past 2**64 - 1 within the call
+    (2 ** 63, 0),               # seeds that do not fit a signed 64-bit int
+    (2 ** 64 - 1, 2 ** 63 + 5),
+    (2 ** 63 + 12345, 2 ** 64 - 1),
+])
+def test_paths_agree_on_large_seeds_and_wrapping_stream_ids(monkeypatch, seed,
+                                                             stream_id):
+    stream = RngStream(seed, stream_id)
+    rows, vectorised = _both_paths(monkeypatch, stream, 6, 4 * 9)
+    assert np.array_equal(rows, vectorised)
+    # row r belongs to the stream id stream_id + r modulo 2**64
+    wrapped = RngStream(seed, (stream_id + 4) % 2 ** 64)
+    assert np.array_equal(rows[4], raw_words(wrapped, 1, 4 * 9)[0])
