@@ -5,6 +5,9 @@ convention), propagated through optical elements sample by sample, and
 reduced to intensity-moment statistics that closed-form predictions verify.
 """
 
+# Defined before the submodule imports: ``experiments`` reads it.
+__version__ = "0.1.0"
+
 from .elements import (BeamSplitterParams, DetectorParams, GainParams,
                        beam_split, detector_loss, parametric_amplify,
                        polarizer_project)
@@ -24,5 +27,3 @@ from .reporting import RunReport, StatisticRow, emit_results
 from .sampling import (ORDERING, FieldEnsemble, OrderingConstants, RngStream,
                        derive_stream, sample_vacuum)
 from . import theory
-
-__version__ = "0.1.0"

@@ -65,9 +65,10 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def _reps(text: str) -> int:
-    n = int(float(text))
+    value = float(text)
+    n = int(value) if math.isfinite(value) else 0
     if n < 1:
-        raise argparse.ArgumentTypeError("reps must be a positive integer")
+        raise argparse.ArgumentTypeError(f"reps must be a positive integer, got {text!r}")
     return n
 
 
@@ -177,8 +178,6 @@ def _resolve(args: argparse.Namespace) -> dict:
             values[key] = file_values[key]
         if cli.get(key) is not None:
             values[key] = cli[key]
-    if values.get("gain_gl") is not None and values.get("g") is not None:
-        raise ValueError("give either gain_gl or G, not both")
     return values
 
 
@@ -260,7 +259,7 @@ def main(argv=None) -> int:
     try:
         values = _resolve(args)
         config = _experiment_config(args.command, values)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"spdcsim: {exc}", file=sys.stderr)
         return 2
 

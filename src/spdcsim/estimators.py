@@ -4,8 +4,12 @@ Estimators consume columns of complex field samples (one repetition per
 row).  Sampled intensities |E|^2 are symmetric-order quantities; the
 estimators subtract the ordering constants (1/2 for means, 1/4 for
 variances, nothing for covariances) so that reported values are
-normal-ordered observables.  Standard errors of ratio statistics come from
-a vectorised delete-one jackknife over repetitions.
+normal-ordered observables.
+
+Every statistic is a smooth function f of the means of per-repetition
+feature columns, accumulated over fixed row chunks by :func:`feature_moments`.
+The value is f(mean); the standard error is the delta method,
+sqrt(grad f' Sigma grad f / n), with a central-difference gradient.
 """
 
 from __future__ import annotations
@@ -18,12 +22,16 @@ from .sampling import ORDERING
 from . import theory
 
 __all__ = [
+    "CHUNK_ROWS",
     "DegenerateStatisticError",
+    "FeatureMoments",
     "FourfoldResult",
     "MomentEstimate",
     "chsh_coefficient",
+    "chsh_features",
     "correlation_coefficient",
     "covariance_intensity",
+    "feature_moments",
     "field_pair_moment",
     "fourfold_covariance",
     "gaussian_moment_check",
@@ -34,6 +42,14 @@ __all__ = [
     "normal_intensities",
     "variance_intensity",
 ]
+
+#: Rows per chunk of :func:`feature_moments`.  Fixed, so that results do not
+#: depend on the machine; at 13 features a chunk holds about 7 MB.
+CHUNK_ROWS = 1 << 16
+
+#: Central-difference step of the delta-method gradient, relative to the
+#: magnitude of each mean plus its standard error.
+_GRADIENT_STEP = 1e-6
 
 
 class DegenerateStatisticError(ValueError):
@@ -55,18 +71,13 @@ class MomentEstimate:
         return float(abs(self.value - oracle) / self.std_error)
 
 
-def _check_column(col: np.ndarray, min_n: int = 2) -> np.ndarray:
-    col = np.asarray(col)
-    if col.ndim != 1:
-        raise ValueError("estimators expect 1-D ensemble columns")
-    if col.shape[0] < min_n:
-        raise ValueError(f"need at least {min_n} samples, got {col.shape[0]}")
-    return col
-
-
 def _check_equal(*cols):
-    cols = [_check_column(c) for c in cols]
+    cols = [np.asarray(c) for c in cols]
+    if any(c.ndim != 1 for c in cols):
+        raise ValueError("estimators expect 1-D ensemble columns")
     n = cols[0].shape[0]
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got {n}")
     if any(c.shape[0] != n for c in cols):
         raise ValueError("ensemble columns must have equal lengths")
     return cols
@@ -83,7 +94,7 @@ def jackknife_se(func, *samples: np.ndarray) -> float:
 
     ``func`` must accept the means of each column in ``samples`` and be
     numpy-broadcastable; it is evaluated on all leave-one-out means at
-    once.
+    once.  The tests use it as the reference for :meth:`FeatureMoments.estimate`.
     """
     samples = [np.asarray(s) for s in samples]
     n = samples[0].shape[0]
@@ -93,81 +104,121 @@ def jackknife_se(func, *samples: np.ndarray) -> float:
     return float(np.sqrt((n - 1) * np.mean((theta - theta.mean()) ** 2)))
 
 
+@dataclass(frozen=True)
+class FeatureMoments:
+    """Mean vector and centred Gram matrix of k feature columns over n rows."""
+
+    n: int
+    mean: np.ndarray
+    gram: np.ndarray
+
+    def estimate(self, f) -> MomentEstimate:
+        """``f`` of the feature means with its delta-method standard error.
+
+        ``f`` indexes the mean vector by feature (``m[0]``, ``m[1]``, ...) and
+        must broadcast over trailing axes: the gradient evaluates it on all 2k
+        shifted mean vectors at once.  A complex ``f`` gets sqrt(E|f_hat - f|^2).
+        """
+        k = self.mean.shape[0]
+        cov = self.gram / (self.n - 1)
+        h = _GRADIENT_STEP * (np.abs(self.mean) + np.sqrt(np.diag(cov) / self.n))
+        h = np.where(h > 0, h, _GRADIENT_STEP)
+        shifts = np.diag(h)
+        shifted = np.asarray(f(self.mean[:, None] + np.hstack([shifts, -shifts])))
+        grad = (shifted[:k] - shifted[k:]) / (2.0 * h)
+        var = float(np.real(np.conj(grad) @ cov @ grad)) / self.n
+        return MomentEstimate(np.asarray(f(self.mean)).item(),
+                              float(np.sqrt(max(var, 0.0))), self.n)
+
+
+def feature_moments(features, *columns: np.ndarray) -> FeatureMoments:
+    """Moments of the real feature columns ``features(*chunk)`` over all rows.
+
+    ``features`` maps a :data:`CHUNK_ROWS`-row chunk of each column to k real
+    columns; each chunk's mean and centred Gram matrix are merged into the
+    running ones in row order (Chan, Golub & LeVeque 1979).
+    """
+    columns = _check_equal(*columns)
+    n, mean, gram = 0, 0.0, 0.0
+    for start in range(0, columns[0].shape[0], CHUNK_ROWS):
+        x = np.stack(features(*(c[start:start + CHUNK_ROWS] for c in columns)),
+                     dtype=np.float64)
+        rows, chunk_mean = x.shape[1], x.mean(axis=1)
+        x -= chunk_mean[:, None]
+        delta = chunk_mean - mean
+        gram = gram + x @ x.T + np.outer(delta, delta) * (n * rows / (n + rows))
+        mean = mean + delta * (rows / (n + rows))
+        n += rows
+    return FeatureMoments(n, mean, gram)
+
+
+def _intensities(*cols):
+    return [np.abs(c) ** 2 for c in cols]
+
+
+def _intensity_products(a, b):
+    xa, xb = _intensities(a, b)
+    return xa, xb, xa * xb
+
+
+def _variance(n: int, i: int, ii: int):
+    """Normal-ordered variance (n - 1 normalisation) from the means of x, x^2."""
+    return lambda m: (m[ii] - m[i] ** 2) * (n / (n - 1)) - ORDERING.variance_offset
+
+
 def mean_intensity(col: np.ndarray) -> MomentEstimate:
     """Normal-ordered mean intensity of one ensemble column."""
-    col = _check_column(col)
-    x = np.abs(col) ** 2
-    n = x.shape[0]
-    value = float(x.mean() - ORDERING.intensity_offset)
-    se = float(x.std(ddof=1) / np.sqrt(n))
-    return MomentEstimate(value, se, n)
-
-
-def _variance_from_intensities(x: np.ndarray) -> MomentEstimate:
-    n = x.shape[0]
-    d = x - x.mean()
-    m2 = np.mean(d ** 2)
-    m4 = np.mean(d ** 4)
-    value = float(x.var(ddof=1) - ORDERING.variance_offset)
-    se = float(np.sqrt(max(m4 - m2 ** 2, 0.0) / n))
-    return MomentEstimate(value, se, n)
+    moments = feature_moments(_intensities, col)
+    return moments.estimate(lambda m: m[0] - ORDERING.intensity_offset)
 
 
 def variance_intensity(col: np.ndarray) -> MomentEstimate:
     """Normal-ordered intensity variance of one ensemble column.
 
-    The sampled variance of |E|^2 minus the 1/4 ordering offset; the
-    standard error uses the delta-method formula sqrt((m4 - m2^2)/n).
+    The sampled variance of |E|^2, its covariance with itself, minus the
+    1/4 ordering offset.
     """
-    col = _check_column(col)
-    return _variance_from_intensities(np.abs(col) ** 2)
+    moments = feature_moments(_intensity_products, col, col)
+    return moments.estimate(_variance(moments.n, 0, 2))
 
 
 def covariance_intensity(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
     """Sample covariance of two intensity columns (no ordering correction)."""
-    a, b = _check_equal(col_a, col_b)
-    xa = np.abs(a) ** 2
-    xb = np.abs(b) ** 2
-    n = xa.shape[0]
-    prod = (xa - xa.mean()) * (xb - xb.mean())
-    value = float(prod.sum() / (n - 1))
-    se = float(prod.std(ddof=1) / np.sqrt(n))
-    return MomentEstimate(value, se, n)
+    moments = feature_moments(_intensity_products, col_a, col_b)
+    n = moments.n
+    return moments.estimate(lambda m: (m[2] - m[0] * m[1]) * (n / (n - 1)))
 
 
 def correlation_coefficient(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
     """Intensity correlation coefficient with normal-ordered variances."""
-    a, b = _check_equal(col_a, col_b)
-    xa = np.abs(a) ** 2
-    xb = np.abs(b) ** 2
-    n = xa.shape[0]
+    def features(a, b):
+        xa, xb, xab = _intensity_products(a, b)
+        return xa, xb, xab, xa ** 2, xb ** 2
+
+    moments = feature_moments(features, col_a, col_b)
     off = ORDERING.variance_offset
 
-    def rho(ma, mb, maa, mbb, mab):
-        va = maa - ma ** 2 - off
-        vb = mbb - mb ** 2 - off
-        return (mab - ma * mb) / np.sqrt(va * vb)
+    def rho(m):
+        va = m[3] - m[0] ** 2 - off
+        vb = m[4] - m[1] ** 2 - off
+        return (m[2] - m[0] * m[1]) / np.sqrt(va * vb)
 
-    for x in (xa, xb):
-        est = _variance_from_intensities(x)
-        if est.value <= 0 or est.value < 5.0 * est.std_error:
+    for i, ii in ((0, 3), (1, 4)):
+        var = moments.estimate(_variance(moments.n, i, ii))
+        if var.value <= 0 or var.value < 5.0 * var.std_error:
             raise DegenerateStatisticError(
                 "normal-ordered variance consistent with zero")
-    value = float(rho(xa.mean(), xb.mean(), np.mean(xa ** 2), np.mean(xb ** 2),
-                      np.mean(xa * xb)))
-    se = jackknife_se(rho, xa, xb, xa ** 2, xb ** 2, xa * xb)
-    return MomentEstimate(value, se, n)
+    return moments.estimate(rho)
 
 
 def field_pair_moment(col_a: np.ndarray, col_b: np.ndarray,
                       conjugate_second: bool = False) -> MomentEstimate:
     """Mean field product <E_a E_b> or <E_a E_b*> (symmetric order)."""
-    a, b = _check_equal(col_a, col_b)
-    prod = a * (np.conj(b) if conjugate_second else b)
-    n = prod.shape[0]
-    value = complex(prod.mean())
-    se = float(np.sqrt((prod.real.var(ddof=1) + prod.imag.var(ddof=1)) / n))
-    return MomentEstimate(value, se, n)
+    def features(a, b):
+        prod = a * (np.conj(b) if conjugate_second else b)
+        return prod.real, prod.imag
+
+    return feature_moments(features, col_a, col_b).estimate(lambda m: m[0] + 1j * m[1])
 
 
 def moment_theorem_residual(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
@@ -175,30 +226,33 @@ def moment_theorem_residual(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstim
 
     For jointly Gaussian fields the symmetric-order intensity product
     factorises as <I_a><I_b> + |<E_a E_b*>|^2 + |<E_a E_b>|^2; the returned
-    estimate is the sampled difference with a jackknife standard error.
+    estimate is the sampled difference.
     """
-    a, b = _check_equal(col_a, col_b)
-    xa = np.abs(a) ** 2
-    xb = np.abs(b) ** 2
-    prod = xa * xb
-    cross = a * np.conj(b)
-    pair = a * b
+    def features(a, b):
+        cross, pair = a * np.conj(b), a * b
+        return (*_intensity_products(a, b), cross.real, cross.imag, pair.real, pair.imag)
 
-    def resid(mp, ma, mb, mc_re, mc_im, mq_re, mq_im):
-        return mp - ma * mb - (mc_re ** 2 + mc_im ** 2) - (mq_re ** 2 + mq_im ** 2)
+    def resid(m):
+        return m[2] - m[0] * m[1] - (m[3] ** 2 + m[4] ** 2) - (m[5] ** 2 + m[6] ** 2)
 
-    value = float(resid(prod.mean(), xa.mean(), xb.mean(),
-                        cross.real.mean(), cross.imag.mean(),
-                        pair.real.mean(), pair.imag.mean()))
-    se = jackknife_se(resid, prod, xa, xb, cross.real, cross.imag,
-                      pair.real, pair.imag)
-    return MomentEstimate(value, se, xa.shape[0])
+    return feature_moments(features, col_a, col_b).estimate(resid)
 
 
 def gaussian_moment_check(col_a: np.ndarray, col_b: np.ndarray) -> float:
     """|moment-theorem residual| in multiples of its standard error."""
     est = moment_theorem_residual(col_a, col_b)
     return est.deviation(0.0)
+
+
+def chsh_features(e1p, e1m, e2p, e2m):
+    """Per-repetition numerator and denominator of the coefficient E.
+
+    Products of normal-ordered intensities at the plus/minus outputs of the
+    two polarisers; E is the ratio of their means.
+    """
+    i1p, i1m, i2p, i2m = (normal_intensities(c) for c in (e1p, e1m, e2p, e2m))
+    return (i1p * i2p + i1m * i2m - i1p * i2m - i1m * i2p,
+            i1p * i2p + i1m * i2m + i1p * i2m + i1m * i2p)
 
 
 def chsh_coefficient(e1p: np.ndarray, e1m: np.ndarray,
@@ -209,18 +263,11 @@ def chsh_coefficient(e1p: np.ndarray, e1m: np.ndarray,
     intensities is deliberately not subtracted (covariances are not a
     valid ingredient of this statistic).
     """
-    cols = _check_equal(e1p, e1m, e2p, e2m)
-    i1p, i1m, i2p, i2m = (normal_intensities(c) for c in cols)
-    num = i1p * i2p + i1m * i2m - i1p * i2m - i1m * i2p
-    den = i1p * i2p + i1m * i2m + i1p * i2m + i1m * i2p
-    n = num.shape[0]
-    den_mean = den.mean()
-    den_se = den.std(ddof=1) / np.sqrt(n)
-    if abs(den_mean) < 5.0 * den_se:
+    moments = feature_moments(chsh_features, e1p, e1m, e2p, e2m)
+    den = moments.estimate(lambda m: m[1])
+    if abs(den.value) < 5.0 * den.std_error:
         raise DegenerateStatisticError("intensity-product denominator consistent with zero")
-    value = float(num.mean() / den_mean)
-    se = jackknife_se(lambda mn, md: mn / md, num, den)
-    return MomentEstimate(value, se, n)
+    return moments.estimate(lambda m: m[0] / m[1])
 
 
 @dataclass(frozen=True)
@@ -233,18 +280,10 @@ class FourfoldResult:
     terms_total: MomentEstimate | None = None
     class_estimates: dict = field(default_factory=dict)
 
-    def class_sum(self, name: str) -> complex:
-        return complex(sum(self.terms[i] for i in self.term_classes[name]))
 
-
-def _terms_from_parts(ss_re, ss_im, ii_re, ii_im, m11r, m11i,
-                      m12r, m12i, m21r, m21i, m22r, m22i):
-    terms, _ = theory.fourfold_terms(
-        m_ss=ss_re + 1j * ss_im, m_ii=ii_re + 1j * ii_im,
-        mu11=m11r + 1j * m11i, mu12=m12r + 1j * m12i,
-        mu21=m21r + 1j * m21i, mu22=m22r + 1j * m22i,
-    )
-    return terms
+def _pair_moments(m):
+    """The six complex pair moments from the means of their real/imag columns."""
+    return [m[1 + 2 * j] + 1j * m[2 + 2 * j] for j in range(6)]
 
 
 def fourfold_covariance(s1: np.ndarray, s2: np.ndarray,
@@ -253,45 +292,31 @@ def fourfold_covariance(s1: np.ndarray, s2: np.ndarray,
 
     The direct Monte Carlo estimate uses symmetric-order intensities
     (centering cancels every ordering constant for four distinct
-    detectors).  The nine pair-moment products that reproduce it for
-    Gaussian fields are evaluated from the sampled field moments and
-    grouped into bunching / low-gain / mixed classes, each with a
-    jackknife standard error.
+    detectors), centred on their means from a first pass; its standard
+    error is that of the centred product column.  The nine pair-moment
+    products that reproduce it for Gaussian fields are evaluated from the
+    sampled field moments of the same second pass and grouped into
+    bunching / low-gain / mixed classes.
     """
-    cols = _check_equal(s1, s2, i1, i2)
-    ints = [np.abs(c) ** 2 for c in cols]
-    n = ints[0].shape[0]
-    centered = [x - x.mean() for x in ints]
-    prod = centered[0] * centered[1] * centered[2] * centered[3]
-    direct = MomentEstimate(float(prod.mean()),
-                            float(prod.std(ddof=1) / np.sqrt(n)), n)
+    means = feature_moments(_intensities, s1, s2, i1, i2).mean
 
-    a, b, c, d = cols
-    pm = {
-        "m_ss": a * np.conj(b),
-        "m_ii": np.conj(c) * d,
-        "mu11": a * c,
-        "mu12": a * d,
-        "mu21": b * c,
-        "mu22": b * d,
-    }
-    terms, classes = theory.fourfold_terms(**{k: complex(v.mean()) for k, v in pm.items()})
+    def features(a, b, c, d):
+        centred = [x - mu for x, mu in zip(_intensities(a, b, c, d), means)]
+        pairs = (a * np.conj(b), np.conj(c) * d, a * c, a * d, b * c, b * d)
+        return [centred[0] * centred[1] * centred[2] * centred[3],
+                *(part for p in pairs for part in (p.real, p.imag))]
 
-    parts = []
-    for key in ("m_ss", "m_ii", "mu11", "mu12", "mu21", "mu22"):
-        parts.extend([pm[key].real, pm[key].imag])
+    moments = feature_moments(features, s1, s2, i1, i2)
+    terms, classes = theory.fourfold_terms(*_pair_moments(moments.mean))
 
-    total_se = jackknife_se(lambda *p: sum(_terms_from_parts(*p)).real, *parts)
-    terms_total = MomentEstimate(float(np.sum(terms).real), total_se, n)
-    class_estimates = {}
-    for name, idx in classes.items():
-        value = float(sum(terms[i] for i in idx).real)
-        se = jackknife_se(
-            lambda *p, _idx=tuple(idx): sum(_terms_from_parts(*p)[list(_idx)]).real,
-            *parts)
-        class_estimates[name] = MomentEstimate(value, se, n)
-    return FourfoldResult(direct=direct, terms=terms, term_classes=classes,
-                          terms_total=terms_total, class_estimates=class_estimates)
+    def terms_sum(idx):
+        return moments.estimate(
+            lambda m: theory.fourfold_terms(*_pair_moments(m))[0][idx].sum(axis=0).real)
+
+    return FourfoldResult(
+        direct=moments.estimate(lambda m: m[0]), terms=terms, term_classes=classes,
+        terms_total=terms_sum(slice(None)),
+        class_estimates={name: terms_sum(idx) for name, idx in classes.items()})
 
 
 def intensity_snr(col: np.ndarray) -> float:
@@ -303,5 +328,5 @@ def intensity_snr(col: np.ndarray) -> float:
     low gain.  Acceptance criterion 9 expects S^2 at low gain; which SNR
     definition the paper uses is not settled by its abstract.
     """
-    x = normal_intensities(_check_column(col))
+    x = normal_intensities(_check_equal(col)[0])
     return float(x.mean() / x.std(ddof=1))

@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from . import theory
+from . import __version__, theory
 from .elements import (BeamSplitterParams, DetectorParams, GainParams,
                        beam_split, detector_loss, parametric_amplify,
                        polarizer_project)
-from .estimators import (MomentEstimate, chsh_coefficient, correlation_coefficient,
-                         covariance_intensity, fourfold_covariance, jackknife_se,
-                         mean_intensity, variance_intensity)
+from .estimators import (MomentEstimate, chsh_coefficient, chsh_features,
+                         correlation_coefficient, covariance_intensity,
+                         feature_moments, fourfold_covariance, mean_intensity,
+                         variance_intensity)
 from .multimode import Hom2dConfig, calibrate_gain, run_hom2d
 from .reporting import RunReport, StatisticRow, make_row
 from .sampling import LANE_STRIDE, RngStream, sample_vacuum
@@ -22,8 +24,6 @@ from .sampling import LANE_STRIDE, RngStream, sample_vacuum
 __all__ = ["ExperimentConfig", "run_experiment", "oracle_table", "EXPERIMENT_KINDS"]
 
 EXPERIMENT_KINDS = ("twin", "hom", "bell", "hom2d", "fourfold", "oracle")
-
-_VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -55,22 +55,29 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
         if self.gl is not None and self.G is not None:
             raise ValueError("give either gl or G, not both")
-        if self.kind in ("twin", "hom", "bell", "fourfold") and self.reps < 2:
-            raise ValueError("statistical experiments need reps >= 2")
+        if self.kind != "oracle" and self.reps < 2:
+            raise ValueError("Monte Carlo experiments need reps >= 2")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
+            raise ValueError("polariser angles must be finite")
+        _ = self.gain, self.splitter  # built now, so that bad values fail here
 
-    @property
+    @cached_property
     def gain(self) -> GainParams:
         if self.G is not None:
             return GainParams.from_mean_photons(self.G)
         if self.gl is not None:
             return GainParams(self.gl)
         return GainParams(math.asinh(1.0))  # S^2 = 1 default
+
+    @cached_property
+    def splitter(self) -> BeamSplitterParams:
+        return BeamSplitterParams.from_transmittance(self.transmittance)
 
 
 def _lane(config: ExperimentConfig, lane: int) -> RngStream:
@@ -103,44 +110,37 @@ def _run_twin(config: ExperimentConfig) -> RunReport:
 
 def hom_fields(config: ExperimentConfig):
     """Input and output field columns of the interference experiment."""
-    gain = config.gain
-    bs = BeamSplitterParams.from_transmittance(config.transmittance)
     ens = sample_vacuum(_lane(config, 0), config.reps, 2, threads=config.threads)
-    es, ei = parametric_amplify(ens.column(0), ens.column(1), gain)
-    e1, e2 = beam_split(es, ei, bs)
+    es, ei = parametric_amplify(ens.column(0), ens.column(1), config.gain)
+    e1, e2 = beam_split(es, ei, config.splitter)
     return es, ei, e1, e2
 
 
 def _run_hom(config: ExperimentConfig) -> RunReport:
     gain = config.gain
-    bs = BeamSplitterParams.from_transmittance(config.transmittance)
     es, ei, e1, e2 = hom_fields(config)
 
     cov_in_oracle = (gain.C * gain.S) ** 2
-    ratio_oracle = theory.hom_covariance_ratio(bs)
+    ratio_oracle = theory.hom_covariance_ratio(config.splitter)
 
     # Dip amplitude through the field-coherence route: for Gaussian fields
     # the cross-port covariance equals |<E1 E2*>|^2 + |<E1 E2>|^2, and the
     # pair-moment estimates resolve the null far below the noise floor of
     # the raw intensity covariance (whose 5-se check stands separately).
-    out_pairs = (e1 * np.conj(e2), e1 * e2)
-    in_pairs = (es * np.conj(ei), es * ei)
+    def pair_parts(e1, e2, es, ei):
+        pairs = (e1 * np.conj(e2), e1 * e2, es * np.conj(ei), es * ei)
+        return [part for p in pairs for part in (p.real, p.imag)]
 
-    def coherence_ratio(o1r, o1i, o2r, o2i, i1r, i1i, i2r, i2i):
-        num = o1r ** 2 + o1i ** 2 + o2r ** 2 + o2i ** 2
-        den = i1r ** 2 + i1i ** 2 + i2r ** 2 + i2i ** 2
-        return num / den
+    def coherence_ratio(m):
+        return sum(m[k] ** 2 for k in range(4)) / sum(m[k] ** 2 for k in range(4, 8))
 
-    parts = [p for c in (*out_pairs, *in_pairs) for p in (c.real, c.imag)]
-    dip_val = float(coherence_ratio(*[p.mean() for p in parts]))
-    dip_se = jackknife_se(coherence_ratio, *parts)
+    dip = feature_moments(pair_parts, e1, e2, es, ei).estimate(coherence_ratio)
 
     rows = [
         make_row("cov_input", covariance_intensity(es, ei), cov_in_oracle),
         make_row("cov_output", covariance_intensity(e1, e2),
                  ratio_oracle * cov_in_oracle),
-        make_row("dip_amplitude",
-                 MomentEstimate(dip_val, dip_se, config.reps), ratio_oracle),
+        make_row("dip_amplitude", dip, ratio_oracle),
     ]
     return RunReport("hom", rows=rows)
 
@@ -169,33 +169,21 @@ def polarized_arms(arms, theta1, theta2):
     return e1p, e1m, e2p, e2m
 
 
-def _chsh_product_columns(arms, theta1, theta2):
-    from .estimators import normal_intensities
-
-    e1p, e1m, e2p, e2m = polarized_arms(arms, theta1, theta2)
-    i1p, i1m, i2p, i2m = (normal_intensities(c) for c in (e1p, e1m, e2p, e2m))
-    num = i1p * i2p + i1m * i2m - i1p * i2m - i1m * i2p
-    den = i1p * i2p + i1m * i2m + i1p * i2m + i1m * i2p
-    return num, den
-
-
 def chsh_b_estimate(arms, reps: int) -> MomentEstimate:
-    """CHSH coefficient B at the standard angle set, jackknifed over reps."""
+    """CHSH coefficient B at the standard angle set over ``reps`` repetitions."""
     a, ap, b, bp = theory.CHSH_ANGLES
-    settings = [(ap, b), (ap, bp), (a, bp), (a, b)]
-    signs = [1.0, 1.0, 1.0, -1.0]
-    columns = [_chsh_product_columns(arms, t1, t2) for t1, t2 in settings]
+    settings = ((ap, b, 1.0), (ap, bp, 1.0), (a, bp, 1.0), (a, b, -1.0))
 
-    def b_value(*means):
-        total = 0.0
-        for j, sign in enumerate(signs):
-            total = total + sign * means[2 * j] / means[2 * j + 1]
-        return total
+    def features(*chunk):
+        return [col for t1, t2, _ in settings
+                for col in chsh_features(*polarized_arms(chunk, t1, t2))]
 
-    flat = [c for pair in columns for c in pair]
-    b_val = float(b_value(*[c.mean() for c in flat]))
-    b_se = jackknife_se(b_value, *flat)
-    return MomentEstimate(b_val, b_se, reps)
+    def b_value(m):
+        return sum(sign * m[2 * j] / m[2 * j + 1]
+                   for j, (_, _, sign) in enumerate(settings))
+
+    est = feature_moments(features, *arms).estimate(b_value)
+    return replace(est, n_samples=reps)
 
 
 def _run_bell(config: ExperimentConfig) -> RunReport:
@@ -322,7 +310,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         "gl": config.gain.gl,
         "G": config.gain.mean_photons,
         "eta": config.eta,
-        "version": _VERSION,
+        "version": __version__,
         "wall_time_s": time.perf_counter() - start,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     })

@@ -94,7 +94,6 @@ class Hom2dConfig:
     reps: int = 100
     seed: int = 42
     band_floor: float = 0.05
-    mode_floor: float = 1e-8
 
     def __post_init__(self):
         if self.n_pixels < 1:
@@ -172,9 +171,6 @@ class SchmidtDecomposition:
     @property
     def n_modes(self) -> int:
         return self.lam.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.lam) @ self.V.T
 
 
 def schmidt_decompose(kernel: JointAmplitudeKernel,

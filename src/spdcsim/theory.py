@@ -86,13 +86,6 @@ class BellPrediction:
         object.__setattr__(self, "b_of_g", chsh_gain_factor(self.G) * self.b0)
 
 
-def chsh_b_value(coefficients: dict) -> float:
-    """Combine the four E coefficients of the standard angle set into B."""
-    a, ap, b, bp = CHSH_ANGLES
-    return (coefficients[(ap, b)] + coefficients[(ap, bp)]
-            + coefficients[(a, bp)] - coefficients[(a, b)])
-
-
 def bell_prediction(theta1: float, theta2: float, G: float) -> dict:
     """Predictions for one polariser setting plus the standard-angle CHSH value."""
     return {
@@ -141,9 +134,3 @@ def coincident_fourfold_moments(gain: GainParams) -> dict:
         "mu21": mu,
         "mu22": mu,
     }
-
-
-def coincident_fourfold_total(gain: GainParams) -> float:
-    """Exact four-fold covariance of the coincident single-mode configuration."""
-    terms, _ = fourfold_terms(**coincident_fourfold_moments(gain))
-    return float(np.sum(terms).real)

@@ -48,6 +48,28 @@ def test_usage_error_exit_code():
     assert run_cli(["twin", "--eta", "1.5", "--reps", "100"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["twin", "--reps", "inf"],
+    ["twin", "--reps", "100", "--G", "-1"],
+    ["twin", "--reps", "100", "--G", "nan"],
+    ["twin", "--reps", "100", "--gain-gl", "nan"],
+    ["hom", "--reps", "100", "--transmittance", "1.5"],
+    ["bell", "--reps", "100", "--theta1", "nan"],
+])
+def test_bad_input_is_a_usage_error_with_a_reason(argv, capsys):
+    try:
+        code = run_cli(argv)
+    except SystemExit as exc:  # argparse rejects the --reps value itself
+        code = exc.code
+    assert code == 2
+    assert "spdcsim" in capsys.readouterr().err
+
+
+def test_hom2d_needs_two_reps(capsys):
+    assert run_cli(["hom2d", "--reps", "1"]) == 2
+    assert "reps >= 2" in capsys.readouterr().err
+
+
 def test_bell_threshold_brackets_two(tmp_path):
     out = tmp_path / "bell.json"
     code = run_cli(["bell", "--G", "0.26120", "--reps", "2e5", "--seed", "42",

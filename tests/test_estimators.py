@@ -1,16 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spdcsim import theory
 from spdcsim.elements import BeamSplitterParams, GainParams, beam_split, parametric_amplify
-from spdcsim.estimators import (DegenerateStatisticError, chsh_coefficient,
-                                correlation_coefficient, covariance_intensity,
+from spdcsim.estimators import (CHUNK_ROWS, DegenerateStatisticError,
+                                chsh_coefficient, correlation_coefficient,
+                                covariance_intensity, feature_moments,
                                 field_pair_moment, fourfold_covariance,
                                 gaussian_moment_check, intensity_snr,
                                 jackknife_se, mean_intensity,
                                 moment_theorem_residual, variance_intensity)
-from spdcsim.experiments import polarized_arms
+from spdcsim.experiments import (ExperimentConfig, chsh_b_estimate, polarized_arms,
+                                 run_experiment)
 from spdcsim.sampling import derive_stream, sample_vacuum
 
 from wick import centered_intensity_product, twin_beam_moment_table
@@ -182,3 +186,89 @@ def test_intensity_snr_values(twin_cache):
     snr = intensity_snr(es)
     # thermal statistics: mean/std of sampled intensity = S^2/(S^2 + 1/2)
     assert snr == pytest.approx(10.0 / 10.5, rel=0.02)
+
+
+def test_chunked_moments_equal_numpy_over_several_chunks():
+    rng = np.random.default_rng(3)
+    n = 3 * CHUNK_ROWS + 1234
+    x = rng.normal(size=n)
+    y = 1e3 + rng.exponential(size=n)
+
+    def features(a, b):
+        return a, a * a, a * b, b
+
+    moments = feature_moments(features, x, y)
+    cols = np.stack(features(x, y))
+    assert moments.n == n
+    np.testing.assert_allclose(moments.mean, cols.mean(axis=1), rtol=1e-12)
+    np.testing.assert_allclose(moments.gram / (n - 1), np.cov(cols), rtol=1e-12)
+
+
+def _delta_and_jackknife_cases(twin_cache, bell_cache):
+    """(name, engine estimate, jackknife SE of the same statistic) at 2e5 reps."""
+    reps = 200_000
+    es, ei = twin_cache(1.0, 1.0, reps)
+    xs, xi = np.abs(es) ** 2, np.abs(ei) ** 2
+    cross, pair = es * np.conj(ei), es * ei
+    yield ("residual", moment_theorem_residual(es, ei), jackknife_se(
+        lambda p, a, b, cr, ci, qr, qi: p - a * b - cr ** 2 - ci ** 2 - qr ** 2 - qi ** 2,
+        xs * xi, xs, xi, cross.real, cross.imag, pair.real, pair.imag))
+
+    e1, e2 = beam_split(es, ei, BeamSplitterParams.balanced())
+    parts = [p for c in (e1 * np.conj(e2), e1 * e2, cross, pair) for p in (c.real, c.imag)]
+    report = run_experiment(ExperimentConfig(kind="hom", gl=GL_UNIT, reps=reps))
+    dip = next(r for r in report.rows if r.name == "dip_amplitude")
+    yield ("hom dip", dip, jackknife_se(
+        lambda *m: sum(v ** 2 for v in m[:4]) / sum(v ** 2 for v in m[4:]), *parts))
+
+    res = fourfold_covariance(es, es, ei, ei)
+    pm = [es * np.conj(es), np.conj(ei) * ei, es * ei, es * ei, es * ei, es * ei]
+    parts = [p for c in pm for p in (c.real, c.imag)]
+    for name, idx in res.term_classes.items():
+        def class_sum(*m, _idx=idx):
+            moments = [m[2 * j] + 1j * m[2 * j + 1] for j in range(6)]
+            return theory.fourfold_terms(*moments)[0][_idx].sum(axis=0).real
+        yield (f"fourfold {name}", res.class_estimates[name], jackknife_se(class_sum, *parts))
+
+    for G in (1.0, 0.01):
+        arms = bell_cache(G, reps)
+        e1p, e1m, e2p, e2m = polarized_arms(arms, math.pi / 8, math.pi / 8)
+        i1p, i1m, i2p, i2m = (np.abs(c) ** 2 - 0.5 for c in (e1p, e1m, e2p, e2m))
+        num = i1p * i2p + i1m * i2m - i1p * i2m - i1m * i2p
+        den = i1p * i2p + i1m * i2m + i1p * i2m + i1m * i2p
+        yield (f"E at G={G}", chsh_coefficient(e1p, e1m, e2p, e2m),
+               jackknife_se(lambda a, b: a / b, num, den))
+
+        x1, x2 = np.abs(e1p) ** 2, np.abs(e2p) ** 2
+        yield (f"rho at G={G}", correlation_coefficient(e1p, e2p), jackknife_se(
+            lambda a, b, aa, bb, ab: (ab - a * b) / np.sqrt((aa - a * a - 0.25)
+                                                            * (bb - b * b - 0.25)),
+            x1, x2, x1 ** 2, x2 ** 2, x1 * x2))
+
+        a, ap, b, bp = theory.CHSH_ANGLES
+        cols = []
+        for t1, t2 in ((ap, b), (ap, bp), (a, bp), (a, b)):
+            i1p, i1m, i2p, i2m = (np.abs(c) ** 2 - 0.5 for c in polarized_arms(arms, t1, t2))
+            cols += [i1p * i2p + i1m * i2m - i1p * i2m - i1m * i2p,
+                     i1p * i2p + i1m * i2m + i1p * i2m + i1m * i2p]
+        yield (f"B at G={G}", chsh_b_estimate(arms, reps), jackknife_se(
+            lambda n1, d1, n2, d2, n3, d3, n4, d4: n1 / d1 + n2 / d2 + n3 / d3 - n4 / d4,
+            *cols))
+
+
+def test_delta_method_se_matches_jackknife(twin_cache, bell_cache):
+    cases = list(_delta_and_jackknife_cases(twin_cache, bell_cache))
+    assert len(cases) == 11
+    for name, est, reference in cases:
+        assert est.std_error == pytest.approx(reference, rel=0.01), name
+
+
+def test_fourfold_memory_is_bounded_by_the_chunk(twin_cache):
+    es, ei = twin_cache(1.0)
+    tracemalloc.start()
+    try:
+        fourfold_covariance(es, es, ei, ei)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
