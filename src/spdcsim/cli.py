@@ -275,6 +275,9 @@ def main(argv=None) -> int:
     except DegenerateStatisticError as exc:
         print(f"spdcsim: degenerate statistic: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # a bad value found once the run starts
+        print(f"spdcsim: {exc}", file=sys.stderr)
+        return 2
     except (RuntimeError, ArithmeticError) as exc:
         print(f"spdcsim: numeric failure: {exc}", file=sys.stderr)
         return 3

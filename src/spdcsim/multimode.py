@@ -98,8 +98,9 @@ class Hom2dConfig:
     def __post_init__(self):
         if self.n_pixels < 1:
             raise ValueError("n_pixels must be >= 1")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        if self.reps < 3:
+            # each delete-one aggregate divides by its own reps - 1 = reps - 2
+            raise ValueError("reps must be >= 3 for the dip's delete-one jackknife")
         if len(self.theta_sweep) == 0:
             raise ValueError("theta_sweep must not be empty")
         if self.crystal_length_mm <= 0 or self.pump_waist <= 0 or self.pm_bandwidth <= 0:
@@ -214,20 +215,90 @@ def _product_gains(dec: SchmidtDecomposition) -> np.ndarray:
     return 0.5 * np.arcsinh(2.0 * lam2)
 
 
+def _brent_root(f, a: float, b: float, xtol: float, rtol: float,
+                maxiter: int = 100) -> float:
+    """Root of ``f`` in the sign-changing bracket [a, b] by Brent's method.
+
+    A line-for-line port of the iteration in scipy's ``brentq.c`` (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4): the
+    same IEEE double operations in the same order, so it returns the same
+    root bit for bit.  Raises ValueError if f(a) and f(b) have the same
+    sign and RuntimeError after ``maxiter`` steps.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = float(f(xpre))
+    fcur = float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"f({xpre:g}) = {fpre:g} and f({xcur:g}) = {fcur:g} "
+                         "have the same sign")
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent root did not converge in {maxiter} steps")
+
+
 def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float,
                    g_max: float = 9.0) -> Hom2dConfig:
     """Tune ``gain_scale`` so the brightest image pixel carries the target
-    mean photon number."""
-    if photons_per_pixel <= 0:
-        raise ValueError("photons_per_pixel must be positive")
-    from scipy.optimize import brentq  # imported here: only hom2d needs scipy
+    mean photon number.
+
+    Solves max(image mean intensity)(g0) = ``photons_per_pixel`` for g0 in
+    [1e-9, ``g_max``] with Brent's method (:func:`_brent_root`, absolute
+    and relative tolerance 1e-12).  A target outside the photon range that
+    this bracket reaches is a ValueError naming that range.
+    """
+    if not (photons_per_pixel > 0 and math.isfinite(photons_per_pixel)):
+        raise ValueError(
+            f"photons_per_pixel must be positive and finite, got {photons_per_pixel}")
+    photons = []  # brightest pixel at each gain tried; the bracket ends first
 
     def brightest(g0):
         dec = schmidt_decompose(build_kernel(replace(config, gain_scale=g0)),
                                 floor=0.0)
-        return image_mean_intensities(dec).max() - photons_per_pixel
+        photons.append(image_mean_intensities(dec).max())
+        return photons[-1] - photons_per_pixel
 
-    g0 = brentq(brightest, 1e-9, g_max, xtol=1e-12, rtol=1e-12)
+    try:
+        g0 = _brent_root(brightest, 1e-9, g_max, xtol=1e-12, rtol=1e-12)
+    except ValueError:
+        raise ValueError(
+            f"photons_per_pixel {photons_per_pixel:g} is outside the reachable "
+            f"range [{photons[0]:.3g}, {photons[1]:.3g}] "
+            f"(gain_scale 1e-9 to {g_max:g})") from None
     return replace(config, gain_scale=float(g0))
 
 
@@ -474,22 +545,52 @@ def run_hom2d(config: Hom2dConfig) -> DipCurve:
 
 def _fit_dip_width(thetas: np.ndarray, amps: np.ndarray,
                    errs: np.ndarray | None = None) -> float | None:
-    """Gaussian-dip fit 1 - a exp(-theta^2 / 2 sigma^2); None if it fails."""
-    from scipy.optimize import curve_fit  # imported here: only hom2d needs scipy
+    """Width of the Gaussian-dip fit 1 - a exp(-theta^2 / 2 sigma^2); None
+    if it fails.
 
-    def model(t, a, sigma):
-        return 1.0 - a * np.exp(-(t ** 2) / (2.0 * sigma ** 2))
-
-    weights = None
+    Minimises the weighted squared error sum w (1 - amp - a phi)^2, with
+    phi = exp(-theta^2 / 2 sigma^2) and w = 1/err^2 (w = 1 if any error is
+    not finite and positive), by variable projection (Golub & Pereyra
+    1973): at fixed sigma the best amplitude is a = sum w r phi / sum w
+    phi^2 with r = 1 - amp, which leaves a 1-D problem in log sigma.  A
+    grid over log sigma, from a tenth of the smallest nonzero |theta| to
+    ten times the largest, picks the global minimum; Brent's method then
+    finds the zero of the error's derivative between its grid neighbours.
+    A minimum on the grid's edge is no fit, and so are fewer than three
+    tilts.
+    """
+    t2 = np.asarray(thetas, dtype=float) ** 2
+    r = 1.0 - np.asarray(amps, dtype=float)
+    w = np.ones_like(r)
     if errs is not None and np.all(np.isfinite(errs)) and np.all(errs > 0):
-        weights = errs
+        w = 1.0 / np.asarray(errs, dtype=float) ** 2
+    if not (t2.size > 2 and np.any(t2 > 0) and np.all(np.isfinite(t2))
+            and np.all(np.isfinite(r))):
+        return None  # two parameters need three tilts, one of them nonzero
+
+    def projection(log_sigma):
+        """phi and the sums sum w r phi, sum w phi^2 at each log sigma."""
+        phi = np.exp(-0.5 * t2 * np.exp(-2.0 * log_sigma))
+        return phi, (w * r * phi).sum(axis=-1), (w * phi * phi).sum(axis=-1)
+
+    def slope(log_sigma):
+        """d/d(log sigma) of the weighted error at the best amplitude."""
+        phi, n, d = projection(log_sigma)
+        dphi = phi * t2 * math.exp(-2.0 * log_sigma)
+        dn = (w * r * dphi).sum()
+        dd = 2.0 * (w * phi * dphi).sum()
+        return -n * (2.0 * dn * d - n * dd) / d ** 2
+
+    grid = np.linspace(0.5 * math.log(t2[t2 > 0].min()) - math.log(10.0),
+                       0.5 * math.log(t2.max()) + math.log(10.0), 256)
+    phi, n, d = projection(grid[:, None])
+    sse = (w * (r - (n / d)[:, None] * phi) ** 2).sum(axis=1)
+    k = int(np.argmin(sse))
+    if k == 0 or k == grid.size - 1:
+        return None
     try:
-        width0 = max(np.ptp(thetas) / 8.0, 1e-3)
-        popt, _ = curve_fit(model, thetas, amps, p0=[1.0, width0],
-                            sigma=weights, maxfev=20000)
-    except (RuntimeError, ValueError):
+        log_sigma = _brent_root(slope, grid[k - 1], grid[k + 1],
+                                xtol=1e-12, rtol=1e-12)
+    except (ValueError, RuntimeError):
         return None
-    sigma = float(abs(popt[1]))
-    if not math.isfinite(sigma) or sigma <= 0:
-        return None
-    return sigma
+    return math.exp(log_sigma)

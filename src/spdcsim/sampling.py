@@ -26,8 +26,8 @@ same words:
 * tall ensembles (many repetitions, few counter blocks) run the Philox
   below, vectorised over repetitions with a Python loop over blocks;
 * wide ensembles (few repetitions, many blocks, as for hom2d image
-  planes) run one ``numpy.random.Philox`` per repetition, keyed by
-  ``(seed, stream_id + r)`` with its counter started one block before 0.
+  planes) run one ``numpy.random.Philox``, rekeyed for each repetition r
+  to ``(seed, stream_id + r)`` with its counter one block before 0.
 
 The choice is a fixed cost rule on (repetitions, blocks), see
 :func:`_per_row_is_faster`; the test suite checks both paths against each
@@ -169,15 +169,16 @@ def _philox_block(counter0: int, seed: int, stream_ids: np.ndarray):
 
 
 def _per_row_is_faster(reps: int, n_blocks: int) -> bool:
-    """Dispatch rule of :func:`raw_words`: True where one numpy Philox per
-    row beats the path vectorised over rows.
+    """Dispatch rule of :func:`raw_words`: True where the per-row numpy
+    Philox path beats the path vectorised over rows.
 
-    Measured on x86-64 with numpy 2.4: the per-row path costs ~15 us a
-    row, the vectorised one ~240 us a block plus ~0.17 us per row and
+    Measured on a 2-vCPU x86-64 VM with numpy 2.4: the per-row path costs
+    ~5 us a row (rekeying its one generator; its words cost ~0.03 us a
+    block), the vectorised one ~240 us a block plus ~0.17 us per row and
     block.  So one-block and two-block tall ensembles stay vectorised, and
-    rows win from ~6 blocks at 100 rows, ~37 at 1000 and ~77 at 10 000.
+    rows win from ~2 blocks at 100 rows, ~13 at 1000 and ~26 at 10 000.
     """
-    return 1500 * reps < n_blocks * (24_000 + 17 * reps)
+    return 500 * reps < n_blocks * (24_000 + 17 * reps)
 
 
 def raw_words(stream: RngStream, reps: int, n_words: int) -> np.ndarray:
@@ -186,13 +187,18 @@ def raw_words(stream: RngStream, reps: int, n_words: int) -> np.ndarray:
     words = np.empty((reps, 4 * n_blocks), dtype=np.uint64)
     if _per_row_is_faster(reps, n_blocks):
         # numpy's Philox steps its counter before each block, so starting it
-        # at 2**64 - 1 in every word makes its first block our block 0.
+        # at 2**64 - 1 in every word makes its first block our block 0.  One
+        # generator is rekeyed per row: building one per row would draw OS
+        # entropy for a seed that the key then overrides.
         counter = np.full(4, _MASK64, dtype=np.uint64)
+        bit_gen = np.random.Philox(0)
+        state = bit_gen.state
         for r in range(reps):
             key = np.array([stream.seed, (stream.stream_id + r) & _MASK64],
                            dtype=np.uint64)
-            words[r] = np.random.Philox(key=key, counter=counter).random_raw(
-                4 * n_blocks)
+            state["state"] = {"counter": counter, "key": key}
+            bit_gen.state = state
+            words[r] = bit_gen.random_raw(4 * n_blocks)
     else:
         sids = (_U64(stream.stream_id) + np.arange(reps, dtype=np.uint64)).astype(np.uint64)
         for j in range(n_blocks):

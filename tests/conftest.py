@@ -1,9 +1,11 @@
 import math
+import time
 from functools import lru_cache
 
 import pytest
 
 from spdcsim.experiments import ExperimentConfig, bell_arms, twin_fields
+from spdcsim.multimode import Hom2dConfig, calibrate_gain, run_hom2d
 
 
 @lru_cache(maxsize=8)
@@ -27,3 +29,15 @@ def twin_cache():
 @pytest.fixture(scope="session")
 def bell_cache():
     return bell_columns
+
+
+@pytest.fixture(scope="session")
+def hom2d_curves():
+    """The criterion-8 dip curves at seed 42, 100 reps, keyed by the
+    calibrated photons per pixel, and the seconds they took."""
+    start = time.perf_counter()
+    curves = {}
+    for target in (0.01, 0.1, 1.0, 10.0):
+        cfg = calibrate_gain(Hom2dConfig(seed=42, reps=100), target)
+        curves[target] = run_hom2d(cfg)
+    return curves, time.perf_counter() - start

@@ -16,7 +16,6 @@ from spdcsim.estimators import (chsh_coefficient, correlation_coefficient,
                                 mean_intensity, normal_intensities)
 from spdcsim.experiments import (ExperimentConfig, chsh_b_estimate, hom_fields,
                                  polarized_arms, run_experiment)
-from spdcsim.multimode import Hom2dConfig, calibrate_gain, run_hom2d
 from spdcsim.reporting import comparable_text
 from spdcsim.sampling import derive_stream, sample_vacuum
 from spdcsim import cli, theory
@@ -155,16 +154,6 @@ def test_criterion_7_fourfold_covariance():
     ok = dev < 5 and abs(ratio - expect) <= 0.10 * expect
     _report(7, ok, f"direct={direct:.3f} vs exact {oracle:.4f} ({dev:.2f} se); "
                    f"bunching ratio={ratio:.2f} vs {expect:.2f}")
-
-
-@pytest.fixture(scope="module")
-def hom2d_curves():
-    start = time.perf_counter()
-    curves = {}
-    for target in (0.01, 0.1, 1.0, 10.0):
-        cfg = calibrate_gain(Hom2dConfig(seed=SEED, reps=100), target)
-        curves[target] = run_hom2d(cfg)
-    return curves, time.perf_counter() - start
 
 
 def test_criterion_8_multimode_hom(hom2d_curves):

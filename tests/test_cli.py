@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +59,8 @@ def test_usage_error_exit_code():
     ["twin", "--reps", "100", "--gain-gl", "nan"],
     ["hom", "--reps", "100", "--transmittance", "1.5"],
     ["bell", "--reps", "100", "--theta1", "nan"],
+    ["hom2d", "--reps", "3", "--n-pixels", "4"],
+    ["hom2d", "--reps", "2"],
 ])
 def test_bad_input_is_a_usage_error_with_a_reason(argv, capsys):
     try:
@@ -63,6 +69,44 @@ def test_bad_input_is_a_usage_error_with_a_reason(argv, capsys):
         code = exc.code
     assert code == 2
     assert "spdcsim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("photons", ["1e300", "0", "-1", "nan", "inf"])
+def test_hom2d_bad_photon_target_is_a_usage_error(photons, capsys):
+    code = run_cli(["hom2d", "--reps", "3", "--photons-per-pixel", photons])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spdcsim: photons_per_pixel") and err.count("\n") == 1
+    if photons == "1e300":
+        assert "reachable range" in err
+
+
+def test_runs_never_import_scipy(tmp_path):
+    # Every subcommand runs with scipy unimportable, and a default-size
+    # hom2d run leaves it unloaded.
+    script = f"""
+import sys
+from spdcsim import cli
+out = {str(tmp_path)!r}
+assert cli.main(["hom2d", "--reps", "100", "--photons-per-pixel", "1",
+                 "--seed", "42", "--out", out + "/dip.csv"]) == 0
+assert "scipy" not in sys.modules
+sys.modules["scipy"] = None
+runs = [
+    ["hom2d", "--reps", "20", "--n-pixels", "16", "--pitch", "0.6",
+     "--theta-sweep=-1.8,-0.9,0,0.9,1.8", "--photons-per-pixel", "1"],
+    ["twin", "--reps", "20000"], ["hom", "--reps", "20000"],
+    ["bell", "--reps", "20000"], ["fourfold", "--reps", "20000"],
+    ["oracle", "--table", "twin"],
+]
+for argv in runs:
+    assert cli.main(argv + ["--out", out + "/" + argv[0] + ".csv"]) == 0, argv
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def test_hom2d_needs_two_reps(capsys):

@@ -11,7 +11,8 @@ from spdcsim.multimode import (Hom2dConfig, JointAmplitudeKernel, build_kernel,
                                pixel_mean_intensities, run_hom2d,
                                sample_image_planes, sample_multimode,
                                schmidt_decompose, shift_field)
-from spdcsim.multimode import _band_pairs, _port_fields
+from spdcsim.multimode import (_band_pairs, _brent_root, _fit_dip_width,
+                               _port_fields)
 from spdcsim.sampling import RngStream
 
 import hom2d_oracle
@@ -27,6 +28,9 @@ def test_config_validation():
         Hom2dConfig(n_pixels=0)
     with pytest.raises(ValueError):
         Hom2dConfig(reps=0)
+    for reps in (1, 2):  # the delete-one jackknife divides by reps - 2
+        with pytest.raises(ValueError):
+            Hom2dConfig(reps=reps)
     with pytest.raises(ValueError):
         Hom2dConfig(theta_sweep=())
     with pytest.raises(ValueError):
@@ -180,8 +184,120 @@ def test_calibrate_gain_hits_target():
     cfg = calibrate_gain(Hom2dConfig(), 1.0)
     dec = schmidt_decompose(build_kernel(cfg), floor=0.0)
     assert image_mean_intensities(dec).max() == pytest.approx(1.0, abs=1e-8)
+    for bad in (-1.0, 0.0, math.nan, math.inf, 1e300):  # 1e300: out of reach
+        with pytest.raises(ValueError):
+            calibrate_gain(Hom2dConfig(), bad)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x ** 3 - 2.0, 0.0, 3.0),
+    (lambda x: math.exp(x) - 5.0, -1.0, 2.5),
+    (lambda x: math.tanh(x - 0.3), -5.0, 7.0),
+    (lambda x: x - math.cos(x), 1e-9, 9.0),
+    (lambda x: math.atan(1e4 * (x - 0.123)), 0.0, 3.0),
+    (lambda x: math.log1p(x) - 0.7, 0.0, 3.0),
+    # steep or nearly flat ones take the rarer step-acceptance branches
+    (lambda x: math.exp(6.0 * (x - 1.7)) - 1.0, -2.0, 3.5),
+    (lambda x: math.exp(8.0 * (x - 1.7)) - 1.0, -2.0, 3.5),
+    (lambda x: (x - 0.4) ** 3 + 1e-3 * (x - 0.4), -2.0, 5.0),
+])
+@pytest.mark.parametrize("xtol, rtol", [(1e-12, 1e-12), (2e-12, 4 * 2.0 ** -52),
+                                        (1e-6, 1e-8)])
+def test_brent_root_matches_scipy_bit_for_bit(f, a, b, xtol, rtol):
+    from scipy.optimize import brentq
+    assert _brent_root(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol,
+                                                      rtol=rtol)
+
+
+def test_brent_root_rejects_a_bracket_without_sign_change():
     with pytest.raises(ValueError):
-        calibrate_gain(Hom2dConfig(), -1.0)
+        _brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
+
+
+@pytest.mark.parametrize("photons", [0.01, 0.1, 1.0, 10.0])
+def test_calibrate_gain_matches_scipy_brentq(photons):
+    from scipy.optimize import brentq
+    config = Hom2dConfig()
+
+    def brightest(g0):
+        dec = schmidt_decompose(build_kernel(replace(config, gain_scale=g0)),
+                                floor=0.0)
+        return image_mean_intensities(dec).max() - photons
+
+    expected = brentq(brightest, 1e-9, 9.0, xtol=1e-12, rtol=1e-12)
+    assert calibrate_gain(config, photons).gain_scale == expected
+
+
+def _curve_fit_width(thetas, amps, errs):
+    """The dip fit by scipy's Levenberg-Marquardt, the reference for
+    :func:`_fit_dip_width`; returns (a, sigma)."""
+    from scipy.optimize import curve_fit
+
+    def model(t, a, sigma):
+        return 1.0 - a * np.exp(-(t ** 2) / (2.0 * sigma ** 2))
+
+    popt, _ = curve_fit(model, thetas, amps, p0=[1.0, np.ptp(thetas) / 8.0],
+                        sigma=errs, maxfev=20000)
+    return popt[0], abs(popt[1])
+
+
+def _weighted_sse(thetas, amps, errs, a, sigma):
+    model = 1.0 - a * np.exp(-thetas ** 2 / (2.0 * sigma ** 2))
+    return float((((amps - model) / errs) ** 2).sum())
+
+
+def _best_amplitude(thetas, amps, errs, sigma):
+    phi = np.exp(-thetas ** 2 / (2.0 * sigma ** 2))
+    w = 1.0 / errs ** 2
+    return (w * (1.0 - amps) * phi).sum() / (w * phi * phi).sum()
+
+
+def _assert_fit_matches_curve_fit(thetas, amps, errs):
+    a_ref, sigma_ref = _curve_fit_width(thetas, amps, errs)
+    sigma = _fit_dip_width(thetas, amps, errs)
+    assert sigma == pytest.approx(sigma_ref, rel=1e-5)
+    sse = _weighted_sse(thetas, amps, errs,
+                        _best_amplitude(thetas, amps, errs, sigma), sigma)
+    # no larger, up to the rounding of the sum itself
+    assert sse <= _weighted_sse(thetas, amps, errs, a_ref, sigma_ref) * (1 + 1e-12)
+
+
+def test_fit_dip_width_matches_curve_fit_on_the_criterion_8_curves(hom2d_curves):
+    curves, _ = hom2d_curves
+    for curve in curves.values():
+        _assert_fit_matches_curve_fit(curve.theta, curve.amplitude,
+                                      curve.std_error)
+
+
+def test_fit_dip_width_matches_curve_fit_on_a_noisy_dip():
+    rng = np.random.default_rng(2024)
+    thetas = np.linspace(-3.0, 3.0, 25)
+    errs = rng.uniform(0.01, 0.05, thetas.size)
+    amps = (1.0 - 0.9 * np.exp(-thetas ** 2 / (2.0 * 0.8 ** 2))
+            + errs * rng.standard_normal(thetas.size))
+    _assert_fit_matches_curve_fit(thetas, amps, errs)
+    # without usable errors the fit is unweighted
+    assert _fit_dip_width(thetas, amps, np.zeros_like(errs)) == pytest.approx(
+        _fit_dip_width(thetas, amps, np.ones_like(errs)), rel=1e-12)
+
+
+@pytest.mark.parametrize("thetas", [[0.0], [0.5], [-0.5, 0.5], [0.0, 0.0, 0.0]])
+def test_fit_dip_width_fails_without_enough_tilts(thetas):
+    thetas = np.asarray(thetas)
+    amps = 1.0 - np.exp(-thetas ** 2)
+    assert _fit_dip_width(thetas, amps, np.full_like(thetas, 0.01)) is None
+
+
+def test_fit_dip_width_fails_on_non_finite_input():
+    thetas = np.linspace(-2.0, 2.0, 9)
+    amps = 1.0 - np.exp(-thetas ** 2)
+    errs = np.full_like(thetas, 0.01)
+    assert _fit_dip_width(thetas, amps, errs) is not None
+    for bad in (math.nan, math.inf):
+        assert _fit_dip_width(thetas, np.where(thetas == 0, bad, amps),
+                              errs) is None
+        assert _fit_dip_width(np.where(thetas == 0, bad, thetas), amps,
+                              errs) is None
 
 
 def test_run_hom2d_smoke():
