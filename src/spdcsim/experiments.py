@@ -66,6 +66,8 @@ class ExperimentConfig:
         if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
             raise ValueError("polariser angles must be finite")
         _ = self.gain, self.splitter  # built now, so that bad values fail here
+        if self.kind == "hom2d":
+            _ = self.multimode
 
     @cached_property
     def gain(self) -> GainParams:
@@ -78,6 +80,12 @@ class ExperimentConfig:
     @cached_property
     def splitter(self) -> BeamSplitterParams:
         return BeamSplitterParams.from_transmittance(self.transmittance)
+
+    @cached_property
+    def multimode(self) -> Hom2dConfig:
+        """The hom2d geometry with this run's reps and seed."""
+        mm = self.hom2d if self.hom2d is not None else Hom2dConfig()
+        return replace(mm, reps=self.reps, seed=self.seed)
 
 
 def _lane(config: ExperimentConfig, lane: int) -> RngStream:
@@ -224,16 +232,10 @@ def _run_fourfold(config: ExperimentConfig) -> RunReport:
     return RunReport("fourfold", rows=rows)
 
 
-def _hom2d_config(config: ExperimentConfig) -> Hom2dConfig:
-    mm = config.hom2d if config.hom2d is not None else Hom2dConfig()
-    mm = replace(mm, reps=config.reps, seed=config.seed)
+def _run_hom2d(config: ExperimentConfig) -> RunReport:
+    mm = config.multimode
     if config.photons_per_pixel is not None:
         mm = calibrate_gain(mm, config.photons_per_pixel)
-    return mm
-
-
-def _run_hom2d(config: ExperimentConfig) -> RunReport:
-    mm = _hom2d_config(config)
     curve = run_hom2d(mm)
     report = RunReport("hom2d", rows=[], curve=curve)
     report.metadata.update({

@@ -103,10 +103,17 @@ class Hom2dConfig:
             raise ValueError("reps must be >= 3 for the dip's delete-one jackknife")
         if len(self.theta_sweep) == 0:
             raise ValueError("theta_sweep must not be empty")
-        if self.crystal_length_mm <= 0 or self.pump_waist <= 0 or self.pm_bandwidth <= 0:
-            raise ValueError("crystal length, pump waist and bandwidth must be positive")
-        if self.gain_scale < 0:
-            raise ValueError("gain_scale must be >= 0")
+        if not all(math.isfinite(t) for t in self.theta_sweep):
+            raise ValueError("theta_sweep values must be finite")
+        scales = (self.pitch, self.crystal_length_mm, self.pump_waist,
+                  self.pm_bandwidth, self.pm_broadening_gain)
+        if not all(0 < x < math.inf for x in scales):
+            raise ValueError("pitch, crystal length, pump waist, bandwidth and "
+                             "broadening gain must be positive and finite")
+        if not math.isfinite(self.pm_broadening_exponent):
+            raise ValueError("pm_broadening_exponent must be finite")
+        if not 0 <= self.gain_scale < math.inf:
+            raise ValueError("gain_scale must be finite and >= 0")
         if self.phase_matching not in ("sinc", "gaussian"):
             raise ValueError("phase_matching must be 'sinc' or 'gaussian'")
 
@@ -215,15 +222,14 @@ def _product_gains(dec: SchmidtDecomposition) -> np.ndarray:
     return 0.5 * np.arcsinh(2.0 * lam2)
 
 
-def _brent_root(f, a: float, b: float, xtol: float, rtol: float,
-                maxiter: int = 100) -> float:
+def _brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
     """Root of ``f`` in the sign-changing bracket [a, b] by Brent's method.
 
     A line-for-line port of the iteration in scipy's ``brentq.c`` (Brent,
     *Algorithms for Minimization without Derivatives*, 1973, ch. 4): the
     same IEEE double operations in the same order, so it returns the same
     root bit for bit.  Raises ValueError if f(a) and f(b) have the same
-    sign and RuntimeError after ``maxiter`` steps.
+    sign and RuntimeError after scipy's default of 100 steps.
     """
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
@@ -236,7 +242,7 @@ def _brent_root(f, a: float, b: float, xtol: float, rtol: float,
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError(f"f({xpre:g}) = {fpre:g} and f({xcur:g}) = {fcur:g} "
                          "have the same sign")
-    for _ in range(maxiter):
+    for _ in range(100):
         if (fpre != 0 and fcur != 0
                 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -268,7 +274,7 @@ def _brent_root(f, a: float, b: float, xtol: float, rtol: float,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = float(f(xcur))
-    raise RuntimeError(f"Brent root did not converge in {maxiter} steps")
+    raise RuntimeError("Brent root did not converge in 100 steps")
 
 
 def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float,
@@ -284,21 +290,19 @@ def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float,
     if not (photons_per_pixel > 0 and math.isfinite(photons_per_pixel)):
         raise ValueError(
             f"photons_per_pixel must be positive and finite, got {photons_per_pixel}")
-    photons = []  # brightest pixel at each gain tried; the bracket ends first
 
     def brightest(g0):
         dec = schmidt_decompose(build_kernel(replace(config, gain_scale=g0)),
                                 floor=0.0)
-        photons.append(image_mean_intensities(dec).max())
-        return photons[-1] - photons_per_pixel
+        return image_mean_intensities(dec).max()
 
-    try:
-        g0 = _brent_root(brightest, 1e-9, g_max, xtol=1e-12, rtol=1e-12)
-    except ValueError:
+    lo, hi = brightest(1e-9), brightest(g_max)
+    if not lo <= photons_per_pixel <= hi:
         raise ValueError(
             f"photons_per_pixel {photons_per_pixel:g} is outside the reachable "
-            f"range [{photons[0]:.3g}, {photons[1]:.3g}] "
-            f"(gain_scale 1e-9 to {g_max:g})") from None
+            f"range [{lo:.3g}, {hi:.3g}] (gain_scale 1e-9 to {g_max:g})")
+    g0 = _brent_root(lambda g: brightest(g) - photons_per_pixel, 1e-9, g_max,
+                     xtol=1e-12, rtol=1e-12)
     return replace(config, gain_scale=float(g0))
 
 

@@ -61,6 +61,8 @@ def test_usage_error_exit_code():
     ["bell", "--reps", "100", "--theta1", "nan"],
     ["hom2d", "--reps", "3", "--n-pixels", "4"],
     ["hom2d", "--reps", "2"],
+    ["hom2d", "--reps", "3", "--pitch", "nan", "--photons-per-pixel", "1"],
+    ["hom2d", "--reps", "3", "--pump-waist", "nan", "--photons-per-pixel", "1"],
 ])
 def test_bad_input_is_a_usage_error_with_a_reason(argv, capsys):
     try:
@@ -112,6 +114,20 @@ for argv in runs:
 def test_hom2d_needs_two_reps(capsys):
     assert run_cli(["hom2d", "--reps", "1"]) == 2
     assert "reps >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["hom2d", "--reps", "2"], "reps must be >= 3"),
+    (["hom2d", "--reps", "3", "--pitch", "nan"], "pitch"),
+    (["hom2d", "--reps", "3", "--theta-sweep=nan,0,1"], "theta_sweep"),
+])
+def test_hom2d_bad_geometry_fails_before_the_run(argv, reason, monkeypatch, capsys):
+    def no_run(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    assert run_cli(argv) == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_bell_threshold_brackets_two(tmp_path):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spdcsim import multimode
 from spdcsim.estimators import gaussian_moment_check, mean_intensity
 from spdcsim.multimode import (Hom2dConfig, JointAmplitudeKernel, build_kernel,
                                calibrate_gain, image_mean_intensities,
@@ -33,8 +34,18 @@ def test_config_validation():
             Hom2dConfig(reps=reps)
     with pytest.raises(ValueError):
         Hom2dConfig(theta_sweep=())
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Hom2dConfig(gain_scale=bad)
+    for field in ("pitch", "crystal_length_mm", "pump_waist", "pm_bandwidth",
+                  "pm_broadening_gain"):
+        for bad in (0.0, -0.25, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Hom2dConfig(**{field: bad})
     with pytest.raises(ValueError):
-        Hom2dConfig(gain_scale=-1.0)
+        Hom2dConfig(pm_broadening_exponent=math.nan)
+    with pytest.raises(ValueError):
+        Hom2dConfig(theta_sweep=(math.nan, 0.0, 1.0))
     with pytest.raises(ValueError):
         Hom2dConfig(phase_matching="rect")
 
@@ -187,6 +198,21 @@ def test_calibrate_gain_hits_target():
     for bad in (-1.0, 0.0, math.nan, math.inf, 1e300):  # 1e300: out of reach
         with pytest.raises(ValueError):
             calibrate_gain(Hom2dConfig(), bad)
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 5])  # the two bracket ends, mid-search
+def test_calibrate_gain_passes_kernel_errors_through(fail_at, monkeypatch):
+    calls = []
+
+    def failing_kernel(config):
+        calls.append(config.gain_scale)
+        if len(calls) == fail_at:
+            raise ValueError("kernel entries must be finite")
+        return build_kernel(config)
+
+    monkeypatch.setattr(multimode, "build_kernel", failing_kernel)
+    with pytest.raises(ValueError, match="^kernel entries must be finite$"):
+        calibrate_gain(Hom2dConfig(n_pixels=16, pitch=0.6), 1.0)
 
 
 @pytest.mark.parametrize("f, a, b", [
