@@ -1,10 +1,19 @@
 """Command-line front end.
 
-Subcommands: twin, hom, bell, hom2d, fourfold, oracle.  Shared flags:
---reps, --seed, --threads, --out, --format, --config.  Values resolve as
-command-line flag > config-file entry > built-in default; the config file
-is flat ``key = value`` text (a TOML-compatible subset).  The environment
-variable SPDC_SEED overrides the built-in default seed.
+Subcommands: twin, hom, bell, fourfold, hom2d (Monte Carlo runs) and oracle
+(closed-form tables).  Each run option sets one field of
+``ExperimentConfig`` or, for the hom2d geometry, of ``Hom2dConfig``, and its
+default is that field's default; the environment variable SPDC_SEED
+replaces the default seed.  Every Monte Carlo subcommand takes --reps,
+--seed and --threads; every subcommand takes --out, --format and --config.
+
+A ``--config`` file holds flat ``key = value`` lines (a TOML-compatible
+subset; ``#`` starts a comment line).  Its keys are the subcommand's long
+flag names with ``_`` for ``-`` (``gain_gl``, ``G``, ``crystal_length``);
+a list is ``a,b`` or ``[a, b]``, and a value may be quoted.  The entries
+are parsed as flags placed before the command line's own, so they get the
+same types and checks, and a flag on the command line wins.  An unknown
+key is a usage error.
 
 Exit codes: 0 all statistics pass, 1 statistical failure, 2 usage error,
 3 numeric or I/O error.
@@ -14,9 +23,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .estimators import DegenerateStatisticError
@@ -26,32 +35,19 @@ from .reporting import RunReport, emit_results
 
 __all__ = ["main", "entry", "load_config_file"]
 
-_DEFAULT_SEED = 42
-
-
-def _parse_value(text: str):
-    text = text.strip()
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        return [_parse_value(v) for v in inner.split(",")] if inner else []
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+_COMMANDS = {
+    "twin": "twin-beam mean/variance/covariance",
+    "hom": "two-detector interference covariance null",
+    "bell": "polarisation correlations and CHSH coefficient",
+    "fourfold": "four-detector intensity covariance",
+    "hom2d": "multimode spatial interference dip sweep",
+    "oracle": "tabulated closed-form predictions",
+}
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Parse a flat key = value config file (TOML-compatible subset)."""
+    """Entries of a flat ``key = value`` config file (TOML-compatible
+    subset) as text, with surrounding quotes or list brackets removed."""
     entries = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -60,160 +56,120 @@ def load_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        entries[key.strip().replace("-", "_")] = _parse_value(value)
+        value = value.strip()
+        if len(value) >= 2 and value[0] + value[-1] in ('""', "[]"):
+            value = value[1:-1]
+        entries[key.strip()] = value
     return entries
 
 
 def _reps(text: str) -> int:
     value = float(text)
-    n = int(value) if math.isfinite(value) else 0
-    if n < 1:
+    if not (value >= 1 and value.is_integer()):
         raise argparse.ArgumentTypeError(f"reps must be a positive integer, got {text!r}")
-    return n
+    return int(value)
 
 
-def _float_list(text: str):
-    return tuple(float(v) for v in str(text).split(",") if str(v).strip())
+def _float_list(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser.  Each subcommand's ``config_keys`` default holds the
+    keys its config file may use."""
     parser = argparse.ArgumentParser(
         prog="spdcsim",
         description="Monte Carlo simulator of Gaussian quantum-optics experiments "
                     "using stochastic field sampling.")
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, about in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        p.add_argument("--config", help="flat key = value config file")
+        flags = []
 
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--reps", type=_reps, default=None,
-                        help="number of repetitions (accepts 1e6 notation)")
-    shared.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default: $SPDC_SEED or 42)")
-    shared.add_argument("--threads", type=int, default=None,
-                        help="worker cap for ensemble generation (default 1)")
-    shared.add_argument("--out", default=None, help="output file path")
-    shared.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        default=None, help="output format (default csv)")
-    shared.add_argument("--config", default=None,
-                        help="flat key = value config file")
+        def add(flag, owner=None, name=None, to=p, **kwargs):
+            """Add ``flag``; with ``owner`` it sets field ``name`` of that
+            config dataclass and takes the field's default (a dataclass
+            keeps it as the class attribute)."""
+            if owner is not None:
+                kwargs = {"type": float, "dest": name,
+                          "default": getattr(owner, name), **kwargs}
+            to.add_argument(flag, **kwargs)
+            flags.append(flag)
 
-    gain = argparse.ArgumentParser(add_help=False)
-    group = gain.add_mutually_exclusive_group()
-    group.add_argument("--gain-gl", type=float, default=None,
-                       help="gain-length product gL")
-    group.add_argument("--G", type=float, default=None,
-                       help="mean photons per mode, sinh^2(gL)")
-
-    p = sub.add_parser("twin", parents=[shared, gain],
-                       help="twin-beam mean/variance/covariance")
-    p.add_argument("--eta", type=float, default=None,
-                   help="detector quantum efficiency (default 1)")
-
-    p = sub.add_parser("hom", parents=[shared, gain],
-                       help="two-detector interference covariance null")
-    p.add_argument("--transmittance", type=float, default=None,
-                   help="splitter intensity transmittance (default 0.5)")
-
-    p = sub.add_parser("bell", parents=[shared, gain],
-                       help="polarisation correlations and CHSH coefficient")
-    p.add_argument("--theta1", type=float, default=None,
-                   help="polariser angle at location 1, radians (default pi/8)")
-    p.add_argument("--theta2", type=float, default=None,
-                   help="polariser angle at location 2, radians (default pi/8)")
-
-    sub.add_parser("fourfold", parents=[shared, gain],
-                   help="four-detector intensity covariance")
-
-    p = sub.add_parser("hom2d", parents=[shared],
-                       help="multimode spatial interference dip sweep")
-    p.add_argument("--photons-per-pixel", type=float, default=None,
-                   help="calibrate the gain to this brightest-pixel intensity")
-    p.add_argument("--gain-scale", type=float, default=None,
-                   help="raw gain scale g0 (ignored with --photons-per-pixel)")
-    p.add_argument("--n-pixels", type=int, default=None)
-    p.add_argument("--pitch", type=float, default=None)
-    p.add_argument("--crystal-length", type=float, default=None,
-                   help="crystal length in mm (default 0.8)")
-    p.add_argument("--pump-waist", type=float, default=None)
-    p.add_argument("--pm-bandwidth", type=float, default=None)
-    p.add_argument("--phase-matching", choices=("sinc", "gaussian"), default=None)
-    p.add_argument("--theta-sweep", type=_float_list, default=None,
-                   help="comma-separated tilt angles")
-
-    p = sub.add_parser("oracle", parents=[shared],
-                       help="tabulated closed-form predictions")
-    p.add_argument("--table", choices=("twin", "bell", "hom"), default=None)
-    p.add_argument("--values", type=_float_list, default=None,
-                   help="comma-separated gains or transmittances")
-    p.add_argument("--eta", type=float, default=None)
-
+        add("--out", help="output file path")
+        add("--format", dest="fmt", choices=("csv", "json"), default="csv",
+            help="output format (default csv)")
+        if command == "oracle":
+            add("--table", choices=("twin", "bell", "hom"), default="bell")
+            add("--values", type=_float_list, default=(),
+                help="comma-separated gains or transmittances")
+            add("--eta", ExperimentConfig, "eta")
+        else:
+            reps_owner = Hom2dConfig if command == "hom2d" else ExperimentConfig
+            add("--reps", reps_owner, "reps", type=_reps,
+                help="number of repetitions (accepts 1e6 notation; default %(default)s)")
+            add("--seed", ExperimentConfig, "seed", type=int,
+                default=os.environ.get("SPDC_SEED") or ExperimentConfig.seed,
+                help="RNG seed (default $SPDC_SEED, else %(default)s)")
+            add("--threads", ExperimentConfig, "threads", type=int,
+                help="worker cap for ensemble generation (default %(default)s)")
+        if command in ("twin", "hom", "bell", "fourfold"):
+            gain = p.add_mutually_exclusive_group()
+            add("--gain-gl", ExperimentConfig, "gl", to=gain,
+                help="gain-length product gL")
+            add("--G", ExperimentConfig, "G", to=gain,
+                help="mean photons per mode, sinh^2(gL) (default 1)")
+        if command == "twin":
+            add("--eta", ExperimentConfig, "eta",
+                help="detector quantum efficiency (default %(default)s)")
+        elif command == "hom":
+            add("--transmittance", ExperimentConfig, "transmittance",
+                help="splitter intensity transmittance (default %(default)s)")
+        elif command == "bell":
+            for n in (1, 2):
+                add(f"--theta{n}", ExperimentConfig, f"theta{n}",
+                    help=f"polariser angle at location {n}, radians (default pi/8)")
+        elif command == "hom2d":
+            add("--photons-per-pixel", ExperimentConfig, "photons_per_pixel",
+                help="calibrate the gain to this brightest-pixel intensity")
+            add("--gain-scale", Hom2dConfig, "gain_scale",
+                help="raw gain scale g0 (ignored with --photons-per-pixel)")
+            add("--n-pixels", Hom2dConfig, "n_pixels", type=int)
+            add("--pitch", Hom2dConfig, "pitch")
+            add("--crystal-length", Hom2dConfig, "crystal_length_mm",
+                help="crystal length in mm (default %(default)s)")
+            add("--pump-waist", Hom2dConfig, "pump_waist")
+            add("--pm-bandwidth", Hom2dConfig, "pm_bandwidth")
+            add("--phase-matching", Hom2dConfig, "phase_matching", type=str,
+                choices=("sinc", "gaussian"))
+            add("--theta-sweep", Hom2dConfig, "theta_sweep", type=_float_list,
+                help="comma-separated tilt angles")
+        p.set_defaults(config_keys=[f[2:].replace("-", "_") for f in flags])
     return parser
 
 
-_COMMON_DEFAULTS = {"threads": 1, "fmt": "csv", "out": None}
-_DEFAULTS = {
-    "twin": {"reps": 1_000_000, "gain_gl": None, "g": None, "eta": 1.0},
-    "hom": {"reps": 1_000_000, "gain_gl": None, "g": None, "transmittance": 0.5},
-    "bell": {"reps": 1_000_000, "gain_gl": None, "g": None,
-             "theta1": math.pi / 8.0, "theta2": math.pi / 8.0},
-    "fourfold": {"reps": 1_000_000, "gain_gl": None, "g": None},
-    "hom2d": {"reps": 100, "photons_per_pixel": None, "gain_scale": None,
-              "n_pixels": None, "pitch": None, "crystal_length": None,
-              "pump_waist": None, "pm_bandwidth": None, "phase_matching": None,
-              "theta_sweep": None},
-    "oracle": {"reps": 2, "table": "bell", "values": None, "eta": 1.0},
-}
+def _config_flags(path: str, keys: list) -> list:
+    """The entries of config file ``path`` as ``--flag=value`` arguments."""
+    entries = load_config_file(path)
+    for key in entries:
+        if key.replace("-", "_") not in keys:
+            raise ValueError(f"{path}: unknown key {key!r}; "
+                             f"this subcommand takes {', '.join(keys)}")
+    return [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()]
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Merge flag > config file > default for every option of the command."""
-    file_values = load_config_file(args.config) if args.config else {}
-    values = dict(_COMMON_DEFAULTS)
-    values.update(_DEFAULTS[args.command])
-    env_seed = os.environ.get("SPDC_SEED")
-    values["seed"] = int(env_seed) if env_seed else _DEFAULT_SEED
-
-    cli = {k.lower(): v for k, v in vars(args).items() if k not in ("command", "config")}
-    for key in list(values):
-        if key in file_values:
-            values[key] = file_values[key]
-        if cli.get(key) is not None:
-            values[key] = cli[key]
-    return values
-
-
-def _experiment_config(command: str, v: dict) -> ExperimentConfig:
-    common = dict(kind=command, reps=int(v["reps"]), seed=int(v["seed"]),
-                  threads=int(v["threads"]))
-    if command in ("twin", "hom", "bell", "fourfold"):
-        common.update(gl=v.get("gain_gl"), G=v.get("g"))
-    if command == "twin":
-        common.update(eta=float(v["eta"]))
-    elif command == "hom":
-        common.update(transmittance=float(v["transmittance"]))
-    elif command == "bell":
-        common.update(theta1=float(v["theta1"]), theta2=float(v["theta2"]))
-    elif command == "hom2d":
-        base = Hom2dConfig()
-        overrides = {}
-        for cfg_key, opt_key in (("n_pixels", "n_pixels"), ("pitch", "pitch"),
-                                 ("crystal_length_mm", "crystal_length"),
-                                 ("pump_waist", "pump_waist"),
-                                 ("pm_bandwidth", "pm_bandwidth"),
-                                 ("phase_matching", "phase_matching"),
-                                 ("gain_scale", "gain_scale"),
-                                 ("theta_sweep", "theta_sweep")):
-            if v.get(opt_key) is not None:
-                value = v[opt_key]
-                if cfg_key == "theta_sweep":
-                    value = tuple(float(t) for t in value)
-                overrides[cfg_key] = value
-        from dataclasses import replace
-        common.update(hom2d=replace(base, **overrides),
-                      photons_per_pixel=v.get("photons_per_pixel"))
-    elif command == "oracle":
-        common.update(table=v["table"], eta=float(v["eta"]),
-                      values=tuple(v["values"] or ()))
-    return ExperimentConfig(**common)
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Hand each parsed option to the config field of its name: an
+    ``ExperimentConfig`` field first, else a ``Hom2dConfig`` one."""
+    options = vars(args)
+    run = {f.name: options[f.name] for f in fields(ExperimentConfig)
+           if f.name in options}
+    if args.command == "hom2d":
+        geometry = {f.name: options[f.name] for f in fields(Hom2dConfig)
+                    if f.name in options and f.name not in run}
+        run["hom2d"] = Hom2dConfig(**geometry)
+    return ExperimentConfig(kind=args.command, **run)
 
 
 def _print_report(report: RunReport) -> None:
@@ -254,24 +210,29 @@ def _write_oracle(header, rows, out: str | None, fmt: str) -> None:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        values = _resolve(args)
-        config = _experiment_config(args.command, values)
+        if args.config is not None:
+            # argv[0] is the subcommand: the top-level parser has no options
+            file_flags = _config_flags(args.config, args.config_keys)
+            args = parser.parse_args(argv[:1] + file_flags + argv[1:])
+        if args.command != "oracle":
+            config = _experiment_config(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"spdcsim: {exc}", file=sys.stderr)
         return 2
 
     try:
         if args.command == "oracle":
-            header, rows = oracle_table(config)
-            _write_oracle(header, rows, values["out"], values["fmt"])
+            header, rows = oracle_table(args.table, args.values, args.eta)
+            _write_oracle(header, rows, args.out, args.fmt)
             return 0
         report = run_experiment(config)
         _print_report(report)
-        if values["out"] is not None:
-            emit_results(report, values["out"], values["fmt"])
+        if args.out is not None:
+            emit_results(report, args.out, args.fmt)
     except DegenerateStatisticError as exc:
         print(f"spdcsim: degenerate statistic: {exc}", file=sys.stderr)
         return 3

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -23,7 +23,7 @@ from .sampling import LANE_STRIDE, RngStream, sample_vacuum
 
 __all__ = ["ExperimentConfig", "run_experiment", "oracle_table", "EXPERIMENT_KINDS"]
 
-EXPERIMENT_KINDS = ("twin", "hom", "bell", "hom2d", "fourfold", "oracle")
+EXPERIMENT_KINDS = ("twin", "hom", "bell", "hom2d", "fourfold")
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,8 @@ class ExperimentConfig:
 
     The amplifier strength is given either as the gain-length product
     ``gl`` or as the mean photon number per mode ``G`` (mutually
-    exclusive); angles are radians.
+    exclusive); angles are radians.  The field defaults are the command
+    line's defaults.
     """
 
     kind: str
@@ -47,18 +48,14 @@ class ExperimentConfig:
     threads: int = 1
     photons_per_pixel: float | None = None
     hom2d: Hom2dConfig | None = None
-    table: str = "bell"
-    values: tuple = ()
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
         if self.gl is not None and self.G is not None:
             raise ValueError("give either gl or G, not both")
-        if self.kind != "oracle" and self.reps < 2:
+        if self.reps < 2:
             raise ValueError("Monte Carlo experiments need reps >= 2")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if self.threads < 1:
@@ -242,50 +239,42 @@ def _run_hom2d(config: ExperimentConfig) -> RunReport:
         "sigma_theta": curve.sigma_theta,
         "photons_per_pixel": curve.photons_per_pixel,
         "n_modes": curve.n_modes,
-        "config": {
-            "n_pixels": mm.n_pixels,
-            "pitch": mm.pitch,
-            "crystal_length_mm": mm.crystal_length_mm,
-            "pump_waist": mm.pump_waist,
-            "pm_bandwidth": mm.pm_bandwidth,
-            "pm_broadening_exponent": mm.pm_broadening_exponent,
-            "pm_broadening_gain": mm.pm_broadening_gain,
-            "phase_matching": mm.phase_matching,
-            "gain_scale": mm.gain_scale,
-            "reps": mm.reps,
-            "seed": mm.seed,
-        },
+        "config": asdict(mm),
     })
     return report
 
 
-def oracle_table(config: ExperimentConfig):
-    """Tabulated closed-form predictions; returns (header, rows)."""
-    if config.table == "twin":
-        values = config.values or (0.01, 0.1, 0.2612038749637415, 1.0, 10.0)
+def oracle_table(table: str, values: tuple, eta: float):
+    """Closed-form predictions of ``table`` ('twin', 'bell' or 'hom') at
+    ``values`` (gains G, or transmittances for 'hom'; empty for the
+    default set) and detector efficiency ``eta``; returns (header, rows)."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    if table == "twin":
+        values = values or (0.01, 0.1, 0.2612038749637415, 1.0, 10.0)
         header = ["G", "gl", "eta", "mean", "var", "cov"]
         rows = []
         for G in values:
             gain = GainParams.from_mean_photons(G)
-            m = theory.twin_beam_moments(gain, config.eta)
-            rows.append([G, gain.gl, config.eta, m["mean"], m["var"], m["cov"]])
+            m = theory.twin_beam_moments(gain, eta)
+            rows.append([G, gain.gl, eta, m["mean"], m["var"], m["cov"]])
         return header, rows
-    if config.table == "bell":
-        values = config.values or (0.0, 0.01, 0.1, 0.2612038749637415, 1.0, 10.0)
+    if table == "bell":
+        values = values or (0.0, 0.01, 0.1, 0.2612038749637415, 1.0, 10.0)
         header = ["G", "gain_factor", "B", "threshold_G"]
         return header, [
             [G, theory.chsh_gain_factor(G), theory.BellPrediction(G).b_of_g,
              theory.CHSH_THRESHOLD_GAIN]
             for G in values
         ]
-    if config.table == "hom":
-        values = config.values or (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+    if table == "hom":
+        values = values or (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
         header = ["transmittance", "cov_ratio"]
         return header, [
             [T, theory.hom_covariance_ratio(BeamSplitterParams.from_transmittance(T))]
             for T in values
         ]
-    raise ValueError(f"unknown oracle table: {config.table!r}")
+    raise ValueError(f"unknown oracle table: {table!r}")
 
 
 _PIPELINES = {
@@ -299,19 +288,22 @@ _PIPELINES = {
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute the configured pipeline; deterministic under a fixed seed."""
-    if config.kind == "oracle":
-        raise ValueError("the oracle table has no Monte Carlo pipeline; "
-                         "use oracle_table()")
     start = time.perf_counter()
     report = _PIPELINES[config.kind](config)
-    report.metadata.setdefault("experiment", config.kind)
-    report.metadata.update({
+    meta = report.metadata
+    meta.setdefault("experiment", config.kind)
+    meta.update({
         "seed": config.seed,
         "reps": config.reps,
         "threads": config.threads,
-        "gl": config.gain.gl,
-        "G": config.gain.mean_photons,
-        "eta": config.eta,
+    })
+    if config.kind != "hom2d":  # hom2d's gain is its geometry's gain_scale
+        meta.update({
+            "gl": config.gain.gl,
+            "G": config.gain.mean_photons,
+            "eta": config.eta,
+        })
+    meta.update({
         "version": __version__,
         "wall_time_s": time.perf_counter() - start,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

@@ -78,7 +78,8 @@ class Hom2dConfig:
     """Geometry, gain and sweep settings of the multimode HOM experiment.
 
     ``n_pixels`` counts momentum pixels per transverse axis; detection
-    planes are ``n_pixels x n_pixels`` images.
+    planes are ``n_pixels x n_pixels`` images.  The field defaults are
+    the defaults of ``spdcsim hom2d``.
     """
 
     n_pixels: int = 64
@@ -465,11 +466,6 @@ def _port_sweep(signal, idler, band_l, band_m):
         return e1, e2
 
     return ports
-
-
-def _port_fields(signal, idler, band_l, band_m, shift_px):
-    """Output-port fields at one tilt; see :func:`_port_sweep`."""
-    return _port_sweep(signal, idler, band_l, band_m)(shift_px)
 
 
 def _band_pair_stats(e1, e2):

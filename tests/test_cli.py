@@ -63,6 +63,7 @@ def test_usage_error_exit_code():
     ["hom2d", "--reps", "2"],
     ["hom2d", "--reps", "3", "--pitch", "nan", "--photons-per-pixel", "1"],
     ["hom2d", "--reps", "3", "--pump-waist", "nan", "--photons-per-pixel", "1"],
+    ["twin", "--reps", "2.7"],
 ])
 def test_bad_input_is_a_usage_error_with_a_reason(argv, capsys):
     try:
@@ -201,6 +202,34 @@ def test_config_file_precedence(tmp_path):
     assert out2.read_bytes() != ref.read_bytes()
 
 
+@pytest.mark.parametrize("argv, entry, flags", [
+    (["twin", "--reps", "1e4"], "G = 0.01", ["--G", "0.01"]),
+    (["hom2d", "--reps", "5", "--n-pixels", "16", "--pitch", "0.6"],
+     'theta_sweep = "-1.8,0,1.8"', ["--theta-sweep=-1.8,0,1.8"]),
+    (["hom2d", "--reps", "5", "--n-pixels", "16", "--pitch", "0.6"],
+     "theta_sweep = -1.8,0,1.8", ["--theta-sweep=-1.8,0,1.8"]),
+    (["twin", "--reps", "1e4"], "seeed = 5", None),
+    (["twin", "--reps", "1e4"], "g = 0.01", None),
+    (["hom2d", "--reps", "5"], "crystal_length_mm = 5", None),
+])
+def test_config_file_keys_are_flag_names(argv, entry, flags, tmp_path, capsys):
+    # A config entry acts as its flag; a key that is no flag (None) is a
+    # usage error that names it.
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(entry + "\n")
+    from_file = tmp_path / "file.csv"
+    from_flags = tmp_path / "flags.csv"
+    code = run_cli(argv + ["--config", str(cfg), "--out", str(from_file)])
+    if flags is None:
+        assert code == 2
+        key = entry.split("=")[0].strip()
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        return
+    assert code == 0
+    assert run_cli(argv + flags + ["--out", str(from_flags)]) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+
+
 def test_config_file_parse_errors(tmp_path):
     bad = tmp_path / "bad.toml"
     bad.write_text("this is not a key value line\n")
@@ -233,6 +262,8 @@ def test_hom2d_outputs_curve_and_sidecar(tmp_path):
     sidecar = json.loads(out.with_suffix(".json").read_text())
     for key in ("sigma_theta", "photons_per_pixel", "n_modes", "seed", "config"):
         assert key in sidecar
+    assert "G" not in sidecar  # hom2d's gain is config.gain_scale
+    assert sidecar["config"]["theta_sweep"] == [-1.8, -0.9, 0.0, 0.9, 1.8]
 
 
 def test_oracle_tables(tmp_path, capsys):

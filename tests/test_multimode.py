@@ -13,7 +13,7 @@ from spdcsim.multimode import (Hom2dConfig, JointAmplitudeKernel, build_kernel,
                                sample_image_planes, sample_multimode,
                                schmidt_decompose, shift_field)
 from spdcsim.multimode import (_band_pairs, _brent_root, _fit_dip_width,
-                               _port_fields)
+                               _port_sweep)
 from spdcsim.sampling import RngStream
 
 import hom2d_oracle
@@ -364,8 +364,9 @@ def test_vacuum_control_variate_has_zero_mean():
     reps = 20_000
     signal, idler = sample_image_planes(dec, RngStream(13, 0), reps,
                                         rows=rows, vacuum=True)
+    ports = _port_sweep(signal[1], idler[1], band_l, band_m)
     for shift_px in (3, 2.5, SMALL.n_pixels // 2):
-        v1, v2 = _port_fields(signal[1], idler[1], band_l, band_m, shift_px)
+        v1, v2 = ports(shift_px)
         for product in (v1 * np.conj(v2), v1 * v2):
             for part in (product.real, product.imag):
                 se = part.std(axis=0, ddof=1) / math.sqrt(reps)
