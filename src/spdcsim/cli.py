@@ -113,7 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
                 default=os.environ.get("SPDC_SEED") or ExperimentConfig.seed,
                 help="RNG seed (default $SPDC_SEED, else %(default)s)")
             add("--threads", ExperimentConfig, "threads", type=int,
-                help="worker cap for ensemble generation (default %(default)s)")
+                help="no-op: hom2d draws its repetitions as one chunk"
+                if command == "hom2d" else
+                "chunk workers; results do not depend on it (default %(default)s)")
         if command in ("twin", "hom", "bell", "fourfold"):
             gain = p.add_mutually_exclusive_group()
             add("--gain-gl", ExperimentConfig, "gl", to=gain,

@@ -7,14 +7,23 @@ variances, nothing for covariances) so that reported values are
 normal-ordered observables.
 
 Every statistic is a smooth function f of the means of per-repetition
-feature columns, accumulated over fixed row chunks by :func:`feature_moments`.
-The value is f(mean); the standard error is the delta method,
+feature columns.  The engine reduces each chunk of at most
+:data:`CHUNK_ROWS` rows to its mean vector and centred Gram matrix
+(:meth:`FeatureMoments.of_chunk`) and :func:`merge_moments` merges the
+chunks in row order (Chan, Golub & LeVeque 1979).  The whole-column API
+below (:func:`mean_intensity`, :func:`covariance_intensity`,
+:func:`fourfold_covariance`, ...) cuts its columns into such chunks through
+:func:`feature_moments`; the experiment pipelines feed the same merge with
+chunks they draw one at a time, reducing them on worker threads.  The
+value is f(mean); the standard error is the delta method,
 sqrt(grad f' Sigma grad f / n), with a central-difference gradient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -25,26 +34,36 @@ __all__ = [
     "CHUNK_ROWS",
     "DegenerateStatisticError",
     "FeatureMoments",
+    "FourfoldPlan",
     "FourfoldResult",
     "MomentEstimate",
     "chsh_coefficient",
+    "chsh_estimate",
     "chsh_features",
     "correlation_coefficient",
+    "correlation_estimate",
+    "correlation_features",
+    "covariance_estimate",
     "covariance_intensity",
     "feature_moments",
     "field_pair_moment",
     "fourfold_covariance",
     "gaussian_moment_check",
+    "intensity_products",
     "intensity_snr",
     "jackknife_se",
+    "mean_estimate",
     "mean_intensity",
+    "merge_moments",
     "moment_theorem_residual",
     "normal_intensities",
+    "variance_estimate",
     "variance_intensity",
 ]
 
-#: Rows per chunk of :func:`feature_moments`.  Fixed, so that results do not
-#: depend on the machine; at 13 features a chunk holds about 7 MB.
+#: Rows per chunk of the moment engine and of the experiment pipelines.
+#: Fixed, so that results do not depend on the machine; at 15 features a
+#: chunk holds about 8 MB.
 CHUNK_ROWS = 1 << 16
 
 #: Central-difference step of the delta-method gradient, relative to the
@@ -112,6 +131,19 @@ class FeatureMoments:
     mean: np.ndarray
     gram: np.ndarray
 
+    @classmethod
+    def of_chunk(cls, features) -> "FeatureMoments":
+        """Moments of one chunk of k real feature columns of equal length."""
+        x = np.stack(features, dtype=np.float64)
+        rows, mean = x.shape[1], x.mean(axis=1)
+        x -= mean[:, None]
+        return cls(rows, mean, x @ x.T)
+
+    def select(self, idx) -> "FeatureMoments":
+        """Moments of the features ``idx`` (in that order; repeats allowed)."""
+        idx = np.asarray(idx)
+        return FeatureMoments(self.n, self.mean[idx], self.gram[np.ix_(idx, idx)])
+
     def estimate(self, f) -> MomentEstimate:
         """``f`` of the feature means with its delta-method standard error.
 
@@ -131,34 +163,48 @@ class FeatureMoments:
                               float(np.sqrt(max(var, 0.0))), self.n)
 
 
+def merge_moments(chunks) -> FeatureMoments:
+    """Merge the :class:`FeatureMoments` of consecutive row chunks, in the
+    order given, into the moments of all their rows (Chan, Golub & LeVeque
+    1979).  ``chunks`` may be any iterable, so a caller can draw and reduce
+    one chunk at a time."""
+    n, mean, gram = 0, 0.0, 0.0
+    for chunk in chunks:
+        rows = chunk.n
+        delta = chunk.mean - mean
+        gram = gram + chunk.gram + np.outer(delta, delta) * (n * rows / (n + rows))
+        mean = mean + delta * (rows / (n + rows))
+        n += rows
+    return FeatureMoments(n, mean, gram)
+
+
 def feature_moments(features, *columns: np.ndarray) -> FeatureMoments:
     """Moments of the real feature columns ``features(*chunk)`` over all rows.
 
     ``features`` maps a :data:`CHUNK_ROWS`-row chunk of each column to k real
-    columns; each chunk's mean and centred Gram matrix are merged into the
-    running ones in row order (Chan, Golub & LeVeque 1979).
+    columns; the chunks are reduced and merged by :func:`merge_moments`.
     """
     columns = _check_equal(*columns)
-    n, mean, gram = 0, 0.0, 0.0
-    for start in range(0, columns[0].shape[0], CHUNK_ROWS):
-        x = np.stack(features(*(c[start:start + CHUNK_ROWS] for c in columns)),
-                     dtype=np.float64)
-        rows, chunk_mean = x.shape[1], x.mean(axis=1)
-        x -= chunk_mean[:, None]
-        delta = chunk_mean - mean
-        gram = gram + x @ x.T + np.outer(delta, delta) * (n * rows / (n + rows))
-        mean = mean + delta * (rows / (n + rows))
-        n += rows
-    return FeatureMoments(n, mean, gram)
+    return merge_moments(
+        FeatureMoments.of_chunk(features(*(c[start:start + CHUNK_ROWS] for c in columns)))
+        for start in range(0, columns[0].shape[0], CHUNK_ROWS))
 
 
 def _intensities(*cols):
     return [np.abs(c) ** 2 for c in cols]
 
 
-def _intensity_products(a, b):
+def intensity_products(a, b):
+    """Features |E_a|^2, |E_b|^2 and their product (symmetric order)."""
     xa, xb = _intensities(a, b)
     return xa, xb, xa * xb
+
+
+def correlation_features(a, b):
+    """Features of :func:`correlation_estimate`: those of
+    :func:`intensity_products` and both squared intensities."""
+    xa, xb, xab = intensity_products(a, b)
+    return xa, xb, xab, xa ** 2, xb ** 2
 
 
 def _variance(n: int, i: int, ii: int):
@@ -166,36 +212,27 @@ def _variance(n: int, i: int, ii: int):
     return lambda m: (m[ii] - m[i] ** 2) * (n / (n - 1)) - ORDERING.variance_offset
 
 
-def mean_intensity(col: np.ndarray) -> MomentEstimate:
-    """Normal-ordered mean intensity of one ensemble column."""
-    moments = feature_moments(_intensities, col)
+def mean_estimate(moments: FeatureMoments) -> MomentEstimate:
+    """Normal-ordered mean intensity from the moments of (|E|^2,)."""
     return moments.estimate(lambda m: m[0] - ORDERING.intensity_offset)
 
 
-def variance_intensity(col: np.ndarray) -> MomentEstimate:
-    """Normal-ordered intensity variance of one ensemble column.
-
-    The sampled variance of |E|^2, its covariance with itself, minus the
-    1/4 ordering offset.
-    """
-    moments = feature_moments(_intensity_products, col, col)
+def variance_estimate(moments: FeatureMoments) -> MomentEstimate:
+    """Normal-ordered intensity variance from the moments of
+    :func:`intensity_products` of a column with itself."""
     return moments.estimate(_variance(moments.n, 0, 2))
 
 
-def covariance_intensity(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
-    """Sample covariance of two intensity columns (no ordering correction)."""
-    moments = feature_moments(_intensity_products, col_a, col_b)
+def covariance_estimate(moments: FeatureMoments) -> MomentEstimate:
+    """Intensity covariance (no ordering correction) from the moments of
+    :func:`intensity_products`."""
     n = moments.n
     return moments.estimate(lambda m: (m[2] - m[0] * m[1]) * (n / (n - 1)))
 
 
-def correlation_coefficient(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
-    """Intensity correlation coefficient with normal-ordered variances."""
-    def features(a, b):
-        xa, xb, xab = _intensity_products(a, b)
-        return xa, xb, xab, xa ** 2, xb ** 2
-
-    moments = feature_moments(features, col_a, col_b)
+def correlation_estimate(moments: FeatureMoments) -> MomentEstimate:
+    """Intensity correlation coefficient with normal-ordered variances from
+    the moments of :func:`correlation_features`."""
     off = ORDERING.variance_offset
 
     def rho(m):
@@ -209,6 +246,39 @@ def correlation_coefficient(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstim
             raise DegenerateStatisticError(
                 "normal-ordered variance consistent with zero")
     return moments.estimate(rho)
+
+
+def chsh_estimate(moments: FeatureMoments) -> MomentEstimate:
+    """Polarisation correlation coefficient E from the moments of
+    :func:`chsh_features`."""
+    den = moments.estimate(lambda m: m[1])
+    if abs(den.value) < 5.0 * den.std_error:
+        raise DegenerateStatisticError("intensity-product denominator consistent with zero")
+    return moments.estimate(lambda m: m[0] / m[1])
+
+
+def mean_intensity(col: np.ndarray) -> MomentEstimate:
+    """Normal-ordered mean intensity of one ensemble column."""
+    return mean_estimate(feature_moments(_intensities, col))
+
+
+def variance_intensity(col: np.ndarray) -> MomentEstimate:
+    """Normal-ordered intensity variance of one ensemble column.
+
+    The sampled variance of |E|^2, its covariance with itself, minus the
+    1/4 ordering offset.
+    """
+    return variance_estimate(feature_moments(intensity_products, col, col))
+
+
+def covariance_intensity(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
+    """Sample covariance of two intensity columns (no ordering correction)."""
+    return covariance_estimate(feature_moments(intensity_products, col_a, col_b))
+
+
+def correlation_coefficient(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
+    """Intensity correlation coefficient with normal-ordered variances."""
+    return correlation_estimate(feature_moments(correlation_features, col_a, col_b))
 
 
 def field_pair_moment(col_a: np.ndarray, col_b: np.ndarray,
@@ -230,7 +300,7 @@ def moment_theorem_residual(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstim
     """
     def features(a, b):
         cross, pair = a * np.conj(b), a * b
-        return (*_intensity_products(a, b), cross.real, cross.imag, pair.real, pair.imag)
+        return (*intensity_products(a, b), cross.real, cross.imag, pair.real, pair.imag)
 
     def resid(m):
         return m[2] - m[0] * m[1] - (m[3] ** 2 + m[4] ** 2) - (m[5] ** 2 + m[6] ** 2)
@@ -263,11 +333,7 @@ def chsh_coefficient(e1p: np.ndarray, e1m: np.ndarray,
     intensities is deliberately not subtracted (covariances are not a
     valid ingredient of this statistic).
     """
-    moments = feature_moments(chsh_features, e1p, e1m, e2p, e2m)
-    den = moments.estimate(lambda m: m[1])
-    if abs(den.value) < 5.0 * den.std_error:
-        raise DegenerateStatisticError("intensity-product denominator consistent with zero")
-    return moments.estimate(lambda m: m[0] / m[1])
+    return chsh_estimate(feature_moments(chsh_features, e1p, e1m, e2p, e2m))
 
 
 @dataclass(frozen=True)
@@ -281,9 +347,76 @@ class FourfoldResult:
     class_estimates: dict = field(default_factory=dict)
 
 
-def _pair_moments(m):
-    """The six complex pair moments from the means of their real/imag columns."""
-    return [m[1 + 2 * j] + 1j * m[2 + 2 * j] for j in range(6)]
+#: The six pair moments of :func:`theory.fourfold_terms` as products of two
+#: detector fields, (detector, conjugated) each: <E_s1 E_s2*>, <E_i1* E_i2>,
+#: <E_s1 E_i1>, <E_s1 E_i2>, <E_s2 E_i1>, <E_s2 E_i2>.
+_FOURFOLD_PAIRS = (((0, False), (1, True)), ((2, True), (3, False)),
+                   ((0, False), (2, False)), ((0, False), (3, False)),
+                   ((1, False), (2, False)), ((1, False), (3, False)))
+
+
+class FourfoldPlan:
+    """Features and estimates of the four-fold covariance of detectors
+    (s1, s2, i1, i2) whose fields are the distinct columns ``pattern``
+    names: ``(0, 0, 1, 1)`` when both signal and both idler detectors see
+    the same field, ``(0, 1, 2, 3)`` for four distinct fields.
+
+    The direct term <prod_k (I_k - <I_k>)> is the sum over detector subsets
+    S of <prod_{k in S} I_k> prod_{k not in S} (-<I_k>), a smooth function of
+    raw intensity moments, so its delta-method error accounts for the
+    estimated means.  Each distinct intensity monomial and each distinct
+    pair product is one feature: 8 + 6 features for ``(0, 0, 1, 1)``.
+    """
+
+    def __init__(self, pattern):
+        self.pattern = tuple(pattern)
+        self._subsets = [s for r in range(5) for s in combinations(range(4), r)]
+        # sorted field indices of each distinct monomial -> its feature, by degree
+        self._monomials = {key: j for j, key in enumerate(dict.fromkeys(
+            self._monomial(s) for s in self._subsets[1:]))}
+        # (field, conjugated, field, conjugated) of each distinct pair product
+        keys = [(self.pattern[p], cp, self.pattern[q], cq)
+                for (p, cp), (q, cq) in _FOURFOLD_PAIRS]
+        self._pairs = list(dict.fromkeys(keys))
+        self._pair_features = [len(self._monomials) + 2 * self._pairs.index(k) for k in keys]
+
+    def _monomial(self, subset):
+        return tuple(sorted(self.pattern[k] for k in subset))
+
+    def features(self, *cols):
+        """The features of one chunk of the distinct field columns."""
+        x = _intensities(*cols)
+        products = {}
+        for key in self._monomials:  # lower degrees first
+            products[key] = x[key[0]] if len(key) == 1 else products[key[:-1]] * x[key[-1]]
+        out = list(products.values())
+        for p, cp, q, cq in self._pairs:
+            prod = (np.conj(cols[p]) if cp else cols[p]) * (np.conj(cols[q]) if cq else cols[q])
+            out += [prod.real, prod.imag]
+        return out
+
+    def _direct(self, m):
+        neg_means = [-m[self._monomials[(p,)]] for p in self.pattern]
+        return sum(math.prod((neg_means[k] for k in range(4) if k not in s),
+                             start=m[self._monomials[self._monomial(s)]] if s else 1.0)
+                   for s in self._subsets)
+
+    def _pair_moments(self, m):
+        return [m[i] + 1j * m[i + 1] for i in self._pair_features]
+
+    def result(self, moments: FeatureMoments) -> FourfoldResult:
+        """The direct estimate and the nine-term factorisation from the
+        moments of :meth:`features`."""
+        terms, classes = theory.fourfold_terms(*self._pair_moments(moments.mean))
+
+        def terms_sum(idx):
+            return moments.estimate(lambda m: theory.fourfold_terms(
+                *self._pair_moments(m))[0][idx].sum(axis=0).real)
+
+        return FourfoldResult(
+            direct=moments.estimate(self._direct), terms=terms, term_classes=classes,
+            terms_total=terms_sum(slice(None)),
+            class_estimates={name: terms_sum(idx) for name, idx in classes.items()})
 
 
 def fourfold_covariance(s1: np.ndarray, s2: np.ndarray,
@@ -292,31 +425,16 @@ def fourfold_covariance(s1: np.ndarray, s2: np.ndarray,
 
     The direct Monte Carlo estimate uses symmetric-order intensities
     (centering cancels every ordering constant for four distinct
-    detectors), centred on their means from a first pass; its standard
-    error is that of the centred product column.  The nine pair-moment
-    products that reproduce it for Gaussian fields are evaluated from the
-    sampled field moments of the same second pass and grouped into
-    bunching / low-gain / mixed classes.
+    detectors) and is built from raw intensity moments in one pass, see
+    :class:`FourfoldPlan`.  The nine pair-moment products that reproduce it
+    for Gaussian fields are evaluated from the sampled field moments of the
+    same pass and grouped into bunching / low-gain / mixed classes.  A
+    column passed for two detectors (the same array object) is one field.
     """
-    means = feature_moments(_intensities, s1, s2, i1, i2).mean
-
-    def features(a, b, c, d):
-        centred = [x - mu for x, mu in zip(_intensities(a, b, c, d), means)]
-        pairs = (a * np.conj(b), np.conj(c) * d, a * c, a * d, b * c, b * d)
-        return [centred[0] * centred[1] * centred[2] * centred[3],
-                *(part for p in pairs for part in (p.real, p.imag))]
-
-    moments = feature_moments(features, s1, s2, i1, i2)
-    terms, classes = theory.fourfold_terms(*_pair_moments(moments.mean))
-
-    def terms_sum(idx):
-        return moments.estimate(
-            lambda m: theory.fourfold_terms(*_pair_moments(m))[0][idx].sum(axis=0).real)
-
-    return FourfoldResult(
-        direct=moments.estimate(lambda m: m[0]), terms=terms, term_classes=classes,
-        terms_total=terms_sum(slice(None)),
-        class_estimates={name: terms_sum(idx) for name, idx in classes.items()})
+    cols = (s1, s2, i1, i2)
+    distinct = [c for k, c in enumerate(cols) if not any(c is d for d in cols[:k])]
+    plan = FourfoldPlan([next(j for j, d in enumerate(distinct) if d is c) for c in cols])
+    return plan.result(feature_moments(plan.features, *distinct))
 
 
 def intensity_snr(col: np.ndarray) -> float:

@@ -1,9 +1,29 @@
-"""Experiment pipelines binding configurations to sampled statistics."""
+"""Experiment pipelines binding configurations to sampled statistics.
+
+The twin, hom, bell and fourfold pipelines stream their ensemble: each is a
+chunk function, drawing the fields of rows ``[row0, row0 + rows)``, plus one
+feature function covering every statistic of its report.  Chunks are
+:data:`~spdcsim.estimators.CHUNK_ROWS` = 65536 rows; the chunk at ``row0``
+of vacuum lane ``L`` is ``sample_vacuum(RngStream(seed, L * LANE_STRIDE +
+row0), rows, modes)``, which holds the same rows, bit for bit, as one draw
+of the whole lane, because every row has its own Philox key.  Each chunk
+is reduced to its feature mean and centred Gram matrix and then dropped,
+so memory does not grow with ``reps``; every report row is a function of
+the one merged :class:`~spdcsim.estimators.FeatureMoments`.
+
+``threads`` workers reduce whole chunks (sample, elements, features, chunk
+moments) and the merge takes their results strictly in row order, so a
+report does not depend on the thread count.  hom2d draws its repetitions
+as one chunk and ignores ``threads``.  :func:`twin_fields`,
+:func:`hom_fields` and :func:`bell_arms` concatenate the chunks into whole
+columns for callers that need them.
+"""
 
 from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
@@ -13,10 +33,11 @@ from . import __version__, theory
 from .elements import (BeamSplitterParams, DetectorParams, GainParams,
                        beam_split, detector_loss, parametric_amplify,
                        polarizer_project)
-from .estimators import (MomentEstimate, chsh_coefficient, chsh_features,
-                         correlation_coefficient, covariance_intensity,
-                         feature_moments, fourfold_covariance, mean_intensity,
-                         variance_intensity)
+from .estimators import (CHUNK_ROWS, FeatureMoments, FourfoldPlan, MomentEstimate,
+                         chsh_estimate, chsh_features, correlation_estimate,
+                         correlation_features, covariance_estimate,
+                         feature_moments, intensity_products, mean_estimate,
+                         merge_moments, variance_estimate)
 from .multimode import Hom2dConfig, calibrate_gain, run_hom2d
 from .reporting import RunReport, StatisticRow, make_row
 from .sampling import LANE_STRIDE, RngStream, sample_vacuum
@@ -32,8 +53,9 @@ class ExperimentConfig:
 
     The amplifier strength is given either as the gain-length product
     ``gl`` or as the mean photon number per mode ``G`` (mutually
-    exclusive); angles are radians.  The field defaults are the command
-    line's defaults.
+    exclusive); angles are radians.  ``threads`` workers reduce row chunks
+    in parallel; no result depends on it, and hom2d ignores it.  The field
+    defaults are the command line's defaults.
     """
 
     kind: str
@@ -85,69 +107,117 @@ class ExperimentConfig:
         return replace(mm, reps=self.reps, seed=self.seed)
 
 
-def _lane(config: ExperimentConfig, lane: int) -> RngStream:
-    return RngStream(config.seed, lane * LANE_STRIDE)
+def _vacuum(config: ExperimentConfig, lane: int, row0: int, rows: int, modes: int):
+    """Rows ``[row0, row0 + rows)`` of vacuum lane ``lane``."""
+    return sample_vacuum(RngStream(config.seed, lane * LANE_STRIDE + row0), rows, modes)
 
 
-def twin_fields(config: ExperimentConfig):
-    """Detector-plane twin-beam field columns (signal, idler)."""
-    gain = config.gain
-    ens = sample_vacuum(_lane(config, 0), config.reps, 2, threads=config.threads)
-    es, ei = parametric_amplify(ens.column(0), ens.column(1), gain)
+def _row_chunks(reps: int):
+    """(row0, rows) of each chunk of ``reps`` rows, in row order."""
+    return [(row0, min(CHUNK_ROWS, reps - row0)) for row0 in range(0, reps, CHUNK_ROWS)]
+
+
+def _whole_columns(draw, config: ExperimentConfig):
+    chunks = (draw(config, *chunk) for chunk in _row_chunks(config.reps))
+    return tuple(np.concatenate(cols) for cols in zip(*chunks))
+
+
+def _moments(draw, features, config: ExperimentConfig) -> FeatureMoments:
+    """Moments of ``features(*fields)`` over the fields ``draw`` gives for
+    every chunk.  Workers reduce whole chunks; :func:`merge_moments` takes
+    them in row order, so the result does not depend on ``config.threads``.
+    """
+    def reduce(chunk):
+        return FeatureMoments.of_chunk(features(*draw(config, *chunk)))
+
+    chunks = _row_chunks(config.reps)
+    if config.threads == 1 or len(chunks) == 1:
+        return merge_moments(map(reduce, chunks))
+    with ThreadPoolExecutor(max_workers=min(config.threads, len(chunks))) as pool:
+        return merge_moments(pool.map(reduce, chunks))
+
+
+def _amplified_pair(config: ExperimentConfig, row0: int, rows: int):
+    ens = _vacuum(config, 0, row0, rows, 2)
+    return parametric_amplify(ens.column(0), ens.column(1), config.gain)
+
+
+def _twin_chunk(config: ExperimentConfig, row0: int, rows: int):
+    es, ei = _amplified_pair(config, row0, rows)
     if config.eta < 1.0:
         det = DetectorParams(config.eta)
-        vac = sample_vacuum(_lane(config, 1), config.reps, 2, threads=config.threads)
+        vac = _vacuum(config, 1, row0, rows, 2)
         es = detector_loss(es, det, vac.column(0))
         ei = detector_loss(ei, det, vac.column(1))
     return es, ei
 
 
+def twin_fields(config: ExperimentConfig):
+    """Detector-plane twin-beam field columns (signal, idler)."""
+    return _whole_columns(_twin_chunk, config)
+
+
+def _twin_features(es, ei):
+    xs, xi, xsi = intensity_products(es, ei)
+    return xs, xi, xs * xs, xsi
+
+
 def _run_twin(config: ExperimentConfig) -> RunReport:
-    es, ei = twin_fields(config)
+    moments = _moments(_twin_chunk, _twin_features, config)
     oracle = theory.twin_beam_moments(config.gain, config.eta)
     rows = [
-        make_row("mean", mean_intensity(es), oracle["mean"]),
-        make_row("var", variance_intensity(es), oracle["var"]),
-        make_row("cov", covariance_intensity(es, ei), oracle["cov"]),
+        make_row("mean", mean_estimate(moments.select([0])), oracle["mean"]),
+        make_row("var", variance_estimate(moments.select([0, 0, 2])), oracle["var"]),
+        make_row("cov", covariance_estimate(moments.select([0, 1, 3])), oracle["cov"]),
     ]
     return RunReport("twin", rows=rows)
 
 
-def hom_fields(config: ExperimentConfig):
-    """Input and output field columns of the interference experiment."""
-    ens = sample_vacuum(_lane(config, 0), config.reps, 2, threads=config.threads)
-    es, ei = parametric_amplify(ens.column(0), ens.column(1), config.gain)
+def _hom_chunk(config: ExperimentConfig, row0: int, rows: int):
+    es, ei = _amplified_pair(config, row0, rows)
     e1, e2 = beam_split(es, ei, config.splitter)
     return es, ei, e1, e2
 
 
-def _run_hom(config: ExperimentConfig) -> RunReport:
-    gain = config.gain
-    es, ei, e1, e2 = hom_fields(config)
+def hom_fields(config: ExperimentConfig):
+    """Input and output field columns of the interference experiment."""
+    return _whole_columns(_hom_chunk, config)
 
-    cov_in_oracle = (gain.C * gain.S) ** 2
-    ratio_oracle = theory.hom_covariance_ratio(config.splitter)
 
-    # Dip amplitude through the field-coherence route: for Gaussian fields
+def _hom_features(es, ei, e1, e2):
+    # The dip amplitude takes the field-coherence route: for Gaussian fields
     # the cross-port covariance equals |<E1 E2*>|^2 + |<E1 E2>|^2, and the
     # pair-moment estimates resolve the null far below the noise floor of
     # the raw intensity covariance (whose 5-se check stands separately).
-    def pair_parts(e1, e2, es, ei):
-        pairs = (e1 * np.conj(e2), e1 * e2, es * np.conj(ei), es * ei)
-        return [part for p in pairs for part in (p.real, p.imag)]
+    pairs = (e1 * np.conj(e2), e1 * e2, es * np.conj(ei), es * ei)
+    return [*intensity_products(es, ei), *intensity_products(e1, e2),
+            *(part for p in pairs for part in (p.real, p.imag))]
 
-    def coherence_ratio(m):
-        return sum(m[k] ** 2 for k in range(4)) / sum(m[k] ** 2 for k in range(4, 8))
 
-    dip = feature_moments(pair_parts, e1, e2, es, ei).estimate(coherence_ratio)
+def _coherence_ratio(m):
+    return sum(m[k] ** 2 for k in range(4)) / sum(m[k] ** 2 for k in range(4, 8))
 
+
+def _run_hom(config: ExperimentConfig) -> RunReport:
+    moments = _moments(_hom_chunk, _hom_features, config)
+    cov_in_oracle = (config.gain.C * config.gain.S) ** 2
+    ratio_oracle = theory.hom_covariance_ratio(config.splitter)
     rows = [
-        make_row("cov_input", covariance_intensity(es, ei), cov_in_oracle),
-        make_row("cov_output", covariance_intensity(e1, e2),
+        make_row("cov_input", covariance_estimate(moments.select([0, 1, 2])),
+                 cov_in_oracle),
+        make_row("cov_output", covariance_estimate(moments.select([3, 4, 5])),
                  ratio_oracle * cov_in_oracle),
-        make_row("dip_amplitude", dip, ratio_oracle),
+        make_row("dip_amplitude",
+                 moments.select(range(6, 14)).estimate(_coherence_ratio), ratio_oracle),
     ]
     return RunReport("hom", rows=rows)
+
+
+def _bell_chunk(config: ExperimentConfig, row0: int, rows: int):
+    ens = _vacuum(config, 0, row0, rows, 4)
+    e1x, e2y = parametric_amplify(ens.column(0), ens.column(1), config.gain)
+    e1y, e2x = parametric_amplify(ens.column(2), ens.column(3), config.gain)
+    return e1x, e1y, e2x, e2y
 
 
 def bell_arms(config: ExperimentConfig):
@@ -157,11 +227,7 @@ def bell_arms(config: ExperimentConfig):
     (1x, 2y) and (1y, 2x), which realises the maximally entangled
     polarisation state for intensity correlations.
     """
-    gain = config.gain
-    ens = sample_vacuum(_lane(config, 0), config.reps, 4, threads=config.threads)
-    e1x, e2y = parametric_amplify(ens.column(0), ens.column(1), gain)
-    e1y, e2x = parametric_amplify(ens.column(2), ens.column(3), gain)
-    return e1x, e1y, e2x, e2y
+    return _whole_columns(_bell_chunk, config)
 
 
 def polarized_arms(arms, theta1, theta2):
@@ -174,34 +240,42 @@ def polarized_arms(arms, theta1, theta2):
     return e1p, e1m, e2p, e2m
 
 
+_A, _AP, _B, _BP = theory.CHSH_ANGLES
+#: (theta1, theta2, sign) of the four terms of B at the standard angles.
+_CHSH_SETTINGS = ((_AP, _B, 1.0), (_AP, _BP, 1.0), (_A, _BP, 1.0), (_A, _B, -1.0))
+
+
+def _chsh_b_features(*arms):
+    return [col for t1, t2, _ in _CHSH_SETTINGS
+            for col in chsh_features(*polarized_arms(arms, t1, t2))]
+
+
+def _chsh_b(m):
+    return sum(sign * m[2 * j] / m[2 * j + 1]
+               for j, (_, _, sign) in enumerate(_CHSH_SETTINGS))
+
+
 def chsh_b_estimate(arms, reps: int) -> MomentEstimate:
     """CHSH coefficient B at the standard angle set over ``reps`` repetitions."""
-    a, ap, b, bp = theory.CHSH_ANGLES
-    settings = ((ap, b, 1.0), (ap, bp, 1.0), (a, bp, 1.0), (a, b, -1.0))
-
-    def features(*chunk):
-        return [col for t1, t2, _ in settings
-                for col in chsh_features(*polarized_arms(chunk, t1, t2))]
-
-    def b_value(m):
-        return sum(sign * m[2 * j] / m[2 * j + 1]
-                   for j, (_, _, sign) in enumerate(settings))
-
-    est = feature_moments(features, *arms).estimate(b_value)
+    est = feature_moments(_chsh_b_features, *arms).estimate(_chsh_b)
     return replace(est, n_samples=reps)
 
 
 def _run_bell(config: ExperimentConfig) -> RunReport:
     G = config.gain.mean_photons
-    arms = bell_arms(config)
-    e1p, e1m, e2p, e2m = polarized_arms(arms, config.theta1, config.theta2)
 
+    def features(*arms):
+        e1p, e1m, e2p, e2m = polarized_arms(arms, config.theta1, config.theta2)
+        return [*correlation_features(e1p, e2p), *chsh_features(e1p, e1m, e2p, e2m),
+                *_chsh_b_features(*arms)]
+
+    moments = _moments(_bell_chunk, features, config)
     rows = [
-        make_row("rho", correlation_coefficient(e1p, e2p),
+        make_row("rho", correlation_estimate(moments.select(range(5))),
                  theory.bell_correlation(config.theta1, config.theta2)),
-        make_row("E", chsh_coefficient(e1p, e1m, e2p, e2m),
+        make_row("E", chsh_estimate(moments.select([5, 6])),
                  theory.bell_chsh_coefficient(config.theta1, config.theta2, G)),
-        make_row("B", chsh_b_estimate(arms, config.reps),
+        make_row("B", moments.select(range(7, 15)).estimate(_chsh_b),
                  theory.BellPrediction(G).b_of_g),
     ]
     report = RunReport("bell", rows=rows)
@@ -210,13 +284,11 @@ def _run_bell(config: ExperimentConfig) -> RunReport:
 
 
 def _run_fourfold(config: ExperimentConfig) -> RunReport:
-    gain = config.gain
-    ens = sample_vacuum(_lane(config, 0), config.reps, 2, threads=config.threads)
-    es, ei = parametric_amplify(ens.column(0), ens.column(1), gain)
-    res = fourfold_covariance(es, es, ei, ei)
+    plan = FourfoldPlan((0, 0, 1, 1))  # both signal and both idler detectors coincide
+    res = plan.result(_moments(_amplified_pair, plan.features, config))
 
     exact_terms, classes = theory.fourfold_terms(
-        **theory.coincident_fourfold_moments(gain))
+        **theory.coincident_fourfold_moments(config.gain))
     exact_total = float(np.sum(exact_terms).real)
 
     rows = [

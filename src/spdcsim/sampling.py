@@ -32,6 +32,14 @@ same words:
 The choice is a fixed cost rule on (repetitions, blocks), see
 :func:`_per_row_is_faster`; the test suite checks both paths against each
 other and against ``numpy.random.Philox`` bit for bit.
+
+Since rows are keyed independently, rows ``[row0, row0 + n)`` of a stream
+``(seed, s)`` are ``sample_vacuum(RngStream(seed, s + row0), n, modes)``.
+The twin, hom, bell and fourfold pipelines draw their ensembles that way,
+one 65536-row chunk per call, and run their ``threads`` over those chunks
+(see :mod:`spdcsim.experiments`); the ``threads`` argument of
+:func:`sample_vacuum` splits one call's rows into ``chunk``-row blocks
+for callers that draw a whole ensemble at once.
 """
 
 from __future__ import annotations

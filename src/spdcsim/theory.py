@@ -53,10 +53,14 @@ def hom_covariance_ratio(bs: BeamSplitterParams) -> float:
     return float(abs(bs.t_s1 * bs.t_i2 + bs.r_i1 * bs.r_s2) ** 2)
 
 
+def _check_gain(G: float) -> None:
+    if not (G >= 0 and math.isfinite(G)):
+        raise ValueError(f"gain G must be finite and >= 0, got {G}")
+
+
 def chsh_gain_factor(G: float) -> float:
     """Multiplicative reduction (1+G)/(1+3G) of the CHSH coefficient at gain G."""
-    if G < 0:
-        raise ValueError("gain G must be >= 0")
+    _check_gain(G)
     return (1.0 + G) / (1.0 + 3.0 * G)
 
 
@@ -81,8 +85,7 @@ class BellPrediction:
     threshold_g: float = CHSH_THRESHOLD_GAIN
 
     def __post_init__(self):
-        if self.G < 0:
-            raise ValueError("gain G must be >= 0")
+        _check_gain(self.G)
         object.__setattr__(self, "b_of_g", chsh_gain_factor(self.G) * self.b0)
 
 

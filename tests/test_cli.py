@@ -64,6 +64,8 @@ def test_usage_error_exit_code():
     ["hom2d", "--reps", "3", "--pitch", "nan", "--photons-per-pixel", "1"],
     ["hom2d", "--reps", "3", "--pump-waist", "nan", "--photons-per-pixel", "1"],
     ["twin", "--reps", "2.7"],
+    ["oracle", "--table", "bell", "--values", "nan"],
+    ["oracle", "--table", "bell", "--values", "1,inf"],
 ])
 def test_bad_input_is_a_usage_error_with_a_reason(argv, capsys):
     try:
