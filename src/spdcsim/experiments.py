@@ -33,11 +33,11 @@ from . import __version__, theory
 from .elements import (BeamSplitterParams, DetectorParams, GainParams,
                        beam_split, detector_loss, parametric_amplify,
                        polarizer_project)
-from .estimators import (CHUNK_ROWS, FeatureMoments, FourfoldPlan, MomentEstimate,
-                         chsh_estimate, chsh_features, correlation_estimate,
+from .estimators import (CHUNK_ROWS, FeatureMoments, FourfoldPlan, chsh_estimate,
+                         chsh_features, correlation_estimate,
                          correlation_features, covariance_estimate,
-                         feature_moments, intensity_products, mean_estimate,
-                         merge_moments, variance_estimate)
+                         intensity_products, mean_estimate, merge_moments,
+                         variance_estimate)
 from .multimode import Hom2dConfig, calibrate_gain, run_hom2d
 from .reporting import RunReport, StatisticRow, make_row
 from .sampling import LANE_STRIDE, RngStream, sample_vacuum
@@ -253,12 +253,6 @@ def _chsh_b_features(*arms):
 def _chsh_b(m):
     return sum(sign * m[2 * j] / m[2 * j + 1]
                for j, (_, _, sign) in enumerate(_CHSH_SETTINGS))
-
-
-def chsh_b_estimate(arms, reps: int) -> MomentEstimate:
-    """CHSH coefficient B at the standard angle set over ``reps`` repetitions."""
-    est = feature_moments(_chsh_b_features, *arms).estimate(_chsh_b)
-    return replace(est, n_samples=reps)
 
 
 def _run_bell(config: ExperimentConfig) -> RunReport:

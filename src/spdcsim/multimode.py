@@ -307,8 +307,7 @@ def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float,
     return replace(config, gain_scale=float(g0))
 
 
-def sample_multimode(dec: SchmidtDecomposition, rng: RngStream, reps: int,
-                     threads: int = 1):
+def sample_multimode(dec: SchmidtDecomposition, rng: RngStream, reps: int):
     """Synthesise single-axis pixel-plane field ensembles from Schmidt modes.
 
     Per repetition: draw a vacuum pair per Schmidt mode, amplify it with
@@ -319,7 +318,7 @@ def sample_multimode(dec: SchmidtDecomposition, rng: RngStream, reps: int,
     K = dec.n_modes
     ns = dec.U.shape[0]
     ni = dec.V.shape[0]
-    ens = sample_vacuum(rng, reps, 2 * K + ns + ni, threads=threads)
+    ens = sample_vacuum(rng, reps, 2 * K + ns + ni)
     es0 = ens.data[:, :K]
     ei0 = ens.data[:, K:2 * K]
     vs = ens.data[:, 2 * K:2 * K + ns]
@@ -334,7 +333,7 @@ def sample_multimode(dec: SchmidtDecomposition, rng: RngStream, reps: int,
 
 
 def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int,
-                        threads: int = 1, rows=None, vacuum: bool = False):
+                        rows=None, vacuum: bool = False):
     """Synthesise two-axis far-field images from the product Schmidt modes.
 
     The decomposition must keep the full axis basis (build it with
@@ -354,7 +353,7 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int,
     g2 = _product_gains(dec)
     C = np.cosh(g2)
     S = np.sinh(g2)
-    ens = sample_vacuum(rng, reps, 2 * n * n, threads=threads)
+    ens = sample_vacuum(rng, reps, 2 * n * n)
     es0 = ens.data[:, :n * n].reshape(reps, n, n)
     ei0 = ens.data[:, n * n:].reshape(reps, n, n)
     amp_s = C * es0 - 1j * S * np.conj(ei0)

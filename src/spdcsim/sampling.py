@@ -37,14 +37,12 @@ Since rows are keyed independently, rows ``[row0, row0 + n)`` of a stream
 ``(seed, s)`` are ``sample_vacuum(RngStream(seed, s + row0), n, modes)``.
 The twin, hom, bell and fourfold pipelines draw their ensembles that way,
 one 65536-row chunk per call, and run their ``threads`` over those chunks
-(see :mod:`spdcsim.experiments`); the ``threads`` argument of
-:func:`sample_vacuum` splits one call's rows into ``chunk``-row blocks
-for callers that draw a whole ensemble at once.
+(see :mod:`spdcsim.experiments`); a single call here runs on the calling
+thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,6 +234,10 @@ def _gaussian_pairs(words: np.ndarray, out: np.ndarray) -> None:
     np.multiply(r, cos, out=r)
 
 
+#: Rows :func:`sample_vacuum` fills per block of raw words.
+_FILL_ROWS = 1 << 16
+
+
 def _fill_rows(out: np.ndarray, stream: RngStream, row0: int, rows: int, modes: int) -> None:
     n_words = 2 * modes
     if n_words % 4:
@@ -247,28 +249,17 @@ def _fill_rows(out: np.ndarray, stream: RngStream, row0: int, rows: int, modes: 
     np.multiply(z, 0.5, out=z)
 
 
-def sample_vacuum(rng: RngStream, reps: int, modes: int, threads: int = 1,
-                  chunk: int = 1 << 16) -> FieldEnsemble:
+def sample_vacuum(rng: RngStream, reps: int, modes: int) -> FieldEnsemble:
     """Sample independent vacuum fields, one stream per repetition.
 
     Each amplitude is a circular complex Gaussian with <E E*> = 1/2 and
-    <E E> = 0; distinct modes and repetitions are uncorrelated.  The result
-    depends only on ``rng`` and the shape, never on ``threads`` or
-    ``chunk``.
+    <E E> = 0; distinct modes and repetitions are uncorrelated.  The rows
+    are filled in blocks of 65536, which bounds the raw-word temporaries;
+    the result depends only on ``rng`` and the shape.
     """
     if reps < 1 or modes < 1:
         raise ValueError("reps and modes must both be >= 1")
     out = np.empty((reps, modes), dtype=np.complex128)
-    starts = list(range(0, reps, chunk))
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_fill_rows, out, rng, a, min(chunk, reps - a), modes)
-                for a in starts
-            ]
-            for f in futures:
-                f.result()
-    else:
-        for a in starts:
-            _fill_rows(out, rng, a, min(chunk, reps - a), modes)
+    for a in range(0, reps, _FILL_ROWS):
+        _fill_rows(out, rng, a, min(_FILL_ROWS, reps - a), modes)
     return FieldEnsemble(data=out, seed=rng.seed, stream_base=rng.stream_id)

@@ -14,13 +14,13 @@ from spdcsim.elements import BeamSplitterParams, GainParams, parametric_amplify
 from spdcsim.estimators import (chsh_coefficient, correlation_coefficient,
                                 gaussian_moment_check, intensity_snr,
                                 mean_intensity, normal_intensities)
-from spdcsim.experiments import (ExperimentConfig, chsh_b_estimate, hom_fields,
-                                 polarized_arms, run_experiment)
+from spdcsim.experiments import (ExperimentConfig, hom_fields, polarized_arms,
+                                 run_experiment)
 from spdcsim.reporting import comparable_text
 from spdcsim.sampling import derive_stream, sample_vacuum
 from spdcsim import cli, theory
 
-from conftest import bell_columns, twin_columns
+from conftest import bell_columns, chsh_b_estimate, twin_columns
 from wick import centered_intensity_product, twin_beam_moment_table
 
 GL_UNIT = math.asinh(1.0)

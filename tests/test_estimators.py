@@ -13,10 +13,10 @@ from spdcsim.estimators import (CHUNK_ROWS, DegenerateStatisticError,
                                 gaussian_moment_check, intensity_snr,
                                 jackknife_se, mean_intensity,
                                 moment_theorem_residual, variance_intensity)
-from spdcsim.experiments import (ExperimentConfig, chsh_b_estimate, polarized_arms,
-                                 run_experiment)
+from spdcsim.experiments import ExperimentConfig, polarized_arms, run_experiment
 from spdcsim.sampling import derive_stream, sample_vacuum
 
+from conftest import chsh_b_estimate
 from wick import centered_intensity_product, twin_beam_moment_table
 
 GL_UNIT = math.asinh(1.0)

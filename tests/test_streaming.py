@@ -14,11 +14,12 @@ from spdcsim.estimators import (CHUNK_ROWS, chsh_coefficient,
                                 correlation_coefficient, covariance_intensity,
                                 fourfold_covariance, mean_intensity,
                                 variance_intensity)
-from spdcsim.experiments import (ExperimentConfig, bell_arms, chsh_b_estimate,
-                                 hom_fields, polarized_arms, run_experiment,
-                                 twin_fields)
+from spdcsim.experiments import (ExperimentConfig, bell_arms, hom_fields,
+                                 polarized_arms, run_experiment, twin_fields)
 from spdcsim.reporting import VOLATILE_METADATA
 from spdcsim.sampling import LANE_STRIDE, RngStream, sample_vacuum
+
+from conftest import chsh_b_estimate
 
 #: Not a multiple of the chunk, so the last chunk is a short one.
 REPS = 2 * CHUNK_ROWS + 777
