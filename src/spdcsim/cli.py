@@ -4,8 +4,9 @@ Subcommands: twin, hom, bell, fourfold, hom2d (Monte Carlo runs) and oracle
 (closed-form tables).  Each run option sets one field of
 ``ExperimentConfig`` or, for the hom2d geometry, of ``Hom2dConfig``, and its
 default is that field's default; the environment variable SPDC_SEED
-replaces the default seed.  Every Monte Carlo subcommand takes --reps,
---seed and --threads; every subcommand takes --out, --format and --config.
+replaces the default seed.  Every Monte Carlo subcommand takes --reps and
+--seed, and all but hom2d (which draws its repetitions as one chunk) take
+--threads; every subcommand takes --out, --format and --config.
 
 A ``--config`` file holds flat ``key = value`` lines (a TOML-compatible
 subset; ``#`` starts a comment line).  Its keys are the subcommand's long
@@ -112,11 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
             add("--seed", ExperimentConfig, "seed", type=int,
                 default=os.environ.get("SPDC_SEED") or ExperimentConfig.seed,
                 help="RNG seed (default $SPDC_SEED, else %(default)s)")
-            add("--threads", ExperimentConfig, "threads", type=int,
-                help="no-op: hom2d draws its repetitions as one chunk"
-                if command == "hom2d" else
-                "chunk workers; results do not depend on it (default %(default)s)")
         if command in ("twin", "hom", "bell", "fourfold"):
+            add("--threads", ExperimentConfig, "threads", type=int,
+                help="chunk workers; results do not depend on it (default %(default)s)")
             gain = p.add_mutually_exclusive_group()
             add("--gain-gl", ExperimentConfig, "gl", to=gain,
                 help="gain-length product gL")
@@ -133,10 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
                 add(f"--theta{n}", ExperimentConfig, f"theta{n}",
                     help=f"polariser angle at location {n}, radians (default pi/8)")
         elif command == "hom2d":
-            add("--photons-per-pixel", ExperimentConfig, "photons_per_pixel",
+            gain = p.add_mutually_exclusive_group()
+            add("--photons-per-pixel", ExperimentConfig, "photons_per_pixel", to=gain,
                 help="calibrate the gain to this brightest-pixel intensity")
-            add("--gain-scale", Hom2dConfig, "gain_scale",
-                help="raw gain scale g0 (ignored with --photons-per-pixel)")
+            add("--gain-scale", Hom2dConfig, "gain_scale", to=gain,
+                help="raw gain scale g0 (default %(default)s)")
             add("--n-pixels", Hom2dConfig, "n_pixels", type=int)
             add("--pitch", Hom2dConfig, "pitch")
             add("--crystal-length", Hom2dConfig, "crystal_length_mm",

@@ -14,7 +14,8 @@ the one merged :class:`~spdcsim.estimators.FeatureMoments`.
 ``threads`` workers reduce whole chunks (sample, elements, features, chunk
 moments) and the merge takes their results strictly in row order, so a
 report does not depend on the thread count.  hom2d draws its repetitions
-as one chunk and ignores ``threads``.  :func:`twin_fields`,
+as one chunk on the calling thread, so neither its command nor its report
+has ``threads``.  :func:`twin_fields`,
 :func:`hom_fields` and :func:`bell_arms` concatenate the chunks into whole
 columns for callers that need them.
 """
@@ -33,11 +34,11 @@ from . import __version__, theory
 from .elements import (BeamSplitterParams, DetectorParams, GainParams,
                        beam_split, detector_loss, parametric_amplify,
                        polarizer_project)
-from .estimators import (CHUNK_ROWS, FeatureMoments, FourfoldPlan, chsh_estimate,
-                         chsh_features, correlation_estimate,
-                         correlation_features, covariance_estimate,
-                         intensity_products, mean_estimate, merge_moments,
-                         variance_estimate)
+from .estimators import (CHUNK_ROWS, DegenerateStatisticError, FeatureMoments,
+                         FourfoldPlan, chsh_estimate, chsh_features,
+                         correlation_estimate, correlation_features,
+                         covariance_estimate, intensity_products, mean_estimate,
+                         merge_moments, variance_estimate)
 from .multimode import Hom2dConfig, calibrate_gain, run_hom2d
 from .reporting import RunReport, StatisticRow, make_row
 from .sampling import LANE_STRIDE, RngStream, sample_vacuum
@@ -53,9 +54,10 @@ class ExperimentConfig:
 
     The amplifier strength is given either as the gain-length product
     ``gl`` or as the mean photon number per mode ``G`` (mutually
-    exclusive); angles are radians.  ``threads`` workers reduce row chunks
-    in parallel; no result depends on it, and hom2d ignores it.  The field
-    defaults are the command line's defaults.
+    exclusive); angles are radians.  ``threads`` workers reduce the row
+    chunks of the twin, hom, bell and fourfold pipelines in parallel; no
+    result depends on it, and hom2d, drawn as one chunk, does not read it.
+    The field defaults are the command line's defaults.
     """
 
     kind: str
@@ -194,12 +196,21 @@ def _hom_features(es, ei, e1, e2):
             *(part for p in pairs for part in (p.real, p.imag))]
 
 
+def _coherence(m):
+    """|<A B*>|^2 + |<A B>|^2 from the means of the real and imaginary parts."""
+    return sum(m[k] ** 2 for k in range(4))
+
+
 def _coherence_ratio(m):
-    return sum(m[k] ** 2 for k in range(4)) / sum(m[k] ** 2 for k in range(4, 8))
+    return _coherence(m[:4]) / _coherence(m[4:])
 
 
 def _run_hom(config: ExperimentConfig) -> RunReport:
     moments = _moments(_hom_chunk, _hom_features, config)
+    coherence_in = moments.select(range(10, 14)).estimate(_coherence)
+    if coherence_in.value < 5.0 * coherence_in.std_error:
+        raise DegenerateStatisticError(
+            "input field coherence (the dip's denominator) consistent with zero")
     cov_in_oracle = (config.gain.C * config.gain.S) ** 2
     ratio_oracle = theory.hom_covariance_ratio(config.splitter)
     rows = [
@@ -317,7 +328,7 @@ def oracle_table(table: str, values: tuple, eta: float):
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if table == "twin":
-        values = values or (0.01, 0.1, 0.2612038749637415, 1.0, 10.0)
+        values = values or (0.01, 0.1, theory.CHSH_THRESHOLD_GAIN, 1.0, 10.0)
         header = ["G", "gl", "eta", "mean", "var", "cov"]
         rows = []
         for G in values:
@@ -326,7 +337,7 @@ def oracle_table(table: str, values: tuple, eta: float):
             rows.append([G, gain.gl, eta, m["mean"], m["var"], m["cov"]])
         return header, rows
     if table == "bell":
-        values = values or (0.0, 0.01, 0.1, 0.2612038749637415, 1.0, 10.0)
+        values = values or (0.0, 0.01, 0.1, theory.CHSH_THRESHOLD_GAIN, 1.0, 10.0)
         header = ["G", "gain_factor", "B", "threshold_G"]
         return header, [
             [G, theory.chsh_gain_factor(G), theory.BellPrediction(G).b_of_g,
@@ -361,10 +372,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     meta.update({
         "seed": config.seed,
         "reps": config.reps,
-        "threads": config.threads,
     })
     if config.kind != "hom2d":  # hom2d's gain is its geometry's gain_scale
         meta.update({
+            "threads": config.threads,
             "gl": config.gain.gl,
             "G": config.gain.mean_photons,
             "eta": config.eta,

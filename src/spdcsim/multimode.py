@@ -72,6 +72,9 @@ __all__ = [
 #: Crystal length (mm) at which ``pm_bandwidth`` is quoted.
 REFERENCE_LENGTH_MM = 0.8
 
+#: Upper end of the ``gain_scale`` bracket :func:`calibrate_gain` searches.
+GAIN_SCALE_MAX = 9.0
+
 
 @dataclass(frozen=True)
 class Hom2dConfig:
@@ -278,15 +281,14 @@ def _brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
     raise RuntimeError("Brent root did not converge in 100 steps")
 
 
-def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float,
-                   g_max: float = 9.0) -> Hom2dConfig:
+def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float) -> Hom2dConfig:
     """Tune ``gain_scale`` so the brightest image pixel carries the target
     mean photon number.
 
     Solves max(image mean intensity)(g0) = ``photons_per_pixel`` for g0 in
-    [1e-9, ``g_max``] with Brent's method (:func:`_brent_root`, absolute
-    and relative tolerance 1e-12).  A target outside the photon range that
-    this bracket reaches is a ValueError naming that range.
+    [1e-9, :data:`GAIN_SCALE_MAX`] with Brent's method (:func:`_brent_root`,
+    absolute and relative tolerance 1e-12).  A target outside the photon
+    range that this bracket reaches is a ValueError naming that range.
     """
     if not (photons_per_pixel > 0 and math.isfinite(photons_per_pixel)):
         raise ValueError(
@@ -297,13 +299,13 @@ def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float,
                                 floor=0.0)
         return image_mean_intensities(dec).max()
 
-    lo, hi = brightest(1e-9), brightest(g_max)
+    lo, hi = brightest(1e-9), brightest(GAIN_SCALE_MAX)
     if not lo <= photons_per_pixel <= hi:
         raise ValueError(
             f"photons_per_pixel {photons_per_pixel:g} is outside the reachable "
-            f"range [{lo:.3g}, {hi:.3g}] (gain_scale 1e-9 to {g_max:g})")
-    g0 = _brent_root(lambda g: brightest(g) - photons_per_pixel, 1e-9, g_max,
-                     xtol=1e-12, rtol=1e-12)
+            f"range [{lo:.3g}, {hi:.3g}] (gain_scale 1e-9 to {GAIN_SCALE_MAX:g})")
+    g0 = _brent_root(lambda g: brightest(g) - photons_per_pixel,
+                     1e-9, GAIN_SCALE_MAX, xtol=1e-12, rtol=1e-12)
     return replace(config, gain_scale=float(g0))
 
 
@@ -373,26 +375,23 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int,
     return (signal, idler) if vacuum else (signal[0], idler[0])
 
 
-def shift_field(fields: np.ndarray, shift_px: float, axis: int = -1,
+def shift_field(fields: np.ndarray, shift_px: float,
                 spectrum: np.ndarray | None = None) -> np.ndarray:
-    """Displace a pixel-plane field by ``shift_px`` pixels along one axis.
+    """Displace a pixel-plane field by ``shift_px`` pixels along its last
+    axis.
 
     Integer shifts reduce to a circular roll; fractional shifts use the
     unitary Fourier phase ramp, which preserves the vacuum level exactly
     (linear interpolation of amplitudes would not).  A caller shifting one
     field by many amounts may pass its ``spectrum``,
-    ``np.fft.fft(fields, axis=axis)``, so the forward transform is done once.
+    ``np.fft.fft(fields, axis=-1)``, so the forward transform is done once.
     """
     if shift_px == int(shift_px):
-        return np.roll(fields, int(shift_px), axis=axis)
+        return np.roll(fields, int(shift_px), axis=-1)
     if spectrum is None:
-        spectrum = np.fft.fft(fields, axis=axis)
-    n = fields.shape[axis]
-    k = np.fft.fftfreq(n)
-    shape = [1] * fields.ndim
-    shape[axis] = n
-    ramp = np.exp(-2j * np.pi * k * shift_px).reshape(shape)
-    return np.fft.ifft(spectrum * ramp, axis=axis)
+        spectrum = np.fft.fft(fields, axis=-1)
+    ramp = np.exp(-2j * np.pi * np.fft.fftfreq(fields.shape[-1]) * shift_px)
+    return np.fft.ifft(spectrum * ramp, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -520,6 +519,8 @@ def run_hom2d(config: Hom2dConfig) -> DipCurve:
     """
     if config.n_pixels < 8:
         raise ValueError("the HOM sweep needs n_pixels >= 8")
+    if not config.gain_scale > 0:
+        raise ValueError("the HOM sweep needs gain_scale > 0")
     kernel = build_kernel(config)
     dec = schmidt_decompose(kernel, floor=0.0)
     image = image_mean_intensities(dec)

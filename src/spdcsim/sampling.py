@@ -110,20 +110,10 @@ class FieldEnsemble:
     """R independent repetitions x M modes of complex field amplitudes."""
 
     data: np.ndarray
-    seed: int
-    stream_base: int = 0
 
     def __post_init__(self):
         if self.data.ndim != 2:
             raise ValueError("ensemble data must be 2-D (reps x modes)")
-
-    @property
-    def reps(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def modes(self) -> int:
-        return self.data.shape[1]
 
     def column(self, m: int) -> np.ndarray:
         return self.data[:, m]
@@ -239,13 +229,10 @@ _FILL_ROWS = 1 << 16
 
 
 def _fill_rows(out: np.ndarray, stream: RngStream, row0: int, rows: int, modes: int) -> None:
-    n_words = 2 * modes
-    if n_words % 4:
-        n_words += 4 - (n_words % 4)  # keep whole blocks, discard extras
     sub = RngStream(stream.seed, stream.stream_id + row0)
-    words = raw_words(sub, rows, n_words)
+    words = raw_words(sub, rows, 2 * modes)
     z = out[row0:row0 + rows].view(np.float64)  # re, im interleaved per mode
-    _gaussian_pairs(words[:, :2 * modes], z)
+    _gaussian_pairs(words, z)
     np.multiply(z, 0.5, out=z)
 
 
@@ -262,4 +249,4 @@ def sample_vacuum(rng: RngStream, reps: int, modes: int) -> FieldEnsemble:
     out = np.empty((reps, modes), dtype=np.complex128)
     for a in range(0, reps, _FILL_ROWS):
         _fill_rows(out, rng, a, min(_FILL_ROWS, reps - a), modes)
-    return FieldEnsemble(data=out, seed=rng.seed, stream_base=rng.stream_id)
+    return FieldEnsemble(out)

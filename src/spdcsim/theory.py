@@ -77,16 +77,14 @@ def bell_chsh_coefficient(theta1: float, theta2: float, G: float) -> float:
 
 @dataclass(frozen=True)
 class BellPrediction:
-    """CHSH coefficient B at gain G together with the violation threshold."""
+    """CHSH coefficient B at gain G: ``CHSH_B0`` times the gain factor."""
 
     G: float
-    b0: float = CHSH_B0
     b_of_g: float = field(init=False)
-    threshold_g: float = CHSH_THRESHOLD_GAIN
 
     def __post_init__(self):
         _check_gain(self.G)
-        object.__setattr__(self, "b_of_g", chsh_gain_factor(self.G) * self.b0)
+        object.__setattr__(self, "b_of_g", chsh_gain_factor(self.G) * CHSH_B0)
 
 
 def bell_prediction(theta1: float, theta2: float, G: float) -> dict:

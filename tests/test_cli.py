@@ -66,6 +66,8 @@ def test_usage_error_exit_code():
     ["twin", "--reps", "2.7"],
     ["oracle", "--table", "bell", "--values", "nan"],
     ["oracle", "--table", "bell", "--values", "1,inf"],
+    ["hom2d", "--reps", "3", "--threads", "2"],
+    ["hom2d", "--reps", "3", "--gain-scale", "0.8", "--photons-per-pixel", "1"],
 ])
 def test_bad_input_is_a_usage_error_with_a_reason(argv, capsys):
     try:
@@ -131,6 +133,23 @@ def test_hom2d_bad_geometry_fails_before_the_run(argv, reason, monkeypatch, caps
     monkeypatch.setattr(cli, "run_experiment", no_run)
     assert run_cli(argv) == 2
     assert reason in capsys.readouterr().err
+
+
+def test_hom2d_zero_gain_is_a_usage_error(capsys):
+    assert run_cli(["hom2d", "--reps", "3", "--gain-scale", "0"]) == 2
+    assert "gain_scale" in capsys.readouterr().err
+
+
+def test_only_chunked_runs_report_threads(tmp_path):
+    # hom2d draws its repetitions as one chunk, so its report has no threads
+    twin, dip = tmp_path / "twin.json", tmp_path / "dip.json"
+    assert run_cli(["twin", "--reps", "1e4", "--format", "json",
+                    "--out", str(twin)]) == 0
+    assert json.loads(twin.read_text())["metadata"]["threads"] == 1
+    assert run_cli(["hom2d", "--reps", "3", "--n-pixels", "16", "--pitch", "0.6",
+                    "--theta-sweep=-1.8,0,1.8", "--format", "json",
+                    "--out", str(dip)]) == 0
+    assert "threads" not in json.loads(dip.read_text())["metadata"]
 
 
 def test_bell_threshold_brackets_two(tmp_path):
@@ -213,6 +232,7 @@ def test_config_file_precedence(tmp_path):
     (["twin", "--reps", "1e4"], "seeed = 5", None),
     (["twin", "--reps", "1e4"], "g = 0.01", None),
     (["hom2d", "--reps", "5"], "crystal_length_mm = 5", None),
+    (["hom2d", "--reps", "5"], "threads = 2", None),
 ])
 def test_config_file_keys_are_flag_names(argv, entry, flags, tmp_path, capsys):
     # A config entry acts as its flag; a key that is no flag (None) is a

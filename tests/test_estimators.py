@@ -72,6 +72,12 @@ def test_correlation_coefficient_oracles(twin_cache, bell_cache):
     assert correlation_coefficient(e1p, e2p).deviation(0.0) < 5
 
 
+def test_hom_dip_degenerate_without_input_coherence():
+    # at G = 0 the dip ratio's denominator |<Es Ei*>|^2 + |<Es Ei>|^2 is 0
+    with pytest.raises(DegenerateStatisticError):
+        run_experiment(ExperimentConfig(kind="hom", G=0.0, reps=20_000))
+
+
 def test_correlation_degenerate_on_vacuum():
     vac = _vacuum(reps=10_000)
     with pytest.raises(DegenerateStatisticError):

@@ -62,6 +62,25 @@ def test_zero_gain_kernel_is_zero():
     assert np.all(build_kernel(cfg).matrix == 0.0)
 
 
+def test_gaussian_phase_matching_kernel_matches_closed_form():
+    # Gaussian phase matching: s_eff = sinh(x) with x = g0 exp(-qbar^2 /
+    # (2 qc_eff^2)), so lambda = sinh(x) cosh(x) = sinh(2x) / 2, times the
+    # Gaussian pump envelope of qs + qi.
+    cfg = Hom2dConfig(n_pixels=16, pitch=0.6, phase_matching="gaussian",
+                      gain_scale=0.8, crystal_length_mm=1.6)
+    matrix = build_kernel(cfg).matrix
+    q = cfg.q_axis
+    # default bandwidth 0.7 at 0.8 mm, broadening gain 0.7, exponent 1.1;
+    # pump waist 4
+    qc = 0.7 * math.sqrt(0.8 / 1.6) * (1.0 + 0.8 / 0.7) ** 1.1
+    for i, j in ((0, 0), (7, 8), (3, 12), (15, 2), (10, 10)):
+        qbar = 0.5 * (q[i] - q[j])
+        x = 0.8 * math.exp(-qbar ** 2 / (2.0 * qc ** 2))
+        pump = math.exp(-((q[i] + q[j]) * 4.0) ** 2 / 2.0)
+        assert matrix[i, j] == pytest.approx(0.5 * math.sinh(2.0 * x) * pump,
+                                             rel=1e-12, abs=1e-300)
+
+
 def test_rank_one_kernel_recovers_mode():
     u = np.full(8, 1 / math.sqrt(8.0), dtype=complex)
     v = np.zeros(8, dtype=complex)
