@@ -13,7 +13,9 @@ subset; ``#`` starts a comment line).  Its keys are the subcommand's long
 flag names with ``_`` for ``-`` (``gain_gl``, ``G``, ``crystal_length``);
 a list is ``a,b`` or ``[a, b]``, and a value may be quoted.  The entries
 are parsed as flags placed before the command line's own, so they get the
-same types and checks, and a flag on the command line wins.  An unknown
+same types and checks, and a flag on the command line wins, also over
+the file's entry for the other flag of a mutually exclusive pair
+(``gain_gl``/``G``, ``photons_per_pixel``/``gain_scale``).  An unknown
 key is a usage error.
 
 Exit codes: 0 all statistics pass, 1 statistical failure, 2 usage error,
@@ -77,7 +79,10 @@ def _float_list(text: str) -> tuple:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser.  Each subcommand's ``config_keys`` default holds the
-    keys its config file may use."""
+    keys its config file may use, and ``exclusive`` one ``{key: dest}`` per
+    mutually exclusive group.  A group's flags default to absent, so that
+    a parsed namespace shows which one the command line gave; the config
+    dataclass supplies the default."""
     parser = argparse.ArgumentParser(
         prog="spdcsim",
         description="Monte Carlo simulator of Gaussian quantum-optics experiments "
@@ -87,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=about)
         p.add_argument("--config", help="flat key = value config file")
         flags = []
+        groups = {}
 
         def add(flag, owner=None, name=None, to=p, **kwargs):
             """Add ``flag``; with ``owner`` it sets field ``name`` of that
@@ -95,6 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
             if owner is not None:
                 kwargs = {"type": float, "dest": name,
                           "default": getattr(owner, name), **kwargs}
+            if to is not p:
+                kwargs["default"] = argparse.SUPPRESS
+                groups.setdefault(to, {})[flag[2:].replace("-", "_")] = kwargs["dest"]
             to.add_argument(flag, **kwargs)
             flags.append(flag)
 
@@ -136,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
             add("--photons-per-pixel", ExperimentConfig, "photons_per_pixel", to=gain,
                 help="calibrate the gain to this brightest-pixel intensity")
             add("--gain-scale", Hom2dConfig, "gain_scale", to=gain,
-                help="raw gain scale g0 (default %(default)s)")
+                help=f"raw gain scale g0 (default {Hom2dConfig.gain_scale})")
             add("--n-pixels", Hom2dConfig, "n_pixels", type=int)
             add("--pitch", Hom2dConfig, "pitch")
             add("--crystal-length", Hom2dConfig, "crystal_length_mm",
@@ -147,18 +156,26 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=("sinc", "gaussian"))
             add("--theta-sweep", Hom2dConfig, "theta_sweep", type=_float_list,
                 help="comma-separated tilt angles")
-        p.set_defaults(config_keys=[f[2:].replace("-", "_") for f in flags])
+        p.set_defaults(config_keys=[f[2:].replace("-", "_") for f in flags],
+                       exclusive=list(groups.values()))
     return parser
 
 
-def _config_flags(path: str, keys: list) -> list:
-    """The entries of config file ``path`` as ``--flag=value`` arguments."""
+def _config_flags(path: str, args: argparse.Namespace) -> list:
+    """The entries of config file ``path`` as ``--flag=value`` arguments,
+    less those of a mutually exclusive group that ``args``, parsed from the
+    command line alone, already sets."""
     entries = load_config_file(path)
+    keys = args.config_keys
     for key in entries:
         if key.replace("-", "_") not in keys:
             raise ValueError(f"{path}: unknown key {key!r}; "
                              f"this subcommand takes {', '.join(keys)}")
-    return [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()]
+    given = {key for group in args.exclusive
+             if any(hasattr(args, dest) for dest in group.values())
+             for key in group}
+    return [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()
+            if key.replace("-", "_") not in given]
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -218,7 +235,7 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             # argv[0] is the subcommand: the top-level parser has no options
-            file_flags = _config_flags(args.config, args.config_keys)
+            file_flags = _config_flags(args.config, args)
             args = parser.parse_args(argv[:1] + file_flags + argv[1:])
         if args.command != "oracle":
             config = _experiment_config(args)

@@ -327,6 +327,9 @@ def oracle_table(table: str, values: tuple, eta: float):
     default set) and detector efficiency ``eta``; returns (header, rows)."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    if table in ("bell", "hom") and eta != 1.0:
+        raise ValueError(f"the {table} table has no detector efficiency; "
+                         f"eta applies to the twin table only, got {eta}")
     if table == "twin":
         values = values or (0.01, 0.1, theory.CHSH_THRESHOLD_GAIN, 1.0, 10.0)
         header = ["G", "gl", "eta", "mean", "var", "cov"]

@@ -18,13 +18,24 @@ Random number generation is fully deterministic and order-independent:
   doubles in [0, 1), and converted to Gaussians with the Box-Muller
   transform (word pair ``2t, 2t+1`` gives the cosine/sine pair).  Mode
   ``m`` of a repetition uses words ``2m`` and ``2m+1`` as its real and
-  imaginary quadratures.
+  imaginary quadratures.  The 1/2 scale of the quadratures is folded into
+  the radius, ``sqrt(-0.5 ln u1)``, and 2 pi into the word-to-angle
+  factor; both are powers of two times the unfolded factors, so the
+  doubles equal those of ``0.5 sqrt(-2 ln u1)`` and ``2 pi u2`` bit for
+  bit.
 
 :func:`raw_words` draws the words along one of two paths that give the
 same words:
 
 * tall ensembles (many repetitions, few counter blocks) run the Philox
-  below, vectorised over repetitions with a Python loop over blocks;
+  below, vectorised over repetitions.  Rows go through in passes of
+  16384 (``_SUB_ROWS``), each a Python loop over counter blocks, so the
+  seven (2, 16384) scratch arrays, allocated once a call, stay in cache.
+  The state is two lanes, ``[x0; x2]`` and ``[x1; x3]``, so one
+  multiply-high-low serves both multipliers of a round.  The first round
+  is closed form: the counter ``(j, 0, 0, 0)`` is the same in every row,
+  so only ``M0 j`` is left, one Python-int product, and the rows start
+  at round 2;
 * wide ensembles (few repetitions, many blocks, as for hom2d image
   planes) run one ``numpy.random.Philox``, rekeyed for each repetition r
   to ``(seed, stream_id + r)`` with its counter one block before 0.
@@ -119,20 +130,32 @@ class FieldEnsemble:
         return self.data[:, m]
 
 
-def _mulhilo(a: int, x: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+#: Rows per pass of the tall path's Philox rounds.  Its seven (2, 16384)
+#: uint64 scratch arrays take 1.8 MB, so a pass stays in a 2 MB L2 cache.
+_SUB_ROWS = 1 << 14
+
+# Column constants of the two-lane state: row 0 acts on x0 and k0, row 1 on
+# x2 and k1.
+_M = np.array([[_M0], [_M1]], dtype=np.uint64)
+_M_HI = _M >> _SH32
+_M_LO = _M & _MASK32
+_W = np.array([[_W0], [_W1]], dtype=np.uint64)
+
+
+def _mulhilo(x: np.ndarray, hi: np.ndarray, lo: np.ndarray,
              t: np.ndarray, u: np.ndarray) -> None:
-    """``hi``, ``lo`` <- high and low 64 bits of a * x (64x64 -> 128 via
-    32-bit limbs).  ``t`` and ``u`` are scratch; ``x`` is overwritten."""
-    ah, al = _U64(a >> 32), _U64(a & 0xFFFFFFFF)
-    np.multiply(x, _U64(a), out=lo)
+    """``hi``, ``lo`` <- high and low 64 bits of [[M0], [M1]] * x for the
+    (2, n) lane pair ``x`` (64x64 -> 128 via 32-bit limbs).  ``t`` and
+    ``u`` are scratch; ``x`` is overwritten."""
+    np.multiply(x, _M, out=lo)
     np.bitwise_and(x, _MASK32, out=t)       # xl
-    np.multiply(t, al, out=u)
+    np.multiply(t, _M_LO, out=u)
     np.right_shift(u, _SH32, out=u)         # (al xl) >> 32
-    np.multiply(t, ah, out=t)
+    np.multiply(t, _M_HI, out=t)
     np.add(t, u, out=t)                     # t = ah xl + (al xl >> 32)
     np.right_shift(x, _SH32, out=u)         # xh
-    np.multiply(u, ah, out=hi)
-    np.multiply(u, al, out=u)               # al xh
+    np.multiply(u, _M_HI, out=hi)
+    np.multiply(u, _M_LO, out=u)            # al xh
     np.right_shift(t, _SH32, out=x)
     np.add(hi, x, out=hi)
     np.bitwise_and(t, _MASK32, out=t)
@@ -141,40 +164,54 @@ def _mulhilo(a: int, x: np.ndarray, hi: np.ndarray, lo: np.ndarray,
     np.add(hi, u, out=hi)                   # hi = ah xh + (t >> 32) + (u >> 32)
 
 
-def _philox_block(counter0: int, seed: int, stream_ids: np.ndarray):
-    """One Philox-4x64-10 block per stream id; returns four uint64 arrays."""
-    shape = stream_ids.shape
-    x0 = np.full(shape, _U64(counter0), dtype=np.uint64)
-    x1 = np.zeros(shape, dtype=np.uint64)
-    x2 = np.zeros(shape, dtype=np.uint64)
-    x3 = np.zeros(shape, dtype=np.uint64)
-    hi0, lo0, hi1, lo1, t, u = (np.empty(shape, dtype=np.uint64) for _ in range(6))
-    k1 = stream_ids.astype(np.uint64, copy=True)
-    for i in range(10):
-        k0 = _U64((seed + i * _W0) & _MASK64)
-        _mulhilo(_M0, x0, hi0, lo0, t, u)
-        _mulhilo(_M1, x2, hi1, lo1, t, u)
-        np.bitwise_xor(hi1, x1, out=x0)
-        np.bitwise_xor(x0, k0, out=x0)
-        np.bitwise_xor(hi0, x3, out=x2)
-        np.bitwise_xor(x2, k1, out=x2)
-        x1, lo1 = lo1, x1
-        x3, lo0 = lo0, x3
-        np.add(k1, _U64(_W1), out=k1)
-    return x0, x1, x2, x3
+def _scratch(width: int) -> tuple:
+    """Seven (2, width) uint64 arrays for :func:`_philox_block`."""
+    return tuple(np.empty((2, width), dtype=np.uint64) for _ in range(7))
+
+
+def _philox_block(counter: int, seed: int, stream_ids: np.ndarray,
+                  scratch: tuple | None = None) -> tuple:
+    """Philox-4x64-10 block of counter ``(counter, 0, 0, 0)`` under each key
+    ``(seed, stream_id)``; returns the four words as uint64 arrays.
+
+    ``scratch`` is :func:`_scratch` of at least ``len(stream_ids)`` columns,
+    reused across calls; the words returned are views into it.
+    """
+    n = len(stream_ids)
+    a, b, hi, lo, t, u, key = (s[:, :n] for s in scratch or _scratch(n))
+    # Round 1 in closed form: M1 * x2 = 0, so [x0; x2] <- [k0; hi(M0 c) ^ k1]
+    # and [x1; x3] <- [0; lo(M0 c)].
+    p = _M0 * int(counter)
+    key[0] = seed
+    key[1] = stream_ids
+    a[0] = seed
+    np.bitwise_xor(stream_ids, _U64(p >> 64), out=a[1])
+    b[0] = 0
+    b[1] = p & _MASK64
+    for _ in range(9):
+        np.add(key, _W, out=key)
+        _mulhilo(a, hi, lo, t, u)
+        # [x0; x2] <- [hi1 ^ x1; hi0 ^ x3] ^ key, [x1; x3] <- [lo1; lo0]
+        np.bitwise_xor(hi[::-1], b, out=a)
+        np.bitwise_xor(a, key, out=a)
+        b, lo = lo[::-1], b
+    return a[0], b[0], a[1], b[1]
 
 
 def _per_row_is_faster(reps: int, n_blocks: int) -> bool:
     """Dispatch rule of :func:`raw_words`: True where the per-row numpy
     Philox path beats the path vectorised over rows.
 
-    Measured on a 2-vCPU x86-64 VM with numpy 2.4: the per-row path costs
-    ~5 us a row (rekeying its one generator; its words cost ~0.03 us a
-    block), the vectorised one ~240 us a block plus ~0.17 us per row and
-    block.  So one-block and two-block tall ensembles stay vectorised, and
-    rows win from ~2 blocks at 100 rows, ~13 at 1000 and ~26 at 10 000.
+    Measured on a 2-vCPU x86-64 (AVX-512) VM with numpy 2.4: the per-row
+    path costs ~2 us a row (rekeying its one generator; its words cost
+    ~0.02 us a block), the vectorised one ~90 us a block plus ~0.09 us per
+    row and block; the rule counts in units of 0.01 us.  So one-block and
+    two-block tall ensembles stay vectorised, and rows win from ~3 blocks
+    at 100 rows, ~14 at 1000 and ~26 at 10 000 (measured crossovers: 2-3,
+    10-14 and 30-32 blocks; on either side of them the two paths differ
+    by less than 10%).
     """
-    return 500 * reps < n_blocks * (24_000 + 17 * reps)
+    return 200 * reps < n_blocks * (9_000 + 7 * reps)
 
 
 def raw_words(stream: RngStream, reps: int, n_words: int) -> np.ndarray:
@@ -196,28 +233,32 @@ def raw_words(stream: RngStream, reps: int, n_words: int) -> np.ndarray:
             bit_gen.state = state
             words[r] = bit_gen.random_raw(4 * n_blocks)
     else:
-        sids = (_U64(stream.stream_id) + np.arange(reps, dtype=np.uint64)).astype(np.uint64)
-        for j in range(n_blocks):
-            for k, w in enumerate(_philox_block(j, stream.seed, sids)):
-                words[:, 4 * j + k] = w
+        sids = _U64(stream.stream_id) + np.arange(reps, dtype=np.uint64)
+        scratch = _scratch(min(reps, _SUB_ROWS))
+        for r0 in range(0, reps, _SUB_ROWS):
+            rows = words[r0:r0 + _SUB_ROWS]
+            for j in range(n_blocks):
+                block = _philox_block(j, stream.seed, sids[r0:r0 + _SUB_ROWS], scratch)
+                for k, w in enumerate(block):
+                    rows[:, 4 * j + k] = w
     return words[:, :n_words]
 
 
 def _gaussian_pairs(words: np.ndarray, out: np.ndarray) -> None:
     """Box-Muller transform of an even number of word columns into the
-    float64 array ``out`` of the same shape."""
+    float64 array ``out`` of the same shape, scaled by 1/2: Gaussians of
+    variance 1/4."""
     r = out[:, 0::2]
     ang = out[:, 1::2]
     bits = np.right_shift(words[:, 0::2], _SH11)
     np.add(bits, _U64(1), out=bits)
     np.multiply(bits, _INV53, out=r)        # u1 in (0, 1]
     np.right_shift(words[:, 1::2], _SH11, out=bits)
-    np.multiply(bits, _INV53, out=ang)      # u2 in [0, 1)
+    np.multiply(bits, _INV53 * 2.0 * np.pi, out=ang)  # 2 pi u2, u2 in [0, 1)
     del bits  # freed before the cosine temporary of the same size
     np.log(r, out=r)
-    np.multiply(r, -2.0, out=r)
+    np.multiply(r, -0.5, out=r)
     np.sqrt(r, out=r)
-    np.multiply(ang, 2.0 * np.pi, out=ang)
     cos = np.cos(ang)
     np.sin(ang, out=ang)
     np.multiply(r, ang, out=ang)
@@ -233,7 +274,6 @@ def _fill_rows(out: np.ndarray, stream: RngStream, row0: int, rows: int, modes: 
     words = raw_words(sub, rows, 2 * modes)
     z = out[row0:row0 + rows].view(np.float64)  # re, im interleaved per mode
     _gaussian_pairs(words, z)
-    np.multiply(z, 0.5, out=z)
 
 
 def sample_vacuum(rng: RngStream, reps: int, modes: int) -> FieldEnsemble:

@@ -68,6 +68,8 @@ def test_usage_error_exit_code():
     ["oracle", "--table", "bell", "--values", "1,inf"],
     ["hom2d", "--reps", "3", "--threads", "2"],
     ["hom2d", "--reps", "3", "--gain-scale", "0.8", "--photons-per-pixel", "1"],
+    ["oracle", "--table", "bell", "--values", "1", "--eta", "0.5"],
+    ["oracle", "--table", "hom", "--values", "0.5", "--eta", "0.9"],
 ])
 def test_bad_input_is_a_usage_error_with_a_reason(argv, capsys):
     try:
@@ -250,6 +252,44 @@ def test_config_file_keys_are_flag_names(argv, entry, flags, tmp_path, capsys):
     assert code == 0
     assert run_cli(argv + flags + ["--out", str(from_flags)]) == 0
     assert from_file.read_bytes() == from_flags.read_bytes()
+
+
+def test_oracle_eta_is_rejected_where_no_table_column_uses_it(capsys):
+    assert run_cli(["oracle", "--table", "bell", "--values", "1", "--eta", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "eta applies to the twin table only" in err and err.count("\n") == 1
+    assert run_cli(["oracle", "--table", "bell", "--values", "1", "--eta", "1"]) == 0
+    assert run_cli(["oracle", "--table", "twin", "--values", "1", "--eta", "0.5"]) == 0
+
+
+@pytest.mark.parametrize("argv, entry, flags", [
+    (["twin", "--reps", "1e4"], "gain_gl = 0.8814", ["--G", "1"]),
+    (["twin", "--reps", "1e4"], "G = 0.01", ["--gain-gl", "0.5"]),
+    (["twin", "--reps", "1e4"], "gain-gl = 0.8814", ["--G=1"]),
+    (["hom2d", "--reps", "5", "--n-pixels", "16", "--pitch", "0.6"],
+     "gain_scale = 0.5", ["--photons-per-pixel", "1"]),
+    (["hom2d", "--reps", "5", "--n-pixels", "16", "--pitch", "0.6"],
+     "photons_per_pixel = 1", ["--gain-scale", "0.8814"]),
+])
+def test_command_line_flag_wins_over_file_entry_of_its_exclusive_partner(
+        argv, entry, flags, tmp_path):
+    # The command line sets one flag of a mutually exclusive pair and the
+    # config file the other: the run is the command line's alone.
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(entry + "\n")
+    from_both = tmp_path / "both.csv"
+    from_flags = tmp_path / "flags.csv"
+    assert run_cli(argv + flags + ["--config", str(cfg), "--out", str(from_both)]) == 0
+    assert run_cli(argv + flags + ["--out", str(from_flags)]) == 0
+    assert from_both.read_bytes() == from_flags.read_bytes()
+
+
+def test_config_file_with_both_exclusive_keys_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "run.toml"
+    cfg.write_text("gain_gl = 0.8814\nG = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["twin", "--reps", "1e4", "--config", str(cfg)])
+    assert exc.value.code == 2
 
 
 def test_config_file_parse_errors(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from spdcsim import sampling
 from spdcsim.sampling import (ORDERING, RngStream, derive_stream, raw_words,
                               sample_vacuum)
-from spdcsim.sampling import _per_row_is_faster, _philox_block
+from spdcsim.sampling import _SUB_ROWS, _per_row_is_faster, _philox_block, _scratch
 
 
 def test_ordering_constants_exact():
@@ -189,3 +189,38 @@ def test_paths_agree_on_large_seeds_and_wrapping_stream_ids(monkeypatch, seed,
     # row r belongs to the stream id stream_id + r modulo 2**64
     wrapped = RngStream(seed, (stream_id + 4) % 2 ** 64)
     assert np.array_equal(rows[4], raw_words(wrapped, 1, 4 * 9)[0])
+
+
+@pytest.mark.parametrize("stream_id,n_words", [
+    (11, 4), (11, 4 * 2 + 1),
+    (2 ** 64 - _SUB_ROWS - 2, 4),  # the ids wrap inside the second sub-block
+])
+def test_paths_agree_across_sub_blocks(monkeypatch, stream_id, n_words):
+    reps = 2 * _SUB_ROWS + 5
+    rows, vectorised = _both_paths(monkeypatch, RngStream(42, stream_id), reps, n_words)
+    assert np.array_equal(rows, vectorised)
+
+
+@pytest.mark.parametrize("n_words", [4, 4 * 2 + 1])
+def test_row_range_of_a_call_is_the_call_from_its_first_row(n_words):
+    # rows [a, b) start and end inside sub-blocks of the longer call
+    stream = RngStream(42, 3)
+    words = raw_words(stream, 3 * _SUB_ROWS, n_words)
+    a, b = _SUB_ROWS + 100, 2 * _SUB_ROWS + 300
+    part = raw_words(RngStream(42, 3 + a), b - a, n_words)
+    assert not _per_row_is_faster(b - a, -(-n_words // 4))
+    assert np.array_equal(words[a:b], part)
+
+
+def test_philox_block_reusing_wider_scratch_matches_numpy():
+    scratch = _scratch(64)
+    sids = np.array([0, 7, 2 ** 64 - 1], dtype=np.uint64)
+    seed = 2 ** 63 + 99
+    mine = [[] for _ in sids]
+    for c in (1, 2, 3):
+        for w in _philox_block(c, seed, sids, scratch):
+            for r, word in enumerate(w):
+                mine[r].append(word)
+    for r, sid in enumerate(sids):
+        bg = np.random.Philox(counter=[0, 0, 0, 0], key=[np.uint64(seed), sid])
+        assert np.array_equal(bg.random_raw(12), np.array(mine[r], dtype=np.uint64))
