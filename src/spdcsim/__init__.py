@@ -24,6 +24,5 @@ from .multimode import (DipCurve, Hom2dConfig, JointAmplitudeKernel,
                         run_hom2d, sample_image_planes, sample_multimode,
                         schmidt_decompose, shift_field)
 from .reporting import RunReport, StatisticRow, emit_results
-from .sampling import (ORDERING, FieldEnsemble, OrderingConstants, RngStream,
-                       derive_stream, sample_vacuum)
+from .sampling import ORDERING, OrderingConstants, RngStream, sample_vacuum
 from . import theory

@@ -60,7 +60,7 @@ def load_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         value = value.strip()
-        if len(value) >= 2 and value[0] + value[-1] in ('""', "[]"):
+        if len(value) >= 2 and value[0] + value[-1] in ('""', "''", "[]"):
             value = value[1:-1]
         entries[key.strip()] = value
     return entries

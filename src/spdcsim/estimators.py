@@ -57,6 +57,7 @@ __all__ = [
     "merge_moments",
     "moment_theorem_residual",
     "normal_intensities",
+    "row_chunks",
     "variance_estimate",
     "variance_intensity",
 ]
@@ -65,6 +66,13 @@ __all__ = [
 #: Fixed, so that results do not depend on the machine; at 15 features a
 #: chunk holds about 8 MB.
 CHUNK_ROWS = 1 << 16
+
+
+def row_chunks(n: int) -> list:
+    """(row0, rows) of each :data:`CHUNK_ROWS`-row chunk of ``n`` rows, in
+    row order."""
+    return [(row0, min(CHUNK_ROWS, n - row0)) for row0 in range(0, n, CHUNK_ROWS)]
+
 
 #: Central-difference step of the delta-method gradient, relative to the
 #: magnitude of each mean plus its standard error.
@@ -77,11 +85,10 @@ class DegenerateStatisticError(ValueError):
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """A statistic with its standard error and sample count."""
+    """A statistic with its standard error."""
 
     value: float | complex
     std_error: float
-    n_samples: int
 
     def deviation(self, oracle: float | complex) -> float:
         """Distance from an oracle value in units of the standard error."""
@@ -160,7 +167,7 @@ class FeatureMoments:
         grad = (shifted[:k] - shifted[k:]) / (2.0 * h)
         var = float(np.real(np.conj(grad) @ cov @ grad)) / self.n
         return MomentEstimate(np.asarray(f(self.mean)).item(),
-                              float(np.sqrt(max(var, 0.0))), self.n)
+                              float(np.sqrt(max(var, 0.0))))
 
 
 def merge_moments(chunks) -> FeatureMoments:
@@ -186,8 +193,8 @@ def feature_moments(features, *columns: np.ndarray) -> FeatureMoments:
     """
     columns = _check_equal(*columns)
     return merge_moments(
-        FeatureMoments.of_chunk(features(*(c[start:start + CHUNK_ROWS] for c in columns)))
-        for start in range(0, columns[0].shape[0], CHUNK_ROWS))
+        FeatureMoments.of_chunk(features(*(c[row0:row0 + rows] for c in columns)))
+        for row0, rows in row_chunks(columns[0].shape[0]))
 
 
 def _intensities(*cols):

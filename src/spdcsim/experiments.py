@@ -2,7 +2,8 @@
 
 The twin, hom, bell and fourfold pipelines stream their ensemble: each is a
 chunk function, drawing the fields of rows ``[row0, row0 + rows)``, plus one
-feature function covering every statistic of its report.  Chunks are
+feature function covering every statistic of its report.  The chunks are
+those of :func:`~spdcsim.estimators.row_chunks`, at most
 :data:`~spdcsim.estimators.CHUNK_ROWS` = 65536 rows; the chunk at ``row0``
 of vacuum lane ``L`` is ``sample_vacuum(RngStream(seed, L * LANE_STRIDE +
 row0), rows, modes)``, which holds the same rows, bit for bit, as one draw
@@ -34,13 +35,13 @@ from . import __version__, theory
 from .elements import (BeamSplitterParams, DetectorParams, GainParams,
                        beam_split, detector_loss, parametric_amplify,
                        polarizer_project)
-from .estimators import (CHUNK_ROWS, DegenerateStatisticError, FeatureMoments,
-                         FourfoldPlan, chsh_estimate, chsh_features,
-                         correlation_estimate, correlation_features,
-                         covariance_estimate, intensity_products, mean_estimate,
-                         merge_moments, variance_estimate)
+from .estimators import (DegenerateStatisticError, FeatureMoments, FourfoldPlan,
+                         chsh_estimate, chsh_features, correlation_estimate,
+                         correlation_features, covariance_estimate,
+                         intensity_products, mean_estimate, merge_moments,
+                         row_chunks, variance_estimate)
 from .multimode import Hom2dConfig, calibrate_gain, run_hom2d
-from .reporting import RunReport, StatisticRow, make_row
+from .reporting import RunReport, make_row
 from .sampling import LANE_STRIDE, RngStream, sample_vacuum
 
 __all__ = ["ExperimentConfig", "run_experiment", "oracle_table", "EXPERIMENT_KINDS"]
@@ -114,13 +115,8 @@ def _vacuum(config: ExperimentConfig, lane: int, row0: int, rows: int, modes: in
     return sample_vacuum(RngStream(config.seed, lane * LANE_STRIDE + row0), rows, modes)
 
 
-def _row_chunks(reps: int):
-    """(row0, rows) of each chunk of ``reps`` rows, in row order."""
-    return [(row0, min(CHUNK_ROWS, reps - row0)) for row0 in range(0, reps, CHUNK_ROWS)]
-
-
 def _whole_columns(draw, config: ExperimentConfig):
-    chunks = (draw(config, *chunk) for chunk in _row_chunks(config.reps))
+    chunks = (draw(config, *chunk) for chunk in row_chunks(config.reps))
     return tuple(np.concatenate(cols) for cols in zip(*chunks))
 
 
@@ -132,7 +128,7 @@ def _moments(draw, features, config: ExperimentConfig) -> FeatureMoments:
     def reduce(chunk):
         return FeatureMoments.of_chunk(features(*draw(config, *chunk)))
 
-    chunks = _row_chunks(config.reps)
+    chunks = row_chunks(config.reps)
     if config.threads == 1 or len(chunks) == 1:
         return merge_moments(map(reduce, chunks))
     with ThreadPoolExecutor(max_workers=min(config.threads, len(chunks))) as pool:
@@ -141,7 +137,7 @@ def _moments(draw, features, config: ExperimentConfig) -> FeatureMoments:
 
 def _amplified_pair(config: ExperimentConfig, row0: int, rows: int):
     ens = _vacuum(config, 0, row0, rows, 2)
-    return parametric_amplify(ens.column(0), ens.column(1), config.gain)
+    return parametric_amplify(ens[:, 0], ens[:, 1], config.gain)
 
 
 def _twin_chunk(config: ExperimentConfig, row0: int, rows: int):
@@ -149,8 +145,8 @@ def _twin_chunk(config: ExperimentConfig, row0: int, rows: int):
     if config.eta < 1.0:
         det = DetectorParams(config.eta)
         vac = _vacuum(config, 1, row0, rows, 2)
-        es = detector_loss(es, det, vac.column(0))
-        ei = detector_loss(ei, det, vac.column(1))
+        es = detector_loss(es, det, vac[:, 0])
+        ei = detector_loss(ei, det, vac[:, 1])
     return es, ei
 
 
@@ -226,8 +222,8 @@ def _run_hom(config: ExperimentConfig) -> RunReport:
 
 def _bell_chunk(config: ExperimentConfig, row0: int, rows: int):
     ens = _vacuum(config, 0, row0, rows, 4)
-    e1x, e2y = parametric_amplify(ens.column(0), ens.column(1), config.gain)
-    e1y, e2x = parametric_amplify(ens.column(2), ens.column(3), config.gain)
+    e1x, e2y = parametric_amplify(ens[:, 0], ens[:, 1], config.gain)
+    e1y, e2x = parametric_amplify(ens[:, 2], ens[:, 3], config.gain)
     return e1x, e1y, e2x, e2y
 
 
@@ -281,7 +277,7 @@ def _run_bell(config: ExperimentConfig) -> RunReport:
         make_row("E", chsh_estimate(moments.select([5, 6])),
                  theory.bell_chsh_coefficient(config.theta1, config.theta2, G)),
         make_row("B", moments.select(range(7, 15)).estimate(_chsh_b),
-                 theory.BellPrediction(G).b_of_g),
+                 theory.chsh_b(G)),
     ]
     report = RunReport("bell", rows=rows)
     report.metadata["threshold_G"] = theory.CHSH_THRESHOLD_GAIN
@@ -343,7 +339,7 @@ def oracle_table(table: str, values: tuple, eta: float):
         values = values or (0.0, 0.01, 0.1, theory.CHSH_THRESHOLD_GAIN, 1.0, 10.0)
         header = ["G", "gain_factor", "B", "threshold_G"]
         return header, [
-            [G, theory.chsh_gain_factor(G), theory.BellPrediction(G).b_of_g,
+            [G, theory.chsh_gain_factor(G), theory.chsh_b(G),
              theory.CHSH_THRESHOLD_GAIN]
             for G in values
         ]

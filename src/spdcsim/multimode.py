@@ -47,7 +47,7 @@ to 1 for distinguishable beams at every gain and to 0 at zero tilt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,7 +132,6 @@ class JointAmplitudeKernel:
     """Joint signal-idler field-moment matrix over one momentum axis."""
 
     matrix: np.ndarray
-    pitch: float
 
     def __post_init__(self):
         if self.matrix.ndim != 2:
@@ -167,7 +166,7 @@ def build_kernel(config: Hom2dConfig) -> JointAmplitudeKernel:
     lam = np.abs(s_eff) * np.sqrt(1.0 + s_eff ** 2)
     sigma_pump = 1.0 / config.pump_waist
     pump = np.exp(-((qs + qi) ** 2) / (2.0 * sigma_pump ** 2))
-    return JointAmplitudeKernel(matrix=pump * lam, pitch=config.pitch)
+    return JointAmplitudeKernel(matrix=pump * lam)
 
 
 @dataclass(frozen=True)
@@ -321,10 +320,10 @@ def sample_multimode(dec: SchmidtDecomposition, rng: RngStream, reps: int):
     ns = dec.U.shape[0]
     ni = dec.V.shape[0]
     ens = sample_vacuum(rng, reps, 2 * K + ns + ni)
-    es0 = ens.data[:, :K]
-    ei0 = ens.data[:, K:2 * K]
-    vs = ens.data[:, 2 * K:2 * K + ns]
-    vi = ens.data[:, 2 * K + ns:]
+    es0 = ens[:, :K]
+    ei0 = ens[:, K:2 * K]
+    vs = ens[:, 2 * K:2 * K + ns]
+    vi = ens[:, 2 * K + ns:]
     C = np.cosh(dec.g)
     S = np.sinh(dec.g)
     amp_s = C * es0 - 1j * S * np.conj(ei0)
@@ -356,8 +355,8 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int,
     C = np.cosh(g2)
     S = np.sinh(g2)
     ens = sample_vacuum(rng, reps, 2 * n * n)
-    es0 = ens.data[:, :n * n].reshape(reps, n, n)
-    ei0 = ens.data[:, n * n:].reshape(reps, n, n)
+    es0 = ens[:, :n * n].reshape(reps, n, n)
+    ei0 = ens[:, n * n:].reshape(reps, n, n)
     amp_s = C * es0 - 1j * S * np.conj(ei0)
     amp_i = C * ei0 - 1j * S * np.conj(es0)
     inputs = ((amp_s, amp_i), (es0, ei0)) if vacuum else ((amp_s, amp_i),)

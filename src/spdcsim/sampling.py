@@ -46,10 +46,11 @@ other and against ``numpy.random.Philox`` bit for bit.
 
 Since rows are keyed independently, rows ``[row0, row0 + n)`` of a stream
 ``(seed, s)`` are ``sample_vacuum(RngStream(seed, s + row0), n, modes)``.
-The twin, hom, bell and fourfold pipelines draw their ensembles that way,
-one 65536-row chunk per call, and run their ``threads`` over those chunks
-(see :mod:`spdcsim.experiments`); a single call here runs on the calling
-thread.
+One call is one :func:`raw_words` draw of all its rows, so its temporaries
+grow with the rows asked for.  The twin, hom, bell and fourfold pipelines
+ask for at most one 65536-row chunk a call and run their ``threads`` over
+those chunks (see :mod:`spdcsim.experiments`); a single call here runs on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -60,10 +61,8 @@ import numpy as np
 
 __all__ = [
     "ORDERING",
-    "FieldEnsemble",
     "OrderingConstants",
     "RngStream",
-    "derive_stream",
     "sample_vacuum",
     "LANE_STRIDE",
 ]
@@ -109,25 +108,6 @@ class RngStream:
     def __post_init__(self):
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
         object.__setattr__(self, "stream_id", int(self.stream_id) & _MASK64)
-
-
-def derive_stream(seed: int, repetition_index: int) -> RngStream:
-    """Pure derivation of the per-repetition stream for a given seed."""
-    return RngStream(seed=seed, stream_id=repetition_index)
-
-
-@dataclass(frozen=True)
-class FieldEnsemble:
-    """R independent repetitions x M modes of complex field amplitudes."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.data.ndim != 2:
-            raise ValueError("ensemble data must be 2-D (reps x modes)")
-
-    def column(self, m: int) -> np.ndarray:
-        return self.data[:, m]
 
 
 #: Rows per pass of the tall path's Philox rounds.  Its seven (2, 16384)
@@ -265,28 +245,17 @@ def _gaussian_pairs(words: np.ndarray, out: np.ndarray) -> None:
     np.multiply(r, cos, out=r)
 
 
-#: Rows :func:`sample_vacuum` fills per block of raw words.
-_FILL_ROWS = 1 << 16
-
-
-def _fill_rows(out: np.ndarray, stream: RngStream, row0: int, rows: int, modes: int) -> None:
-    sub = RngStream(stream.seed, stream.stream_id + row0)
-    words = raw_words(sub, rows, 2 * modes)
-    z = out[row0:row0 + rows].view(np.float64)  # re, im interleaved per mode
-    _gaussian_pairs(words, z)
-
-
-def sample_vacuum(rng: RngStream, reps: int, modes: int) -> FieldEnsemble:
+def sample_vacuum(rng: RngStream, reps: int, modes: int) -> np.ndarray:
     """Sample independent vacuum fields, one stream per repetition.
 
-    Each amplitude is a circular complex Gaussian with <E E*> = 1/2 and
-    <E E> = 0; distinct modes and repetitions are uncorrelated.  The rows
-    are filled in blocks of 65536, which bounds the raw-word temporaries;
-    the result depends only on ``rng`` and the shape.
+    Returns the C-contiguous (reps, modes) complex128 array of amplitudes;
+    each is a circular complex Gaussian with <E E*> = 1/2 and <E E> = 0, and
+    distinct modes and repetitions are uncorrelated.  The result depends
+    only on ``rng`` and the shape.
     """
     if reps < 1 or modes < 1:
         raise ValueError("reps and modes must both be >= 1")
     out = np.empty((reps, modes), dtype=np.complex128)
-    for a in range(0, reps, _FILL_ROWS):
-        _fill_rows(out, rng, a, min(_FILL_ROWS, reps - a), modes)
-    return FieldEnsemble(out)
+    # re, im interleaved per mode
+    _gaussian_pairs(raw_words(rng, reps, 2 * modes), out.view(np.float64))
+    return out

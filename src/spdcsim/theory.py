@@ -3,20 +3,19 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .elements import BeamSplitterParams, GainParams
 
 __all__ = [
-    "BellPrediction",
     "CHSH_ANGLES",
     "CHSH_B0",
     "CHSH_THRESHOLD_GAIN",
     "bell_correlation",
     "bell_chsh_coefficient",
     "bell_prediction",
+    "chsh_b",
     "chsh_gain_factor",
     "coincident_fourfold_moments",
     "fourfold_terms",
@@ -53,14 +52,10 @@ def hom_covariance_ratio(bs: BeamSplitterParams) -> float:
     return float(abs(bs.t_s1 * bs.t_i2 + bs.r_i1 * bs.r_s2) ** 2)
 
 
-def _check_gain(G: float) -> None:
-    if not (G >= 0 and math.isfinite(G)):
-        raise ValueError(f"gain G must be finite and >= 0, got {G}")
-
-
 def chsh_gain_factor(G: float) -> float:
     """Multiplicative reduction (1+G)/(1+3G) of the CHSH coefficient at gain G."""
-    _check_gain(G)
+    if not (G >= 0 and math.isfinite(G)):
+        raise ValueError(f"gain G must be finite and >= 0, got {G}")
     return (1.0 + G) / (1.0 + 3.0 * G)
 
 
@@ -75,16 +70,9 @@ def bell_chsh_coefficient(theta1: float, theta2: float, G: float) -> float:
     return chsh_gain_factor(G) * (2.0 * s - 1.0)
 
 
-@dataclass(frozen=True)
-class BellPrediction:
+def chsh_b(G: float) -> float:
     """CHSH coefficient B at gain G: ``CHSH_B0`` times the gain factor."""
-
-    G: float
-    b_of_g: float = field(init=False)
-
-    def __post_init__(self):
-        _check_gain(self.G)
-        object.__setattr__(self, "b_of_g", chsh_gain_factor(self.G) * CHSH_B0)
+    return chsh_gain_factor(G) * CHSH_B0
 
 
 def bell_prediction(theta1: float, theta2: float, G: float) -> dict:
@@ -92,7 +80,7 @@ def bell_prediction(theta1: float, theta2: float, G: float) -> dict:
     return {
         "rho": bell_correlation(theta1, theta2),
         "E": bell_chsh_coefficient(theta1, theta2, G),
-        "B": BellPrediction(G).b_of_g,
+        "B": chsh_b(G),
         "threshold_G": CHSH_THRESHOLD_GAIN,
     }
 

@@ -235,6 +235,8 @@ def test_config_file_precedence(tmp_path):
     (["twin", "--reps", "1e4"], "g = 0.01", None),
     (["hom2d", "--reps", "5"], "crystal_length_mm = 5", None),
     (["hom2d", "--reps", "5"], "threads = 2", None),
+    (["hom2d", "--reps", "5", "--n-pixels", "16", "--pitch", "0.6"],
+     "theta_sweep = '-1.8,0,1.8'", ["--theta-sweep=-1.8,0,1.8"]),
 ])
 def test_config_file_keys_are_flag_names(argv, entry, flags, tmp_path, capsys):
     # A config entry acts as its flag; a key that is no flag (None) is a
@@ -300,7 +302,7 @@ def test_config_file_parse_errors(tmp_path):
 
 def test_statistical_failure_exit_code(monkeypatch):
     report = RunReport("twin", rows=[
-        make_row("mean", MomentEstimate(1.0, 0.001, 100), 2.0)])
+        make_row("mean", MomentEstimate(1.0, 0.001), 2.0)])
     monkeypatch.setattr(cli, "run_experiment", lambda cfg: report)
     assert run_cli(["twin", "--reps", "100"]) == 1
 

@@ -14,26 +14,26 @@ from spdcsim.estimators import (CHUNK_ROWS, DegenerateStatisticError,
                                 jackknife_se, mean_intensity,
                                 moment_theorem_residual, variance_intensity)
 from spdcsim.experiments import ExperimentConfig, polarized_arms, run_experiment
-from spdcsim.sampling import derive_stream, sample_vacuum
+from spdcsim.sampling import RngStream, sample_vacuum
 
-from conftest import chsh_b_estimate
+from helpers import chsh_b_estimate
 from wick import centered_intensity_product, twin_beam_moment_table
 
 GL_UNIT = math.asinh(1.0)
 
 
 def _twin(reps=1_000_000, seed=42, gl=GL_UNIT):
-    ens = sample_vacuum(derive_stream(seed, 0), reps, 2)
-    return parametric_amplify(ens.column(0), ens.column(1), GainParams(gl))
+    ens = sample_vacuum(RngStream(seed, 0), reps, 2)
+    return parametric_amplify(ens[:, 0], ens[:, 1], GainParams(gl))
 
 
 def _vacuum(reps=1_000_000, seed=11, modes=2):
-    return sample_vacuum(derive_stream(seed, 0), reps, modes)
+    return sample_vacuum(RngStream(seed, 0), reps, modes)
 
 
 def test_mean_intensity_oracles(twin_cache):
     vac = _vacuum()
-    assert mean_intensity(vac.column(0)).deviation(0.0) < 5
+    assert mean_intensity(vac[:, 0]).deviation(0.0) < 5
     es, _ = twin_cache(1.0)
     assert mean_intensity(es).deviation(1.0) < 5
     d1, _ = twin_cache(1.0, 0.5)
@@ -42,7 +42,7 @@ def test_mean_intensity_oracles(twin_cache):
 
 def test_variance_intensity_oracles(twin_cache):
     vac = _vacuum()
-    assert variance_intensity(vac.column(0)).deviation(0.0) < 5
+    assert variance_intensity(vac[:, 0]).deviation(0.0) < 5
     es, _ = twin_cache(1.0)
     assert variance_intensity(es).deviation(2.0) < 5
     d1, _ = twin_cache(1.0, 0.5)
@@ -51,7 +51,7 @@ def test_variance_intensity_oracles(twin_cache):
 
 def test_covariance_intensity_oracles(twin_cache):
     vac = _vacuum()
-    assert covariance_intensity(vac.column(0), vac.column(1)).deviation(0.0) < 5
+    assert covariance_intensity(vac[:, 0], vac[:, 1]).deviation(0.0) < 5
     es, ei = twin_cache(1.0)
     assert covariance_intensity(es, ei).deviation(2.0) < 5
     e1, e2 = beam_split(es, ei, BeamSplitterParams.balanced())
@@ -81,7 +81,7 @@ def test_hom_dip_degenerate_without_input_coherence():
 def test_correlation_degenerate_on_vacuum():
     vac = _vacuum(reps=10_000)
     with pytest.raises(DegenerateStatisticError):
-        correlation_coefficient(vac.column(0), vac.column(1))
+        correlation_coefficient(vac[:, 0], vac[:, 1])
 
 
 def test_field_pair_moment_oracles(twin_cache):
@@ -91,7 +91,7 @@ def test_field_pair_moment_oracles(twin_cache):
     cross = field_pair_moment(es, ei, conjugate_second=True)
     assert cross.deviation(0.0) < 5
     vac = _vacuum()
-    self_moment = field_pair_moment(vac.column(0), vac.column(0),
+    self_moment = field_pair_moment(vac[:, 0], vac[:, 0],
                                     conjugate_second=True)
     assert self_moment.deviation(0.5) < 5
 
@@ -100,7 +100,7 @@ def test_moment_theorem_residuals(twin_cache):
     es, ei = twin_cache(1.0)
     assert gaussian_moment_check(es, ei) < 5
     vac = _vacuum()
-    assert gaussian_moment_check(vac.column(0), vac.column(1)) < 5
+    assert gaussian_moment_check(vac[:, 0], vac[:, 1]) < 5
     e1, e2 = beam_split(es, ei, BeamSplitterParams.balanced())
     assert gaussian_moment_check(e1, e2) < 5
 
@@ -108,11 +108,11 @@ def test_moment_theorem_residuals(twin_cache):
 def test_input_validation():
     vac = _vacuum(reps=100)
     with pytest.raises(ValueError):
-        mean_intensity(vac.column(0)[:1])
+        mean_intensity(vac[:1, 0])
     with pytest.raises(ValueError):
-        covariance_intensity(vac.column(0), vac.column(1)[: 50])
+        covariance_intensity(vac[:, 0], vac[:50, 1])
     with pytest.raises(ValueError):
-        moment_theorem_residual(vac.data, vac.data)
+        moment_theorem_residual(vac, vac)
 
 
 def test_chsh_coefficient_oracles(bell_cache):
@@ -132,13 +132,13 @@ def test_chsh_coefficient_oracles(bell_cache):
 def test_chsh_degenerate_denominator():
     vac = _vacuum(reps=50_000, modes=4)
     with pytest.raises(DegenerateStatisticError):
-        chsh_coefficient(*(vac.column(k) for k in range(4)))
+        chsh_coefficient(*(vac[:, k] for k in range(4)))
 
     # at gL = 0.01 the intensity-product denominator is itself consistent
     # with zero at this sample size, which the contract rejects
-    ens = sample_vacuum(derive_stream(5, 0), 200_000, 4)
-    es1, ei1 = parametric_amplify(ens.column(0), ens.column(1), GainParams(0.01))
-    es2, ei2 = parametric_amplify(ens.column(2), ens.column(3), GainParams(0.01))
+    ens = sample_vacuum(RngStream(5, 0), 200_000, 4)
+    es1, ei1 = parametric_amplify(ens[:, 0], ens[:, 1], GainParams(0.01))
+    es2, ei2 = parametric_amplify(ens[:, 2], ens[:, 3], GainParams(0.01))
     arms = (es1, es2, ei1, ei2)
     with pytest.raises(DegenerateStatisticError):
         chsh_coefficient(*polarized_arms(arms, math.pi / 8, math.pi / 8))
@@ -157,7 +157,7 @@ def test_fourfold_against_independent_enumeration(twin_cache):
 
 def test_fourfold_independent_vacua():
     vac = _vacuum(reps=1_000_000, modes=4)
-    res = fourfold_covariance(*(vac.column(k) for k in range(4)))
+    res = fourfold_covariance(*(vac[:, k] for k in range(4)))
     assert res.direct.deviation(0.0) < 5
 
 
@@ -173,7 +173,7 @@ def test_fourfold_bunching_scaling(twin_cache):
 
 
 def test_standard_error_scales_with_reps():
-    big = _vacuum(reps=400_000, seed=21, modes=1).column(0)
+    big = _vacuum(reps=400_000, seed=21, modes=1)[:, 0]
     small = big[:100_000]
     se_small = mean_intensity(small).std_error
     se_big = mean_intensity(big).std_error
@@ -257,7 +257,7 @@ def _delta_and_jackknife_cases(twin_cache, bell_cache):
             i1p, i1m, i2p, i2m = (np.abs(c) ** 2 - 0.5 for c in polarized_arms(arms, t1, t2))
             cols += [i1p * i2p + i1m * i2m - i1p * i2m - i1m * i2p,
                      i1p * i2p + i1m * i2m + i1p * i2m + i1m * i2p]
-        yield (f"B at G={G}", chsh_b_estimate(arms, reps), jackknife_se(
+        yield (f"B at G={G}", chsh_b_estimate(arms), jackknife_se(
             lambda n1, d1, n2, d2, n3, d3, n4, d4: n1 / d1 + n2 / d2 + n3 / d3 - n4 / d4,
             *cols))
 

@@ -86,15 +86,14 @@ def test_rank_one_kernel_recovers_mode():
     v = np.zeros(8, dtype=complex)
     v[3] = 1.0
     lam = 1.7
-    kernel = JointAmplitudeKernel(matrix=lam * np.outer(u, v), pitch=1.0)
+    kernel = JointAmplitudeKernel(matrix=lam * np.outer(u, v))
     dec = schmidt_decompose(kernel)
     assert dec.n_modes == 1
     assert dec.lam[0] == pytest.approx(lam)
 
 
 def test_diagonal_kernel_gains():
-    kernel = JointAmplitudeKernel(matrix=np.diag([2.0, 1.0]).astype(complex),
-                                  pitch=1.0)
+    kernel = JointAmplitudeKernel(matrix=np.diag([2.0, 1.0]).astype(complex))
     dec = schmidt_decompose(kernel)
     assert dec.lam == pytest.approx([2.0, 1.0])
     assert dec.g == pytest.approx([math.asinh(4.0) / 2.0, math.asinh(2.0) / 2.0])
@@ -117,7 +116,7 @@ def test_single_mode_sampling_reproduces_pixel_intensities():
     u[3] = math.sqrt(0.25)
     v = np.roll(u, 1)
     lam = math.cosh(GL := math.asinh(1.0)) * math.sinh(GL)  # S^2 = 1
-    kernel = JointAmplitudeKernel(matrix=lam * np.outer(u, v), pitch=1.0)
+    kernel = JointAmplitudeKernel(matrix=lam * np.outer(u, v))
     dec = schmidt_decompose(kernel)
     signal, idler = sample_multimode(dec, RngStream(7, 0), 200_000)
     for pix, weight in ((2, 0.75), (3, 0.25)):

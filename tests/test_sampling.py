@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from spdcsim import sampling
-from spdcsim.sampling import (ORDERING, RngStream, derive_stream, raw_words,
-                              sample_vacuum)
+from spdcsim.sampling import ORDERING, RngStream, raw_words, sample_vacuum
 from spdcsim.sampling import _SUB_ROWS, _per_row_is_faster, _philox_block, _scratch
 
 
@@ -32,7 +31,7 @@ def test_philox_block_matches_numpy(counter, seed, sid):
 
 
 def test_raw_words_follow_block_layout():
-    stream = derive_stream(42, 5)
+    stream = RngStream(42, 5)
     words = raw_words(stream, 3, 8)
     sids = np.array([5, 6, 7], dtype=np.uint64)
     with np.errstate(over="ignore"):
@@ -43,8 +42,8 @@ def test_raw_words_follow_block_layout():
 
 
 def test_vacuum_first_and_second_moments():
-    ens = sample_vacuum(derive_stream(42, 0), 1_000_000, 1)
-    col = ens.column(0)
+    ens = sample_vacuum(RngStream(42, 0), 1_000_000, 1)
+    col = ens[:, 0]
     n = col.size
     intensity = np.abs(col) ** 2
     se_i = intensity.std(ddof=1) / np.sqrt(n)
@@ -61,8 +60,8 @@ def test_vacuum_first_and_second_moments():
 
 
 def test_vacuum_circularity_and_mode_independence():
-    ens = sample_vacuum(derive_stream(7, 0), 1_000_000, 2)
-    a, b = ens.column(0), ens.column(1)
+    ens = sample_vacuum(RngStream(7, 0), 1_000_000, 2)
+    a, b = ens[:, 0], ens[:, 1]
     n = a.size
     pair = a * a
     se = np.sqrt((pair.real.var() + pair.imag.var()) / n)
@@ -74,41 +73,44 @@ def test_vacuum_circularity_and_mode_independence():
 
 
 def test_vacuum_fourth_moment_factorises():
-    ens = sample_vacuum(derive_stream(3, 0), 1_000_000, 1)
-    i4 = np.abs(ens.column(0)) ** 4
+    ens = sample_vacuum(RngStream(3, 0), 1_000_000, 1)
+    i4 = np.abs(ens[:, 0]) ** 4
     se = i4.std(ddof=1) / np.sqrt(i4.size)
     assert abs(i4.mean() - 0.5) < 5 * se
 
 
 def test_reproducible_and_order_independent():
-    a = sample_vacuum(derive_stream(42, 0), 10_000, 3)
-    b = sample_vacuum(derive_stream(42, 0), 10_000, 3)
-    assert np.array_equal(a.data, b.data)
+    a = sample_vacuum(RngStream(42, 0), 10_000, 3)
+    b = sample_vacuum(RngStream(42, 0), 10_000, 3)
+    assert np.array_equal(a, b)
 
 
 def test_one_stream_per_repetition():
-    ens = sample_vacuum(derive_stream(42, 0), 100, 2)
+    ens = sample_vacuum(RngStream(42, 0), 100, 2)
+    # a plain C-contiguous array, so its buffer is the whole ensemble
+    assert type(ens) is np.ndarray and ens.flags.c_contiguous
+    assert ens.shape == (100, 2) and ens.dtype == np.complex128
     # repetition r of the ensemble equals the single-repetition ensemble of
     # the stream derived for index r
-    row = sample_vacuum(derive_stream(42, 57), 1, 2)
-    assert np.array_equal(ens.data[57], row.data[0])
+    row = sample_vacuum(RngStream(42, 57), 1, 2)
+    assert np.array_equal(ens[57], row[0])
 
 
-def test_derive_stream_contract():
-    assert derive_stream(7, 0) == derive_stream(7, 0)
-    first = sample_vacuum(derive_stream(7, 0), 1, 1).data[0, 0]
-    other = sample_vacuum(derive_stream(7, 1), 1, 1).data[0, 0]
-    different_seed = sample_vacuum(derive_stream(8, 3), 1, 1).data[0, 0]
-    same_idx = sample_vacuum(derive_stream(7, 3), 1, 1).data[0, 0]
+def test_rng_stream_contract():
+    assert RngStream(7, 0) == RngStream(7, 0)
+    first = sample_vacuum(RngStream(7, 0), 1, 1)[0, 0]
+    other = sample_vacuum(RngStream(7, 1), 1, 1)[0, 0]
+    different_seed = sample_vacuum(RngStream(8, 3), 1, 1)[0, 0]
+    same_idx = sample_vacuum(RngStream(7, 3), 1, 1)[0, 0]
     assert first != other
     assert same_idx != different_seed
 
 
 def test_invalid_shapes_rejected():
     with pytest.raises(ValueError):
-        sample_vacuum(derive_stream(1, 0), 0, 1)
+        sample_vacuum(RngStream(1, 0), 0, 1)
     with pytest.raises(ValueError):
-        sample_vacuum(derive_stream(1, 0), 1, 0)
+        sample_vacuum(RngStream(1, 0), 1, 0)
 
 
 def test_stream_ids_wrap_to_uint64():
@@ -118,8 +120,8 @@ def test_stream_ids_wrap_to_uint64():
 
 
 def test_samples_finite():
-    ens = sample_vacuum(derive_stream(123, 0), 50_000, 4)
-    assert np.all(np.isfinite(ens.data.view(np.float64)))
+    ens = sample_vacuum(RngStream(123, 0), 50_000, 4)
+    assert np.all(np.isfinite(ens.view(np.float64)))
 
 
 def _sha256(array):
@@ -136,9 +138,9 @@ def _sha256(array):
      "2bc14acd1c695d25973bf703967650e05b6eb42c840b81d5e38575ed1d86476f"),
     (lambda: raw_words(RngStream(2 ** 64 - 1, 2 ** 64 - 7), 12, 1001),
      "385fc0d5eb9a70c8953f32c435f14a0e9a56f45e41552abb382b78b700af238f"),
-    (lambda: sample_vacuum(derive_stream(42, 0), 1000, 3).data,
+    (lambda: sample_vacuum(RngStream(42, 0), 1000, 3),
      "f36049557a86328ec0b7ed86ca7404b95d8e925c09ea62068b01c3b8288f6bd3"),
-    (lambda: sample_vacuum(derive_stream(7, 2 ** 64 - 3), 4, 1001).data,
+    (lambda: sample_vacuum(RngStream(7, 2 ** 64 - 3), 4, 1001),
      "cc8e69919675f9966c90e1e77528caf6f96016e8bc6a5d5573bf43371ec267c4"),
 ], ids=["raw-wide", "raw-tall", "raw-wrapping", "vacuum-tall", "vacuum-wide"])
 def test_fixed_seed_output_is_pinned(draw, digest):
@@ -146,7 +148,7 @@ def test_fixed_seed_output_is_pinned(draw, digest):
 
 
 def test_dispatch_keeps_tall_ensembles_vectorised():
-    # sample_vacuum hands raw_words at most 65536 rows at a time
+    # the pipelines hand sample_vacuum at most 65536 rows at a time
     assert not _per_row_is_faster(1 << 16, 1)   # twin: one block per row
     assert not _per_row_is_faster(1 << 16, 2)   # fourfold: two blocks
     assert _per_row_is_faster(100, 4096)        # hom2d image planes
@@ -168,7 +170,7 @@ def _both_paths(monkeypatch, stream, reps, n_words):
     (3, 7), (1, 1), (7, 4 * 64 + 3),
 ])
 def test_per_row_and_vectorised_paths_agree(monkeypatch, reps, n_words):
-    stream = derive_stream(42, 11)
+    stream = RngStream(42, 11)
     rows, vectorised = _both_paths(monkeypatch, stream, reps, n_words)
     assert rows.shape == vectorised.shape == (reps, n_words)
     assert np.array_equal(rows, vectorised)

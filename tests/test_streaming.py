@@ -19,7 +19,7 @@ from spdcsim.experiments import (ExperimentConfig, bell_arms, hom_fields,
 from spdcsim.reporting import VOLATILE_METADATA
 from spdcsim.sampling import LANE_STRIDE, RngStream, sample_vacuum
 
-from conftest import chsh_b_estimate
+from helpers import chsh_b_estimate
 
 #: Not a multiple of the chunk, so the last chunk is a short one.
 REPS = 2 * CHUNK_ROWS + 777
@@ -65,23 +65,23 @@ def _whole_lane(config, lane, modes):
 def test_whole_column_helpers_equal_one_draw_of_each_lane():
     twin = replace(CONFIGS["twin"], reps=REPS)
     ens, vac = _whole_lane(twin, 0, 2), _whole_lane(twin, 1, 2)
-    es, ei = parametric_amplify(ens.column(0), ens.column(1), twin.gain)
+    es, ei = parametric_amplify(ens[:, 0], ens[:, 1], twin.gain)
     det = DetectorParams(twin.eta)
-    expect = (detector_loss(es, det, vac.column(0)), detector_loss(ei, det, vac.column(1)))
+    expect = (detector_loss(es, det, vac[:, 0]), detector_loss(ei, det, vac[:, 1]))
     for got, want in zip(twin_fields(twin), expect, strict=True):
         np.testing.assert_array_equal(got, want)
 
     hom = replace(CONFIGS["hom"], reps=REPS)
     ens = _whole_lane(hom, 0, 2)
-    es, ei = parametric_amplify(ens.column(0), ens.column(1), hom.gain)
+    es, ei = parametric_amplify(ens[:, 0], ens[:, 1], hom.gain)
     expect = (es, ei, *beam_split(es, ei, hom.splitter))
     for got, want in zip(hom_fields(hom), expect, strict=True):
         np.testing.assert_array_equal(got, want)
 
     bell = replace(CONFIGS["bell"], reps=REPS)
     ens = _whole_lane(bell, 0, 4)
-    e1x, e2y = parametric_amplify(ens.column(0), ens.column(1), bell.gain)
-    e1y, e2x = parametric_amplify(ens.column(2), ens.column(3), bell.gain)
+    e1x, e2y = parametric_amplify(ens[:, 0], ens[:, 1], bell.gain)
+    e1y, e2x = parametric_amplify(ens[:, 2], ens[:, 3], bell.gain)
     for got, want in zip(bell_arms(bell), (e1x, e1y, e2x, e2y), strict=True):
         np.testing.assert_array_equal(got, want)
 
@@ -98,7 +98,7 @@ def _whole_column_estimates(config):
         arms = bell_arms(config)
         e1p, e1m, e2p, e2m = polarized_arms(arms, config.theta1, config.theta2)
         return [correlation_coefficient(e1p, e2p), chsh_coefficient(e1p, e1m, e2p, e2m),
-                chsh_b_estimate(arms, config.reps)]
+                chsh_b_estimate(arms)]
     es, ei = twin_fields(replace(config, kind="twin"))
     res = fourfold_covariance(es, es, ei, ei)
     return [res.direct, res.terms_total,

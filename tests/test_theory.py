@@ -6,8 +6,8 @@ from scipy.optimize import brentq
 
 from spdcsim.elements import BeamSplitterParams, GainParams
 from spdcsim.theory import (CHSH_ANGLES, CHSH_B0, CHSH_THRESHOLD_GAIN,
-                            BellPrediction, bell_chsh_coefficient,
-                            bell_correlation, bell_prediction, chsh_gain_factor,
+                            bell_chsh_coefficient, bell_correlation,
+                            bell_prediction, chsh_b, chsh_gain_factor,
                             coincident_fourfold_moments, fourfold_terms,
                             hom_covariance_ratio, twin_beam_moments)
 
@@ -41,21 +41,21 @@ def test_hom_ratio_values():
 
 
 def test_bell_prediction_values():
-    assert BellPrediction(0.0).b_of_g == pytest.approx(2 * math.sqrt(2))
-    assert BellPrediction(1.0).b_of_g == pytest.approx(math.sqrt(2))
+    assert chsh_b(0.0) == pytest.approx(2 * math.sqrt(2))
+    assert chsh_b(1.0) == pytest.approx(math.sqrt(2))
     # solve the threshold independently
     g_star = brentq(lambda g: chsh_gain_factor(g) - 1 / math.sqrt(2), 0.0, 1.0,
                     xtol=1e-12)
     assert CHSH_THRESHOLD_GAIN == pytest.approx(g_star, abs=1e-10)
     assert CHSH_THRESHOLD_GAIN == pytest.approx(0.26120, abs=1e-5)
-    assert BellPrediction(CHSH_THRESHOLD_GAIN).b_of_g == pytest.approx(2.0, abs=1e-10)
+    assert chsh_b(CHSH_THRESHOLD_GAIN) == pytest.approx(2.0, abs=1e-10)
     with pytest.raises(ValueError):
-        BellPrediction(-0.5)
+        chsh_b(-0.5)
 
 
 def test_bell_b_monotone_decreasing():
     gains = np.linspace(0.0, 20.0, 200)
-    b = np.array([BellPrediction(g).b_of_g for g in gains])
+    b = np.array([chsh_b(g) for g in gains])
     assert np.all(np.diff(b) < 0)
     assert np.all(b <= CHSH_B0)
 
@@ -82,7 +82,7 @@ def test_standard_angles_reach_b0():
     for G in (0.0, 0.3, 1.0):
         B = (bell_chsh_coefficient(ap, b, G) + bell_chsh_coefficient(ap, bp, G)
              + bell_chsh_coefficient(a, bp, G) - bell_chsh_coefficient(a, b, G))
-        assert B == pytest.approx(BellPrediction(G).b_of_g)
+        assert B == pytest.approx(chsh_b(G))
 
 
 def test_bell_prediction_bundle():
