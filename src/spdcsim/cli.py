@@ -34,7 +34,7 @@ from pathlib import Path
 from .estimators import DegenerateStatisticError
 from .experiments import ExperimentConfig, oracle_table, run_experiment
 from .multimode import Hom2dConfig
-from .reporting import RunReport, emit_results
+from .reporting import RunReport, curve_sidecar, emit_results
 
 __all__ = ["main", "entry", "load_config_file"]
 
@@ -239,6 +239,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:1] + file_flags + argv[1:])
         if args.command != "oracle":
             config = _experiment_config(args)
+        if args.command == "hom2d" and args.fmt == "csv" and args.out is not None:
+            curve_sidecar(args.out)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"spdcsim: {exc}", file=sys.stderr)
         return 2

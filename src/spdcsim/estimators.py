@@ -9,12 +9,14 @@ normal-ordered observables.
 Every statistic is a smooth function f of the means of per-repetition
 feature columns.  The engine reduces each chunk of at most
 :data:`CHUNK_ROWS` rows to its mean vector and centred Gram matrix
-(:meth:`FeatureMoments.of_chunk`) and :func:`merge_moments` merges the
-chunks in row order (Chan, Golub & LeVeque 1979).  The whole-column API
-below (:func:`mean_intensity`, :func:`covariance_intensity`,
-:func:`fourfold_covariance`, ...) cuts its columns into such chunks through
-:func:`feature_moments`; the experiment pipelines feed the same merge with
-chunks they draw one at a time, reducing them on worker threads.  The
+(:func:`reduce_chunk`, which fills the chunk's feature matrix in passes of
+at most :data:`PASS_ROWS` rows, and :meth:`FeatureMoments.of_chunk`), and
+:func:`merge_moments` merges the chunks in row order (Chan, Golub &
+LeVeque 1979).  The whole-column API below (:func:`mean_intensity`,
+:func:`covariance_intensity`, :func:`fourfold_covariance`, ...) cuts its
+columns into such chunks through :func:`feature_moments`; the experiment
+pipelines feed the same merge with chunks whose passes they draw one at a
+time, reducing the chunks on worker threads.  The
 value is f(mean); the standard error is the delta method,
 sqrt(grad f' Sigma grad f / n), with a central-difference gradient.
 """
@@ -24,10 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 
-from .sampling import ORDERING
+from .sampling import _SUB_ROWS, ORDERING
 from . import theory
 
 __all__ = [
@@ -57,6 +60,7 @@ __all__ = [
     "merge_moments",
     "moment_theorem_residual",
     "normal_intensities",
+    "reduce_chunk",
     "row_chunks",
     "variance_estimate",
     "variance_intensity",
@@ -72,6 +76,12 @@ def row_chunks(n: int) -> list:
     """(row0, rows) of each :data:`CHUNK_ROWS`-row chunk of ``n`` rows, in
     row order."""
     return [(row0, min(CHUNK_ROWS, n - row0)) for row0 in range(0, n, CHUNK_ROWS)]
+
+
+#: Rows per pass within a chunk: features, and the fields the pipelines
+#: draw for them, are computed this many rows at a time, so that a pass's
+#: temporaries stay in cache.  The sampler's pass, ``sampling._SUB_ROWS``.
+PASS_ROWS = _SUB_ROWS
 
 
 #: Central-difference step of the delta-method gradient, relative to the
@@ -139,12 +149,12 @@ class FeatureMoments:
     gram: np.ndarray
 
     @classmethod
-    def of_chunk(cls, features) -> "FeatureMoments":
-        """Moments of one chunk of k real feature columns of equal length."""
-        x = np.stack(features, dtype=np.float64)
-        rows, mean = x.shape[1], x.mean(axis=1)
+    def of_chunk(cls, x: np.ndarray) -> "FeatureMoments":
+        """Moments of one chunk given as its C-contiguous (k, rows) float64
+        feature matrix, one feature a row; ``x`` is centred in place."""
+        mean = x.mean(axis=1)
         x -= mean[:, None]
-        return cls(rows, mean, x @ x.T)
+        return cls(x.shape[1], mean, x @ x.T)
 
     def select(self, idx) -> "FeatureMoments":
         """Moments of the features ``idx`` (in that order; repeats allowed)."""
@@ -185,15 +195,43 @@ def merge_moments(chunks) -> FeatureMoments:
     return FeatureMoments(n, mean, gram)
 
 
-def feature_moments(features, *columns: np.ndarray) -> FeatureMoments:
-    """Moments of the real feature columns ``features(*chunk)`` over all rows.
+def reduce_chunk(pass_features, row0: int, rows: int, kept) -> FeatureMoments:
+    """Moments of the chunk of rows ``[row0, row0 + rows)``, computed in passes.
 
-    ``features`` maps a :data:`CHUNK_ROWS`-row chunk of each column to k real
-    columns; the chunks are reduced and merged by :func:`merge_moments`.
+    ``pass_features(p0, n)`` gives the k real feature columns of rows
+    ``[p0, p0 + n)``; passes of at most :data:`PASS_ROWS` rows are written
+    into one (k, rows) matrix that :meth:`FeatureMoments.of_chunk` reduces.
+    The matrix is the start of the flat buffer ``kept.buffer``, created or
+    grown here and reused by the next chunk reduced with the same ``kept``
+    (one per thread, e.g. a ``threading.local``).
+    """
+    x = None
+    for p0 in range(0, rows, PASS_ROWS):
+        n = min(PASS_ROWS, rows - p0)
+        cols = pass_features(row0 + p0, n)
+        if x is None:
+            size = len(cols) * rows
+            buf = getattr(kept, "buffer", None)
+            if buf is None or buf.size < size:
+                buf = kept.buffer = np.empty(size)
+            x = buf[:size].reshape(len(cols), rows)
+        for row, col in zip(x, cols, strict=True):
+            row[p0:p0 + n] = col
+    return FeatureMoments.of_chunk(x)
+
+
+def feature_moments(features, *columns: np.ndarray) -> FeatureMoments:
+    """Moments of the real feature columns ``features(*rows)`` over all rows.
+
+    ``features`` maps a pass of at most :data:`PASS_ROWS` rows of each
+    column to k real columns; the :data:`CHUNK_ROWS`-row chunks are reduced
+    by :func:`reduce_chunk` and merged by :func:`merge_moments`.
     """
     columns = _check_equal(*columns)
+    kept = SimpleNamespace()
     return merge_moments(
-        FeatureMoments.of_chunk(features(*(c[row0:row0 + rows] for c in columns)))
+        reduce_chunk(lambda p0, n: features(*(c[p0:p0 + n] for c in columns)),
+                     row0, rows, kept)
         for row0, rows in row_chunks(columns[0].shape[0]))
 
 

@@ -1,29 +1,35 @@
 """Experiment pipelines binding configurations to sampled statistics.
 
 The twin, hom, bell and fourfold pipelines stream their ensemble: each is a
-chunk function, drawing the fields of rows ``[row0, row0 + rows)``, plus one
-feature function covering every statistic of its report.  The chunks are
-those of :func:`~spdcsim.estimators.row_chunks`, at most
-:data:`~spdcsim.estimators.CHUNK_ROWS` = 65536 rows; the chunk at ``row0``
-of vacuum lane ``L`` is ``sample_vacuum(RngStream(seed, L * LANE_STRIDE +
-row0), rows, modes)``, which holds the same rows, bit for bit, as one draw
-of the whole lane, because every row has its own Philox key.  Each chunk
-is reduced to its feature mean and centred Gram matrix and then dropped,
-so memory does not grow with ``reps``; every report row is a function of
-the one merged :class:`~spdcsim.estimators.FeatureMoments`.
+draw function, giving the fields of rows ``[row0, row0 + rows)``, plus one
+feature function covering every statistic of its report.  Chunks are the
+unit of reduction and merging: those of
+:func:`~spdcsim.estimators.row_chunks`, at most
+:data:`~spdcsim.estimators.CHUNK_ROWS` = 65536 rows.  Passes are the unit
+of drawing: :func:`~spdcsim.estimators.reduce_chunk` draws a chunk in
+passes of at most :data:`~spdcsim.estimators.PASS_ROWS` = 16384 rows,
+writes each pass's features into one feature matrix that the worker keeps
+for its next chunk, and reduces the chunk's matrix to its feature mean and
+centred Gram matrix, so memory does not grow with ``reps`` and a pass's
+temporaries stay in cache.  The pass at ``row0`` of vacuum lane ``L`` is
+``sample_vacuum(RngStream(seed, L * LANE_STRIDE + row0), rows, modes)``,
+which holds the same rows, bit for bit, as one draw of the whole lane,
+because every row has its own Philox key.  Every report row is a function
+of the one merged :class:`~spdcsim.estimators.FeatureMoments`.
 
-``threads`` workers reduce whole chunks (sample, elements, features, chunk
+``threads`` workers reduce whole chunks (draws, elements, features, chunk
 moments) and the merge takes their results strictly in row order, so a
 report does not depend on the thread count.  hom2d draws its repetitions
 as one chunk on the calling thread, so neither its command nor its report
-has ``threads``.  :func:`twin_fields`,
-:func:`hom_fields` and :func:`bell_arms` concatenate the chunks into whole
-columns for callers that need them.
+has ``threads``.  :func:`twin_fields`, :func:`hom_fields` and
+:func:`bell_arms` concatenate whole chunks into columns for callers that
+need them.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -39,7 +45,7 @@ from .estimators import (DegenerateStatisticError, FeatureMoments, FourfoldPlan,
                          chsh_estimate, chsh_features, correlation_estimate,
                          correlation_features, covariance_estimate,
                          intensity_products, mean_estimate, merge_moments,
-                         row_chunks, variance_estimate)
+                         reduce_chunk, row_chunks, variance_estimate)
 from .multimode import Hom2dConfig, calibrate_gain, run_hom2d
 from .reporting import RunReport, make_row
 from .sampling import LANE_STRIDE, RngStream, sample_vacuum
@@ -122,11 +128,15 @@ def _whole_columns(draw, config: ExperimentConfig):
 
 def _moments(draw, features, config: ExperimentConfig) -> FeatureMoments:
     """Moments of ``features(*fields)`` over the fields ``draw`` gives for
-    every chunk.  Workers reduce whole chunks; :func:`merge_moments` takes
+    every pass of every chunk.  Workers reduce whole chunks, each into a
+    feature matrix of its own that it reuses; :func:`merge_moments` takes
     them in row order, so the result does not depend on ``config.threads``.
     """
+    kept = threading.local()
+
     def reduce(chunk):
-        return FeatureMoments.of_chunk(features(*draw(config, *chunk)))
+        return reduce_chunk(lambda row0, rows: features(*draw(config, row0, rows)),
+                            *chunk, kept)
 
     chunks = row_chunks(config.reps)
     if config.threads == 1 or len(chunks) == 1:

@@ -7,12 +7,10 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .estimators import MomentEstimate
 from .multimode import DipCurve
 
-__all__ = ["RunReport", "StatisticRow", "emit_results", "make_row"]
+__all__ = ["RunReport", "StatisticRow", "curve_sidecar", "emit_results", "make_row"]
 
 PASS_THRESHOLD_SE = 5.0
 
@@ -74,6 +72,21 @@ def _curve_dict(curve: DipCurve) -> dict:
     }
 
 
+def curve_sidecar(path: str | Path) -> Path:
+    """The JSON sidecar of a dip-curve CSV table written to ``path``.
+
+    A ValueError if that is ``path`` itself, where the sidecar would
+    overwrite the table.
+    """
+    path = Path(path)
+    sidecar = path.with_suffix(".json")
+    if sidecar == path:
+        raise ValueError(f"{path}: a CSV dip curve there would be overwritten "
+                         "by its JSON sidecar; write it as JSON or give it "
+                         "another suffix than .json")
+    return sidecar
+
+
 def emit_results(report: RunReport, path: str | Path, fmt: str = "csv") -> Path:
     """Write the report to ``path`` as CSV or JSON and return the path.
 
@@ -107,6 +120,8 @@ def emit_results(report: RunReport, path: str | Path, fmt: str = "csv") -> Path:
         path.write_text(json.dumps(payload, indent=2) + "\n")
         return path
 
+    if report.curve is not None:
+        sidecar = curve_sidecar(path)  # checked before the table is written
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         if report.curve is not None:
@@ -122,7 +137,6 @@ def emit_results(report: RunReport, path: str | Path, fmt: str = "csv") -> Path:
                                  _fmt(r.oracle), _fmt(r.deviation_se),
                                  str(r.passed).lower()])
     if report.curve is not None:
-        sidecar = path.with_suffix(".json")
         meta = dict(report.metadata)
         meta.update(_curve_dict(report.curve))
         sidecar.write_text(json.dumps(meta, indent=2) + "\n")

@@ -30,7 +30,7 @@ same words:
 * tall ensembles (many repetitions, few counter blocks) run the Philox
   below, vectorised over repetitions.  Rows go through in passes of
   16384 (``_SUB_ROWS``), each a Python loop over counter blocks, so the
-  seven (2, 16384) scratch arrays, allocated once a call, stay in cache.
+  seven (2, 16384) scratch arrays, allocated once a thread, stay in cache.
   The state is two lanes, ``[x0; x2]`` and ``[x1; x3]``, so one
   multiply-high-low serves both multipliers of a round.  The first round
   is closed form: the counter ``(j, 0, 0, 0)`` is the same in every row,
@@ -46,15 +46,21 @@ other and against ``numpy.random.Philox`` bit for bit.
 
 Since rows are keyed independently, rows ``[row0, row0 + n)`` of a stream
 ``(seed, s)`` are ``sample_vacuum(RngStream(seed, s + row0), n, modes)``.
-One call is one :func:`raw_words` draw of all its rows, so its temporaries
-grow with the rows asked for.  The twin, hom, bell and fourfold pipelines
-ask for at most one 65536-row chunk a call and run their ``threads`` over
-those chunks (see :mod:`spdcsim.experiments`); a single call here runs on
-the calling thread.
+:func:`sample_vacuum` uses this itself: a tall call is drawn in passes of
+``_SUB_ROWS`` rows, each one :func:`raw_words` draw into a word buffer and
+one Box-Muller step.  The word buffer and the Box-Muller and Philox
+scratch hold at most ``_SUB_ROWS`` rows each, and each thread keeps them
+for its next call, so a repeated tall call allocates little beyond its
+result and its working set does not grow with the rows asked for.  A wide
+call stays one :func:`raw_words` draw with temporaries of its own size.
+The twin, hom, bell and fourfold pipelines ask for one pass a call and run
+their ``threads`` over whole chunks (see :mod:`spdcsim.experiments`); a
+single call here runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,9 +116,22 @@ class RngStream:
         object.__setattr__(self, "stream_id", int(self.stream_id) & _MASK64)
 
 
-#: Rows per pass of the tall path's Philox rounds.  Its seven (2, 16384)
-#: uint64 scratch arrays take 1.8 MB, so a pass stays in a 2 MB L2 cache.
+#: Rows per pass of the tall path.  Its seven (2, 16384) uint64 Philox
+#: scratch arrays take 1.8 MB, so a pass stays in a 2 MB L2 cache.
 _SUB_ROWS = 1 << 14
+
+#: Buffers of the tall path that each thread keeps between calls.
+_kept = threading.local()
+
+
+def _kept_buffer(name: str, dtype, size: int) -> np.ndarray:
+    """The first ``size`` elements of this thread's flat buffer ``name``,
+    grown when a call needs more."""
+    buf = getattr(_kept, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype=dtype)
+        setattr(_kept, name, buf)
+    return buf[:size]
 
 # Column constants of the two-lane state: row 0 acts on x0 and k0, row 1 on
 # x2 and k1.
@@ -147,6 +166,12 @@ def _mulhilo(x: np.ndarray, hi: np.ndarray, lo: np.ndarray,
 def _scratch(width: int) -> tuple:
     """Seven (2, width) uint64 arrays for :func:`_philox_block`."""
     return tuple(np.empty((2, width), dtype=np.uint64) for _ in range(7))
+
+
+def _kept_scratch() -> tuple:
+    """This thread's :func:`_scratch` of ``_SUB_ROWS`` columns."""
+    flat = _kept_buffer("scratch", np.uint64, 14 * _SUB_ROWS)
+    return tuple(flat.reshape(7, 2, _SUB_ROWS))
 
 
 def _philox_block(counter: int, seed: int, stream_ids: np.ndarray,
@@ -194,10 +219,18 @@ def _per_row_is_faster(reps: int, n_blocks: int) -> bool:
     return 200 * reps < n_blocks * (9_000 + 7 * reps)
 
 
-def raw_words(stream: RngStream, reps: int, n_words: int) -> np.ndarray:
-    """First ``n_words`` raw 64-bit words of ``reps`` consecutive streams."""
+def raw_words(stream: RngStream, reps: int, n_words: int,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """First ``n_words`` raw 64-bit words of ``reps`` consecutive streams.
+
+    With ``out``, a flat uint64 array of at least ``reps * 4 *
+    ceil(n_words / 4)`` elements, the words are written to its start and
+    the (reps, n_words) result is a view into it.
+    """
     n_blocks = -(-n_words // 4)
-    words = np.empty((reps, 4 * n_blocks), dtype=np.uint64)
+    if out is None:
+        out = np.empty(reps * 4 * n_blocks, dtype=np.uint64)
+    words = out[:reps * 4 * n_blocks].reshape(reps, 4 * n_blocks)
     if _per_row_is_faster(reps, n_blocks):
         # numpy's Philox steps its counter before each block, so starting it
         # at 2**64 - 1 in every word makes its first block our block 0.  One
@@ -214,7 +247,7 @@ def raw_words(stream: RngStream, reps: int, n_words: int) -> np.ndarray:
             words[r] = bit_gen.random_raw(4 * n_blocks)
     else:
         sids = _U64(stream.stream_id) + np.arange(reps, dtype=np.uint64)
-        scratch = _scratch(min(reps, _SUB_ROWS))
+        scratch = _kept_scratch()
         for r0 in range(0, reps, _SUB_ROWS):
             rows = words[r0:r0 + _SUB_ROWS]
             for j in range(n_blocks):
@@ -224,22 +257,25 @@ def raw_words(stream: RngStream, reps: int, n_words: int) -> np.ndarray:
     return words[:, :n_words]
 
 
-def _gaussian_pairs(words: np.ndarray, out: np.ndarray) -> None:
+def _gaussian_pairs(words: np.ndarray, out: np.ndarray,
+                    bits: np.ndarray | None = None,
+                    cos: np.ndarray | None = None) -> None:
     """Box-Muller transform of an even number of word columns into the
     float64 array ``out`` of the same shape, scaled by 1/2: Gaussians of
-    variance 1/4."""
+    variance 1/4.  ``bits`` (uint64) and ``cos`` (float64), of half the
+    columns, are scratch; each is allocated when not given."""
     r = out[:, 0::2]
     ang = out[:, 1::2]
-    bits = np.right_shift(words[:, 0::2], _SH11)
+    bits = np.right_shift(words[:, 0::2], _SH11, out=bits)
     np.add(bits, _U64(1), out=bits)
     np.multiply(bits, _INV53, out=r)        # u1 in (0, 1]
     np.right_shift(words[:, 1::2], _SH11, out=bits)
     np.multiply(bits, _INV53 * 2.0 * np.pi, out=ang)  # 2 pi u2, u2 in [0, 1)
-    del bits  # freed before the cosine temporary of the same size
+    del bits  # an allocated one is freed before the cosine of the same size
     np.log(r, out=r)
     np.multiply(r, -0.5, out=r)
     np.sqrt(r, out=r)
-    cos = np.cos(ang)
+    cos = np.cos(ang, out=cos)
     np.sin(ang, out=ang)
     np.multiply(r, ang, out=ang)
     np.multiply(r, cos, out=r)
@@ -256,6 +292,16 @@ def sample_vacuum(rng: RngStream, reps: int, modes: int) -> np.ndarray:
     if reps < 1 or modes < 1:
         raise ValueError("reps and modes must both be >= 1")
     out = np.empty((reps, modes), dtype=np.complex128)
-    # re, im interleaved per mode
-    _gaussian_pairs(raw_words(rng, reps, 2 * modes), out.view(np.float64))
+    pairs = out.view(np.float64)  # re, im interleaved per mode
+    n_blocks = -(-modes // 2)
+    if _per_row_is_faster(reps, n_blocks):
+        _gaussian_pairs(raw_words(rng, reps, 2 * modes), pairs)
+        return out
+    for p0 in range(0, reps, _SUB_ROWS):
+        n = min(_SUB_ROWS, reps - p0)
+        words = raw_words(RngStream(rng.seed, rng.stream_id + p0), n, 2 * modes,
+                          out=_kept_buffer("words", np.uint64, n * 4 * n_blocks))
+        _gaussian_pairs(words, pairs[p0:p0 + n],
+                        _kept_buffer("bits", np.uint64, n * modes).reshape(n, modes),
+                        _kept_buffer("cos", np.float64, n * modes).reshape(n, modes))
     return out

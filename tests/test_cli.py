@@ -330,6 +330,27 @@ def test_hom2d_outputs_curve_and_sidecar(tmp_path):
     assert sidecar["config"]["theta_sweep"] == [-1.8, -0.9, 0.0, 0.9, 1.8]
 
 
+def test_hom2d_csv_curve_refuses_a_json_path(tmp_path, capsys):
+    # the curve's JSON sidecar would go to the same path and overwrite it
+    out = tmp_path / "curve.json"
+    code = run_cli(["hom2d", "--reps", "5", "--n-pixels", "16",
+                    "--format", "csv", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "sidecar" in err
+
+
+def test_emit_refuses_a_csv_curve_at_its_sidecar_path(tmp_path):
+    curve = DipCurve(theta=np.array([0.0]), amplitude=np.array([0.1]),
+                     std_error=np.array([0.01]), sigma_theta=None,
+                     photons_per_pixel=1.0, n_modes=4, seed=1)
+    out = tmp_path / "curve.json"
+    with pytest.raises(ValueError, match="sidecar"):
+        emit_results(RunReport("hom2d", curve=curve), out, "csv")
+    assert not out.exists()
+
+
 def test_oracle_tables(tmp_path, capsys):
     out = tmp_path / "bell_table.csv"
     assert run_cli(["oracle", "--table", "bell", "--values", "0,1",

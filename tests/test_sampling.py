@@ -1,4 +1,7 @@
 import hashlib
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,3 +229,65 @@ def test_philox_block_reusing_wider_scratch_matches_numpy():
     for r, sid in enumerate(sids):
         bg = np.random.Philox(counter=[0, 0, 0, 0], key=[np.uint64(seed), sid])
         assert np.array_equal(bg.random_raw(12), np.array(mine[r], dtype=np.uint64))
+
+
+def _one_draw(stream, reps, modes):
+    """sample_vacuum as one raw_words draw and one Box-Muller step."""
+    out = np.empty((reps, modes), dtype=np.complex128)
+    sampling._gaussian_pairs(raw_words(stream, reps, 2 * modes), out.view(np.float64))
+    return out
+
+
+@pytest.mark.parametrize("stream_id,modes", [
+    (11, 2),
+    (11, 1), (11, 3),                   # 2 and 6 words a row: not whole blocks
+    (2 ** 64 - _SUB_ROWS - 2, 2),       # the ids wrap inside the second pass
+])
+def test_passes_of_a_tall_draw_equal_one_draw(stream_id, modes):
+    reps = 2 * _SUB_ROWS + 5
+    stream = RngStream(42, stream_id)
+    assert not _per_row_is_faster(reps, -(-modes // 2))
+    assert np.array_equal(sample_vacuum(stream, reps, modes),
+                          _one_draw(stream, reps, modes))
+
+
+def test_threads_drawing_at_once_get_the_serial_draws():
+    # each thread keeps its own pass buffers; shapes that need buffers of
+    # different sizes are drawn at the same time, switching threads often
+    shapes = [(RngStream(3, 0), _SUB_ROWS + 9, 2), (RngStream(4, 0), 5000, 5),
+              (RngStream(5, 0), 3000, 1)]
+    serial = [sample_vacuum(*shape) for shape in shapes]
+    barrier = threading.Barrier(len(shapes))
+    failures = []
+
+    def draw(shape, expect):
+        barrier.wait(timeout=60)
+        for _ in range(20):
+            if not np.array_equal(sample_vacuum(*shape), expect):
+                failures.append(shape)
+
+    threads = [threading.Thread(target=draw, args=args) for args in zip(shapes, serial)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+
+
+@pytest.mark.parametrize("reps,modes", [(_SUB_ROWS, 2), (_SUB_ROWS, 4), (1 << 16, 2)])
+def test_repeated_tall_draw_allocates_little_beyond_its_result(reps, modes):
+    stream = RngStream(42, 0)
+    sample_vacuum(stream, reps, modes)  # the thread's pass buffers now exist
+    tracemalloc.start()
+    try:
+        out = sample_vacuum(stream, reps, modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes, (peak, out.nbytes)

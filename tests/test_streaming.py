@@ -118,3 +118,44 @@ def test_streamed_reports_equal_the_whole_column_api(kind):
         assert row.value == est.value, row.name
         assert row.std_error == pytest.approx(est.std_error, rel=1e-12, abs=0), row.name
     assert len(estimates) == len(rows) - (kind == "hom")  # hom's dip has no column API
+
+
+#: (statistic, mc_value, mc_se) of each report at seed 42 and REPS, recorded
+#: when every chunk was drawn and reduced in one piece.  REPS crosses chunk
+#: and pass boundaries, so a change to how either is cut or merged shows here.
+PINNED_ROWS = {
+    "twin": [
+        ("mean", 0.49851193825292783, 0.0027583663247136444),
+        ("var", 0.7531842948730016, 0.007808637726281166),
+        ("cov", 0.5029086626831833, 0.005326563974922267),
+    ],
+    "hom": [
+        ("cov_input", 2.0057224340885957, 0.01612473422939213),
+        ("cov_output", 0.32465774424305605, 0.011217630665203197),
+        ("dip_amplitude", 0.16001958345464734, 0.0005032997051703038),
+    ],
+    "bell": [
+        ("rho", 0.49950877991807047, 0.0032434843058720426),
+        ("E", -0.0008161690508127147, 0.002193863297112834),
+        ("B", 1.4166188015665022, 0.003771485783788089),
+    ],
+    "fourfold": [
+        ("fourfold_direct", 38.303751513442066, 1.2180719726489913),
+        ("fourfold_terms_total", 39.08955023309615, 0.43506860845037704),
+        ("bunching_terms", 5.067796633258253, 0.05430242367423305),
+        ("low_gain_terms", 16.007896351869114, 0.18201397134312441),
+        ("mixed_terms", 18.013857247968783, 0.1988364611433531),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", CONFIGS)
+def test_streamed_reports_are_pinned(kind):
+    # A value is a function of the feature means alone, so it is exact; a
+    # standard error also goes through the BLAS Gram matrix, so it agrees
+    # to rounding.
+    rows = run_experiment(replace(CONFIGS[kind], reps=REPS)).rows
+    assert [row.name for row in rows] == [name for name, _, _ in PINNED_ROWS[kind]]
+    for row, (name, value, se) in zip(rows, PINNED_ROWS[kind]):
+        assert row.value == value, name
+        assert row.std_error == pytest.approx(se, rel=1e-12, abs=0), name
