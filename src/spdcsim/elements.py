@@ -1,8 +1,24 @@
 """Sample-wise propagation rules for the optical elements.
 
-All operations are pure per-sample transforms and accept scalars or numpy
-arrays of complex amplitudes.  Phases are defined relative to the pump,
-whose phase is fixed to zero throughout.
+Each element maps the complex amplitudes of its input fields, scalars or
+numpy arrays, to those of its output fields, sample by sample, with the
+same operations whatever the caller.  Phases are defined relative to the
+pump, whose phase is fixed to zero throughout.
+
+Every element function takes two optional arrays of the inputs'
+broadcast shape:
+
+* ``out``: the complex128 arrays the outputs are written to and returned
+  (one array, or a pair for the two-output elements); new arrays when
+  absent;
+* ``scratch``: one complex128 array holding the intermediate term of an
+  output; a new one when absent.
+
+So a caller that keeps these arrays, as the pipelines do for each pass,
+propagates without allocating.  ``out`` and ``scratch`` are only written,
+after every read of an input they would overwrite: an ``out`` or
+``scratch`` that may share memory with an input, or with one another, is
+a ValueError, never a silently wrong field.
 """
 
 from __future__ import annotations
@@ -49,15 +65,40 @@ class GainParams:
         return self.S * self.S
 
 
-def parametric_amplify(es0, ei0, gain: GainParams):
+def _buffers(inputs, out, n_out: int, scratch):
+    """The ``n_out`` output arrays and the scratch array of an element:
+    ``out`` and ``scratch``, each new when None, checked to share no memory
+    with ``inputs`` or with one another."""
+    if out is None or scratch is None:
+        shape = np.broadcast_shapes(*(np.shape(x) for x in inputs))
+    if out is None:
+        out = tuple(np.empty(shape, dtype=np.complex128) for _ in range(n_out))
+    if scratch is None:
+        scratch = np.empty(shape, dtype=np.complex128)
+    written = (*out, scratch)
+    for k, w in enumerate(written):
+        if any(np.may_share_memory(w, x) for x in (*inputs, *written[k + 1:])):
+            raise ValueError("an element's out and scratch arrays must not "
+                             "share memory with its inputs or one another")
+    return out, scratch
+
+
+def parametric_amplify(es0, ei0, gain: GainParams, out=None, scratch=None):
     """Amplify a signal/idler pair of vacuum inputs.
 
-    Returns ``(C es0 - i S conj(ei0), C ei0 - i S conj(es0))``.  The
-    transform is linear and deterministic; the sample-wise difference
-    |E_s|^2 - |E_i|^2 is conserved exactly.
+    Returns ``(C es0 - i S conj(ei0), C ei0 - i S conj(es0))``, in ``out``
+    when given (see the module docstring).  The transform is linear and
+    deterministic; the sample-wise difference |E_s|^2 - |E_i|^2 is
+    conserved exactly.
     """
-    es = gain.C * np.asarray(es0) - 1j * gain.S * np.conj(ei0)
-    ei = gain.C * np.asarray(ei0) - 1j * gain.S * np.conj(es0)
+    (es, ei), t = _buffers((es0, ei0), out, 2, scratch)
+    coupling = 1j * gain.S
+    np.multiply(gain.C, es0, out=es)
+    np.multiply(coupling, np.conjugate(ei0, out=t), out=t)
+    np.subtract(es, t, out=es)
+    np.multiply(gain.C, ei0, out=ei)
+    np.multiply(coupling, np.conjugate(es0, out=t), out=t)
+    np.subtract(ei, t, out=ei)
     return es, ei
 
 
@@ -102,19 +143,33 @@ class BeamSplitterParams:
         return cls(t_s1=t, r_s2=r, r_i1=r, t_i2=t)
 
 
-def beam_split(e_s, e_i, bs: BeamSplitterParams):
-    """Mix two fields on a lossless splitter; conserves |E1|^2 + |E2|^2."""
-    e1 = bs.t_s1 * np.asarray(e_s) + bs.r_i1 * np.asarray(e_i)
-    e2 = bs.r_s2 * np.asarray(e_s) + bs.t_i2 * np.asarray(e_i)
-    return e1, e2
+def _mix(a, x, b, y, out, t):
+    """``out`` <- a x + b y, through ``t``."""
+    np.multiply(a, x, out=out)
+    np.add(out, np.multiply(b, y, out=t), out=out)
+    return out
 
 
-def polarizer_project(e_x, e_y, theta: float):
+def beam_split(e_s, e_i, bs: BeamSplitterParams, out=None, scratch=None):
+    """Mix two fields on a lossless splitter; conserves |E1|^2 + |E2|^2.
+
+    Returns ``(t_s1 e_s + r_i1 e_i, r_s2 e_s + t_i2 e_i)``, in ``out`` when
+    given (see the module docstring).
+    """
+    (e1, e2), t = _buffers((e_s, e_i), out, 2, scratch)
+    return (_mix(bs.t_s1, e_s, bs.r_i1, e_i, e1, t),
+            _mix(bs.r_s2, e_s, bs.t_i2, e_i, e2, t))
+
+
+def polarizer_project(e_x, e_y, theta: float, out=None, scratch=None):
     """Project onto the polarizer axis at angle theta.
 
-    The orthogonal output is obtained by calling with theta + pi/2.
+    Returns ``cos(theta) e_x + sin(theta) e_y``, in ``out`` when given (see
+    the module docstring).  The orthogonal output is obtained by calling
+    with theta + pi/2.
     """
-    return np.cos(theta) * np.asarray(e_x) + np.sin(theta) * np.asarray(e_y)
+    (out,), t = _buffers((e_x, e_y), None if out is None else (out,), 1, scratch)
+    return _mix(np.cos(theta), e_x, np.sin(theta), e_y, out, t)
 
 
 @dataclass(frozen=True)
@@ -128,10 +183,12 @@ class DetectorParams:
             raise ValueError(f"quantum efficiency must lie in [0, 1], got {self.eta}")
 
 
-def detector_loss(e, det: DetectorParams, vac):
-    """Mix a field with fresh vacuum: sqrt(eta) e + sqrt(1-eta) vac.
+def detector_loss(e, det: DetectorParams, vac, out=None, scratch=None):
+    """Mix a field with fresh vacuum: sqrt(eta) e + sqrt(1-eta) vac, in
+    ``out`` when given (see the module docstring).
 
     ``vac`` must come from an independent vacuum stream, one per detector;
     vacua are never shared between call sites.
     """
-    return math.sqrt(det.eta) * np.asarray(e) + math.sqrt(1.0 - det.eta) * np.asarray(vac)
+    (out,), t = _buffers((e, vac), None if out is None else (out,), 1, scratch)
+    return _mix(math.sqrt(det.eta), e, math.sqrt(1.0 - det.eta), vac, out, t)

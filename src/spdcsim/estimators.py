@@ -9,15 +9,18 @@ normal-ordered observables.
 Every statistic is a smooth function f of the means of per-repetition
 feature columns.  The engine reduces each chunk of at most
 :data:`CHUNK_ROWS` rows to its mean vector and centred Gram matrix
-(:func:`reduce_chunk`, which fills the chunk's feature matrix in passes of
-at most :data:`PASS_ROWS` rows, and :meth:`FeatureMoments.of_chunk`), and
-:func:`merge_moments` merges the chunks in row order (Chan, Golub &
-LeVeque 1979).  The whole-column API below (:func:`mean_intensity`,
-:func:`covariance_intensity`, :func:`fourfold_covariance`, ...) cuts its
-columns into such chunks through :func:`feature_moments`; the experiment
-pipelines feed the same merge with chunks whose passes they draw one at a
-time, reducing the chunks on worker threads.  The
-value is f(mean); the standard error is the delta method,
+(:meth:`FeatureMoments.of_chunk`), and :func:`merge_moments` merges the
+chunks in row order (Chan, Golub & LeVeque 1979).  The experiment
+pipelines fill each chunk's feature matrix in passes of at most
+:data:`PASS_ROWS` rows (:func:`reduce_chunk`): the feature functions
+(:func:`intensity_products`, :func:`correlation_features`,
+:func:`chsh_features`, :meth:`FourfoldPlan.features`, :func:`pair_parts`)
+write straight into the matrix's rows, their temporaries in scratch arrays
+the worker keeps, so a pass allocates nothing.  The whole-column API below
+(:func:`mean_intensity`, :func:`covariance_intensity`,
+:func:`fourfold_covariance`, ...) computes the same features, into new
+arrays, a chunk at a time through :func:`feature_moments`.  The value is
+f(mean); the standard error is the delta method,
 sqrt(grad f' Sigma grad f / n), with a central-difference gradient.
 """
 
@@ -26,11 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from types import SimpleNamespace
 
 import numpy as np
 
-from .sampling import _SUB_ROWS, ORDERING
+from .sampling import _SUB_ROWS, ORDERING, kept_array
 from . import theory
 
 __all__ = [
@@ -60,6 +62,7 @@ __all__ = [
     "merge_moments",
     "moment_theorem_residual",
     "normal_intensities",
+    "pair_parts",
     "reduce_chunk",
     "row_chunks",
     "variance_estimate",
@@ -195,43 +198,36 @@ def merge_moments(chunks) -> FeatureMoments:
     return FeatureMoments(n, mean, gram)
 
 
-def reduce_chunk(pass_features, row0: int, rows: int, kept) -> FeatureMoments:
-    """Moments of the chunk of rows ``[row0, row0 + rows)``, computed in passes.
+def reduce_chunk(fill, k: int, row0: int, rows: int, kept) -> FeatureMoments:
+    """Moments of the k features of the chunk of rows ``[row0, row0 + rows)``,
+    computed in passes.
 
-    ``pass_features(p0, n)`` gives the k real feature columns of rows
-    ``[p0, p0 + n)``; passes of at most :data:`PASS_ROWS` rows are written
-    into one (k, rows) matrix that :meth:`FeatureMoments.of_chunk` reduces.
-    The matrix is the start of the flat buffer ``kept.buffer``, created or
-    grown here and reused by the next chunk reduced with the same ``kept``
-    (one per thread, e.g. a ``threading.local``).
+    The chunk's C-contiguous (k, rows) feature matrix is the start of the
+    flat buffer ``features`` of ``kept`` (see
+    :func:`~spdcsim.sampling.kept_array`), so the next chunk reduced with
+    the same ``kept`` (one per thread) reuses it.  ``fill(p0, x)`` writes
+    the features of rows ``[p0, p0 + n)`` into ``x``, the matrix's (k, n)
+    column slice of that pass, n at most :data:`PASS_ROWS`; then
+    :meth:`FeatureMoments.of_chunk` reduces the matrix.
     """
-    x = None
+    x = kept_array(kept, "features", (k, rows), np.float64)
     for p0 in range(0, rows, PASS_ROWS):
-        n = min(PASS_ROWS, rows - p0)
-        cols = pass_features(row0 + p0, n)
-        if x is None:
-            size = len(cols) * rows
-            buf = getattr(kept, "buffer", None)
-            if buf is None or buf.size < size:
-                buf = kept.buffer = np.empty(size)
-            x = buf[:size].reshape(len(cols), rows)
-        for row, col in zip(x, cols, strict=True):
-            row[p0:p0 + n] = col
+        fill(row0 + p0, x[:, p0:p0 + PASS_ROWS])
     return FeatureMoments.of_chunk(x)
 
 
 def feature_moments(features, *columns: np.ndarray) -> FeatureMoments:
     """Moments of the real feature columns ``features(*rows)`` over all rows.
 
-    ``features`` maps a pass of at most :data:`PASS_ROWS` rows of each
-    column to k real columns; the :data:`CHUNK_ROWS`-row chunks are reduced
-    by :func:`reduce_chunk` and merged by :func:`merge_moments`.
+    ``features`` maps a :data:`CHUNK_ROWS`-row chunk of each column to k
+    real columns (or a (k, rows) array); the chunks' moments are merged by
+    :func:`merge_moments`.  The pipelines fill the same chunk matrices pass
+    by pass (:func:`reduce_chunk`), so the two give the same means.
     """
     columns = _check_equal(*columns)
-    kept = SimpleNamespace()
     return merge_moments(
-        reduce_chunk(lambda p0, n: features(*(c[p0:p0 + n] for c in columns)),
-                     row0, rows, kept)
+        FeatureMoments.of_chunk(np.array(features(*(c[row0:row0 + rows] for c in columns)),
+                                         dtype=np.float64))
         for row0, rows in row_chunks(columns[0].shape[0]))
 
 
@@ -239,17 +235,50 @@ def _intensities(*cols):
     return [np.abs(c) ** 2 for c in cols]
 
 
-def intensity_products(a, b):
-    """Features |E_a|^2, |E_b|^2 and their product (symmetric order)."""
-    xa, xb = _intensities(a, b)
-    return xa, xb, xa * xb
+def _rows(out, k: int, col) -> np.ndarray:
+    """``out``, the k feature rows to write, or a new (k, len(col)) array."""
+    return np.empty((k, len(col))) if out is None else out
 
 
-def correlation_features(a, b):
+def _intensity(col, out: np.ndarray) -> np.ndarray:
+    """|E|^2 of ``col`` into ``out``: the doubles of ``np.abs(col) ** 2``."""
+    np.abs(col, out=out)
+    return np.square(out, out=out)
+
+
+def intensity_products(a, b, out=None):
+    """Features |E_a|^2, |E_b|^2 and their product (symmetric order).
+
+    The feature functions write their k features as the rows of ``out``, a
+    (k, n) float64 array or k float64 rows, and return it; a new (k, n)
+    array when absent.
+    """
+    xa, xb, xab = out = _rows(out, 3, a)
+    _intensity(a, xa)
+    _intensity(b, xb)
+    np.multiply(xa, xb, out=xab)
+    return out
+
+
+def correlation_features(a, b, out=None):
     """Features of :func:`correlation_estimate`: those of
     :func:`intensity_products` and both squared intensities."""
-    xa, xb, xab = intensity_products(a, b)
-    return xa, xb, xab, xa ** 2, xb ** 2
+    out = _rows(out, 5, a)
+    xa, xb = intensity_products(a, b, out[:3])[:2]
+    np.square(xa, out=out[3])
+    np.square(xb, out=out[4])
+    return out
+
+
+def pair_parts(a, conj_a: bool, b, conj_b: bool, out, scratch) -> None:
+    """Real and imaginary parts of the product a b, either factor
+    conjugated when its flag says so, into the two float64 rows ``out``,
+    through the complex128 ``scratch`` (not both factors conjugated)."""
+    a = np.conjugate(a, out=scratch) if conj_a else a
+    b = np.conjugate(b, out=scratch) if conj_b else b
+    np.multiply(a, b, out=scratch)
+    np.copyto(out[0], scratch.real)
+    np.copyto(out[1], scratch.imag)
 
 
 def _variance(n: int, i: int, ii: int):
@@ -359,15 +388,29 @@ def gaussian_moment_check(col_a: np.ndarray, col_b: np.ndarray) -> float:
     return est.deviation(0.0)
 
 
-def chsh_features(e1p, e1m, e2p, e2m):
+def chsh_features(e1p, e1m, e2p, e2m, out=None, scratch=None):
     """Per-repetition numerator and denominator of the coefficient E.
 
     Products of normal-ordered intensities at the plus/minus outputs of the
-    two polarisers; E is the ratio of their means.
+    two polarisers; E is the ratio of their means.  The two rows go to
+    ``out`` (see :func:`intensity_products`); the four intensities take
+    the (4, n) float64 ``scratch``, new when absent.
     """
-    i1p, i1m, i2p, i2m = (normal_intensities(c) for c in (e1p, e1m, e2p, e2m))
-    return (i1p * i2p + i1m * i2m - i1p * i2m - i1m * i2p,
-            i1p * i2p + i1m * i2m + i1p * i2m + i1m * i2p)
+    num, den = out = _rows(out, 2, e1p)
+    i1p, i1m, i2p, i2m = _rows(scratch, 4, e1p)
+    for col, i in zip((e1p, e1m, e2p, e2m), (i1p, i1m, i2p, i2m)):
+        np.subtract(_intensity(col, i), ORDERING.intensity_offset, out=i)
+    # num = i1p i2p + i1m i2m - i1p i2m - i1m i2p and den the same with +,
+    # summed left to right; i1p and i1m, read for the last time, hold the
+    # last two products.
+    np.multiply(i1p, i2p, out=num)
+    np.add(num, np.multiply(i1m, i2m, out=den), out=num)
+    np.copyto(den, num)
+    for i, j in ((i1p, i2m), (i1m, i2p)):
+        np.multiply(i, j, out=i)
+        np.subtract(num, i, out=num)
+        np.add(den, i, out=den)
+    return out
 
 
 def chsh_coefficient(e1p: np.ndarray, e1m: np.ndarray,
@@ -424,20 +467,27 @@ class FourfoldPlan:
                 for (p, cp), (q, cq) in _FOURFOLD_PAIRS]
         self._pairs = list(dict.fromkeys(keys))
         self._pair_features = [len(self._monomials) + 2 * self._pairs.index(k) for k in keys]
+        #: Number of features.
+        self.k = len(self._monomials) + 2 * len(self._pairs)
 
     def _monomial(self, subset):
         return tuple(sorted(self.pattern[k] for k in subset))
 
-    def features(self, *cols):
-        """The features of one chunk of the distinct field columns."""
-        x = _intensities(*cols)
-        products = {}
-        for key in self._monomials:  # lower degrees first
-            products[key] = x[key[0]] if len(key) == 1 else products[key[:-1]] * x[key[-1]]
-        out = list(products.values())
-        for p, cp, q, cq in self._pairs:
-            prod = (np.conj(cols[p]) if cp else cols[p]) * (np.conj(cols[q]) if cq else cols[q])
-            out += [prod.real, prod.imag]
+    def features(self, *cols, out=None, scratch=None):
+        """The features of the distinct field columns, as the rows of
+        ``out`` (see :func:`intensity_products`); each pair product passes
+        through the complex128 ``scratch``, new when absent."""
+        out = _rows(out, self.k, cols[0])
+        rows = dict(zip(self._monomials, out))
+        for key, row in rows.items():  # lower degrees first
+            if len(key) == 1:
+                _intensity(cols[key[0]], row)
+            else:
+                np.multiply(rows[key[:-1]], rows[key[-1:]], out=row)
+        if scratch is None:
+            scratch = np.empty(len(cols[0]), dtype=np.complex128)
+        for j, (p, cp, q, cq) in enumerate(self._pairs):
+            pair_parts(cols[p], cp, cols[q], cq, out[len(rows) + 2 * j:][:2], scratch)
         return out
 
     def _direct(self, m):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +33,13 @@ class StatisticRow:
 
 
 def make_row(name: str, est: MomentEstimate, oracle: float | None) -> StatisticRow:
+    """The report row of statistic ``name``; an ArithmeticError naming it
+    when its value, standard error or oracle is not a finite number."""
     value = est.value.real if isinstance(est.value, complex) else est.value
+    for what, x in (("value", value), ("standard error", est.std_error),
+                    ("oracle", oracle)):
+        if x is not None and not math.isfinite(x):
+            raise ArithmeticError(f"statistic {name!r}: {what} is {x}, not a finite number")
     if oracle is None:
         return StatisticRow(name, float(value), est.std_error)
     dev = est.deviation(oracle)

@@ -48,18 +48,22 @@ Since rows are keyed independently, rows ``[row0, row0 + n)`` of a stream
 ``(seed, s)`` are ``sample_vacuum(RngStream(seed, s + row0), n, modes)``.
 :func:`sample_vacuum` uses this itself: a tall call is drawn in passes of
 ``_SUB_ROWS`` rows, each one :func:`raw_words` draw into a word buffer and
-one Box-Muller step.  The word buffer and the Box-Muller and Philox
-scratch hold at most ``_SUB_ROWS`` rows each, and each thread keeps them
-for its next call, so a repeated tall call allocates little beyond its
-result and its working set does not grow with the rows asked for.  A wide
-call stays one :func:`raw_words` draw with temporaries of its own size.
-The twin, hom, bell and fourfold pipelines ask for one pass a call and run
-their ``threads`` over whole chunks (see :mod:`spdcsim.experiments`); a
-single call here runs on the calling thread.
+one Box-Muller step.  The word buffer, the pass's stream ids and the
+Box-Muller and Philox scratch hold at most ``_SUB_ROWS`` rows each, and
+each thread keeps them for its next call (:func:`kept_array`), so a
+repeated tall call allocates nothing beyond its result, and nothing at all
+when the caller hands it ``out``; its working set does not grow with the
+rows asked for.  A wide call stays one :func:`raw_words` draw with
+temporaries of its own size.  The twin, hom, bell and fourfold pipelines
+ask for one pass a call, drawn into a vacuum buffer that the worker keeps,
+and run their ``threads`` over whole chunks (see
+:mod:`spdcsim.experiments`); a single call here runs on the calling
+thread.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -120,18 +124,29 @@ class RngStream:
 #: scratch arrays take 1.8 MB, so a pass stays in a 2 MB L2 cache.
 _SUB_ROWS = 1 << 14
 
+#: 0, 1, ..., _SUB_ROWS - 1: a pass's stream ids less its first.
+_ROW_OFFSETS = np.arange(_SUB_ROWS, dtype=np.uint64)
+
 #: Buffers of the tall path that each thread keeps between calls.
 _kept = threading.local()
 
 
-def _kept_buffer(name: str, dtype, size: int) -> np.ndarray:
-    """The first ``size`` elements of this thread's flat buffer ``name``,
-    grown when a call needs more."""
-    buf = getattr(_kept, name, None)
+def kept_array(kept, name: str, shape, dtype=np.complex128) -> np.ndarray:
+    """A C-contiguous array of ``shape`` over the start of the flat buffer
+    ``name`` of ``kept``, created or grown when it is smaller, so that the
+    next call asking for it reuses its pages.
+
+    ``kept`` is an attribute namespace that one thread at a time uses (a
+    ``threading.local`` or a ``SimpleNamespace``); None gives a new array.
+    """
+    if kept is None:
+        return np.empty(shape, dtype=dtype)
+    size = math.prod(shape)
+    buf = getattr(kept, name, None)
     if buf is None or buf.size < size:
         buf = np.empty(size, dtype=dtype)
-        setattr(_kept, name, buf)
-    return buf[:size]
+        setattr(kept, name, buf)
+    return buf[:size].reshape(shape)
 
 # Column constants of the two-lane state: row 0 acts on x0 and k0, row 1 on
 # x2 and k1.
@@ -170,8 +185,7 @@ def _scratch(width: int) -> tuple:
 
 def _kept_scratch() -> tuple:
     """This thread's :func:`_scratch` of ``_SUB_ROWS`` columns."""
-    flat = _kept_buffer("scratch", np.uint64, 14 * _SUB_ROWS)
-    return tuple(flat.reshape(7, 2, _SUB_ROWS))
+    return tuple(kept_array(_kept, "scratch", (7, 2, _SUB_ROWS), np.uint64))
 
 
 def _philox_block(counter: int, seed: int, stream_ids: np.ndarray,
@@ -246,12 +260,13 @@ def raw_words(stream: RngStream, reps: int, n_words: int,
             bit_gen.state = state
             words[r] = bit_gen.random_raw(4 * n_blocks)
     else:
-        sids = _U64(stream.stream_id) + np.arange(reps, dtype=np.uint64)
         scratch = _kept_scratch()
         for r0 in range(0, reps, _SUB_ROWS):
             rows = words[r0:r0 + _SUB_ROWS]
+            sids = np.add(_ROW_OFFSETS[:len(rows)], _U64((stream.stream_id + r0) & _MASK64),
+                          out=kept_array(_kept, "sids", (len(rows),), np.uint64))
             for j in range(n_blocks):
-                block = _philox_block(j, stream.seed, sids[r0:r0 + _SUB_ROWS], scratch)
+                block = _philox_block(j, stream.seed, sids, scratch)
                 for k, w in enumerate(block):
                     rows[:, 4 * j + k] = w
     return words[:, :n_words]
@@ -281,17 +296,25 @@ def _gaussian_pairs(words: np.ndarray, out: np.ndarray,
     np.multiply(r, cos, out=r)
 
 
-def sample_vacuum(rng: RngStream, reps: int, modes: int) -> np.ndarray:
+def sample_vacuum(rng: RngStream, reps: int, modes: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Sample independent vacuum fields, one stream per repetition.
 
     Returns the C-contiguous (reps, modes) complex128 array of amplitudes;
     each is a circular complex Gaussian with <E E*> = 1/2 and <E E> = 0, and
     distinct modes and repetitions are uncorrelated.  The result depends
-    only on ``rng`` and the shape.
+    only on ``rng`` and the shape.  With ``out``, an array of that shape,
+    dtype and layout, the amplitudes are written there and ``out`` is
+    returned.
     """
     if reps < 1 or modes < 1:
         raise ValueError("reps and modes must both be >= 1")
-    out = np.empty((reps, modes), dtype=np.complex128)
+    if out is None:
+        out = np.empty((reps, modes), dtype=np.complex128)
+    elif (out.shape != (reps, modes) or out.dtype != np.complex128
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous ({reps}, {modes}) complex128 "
+                         f"array, got {out.dtype} {out.shape}")
     pairs = out.view(np.float64)  # re, im interleaved per mode
     n_blocks = -(-modes // 2)
     if _per_row_is_faster(reps, n_blocks):
@@ -300,8 +323,8 @@ def sample_vacuum(rng: RngStream, reps: int, modes: int) -> np.ndarray:
     for p0 in range(0, reps, _SUB_ROWS):
         n = min(_SUB_ROWS, reps - p0)
         words = raw_words(RngStream(rng.seed, rng.stream_id + p0), n, 2 * modes,
-                          out=_kept_buffer("words", np.uint64, n * 4 * n_blocks))
+                          out=kept_array(_kept, "words", (n * 4 * n_blocks,), np.uint64))
         _gaussian_pairs(words, pairs[p0:p0 + n],
-                        _kept_buffer("bits", np.uint64, n * modes).reshape(n, modes),
-                        _kept_buffer("cos", np.float64, n * modes).reshape(n, modes))
+                        kept_array(_kept, "bits", (n, modes), np.uint64),
+                        kept_array(_kept, "cos", (n, modes), np.float64))
     return out

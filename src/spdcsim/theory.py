@@ -40,11 +40,15 @@ def twin_beam_moments(gain: GainParams, eta: float = 1.0) -> dict:
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     s2 = gain.S ** 2
-    return {
-        "mean": eta * s2,
-        "var": eta ** 2 * s2 ** 2 + eta * s2,
-        "cov": eta ** 2 * s2 ** 2 + eta ** 2 * s2,
-    }
+    try:
+        return {
+            "mean": eta * s2,
+            "var": eta ** 2 * s2 ** 2 + eta * s2,
+            "cov": eta ** 2 * s2 ** 2 + eta ** 2 * s2,
+        }
+    except OverflowError:
+        raise ArithmeticError(f"the twin-beam var and cov oracles overflow: "
+                              f"S^2 = {s2:.6g} squared is out of float range") from None
 
 
 def hom_covariance_ratio(bs: BeamSplitterParams) -> float:

@@ -307,6 +307,26 @@ def test_statistical_failure_exit_code(monkeypatch):
     assert run_cli(["twin", "--reps", "100"]) == 1
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["fourfold", "--gain-gl", "150"], "statistic 'fourfold_direct': value is nan"),
+    (["bell", "--gain-gl", "200"], "statistic 'rho': value is nan"),
+    (["twin", "--gain-gl", "300"], "twin-beam var and cov oracles overflow"),
+    (["hom", "--gain-gl", "350"], "hom cov_input oracle overflows"),
+])
+def test_overflow_is_a_numeric_failure_naming_its_statistic(argv, named, tmp_path, capsys):
+    # the fields overflow a double at these gains; under the suite's
+    # error::RuntimeWarning filter a numpy warning would fail the test
+    out = tmp_path / "report.json"
+    code = run_cli([*argv, "--reps", "1000", "--format", "json", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("spdcsim: numeric failure: ")
+    assert named in captured.err
+    assert "Warning" not in captured.err
+    assert "nan" not in captured.out
+    assert not out.exists()
+
+
 def test_io_failure_exit_code(tmp_path):
     out = tmp_path / "no-such-dir" / "x.csv"
     code = run_cli(["twin", "--reps", "1e4", "--out", str(out)])

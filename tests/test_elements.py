@@ -168,3 +168,77 @@ def test_outputs_stay_finite_through_pipeline():
     d1 = detector_loss(e1, DetectorParams(0.3), vac[:, 0])
     for arr in (es, ei, e1, e2, d1):
         assert np.all(np.isfinite(arr.view(np.float64)))
+
+
+#: Each element at fixed parameters, its number of outputs, and the one-line
+#: expression of its outputs that the element evaluated before it took
+#: ``out``; the ufuncs, operands and their order are the same, so the
+#: doubles are too.
+_GAIN = GainParams(0.7)
+_SPLITTER = BeamSplitterParams.from_transmittance(0.3)
+_DETECTOR = DetectorParams(0.6)
+ELEMENTS = {
+    "parametric_amplify": (
+        lambda a, b, **kw: parametric_amplify(a, b, _GAIN, **kw), 2,
+        lambda a, b: (_GAIN.C * a - 1j * _GAIN.S * np.conj(b),
+                      _GAIN.C * b - 1j * _GAIN.S * np.conj(a))),
+    "beam_split": (
+        lambda a, b, **kw: beam_split(a, b, _SPLITTER, **kw), 2,
+        lambda a, b: (_SPLITTER.t_s1 * a + _SPLITTER.r_i1 * b,
+                      _SPLITTER.r_s2 * a + _SPLITTER.t_i2 * b)),
+    "polarizer_project": (
+        lambda a, b, **kw: polarizer_project(a, b, 0.4, **kw), 1,
+        lambda a, b: (np.cos(0.4) * a + np.sin(0.4) * b,)),
+    "detector_loss": (
+        lambda a, b, **kw: detector_loss(a, _DETECTOR, b, **kw), 1,
+        lambda a, b: (math.sqrt(0.6) * a + math.sqrt(0.4) * b,)),
+}
+
+
+def _inputs(reps=1000):
+    ens = sample_vacuum(RngStream(3, 0), reps, 2)
+    return ens[:, 0], ens[:, 1]  # strided columns, as the pipelines pass them
+
+
+def _bits(fields):
+    return [np.asarray(f).view(np.uint64) for f in fields]
+
+
+@pytest.mark.parametrize("name", ELEMENTS)
+def test_elements_write_out_bit_for_bit(name):
+    call, n_out, reference = ELEMENTS[name]
+    a, b = _inputs()
+    plain = call(a, b)
+    plain = plain if n_out == 2 else (plain,)
+    for got, want in zip(_bits(plain), _bits(reference(a, b)), strict=True):
+        np.testing.assert_array_equal(got, want)
+
+    out = tuple(np.full(a.shape, np.nan, dtype=np.complex128) for _ in range(n_out))
+    given = call(a, b, out=out if n_out == 2 else out[0],
+                 scratch=np.empty(a.shape, dtype=np.complex128))
+    given = given if n_out == 2 else (given,)
+    assert all(g is o for g, o in zip(given, out, strict=True))
+    for got, want in zip(_bits(given), _bits(plain), strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ELEMENTS)
+def test_element_out_sharing_memory_is_rejected(name):
+    call, n_out, _ = ELEMENTS[name]
+    a, b = _inputs(8)
+
+    def fresh():
+        return np.empty(a.shape, dtype=np.complex128)
+
+    def outputs(first):
+        return (first, fresh()) if n_out == 2 else first
+
+    shared = fresh()
+    cases = [{"out": outputs(a)},                      # an output is an input
+             {"out": outputs(fresh()), "scratch": b},  # the scratch is an input
+             {"out": outputs(shared), "scratch": shared}]
+    if n_out == 2:
+        cases.append({"out": (shared, shared)})      # both outputs in one array
+    for kwargs in cases:
+        with pytest.raises(ValueError, match="share memory"):
+            call(a, b, **kwargs)

@@ -6,12 +6,13 @@ import pytest
 
 from spdcsim import theory
 from spdcsim.elements import BeamSplitterParams, GainParams, beam_split, parametric_amplify
-from spdcsim.estimators import (CHUNK_ROWS, DegenerateStatisticError,
-                                chsh_coefficient, correlation_coefficient,
+from spdcsim.estimators import (CHUNK_ROWS, DegenerateStatisticError, FourfoldPlan,
+                                chsh_coefficient, chsh_features,
+                                correlation_coefficient, correlation_features,
                                 covariance_intensity, feature_moments,
                                 field_pair_moment, fourfold_covariance,
-                                gaussian_moment_check, intensity_snr,
-                                jackknife_se, mean_intensity,
+                                gaussian_moment_check, intensity_products,
+                                intensity_snr, jackknife_se, mean_intensity,
                                 moment_theorem_residual, variance_intensity)
 from spdcsim.experiments import ExperimentConfig, polarized_arms, run_experiment
 from spdcsim.sampling import RngStream, sample_vacuum
@@ -208,6 +209,41 @@ def test_chunked_moments_equal_numpy_over_several_chunks():
     assert moments.n == n
     np.testing.assert_allclose(moments.mean, cols.mean(axis=1), rtol=1e-12)
     np.testing.assert_allclose(moments.gram / (n - 1), np.cov(cols), rtol=1e-12)
+
+
+def _reference_features(a, b, c, d):
+    """Each feature function's columns as the one-line expressions it
+    evaluated before it wrote into ``out``."""
+    xa, xb = np.abs(a) ** 2, np.abs(b) ** 2
+    i1p, i1m, i2p, i2m = (np.abs(col) ** 2 - 0.5 for col in (a, b, c, d))
+    pairs = [a * np.conj(a), np.conj(b) * b, a * b]
+    return {
+        "intensity_products": (lambda **kw: intensity_products(a, b, **kw),
+                               [xa, xb, xa * xb]),
+        "correlation_features": (lambda **kw: correlation_features(a, b, **kw),
+                                 [xa, xb, xa * xb, xa ** 2, xb ** 2]),
+        "chsh_features": (lambda **kw: chsh_features(a, b, c, d, **kw),
+                          [i1p * i2p + i1m * i2m - i1p * i2m - i1m * i2p,
+                           i1p * i2p + i1m * i2m + i1p * i2m + i1m * i2p]),
+        "fourfold": (lambda **kw: FourfoldPlan((0, 0, 1, 1)).features(a, b, **kw),
+                     [xa, xb, xa * xa, xa * xb, xb * xb, xa * xa * xb, xa * xb * xb,
+                      xa * xa * xb * xb, *(part for p in pairs for part in (p.real, p.imag))]),
+    }
+
+
+@pytest.mark.parametrize("name", ["intensity_products", "correlation_features",
+                                  "chsh_features", "fourfold"])
+def test_feature_rows_equal_their_reference_expressions(name):
+    ens = sample_vacuum(RngStream(9, 0), 3000, 4) * 3.0
+    features, expect = _reference_features(*ens.T)[name]
+    expect = np.array(expect).view(np.uint64)
+    np.testing.assert_array_equal(features().view(np.uint64), expect)
+    out = np.full(expect.shape, np.nan)
+    scratch = {"chsh_features": np.empty((4, 3000)),
+               "fourfold": np.empty(3000, dtype=np.complex128)}.get(name)
+    given = features(out=out, **({} if scratch is None else {"scratch": scratch}))
+    assert given is out
+    np.testing.assert_array_equal(out.view(np.uint64), expect)
 
 
 def _delta_and_jackknife_cases(twin_cache, bell_cache):

@@ -251,6 +251,17 @@ def test_passes_of_a_tall_draw_equal_one_draw(stream_id, modes):
                           _one_draw(stream, reps, modes))
 
 
+@pytest.mark.parametrize("reps,modes", [(2 * _SUB_ROWS + 5, 2), (3, 40)])  # tall, wide
+def test_sample_vacuum_writes_its_out(reps, modes):
+    stream = RngStream(42, 5)
+    out = np.full((reps, modes), np.nan, dtype=np.complex128)
+    assert sample_vacuum(stream, reps, modes, out=out) is out
+    assert np.array_equal(out, sample_vacuum(stream, reps, modes))
+    for bad in (out[:-1], out.astype(np.complex64), np.asfortranarray(out)):
+        with pytest.raises(ValueError, match="out must be"):
+            sample_vacuum(stream, reps, modes, out=bad)
+
+
 def test_threads_drawing_at_once_get_the_serial_draws():
     # each thread keeps its own pass buffers; shapes that need buffers of
     # different sizes are drawn at the same time, switching threads often

@@ -4,18 +4,20 @@ result."""
 
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spdcsim.elements import (DetectorParams, beam_split, detector_loss,
                               parametric_amplify)
-from spdcsim.estimators import (CHUNK_ROWS, chsh_coefficient,
+from spdcsim.estimators import (CHUNK_ROWS, PASS_ROWS, chsh_coefficient,
                                 correlation_coefficient, covariance_intensity,
                                 fourfold_covariance, mean_intensity,
                                 variance_intensity)
-from spdcsim.experiments import (ExperimentConfig, bell_arms, hom_fields,
-                                 polarized_arms, run_experiment, twin_fields)
+from spdcsim.experiments import (ExperimentConfig, _chunk_reducer, bell_arms,
+                                 hom_fields, polarized_arms, run_experiment,
+                                 twin_fields)
 from spdcsim.reporting import VOLATILE_METADATA
 from spdcsim.sampling import LANE_STRIDE, RngStream, sample_vacuum
 
@@ -48,7 +50,7 @@ def test_peak_memory_does_not_grow_with_reps(kind):
     assert large <= 1.1 * small, (small, large)
 
 
-@pytest.mark.parametrize("kind", ["hom", "bell", "fourfold"])
+@pytest.mark.parametrize("kind", ["twin", "hom", "bell", "fourfold"])
 def test_reports_do_not_depend_on_threads(kind):
     reports = [run_experiment(replace(CONFIGS[kind], reps=REPS, threads=n))
                for n in (1, 3)]
@@ -56,6 +58,21 @@ def test_reports_do_not_depend_on_threads(kind):
     metadata = [{k: v for k, v in r.metadata.items()
                  if k not in (*VOLATILE_METADATA, "threads")} for r in reports]
     assert metadata[0] == metadata[1]
+
+
+@pytest.mark.parametrize("kind", CONFIGS)
+def test_a_warm_chunk_allocates_less_than_one_pass_field(kind):
+    # every array of a pass is a buffer of the worker's kept state, so once
+    # one chunk has made them, the next chunk allocates none of pass size
+    reduce = _chunk_reducer(CONFIGS[kind], SimpleNamespace())
+    reduce(0, CHUNK_ROWS)
+    tracemalloc.start()
+    try:
+        reduce(CHUNK_ROWS, CHUNK_ROWS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PASS_ROWS * np.dtype(np.complex128).itemsize, peak
 
 
 def _whole_lane(config, lane, modes):
