@@ -8,20 +8,21 @@ normal-ordered observables.
 
 Every statistic is a smooth function f of the means of per-repetition
 feature columns.  The engine reduces each chunk of at most
-:data:`CHUNK_ROWS` rows to its mean vector and centred Gram matrix
+:data:`CHUNK_ROWS` = 16384 rows (the sampler's chunk, see
+:mod:`spdcsim.sampling`) to its mean vector and centred Gram matrix
 (:meth:`FeatureMoments.of_chunk`), and :func:`merge_moments` merges the
 chunks in row order (Chan, Golub & LeVeque 1979).  The experiment
-pipelines fill each chunk's feature matrix in passes of at most
-:data:`PASS_ROWS` rows (:func:`reduce_chunk`): the feature functions
+pipelines write a chunk's features straight into the rows of a (k, rows)
+matrix that the worker keeps: the feature functions
 (:func:`intensity_products`, :func:`correlation_features`,
 :func:`chsh_features`, :meth:`FourfoldPlan.features`, :func:`pair_parts`)
-write straight into the matrix's rows, their temporaries in scratch arrays
-the worker keeps, so a pass allocates nothing.  The whole-column API below
-(:func:`mean_intensity`, :func:`covariance_intensity`,
-:func:`fourfold_covariance`, ...) computes the same features, into new
-arrays, a chunk at a time through :func:`feature_moments`.  The value is
-f(mean); the standard error is the delta method,
-sqrt(grad f' Sigma grad f / n), with a central-difference gradient.
+take ``out`` rows and scratch arrays, so a warm chunk allocates nothing.
+The whole-column API below (:func:`mean_intensity`,
+:func:`covariance_intensity`, :func:`fourfold_covariance`, ...) computes
+the same features, into new arrays, over the same chunks through
+:func:`feature_moments`.  The value is f(mean); the standard error is the
+delta method, sqrt(grad f' Sigma grad f / n), with a central-difference
+gradient.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .sampling import _SUB_ROWS, ORDERING, kept_array
+from .sampling import CHUNK_ROWS, ORDERING
 from . import theory
 
 __all__ = [
@@ -63,28 +64,15 @@ __all__ = [
     "moment_theorem_residual",
     "normal_intensities",
     "pair_parts",
-    "reduce_chunk",
     "row_chunks",
     "variance_estimate",
     "variance_intensity",
 ]
 
-#: Rows per chunk of the moment engine and of the experiment pipelines.
-#: Fixed, so that results do not depend on the machine; at 15 features a
-#: chunk holds about 8 MB.
-CHUNK_ROWS = 1 << 16
-
-
-def row_chunks(n: int) -> list:
+def row_chunks(n: int):
     """(row0, rows) of each :data:`CHUNK_ROWS`-row chunk of ``n`` rows, in
-    row order."""
-    return [(row0, min(CHUNK_ROWS, n - row0)) for row0 in range(0, n, CHUNK_ROWS)]
-
-
-#: Rows per pass within a chunk: features, and the fields the pipelines
-#: draw for them, are computed this many rows at a time, so that a pass's
-#: temporaries stay in cache.  The sampler's pass, ``sampling._SUB_ROWS``.
-PASS_ROWS = _SUB_ROWS
+    row order, made as they are asked for."""
+    return ((row0, min(CHUNK_ROWS, n - row0)) for row0 in range(0, n, CHUNK_ROWS))
 
 
 #: Central-difference step of the delta-method gradient, relative to the
@@ -198,31 +186,13 @@ def merge_moments(chunks) -> FeatureMoments:
     return FeatureMoments(n, mean, gram)
 
 
-def reduce_chunk(fill, k: int, row0: int, rows: int, kept) -> FeatureMoments:
-    """Moments of the k features of the chunk of rows ``[row0, row0 + rows)``,
-    computed in passes.
-
-    The chunk's C-contiguous (k, rows) feature matrix is the start of the
-    flat buffer ``features`` of ``kept`` (see
-    :func:`~spdcsim.sampling.kept_array`), so the next chunk reduced with
-    the same ``kept`` (one per thread) reuses it.  ``fill(p0, x)`` writes
-    the features of rows ``[p0, p0 + n)`` into ``x``, the matrix's (k, n)
-    column slice of that pass, n at most :data:`PASS_ROWS`; then
-    :meth:`FeatureMoments.of_chunk` reduces the matrix.
-    """
-    x = kept_array(kept, "features", (k, rows), np.float64)
-    for p0 in range(0, rows, PASS_ROWS):
-        fill(row0 + p0, x[:, p0:p0 + PASS_ROWS])
-    return FeatureMoments.of_chunk(x)
-
-
 def feature_moments(features, *columns: np.ndarray) -> FeatureMoments:
     """Moments of the real feature columns ``features(*rows)`` over all rows.
 
     ``features`` maps a :data:`CHUNK_ROWS`-row chunk of each column to k
     real columns (or a (k, rows) array); the chunks' moments are merged by
-    :func:`merge_moments`.  The pipelines fill the same chunk matrices pass
-    by pass (:func:`reduce_chunk`), so the two give the same means.
+    :func:`merge_moments`.  The pipelines reduce and merge the same chunks,
+    so the two give the same means.
     """
     columns = _check_equal(*columns)
     return merge_moments(

@@ -2,31 +2,30 @@
 
 The twin, hom, bell and fourfold pipelines stream their ensemble: each is a
 draw function, giving the fields of rows ``[row0, row0 + rows)``, plus one
-feature function covering every statistic of its report (``_PASSES``).
-Chunks are the unit of reduction and merging: those of
-:func:`~spdcsim.estimators.row_chunks`, at most
-:data:`~spdcsim.estimators.CHUNK_ROWS` = 65536 rows.  Passes are the unit
-of drawing: :func:`~spdcsim.estimators.reduce_chunk` fills a chunk's
-feature matrix in passes of at most
-:data:`~spdcsim.estimators.PASS_ROWS` = 16384 rows and reduces it to its
-feature mean and centred Gram matrix, so memory does not grow with
-``reps``.  A pass draws its vacuum lanes, propagates them through the
-elements and writes its features into the matrix's rows, every array of
-it a buffer that the worker keeps (:func:`~spdcsim.sampling.kept_array`)
-and reuses for its next pass: no pass allocates fresh pages, and its
-working set stays in cache.  The pass at ``row0`` of vacuum lane ``L`` is
+feature function covering every statistic of its report (``_STREAMED``).
+The chunks of :func:`~spdcsim.estimators.row_chunks`, at most
+:data:`~spdcsim.sampling.CHUNK_ROWS` = 16384 rows, are the one unit of
+drawing, reduction and merging, so memory does not grow with ``reps``.  A
+chunk draws each vacuum lane in one call, propagates the fields through
+the elements, writes its features into the rows of a (k, rows) matrix and
+reduces that to its feature mean and centred Gram matrix.  Every array of
+it is a buffer that the worker keeps
+(:func:`~spdcsim.sampling.kept_array`) and reuses for its next chunk: a
+warm chunk allocates no fresh pages, and its working set stays in cache.
+The chunk at ``row0`` of vacuum lane ``L`` is
 ``sample_vacuum(RngStream(seed, L * LANE_STRIDE + row0), rows, modes)``,
 which holds the same rows, bit for bit, as one draw of the whole lane,
 because every row has its own Philox key.  Every report row is a function
-of the one merged :class:`~spdcsim.estimators.FeatureMoments`; a value,
-standard error or oracle that is not finite fails the run where its row is
-made.
+of the one merged :class:`~spdcsim.estimators.FeatureMoments`, and its
+closed-form oracle is computed before the draw, so an oracle that
+overflows fails the run at once; a value, standard error or oracle that is
+not finite fails the run where its row is made.
 
-``threads`` workers reduce whole chunks (draws, elements, features, chunk
-moments) and the merge takes their results strictly in row order, so a
-report does not depend on the thread count.  hom2d draws its repetitions
-as one chunk on the calling thread, so neither its command nor its report
-has ``threads``.  :func:`twin_fields`, :func:`hom_fields` and
+``threads`` workers reduce whole chunks, at most two per worker in flight,
+and the merge takes their results strictly in row order, so a report does
+not depend on the thread count.  hom2d draws its repetitions as one block
+on the calling thread, so neither its command nor its report has
+``threads``.  :func:`twin_fields`, :func:`hom_fields` and
 :func:`bell_arms` concatenate whole chunks, drawn into new arrays, into
 columns for callers that need them.
 """
@@ -36,6 +35,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
@@ -51,7 +51,7 @@ from .estimators import (DegenerateStatisticError, FeatureMoments, FourfoldPlan,
                          chsh_estimate, chsh_features, correlation_estimate,
                          correlation_features, covariance_estimate,
                          intensity_products, mean_estimate, merge_moments,
-                         pair_parts, reduce_chunk, row_chunks, variance_estimate)
+                         pair_parts, row_chunks, variance_estimate)
 from .multimode import Hom2dConfig, calibrate_gain, run_hom2d
 from .reporting import RunReport, make_row
 from .sampling import LANE_STRIDE, RngStream, kept_array, sample_vacuum
@@ -123,19 +123,19 @@ class ExperimentConfig:
 
 
 def _vacuum(config: ExperimentConfig, lane: int, row0: int, rows: int, modes: int, kept):
-    """Rows ``[row0, row0 + rows)`` of vacuum lane ``lane``, in the pass
-    buffer ``vacuum``: a lane drawn later in the pass overwrites it."""
+    """Rows ``[row0, row0 + rows)`` of vacuum lane ``lane``, in the chunk
+    buffer ``vacuum``: a lane drawn later in the chunk overwrites it."""
     return sample_vacuum(RngStream(config.seed, lane * LANE_STRIDE + row0), rows, modes,
                          out=kept_array(kept, "vacuum", (rows, modes)))
 
 
 def _fields(kept, n: int, *names: str) -> tuple:
-    """The complex pass buffers ``names`` of ``n`` rows."""
+    """The complex chunk buffers ``names`` of ``n`` rows."""
     return tuple(kept_array(kept, name, (n,)) for name in names)
 
 
 def _scratch(kept, n: int) -> np.ndarray:
-    """The complex pass buffer that each element or pair product uses for
+    """The complex chunk buffer that each element or pair product uses for
     its intermediate term and leaves free again."""
     return kept_array(kept, "scratch", (n,))
 
@@ -175,8 +175,8 @@ def _twin_features(config, x, kept, es, ei):
 
 
 def _run_twin(config: ExperimentConfig) -> RunReport:
-    moments = _moments(config)
     oracle = theory.twin_beam_moments(config.gain, config.eta)
+    moments = _moments(config)
     rows = [
         make_row("mean", mean_estimate(moments.select([0])), oracle["mean"]),
         make_row("var", variance_estimate(moments.select([0, 0, 2])), oracle["var"]),
@@ -219,11 +219,6 @@ def _coherence_ratio(m):
 
 
 def _run_hom(config: ExperimentConfig) -> RunReport:
-    moments = _moments(config)
-    coherence_in = moments.select(range(10, 14)).estimate(_coherence)
-    if coherence_in.value < 5.0 * coherence_in.std_error:
-        raise DegenerateStatisticError(
-            "input field coherence (the dip's denominator) consistent with zero")
     try:
         cov_in_oracle = (config.gain.C * config.gain.S) ** 2
     except OverflowError:
@@ -231,6 +226,11 @@ def _run_hom(config: ExperimentConfig) -> RunReport:
                               f"{config.gain.C * config.gain.S:.6g} squared is out "
                               f"of float range") from None
     ratio_oracle = theory.hom_covariance_ratio(config.splitter)
+    moments = _moments(config)
+    coherence_in = moments.select(range(10, 14)).estimate(_coherence)
+    if coherence_in.value < 5.0 * coherence_in.std_error:
+        raise DegenerateStatisticError(
+            "input field coherence (the dip's denominator) consistent with zero")
     rows = [
         make_row("cov_input", covariance_estimate(moments.select([0, 1, 2])),
                  cov_in_oracle),
@@ -265,7 +265,7 @@ def bell_arms(config: ExperimentConfig):
 
 def polarized_arms(arms, theta1, theta2, kept=None):
     """Project both locations onto polariser axes (plus/minus outputs), into
-    the pass buffers of ``kept`` (new arrays when None)."""
+    the chunk buffers of ``kept`` (new arrays when None)."""
     e1x, e1y, e2x, e2y = arms
     n = len(e1x)
     e1p, e1m, e2p, e2m = _fields(kept, n, "e1p", "e1m", "e2p", "e2m")
@@ -283,7 +283,7 @@ _CHSH_SETTINGS = ((_AP, _B, 1.0), (_AP, _BP, 1.0), (_A, _BP, 1.0), (_A, _B, -1.0
 
 def _chsh_b_features(*arms, out=None, kept=None):
     """The :func:`chsh_features` of the four settings of B, as the eight rows
-    of ``out`` (new when None), through the pass buffers of ``kept``."""
+    of ``out`` (new when None), through the chunk buffers of ``kept``."""
     n = len(arms[0])
     out = np.empty((2 * len(_CHSH_SETTINGS), n)) if out is None else out
     intensities = kept_array(kept, "intensities", (4, n), np.float64)
@@ -307,18 +307,16 @@ def _bell_features(config, x, kept, *arms):
 
 
 def _run_bell(config: ExperimentConfig) -> RunReport:
-    G = config.gain.mean_photons
+    oracle = theory.bell_prediction(config.theta1, config.theta2,
+                                    config.gain.mean_photons)
     moments = _moments(config)
     rows = [
-        make_row("rho", correlation_estimate(moments.select(range(5))),
-                 theory.bell_correlation(config.theta1, config.theta2)),
-        make_row("E", chsh_estimate(moments.select([5, 6])),
-                 theory.bell_chsh_coefficient(config.theta1, config.theta2, G)),
-        make_row("B", moments.select(range(7, 15)).estimate(_chsh_b),
-                 theory.chsh_b(G)),
+        make_row("rho", correlation_estimate(moments.select(range(5))), oracle["rho"]),
+        make_row("E", chsh_estimate(moments.select([5, 6])), oracle["E"]),
+        make_row("B", moments.select(range(7, 15)).estimate(_chsh_b), oracle["B"]),
     ]
     report = RunReport("bell", rows=rows)
-    report.metadata["threshold_G"] = theory.CHSH_THRESHOLD_GAIN
+    report.metadata["threshold_G"] = oracle["threshold_G"]
     return report
 
 
@@ -331,11 +329,10 @@ def _fourfold_features(config, x, kept, es, ei):
 
 
 def _run_fourfold(config: ExperimentConfig) -> RunReport:
-    res = _FOURFOLD.result(_moments(config))
-
     exact_terms, classes = theory.fourfold_terms(
         **theory.coincident_fourfold_moments(config.gain))
     exact_total = float(np.sum(exact_terms).real)
+    res = _FOURFOLD.result(_moments(config))
 
     rows = [
         make_row("fourfold_direct", res.direct, exact_total),
@@ -347,11 +344,11 @@ def _run_fourfold(config: ExperimentConfig) -> RunReport:
     return RunReport("fourfold", rows=rows)
 
 
-#: (draw, features, k) of one pass of each streamed pipeline:
+#: (draw, features, k) of one chunk of each streamed pipeline:
 #: ``draw(config, row0, rows, kept)`` gives the fields of those rows and
 #: ``features(config, x, kept, *fields)`` writes their k features into the
-#: (k, rows) slice ``x`` of the chunk's feature matrix.
-_PASSES = {
+#: chunk's (k, rows) feature matrix ``x``.
+_STREAMED = {
     "twin": (_twin_chunk, _twin_features, 4),
     "hom": (_hom_chunk, _hom_features, 14),
     "bell": (_bell_chunk, _bell_features, 15),
@@ -361,35 +358,47 @@ _PASSES = {
 
 def _chunk_reducer(config: ExperimentConfig, kept):
     """``reduce(row0, rows)``: the moments of that chunk of the streamed
-    pipeline ``config.kind``.  Each pass draws, propagates and featurises
-    into the buffers of ``kept``, which one thread at a time may use and
-    which the next chunk reduced with it reuses.  numpy's floating-point
-    warnings are off: a statistic that overflows fails where its report
-    row is made."""
-    draw, features, k = _PASSES[config.kind]
-
-    def fill(row0, x):
-        features(config, x, kept, *draw(config, row0, x.shape[1], kept))
+    pipeline ``config.kind``.  It draws, propagates and featurises the rows
+    into the buffers of ``kept``, the features into the (k, rows) matrix
+    ``features``; one thread at a time may use ``kept``, and the next chunk
+    reduced with it reuses them.  numpy's floating-point warnings are off:
+    a statistic that overflows fails where its report row is made."""
+    draw, features, k = _STREAMED[config.kind]
 
     def reduce(row0, rows):
+        x = kept_array(kept, "features", (k, rows), np.float64)
         with np.errstate(all="ignore"):
-            return reduce_chunk(fill, k, row0, rows, kept)
+            features(config, x, kept, *draw(config, row0, rows, kept))
+            return FeatureMoments.of_chunk(x)
 
     return reduce
 
 
+def _in_order(pool, reduce, chunks, depth: int):
+    """``reduce(*chunk)`` of each of ``chunks`` in order, run in ``pool``
+    with at most ``depth`` chunks submitted and not yet taken."""
+    pending = deque()
+    for chunk in chunks:
+        if len(pending) == depth:
+            yield pending.popleft().result()
+        pending.append(pool.submit(reduce, *chunk))
+    while pending:
+        yield pending.popleft().result()
+
+
 def _moments(config: ExperimentConfig) -> FeatureMoments:
     """Moments of the features of the streamed pipeline ``config.kind`` over
-    all its rows.  Workers reduce whole chunks, each through pass buffers
-    of its own that it reuses; :func:`merge_moments` takes them in row
-    order, so the result does not depend on ``config.threads``.
+    all its rows.  Workers reduce whole chunks, each through chunk buffers
+    of its own that it reuses, with at most two chunks a worker in flight;
+    :func:`merge_moments` takes them in row order, so the result does not
+    depend on ``config.threads``.
     """
     reduce = _chunk_reducer(config, threading.local())
     chunks = row_chunks(config.reps)
-    if config.threads == 1 or len(chunks) == 1:
+    if config.threads == 1:
         return merge_moments(reduce(*chunk) for chunk in chunks)
-    with ThreadPoolExecutor(max_workers=min(config.threads, len(chunks))) as pool:
-        return merge_moments(pool.map(reduce, *zip(*chunks)))
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        return merge_moments(_in_order(pool, reduce, chunks, 2 * config.threads))
 
 
 def _run_hom2d(config: ExperimentConfig) -> RunReport:
@@ -457,7 +466,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     start = time.perf_counter()
     # A streamed statistic or oracle that overflows fails where its report
     # row is made, so numpy's floating-point warnings are off for them.
-    with np.errstate(all="ignore") if config.kind in _PASSES else nullcontext():
+    with np.errstate(all="ignore") if config.kind in _STREAMED else nullcontext():
         report = _PIPELINES[config.kind](config)
     meta = report.metadata
     meta.setdefault("experiment", config.kind)

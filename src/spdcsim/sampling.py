@@ -28,14 +28,14 @@ Random number generation is fully deterministic and order-independent:
 same words:
 
 * tall ensembles (many repetitions, few counter blocks) run the Philox
-  below, vectorised over repetitions.  Rows go through in passes of
-  16384 (``_SUB_ROWS``), each a Python loop over counter blocks, so the
-  seven (2, 16384) scratch arrays, allocated once a thread, stay in cache.
-  The state is two lanes, ``[x0; x2]`` and ``[x1; x3]``, so one
-  multiply-high-low serves both multipliers of a round.  The first round
-  is closed form: the counter ``(j, 0, 0, 0)`` is the same in every row,
-  so only ``M0 j`` is left, one Python-int product, and the rows start
-  at round 2;
+  below, vectorised over repetitions.  Rows go through a chunk of
+  :data:`CHUNK_ROWS` = 16384 at a time, each a Python loop over counter
+  blocks, so the seven (2, 16384) scratch arrays, allocated once a thread,
+  stay in cache.  The state is two lanes, ``[x0; x2]`` and ``[x1; x3]``,
+  so one multiply-high-low serves both multipliers of a round.  The first
+  round is closed form: the counter ``(j, 0, 0, 0)`` is the same in every
+  row, so only ``M0 j`` is left, one Python-int product, and the rows
+  start at round 2;
 * wide ensembles (few repetitions, many blocks, as for hom2d image
   planes) run one ``numpy.random.Philox``, rekeyed for each repetition r
   to ``(seed, stream_id + r)`` with its counter one block before 0.
@@ -46,19 +46,19 @@ other and against ``numpy.random.Philox`` bit for bit.
 
 Since rows are keyed independently, rows ``[row0, row0 + n)`` of a stream
 ``(seed, s)`` are ``sample_vacuum(RngStream(seed, s + row0), n, modes)``.
-:func:`sample_vacuum` uses this itself: a tall call is drawn in passes of
-``_SUB_ROWS`` rows, each one :func:`raw_words` draw into a word buffer and
-one Box-Muller step.  The word buffer, the pass's stream ids and the
-Box-Muller and Philox scratch hold at most ``_SUB_ROWS`` rows each, and
-each thread keeps them for its next call (:func:`kept_array`), so a
+:func:`sample_vacuum` uses this itself: a tall call is drawn a chunk at a
+time, each one :func:`raw_words` draw into a word buffer and one
+Box-Muller step.  The word buffer, the chunk's stream ids and the
+Box-Muller and Philox scratch hold at most :data:`CHUNK_ROWS` rows each,
+and each thread keeps them for its next call (:func:`kept_array`), so a
 repeated tall call allocates nothing beyond its result, and nothing at all
 when the caller hands it ``out``; its working set does not grow with the
 rows asked for.  A wide call stays one :func:`raw_words` draw with
-temporaries of its own size.  The twin, hom, bell and fourfold pipelines
-ask for one pass a call, drawn into a vacuum buffer that the worker keeps,
-and run their ``threads`` over whole chunks (see
-:mod:`spdcsim.experiments`); a single call here runs on the calling
-thread.
+temporaries of its own size.  The chunk is also the row block of the
+twin, hom, bell and fourfold pipelines and of the moment engine: each
+chunk is one call here per vacuum lane, drawn into a buffer that the
+worker keeps, and one reduction (see :mod:`spdcsim.experiments`); a single
+call here runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "CHUNK_ROWS",
     "ORDERING",
     "OrderingConstants",
     "RngStream",
@@ -120,12 +121,16 @@ class RngStream:
         object.__setattr__(self, "stream_id", int(self.stream_id) & _MASK64)
 
 
-#: Rows per pass of the tall path.  Its seven (2, 16384) uint64 Philox
-#: scratch arrays take 1.8 MB, so a pass stays in a 2 MB L2 cache.
-_SUB_ROWS = 1 << 14
+#: Rows per chunk, the one row block of the package: the tall path draws
+#: its rows a chunk at a time, and the pipelines and the moment engine of
+#: :mod:`spdcsim.estimators` draw, reduce and merge chunks of this size.
+#: Fixed, so that no result depends on the machine.  The tall path's seven
+#: (2, 16384) uint64 Philox scratch arrays take 1.8 MB, so a chunk stays in
+#: a 2 MB L2 cache.
+CHUNK_ROWS = 1 << 14
 
-#: 0, 1, ..., _SUB_ROWS - 1: a pass's stream ids less its first.
-_ROW_OFFSETS = np.arange(_SUB_ROWS, dtype=np.uint64)
+#: 0, 1, ..., CHUNK_ROWS - 1: a chunk's stream ids less its first.
+_ROW_OFFSETS = np.arange(CHUNK_ROWS, dtype=np.uint64)
 
 #: Buffers of the tall path that each thread keeps between calls.
 _kept = threading.local()
@@ -184,8 +189,8 @@ def _scratch(width: int) -> tuple:
 
 
 def _kept_scratch() -> tuple:
-    """This thread's :func:`_scratch` of ``_SUB_ROWS`` columns."""
-    return tuple(kept_array(_kept, "scratch", (7, 2, _SUB_ROWS), np.uint64))
+    """This thread's :func:`_scratch` of :data:`CHUNK_ROWS` columns."""
+    return tuple(kept_array(_kept, "scratch", (7, 2, CHUNK_ROWS), np.uint64))
 
 
 def _philox_block(counter: int, seed: int, stream_ids: np.ndarray,
@@ -261,8 +266,8 @@ def raw_words(stream: RngStream, reps: int, n_words: int,
             words[r] = bit_gen.random_raw(4 * n_blocks)
     else:
         scratch = _kept_scratch()
-        for r0 in range(0, reps, _SUB_ROWS):
-            rows = words[r0:r0 + _SUB_ROWS]
+        for r0 in range(0, reps, CHUNK_ROWS):
+            rows = words[r0:r0 + CHUNK_ROWS]
             sids = np.add(_ROW_OFFSETS[:len(rows)], _U64((stream.stream_id + r0) & _MASK64),
                           out=kept_array(_kept, "sids", (len(rows),), np.uint64))
             for j in range(n_blocks):
@@ -320,8 +325,8 @@ def sample_vacuum(rng: RngStream, reps: int, modes: int,
     if _per_row_is_faster(reps, n_blocks):
         _gaussian_pairs(raw_words(rng, reps, 2 * modes), pairs)
         return out
-    for p0 in range(0, reps, _SUB_ROWS):
-        n = min(_SUB_ROWS, reps - p0)
+    for p0 in range(0, reps, CHUNK_ROWS):
+        n = min(CHUNK_ROWS, reps - p0)
         words = raw_words(RngStream(rng.seed, rng.stream_id + p0), n, 2 * modes,
                           out=kept_array(_kept, "words", (n * 4 * n_blocks,), np.uint64))
         _gaussian_pairs(words, pairs[p0:p0 + n],

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdcsim import cli
+from spdcsim import cli, experiments
 from spdcsim.estimators import MomentEstimate
 from spdcsim.multimode import DipCurve
 from spdcsim.reporting import (RunReport, comparable_text, emit_results,
@@ -325,6 +325,20 @@ def test_overflow_is_a_numeric_failure_naming_its_statistic(argv, named, tmp_pat
     assert "Warning" not in captured.err
     assert "nan" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["twin", "--gain-gl", "300", "--eta", "0.5"], "twin-beam var and cov oracles overflow"),
+    (["hom", "--gain-gl", "350"], "hom cov_input oracle overflows"),
+])
+def test_an_overflowing_oracle_fails_before_the_draw(argv, named, monkeypatch, capsys):
+    # the oracles depend on the configuration alone
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sample_vacuum was called")
+
+    monkeypatch.setattr(experiments, "sample_vacuum", no_draw)
+    assert run_cli([*argv, "--reps", "1e6"]) == 3
+    assert named in capsys.readouterr().err
 
 
 def test_io_failure_exit_code(tmp_path):

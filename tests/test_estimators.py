@@ -197,7 +197,7 @@ def test_intensity_snr_values(twin_cache):
 
 def test_chunked_moments_equal_numpy_over_several_chunks():
     rng = np.random.default_rng(3)
-    n = 3 * CHUNK_ROWS + 1234
+    n = 12 * CHUNK_ROWS + 1234
     x = rng.normal(size=n)
     y = 1e3 + rng.exponential(size=n)
 

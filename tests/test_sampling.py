@@ -8,7 +8,7 @@ import pytest
 
 from spdcsim import sampling
 from spdcsim.sampling import ORDERING, RngStream, raw_words, sample_vacuum
-from spdcsim.sampling import _SUB_ROWS, _per_row_is_faster, _philox_block, _scratch
+from spdcsim.sampling import CHUNK_ROWS, _per_row_is_faster, _philox_block, _scratch
 
 
 def test_ordering_constants_exact():
@@ -198,20 +198,20 @@ def test_paths_agree_on_large_seeds_and_wrapping_stream_ids(monkeypatch, seed,
 
 @pytest.mark.parametrize("stream_id,n_words", [
     (11, 4), (11, 4 * 2 + 1),
-    (2 ** 64 - _SUB_ROWS - 2, 4),  # the ids wrap inside the second sub-block
+    (2 ** 64 - CHUNK_ROWS - 2, 4),  # the ids wrap inside the second chunk
 ])
 def test_paths_agree_across_sub_blocks(monkeypatch, stream_id, n_words):
-    reps = 2 * _SUB_ROWS + 5
+    reps = 2 * CHUNK_ROWS + 5
     rows, vectorised = _both_paths(monkeypatch, RngStream(42, stream_id), reps, n_words)
     assert np.array_equal(rows, vectorised)
 
 
 @pytest.mark.parametrize("n_words", [4, 4 * 2 + 1])
 def test_row_range_of_a_call_is_the_call_from_its_first_row(n_words):
-    # rows [a, b) start and end inside sub-blocks of the longer call
+    # rows [a, b) start and end inside chunks of the longer call
     stream = RngStream(42, 3)
-    words = raw_words(stream, 3 * _SUB_ROWS, n_words)
-    a, b = _SUB_ROWS + 100, 2 * _SUB_ROWS + 300
+    words = raw_words(stream, 3 * CHUNK_ROWS, n_words)
+    a, b = CHUNK_ROWS + 100, 2 * CHUNK_ROWS + 300
     part = raw_words(RngStream(42, 3 + a), b - a, n_words)
     assert not _per_row_is_faster(b - a, -(-n_words // 4))
     assert np.array_equal(words[a:b], part)
@@ -241,17 +241,17 @@ def _one_draw(stream, reps, modes):
 @pytest.mark.parametrize("stream_id,modes", [
     (11, 2),
     (11, 1), (11, 3),                   # 2 and 6 words a row: not whole blocks
-    (2 ** 64 - _SUB_ROWS - 2, 2),       # the ids wrap inside the second pass
+    (2 ** 64 - CHUNK_ROWS - 2, 2),      # the ids wrap inside the second chunk
 ])
 def test_passes_of_a_tall_draw_equal_one_draw(stream_id, modes):
-    reps = 2 * _SUB_ROWS + 5
+    reps = 2 * CHUNK_ROWS + 5
     stream = RngStream(42, stream_id)
     assert not _per_row_is_faster(reps, -(-modes // 2))
     assert np.array_equal(sample_vacuum(stream, reps, modes),
                           _one_draw(stream, reps, modes))
 
 
-@pytest.mark.parametrize("reps,modes", [(2 * _SUB_ROWS + 5, 2), (3, 40)])  # tall, wide
+@pytest.mark.parametrize("reps,modes", [(2 * CHUNK_ROWS + 5, 2), (3, 40)])  # tall, wide
 def test_sample_vacuum_writes_its_out(reps, modes):
     stream = RngStream(42, 5)
     out = np.full((reps, modes), np.nan, dtype=np.complex128)
@@ -263,9 +263,9 @@ def test_sample_vacuum_writes_its_out(reps, modes):
 
 
 def test_threads_drawing_at_once_get_the_serial_draws():
-    # each thread keeps its own pass buffers; shapes that need buffers of
+    # each thread keeps its own chunk buffers; shapes that need buffers of
     # different sizes are drawn at the same time, switching threads often
-    shapes = [(RngStream(3, 0), _SUB_ROWS + 9, 2), (RngStream(4, 0), 5000, 5),
+    shapes = [(RngStream(3, 0), CHUNK_ROWS + 9, 2), (RngStream(4, 0), 5000, 5),
               (RngStream(5, 0), 3000, 1)]
     serial = [sample_vacuum(*shape) for shape in shapes]
     barrier = threading.Barrier(len(shapes))
@@ -291,10 +291,10 @@ def test_threads_drawing_at_once_get_the_serial_draws():
     assert not failures
 
 
-@pytest.mark.parametrize("reps,modes", [(_SUB_ROWS, 2), (_SUB_ROWS, 4), (1 << 16, 2)])
+@pytest.mark.parametrize("reps,modes", [(CHUNK_ROWS, 2), (CHUNK_ROWS, 4), (1 << 16, 2)])
 def test_repeated_tall_draw_allocates_little_beyond_its_result(reps, modes):
     stream = RngStream(42, 0)
-    sample_vacuum(stream, reps, modes)  # the thread's pass buffers now exist
+    sample_vacuum(stream, reps, modes)  # the thread's chunk buffers now exist
     tracemalloc.start()
     try:
         out = sample_vacuum(stream, reps, modes)

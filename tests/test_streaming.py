@@ -2,6 +2,7 @@
 memory does not grow with reps, and neither chunking nor threads change a
 result."""
 
+import threading
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -11,7 +12,8 @@ import pytest
 
 from spdcsim.elements import (DetectorParams, beam_split, detector_loss,
                               parametric_amplify)
-from spdcsim.estimators import (CHUNK_ROWS, PASS_ROWS, chsh_coefficient,
+from spdcsim import experiments
+from spdcsim.estimators import (CHUNK_ROWS, FeatureMoments, chsh_coefficient,
                                 correlation_coefficient, covariance_intensity,
                                 fourfold_covariance, mean_intensity,
                                 variance_intensity)
@@ -24,7 +26,7 @@ from spdcsim.sampling import LANE_STRIDE, RngStream, sample_vacuum
 from helpers import chsh_b_estimate
 
 #: Not a multiple of the chunk, so the last chunk is a short one.
-REPS = 2 * CHUNK_ROWS + 777
+REPS = 8 * CHUNK_ROWS + 777
 
 CONFIGS = {
     "twin": ExperimentConfig(kind="twin", eta=0.5),
@@ -50,6 +52,54 @@ def test_peak_memory_does_not_grow_with_reps(kind):
     assert large <= 1.1 * small, (small, large)
 
 
+class _ThirdChunk(Exception):
+    pass
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_chunks_are_made_as_they_are_reduced(threads, monkeypatch):
+    # 10**10 reps are 610352 chunks: a list of them alone takes 15 MB, and
+    # so do futures submitted for all of them at once
+    lock = threading.Lock()
+    calls = []
+
+    def fake_reducer(config, kept):
+        def reduce(row0, rows):
+            with lock:
+                calls.append(row0)
+                if len(calls) == 3:
+                    raise _ThirdChunk
+            return FeatureMoments(rows, np.zeros(1), np.zeros((1, 1)))
+        return reduce
+
+    monkeypatch.setattr(experiments, "_chunk_reducer", fake_reducer)
+    config = replace(CONFIGS["twin"], reps=10 ** 10, threads=threads)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_ThirdChunk):
+            run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # the two chunks merged before the failing one, and at most two a
+    # worker in flight
+    assert len(calls) <= 2 + 2 * threads, len(calls)
+
+
+@pytest.mark.parametrize("kind,lanes", [("twin", 2), ("hom", 1), ("bell", 1), ("fourfold", 1)])
+def test_a_chunk_draws_each_vacuum_lane_once(kind, lanes, monkeypatch):
+    draws = []
+
+    def counted(rng, reps, modes, out=None):
+        draws.append((rng.stream_id, reps))
+        return sample_vacuum(rng, reps, modes, out=out)
+
+    monkeypatch.setattr(experiments, "sample_vacuum", counted)
+    _chunk_reducer(CONFIGS[kind], SimpleNamespace())(CHUNK_ROWS, CHUNK_ROWS)
+    assert draws == [(lane * LANE_STRIDE + CHUNK_ROWS, CHUNK_ROWS) for lane in range(lanes)]
+
+
 @pytest.mark.parametrize("kind", ["twin", "hom", "bell", "fourfold"])
 def test_reports_do_not_depend_on_threads(kind):
     reports = [run_experiment(replace(CONFIGS[kind], reps=REPS, threads=n))
@@ -62,8 +112,8 @@ def test_reports_do_not_depend_on_threads(kind):
 
 @pytest.mark.parametrize("kind", CONFIGS)
 def test_a_warm_chunk_allocates_less_than_one_pass_field(kind):
-    # every array of a pass is a buffer of the worker's kept state, so once
-    # one chunk has made them, the next chunk allocates none of pass size
+    # every array of a chunk is a buffer of the worker's kept state, so once
+    # one chunk has made them, the next chunk allocates none of chunk size
     reduce = _chunk_reducer(CONFIGS[kind], SimpleNamespace())
     reduce(0, CHUNK_ROWS)
     tracemalloc.start()
@@ -72,7 +122,7 @@ def test_a_warm_chunk_allocates_less_than_one_pass_field(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < PASS_ROWS * np.dtype(np.complex128).itemsize, peak
+    assert peak < CHUNK_ROWS * np.dtype(np.complex128).itemsize, peak
 
 
 def _whole_lane(config, lane, modes):
@@ -138,30 +188,30 @@ def test_streamed_reports_equal_the_whole_column_api(kind):
 
 
 #: (statistic, mc_value, mc_se) of each report at seed 42 and REPS, recorded
-#: when every chunk was drawn and reduced in one piece.  REPS crosses chunk
-#: and pass boundaries, so a change to how either is cut or merged shows here.
+#: with 16384-row chunks, each drawn and reduced in one piece.  REPS crosses
+#: chunk boundaries, so a change to how chunks are cut or merged shows here.
 PINNED_ROWS = {
     "twin": [
         ("mean", 0.49851193825292783, 0.0027583663247136444),
-        ("var", 0.7531842948730016, 0.007808637726281166),
-        ("cov", 0.5029086626831833, 0.005326563974922267),
+        ("var", 0.7531842948730016, 0.007808637726281169),
+        ("cov", 0.5029086626831833, 0.0053265639749222726),
     ],
     "hom": [
-        ("cov_input", 2.0057224340885957, 0.01612473422939213),
-        ("cov_output", 0.32465774424305605, 0.011217630665203197),
-        ("dip_amplitude", 0.16001958345464734, 0.0005032997051703038),
+        ("cov_input", 2.0057224340885957, 0.016124734229392132),
+        ("cov_output", 0.32465774424305605, 0.011217630665203192),
+        ("dip_amplitude", 0.16001958345464742, 0.0005032997043179743),
     ],
     "bell": [
-        ("rho", 0.49950877991807047, 0.0032434843058720426),
-        ("E", -0.0008161690508127147, 0.002193863297112834),
-        ("B", 1.4166188015665022, 0.003771485783788089),
+        ("rho", 0.4995087799180706, 0.0032434843058720465),
+        ("E", -0.0008161690508127145, 0.002193863297152345),
+        ("B", 1.4166188015665022, 0.003771485783830781),
     ],
     "fourfold": [
-        ("fourfold_direct", 38.303751513442066, 1.2180719726489913),
-        ("fourfold_terms_total", 39.08955023309615, 0.43506860845037704),
-        ("bunching_terms", 5.067796633258253, 0.05430242367423305),
-        ("low_gain_terms", 16.007896351869114, 0.18201397134312441),
-        ("mixed_terms", 18.013857247968783, 0.1988364611433531),
+        ("fourfold_direct", 38.30375151344208, 1.2180719727254172),
+        ("fourfold_terms_total", 39.08955023309613, 0.43506860848058443),
+        ("bunching_terms", 5.067796633258254, 0.0543024236754197),
+        ("low_gain_terms", 16.0078963518691, 0.18201397135275194),
+        ("mixed_terms", 18.013857247968783, 0.19883646113832007),
     ],
 }
 
