@@ -13,15 +13,13 @@ from .elements import (BeamSplitterParams, DetectorParams, GainParams,
                        polarizer_project)
 from .estimators import (DegenerateStatisticError, FourfoldResult, MomentEstimate,
                          chsh_coefficient, correlation_coefficient,
-                         covariance_intensity, field_pair_moment,
-                         fourfold_covariance, gaussian_moment_check,
-                         intensity_snr, mean_intensity, moment_theorem_residual,
-                         normal_intensities, variance_intensity)
+                         covariance_intensity, fourfold_covariance,
+                         intensity_snr, mean_intensity, normal_intensities,
+                         variance_intensity)
 from .experiments import ExperimentConfig, run_experiment
 from .multimode import (DipCurve, Hom2dConfig, JointAmplitudeKernel,
                         SchmidtDecomposition, build_kernel, calibrate_gain,
-                        image_mean_intensities, pixel_mean_intensities,
-                        run_hom2d, sample_image_planes, sample_multimode,
+                        image_mean_intensities, run_hom2d, sample_image_planes,
                         schmidt_decompose, shift_field)
 from .reporting import RunReport, StatisticRow, emit_results
 from .sampling import ORDERING, OrderingConstants, RngStream, sample_vacuum

@@ -3,10 +3,11 @@
 Subcommands: twin, hom, bell, fourfold, hom2d (Monte Carlo runs) and oracle
 (closed-form tables).  Each run option sets one field of
 ``ExperimentConfig`` or, for the hom2d geometry, of ``Hom2dConfig``, and its
-default is that field's default; the environment variable SPDC_SEED
-replaces the default seed.  Every Monte Carlo subcommand takes --reps and
---seed, and all but hom2d (which draws its repetitions as one chunk) take
---threads; every subcommand takes --out, --format and --config.
+default is that field's default: for --reps the subcommand's entry of
+``DEFAULT_REPS``, and the environment variable SPDC_SEED replaces the
+default seed.  Every Monte Carlo subcommand takes --reps and --seed, and
+all but hom2d (which draws its repetitions as one chunk) take --threads;
+every subcommand takes --out, --format and --config.
 
 A ``--config`` file holds flat ``key = value`` lines (a TOML-compatible
 subset; ``#`` starts a comment line).  Its keys are the subcommand's long
@@ -19,7 +20,7 @@ the file's entry for the other flag of a mutually exclusive pair
 key is a usage error.
 
 Exit codes: 0 all statistics pass, 1 statistical failure, 2 usage error,
-3 numeric or I/O error.
+3 numeric failure, out of memory or I/O error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .estimators import DegenerateStatisticError
-from .experiments import ExperimentConfig, oracle_table, run_experiment
+from .experiments import DEFAULT_REPS, ExperimentConfig, oracle_table, run_experiment
 from .multimode import Hom2dConfig
 from .reporting import RunReport, curve_sidecar, emit_results
 
@@ -116,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated gains or transmittances")
             add("--eta", ExperimentConfig, "eta")
         else:
-            reps_owner = Hom2dConfig if command == "hom2d" else ExperimentConfig
-            add("--reps", reps_owner, "reps", type=_reps,
+            add("--reps", ExperimentConfig, "reps", type=_reps,
+                default=DEFAULT_REPS[command],
                 help="number of repetitions (accepts 1e6 notation; default %(default)s)")
             add("--seed", ExperimentConfig, "seed", type=int,
                 default=os.environ.get("SPDC_SEED") or ExperimentConfig.seed,
@@ -179,14 +180,14 @@ def _config_flags(path: str, args: argparse.Namespace) -> list:
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Hand each parsed option to the config field of its name: an
-    ``ExperimentConfig`` field first, else a ``Hom2dConfig`` one."""
+    """Hand each parsed option to the config field of its name, of
+    ``ExperimentConfig`` or of the hom2d geometry ``Hom2dConfig``."""
     options = vars(args)
     run = {f.name: options[f.name] for f in fields(ExperimentConfig)
            if f.name in options}
     if args.command == "hom2d":
         geometry = {f.name: options[f.name] for f in fields(Hom2dConfig)
-                    if f.name in options and f.name not in run}
+                    if f.name in options}
         run["hom2d"] = Hom2dConfig(**geometry)
     return ExperimentConfig(kind=args.command, **run)
 
@@ -262,6 +263,9 @@ def main(argv=None) -> int:
         return 2
     except (RuntimeError, ArithmeticError) as exc:
         print(f"spdcsim: numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"spdcsim: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"spdcsim: i/o failure: {exc}", file=sys.stderr)

@@ -17,12 +17,17 @@ matrix that the worker keeps: the feature functions
 (:func:`intensity_products`, :func:`correlation_features`,
 :func:`chsh_features`, :meth:`FourfoldPlan.features`, :func:`pair_parts`)
 take ``out`` rows and scratch arrays, so a warm chunk allocates nothing.
-The whole-column API below (:func:`mean_intensity`,
-:func:`covariance_intensity`, :func:`fourfold_covariance`, ...) computes
-the same features, into new arrays, over the same chunks through
-:func:`feature_moments`.  The value is f(mean); the standard error is the
-delta method, sqrt(grad f' Sigma grad f / n), with a central-difference
-gradient.
+The value is f(mean); the standard error is the delta method,
+sqrt(grad f' Sigma grad f / n), with a central-difference gradient.
+
+The whole-column functions (:func:`mean_intensity`,
+:func:`variance_intensity`, :func:`covariance_intensity`,
+:func:`correlation_coefficient`, :func:`chsh_coefficient`,
+:func:`fourfold_covariance`) compute the same features, into new arrays,
+over the same chunks through :func:`feature_moments`, and
+:func:`jackknife_se` is the reference for the delta method.  No command
+calls them: the tests check the pipelines against them, and the benchmark
+harness (``perfbench/child.py``, ``TRACED``) wraps them by name.
 """
 
 from __future__ import annotations
@@ -52,16 +57,13 @@ __all__ = [
     "covariance_estimate",
     "covariance_intensity",
     "feature_moments",
-    "field_pair_moment",
     "fourfold_covariance",
-    "gaussian_moment_check",
     "intensity_products",
     "intensity_snr",
     "jackknife_se",
     "mean_estimate",
     "mean_intensity",
     "merge_moments",
-    "moment_theorem_residual",
     "normal_intensities",
     "pair_parts",
     "row_chunks",
@@ -323,39 +325,6 @@ def covariance_intensity(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate
 def correlation_coefficient(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
     """Intensity correlation coefficient with normal-ordered variances."""
     return correlation_estimate(feature_moments(correlation_features, col_a, col_b))
-
-
-def field_pair_moment(col_a: np.ndarray, col_b: np.ndarray,
-                      conjugate_second: bool = False) -> MomentEstimate:
-    """Mean field product <E_a E_b> or <E_a E_b*> (symmetric order)."""
-    def features(a, b):
-        prod = a * (np.conj(b) if conjugate_second else b)
-        return prod.real, prod.imag
-
-    return feature_moments(features, col_a, col_b).estimate(lambda m: m[0] + 1j * m[1])
-
-
-def moment_theorem_residual(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
-    """Residual of the Gaussian factorisation of <I_a I_b>.
-
-    For jointly Gaussian fields the symmetric-order intensity product
-    factorises as <I_a><I_b> + |<E_a E_b*>|^2 + |<E_a E_b>|^2; the returned
-    estimate is the sampled difference.
-    """
-    def features(a, b):
-        cross, pair = a * np.conj(b), a * b
-        return (*intensity_products(a, b), cross.real, cross.imag, pair.real, pair.imag)
-
-    def resid(m):
-        return m[2] - m[0] * m[1] - (m[3] ** 2 + m[4] ** 2) - (m[5] ** 2 + m[6] ** 2)
-
-    return feature_moments(features, col_a, col_b).estimate(resid)
-
-
-def gaussian_moment_check(col_a: np.ndarray, col_b: np.ndarray) -> float:
-    """|moment-theorem residual| in multiples of its standard error."""
-    est = moment_theorem_residual(col_a, col_b)
-    return est.deviation(0.0)
 
 
 def chsh_features(e1p, e1m, e2p, e2m, out=None, scratch=None):

@@ -25,9 +25,7 @@ not finite fails the run where its row is made.
 and the merge takes their results strictly in row order, so a report does
 not depend on the thread count.  hom2d draws its repetitions as one block
 on the calling thread, so neither its command nor its report has
-``threads``.  :func:`twin_fields`, :func:`hom_fields` and
-:func:`bell_arms` concatenate whole chunks, drawn into new arrays, into
-columns for callers that need them.
+``threads``.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,13 +50,18 @@ from .estimators import (DegenerateStatisticError, FeatureMoments, FourfoldPlan,
                          correlation_features, covariance_estimate,
                          intensity_products, mean_estimate, merge_moments,
                          pair_parts, row_chunks, variance_estimate)
-from .multimode import Hom2dConfig, calibrate_gain, run_hom2d
+from .multimode import Hom2dConfig, calibrate_gain, check_reps, run_hom2d
 from .reporting import RunReport, make_row
 from .sampling import LANE_STRIDE, RngStream, kept_array, sample_vacuum
 
-__all__ = ["ExperimentConfig", "run_experiment", "oracle_table", "EXPERIMENT_KINDS"]
+__all__ = ["ExperimentConfig", "run_experiment", "oracle_table", "EXPERIMENT_KINDS",
+           "DEFAULT_REPS"]
 
 EXPERIMENT_KINDS = ("twin", "hom", "bell", "hom2d", "fourfold")
+
+#: Default ``reps`` of each kind.  A hom2d repetition is a pair of whole
+#: images, 8192 complex vacuum amplitudes at the default geometry.
+DEFAULT_REPS = {**dict.fromkeys(EXPERIMENT_KINDS, 1_000_000), "hom2d": 100}
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,9 @@ class ExperimentConfig:
     exclusive); angles are radians.  ``threads`` workers reduce the row
     chunks of the twin, hom, bell and fourfold pipelines in parallel; no
     result depends on it, and hom2d, drawn as one chunk, does not read it.
-    The field defaults are the command line's defaults.
+    ``reps`` and ``seed`` apply to every kind; ``reps`` left at None takes
+    the kind's :data:`DEFAULT_REPS`, and ``hom2d`` holds the hom2d geometry
+    alone.  The field defaults are the command line's defaults.
     """
 
     kind: str
@@ -80,15 +85,17 @@ class ExperimentConfig:
     theta1: float = math.pi / 8.0
     theta2: float = math.pi / 8.0
     transmittance: float = 0.5
-    reps: int = 1_000_000
+    reps: int | None = None
     seed: int = 42
     threads: int = 1
     photons_per_pixel: float | None = None
-    hom2d: Hom2dConfig | None = None
+    hom2d: Hom2dConfig = Hom2dConfig()
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
+        if self.reps is None:  # a frozen field, set once here
+            object.__setattr__(self, "reps", DEFAULT_REPS[self.kind])
         if self.gl is not None and self.G is not None:
             raise ValueError("give either gl or G, not both")
         if self.reps < 2:
@@ -101,7 +108,7 @@ class ExperimentConfig:
             raise ValueError("polariser angles must be finite")
         _ = self.gain, self.splitter  # built now, so that bad values fail here
         if self.kind == "hom2d":
-            _ = self.multimode
+            check_reps(self.reps)
 
     @cached_property
     def gain(self) -> GainParams:
@@ -114,12 +121,6 @@ class ExperimentConfig:
     @cached_property
     def splitter(self) -> BeamSplitterParams:
         return BeamSplitterParams.from_transmittance(self.transmittance)
-
-    @cached_property
-    def multimode(self) -> Hom2dConfig:
-        """The hom2d geometry with this run's reps and seed."""
-        mm = self.hom2d if self.hom2d is not None else Hom2dConfig()
-        return replace(mm, reps=self.reps, seed=self.seed)
 
 
 def _vacuum(config: ExperimentConfig, lane: int, row0: int, rows: int, modes: int, kept):
@@ -140,11 +141,6 @@ def _scratch(kept, n: int) -> np.ndarray:
     return kept_array(kept, "scratch", (n,))
 
 
-def _whole_columns(draw, config: ExperimentConfig):
-    chunks = (draw(config, *chunk, None) for chunk in row_chunks(config.reps))
-    return tuple(np.concatenate(cols) for cols in zip(*chunks))
-
-
 def _amplified_pair(config: ExperimentConfig, row0: int, rows: int, kept):
     ens = _vacuum(config, 0, row0, rows, 2, kept)
     return parametric_amplify(ens[:, 0], ens[:, 1], config.gain,
@@ -161,11 +157,6 @@ def _twin_chunk(config: ExperimentConfig, row0: int, rows: int, kept):
         es = detector_loss(es, det, vac[:, 0], out=ds, scratch=_scratch(kept, rows))
         ei = detector_loss(ei, det, vac[:, 1], out=di, scratch=_scratch(kept, rows))
     return es, ei
-
-
-def twin_fields(config: ExperimentConfig):
-    """Detector-plane twin-beam field columns (signal, idler)."""
-    return _whole_columns(_twin_chunk, config)
 
 
 def _twin_features(config, x, kept, es, ei):
@@ -190,11 +181,6 @@ def _hom_chunk(config: ExperimentConfig, row0: int, rows: int, kept):
     e1, e2 = beam_split(es, ei, config.splitter, out=_fields(kept, rows, "port1", "port2"),
                         scratch=_scratch(kept, rows))
     return es, ei, e1, e2
-
-
-def hom_fields(config: ExperimentConfig):
-    """Input and output field columns of the interference experiment."""
-    return _whole_columns(_hom_chunk, config)
 
 
 def _hom_features(config, x, kept, es, ei, e1, e2):
@@ -243,6 +229,10 @@ def _run_hom(config: ExperimentConfig) -> RunReport:
 
 
 def _bell_chunk(config: ExperimentConfig, row0: int, rows: int, kept):
+    """Polarisation-entangled fields (e1x, e1y, e2x, e2y) at the two
+    locations: two independent amplifiers pump the crossed polarisation
+    pairs (1x, 2y) and (1y, 2x), which realises the maximally entangled
+    polarisation state for intensity correlations."""
     ens = _vacuum(config, 0, row0, rows, 4, kept)
     e1x, e2y = parametric_amplify(ens[:, 0], ens[:, 1], config.gain,
                                   out=_fields(kept, rows, "e1x", "e2y"),
@@ -251,16 +241,6 @@ def _bell_chunk(config: ExperimentConfig, row0: int, rows: int, kept):
                                   out=_fields(kept, rows, "e1y", "e2x"),
                                   scratch=_scratch(kept, rows))
     return e1x, e1y, e2x, e2y
-
-
-def bell_arms(config: ExperimentConfig):
-    """Polarisation-entangled fields at the two locations.
-
-    Two independent amplifiers pump the crossed polarisation pairs
-    (1x, 2y) and (1y, 2x), which realises the maximally entangled
-    polarisation state for intensity correlations.
-    """
-    return _whole_columns(_bell_chunk, config)
 
 
 def polarized_arms(arms, theta1, theta2, kept=None):
@@ -332,14 +312,18 @@ def _run_fourfold(config: ExperimentConfig) -> RunReport:
     exact_terms, classes = theory.fourfold_terms(
         **theory.coincident_fourfold_moments(config.gain))
     exact_total = float(np.sum(exact_terms).real)
+    exact_classes = {name: float(sum(exact_terms[i] for i in classes[name]).real)
+                     for name in ("bunching", "low_gain", "mixed")}
+    if not all(map(math.isfinite, (exact_total, *exact_classes.values()))):
+        raise ArithmeticError(f"the fourfold oracle overflows: its closed-form total "
+                              f"is {exact_total:.6g} at gl = {config.gain.gl:.6g}")
     res = _FOURFOLD.result(_moments(config))
 
     rows = [
         make_row("fourfold_direct", res.direct, exact_total),
         make_row("fourfold_terms_total", res.terms_total, exact_total),
     ]
-    for name in ("bunching", "low_gain", "mixed"):
-        exact = float(sum(exact_terms[i] for i in classes[name]).real)
+    for name, exact in exact_classes.items():
         rows.append(make_row(f"{name}_terms", res.class_estimates[name], exact))
     return RunReport("fourfold", rows=rows)
 
@@ -402,10 +386,10 @@ def _moments(config: ExperimentConfig) -> FeatureMoments:
 
 
 def _run_hom2d(config: ExperimentConfig) -> RunReport:
-    mm = config.multimode
+    mm = config.hom2d
     if config.photons_per_pixel is not None:
         mm = calibrate_gain(mm, config.photons_per_pixel)
-    curve = run_hom2d(mm)
+    curve = run_hom2d(mm, config.reps, config.seed)
     report = RunReport("hom2d", rows=[], curve=curve)
     report.metadata.update({
         "sigma_theta": curve.sigma_theta,

@@ -60,11 +60,10 @@ __all__ = [
     "SchmidtDecomposition",
     "build_kernel",
     "calibrate_gain",
+    "check_reps",
     "image_mean_intensities",
-    "pixel_mean_intensities",
     "run_hom2d",
     "sample_image_planes",
-    "sample_multimode",
     "schmidt_decompose",
     "shift_field",
 ]
@@ -82,7 +81,10 @@ class Hom2dConfig:
 
     ``n_pixels`` counts momentum pixels per transverse axis; detection
     planes are ``n_pixels x n_pixels`` images.  The field defaults are
-    the defaults of ``spdcsim hom2d``.
+    the defaults of ``spdcsim hom2d``.  The repetitions and seed of a run
+    are not settings of the geometry: :func:`run_hom2d` takes them, and
+    :class:`~spdcsim.experiments.ExperimentConfig` holds them for every
+    kind of run.
     """
 
     n_pixels: int = 64
@@ -95,16 +97,11 @@ class Hom2dConfig:
     phase_matching: str = "sinc"
     gain_scale: float = 0.8814
     theta_sweep: tuple = tuple(np.linspace(-3.6, 3.6, 33))
-    reps: int = 100
-    seed: int = 42
     band_floor: float = 0.05
 
     def __post_init__(self):
         if self.n_pixels < 1:
             raise ValueError("n_pixels must be >= 1")
-        if self.reps < 3:
-            # each delete-one aggregate divides by its own reps - 1 = reps - 2
-            raise ValueError("reps must be >= 3 for the dip's delete-one jackknife")
         if len(self.theta_sweep) == 0:
             raise ValueError("theta_sweep must not be empty")
         if not all(math.isfinite(t) for t in self.theta_sweep):
@@ -125,6 +122,13 @@ class Hom2dConfig:
     def q_axis(self) -> np.ndarray:
         n = self.n_pixels
         return (np.arange(n) - (n - 1) / 2.0) * self.pitch
+
+
+def check_reps(reps: int) -> None:
+    """A ValueError unless a dip sweep can run ``reps`` repetitions: each
+    delete-one aggregate divides by its own reps - 1 = reps - 2."""
+    if reps < 3:
+        raise ValueError("reps must be >= 3 for the dip's delete-one jackknife")
 
 
 @dataclass(frozen=True)
@@ -205,11 +209,6 @@ def schmidt_decompose(kernel: JointAmplitudeKernel,
     norm = np.linalg.norm(kernel.matrix)
     resid = np.linalg.norm((U * lam) @ V.T - kernel.matrix) / norm if norm > 0 else 0.0
     return SchmidtDecomposition(U=U, V=V, lam=lam, g=g, residual=float(resid))
-
-
-def pixel_mean_intensities(dec: SchmidtDecomposition) -> np.ndarray:
-    """Normal-ordered mean intensity per signal pixel, sum_k |U_lk|^2 sinh^2 g_k."""
-    return (np.abs(dec.U) ** 2) @ np.sinh(dec.g) ** 2
 
 
 def image_mean_intensities(dec: SchmidtDecomposition) -> np.ndarray:
@@ -306,31 +305,6 @@ def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float) -> Hom2dConfig
     g0 = _brent_root(lambda g: brightest(g) - photons_per_pixel,
                      1e-9, GAIN_SCALE_MAX, xtol=1e-12, rtol=1e-12)
     return replace(config, gain_scale=float(g0))
-
-
-def sample_multimode(dec: SchmidtDecomposition, rng: RngStream, reps: int):
-    """Synthesise single-axis pixel-plane field ensembles from Schmidt modes.
-
-    Per repetition: draw a vacuum pair per Schmidt mode, amplify it with
-    the per-mode gain, map to pixels through U and V, and add the
-    orthogonal-complement vacuum so every pixel carries the full vacuum.
-    Returns ``(signal, idler)`` arrays of shape (reps, n_pixels).
-    """
-    K = dec.n_modes
-    ns = dec.U.shape[0]
-    ni = dec.V.shape[0]
-    ens = sample_vacuum(rng, reps, 2 * K + ns + ni)
-    es0 = ens[:, :K]
-    ei0 = ens[:, K:2 * K]
-    vs = ens[:, 2 * K:2 * K + ns]
-    vi = ens[:, 2 * K + ns:]
-    C = np.cosh(dec.g)
-    S = np.sinh(dec.g)
-    amp_s = C * es0 - 1j * S * np.conj(ei0)
-    amp_i = C * ei0 - 1j * S * np.conj(es0)
-    signal = amp_s @ dec.U.T + vs - (vs @ np.conj(dec.U)) @ dec.U.T
-    idler = amp_i @ dec.V.T + vi - (vi @ np.conj(dec.V)) @ dec.V.T
-    return signal, idler
 
 
 def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int,
@@ -502,8 +476,9 @@ def _band_pairs(image: np.ndarray, band_floor: float):
     return np.flatnonzero(keep), band_l, band_m
 
 
-def run_hom2d(config: Hom2dConfig) -> DipCurve:
-    """Run the multimode HOM sweep and fit the dip width.
+def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
+    """Run the multimode HOM sweep of ``reps`` repetitions drawn from
+    ``seed`` and fit the dip width.
 
     For each tilt theta the reflected beams are displaced by 2*theta in
     transverse momentum along the horizontal axis and mixed on the
@@ -516,6 +491,7 @@ def run_hom2d(config: Hom2dConfig) -> DipCurve:
     tilt (forward transforms, transmitted band fields, the reference-tilt
     aggregate and its delete-one values) is done once for the sweep.
     """
+    check_reps(reps)
     if config.n_pixels < 8:
         raise ValueError("the HOM sweep needs n_pixels >= 8")
     if not config.gain_scale > 0:
@@ -524,8 +500,8 @@ def run_hom2d(config: Hom2dConfig) -> DipCurve:
     dec = schmidt_decompose(kernel, floor=0.0)
     image = image_mean_intensities(dec)
     rows, band_l, band_m = _band_pairs(image, config.band_floor)
-    signal, idler = sample_image_planes(dec, RngStream(config.seed, 0),
-                                        config.reps, rows=rows, vacuum=True)
+    signal, idler = sample_image_planes(dec, RngStream(seed, 0), reps,
+                                        rows=rows, vacuum=True)
 
     ports = _port_sweep(signal, idler, band_l, band_m)
     ref = _aggregate_with_loo(_band_pair_stats(*ports(config.n_pixels // 2)))
@@ -539,7 +515,7 @@ def run_hom2d(config: Hom2dConfig) -> DipCurve:
     sigma = _fit_dip_width(thetas, amps, errs)
     return DipCurve(theta=thetas, amplitude=amps, std_error=errs,
                     sigma_theta=sigma, photons_per_pixel=float(image.max()),
-                    n_modes=dec.n_modes ** 2, seed=config.seed)
+                    n_modes=dec.n_modes ** 2, seed=seed)
 
 
 def _fit_dip_width(thetas: np.ndarray, amps: np.ndarray,

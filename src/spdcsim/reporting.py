@@ -15,10 +15,6 @@ __all__ = ["RunReport", "StatisticRow", "curve_sidecar", "emit_results", "make_r
 
 PASS_THRESHOLD_SE = 5.0
 
-#: Metadata keys that vary between runs and are excluded from reproducibility
-#: comparisons.
-VOLATILE_METADATA = ("timestamp", "wall_time_s")
-
 
 @dataclass(frozen=True)
 class StatisticRow:
@@ -149,14 +145,3 @@ def emit_results(report: RunReport, path: str | Path, fmt: str = "csv") -> Path:
         sidecar.write_text(json.dumps(meta, indent=2) + "\n")
     return path
 
-
-def comparable_text(path: Path) -> str:
-    """File content with volatile metadata stripped, for reproducibility checks."""
-    text = Path(path).read_text()
-    if Path(path).suffix != ".json":
-        return text
-    data = json.loads(text)
-    meta = data.get("metadata", data)
-    for key in VOLATILE_METADATA:
-        meta.pop(key, None)
-    return json.dumps(data, indent=2, sort_keys=True)

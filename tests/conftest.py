@@ -23,6 +23,5 @@ def hom2d_curves():
     start = time.perf_counter()
     curves = {}
     for target in (0.01, 0.1, 1.0, 10.0):
-        cfg = calibrate_gain(Hom2dConfig(seed=42, reps=100), target)
-        curves[target] = run_hom2d(cfg)
+        curves[target] = run_hom2d(calibrate_gain(Hom2dConfig(), target), 100, 42)
     return curves, time.perf_counter() - start

@@ -11,16 +11,13 @@ import numpy as np
 import pytest
 
 from spdcsim.elements import BeamSplitterParams, GainParams, parametric_amplify
-from spdcsim.estimators import (chsh_coefficient, correlation_coefficient,
-                                gaussian_moment_check, intensity_snr,
-                                mean_intensity, normal_intensities)
-from spdcsim.experiments import (ExperimentConfig, hom_fields, polarized_arms,
-                                 run_experiment)
-from spdcsim.reporting import comparable_text
+from spdcsim.estimators import correlation_coefficient, intensity_snr, mean_intensity
+from spdcsim.experiments import ExperimentConfig, polarized_arms, run_experiment
 from spdcsim.sampling import RngStream, sample_vacuum
 from spdcsim import cli, theory
 
-from helpers import bell_columns, chsh_b_estimate, twin_columns
+from helpers import (bell_columns, chsh_b_estimate, comparable_text, hom_fields,
+                     moment_theorem_residual, twin_columns)
 from wick import centered_intensity_product, twin_beam_moment_table
 
 GL_UNIT = math.asinh(1.0)
@@ -217,18 +214,18 @@ def test_criterion_9_snr_scaling():
 def test_criterion_10_moment_theorem():
     residuals = {}
     es, ei = twin_columns(1.0)
-    residuals["twin"] = gaussian_moment_check(es, ei)
+    residuals["twin"] = moment_theorem_residual(es, ei).deviation(0.0)
     d1, d2 = twin_columns(1.0, eta=0.5)
-    residuals["twin_eta"] = gaussian_moment_check(d1, d2)
+    residuals["twin_eta"] = moment_theorem_residual(d1, d2).deviation(0.0)
     for s2 in (0.01, 1.0, 10.0):
         gl = math.asinh(math.sqrt(s2))
         _, _, e1, e2 = hom_fields(ExperimentConfig(kind="hom", gl=gl,
                                                    reps=R, seed=SEED))
-        residuals[f"hom_{s2}"] = gaussian_moment_check(e1, e2)
+        residuals[f"hom_{s2}"] = moment_theorem_residual(e1, e2).deviation(0.0)
     for G in (0.01, 1.0, 10.0):
         arms = bell_columns(G)
         e1p, _, e2p, _ = polarized_arms(arms, math.pi / 8.0, math.pi / 8.0)
-        residuals[f"bell_{G}"] = gaussian_moment_check(e1p, e2p)
+        residuals[f"bell_{G}"] = moment_theorem_residual(e1p, e2p).deviation(0.0)
     ok = all(v < 5 for v in residuals.values())
     _report(10, ok, "; ".join(f"{k}={v:.2f}" for k, v in residuals.items()))
 

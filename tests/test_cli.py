@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,11 @@ import pytest
 
 from spdcsim import cli, experiments
 from spdcsim.estimators import MomentEstimate
-from spdcsim.multimode import DipCurve
-from spdcsim.reporting import (RunReport, comparable_text, emit_results,
-                               make_row)
+from spdcsim.experiments import ExperimentConfig
+from spdcsim.multimode import DipCurve, Hom2dConfig
+from spdcsim.reporting import RunReport, emit_results, make_row
+
+from helpers import comparable_text
 
 
 def run_cli(args):
@@ -308,10 +311,12 @@ def test_statistical_failure_exit_code(monkeypatch):
 
 
 @pytest.mark.parametrize("argv,named", [
-    (["fourfold", "--gain-gl", "150"], "statistic 'fourfold_direct': value is nan"),
+    (["fourfold", "--gain-gl", "150"], "fourfold oracle overflows"),
     (["bell", "--gain-gl", "200"], "statistic 'rho': value is nan"),
     (["twin", "--gain-gl", "300"], "twin-beam var and cov oracles overflow"),
     (["hom", "--gain-gl", "350"], "hom cov_input oracle overflows"),
+    # a finite oracle (9.0e304) whose sampled value overflows
+    (["fourfold", "--G", "1e76"], "statistic 'fourfold_direct': value is inf"),
 ])
 def test_overflow_is_a_numeric_failure_naming_its_statistic(argv, named, tmp_path, capsys):
     # the fields overflow a double at these gains; under the suite's
@@ -330,6 +335,7 @@ def test_overflow_is_a_numeric_failure_naming_its_statistic(argv, named, tmp_pat
 @pytest.mark.parametrize("argv,named", [
     (["twin", "--gain-gl", "300", "--eta", "0.5"], "twin-beam var and cov oracles overflow"),
     (["hom", "--gain-gl", "350"], "hom cov_input oracle overflows"),
+    (["fourfold", "--gain-gl", "150"], "fourfold oracle overflows"),
 ])
 def test_an_overflowing_oracle_fails_before_the_draw(argv, named, monkeypatch, capsys):
     # the oracles depend on the configuration alone
@@ -339,6 +345,26 @@ def test_an_overflowing_oracle_fails_before_the_draw(argv, named, monkeypatch, c
     monkeypatch.setattr(experiments, "sample_vacuum", no_draw)
     assert run_cli([*argv, "--reps", "1e6"]) == 3
     assert named in capsys.readouterr().err
+
+
+def test_out_of_memory_is_an_exit_3_with_a_reason(monkeypatch, capsys):
+    message = "Unable to allocate 1.19 TiB for an array with shape (10000000, 8192)"
+
+    def no_memory(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_experiment", no_memory)
+    assert run_cli(["hom2d", "--reps", "1e7"]) == 3
+    assert capsys.readouterr().err == f"spdcsim: out of memory: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["twin", "hom", "bell", "fourfold", "hom2d"])
+def test_api_defaults_are_the_command_line_defaults(command, monkeypatch):
+    monkeypatch.delenv("SPDC_SEED", raising=False)
+    args = cli.build_parser().parse_args([command])
+    config = ExperimentConfig(kind=command)
+    assert (args.reps, args.seed) == (config.reps, config.seed)
+    assert {"reps", "seed"}.isdisjoint(f.name for f in fields(Hom2dConfig))
 
 
 def test_io_failure_exit_code(tmp_path):

@@ -6,32 +6,31 @@ import numpy as np
 import pytest
 
 from spdcsim import multimode
-from spdcsim.estimators import gaussian_moment_check, mean_intensity
+from spdcsim.estimators import mean_intensity
 from spdcsim.multimode import (Hom2dConfig, JointAmplitudeKernel, build_kernel,
-                               calibrate_gain, image_mean_intensities,
-                               pixel_mean_intensities, run_hom2d,
-                               sample_image_planes, sample_multimode,
-                               schmidt_decompose, shift_field)
+                               calibrate_gain, image_mean_intensities, run_hom2d,
+                               sample_image_planes, schmidt_decompose, shift_field)
 from spdcsim.multimode import (_band_pairs, _brent_root, _fit_dip_width,
                                _port_sweep)
 from spdcsim.sampling import RngStream
 
 import hom2d_oracle
+from helpers import moment_theorem_residual, sample_multimode
 
 
 # 16 pixels at a coarser pitch so the amplified band keeps dark margins
-SMALL = Hom2dConfig(n_pixels=16, pitch=0.6, reps=400, seed=3,
+SMALL = Hom2dConfig(n_pixels=16, pitch=0.6,
                     theta_sweep=tuple(np.linspace(-2.1, 2.1, 9)))
+#: Repetitions and seed of the sweeps over SMALL.
+SMALL_REPS, SMALL_SEED = 400, 3
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         Hom2dConfig(n_pixels=0)
-    with pytest.raises(ValueError):
-        Hom2dConfig(reps=0)
-    for reps in (1, 2):  # the delete-one jackknife divides by reps - 2
-        with pytest.raises(ValueError):
-            Hom2dConfig(reps=reps)
+    for reps in (0, 1, 2):  # the delete-one jackknife divides by reps - 2
+        with pytest.raises(ValueError, match="reps must be >= 3"):
+            run_hom2d(Hom2dConfig(), reps, 42)
     with pytest.raises(ValueError):
         Hom2dConfig(theta_sweep=())
     for bad in (-1.0, math.nan, math.inf):
@@ -167,13 +166,13 @@ def test_pixel_level_moment_theorem():
     signal, idler = sample_multimode(dec, RngStream(31, 0), 120_000)
     n = cfg.n_pixels
     for l, m in ((n // 2, n // 2 - 1), (6, 9)):
-        assert gaussian_moment_check(signal[:, l], idler[:, m]) < 5
+        assert moment_theorem_residual(signal[:, l], idler[:, m]).deviation(0.0) < 5
 
 
 def test_image_planes_reproduce_analytic_moments():
-    cfg = Hom2dConfig(n_pixels=16, pitch=0.6, gain_scale=0.8, reps=20_000, seed=5)
+    cfg = Hom2dConfig(n_pixels=16, pitch=0.6, gain_scale=0.8)
     dec = schmidt_decompose(build_kernel(cfg), floor=0.0)
-    sig, idl = sample_image_planes(dec, RngStream(5, 0), cfg.reps)
+    sig, idl = sample_image_planes(dec, RngStream(5, 0), 20_000)
     img = image_mean_intensities(dec)
     n = cfg.n_pixels
     for (x, y) in ((n // 2, n // 2), (n // 2 - 2, n // 2 + 1), (2, 3)):
@@ -345,7 +344,7 @@ def test_fit_dip_width_fails_on_non_finite_input():
 
 
 def test_run_hom2d_smoke():
-    curve = run_hom2d(replace(SMALL, gain_scale=0.8))
+    curve = run_hom2d(replace(SMALL, gain_scale=0.8), SMALL_REPS, SMALL_SEED)
     assert curve.theta.shape == curve.amplitude.shape == curve.std_error.shape
     assert np.all(np.isfinite(curve.amplitude))
     mid = len(curve.theta) // 2
@@ -359,9 +358,8 @@ def test_run_hom2d_smoke():
 
 
 def test_run_hom2d_needs_enough_pixels():
-    cfg = Hom2dConfig(n_pixels=4, reps=10)
     with pytest.raises(ValueError):
-        run_hom2d(cfg)
+        run_hom2d(Hom2dConfig(n_pixels=4), 10, 42)
 
 
 @pytest.mark.parametrize("photons", [0.01, 10.0])
@@ -370,7 +368,7 @@ def test_run_hom2d_matches_exact_gaussian_oracle(photons):
     dec = schmidt_decompose(build_kernel(cfg), floor=0.0)
     exact = hom2d_oracle.dip_curve(dec, cfg.theta_sweep, cfg.pitch,
                                    cfg.band_floor)
-    curve = run_hom2d(cfg)
+    curve = run_hom2d(cfg, SMALL_REPS, SMALL_SEED)
     z = np.abs(curve.amplitude - exact) / curve.std_error
     assert np.all(z < 5), f"max deviation {z.max():.2f} se"
 
@@ -412,7 +410,7 @@ def test_run_hom2d_outputs_are_pinned():
     # Recorded before the tilt sweep reused the forward transforms and the
     # sampler gained its per-row Philox path; both must leave every bit of
     # the curve as it was.
-    curve = run_hom2d(SMALL)
+    curve = run_hom2d(SMALL, SMALL_REPS, SMALL_SEED)
     digest = {name: hashlib.sha256(getattr(curve, name).tobytes()).hexdigest()
               for name in ("amplitude", "std_error")}
     assert digest == {

@@ -17,13 +17,12 @@ from spdcsim.estimators import (CHUNK_ROWS, FeatureMoments, chsh_coefficient,
                                 correlation_coefficient, covariance_intensity,
                                 fourfold_covariance, mean_intensity,
                                 variance_intensity)
-from spdcsim.experiments import (ExperimentConfig, _chunk_reducer, bell_arms,
-                                 hom_fields, polarized_arms, run_experiment,
-                                 twin_fields)
-from spdcsim.reporting import VOLATILE_METADATA
+from spdcsim.experiments import (ExperimentConfig, _chunk_reducer, polarized_arms,
+                                 run_experiment)
 from spdcsim.sampling import LANE_STRIDE, RngStream, sample_vacuum
 
-from helpers import chsh_b_estimate
+from helpers import (VOLATILE_METADATA, bell_arms, chsh_b_estimate, hom_fields,
+                     twin_fields)
 
 #: Not a multiple of the chunk, so the last chunk is a short one.
 REPS = 8 * CHUNK_ROWS + 777
