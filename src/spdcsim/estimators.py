@@ -1,33 +1,30 @@
 """Ensemble statistics with symmetric-to-normal ordering corrections.
 
-Estimators consume columns of complex field samples (one repetition per
-row).  Sampled intensities |E|^2 are symmetric-order quantities; the
-estimators subtract the ordering constants (1/2 for means, 1/4 for
-variances, nothing for covariances) so that reported values are
-normal-ordered observables.
+Sampled intensities |E|^2 are symmetric-order quantities; the estimators
+subtract the ordering constants (1/2 for means, 1/4 for variances, nothing
+for covariances) so that reported values are normal-ordered observables.
 
 Every statistic is a smooth function f of the means of per-repetition
-feature columns.  The engine reduces each chunk of at most
-:data:`CHUNK_ROWS` = 16384 rows (the sampler's chunk, see
-:mod:`spdcsim.sampling`) to its mean vector and centred Gram matrix
-(:meth:`FeatureMoments.of_chunk`), and :func:`merge_moments` merges the
-chunks in row order (Chan, Golub & LeVeque 1979).  The experiment
-pipelines write a chunk's features straight into the rows of a (k, rows)
-matrix that the worker keeps: the feature functions
-(:func:`intensity_products`, :func:`correlation_features`,
+feature columns, and each takes the merged moments of its features.  The
+engine reduces each chunk of at most :data:`CHUNK_ROWS` = 16384 rows (the
+sampler's chunk, see :mod:`spdcsim.sampling`) to its mean vector and
+centred Gram matrix (:meth:`FeatureMoments.of_chunk`), and
+:func:`merge_moments` merges the chunks in row order (Chan, Golub &
+LeVeque 1979).  The experiment pipelines write a chunk's features straight
+into the rows of a (k, rows) matrix that the worker keeps: the feature
+functions (:func:`intensity_products`, :func:`correlation_features`,
 :func:`chsh_features`, :meth:`FourfoldPlan.features`, :func:`pair_parts`)
 take ``out`` rows and scratch arrays, so a warm chunk allocates nothing.
-The value is f(mean); the standard error is the delta method,
-sqrt(grad f' Sigma grad f / n), with a central-difference gradient.
+The statistics (:func:`mean_intensity`, :func:`variance_intensity`,
+:func:`covariance_intensity`, :func:`correlation_coefficient`,
+:func:`chsh_coefficient`, :func:`fourfold_covariance`) give f(mean) with
+the delta-method standard error, sqrt(grad f' Sigma grad f / n), from a
+central-difference gradient.
 
-The whole-column functions (:func:`mean_intensity`,
-:func:`variance_intensity`, :func:`covariance_intensity`,
-:func:`correlation_coefficient`, :func:`chsh_coefficient`,
-:func:`fourfold_covariance`) compute the same features, into new arrays,
-over the same chunks through :func:`feature_moments`, and
-:func:`jackknife_se` is the reference for the delta method.  No command
-calls them: the tests check the pipelines against them, and the benchmark
-harness (``perfbench/child.py``, ``TRACED``) wraps them by name.
+hom2d's dip ratio is not a function of feature means; its standard error
+is the delete-one jackknife, :func:`jackknife_se` of the delete-one
+values.  :func:`intensity_snr` and :func:`normal_intensities` take one
+ensemble column; no command calls them yet (criterion 9).
 """
 
 from __future__ import annotations
@@ -49,25 +46,19 @@ __all__ = [
     "FourfoldResult",
     "MomentEstimate",
     "chsh_coefficient",
-    "chsh_estimate",
     "chsh_features",
     "correlation_coefficient",
-    "correlation_estimate",
     "correlation_features",
-    "covariance_estimate",
     "covariance_intensity",
-    "feature_moments",
     "fourfold_covariance",
     "intensity_products",
     "intensity_snr",
     "jackknife_se",
-    "mean_estimate",
     "mean_intensity",
     "merge_moments",
     "normal_intensities",
     "pair_parts",
     "row_chunks",
-    "variance_estimate",
     "variance_intensity",
 ]
 
@@ -100,37 +91,17 @@ class MomentEstimate:
         return float(abs(self.value - oracle) / self.std_error)
 
 
-def _check_equal(*cols):
-    cols = [np.asarray(c) for c in cols]
-    if any(c.ndim != 1 for c in cols):
-        raise ValueError("estimators expect 1-D ensemble columns")
-    n = cols[0].shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    if any(c.shape[0] != n for c in cols):
-        raise ValueError("ensemble columns must have equal lengths")
-    return cols
-
-
 def normal_intensities(col: np.ndarray) -> np.ndarray:
     """Per-sample normal-ordered intensities |E|^2 - 1/2 (may be negative)."""
     col = np.asarray(col)
     return np.abs(col) ** 2 - ORDERING.intensity_offset
 
 
-def jackknife_se(func, *samples: np.ndarray) -> float:
-    """Delete-one jackknife standard error of ``func`` of sample means.
-
-    ``func`` must accept the means of each column in ``samples`` and be
-    numpy-broadcastable; it is evaluated on all leave-one-out means at
-    once.  The tests use it as the reference for :meth:`FeatureMoments.estimate`.
-    """
-    samples = [np.asarray(s) for s in samples]
-    n = samples[0].shape[0]
-    loo = [(s.sum() - s) / (n - 1) for s in samples]
-    theta = func(*loo)
-    theta = np.asarray(theta, dtype=np.float64)
-    return float(np.sqrt((n - 1) * np.mean((theta - theta.mean()) ** 2)))
+def jackknife_se(delete_one_values) -> float:
+    """Delete-one jackknife standard error of a statistic from its n
+    delete-one values theta_i: sqrt((n - 1) mean((theta_i - theta_bar)^2))."""
+    theta = np.asarray(delete_one_values, dtype=np.float64)
+    return math.sqrt((theta.shape[0] - 1) * np.mean((theta - theta.mean()) ** 2))
 
 
 @dataclass(frozen=True)
@@ -188,25 +159,6 @@ def merge_moments(chunks) -> FeatureMoments:
     return FeatureMoments(n, mean, gram)
 
 
-def feature_moments(features, *columns: np.ndarray) -> FeatureMoments:
-    """Moments of the real feature columns ``features(*rows)`` over all rows.
-
-    ``features`` maps a :data:`CHUNK_ROWS`-row chunk of each column to k
-    real columns (or a (k, rows) array); the chunks' moments are merged by
-    :func:`merge_moments`.  The pipelines reduce and merge the same chunks,
-    so the two give the same means.
-    """
-    columns = _check_equal(*columns)
-    return merge_moments(
-        FeatureMoments.of_chunk(np.array(features(*(c[row0:row0 + rows] for c in columns)),
-                                         dtype=np.float64))
-        for row0, rows in row_chunks(columns[0].shape[0]))
-
-
-def _intensities(*cols):
-    return [np.abs(c) ** 2 for c in cols]
-
-
 def _rows(out, k: int, col) -> np.ndarray:
     """``out``, the k feature rows to write, or a new (k, len(col)) array."""
     return np.empty((k, len(col))) if out is None else out
@@ -233,7 +185,7 @@ def intensity_products(a, b, out=None):
 
 
 def correlation_features(a, b, out=None):
-    """Features of :func:`correlation_estimate`: those of
+    """Features of :func:`correlation_coefficient`: those of
     :func:`intensity_products` and both squared intensities."""
     out = _rows(out, 5, a)
     xa, xb = intensity_products(a, b, out[:3])[:2]
@@ -258,25 +210,25 @@ def _variance(n: int, i: int, ii: int):
     return lambda m: (m[ii] - m[i] ** 2) * (n / (n - 1)) - ORDERING.variance_offset
 
 
-def mean_estimate(moments: FeatureMoments) -> MomentEstimate:
+def mean_intensity(moments: FeatureMoments) -> MomentEstimate:
     """Normal-ordered mean intensity from the moments of (|E|^2,)."""
     return moments.estimate(lambda m: m[0] - ORDERING.intensity_offset)
 
 
-def variance_estimate(moments: FeatureMoments) -> MomentEstimate:
+def variance_intensity(moments: FeatureMoments) -> MomentEstimate:
     """Normal-ordered intensity variance from the moments of
     :func:`intensity_products` of a column with itself."""
     return moments.estimate(_variance(moments.n, 0, 2))
 
 
-def covariance_estimate(moments: FeatureMoments) -> MomentEstimate:
+def covariance_intensity(moments: FeatureMoments) -> MomentEstimate:
     """Intensity covariance (no ordering correction) from the moments of
     :func:`intensity_products`."""
     n = moments.n
     return moments.estimate(lambda m: (m[2] - m[0] * m[1]) * (n / (n - 1)))
 
 
-def correlation_estimate(moments: FeatureMoments) -> MomentEstimate:
+def correlation_coefficient(moments: FeatureMoments) -> MomentEstimate:
     """Intensity correlation coefficient with normal-ordered variances from
     the moments of :func:`correlation_features`."""
     off = ORDERING.variance_offset
@@ -294,37 +246,18 @@ def correlation_estimate(moments: FeatureMoments) -> MomentEstimate:
     return moments.estimate(rho)
 
 
-def chsh_estimate(moments: FeatureMoments) -> MomentEstimate:
+def chsh_coefficient(moments: FeatureMoments) -> MomentEstimate:
     """Polarisation correlation coefficient E from the moments of
-    :func:`chsh_features`."""
+    :func:`chsh_features`.
+
+    The features are products of raw per-sample normal-ordered
+    intensities; the product of mean intensities is deliberately not
+    subtracted (covariances are not a valid ingredient of this statistic).
+    """
     den = moments.estimate(lambda m: m[1])
     if abs(den.value) < 5.0 * den.std_error:
         raise DegenerateStatisticError("intensity-product denominator consistent with zero")
     return moments.estimate(lambda m: m[0] / m[1])
-
-
-def mean_intensity(col: np.ndarray) -> MomentEstimate:
-    """Normal-ordered mean intensity of one ensemble column."""
-    return mean_estimate(feature_moments(_intensities, col))
-
-
-def variance_intensity(col: np.ndarray) -> MomentEstimate:
-    """Normal-ordered intensity variance of one ensemble column.
-
-    The sampled variance of |E|^2, its covariance with itself, minus the
-    1/4 ordering offset.
-    """
-    return variance_estimate(feature_moments(intensity_products, col, col))
-
-
-def covariance_intensity(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
-    """Sample covariance of two intensity columns (no ordering correction)."""
-    return covariance_estimate(feature_moments(intensity_products, col_a, col_b))
-
-
-def correlation_coefficient(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
-    """Intensity correlation coefficient with normal-ordered variances."""
-    return correlation_estimate(feature_moments(correlation_features, col_a, col_b))
 
 
 def chsh_features(e1p, e1m, e2p, e2m, out=None, scratch=None):
@@ -352,17 +285,6 @@ def chsh_features(e1p, e1m, e2p, e2m, out=None, scratch=None):
     return out
 
 
-def chsh_coefficient(e1p: np.ndarray, e1m: np.ndarray,
-                     e2p: np.ndarray, e2m: np.ndarray) -> MomentEstimate:
-    """Polarisation correlation coefficient E from intensity products.
-
-    Uses raw per-sample normal-ordered intensities; the product of mean
-    intensities is deliberately not subtracted (covariances are not a
-    valid ingredient of this statistic).
-    """
-    return chsh_estimate(feature_moments(chsh_features, e1p, e1m, e2p, e2m))
-
-
 @dataclass(frozen=True)
 class FourfoldResult:
     """Direct four-detector covariance plus its nine-term factorisation."""
@@ -383,10 +305,10 @@ _FOURFOLD_PAIRS = (((0, False), (1, True)), ((2, True), (3, False)),
 
 
 class FourfoldPlan:
-    """Features and estimates of the four-fold covariance of detectors
-    (s1, s2, i1, i2) whose fields are the distinct columns ``pattern``
-    names: ``(0, 0, 1, 1)`` when both signal and both idler detectors see
-    the same field, ``(0, 1, 2, 3)`` for four distinct fields.
+    """Features of the four-fold covariance of detectors (s1, s2, i1, i2)
+    whose fields are the distinct columns ``pattern`` names:
+    ``(0, 0, 1, 1)`` when both signal and both idler detectors see the same
+    field, ``(0, 1, 2, 3)`` for four distinct fields.
 
     The direct term <prod_k (I_k - <I_k>)> is the sum over detector subsets
     S of <prod_{k in S} I_k> prod_{k not in S} (-<I_k>), a smooth function of
@@ -438,37 +360,28 @@ class FourfoldPlan:
     def _pair_moments(self, m):
         return [m[i] + 1j * m[i + 1] for i in self._pair_features]
 
-    def result(self, moments: FeatureMoments) -> FourfoldResult:
-        """The direct estimate and the nine-term factorisation from the
-        moments of :meth:`features`."""
-        terms, classes = theory.fourfold_terms(*self._pair_moments(moments.mean))
 
-        def terms_sum(idx):
-            return moments.estimate(lambda m: theory.fourfold_terms(
-                *self._pair_moments(m))[0][idx].sum(axis=0).real)
-
-        return FourfoldResult(
-            direct=moments.estimate(self._direct), terms=terms, term_classes=classes,
-            terms_total=terms_sum(slice(None)),
-            class_estimates={name: terms_sum(idx) for name, idx in classes.items()})
-
-
-def fourfold_covariance(s1: np.ndarray, s2: np.ndarray,
-                        i1: np.ndarray, i2: np.ndarray) -> FourfoldResult:
-    """Four-fold intensity covariance <prod_k (I_k - <I_k>)>.
+def fourfold_covariance(plan: FourfoldPlan, moments: FeatureMoments) -> FourfoldResult:
+    """Four-fold intensity covariance <prod_k (I_k - <I_k>)> from the
+    moments of ``plan.features``.
 
     The direct Monte Carlo estimate uses symmetric-order intensities
     (centering cancels every ordering constant for four distinct
-    detectors) and is built from raw intensity moments in one pass, see
+    detectors) and is built from raw intensity moments, see
     :class:`FourfoldPlan`.  The nine pair-moment products that reproduce it
     for Gaussian fields are evaluated from the sampled field moments of the
-    same pass and grouped into bunching / low-gain / mixed classes.  A
-    column passed for two detectors (the same array object) is one field.
+    same rows and grouped into bunching / low-gain / mixed classes.
     """
-    cols = (s1, s2, i1, i2)
-    distinct = [c for k, c in enumerate(cols) if not any(c is d for d in cols[:k])]
-    plan = FourfoldPlan([next(j for j, d in enumerate(distinct) if d is c) for c in cols])
-    return plan.result(feature_moments(plan.features, *distinct))
+    terms, classes = theory.fourfold_terms(*plan._pair_moments(moments.mean))
+
+    def terms_sum(idx):
+        return moments.estimate(lambda m: theory.fourfold_terms(
+            *plan._pair_moments(m))[0][idx].sum(axis=0).real)
+
+    return FourfoldResult(
+        direct=moments.estimate(plan._direct), terms=terms, term_classes=classes,
+        terms_total=terms_sum(slice(None)),
+        class_estimates={name: terms_sum(idx) for name, idx in classes.items()})
 
 
 def intensity_snr(col: np.ndarray) -> float:
@@ -480,5 +393,9 @@ def intensity_snr(col: np.ndarray) -> float:
     low gain.  Acceptance criterion 9 expects S^2 at low gain; which SNR
     definition the paper uses is not settled by its abstract.
     """
-    x = normal_intensities(_check_equal(col)[0])
+    col = np.asarray(col)
+    if col.ndim != 1 or col.shape[0] < 2:
+        raise ValueError(f"intensity_snr needs one ensemble column of at least "
+                         f"2 samples, got shape {col.shape}")
+    x = normal_intensities(col)
     return float(x.mean() / x.std(ddof=1))

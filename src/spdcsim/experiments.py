@@ -15,8 +15,11 @@ warm chunk allocates no fresh pages, and its working set stays in cache.
 The chunk at ``row0`` of vacuum lane ``L`` is
 ``sample_vacuum(RngStream(seed, L * LANE_STRIDE + row0), rows, modes)``,
 which holds the same rows, bit for bit, as one draw of the whole lane,
-because every row has its own Philox key.  Every report row is a function
-of the one merged :class:`~spdcsim.estimators.FeatureMoments`, and its
+because every row has its own Philox key.  Every report row comes from
+the one merged :class:`~spdcsim.estimators.FeatureMoments`: a statistic
+of :mod:`~spdcsim.estimators` takes the moments of its features, and the
+hom dip and CHSH B, ratios of this module's own, take
+:meth:`~spdcsim.estimators.FeatureMoments.estimate`.  A row's
 closed-form oracle is computed before the draw, so an oracle that
 overflows fails the run at once; a value, standard error or oracle that is
 not finite fails the run where its row is made.
@@ -46,10 +49,10 @@ from .elements import (BeamSplitterParams, DetectorParams, GainParams,
                        beam_split, detector_loss, parametric_amplify,
                        polarizer_project)
 from .estimators import (DegenerateStatisticError, FeatureMoments, FourfoldPlan,
-                         chsh_estimate, chsh_features, correlation_estimate,
-                         correlation_features, covariance_estimate,
-                         intensity_products, mean_estimate, merge_moments,
-                         pair_parts, row_chunks, variance_estimate)
+                         chsh_coefficient, chsh_features, correlation_coefficient,
+                         correlation_features, covariance_intensity,
+                         fourfold_covariance, intensity_products, mean_intensity,
+                         merge_moments, pair_parts, row_chunks, variance_intensity)
 from .multimode import Hom2dConfig, calibrate_gain, check_reps, run_hom2d
 from .reporting import RunReport, make_row
 from .sampling import LANE_STRIDE, RngStream, kept_array, sample_vacuum
@@ -169,9 +172,9 @@ def _run_twin(config: ExperimentConfig) -> RunReport:
     oracle = theory.twin_beam_moments(config.gain, config.eta)
     moments = _moments(config)
     rows = [
-        make_row("mean", mean_estimate(moments.select([0])), oracle["mean"]),
-        make_row("var", variance_estimate(moments.select([0, 0, 2])), oracle["var"]),
-        make_row("cov", covariance_estimate(moments.select([0, 1, 3])), oracle["cov"]),
+        make_row("mean", mean_intensity(moments.select([0])), oracle["mean"]),
+        make_row("var", variance_intensity(moments.select([0, 0, 2])), oracle["var"]),
+        make_row("cov", covariance_intensity(moments.select([0, 1, 3])), oracle["cov"]),
     ]
     return RunReport("twin", rows=rows)
 
@@ -218,9 +221,9 @@ def _run_hom(config: ExperimentConfig) -> RunReport:
         raise DegenerateStatisticError(
             "input field coherence (the dip's denominator) consistent with zero")
     rows = [
-        make_row("cov_input", covariance_estimate(moments.select([0, 1, 2])),
+        make_row("cov_input", covariance_intensity(moments.select([0, 1, 2])),
                  cov_in_oracle),
-        make_row("cov_output", covariance_estimate(moments.select([3, 4, 5])),
+        make_row("cov_output", covariance_intensity(moments.select([3, 4, 5])),
                  ratio_oracle * cov_in_oracle),
         make_row("dip_amplitude",
                  moments.select(range(6, 14)).estimate(_coherence_ratio), ratio_oracle),
@@ -291,8 +294,8 @@ def _run_bell(config: ExperimentConfig) -> RunReport:
                                     config.gain.mean_photons)
     moments = _moments(config)
     rows = [
-        make_row("rho", correlation_estimate(moments.select(range(5))), oracle["rho"]),
-        make_row("E", chsh_estimate(moments.select([5, 6])), oracle["E"]),
+        make_row("rho", correlation_coefficient(moments.select(range(5))), oracle["rho"]),
+        make_row("E", chsh_coefficient(moments.select([5, 6])), oracle["E"]),
         make_row("B", moments.select(range(7, 15)).estimate(_chsh_b), oracle["B"]),
     ]
     report = RunReport("bell", rows=rows)
@@ -317,7 +320,7 @@ def _run_fourfold(config: ExperimentConfig) -> RunReport:
     if not all(map(math.isfinite, (exact_total, *exact_classes.values()))):
         raise ArithmeticError(f"the fourfold oracle overflows: its closed-form total "
                               f"is {exact_total:.6g} at gl = {config.gain.gl:.6g}")
-    res = _FOURFOLD.result(_moments(config))
+    res = fourfold_covariance(_FOURFOLD, _moments(config))
 
     rows = [
         make_row("fourfold_direct", res.direct, exact_total),

@@ -42,6 +42,13 @@ Only the image rows that hold band pixels (and their mirrored partners)
 are synthesised.  The aggregate is normalised by the same statistic at a
 reference tilt far outside the phase-matching band, so the curve tends
 to 1 for distinguishable beams at every gain and to 0 at zero tilt.
+The ratio is not a function of merged feature means, so its standard
+error is the delete-one-repetition jackknife,
+:func:`~spdcsim.estimators.jackknife_se` of the ratios with one
+repetition left out.  A reference aggregate that is not positive and
+finite fails the run with a
+:class:`~spdcsim.estimators.DegenerateStatisticError`, so no curve has a
+NaN point.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .estimators import DegenerateStatisticError, jackknife_se
 from .sampling import RngStream, sample_vacuum
 
 __all__ = [
@@ -403,12 +411,10 @@ def _aggregate_with_loo(stats):
 def _ratio_with_jackknife(num, den):
     """Dip ratio at one tilt over the reference tilt, with a delete-one-rep
     jackknife standard error; ``num`` and ``den`` come from
-    :func:`_aggregate_with_loo`."""
-    value = float(num[0] / den[0])
-    theta_i = num[1] / den[1]
-    reps = theta_i.shape[0]
-    se = math.sqrt((reps - 1) * np.mean((theta_i - theta_i.mean()) ** 2))
-    return value, se
+    :func:`_aggregate_with_loo`, and ``den`` is positive and finite."""
+    with np.errstate(all="ignore"):  # the caller rejects a ratio that is not finite
+        value = float(num[0] / den[0])
+        return value, jackknife_se(num[1] / den[1])
 
 
 def _port_sweep(signal, idler, band_l, band_m):
@@ -490,6 +496,11 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
     (see :func:`_band_pair_stats`).  The work that does not depend on the
     tilt (forward transforms, transmitted band fields, the reference-tilt
     aggregate and its delete-one values) is done once for the sweep.
+
+    Raises :class:`~spdcsim.estimators.DegenerateStatisticError` when the
+    reference-tilt aggregate or one of its delete-one values is not
+    positive and finite, and ArithmeticError when an amplitude or its
+    standard error is not finite.
     """
     check_reps(reps)
     if config.n_pixels < 8:
@@ -505,12 +516,20 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
 
     ports = _port_sweep(signal, idler, band_l, band_m)
     ref = _aggregate_with_loo(_band_pair_stats(*ports(config.n_pixels // 2)))
+    if not all(np.all(np.isfinite(x) & (x > 0)) for x in ref):
+        raise DegenerateStatisticError(
+            f"the pair coherence at the reference tilt (the dip's denominator) "
+            f"is {ref[0]:.6g}, and its delete-one values lie in "
+            f"[{ref[1].min():.6g}, {ref[1].max():.6g}]: not all positive and finite")
     thetas = np.asarray(config.theta_sweep, dtype=float)
     amps = np.empty_like(thetas)
     errs = np.empty_like(thetas)
     for j, theta in enumerate(thetas):
         stats = _band_pair_stats(*ports(2.0 * theta / config.pitch))
         amps[j], errs[j] = _ratio_with_jackknife(_aggregate_with_loo(stats), ref)
+        if not (math.isfinite(amps[j]) and math.isfinite(errs[j])):
+            raise ArithmeticError(f"the dip amplitude at theta = {theta:.6g} is "
+                                  f"{amps[j]:.6g} +- {errs[j]:.6g}, not finite")
 
     sigma = _fit_dip_width(thetas, amps, errs)
     return DipCurve(theta=thetas, amplitude=amps, std_error=errs,

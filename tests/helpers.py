@@ -1,10 +1,18 @@
-"""Test-only helpers: whole-column field draws, pair-moment statistics,
-single-axis multimode sampling and report comparison.
+"""Test-only helpers: whole-column field draws and statistics, the
+reference jackknife, pair-moment statistics, single-axis multimode
+sampling and report comparison.
 
 No command of ``spdcsim`` uses these, so they live with the tests.  The
 whole-column draws concatenate the chunks of the streamed pipelines
 (``experiments._twin_chunk``, ``_hom_chunk``, ``_bell_chunk``), each drawn
-into new arrays, so they hold the rows that the pipelines reduce.
+into new arrays, so they hold the rows that the pipelines reduce.  The
+whole-column statistics (:func:`mean_intensity`, ...,
+:func:`fourfold_covariance`) reduce their columns in the same
+``CHUNK_ROWS``-row chunks (:func:`feature_moments`) and hand the merged
+moments to the ``spdcsim.estimators`` statistic of the same name, so they
+give what the pipelines report for the same rows.  :func:`jackknife_se`
+of a function of sample means is the reference for the delta-method
+standard errors.
 """
 
 import json
@@ -14,8 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from spdcsim.estimators import (MomentEstimate, feature_moments,
-                                intensity_products, row_chunks)
+from spdcsim import estimators
+from spdcsim.estimators import (FeatureMoments, FourfoldPlan, FourfoldResult,
+                                MomentEstimate, chsh_features, correlation_features,
+                                intensity_products, merge_moments, row_chunks)
 from spdcsim.experiments import (ExperimentConfig, _bell_chunk, _chsh_b,
                                  _chsh_b_features, _hom_chunk, _twin_chunk)
 from spdcsim.multimode import SchmidtDecomposition
@@ -24,6 +34,92 @@ from spdcsim.sampling import RngStream, sample_vacuum
 #: Metadata keys that vary between runs and are excluded from reproducibility
 #: comparisons.
 VOLATILE_METADATA = ("timestamp", "wall_time_s")
+
+
+def _check_equal(*cols):
+    cols = [np.asarray(c) for c in cols]
+    if any(c.ndim != 1 for c in cols):
+        raise ValueError("estimators expect 1-D ensemble columns")
+    n = cols[0].shape[0]
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got {n}")
+    if any(c.shape[0] != n for c in cols):
+        raise ValueError("ensemble columns must have equal lengths")
+    return cols
+
+
+def feature_moments(features, *columns: np.ndarray) -> FeatureMoments:
+    """Moments of the real feature columns ``features(*rows)`` over all rows.
+
+    ``features`` maps a ``CHUNK_ROWS``-row chunk of each column to k real
+    columns (or a (k, rows) array); the chunks' moments are merged by
+    ``merge_moments``.  The pipelines reduce and merge the same chunks, so
+    the two give the same means.
+    """
+    columns = _check_equal(*columns)
+    return merge_moments(
+        FeatureMoments.of_chunk(np.array(features(*(c[row0:row0 + rows] for c in columns)),
+                                         dtype=np.float64))
+        for row0, rows in row_chunks(columns[0].shape[0]))
+
+
+def _intensities(*cols):
+    return [np.abs(c) ** 2 for c in cols]
+
+
+def mean_intensity(col: np.ndarray) -> MomentEstimate:
+    """Normal-ordered mean intensity of one ensemble column."""
+    return estimators.mean_intensity(feature_moments(_intensities, col))
+
+
+def variance_intensity(col: np.ndarray) -> MomentEstimate:
+    """Normal-ordered intensity variance of one ensemble column.
+
+    The sampled variance of |E|^2, its covariance with itself, minus the
+    1/4 ordering offset.
+    """
+    return estimators.variance_intensity(feature_moments(intensity_products, col, col))
+
+
+def covariance_intensity(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
+    """Sample covariance of two intensity columns (no ordering correction)."""
+    return estimators.covariance_intensity(
+        feature_moments(intensity_products, col_a, col_b))
+
+
+def correlation_coefficient(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
+    """Intensity correlation coefficient with normal-ordered variances."""
+    return estimators.correlation_coefficient(
+        feature_moments(correlation_features, col_a, col_b))
+
+
+def chsh_coefficient(e1p: np.ndarray, e1m: np.ndarray,
+                     e2p: np.ndarray, e2m: np.ndarray) -> MomentEstimate:
+    """Polarisation correlation coefficient E from intensity products."""
+    return estimators.chsh_coefficient(feature_moments(chsh_features, e1p, e1m, e2p, e2m))
+
+
+def fourfold_covariance(s1: np.ndarray, s2: np.ndarray,
+                        i1: np.ndarray, i2: np.ndarray) -> FourfoldResult:
+    """Four-fold intensity covariance of four detector columns.  A column
+    passed for two detectors (the same array object) is one field."""
+    cols = (s1, s2, i1, i2)
+    distinct = [c for k, c in enumerate(cols) if not any(c is d for d in cols[:k])]
+    plan = FourfoldPlan([next(j for j, d in enumerate(distinct) if d is c) for c in cols])
+    return estimators.fourfold_covariance(plan, feature_moments(plan.features, *distinct))
+
+
+def jackknife_se(func, *samples: np.ndarray) -> float:
+    """Delete-one jackknife standard error of ``func`` of sample means.
+
+    ``func`` must accept the means of each column in ``samples`` and be
+    numpy-broadcastable; it is evaluated on all leave-one-out means at
+    once, and ``estimators.jackknife_se`` takes the values.
+    """
+    samples = [np.asarray(s) for s in samples]
+    n = samples[0].shape[0]
+    loo = [(s.sum() - s) / (n - 1) for s in samples]
+    return estimators.jackknife_se(func(*loo))
 
 
 def _whole_columns(draw, config: ExperimentConfig):

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from spdcsim.elements import BeamSplitterParams, GainParams, parametric_amplify
-from spdcsim.estimators import correlation_coefficient, intensity_snr, mean_intensity
+from spdcsim.estimators import intensity_snr
 from spdcsim.experiments import ExperimentConfig, polarized_arms, run_experiment
 from spdcsim.sampling import RngStream, sample_vacuum
 from spdcsim import cli, theory
 
-from helpers import (bell_columns, chsh_b_estimate, comparable_text, hom_fields,
+from helpers import (bell_columns, chsh_b_estimate, comparable_text,
+                     correlation_coefficient, hom_fields, mean_intensity,
                      moment_theorem_residual, twin_columns)
 from wick import centered_intensity_product, twin_beam_moment_table
 

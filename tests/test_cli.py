@@ -347,6 +347,22 @@ def test_an_overflowing_oracle_fails_before_the_draw(argv, named, monkeypatch, c
     assert named in capsys.readouterr().err
 
 
+def test_hom2d_without_reference_coherence_is_degenerate(tmp_path, capsys):
+    # at this gain every pair product equals its vacuum control variate, so
+    # the reference-tilt aggregate, the dip's denominator, is 0; under the
+    # suite's error::RuntimeWarning filter a numpy warning would fail the test
+    out = tmp_path / "curve.json"
+    code = run_cli(["hom2d", "--reps", "5", "--gain-scale", "1e-9",
+                    "--format", "json", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("spdcsim: degenerate statistic: ")
+    assert "reference tilt (the dip's denominator)" in captured.err
+    assert "Warning" not in captured.err
+    assert "nan" not in captured.out
+    assert not out.exists()
+
+
 def test_out_of_memory_is_an_exit_3_with_a_reason(monkeypatch, capsys):
     message = "Unable to allocate 1.19 TiB for an array with shape (10000000, 8192)"
 

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from spdcsim.elements import (BeamSplitterParams, DetectorParams, GainParams,
                               beam_split, detector_loss, parametric_amplify,
                               polarizer_project)
-from spdcsim.estimators import covariance_intensity, mean_intensity, variance_intensity
 from spdcsim.sampling import RngStream, sample_vacuum
 
-from helpers import field_pair_moment
+from helpers import (covariance_intensity, field_pair_moment, mean_intensity,
+                     variance_intensity)
 
 GL_UNIT = math.asinh(1.0)  # S^2 = 1
 

@@ -7,16 +7,15 @@ import pytest
 from spdcsim import theory
 from spdcsim.elements import BeamSplitterParams, GainParams, beam_split, parametric_amplify
 from spdcsim.estimators import (CHUNK_ROWS, DegenerateStatisticError, FourfoldPlan,
-                                chsh_coefficient, chsh_features,
-                                correlation_coefficient, correlation_features,
-                                covariance_intensity, feature_moments,
-                                fourfold_covariance, intensity_products,
-                                intensity_snr, jackknife_se, mean_intensity,
-                                variance_intensity)
+                                chsh_features, correlation_features,
+                                intensity_products, intensity_snr)
 from spdcsim.experiments import ExperimentConfig, polarized_arms, run_experiment
 from spdcsim.sampling import RngStream, sample_vacuum
 
-from helpers import chsh_b_estimate, field_pair_moment, moment_theorem_residual
+from helpers import (chsh_b_estimate, chsh_coefficient, correlation_coefficient,
+                     covariance_intensity, feature_moments, field_pair_moment,
+                     fourfold_covariance, jackknife_se, mean_intensity,
+                     moment_theorem_residual, variance_intensity)
 from wick import centered_intensity_product, twin_beam_moment_table
 
 GL_UNIT = math.asinh(1.0)
@@ -192,6 +191,14 @@ def test_intensity_snr_values(twin_cache):
     snr = intensity_snr(es)
     # thermal statistics: mean/std of sampled intensity = S^2/(S^2 + 1/2)
     assert snr == pytest.approx(10.0 / 10.5, rel=0.02)
+
+
+def test_intensity_snr_rejects_a_column_that_is_not_1d_or_too_short():
+    vac = _vacuum(reps=100)
+    with pytest.raises(ValueError):
+        intensity_snr(vac)
+    with pytest.raises(ValueError):
+        intensity_snr(vac[:1, 0])
 
 
 def test_chunked_moments_equal_numpy_over_several_chunks():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from spdcsim import multimode
-from spdcsim.estimators import mean_intensity
 from spdcsim.multimode import (Hom2dConfig, JointAmplitudeKernel, build_kernel,
                                calibrate_gain, image_mean_intensities, run_hom2d,
                                sample_image_planes, schmidt_decompose, shift_field)
@@ -15,7 +14,7 @@ from spdcsim.multimode import (_band_pairs, _brent_root, _fit_dip_width,
 from spdcsim.sampling import RngStream
 
 import hom2d_oracle
-from helpers import moment_theorem_residual, sample_multimode
+from helpers import mean_intensity, moment_theorem_residual, sample_multimode
 
 
 # 16 pixels at a coarser pitch so the amplified band keeps dark margins

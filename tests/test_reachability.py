@@ -1,14 +1,16 @@
 """``src/spdcsim`` holds only code that a command runs: every top-level
-function and class is reached from ``cli.main`` or from a function that the
-benchmark harness traces (``TRACED`` in ``perfbench/child.py``).  Code that
-only the tests use lives in ``tests/helpers.py``.
+function and class is reached from ``cli.main``, and so is every function
+that the benchmark harness traces (``TRACED`` in ``perfbench/child.py``),
+so that its per-layer metrics time what the workloads run.  Code that only
+the tests use lives in ``tests/helpers.py``.
 
 The walk reads the sources with ``ast``; it imports neither the package nor
-the harness.  A name is reached when the code of a reached function, class
-or module-level assignment uses it, directly, through a ``from . import``
-or as an attribute of an imported module.  Annotations do not count, and
-module-level statements other than definitions, assignments and imports
-(the ``__main__`` guard) run on import, so they are roots too.
+the harness.  Its roots are ``cli.main`` and the module-level statements
+other than definitions, assignments and imports (the ``__main__`` guard),
+which run on import.  A name is reached when the code of a reached
+function, class or module-level assignment uses it, directly, through a
+``from . import`` or as an attribute of an imported module.  Annotations
+do not count.
 """
 
 import ast
@@ -77,10 +79,12 @@ def _traced():
             for module, name in ast.literal_eval(node.value)]
 
 
-def _unreached():
+def _reached():
+    """The modules by name, and (module, name) of every top-level name
+    reached from the roots."""
     modules = {path.stem: _Module(ast.parse(path.read_text()))
                for path in PACKAGE.glob("*.py")}
-    todo = [("cli", "main"), *_traced()]
+    todo = [("cli", "main")]
     todo += [(name, node) for name, m in modules.items() for node in m.roots]
     seen = set()
     while todo:
@@ -107,14 +111,22 @@ def _unreached():
                     todo.append((target_module, attr))
                 elif target is not None:
                     todo.append((target_module, target))
-    return {f"{module}.{name}" for module, m in modules.items()
-            for name in m.definitions if (module, name) not in seen}
+    return modules, seen
 
 
 def test_every_function_and_class_is_reached_from_a_command():
-    unreached = _unreached()
+    modules, seen = _reached()
+    unreached = {f"{module}.{name}" for module, m in modules.items()
+                 for name in m.definitions if (module, name) not in seen}
     stray = sorted(unreached - WAITING)
-    assert not stray, ("not reached from cli.main or perfbench's TRACED; move "
-                       f"test-only code to tests/helpers.py: {', '.join(stray)}")
+    assert not stray, ("not reached from cli.main; move test-only code to "
+                       f"tests/helpers.py: {', '.join(stray)}")
     assert unreached == WAITING, ("reached now, so drop from WAITING: "
                                   f"{', '.join(sorted(WAITING - unreached))}")
+
+
+def test_every_traced_function_is_reached_from_a_command():
+    _, seen = _reached()
+    idle = [f"{module}.{name}" for module, name in _traced() if (module, name) not in seen]
+    assert not idle, ("perfbench's TRACED names functions that no command runs, "
+                      f"so their metrics read 0: {', '.join(idle)}")

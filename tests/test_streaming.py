@@ -13,16 +13,15 @@ import pytest
 from spdcsim.elements import (DetectorParams, beam_split, detector_loss,
                               parametric_amplify)
 from spdcsim import experiments
-from spdcsim.estimators import (CHUNK_ROWS, FeatureMoments, chsh_coefficient,
-                                correlation_coefficient, covariance_intensity,
-                                fourfold_covariance, mean_intensity,
-                                variance_intensity)
+from spdcsim.estimators import CHUNK_ROWS, FeatureMoments
 from spdcsim.experiments import (ExperimentConfig, _chunk_reducer, polarized_arms,
                                  run_experiment)
 from spdcsim.sampling import LANE_STRIDE, RngStream, sample_vacuum
 
-from helpers import (VOLATILE_METADATA, bell_arms, chsh_b_estimate, hom_fields,
-                     twin_fields)
+from helpers import (VOLATILE_METADATA, bell_arms, chsh_b_estimate, chsh_coefficient,
+                     correlation_coefficient, covariance_intensity,
+                     fourfold_covariance, hom_fields, mean_intensity, twin_fields,
+                     variance_intensity)
 
 #: Not a multiple of the chunk, so the last chunk is a short one.
 REPS = 8 * CHUNK_ROWS + 777
