@@ -13,7 +13,7 @@ centred Gram matrix (:meth:`FeatureMoments.of_chunk`), and
 LeVeque 1979).  The experiment pipelines write a chunk's features straight
 into the rows of a (k, rows) matrix that the worker keeps: the feature
 functions (:func:`intensity_products`, :func:`correlation_features`,
-:func:`chsh_features`, :meth:`FourfoldPlan.features`, :func:`pair_parts`)
+:func:`chsh_products`, :meth:`FourfoldPlan.features`, :func:`pair_parts`)
 take ``out`` rows and scratch arrays, so a warm chunk allocates nothing.
 The statistics (:func:`mean_intensity`, :func:`variance_intensity`,
 :func:`covariance_intensity`, :func:`correlation_coefficient`,
@@ -46,7 +46,8 @@ __all__ = [
     "FourfoldResult",
     "MomentEstimate",
     "chsh_coefficient",
-    "chsh_features",
+    "chsh_intensities",
+    "chsh_products",
     "correlation_coefficient",
     "correlation_features",
     "covariance_intensity",
@@ -248,7 +249,7 @@ def correlation_coefficient(moments: FeatureMoments) -> MomentEstimate:
 
 def chsh_coefficient(moments: FeatureMoments) -> MomentEstimate:
     """Polarisation correlation coefficient E from the moments of
-    :func:`chsh_features`.
+    :func:`chsh_products`.
 
     The features are products of raw per-sample normal-ordered
     intensities; the product of mean intensities is deliberately not
@@ -260,29 +261,33 @@ def chsh_coefficient(moments: FeatureMoments) -> MomentEstimate:
     return moments.estimate(lambda m: m[0] / m[1])
 
 
-def chsh_features(e1p, e1m, e2p, e2m, out=None, scratch=None):
-    """Per-repetition numerator and denominator of the coefficient E.
+def chsh_intensities(cols, out: np.ndarray) -> np.ndarray:
+    """Normal-ordered intensities |E|^2 - 1/2 of the fields ``cols``, one
+    to a row of the float64 ``out``: the inputs of :func:`chsh_products`."""
+    for col, row in zip(cols, out):
+        np.subtract(_intensity(col, row), ORDERING.intensity_offset, out=row)
+    return out
 
-    Products of normal-ordered intensities at the plus/minus outputs of the
-    two polarisers; E is the ratio of their means.  The two rows go to
-    ``out`` (see :func:`intensity_products`); the four intensities take
-    the (4, n) float64 ``scratch``, new when absent.
+
+def chsh_products(i1p, i1m, i2p, i2m, out, scratch) -> None:
+    """Per-repetition numerator and denominator of the coefficient E, into
+    the two float64 rows ``out``.
+
+    Products of the normal-ordered intensities (:func:`chsh_intensities`)
+    at the plus/minus outputs of the two polarisers; E is the ratio of
+    their means.  The float64 row ``scratch`` holds the last two products;
+    it may be ``i1p``, which is read for the last time before them.
     """
-    num, den = out = _rows(out, 2, e1p)
-    i1p, i1m, i2p, i2m = _rows(scratch, 4, e1p)
-    for col, i in zip((e1p, e1m, e2p, e2m), (i1p, i1m, i2p, i2m)):
-        np.subtract(_intensity(col, i), ORDERING.intensity_offset, out=i)
+    num, den = out
     # num = i1p i2p + i1m i2m - i1p i2m - i1m i2p and den the same with +,
-    # summed left to right; i1p and i1m, read for the last time, hold the
-    # last two products.
+    # summed left to right.
     np.multiply(i1p, i2p, out=num)
     np.add(num, np.multiply(i1m, i2m, out=den), out=num)
     np.copyto(den, num)
     for i, j in ((i1p, i2m), (i1m, i2p)):
-        np.multiply(i, j, out=i)
-        np.subtract(num, i, out=num)
-        np.add(den, i, out=den)
-    return out
+        np.multiply(i, j, out=scratch)
+        np.subtract(num, scratch, out=num)
+        np.add(den, scratch, out=den)
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,8 @@ from .elements import (BeamSplitterParams, DetectorParams, GainParams,
                        beam_split, detector_loss, parametric_amplify,
                        polarizer_project)
 from .estimators import (DegenerateStatisticError, FeatureMoments, FourfoldPlan,
-                         chsh_coefficient, chsh_features, correlation_coefficient,
-                         correlation_features, covariance_intensity,
+                         chsh_coefficient, chsh_intensities, chsh_products,
+                         correlation_coefficient, correlation_features, covariance_intensity,
                          fourfold_covariance, intensity_products, mean_intensity,
                          merge_moments, pair_parts, row_chunks, variance_intensity)
 from .multimode import Hom2dConfig, calibrate_gain, check_reps, run_hom2d
@@ -246,34 +246,53 @@ def _bell_chunk(config: ExperimentConfig, row0: int, rows: int, kept):
     return e1x, e1y, e2x, e2y
 
 
-def polarized_arms(arms, theta1, theta2, kept=None):
-    """Project both locations onto polariser axes (plus/minus outputs), into
-    the chunk buffers of ``kept`` (new arrays when None)."""
-    e1x, e1y, e2x, e2y = arms
-    n = len(e1x)
-    e1p, e1m, e2p, e2m = _fields(kept, n, "e1p", "e1m", "e2p", "e2m")
+def _polarizer_keys(angles) -> list:
+    """(location, angle) of the outputs (e1p, e1m, e2p, e2m) of each
+    (theta1, theta2) pair of ``angles``, one pair after another."""
+    return [key for t1, t2 in zip(angles[0::2], angles[1::2])
+            for key in ((0, t1), (0, t1 + math.pi / 2.0), (1, t2), (1, t2 + math.pi / 2.0))]
+
+
+def polarized_arms(arms, *angles, kept=None):
+    """Project both locations onto the polariser axes (plus/minus outputs)
+    of each (theta1, theta2) pair of ``angles``; returns (e1p, e1m, e2p,
+    e2m) of each pair, one pair after another.  Each distinct (location,
+    angle) is projected once, into a row of a chunk buffer of ``kept`` (a
+    new array when None), and every pair that uses it gets that row."""
+    keys = _polarizer_keys(angles)
+    fields = dict.fromkeys(keys)
+    n = len(arms[0])
+    rows = kept_array(kept, "projections", (len(fields), n))
     t = _scratch(kept, n)
-    return (polarizer_project(e1x, e1y, theta1, out=e1p, scratch=t),
-            polarizer_project(e1x, e1y, theta1 + math.pi / 2.0, out=e1m, scratch=t),
-            polarizer_project(e2x, e2y, theta2, out=e2p, scratch=t),
-            polarizer_project(e2x, e2y, theta2 + math.pi / 2.0, out=e2m, scratch=t))
+    for row, (loc, theta) in zip(rows, fields):
+        fields[loc, theta] = polarizer_project(arms[2 * loc], arms[2 * loc + 1], theta,
+                                               out=row, scratch=t)
+    return tuple(fields[key] for key in keys)
 
 
 _A, _AP, _B, _BP = theory.CHSH_ANGLES
 #: (theta1, theta2, sign) of the four terms of B at the standard angles.
 _CHSH_SETTINGS = ((_AP, _B, 1.0), (_AP, _BP, 1.0), (_A, _BP, 1.0), (_A, _B, -1.0))
+#: The (theta1, theta2) pairs of :data:`_CHSH_SETTINGS`, one after another.
+_B_ANGLES = tuple(theta for t1, t2, _ in _CHSH_SETTINGS for theta in (t1, t2))
 
 
-def _chsh_b_features(*arms, out=None, kept=None):
-    """The :func:`chsh_features` of the four settings of B, as the eight rows
-    of ``out`` (new when None), through the chunk buffers of ``kept``."""
-    n = len(arms[0])
-    out = np.empty((2 * len(_CHSH_SETTINGS), n)) if out is None else out
-    intensities = kept_array(kept, "intensities", (4, n), np.float64)
-    for j, (t1, t2, _) in enumerate(_CHSH_SETTINGS):
-        chsh_features(*polarized_arms(arms, t1, t2, kept), out=out[2 * j:2 * j + 2],
-                      scratch=intensities)
-    return out
+def _chsh_rows(arms, angles, out, kept=None):
+    """The :func:`chsh_products` of each (theta1, theta2) pair of
+    ``angles``, two rows of ``out`` a pair; returns the projected fields
+    (:func:`polarized_arms`).  Each distinct (location, angle) is projected
+    and squared once, into the chunk buffers of ``kept``."""
+    fields = polarized_arms(arms, *angles, kept=kept)
+    keys = _polarizer_keys(angles)
+    distinct = dict(zip(keys, fields))
+    n = len(fields[0])
+    intensity = dict(zip(distinct, chsh_intensities(
+        distinct.values(), kept_array(kept, "intensities", (len(distinct), n), np.float64))))
+    t = kept_array(kept, "product", (n,), np.float64)
+    for j in range(0, len(keys), 4):
+        chsh_products(*(intensity[key] for key in keys[j:j + 4]),
+                      out=out[j // 2:j // 2 + 2], scratch=t)
+    return fields
 
 
 def _chsh_b(m):
@@ -282,11 +301,11 @@ def _chsh_b(m):
 
 
 def _bell_features(config, x, kept, *arms):
-    e1p, e1m, e2p, e2m = polarized_arms(arms, config.theta1, config.theta2, kept)
-    correlation_features(e1p, e2p, out=x[0:5])
-    chsh_features(e1p, e1m, e2p, e2m, out=x[5:7],
-                  scratch=kept_array(kept, "intensities", (4, len(e1p)), np.float64))
-    _chsh_b_features(*arms, out=x[7:15], kept=kept)
+    """Rows 0-4 the correlation features of the (theta1, theta2) outputs,
+    5-6 their E features, 7-14 those of the four settings of B; the five
+    settings share their projections and intensities."""
+    fields = _chsh_rows(arms, (config.theta1, config.theta2, *_B_ANGLES), x[5:15], kept)
+    correlation_features(fields[0], fields[2], out=x[0:5])
 
 
 def _run_bell(config: ExperimentConfig) -> RunReport:

@@ -82,6 +82,13 @@ REFERENCE_LENGTH_MM = 0.8
 #: Upper end of the ``gain_scale`` bracket :func:`calibrate_gain` searches.
 GAIN_SCALE_MAX = 9.0
 
+#: Largest Frobenius norm of the axis kernel that :func:`build_kernel`
+#: accepts.  The brightest product mode's amplitude gain, cosh of
+#: asinh(2 lambda^2) / 2, is about lambda <= ||K||, and the pair statistics
+#: are fourth order in the fields and summed over repetitions: 1e75 ** 4 =
+#: 1e300 leaves a factor 1e8 below the largest double.
+_KERNEL_NORM_MAX = 1e75
+
 
 @dataclass(frozen=True)
 class Hom2dConfig:
@@ -170,15 +177,22 @@ def build_kernel(config: Hom2dConfig) -> JointAmplitudeKernel:
     # bandwidth narrows with crystal length, broadens with gain (gain guiding)
     qc = config.pm_bandwidth * math.sqrt(REFERENCE_LENGTH_MM / config.crystal_length_mm)
     qc_eff = qc * (1.0 + g0 / config.pm_broadening_gain) ** config.pm_broadening_exponent
-    if config.phase_matching == "sinc":
-        mismatch = (qbar / qc_eff) ** 2
-        s_eff = g0 * _sinhc(np.sqrt((g0 ** 2 - mismatch ** 2).astype(complex)))
-    else:
-        s_eff = np.sinh(g0 * np.exp(-(qbar ** 2) / (2.0 * qc_eff ** 2)))
-    lam = np.abs(s_eff) * np.sqrt(1.0 + s_eff ** 2)
     sigma_pump = 1.0 / config.pump_waist
     pump = np.exp(-((qs + qi) ** 2) / (2.0 * sigma_pump ** 2))
-    return JointAmplitudeKernel(matrix=pump * lam)
+    # a gain too large overflows here; the norm check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.phase_matching == "sinc":
+            mismatch = (qbar / qc_eff) ** 2
+            s_eff = g0 * _sinhc(np.sqrt((g0 ** 2 - mismatch ** 2).astype(complex)))
+        else:
+            s_eff = np.sinh(g0 * np.exp(-(qbar ** 2) / (2.0 * qc_eff ** 2)))
+        matrix = pump * (np.abs(s_eff) * np.sqrt(1.0 + s_eff ** 2))
+        norm = np.linalg.norm(matrix)
+    if not norm < _KERNEL_NORM_MAX:
+        raise ValueError(f"gain_scale {g0:g} is too large: the kernel norm {norm:.3g} is "
+                         f"not below the {_KERNEL_NORM_MAX:g} that keeps the dip's "
+                         "fourth-order pair statistics finite")
+    return JointAmplitudeKernel(matrix=matrix)
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,22 @@ Random number generation is fully deterministic and order-independent:
   stream keyed by ``(seed, stream_id + r)``.  Philox is a pure function of
   (key, counter), so any number of workers can fill disjoint repetition
   ranges and always produce the same ensemble as a serial run.
-* Within a stream, 64-bit words are consumed in counter order, mapped to
-  doubles in [0, 1), and converted to Gaussians with the Box-Muller
-  transform (word pair ``2t, 2t+1`` gives the cosine/sine pair).  Mode
-  ``m`` of a repetition uses words ``2m`` and ``2m+1`` as its real and
-  imaginary quadratures.  The 1/2 scale of the quadratures is folded into
-  the radius, ``sqrt(-0.5 ln u1)``, and 2 pi into the word-to-angle
-  factor; both are powers of two times the unfolded factors, so the
-  doubles equal those of ``0.5 sqrt(-2 ln u1)`` and ``2 pi u2`` bit for
-  bit.
+* Within a stream, 64-bit words are consumed in counter order and
+  converted to Gaussians with the Box-Muller transform (word pair ``2t,
+  2t+1`` gives the cosine/sine pair).  Mode ``m`` of a repetition uses
+  words ``2m`` and ``2m+1`` as its real and imaginary quadratures.  The
+  radius word gives ``u1 = ((w >> 11) + 1) 2**-53`` in (0, 1] and the
+  radius ``sqrt(-0.5 ln u1)``, which folds the 1/2 scale of the quadratures
+  into ``0.5 sqrt(-2 ln u1)`` exactly.  The angle word ``w`` is the turn
+  ``u2 = (w >> 11) 2**-53``, reduced exactly in integers: its top 10 bits
+  pick one of 1024 cells, whose cosine and sine come from a table
+  (:data:`_COS_TABLE`, :data:`_SIN_TABLE`, correct to half an ulp of 1),
+  and its next 43 bits give the offset ``b`` in [0, 2 pi / 1024) into the
+  cell.  A short Taylor polynomial gives ``sin b`` and ``cos b - 1``, and
+  one angle addition the cosine and sine of the whole turn, to within
+  6e-16 of the radius, with no call to libm's cos or sin.  The transform
+  runs in slabs of at most :data:`_SLAB_PAIRS` pairs, so that each of its
+  temporaries takes at most 256 KB and stays in L2 cache.
 
 :func:`raw_words` draws the words along one of two paths that give the
 same words:
@@ -53,12 +60,13 @@ Box-Muller and Philox scratch hold at most :data:`CHUNK_ROWS` rows each,
 and each thread keeps them for its next call (:func:`kept_array`), so a
 repeated tall call allocates nothing beyond its result, and nothing at all
 when the caller hands it ``out``; its working set does not grow with the
-rows asked for.  A wide call stays one :func:`raw_words` draw with
-temporaries of its own size.  The chunk is also the row block of the
-twin, hom, bell and fourfold pipelines and of the moment engine: each
-chunk is one call here per vacuum lane, drawn into a buffer that the
-worker keeps, and one reduction (see :mod:`spdcsim.experiments`); a single
-call here runs on the calling thread.
+rows asked for.  A wide call stays one :func:`raw_words` draw; its
+Box-Muller temporaries are one slab's, freed on return.  The chunk is
+also the row block of the twin, hom, bell and fourfold pipelines and of
+the moment engine: each chunk is one call here per vacuum lane, drawn
+into a buffer that the worker keeps, and one reduction (see
+:mod:`spdcsim.experiments`); a single call here runs on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -277,28 +285,107 @@ def raw_words(stream: RngStream, reps: int, n_words: int,
     return words[:, :n_words]
 
 
-def _gaussian_pairs(words: np.ndarray, out: np.ndarray,
-                    bits: np.ndarray | None = None,
-                    cos: np.ndarray | None = None) -> None:
-    """Box-Muller transform of an even number of word columns into the
-    float64 array ``out`` of the same shape, scaled by 1/2: Gaussians of
-    variance 1/4.  ``bits`` (uint64) and ``cos`` (float64), of half the
-    columns, are scratch; each is allocated when not given."""
+#: Pairs per Box-Muller slab: each of the slab's six float64 temporaries
+#: takes 256 KB, so the slab stays in L2 cache.
+_SLAB_PAIRS = 1 << 15
+
+#: Bits of the angle word that pick one of the table's cells, and the
+#: shift and mask that split the word into the cell and the rest of the turn.
+_CELL_BITS = 10
+_CELL_SHIFT = _U64(64 - _CELL_BITS)
+_CELL_REST = _U64((1 << (64 - _CELL_BITS)) - 1)
+
+
+def _turn_table(cells: int) -> tuple:
+    """Cosine and sine of the turns ``k / cells``, k = 0 .. cells - 1, as
+    float64 arrays, each within 1.1e-16 (half an ulp of 1) of the exact
+    value for 1024 cells, measured against long double.
+
+    The angle 2 pi k / cells is a head ``k hi``, exact in double for
+    ``cells`` <= 1024 (``hi`` keeps 43 bits), plus a tail ``k lo`` below
+    1e-12 that carries the rest of 2 pi, ``2.449...e-16`` included; libm's
+    cos and sin of the head are turned by the tail to first order.  Built
+    from ``math`` alone: numpy's long-double functions would do as well,
+    but they cost 0.4 MB of resident memory on import.
+    """
+    step = 2.0 * math.pi / cells
+    hi = math.ldexp(math.floor(math.ldexp(step, 50)), -50)
+    lo = (step - hi) + 2.4492935982947064e-16 / cells
+    cos, sin = np.empty(cells), np.empty(cells)
+    for k in range(cells):
+        c, s, tail = math.cos(k * hi), math.sin(k * hi), k * lo
+        cos[k] = c - s * tail
+        sin[k] = s + c * tail
+    return cos, sin
+
+
+_COS_TABLE, _SIN_TABLE = _turn_table(1 << _CELL_BITS)
+
+
+def _box_muller_slab(words: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """:func:`_gaussian_pairs` of one slab; ``scratch`` is float64 of shape
+    (6, >= the slab's pairs)."""
+    shape = (words.shape[0], words.shape[1] // 2)
+    t, ca, sa, b, z, p = (row[:math.prod(shape)].reshape(shape) for row in scratch)
+    ib = t.view(np.uint64)
     r = out[:, 0::2]
-    ang = out[:, 1::2]
-    bits = np.right_shift(words[:, 0::2], _SH11, out=bits)
-    np.add(bits, _U64(1), out=bits)
-    np.multiply(bits, _INV53, out=r)        # u1 in (0, 1]
-    np.right_shift(words[:, 1::2], _SH11, out=bits)
-    np.multiply(bits, _INV53 * 2.0 * np.pi, out=ang)  # 2 pi u2, u2 in [0, 1)
-    del bits  # an allocated one is freed before the cosine of the same size
+    np.right_shift(words[:, 0::2], _SH11, out=ib)
+    np.add(ib, _U64(1), out=ib)
+    np.multiply(ib, _INV53, out=r)          # u1 in (0, 1]
     np.log(r, out=r)
     np.multiply(r, -0.5, out=r)
     np.sqrt(r, out=r)
-    cos = np.cos(ang, out=cos)
-    np.sin(ang, out=ang)
-    np.multiply(r, ang, out=ang)
-    np.multiply(r, cos, out=r)
+    turn = words[:, 1::2]
+    cell = np.right_shift(turn, _CELL_SHIFT, out=ib).view(np.int64)
+    # mode="raise" would make take buffer its out
+    np.take(_COS_TABLE, cell, out=ca, mode="clip")
+    np.take(_SIN_TABLE, cell, out=sa, mode="clip")
+    np.bitwise_and(turn, _CELL_REST, out=ib)
+    np.right_shift(ib, _SH11, out=ib)
+    np.multiply(ib, _INV53 * 2.0 * np.pi, out=b)    # b in [0, 2 pi / 1024)
+    np.multiply(b, b, out=z)
+    # sin b = b - b^3/6 + b^5/120 - b^7/5040
+    np.multiply(z, -1.0 / 5040.0, out=p)
+    np.add(p, 1.0 / 120.0, out=p)
+    np.multiply(p, z, out=p)
+    np.add(p, -1.0 / 6.0, out=p)
+    np.multiply(p, z, out=p)
+    np.multiply(p, b, out=p)
+    np.add(b, p, out=b)
+    # cos b - 1 = -b^2/2 + b^4/24 - b^6/720
+    np.multiply(z, -1.0 / 720.0, out=p)
+    np.add(p, 1.0 / 24.0, out=p)
+    np.multiply(p, z, out=p)
+    np.add(p, -0.5, out=p)
+    np.multiply(p, z, out=p)
+    # cos = ca + (ca (cos b - 1) - sa sin b), sin = sa + (sa (cos b - 1) + ca sin b)
+    np.multiply(ca, p, out=z)
+    np.multiply(sa, b, out=t)
+    np.subtract(z, t, out=z)
+    np.add(z, ca, out=z)
+    np.multiply(sa, p, out=t)
+    np.multiply(ca, b, out=p)
+    np.add(t, p, out=t)
+    np.add(t, sa, out=t)
+    np.multiply(r, t, out=out[:, 1::2])
+    np.multiply(r, z, out=r)
+
+
+def _gaussian_pairs(words: np.ndarray, out: np.ndarray, kept=None) -> None:
+    """Box-Muller transform of an even number of word columns into the
+    float64 array ``out`` of the same shape, scaled by 1/2: Gaussians of
+    variance 1/4.  It runs in slabs of at most :data:`_SLAB_PAIRS` pairs,
+    whose scratch is the buffer ``"slab"`` of ``kept`` (see
+    :func:`kept_array`)."""
+    rows, cols = out.shape
+    pairs = cols // 2
+    slab_rows = max(1, _SLAB_PAIRS // pairs)
+    slab_cols = 2 * min(pairs, _SLAB_PAIRS)
+    scratch = kept_array(kept, "slab", (6, min(rows, slab_rows) * slab_cols // 2), np.float64)
+    for r0 in range(0, rows, slab_rows):
+        for c0 in range(0, cols, slab_cols):
+            _box_muller_slab(words[r0:r0 + slab_rows, c0:c0 + slab_cols],
+                             out[r0:r0 + slab_rows, c0:c0 + slab_cols], scratch)
 
 
 def sample_vacuum(rng: RngStream, reps: int, modes: int,
@@ -329,7 +416,5 @@ def sample_vacuum(rng: RngStream, reps: int, modes: int,
         n = min(CHUNK_ROWS, reps - p0)
         words = raw_words(RngStream(rng.seed, rng.stream_id + p0), n, 2 * modes,
                           out=kept_array(_kept, "words", (n * 4 * n_blocks,), np.uint64))
-        _gaussian_pairs(words, pairs[p0:p0 + n],
-                        kept_array(_kept, "bits", (n, modes), np.uint64),
-                        kept_array(_kept, "cos", (n, modes), np.float64))
+        _gaussian_pairs(words, pairs[p0:p0 + n], _kept)
     return out

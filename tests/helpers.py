@@ -24,10 +24,11 @@ import numpy as np
 
 from spdcsim import estimators
 from spdcsim.estimators import (FeatureMoments, FourfoldPlan, FourfoldResult,
-                                MomentEstimate, chsh_features, correlation_features,
-                                intensity_products, merge_moments, row_chunks)
-from spdcsim.experiments import (ExperimentConfig, _bell_chunk, _chsh_b,
-                                 _chsh_b_features, _hom_chunk, _twin_chunk)
+                                MomentEstimate, chsh_intensities, chsh_products,
+                                correlation_features, intensity_products, merge_moments,
+                                row_chunks)
+from spdcsim.experiments import (ExperimentConfig, _B_ANGLES, _bell_chunk, _chsh_b,
+                                 _chsh_rows, _hom_chunk, _twin_chunk)
 from spdcsim.multimode import SchmidtDecomposition
 from spdcsim.sampling import RngStream, sample_vacuum
 
@@ -158,6 +159,23 @@ def twin_columns(s2: float, eta: float = 1.0, reps: int = 1_000_000, seed: int =
 def bell_columns(G: float, reps: int = 1_000_000, seed: int = 42):
     cfg = ExperimentConfig(kind="bell", G=G, reps=reps, seed=seed)
     return bell_arms(cfg)
+
+
+def chsh_features(e1p, e1m, e2p, e2m, out=None, scratch=None):
+    """The two feature rows of ``estimators.chsh_coefficient`` from the
+    fields at the four polariser outputs, into ``out`` (new when absent),
+    through the (4, n) float64 ``scratch`` (new when absent)."""
+    out = np.empty((2, len(e1p))) if out is None else out
+    scratch = np.empty((4, len(e1p))) if scratch is None else scratch
+    i = chsh_intensities((e1p, e1m, e2p, e2m), scratch)
+    chsh_products(*i, out=out, scratch=i[0])
+    return out
+
+
+def _chsh_b_features(*arms):
+    out = np.empty((len(_B_ANGLES), len(arms[0])))  # two rows per (theta1, theta2)
+    _chsh_rows(arms, _B_ANGLES, out)
+    return out
 
 
 def chsh_b_estimate(arms):

@@ -145,6 +145,15 @@ def test_hom2d_zero_gain_is_a_usage_error(capsys):
     assert "gain_scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gain", ["100", "200", "400"])
+def test_hom2d_gain_too_large_is_a_usage_error(gain, capsys):
+    # the pair statistics (100), the product gains (200) or the kernel (400)
+    # overflow at these gains; under the suite's error::RuntimeWarning
+    # filter a numpy warning would fail the test
+    assert run_cli(["hom2d", "--reps", "5", "--gain-scale", gain, "--n-pixels", "16"]) == 2
+    assert f"gain_scale {gain} is too large" in capsys.readouterr().err
+
+
 def test_only_chunked_runs_report_threads(tmp_path):
     # hom2d draws its repetitions as one chunk, so its report has no threads
     twin, dip = tmp_path / "twin.json", tmp_path / "dip.json"

@@ -7,12 +7,11 @@ import pytest
 from spdcsim import theory
 from spdcsim.elements import BeamSplitterParams, GainParams, beam_split, parametric_amplify
 from spdcsim.estimators import (CHUNK_ROWS, DegenerateStatisticError, FourfoldPlan,
-                                chsh_features, correlation_features,
-                                intensity_products, intensity_snr)
+                                correlation_features, intensity_products, intensity_snr)
 from spdcsim.experiments import ExperimentConfig, polarized_arms, run_experiment
 from spdcsim.sampling import RngStream, sample_vacuum
 
-from helpers import (chsh_b_estimate, chsh_coefficient, correlation_coefficient,
+from helpers import (chsh_b_estimate, chsh_coefficient, chsh_features, correlation_coefficient,
                      covariance_intensity, feature_moments, field_pair_moment,
                      fourfold_covariance, jackknife_se, mean_intensity,
                      moment_theorem_residual, variance_intensity)

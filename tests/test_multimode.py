@@ -413,6 +413,6 @@ def test_run_hom2d_outputs_are_pinned():
     digest = {name: hashlib.sha256(getattr(curve, name).tobytes()).hexdigest()
               for name in ("amplitude", "std_error")}
     assert digest == {
-        "amplitude": "3e173028d40a94b112d29da5fe68a7400ef0b76d707e7ddb6172cc4596146183",
-        "std_error": "8fb5b209d19b2b46346d9a62b354b54738f433c4ea89a96c4b13bcc4d4a57773",
+        "amplitude": "ec3aa4dbb9df3826d59426a14f3ce38724d80d8e9bc02bfd928df493974f8c62",
+        "std_error": "3c876188d99ff0ee78bace80609fd3c18316f00539527909b6f5d99c52cbc71e",
     }

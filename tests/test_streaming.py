@@ -201,11 +201,11 @@ PINNED_ROWS = {
     ],
     "bell": [
         ("rho", 0.4995087799180706, 0.0032434843058720465),
-        ("E", -0.0008161690508127145, 0.002193863297152345),
+        ("E", -0.0008161690508127168, 0.002193863297112832),
         ("B", 1.4166188015665022, 0.003771485783830781),
     ],
     "fourfold": [
-        ("fourfold_direct", 38.30375151344208, 1.2180719727254172),
+        ("fourfold_direct", 38.30375151344208, 1.2180719726677651),
         ("fourfold_terms_total", 39.08955023309613, 0.43506860848058443),
         ("bunching_terms", 5.067796633258254, 0.0543024236754197),
         ("low_gain_terms", 16.0078963518691, 0.18201397135275194),
