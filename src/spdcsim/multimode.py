@@ -39,7 +39,10 @@ splitter, and their pair products, whose mean is exactly zero, are
 subtracted.  At low gain the amplified fields are mostly that vacuum, so
 the difference keeps the expectation and sheds most of the variance.
 Only the image rows that hold band pixels (and their mirrored partners)
-are synthesised.  The aggregate is normalised by the same statistic at a
+are synthesised, and only the band pixels are shifted, by one matrix
+product per band row with the shift matrices of every tilt; running sums
+over the pairs give each tilt's aggregate and its delete-one values in
+closed form.  The aggregate is normalised by the same statistic at a
 reference tilt far outside the phase-matching band, so the curve tends
 to 1 for distinguishable beams at every gain and to 0 at zero tilt.
 The ratio is not a function of merged feature means, so its standard
@@ -173,14 +176,14 @@ def build_kernel(config: Hom2dConfig) -> JointAmplitudeKernel:
     qs = q[:, None]
     qi = q[None, :]
     qbar = 0.5 * (qs - qi)
-    g0 = config.gain_scale
-    # bandwidth narrows with crystal length, broadens with gain (gain guiding)
-    qc = config.pm_bandwidth * math.sqrt(REFERENCE_LENGTH_MM / config.crystal_length_mm)
-    qc_eff = qc * (1.0 + g0 / config.pm_broadening_gain) ** config.pm_broadening_exponent
+    g0 = np.float64(config.gain_scale)  # overflows to inf, not OverflowError
     sigma_pump = 1.0 / config.pump_waist
     pump = np.exp(-((qs + qi) ** 2) / (2.0 * sigma_pump ** 2))
     # a gain too large overflows here; the norm check below names it
     with np.errstate(over="ignore", invalid="ignore"):
+        # bandwidth narrows with crystal length, broadens with gain (gain guiding)
+        qc = config.pm_bandwidth * math.sqrt(REFERENCE_LENGTH_MM / config.crystal_length_mm)
+        qc_eff = qc * (1.0 + g0 / config.pm_broadening_gain) ** config.pm_broadening_exponent
         if config.phase_matching == "sinc":
             mismatch = (qbar / qc_eff) ** 2
             s_eff = g0 * _sinhc(np.sqrt((g0 ** 2 - mismatch ** 2).astype(complex)))
@@ -370,23 +373,21 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int,
     return (signal, idler) if vacuum else (signal[0], idler[0])
 
 
-def shift_field(fields: np.ndarray, shift_px: float,
-                spectrum: np.ndarray | None = None) -> np.ndarray:
+def shift_field(fields: np.ndarray, shift_px: float) -> np.ndarray:
     """Displace a pixel-plane field by ``shift_px`` pixels along its last
     axis.
 
     Integer shifts reduce to a circular roll; fractional shifts use the
     unitary Fourier phase ramp, which preserves the vacuum level exactly
-    (linear interpolation of amplitudes would not).  A caller shifting one
-    field by many amounts may pass its ``spectrum``,
-    ``np.fft.fft(fields, axis=-1)``, so the forward transform is done once.
+    (linear interpolation of amplitudes would not).  Applied to the
+    identity it gives the shift as a matrix: ``f @ shift_field(np.eye(n),
+    s)`` is ``shift_field(f, s)``, which is how :func:`run_hom2d` shifts
+    only the band pixels.
     """
     if shift_px == int(shift_px):
         return np.roll(fields, int(shift_px), axis=-1)
-    if spectrum is None:
-        spectrum = np.fft.fft(fields, axis=-1)
     ramp = np.exp(-2j * np.pi * np.fft.fftfreq(fields.shape[-1]) * shift_px)
-    return np.fft.ifft(spectrum * ramp, axis=-1)
+    return np.fft.ifft(np.fft.fft(fields, axis=-1) * ramp, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -402,78 +403,77 @@ class DipCurve:
     seed: int
 
 
-def _coherence_aggregate(n_eff, m1r, m1i, s1, m2r, m2i, s2):
-    """Unbiased aggregate of |<E1 E2*>|^2 + |<E1 E2>|^2 over pairs.
-
-    ``(n |m|^2 - mean|z|^2) / (n - 1)`` removes the O(1/n) sampling
-    variance of each squared pair-moment estimate.
-    """
-    c1 = (n_eff * (m1r ** 2 + m1i ** 2) - s1) / (n_eff - 1)
-    c2 = (n_eff * (m2r ** 2 + m2i ** 2) - s2) / (n_eff - 1)
-    return (c1 + c2).sum(axis=-1)
-
-
-def _aggregate_with_loo(stats):
-    """Pair-coherence aggregate of ``stats`` (reps x pairs samples) and its
-    delete-one-rep values, one per repetition."""
-    reps = stats[0].shape[0]
-    value = _coherence_aggregate(reps, *[s.mean(axis=0) for s in stats])
-    loo = [(s.sum(axis=0)[None, :] - s) / (reps - 1) for s in stats]
-    return value, _coherence_aggregate(reps - 1, *loo)
-
-
 def _ratio_with_jackknife(num, den):
     """Dip ratio at one tilt over the reference tilt, with a delete-one-rep
-    jackknife standard error; ``num`` and ``den`` come from
-    :func:`_aggregate_with_loo`, and ``den`` is positive and finite."""
+    jackknife standard error; ``num`` and ``den`` are (aggregate, delete-one
+    values) from :func:`_coherence_sweep`; ``den`` is positive and finite."""
     with np.errstate(all="ignore"):  # the caller rejects a ratio that is not finite
         value = float(num[0] / den[0])
         return value, jackknife_se(num[1] / den[1])
 
 
-def _port_sweep(signal, idler, band_l, band_m):
-    """Output-port fields as a function of the tilt shift: ``ports(shift_px)``
-    gives e1 at the band pixels ``band_l`` and e2 at their partners
-    ``band_m`` (flat indices over the last two axes).
+def _band_ports(signal, idler, band_l, band_m, shifts):
+    """Output-port fields at every tilt shift, one band row at a time.
 
-    The tilt displaces the two reflected beams by +/- ``shift_px`` along
-    the horizontal image axis (opposite senses, as unitarity of a tilted
-    splitter requires).  The tilt-invariant work is done once: the forward
-    transforms of both planes and the transmitted fields at the pixels
-    used.
+    Yields ``(e1, e2)`` per image row holding band pixels: e1 at the band
+    pixels of the row (flat indices ``band_l`` over the last two axes) and
+    e2 at their partners ``band_m`` in the mirrored row, both of shape
+    ``signal.shape[:-2] + (len(shifts), pixels)``.  The tilt displaces the
+    reflected beams by +/- shift along the horizontal axis (opposite senses,
+    as unitarity of a tilted splitter requires).  A row f displaced by s is
+    ``f @ shift_field(I, s)``, so one matrix product with the stacked
+    shift-matrix columns of the row's band pixels gives the reflected field
+    there at every shift, and no other pixel is computed.
     """
-    flat = signal.shape[:-2] + (-1,)
-    signal_l = signal.reshape(flat)[..., band_l]
-    idler_m = idler.reshape(flat)[..., band_m]
-    spectrum_s = np.fft.fft(signal, axis=-1)
-    spectrum_i = np.fft.fft(idler, axis=-1)
+    n = signal.shape[-1]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    # (pixel in, shift, pixel out), times the splitter's reflection i/sqrt(2)
+    plus = 1j * inv_sqrt2 * np.stack([shift_field(np.eye(n), s) for s in shifts], axis=1)
+    minus = 1j * inv_sqrt2 * np.stack([shift_field(np.eye(n), -s) for s in shifts], axis=1)
+    row_l, col_l = np.divmod(band_l, n)
+    row_m, col_m = np.divmod(band_m, n)
+    for x in np.unique(row_l):
+        at = row_l == x
+        xm, cl, cm = row_m[at][0], col_l[at], col_m[at]
+        shape = signal.shape[:-2] + (len(shifts), cl.size)
+        e1 = (idler[..., x, :].reshape(-1, n) @ plus[..., cl].reshape(n, -1)).reshape(shape)
+        e1 += inv_sqrt2 * signal[..., x, cl][..., None, :]
+        e2 = (signal[..., xm, :].reshape(-1, n) @ minus[..., cm].reshape(n, -1)).reshape(shape)
+        e2 += inv_sqrt2 * idler[..., xm, cm][..., None, :]
+        yield e1, e2
 
-    def ports(shift_px):
-        ei_refl = shift_field(idler, shift_px, spectrum=spectrum_i)
-        es_refl = shift_field(signal, -shift_px, spectrum=spectrum_s)
-        e1 = (signal_l + 1j * ei_refl.reshape(flat)[..., band_l]) * inv_sqrt2
-        e2 = (1j * es_refl.reshape(flat)[..., band_m] + idler_m) * inv_sqrt2
-        return e1, e2
 
-    return ports
+def _coherence_sweep(signal, idler, band_l, band_m, shifts):
+    """Pair-coherence aggregate at each shift, shape (shifts,), and its
+    delete-one-repetition values, (reps, shifts).
 
-
-def _band_pair_stats(e1, e2):
-    """Cross-port pair-moment samples (reps x pairs) at one tilt: both
-    field products and their squared magnitudes (for the sampling-variance
-    correction), each less its vacuum control variate.
-
-    ``e1`` and ``e2`` stack the port fields of the amplified beams (index
-    0) on those of the input vacua (index 1).  The vacuum products e1v e2v*
-    and e1v e2v have mean exactly zero at every pixel pair and shift: the
-    two vacua are independent and circular, and the shift is unitary
-    (T- = T+^H), so the two cross terms of e1v e2v* cancel.
+    ``signal`` and ``idler`` stack the restricted planes of the amplified
+    beams (index 0) on those of the input vacua (index 1).  The samples
+    z_ip of pair p are e1 e2* and e1 e2, each less its vacuum control
+    variate, whose mean is exactly zero: the vacua are independent and
+    circular and the shift is unitary (T- = T+^H), so the cross terms of
+    e1v e2v* cancel.  With m_p the mean over the n repetitions and, summed
+    over pairs and both products, M = sum |m_p|^2, c_i = sum Re(m_p* z_ip),
+    o_i = sum |z_ip|^2 and q = sum_i o_i / n, the unbiased aggregate
+    sum_p (n |m_p|^2 - mean_i |z_ip|^2)/(n - 1) of |<E1 E2*>|^2 +
+    |<E1 E2>|^2 is (n M - q)/(n - 1), and with repetition i left out it is
+    n (n M - 2 c_i + 2 o_i / n - q)/((n - 1)(n - 2)).
     """
-    z1 = e1[0] * np.conj(e2[0]) - e1[1] * np.conj(e2[1])
-    z2 = e1[0] * e2[0] - e1[1] * e2[1]
-    return (z1.real, z1.imag, np.abs(z1) ** 2,
-            z2.real, z2.imag, np.abs(z2) ** 2)
+    reps = signal.shape[1]
+    power = np.zeros(len(shifts))
+    cross, own = np.zeros((2, reps, len(shifts)))
+    for e1, e2 in _band_ports(signal, idler, band_l, band_m, shifts):
+        e2c = np.conj(e2)
+        for z in (e1[0] * e2c[0] - e1[1] * e2c[1], e1[0] * e2[0] - e1[1] * e2[1]):
+            z = z.view(float)  # Re(a* b) is the dot product of (re, im) pairs
+            m = z.mean(axis=0)
+            power += np.einsum("ti,ti->t", m, m)
+            cross += np.einsum("rti,ti->rt", z, m)
+            own += np.einsum("rti,rti->rt", z, z)
+    q = own.mean(axis=0)
+    value = (reps * power - q) / (reps - 1)
+    loo = reps * (reps * power - 2.0 * cross + 2.0 * own / reps - q) / ((reps - 1) * (reps - 2))
+    return value, loo
 
 
 def _band_pairs(image: np.ndarray, band_floor: float):
@@ -506,10 +506,9 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
     images are correlated in aggregate and normalised by the same
     statistic at a reference tilt of half the grid.  Only the image rows
     holding band pixels are synthesised, together with the unamplified
-    input vacua whose pair products serve as a zero-mean control variate
-    (see :func:`_band_pair_stats`).  The work that does not depend on the
-    tilt (forward transforms, transmitted band fields, the reference-tilt
-    aggregate and its delete-one values) is done once for the sweep.
+    input vacua whose pair products serve as a zero-mean control variate.
+    All tilts, the reference included, are swept at once, by band row
+    (:func:`_coherence_sweep`).
 
     Raises :class:`~spdcsim.estimators.DegenerateStatisticError` when the
     reference-tilt aggregate or one of its delete-one values is not
@@ -528,19 +527,19 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
     signal, idler = sample_image_planes(dec, RngStream(seed, 0), reps,
                                         rows=rows, vacuum=True)
 
-    ports = _port_sweep(signal, idler, band_l, band_m)
-    ref = _aggregate_with_loo(_band_pair_stats(*ports(config.n_pixels // 2)))
+    thetas = np.asarray(config.theta_sweep, dtype=float)
+    shifts = [*(2.0 * thetas / config.pitch), config.n_pixels // 2]
+    value, loo = _coherence_sweep(signal, idler, band_l, band_m, shifts)
+    ref = value[-1], loo[:, -1]
     if not all(np.all(np.isfinite(x) & (x > 0)) for x in ref):
         raise DegenerateStatisticError(
             f"the pair coherence at the reference tilt (the dip's denominator) "
             f"is {ref[0]:.6g}, and its delete-one values lie in "
             f"[{ref[1].min():.6g}, {ref[1].max():.6g}]: not all positive and finite")
-    thetas = np.asarray(config.theta_sweep, dtype=float)
     amps = np.empty_like(thetas)
     errs = np.empty_like(thetas)
     for j, theta in enumerate(thetas):
-        stats = _band_pair_stats(*ports(2.0 * theta / config.pitch))
-        amps[j], errs[j] = _ratio_with_jackknife(_aggregate_with_loo(stats), ref)
+        amps[j], errs[j] = _ratio_with_jackknife((value[j], loo[:, j]), ref)
         if not (math.isfinite(amps[j]) and math.isfinite(errs[j])):
             raise ArithmeticError(f"the dip amplitude at theta = {theta:.6g} is "
                                   f"{amps[j]:.6g} +- {errs[j]:.6g}, not finite")

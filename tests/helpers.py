@@ -1,6 +1,7 @@
 """Test-only helpers: whole-column field draws and statistics, the
 reference jackknife, pair-moment statistics, single-axis multimode
-sampling and report comparison.
+sampling, the plane-domain FFT reference of the hom2d sweep and report
+comparison.
 
 No command of ``spdcsim`` uses these, so they live with the tests.  The
 whole-column draws concatenate the chunks of the streamed pipelines
@@ -29,7 +30,9 @@ from spdcsim.estimators import (FeatureMoments, FourfoldPlan, FourfoldResult,
                                 row_chunks)
 from spdcsim.experiments import (ExperimentConfig, _B_ANGLES, _bell_chunk, _chsh_b,
                                  _chsh_rows, _hom_chunk, _twin_chunk)
-from spdcsim.multimode import SchmidtDecomposition
+from spdcsim.multimode import (Hom2dConfig, SchmidtDecomposition, _band_pairs,
+                               _ratio_with_jackknife, build_kernel, image_mean_intensities,
+                               sample_image_planes, schmidt_decompose, shift_field)
 from spdcsim.sampling import RngStream, sample_vacuum
 
 #: Metadata keys that vary between runs and are excluded from reproducibility
@@ -234,6 +237,76 @@ def sample_multimode(dec: SchmidtDecomposition, rng: RngStream, reps: int):
     signal = amp_s @ dec.U.T + vs - (vs @ np.conj(dec.U)) @ dec.U.T
     idler = amp_i @ dec.V.T + vi - (vi @ np.conj(dec.V)) @ dec.V.T
     return signal, idler
+
+
+def _coherence_aggregate(n_eff, m1r, m1i, s1, m2r, m2i, s2):
+    """Unbiased aggregate of |<E1 E2*>|^2 + |<E1 E2>|^2 over pairs.
+
+    ``(n |m|^2 - mean|z|^2) / (n - 1)`` removes the O(1/n) sampling
+    variance of each squared pair-moment estimate.
+    """
+    c1 = (n_eff * (m1r ** 2 + m1i ** 2) - s1) / (n_eff - 1)
+    c2 = (n_eff * (m2r ** 2 + m2i ** 2) - s2) / (n_eff - 1)
+    return (c1 + c2).sum(axis=-1)
+
+
+def _aggregate_with_loo(stats):
+    """Pair-coherence aggregate of ``stats`` (reps x pairs samples) and its
+    delete-one-rep values, one per repetition."""
+    reps = stats[0].shape[0]
+    value = _coherence_aggregate(reps, *[s.mean(axis=0) for s in stats])
+    loo = [(s.sum(axis=0)[None, :] - s) / (reps - 1) for s in stats]
+    return value, _coherence_aggregate(reps - 1, *loo)
+
+
+def _port_sweep(signal, idler, band_l, band_m):
+    """Output-port fields as a function of the tilt shift: ``ports(shift_px)``
+    gives e1 at the band pixels ``band_l`` and e2 at their partners
+    ``band_m`` (flat indices over the last two axes), shifting both whole
+    planes with :func:`spdcsim.multimode.shift_field`."""
+    flat = signal.shape[:-2] + (-1,)
+    signal_l = signal.reshape(flat)[..., band_l]
+    idler_m = idler.reshape(flat)[..., band_m]
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+
+    def ports(shift_px):
+        ei_refl = shift_field(idler, shift_px)
+        es_refl = shift_field(signal, -shift_px)
+        e1 = (signal_l + 1j * ei_refl.reshape(flat)[..., band_l]) * inv_sqrt2
+        e2 = (1j * es_refl.reshape(flat)[..., band_m] + idler_m) * inv_sqrt2
+        return e1, e2
+
+    return ports
+
+
+def _band_pair_stats(e1, e2):
+    """Cross-port pair-moment samples (reps x pairs) at one tilt: both
+    field products and their squared magnitudes, each less its vacuum
+    control variate (index 1 of ``e1`` and ``e2``)."""
+    z1 = e1[0] * np.conj(e2[0]) - e1[1] * np.conj(e2[1])
+    z2 = e1[0] * e2[0] - e1[1] * e2[1]
+    return (z1.real, z1.imag, np.abs(z1) ** 2,
+            z2.real, z2.imag, np.abs(z2) ** 2)
+
+
+def fft_reference_dip(config: Hom2dConfig, reps: int, seed: int):
+    """Dip amplitudes and standard errors of ``spdcsim.multimode.run_hom2d``
+    by the plane-domain route: at each tilt, shift both whole restricted
+    planes by FFT, read the band pairs, and form the delete-one aggregates
+    from the six (reps x pairs) statistic arrays.  The same draw and band
+    as ``run_hom2d``; only the sweep differs."""
+    dec = schmidt_decompose(build_kernel(config), floor=0.0)
+    rows, band_l, band_m = _band_pairs(image_mean_intensities(dec), config.band_floor)
+    signal, idler = sample_image_planes(dec, RngStream(seed, 0), reps,
+                                        rows=rows, vacuum=True)
+    ports = _port_sweep(signal, idler, band_l, band_m)
+    ref = _aggregate_with_loo(_band_pair_stats(*ports(config.n_pixels // 2)))
+    thetas = np.asarray(config.theta_sweep, dtype=float)
+    amps, errs = np.empty_like(thetas), np.empty_like(thetas)
+    for j, theta in enumerate(thetas):
+        stats = _band_pair_stats(*ports(2.0 * theta / config.pitch))
+        amps[j], errs[j] = _ratio_with_jackknife(_aggregate_with_loo(stats), ref)
+    return amps, errs
 
 
 def comparable_text(path: Path) -> str:

@@ -154,6 +154,18 @@ def test_hom2d_gain_too_large_is_a_usage_error(gain, capsys):
     assert f"gain_scale {gain} is too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gain", ["1e200", "1e300"])
+def test_hom2d_gain_beyond_double_range_is_a_usage_error(gain, capsys):
+    # the square of the gain (1e200) and the gain-guided bandwidth (1e300)
+    # overflow a double; under the suite's error::RuntimeWarning filter a
+    # numpy warning would fail the test
+    assert run_cli(["hom2d", "--reps", "5", "--gain-scale", gain, "--n-pixels", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"spdcsim: gain_scale {float(gain):g} is too large")
+    assert "Traceback" not in err
+    assert "Warning" not in err
+
+
 def test_only_chunked_runs_report_threads(tmp_path):
     # hom2d draws its repetitions as one chunk, so its report has no threads
     twin, dip = tmp_path / "twin.json", tmp_path / "dip.json"

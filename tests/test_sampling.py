@@ -131,9 +131,11 @@ def _sha256(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-# Recorded with the row-vectorised Philox and the original Box-Muller,
-# before the per-row path existed; any change to the words or the Gaussians
-# drawn from them shows here.
+# The raw-word digests were recorded with the row-vectorised Philox, before
+# the per-row path existed, and both paths keep them; the vacuum digests
+# were recorded with the table-and-polynomial Box-Muller (cos and sin of
+# each drawn turn from a 1024-cell table plus a short polynomial).  Any
+# change to the words or to the Gaussians drawn from them shows here.
 @pytest.mark.parametrize("draw,digest", [
     (lambda: raw_words(RngStream(42, 0), 16, 4096),  # wide: per-row path
      "641f3014536a566344c392f07df3d7eadc44f8d1a8e6fb571d79a06f0a1d5d25"),
