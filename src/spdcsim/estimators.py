@@ -185,13 +185,19 @@ def intensity_products(a, b, out=None):
     return out
 
 
-def correlation_features(a, b, out=None):
+def correlation_features(a, b, va, vb, out=None):
     """Features of :func:`correlation_coefficient`: those of
-    :func:`intensity_products` and both squared intensities."""
-    out = _rows(out, 5, a)
+    :func:`intensity_products` and both squared intensities, then the
+    intensities of the input vacua ``va`` and ``vb`` of ``a`` and ``b``
+    (the same optics at zero gain) and their squares."""
+    out = _rows(out, 9, a)
     xa, xb = intensity_products(a, b, out[:3])[:2]
     np.square(xa, out=out[3])
     np.square(xb, out=out[4])
+    _intensity(va, out[5])
+    _intensity(vb, out[6])
+    np.square(out[5], out=out[7])
+    np.square(out[6], out=out[8])
     return out
 
 
@@ -231,7 +237,17 @@ def covariance_intensity(moments: FeatureMoments) -> MomentEstimate:
 
 def correlation_coefficient(moments: FeatureMoments) -> MomentEstimate:
     """Intensity correlation coefficient with normal-ordered variances from
-    the moments of :func:`correlation_features`."""
+    the moments of :func:`correlation_features`.
+
+    Each normal-ordered variance it divides by must be positive and clear
+    of zero by 5 standard errors.  The second test reads the arm's sampled
+    intensity variance less that of its input vacuum: the vacuum's has
+    expectation 1/4, the ordering offset, so the difference has the
+    normal-ordered variance as its expectation, and at low gain, where the
+    arm is mostly that vacuum, the noise they share cancels out of its
+    standard error.
+    """
+    n = moments.n
     off = ORDERING.variance_offset
 
     def rho(m):
@@ -239,9 +255,11 @@ def correlation_coefficient(moments: FeatureMoments) -> MomentEstimate:
         vb = m[4] - m[1] ** 2 - off
         return (m[2] - m[0] * m[1]) / np.sqrt(va * vb)
 
-    for i, ii in ((0, 3), (1, 4)):
-        var = moments.estimate(_variance(moments.n, i, ii))
-        if var.value <= 0 or var.value < 5.0 * var.std_error:
+    mean = moments.mean
+    for i, ii, v, vv in ((0, 3, 5, 7), (1, 4, 6, 8)):
+        excess = moments.estimate(
+            lambda m: ((m[ii] - m[i] ** 2) - (m[vv] - m[v] ** 2)) * (n / (n - 1)))
+        if mean[ii] - mean[i] ** 2 - off <= 0 or excess.value <= 5.0 * excess.std_error:
             raise DegenerateStatisticError(
                 "normal-ordered variance consistent with zero")
     return moments.estimate(rho)

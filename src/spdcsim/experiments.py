@@ -14,8 +14,10 @@ it is a buffer that the worker keeps
 warm chunk allocates no fresh pages, and its working set stays in cache.
 The chunk at ``row0`` of vacuum lane ``L`` is
 ``sample_vacuum(RngStream(seed, L * LANE_STRIDE + row0), rows, modes)``,
-which holds the same rows, bit for bit, as one draw of the whole lane,
-because every row has its own Philox key.  Every report row comes from
+which holds the same rows, bit for bit, as one draw of the whole lane:
+a Philox key covers 2**14 words of rows (4096 rows of two modes, 2048 of
+four), so ``row0``, a multiple of the chunk, starts a key block of the
+lane (see :mod:`~spdcsim.sampling`).  Every report row comes from
 the one merged :class:`~spdcsim.estimators.FeatureMoments`: a statistic
 of :mod:`~spdcsim.estimators` takes the moments of its features, and the
 hom dip and CHSH B, ratios of this module's own, take
@@ -233,7 +235,8 @@ def _run_hom(config: ExperimentConfig) -> RunReport:
 
 def _bell_chunk(config: ExperimentConfig, row0: int, rows: int, kept):
     """Polarisation-entangled fields (e1x, e1y, e2x, e2y) at the two
-    locations: two independent amplifiers pump the crossed polarisation
+    locations, then the input vacua of the same four fields (the fields at
+    zero gain): two independent amplifiers pump the crossed polarisation
     pairs (1x, 2y) and (1y, 2x), which realises the maximally entangled
     polarisation state for intensity correlations."""
     ens = _vacuum(config, 0, row0, rows, 4, kept)
@@ -243,7 +246,7 @@ def _bell_chunk(config: ExperimentConfig, row0: int, rows: int, kept):
     e1y, e2x = parametric_amplify(ens[:, 2], ens[:, 3], config.gain,
                                   out=_fields(kept, rows, "e1y", "e2x"),
                                   scratch=_scratch(kept, rows))
-    return e1x, e1y, e2x, e2y
+    return e1x, e1y, e2x, e2y, ens[:, 0], ens[:, 2], ens[:, 3], ens[:, 1]
 
 
 def _polarizer_keys(angles) -> list:
@@ -300,12 +303,20 @@ def _chsh_b(m):
                for j, (_, _, sign) in enumerate(_CHSH_SETTINGS))
 
 
-def _bell_features(config, x, kept, *arms):
-    """Rows 0-4 the correlation features of the (theta1, theta2) outputs,
-    5-6 their E features, 7-14 those of the four settings of B; the five
-    settings share their projections and intensities."""
-    fields = _chsh_rows(arms, (config.theta1, config.theta2, *_B_ANGLES), x[5:15], kept)
-    correlation_features(fields[0], fields[2], out=x[0:5])
+def _bell_features(config, x, kept, *fields):
+    """Rows 0-8 the correlation features of the (theta1, theta2) outputs
+    and of their input vacua, 9-10 their E features, 11-18 those of the
+    four settings of B; the five settings share their projections and
+    intensities."""
+    arms, vacua = fields[:4], fields[4:]
+    e1p, _, e2p, _ = _chsh_rows(arms, (config.theta1, config.theta2, *_B_ANGLES),
+                                x[9:19], kept)[:4]
+    n = len(e1p)
+    t = _scratch(kept, n)
+    v1p, v2p = _fields(kept, n, "vacuum1", "vacuum2")
+    polarizer_project(*vacua[:2], config.theta1, out=v1p, scratch=t)
+    polarizer_project(*vacua[2:], config.theta2, out=v2p, scratch=t)
+    correlation_features(e1p, e2p, v1p, v2p, out=x[0:9])
 
 
 def _run_bell(config: ExperimentConfig) -> RunReport:
@@ -313,9 +324,9 @@ def _run_bell(config: ExperimentConfig) -> RunReport:
                                     config.gain.mean_photons)
     moments = _moments(config)
     rows = [
-        make_row("rho", correlation_coefficient(moments.select(range(5))), oracle["rho"]),
-        make_row("E", chsh_coefficient(moments.select([5, 6])), oracle["E"]),
-        make_row("B", moments.select(range(7, 15)).estimate(_chsh_b), oracle["B"]),
+        make_row("rho", correlation_coefficient(moments.select(range(9))), oracle["rho"]),
+        make_row("E", chsh_coefficient(moments.select([9, 10])), oracle["E"]),
+        make_row("B", moments.select(range(11, 19)).estimate(_chsh_b), oracle["B"]),
     ]
     report = RunReport("bell", rows=rows)
     report.metadata["threshold_G"] = oracle["threshold_G"]
@@ -357,7 +368,7 @@ def _run_fourfold(config: ExperimentConfig) -> RunReport:
 _STREAMED = {
     "twin": (_twin_chunk, _twin_features, 4),
     "hom": (_hom_chunk, _hom_features, 14),
-    "bell": (_bell_chunk, _bell_features, 15),
+    "bell": (_bell_chunk, _bell_features, 19),
     "fourfold": (_amplified_pair, _fourfold_features, _FOURFOLD.k),
 }
 

@@ -1,4 +1,4 @@
-"""Seedable vacuum-field sampling with counter-based per-repetition streams.
+"""Seedable vacuum-field sampling from counter-based Philox streams.
 
 The sampler draws complex field amplitudes whose real and imaginary parts
 are independent zero-mean Gaussians with variance 1/4, so each vacuum mode
@@ -8,65 +8,60 @@ to normal order requires subtracting 1/2 from intensities and 1/4 from
 intensity variances (see :data:`ORDERING`).  Individual normal-ordered
 samples may be negative; nothing here clamps them.
 
-Random number generation is fully deterministic and order-independent:
+Random number generation is fully deterministic and order-independent.
+:func:`raw_words` draws the 64-bit words of a call's rows from numpy's own
+Philox-4x64-10 bit generator (``numpy.random.Philox``), one key per block
+of rows:
 
-* Every repetition ``r`` of an ensemble owns a private Philox-4x64-10
-  stream keyed by ``(seed, stream_id + r)``.  Philox is a pure function of
-  (key, counter), so any number of workers can fill disjoint repetition
-  ranges and always produce the same ensemble as a serial run.
-* Within a stream, 64-bit words are consumed in counter order and
-  converted to Gaussians with the Box-Muller transform (word pair ``2t,
-  2t+1`` gives the cosine/sine pair).  Mode ``m`` of a repetition uses
-  words ``2m`` and ``2m+1`` as its real and imaginary quadratures.  The
-  radius word gives ``u1 = ((w >> 11) + 1) 2**-53`` in (0, 1] and the
-  radius ``sqrt(-0.5 ln u1)``, which folds the 1/2 scale of the quadratures
-  into ``0.5 sqrt(-2 ln u1)`` exactly.  The angle word ``w`` is the turn
-  ``u2 = (w >> 11) 2**-53``, reduced exactly in integers: its top 10 bits
-  pick one of 1024 cells, whose cosine and sine come from a table
-  (:data:`_COS_TABLE`, :data:`_SIN_TABLE`, correct to half an ulp of 1),
-  and its next 43 bits give the offset ``b`` in [0, 2 pi / 1024) into the
-  cell.  A short Taylor polynomial gives ``sin b`` and ``cos b - 1``, and
-  one angle addition the cosine and sine of the whole turn, to within
-  6e-16 of the radius, with no call to libm's cos or sin.  The transform
-  runs in slabs of at most :data:`_SLAB_PAIRS` pairs, so that each of its
-  temporaries takes at most 256 KB and stays in L2 cache.
+* a row takes ``4 ceil(n_words / 4)`` words, whole Philox blocks, of which
+  the first ``n_words`` are returned;
+* a key block is the largest power of two of rows whose words fit in
+  :data:`_KEY_WORDS` = 2**14; a row of 2**14 words or more is a key block
+  of its own;
+* rows ``[b, b + K)`` of a call from stream ``(seed, stream_id)``, with
+  ``b`` a multiple of the block size ``K``, are one ``random_raw`` of
+  ``numpy.random.Philox(key=[seed, stream_id + b])`` from counter block
+  0, so row ``b + j`` starts at counter block ``j`` times the blocks of a
+  row.
 
-:func:`raw_words` draws the words along one of two paths that give the
-same words:
+Philox is a pure function of (key, counter) (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11), so rows ``[b, b + n)`` of
+a stream ``(seed, s)``, with ``b`` a multiple of ``K``, are the call from
+``RngStream(seed, s + b)``: any number of workers can fill key-aligned row
+ranges and produce the same ensemble as a serial run.  Twin, hom and
+fourfold rows (4 words) take 4096 rows a key and bell rows (8 words)
+2048, so a :data:`CHUNK_ROWS` chunk is whole key blocks; a default hom2d
+row (16384 words) is its own key block, ``(seed, stream_id + r)``.
 
-* tall ensembles (many repetitions, few counter blocks) run the Philox
-  below, vectorised over repetitions.  Rows go through a chunk of
-  :data:`CHUNK_ROWS` = 16384 at a time, each a Python loop over counter
-  blocks, so the seven (2, 16384) scratch arrays, allocated once a thread,
-  stay in cache.  The state is two lanes, ``[x0; x2]`` and ``[x1; x3]``,
-  so one multiply-high-low serves both multipliers of a round.  The first
-  round is closed form: the counter ``(j, 0, 0, 0)`` is the same in every
-  row, so only ``M0 j`` is left, one Python-int product, and the rows
-  start at round 2;
-* wide ensembles (few repetitions, many blocks, as for hom2d image
-  planes) run one ``numpy.random.Philox``, rekeyed for each repetition r
-  to ``(seed, stream_id + r)`` with its counter one block before 0.
+The words are converted to Gaussians with the Box-Muller transform (word
+pair ``2t, 2t+1`` gives the cosine/sine pair).  Mode ``m`` of a repetition
+uses words ``2m`` and ``2m+1`` as its real and imaginary quadratures.  The
+radius word gives ``u1 = ((w >> 11) + 1) 2**-53`` in (0, 1] and the radius
+``sqrt(-0.5 ln u1)``, which folds the 1/2 scale of the quadratures into
+``0.5 sqrt(-2 ln u1)`` exactly.  The angle word ``w`` is the turn ``u2 =
+(w >> 11) 2**-53``, reduced exactly in integers: its top 10 bits pick one
+of 1024 cells, whose cosine and sine come from a table (:data:`_COS_TABLE`,
+:data:`_SIN_TABLE`, correct to half an ulp of 1), and its next 43 bits
+give the offset ``b`` in [0, 2 pi / 1024) into the cell.  A short Taylor
+polynomial gives ``sin b`` and ``cos b - 1``, and one angle addition the
+cosine and sine of the whole turn, to within 6e-16 of the radius, with no
+call to libm's cos or sin.  The transform runs in slabs of at most
+:data:`_SLAB_PAIRS` pairs, so that each of its temporaries takes at most
+256 KB and stays in L2 cache.
 
-The choice is a fixed cost rule on (repetitions, blocks), see
-:func:`_per_row_is_faster`; the test suite checks both paths against each
-other and against ``numpy.random.Philox`` bit for bit.
-
-Since rows are keyed independently, rows ``[row0, row0 + n)`` of a stream
-``(seed, s)`` are ``sample_vacuum(RngStream(seed, s + row0), n, modes)``.
-:func:`sample_vacuum` uses this itself: a tall call is drawn a chunk at a
-time, each one :func:`raw_words` draw into a word buffer and one
-Box-Muller step.  The word buffer, the chunk's stream ids and the
-Box-Muller and Philox scratch hold at most :data:`CHUNK_ROWS` rows each,
-and each thread keeps them for its next call (:func:`kept_array`), so a
-repeated tall call allocates nothing beyond its result, and nothing at all
-when the caller hands it ``out``; its working set does not grow with the
-rows asked for.  A wide call stays one :func:`raw_words` draw; its
-Box-Muller temporaries are one slab's, freed on return.  The chunk is
-also the row block of the twin, hom, bell and fourfold pipelines and of
-the moment engine: each chunk is one call here per vacuum lane, drawn
-into a buffer that the worker keeps, and one reduction (see
-:mod:`spdcsim.experiments`); a single call here runs on the calling
-thread.
+:func:`sample_vacuum` draws a :data:`CHUNK_ROWS` chunk at a time, each
+one :func:`raw_words` draw into a word buffer and one Box-Muller step, so
+its working set does not grow with the rows asked for.  On a tall call (a
+chunk's words fit in :data:`_KEPT_WORDS`) each thread keeps the word
+buffer and the Box-Muller scratch for its next call (:func:`kept_array`),
+so a repeated tall call allocates nothing beyond its result, and nothing
+at all when the caller hands it ``out``.  A wide call (hom2d's image
+planes) keeps nothing: its words and Box-Muller temporaries are freed on
+return.  The chunk is also the row block of the twin, hom, bell and
+fourfold pipelines and of the moment engine: each chunk is one call here
+per vacuum lane, drawn into a buffer that the worker keeps, and one
+reduction (see :mod:`spdcsim.experiments`); a single call here runs on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -88,14 +83,6 @@ __all__ = [
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
-
-# Philox-4x64 round multipliers and Weyl key increments (Random123 constants).
-_M0 = 0xD2E7470EE14C6C93
-_M1 = 0xCA5A826395121157
-_W0 = 0x9E3779B97F4A7C15
-_W1 = 0xBB67AE8584CAA73B
-_MASK32 = _U64(0xFFFFFFFF)
-_SH32 = _U64(32)
 _SH11 = _U64(11)
 _INV53 = 2.0 ** -53
 
@@ -129,18 +116,28 @@ class RngStream:
         object.__setattr__(self, "stream_id", int(self.stream_id) & _MASK64)
 
 
-#: Rows per chunk, the one row block of the package: the tall path draws
-#: its rows a chunk at a time, and the pipelines and the moment engine of
+#: Rows per chunk, the one row block of the package: a tall draw takes its
+#: rows a chunk at a time, and the pipelines and the moment engine of
 #: :mod:`spdcsim.estimators` draw, reduce and merge chunks of this size.
-#: Fixed, so that no result depends on the machine.  The tall path's seven
-#: (2, 16384) uint64 Philox scratch arrays take 1.8 MB, so a chunk stays in
-#: a 2 MB L2 cache.
+#: Fixed, so that no result depends on the machine.
 CHUNK_ROWS = 1 << 14
 
-#: 0, 1, ..., CHUNK_ROWS - 1: a chunk's stream ids less its first.
-_ROW_OFFSETS = np.arange(CHUNK_ROWS, dtype=np.uint64)
+#: Words of one Philox key: a key block is the largest power of two of rows
+#: whose words fit in it (one row when a row alone is wider).  A row takes
+#: at least four words, so a key block is at most 4096 rows and a
+#: :data:`CHUNK_ROWS` chunk is whole key blocks.  A default hom2d row is
+#: 2**14 words, so it keeps a key of its own.  Measured per chunk of two
+#: modes, :func:`sample_vacuum` takes about as long with one key per chunk,
+#: and 5% longer with 2**12 words a key.
+_KEY_WORDS = 1 << 14
 
-#: Buffers of the tall path that each thread keeps between calls.
+#: A draw is tall, its chunk buffers kept by each thread, when a chunk's
+#: words fit in 1 MB: pipeline rows of up to 8 words.  A wider draw (hom2d's
+#: 13 MB of image-plane words) keeps no buffer, so its memory is freed on
+#: return.
+_KEPT_WORDS = 1 << 17
+
+#: Buffers of tall draws that each thread keeps between calls.
 _kept = threading.local()
 
 
@@ -161,127 +158,39 @@ def kept_array(kept, name: str, shape, dtype=np.complex128) -> np.ndarray:
         setattr(kept, name, buf)
     return buf[:size].reshape(shape)
 
-# Column constants of the two-lane state: row 0 acts on x0 and k0, row 1 on
-# x2 and k1.
-_M = np.array([[_M0], [_M1]], dtype=np.uint64)
-_M_HI = _M >> _SH32
-_M_LO = _M & _MASK32
-_W = np.array([[_W0], [_W1]], dtype=np.uint64)
 
-
-def _mulhilo(x: np.ndarray, hi: np.ndarray, lo: np.ndarray,
-             t: np.ndarray, u: np.ndarray) -> None:
-    """``hi``, ``lo`` <- high and low 64 bits of [[M0], [M1]] * x for the
-    (2, n) lane pair ``x`` (64x64 -> 128 via 32-bit limbs).  ``t`` and
-    ``u`` are scratch; ``x`` is overwritten."""
-    np.multiply(x, _M, out=lo)
-    np.bitwise_and(x, _MASK32, out=t)       # xl
-    np.multiply(t, _M_LO, out=u)
-    np.right_shift(u, _SH32, out=u)         # (al xl) >> 32
-    np.multiply(t, _M_HI, out=t)
-    np.add(t, u, out=t)                     # t = ah xl + (al xl >> 32)
-    np.right_shift(x, _SH32, out=u)         # xh
-    np.multiply(u, _M_HI, out=hi)
-    np.multiply(u, _M_LO, out=u)            # al xh
-    np.right_shift(t, _SH32, out=x)
-    np.add(hi, x, out=hi)
-    np.bitwise_and(t, _MASK32, out=t)
-    np.add(u, t, out=u)                     # u = al xh + (t & mask)
-    np.right_shift(u, _SH32, out=u)
-    np.add(hi, u, out=hi)                   # hi = ah xh + (t >> 32) + (u >> 32)
-
-
-def _scratch(width: int) -> tuple:
-    """Seven (2, width) uint64 arrays for :func:`_philox_block`."""
-    return tuple(np.empty((2, width), dtype=np.uint64) for _ in range(7))
-
-
-def _kept_scratch() -> tuple:
-    """This thread's :func:`_scratch` of :data:`CHUNK_ROWS` columns."""
-    return tuple(kept_array(_kept, "scratch", (7, 2, CHUNK_ROWS), np.uint64))
-
-
-def _philox_block(counter: int, seed: int, stream_ids: np.ndarray,
-                  scratch: tuple | None = None) -> tuple:
-    """Philox-4x64-10 block of counter ``(counter, 0, 0, 0)`` under each key
-    ``(seed, stream_id)``; returns the four words as uint64 arrays.
-
-    ``scratch`` is :func:`_scratch` of at least ``len(stream_ids)`` columns,
-    reused across calls; the words returned are views into it.
-    """
-    n = len(stream_ids)
-    a, b, hi, lo, t, u, key = (s[:, :n] for s in scratch or _scratch(n))
-    # Round 1 in closed form: M1 * x2 = 0, so [x0; x2] <- [k0; hi(M0 c) ^ k1]
-    # and [x1; x3] <- [0; lo(M0 c)].
-    p = _M0 * int(counter)
-    key[0] = seed
-    key[1] = stream_ids
-    a[0] = seed
-    np.bitwise_xor(stream_ids, _U64(p >> 64), out=a[1])
-    b[0] = 0
-    b[1] = p & _MASK64
-    for _ in range(9):
-        np.add(key, _W, out=key)
-        _mulhilo(a, hi, lo, t, u)
-        # [x0; x2] <- [hi1 ^ x1; hi0 ^ x3] ^ key, [x1; x3] <- [lo1; lo0]
-        np.bitwise_xor(hi[::-1], b, out=a)
-        np.bitwise_xor(a, key, out=a)
-        b, lo = lo[::-1], b
-    return a[0], b[0], a[1], b[1]
-
-
-def _per_row_is_faster(reps: int, n_blocks: int) -> bool:
-    """Dispatch rule of :func:`raw_words`: True where the per-row numpy
-    Philox path beats the path vectorised over rows.
-
-    Measured on a 2-vCPU x86-64 (AVX-512) VM with numpy 2.4: the per-row
-    path costs ~2 us a row (rekeying its one generator; its words cost
-    ~0.02 us a block), the vectorised one ~90 us a block plus ~0.09 us per
-    row and block; the rule counts in units of 0.01 us.  So one-block and
-    two-block tall ensembles stay vectorised, and rows win from ~3 blocks
-    at 100 rows, ~14 at 1000 and ~26 at 10 000 (measured crossovers: 2-3,
-    10-14 and 30-32 blocks; on either side of them the two paths differ
-    by less than 10%).
-    """
-    return 200 * reps < n_blocks * (9_000 + 7 * reps)
+def _row_words(n_words: int) -> int:
+    """Words a row of ``n_words`` takes: whole four-word Philox blocks."""
+    return 4 * -(-n_words // 4)
 
 
 def raw_words(stream: RngStream, reps: int, n_words: int,
               out: np.ndarray | None = None) -> np.ndarray:
-    """First ``n_words`` raw 64-bit words of ``reps`` consecutive streams.
+    """First ``n_words`` raw 64-bit words of each of ``reps`` rows, one
+    ``numpy.random.Philox`` key per block of rows (see the module docstring).
 
     With ``out``, a flat uint64 array of at least ``reps * 4 *
     ceil(n_words / 4)`` elements, the words are written to its start and
     the (reps, n_words) result is a view into it.
     """
-    n_blocks = -(-n_words // 4)
+    row_words = _row_words(n_words)
+    key_rows = 1 << max(0, (_KEY_WORDS // row_words).bit_length() - 1)
     if out is None:
-        out = np.empty(reps * 4 * n_blocks, dtype=np.uint64)
-    words = out[:reps * 4 * n_blocks].reshape(reps, 4 * n_blocks)
-    if _per_row_is_faster(reps, n_blocks):
-        # numpy's Philox steps its counter before each block, so starting it
-        # at 2**64 - 1 in every word makes its first block our block 0.  One
-        # generator is rekeyed per row: building one per row would draw OS
-        # entropy for a seed that the key then overrides.
-        counter = np.full(4, _MASK64, dtype=np.uint64)
-        bit_gen = np.random.Philox(0)
-        state = bit_gen.state
-        for r in range(reps):
-            key = np.array([stream.seed, (stream.stream_id + r) & _MASK64],
-                           dtype=np.uint64)
-            state["state"] = {"counter": counter, "key": key}
-            bit_gen.state = state
-            words[r] = bit_gen.random_raw(4 * n_blocks)
-    else:
-        scratch = _kept_scratch()
-        for r0 in range(0, reps, CHUNK_ROWS):
-            rows = words[r0:r0 + CHUNK_ROWS]
-            sids = np.add(_ROW_OFFSETS[:len(rows)], _U64((stream.stream_id + r0) & _MASK64),
-                          out=kept_array(_kept, "sids", (len(rows),), np.uint64))
-            for j in range(n_blocks):
-                block = _philox_block(j, stream.seed, sids, scratch)
-                for k, w in enumerate(block):
-                    rows[:, 4 * j + k] = w
+        out = np.empty(reps * row_words, dtype=np.uint64)
+    words = out[:reps * row_words].reshape(reps, row_words)
+    # numpy's Philox steps its counter before each block, so starting it at
+    # 2**256 - 1 makes its first block counter 0.  One generator is rekeyed
+    # per key block: building one per block would draw OS entropy for a seed
+    # that the key then overrides.
+    bit_gen = np.random.Philox(0)
+    state = bit_gen.state
+    counter = np.full(4, _MASK64, dtype=np.uint64)
+    for r0 in range(0, reps, key_rows):
+        block = words[r0:r0 + key_rows]
+        key = np.array([stream.seed, (stream.stream_id + r0) & _MASK64], dtype=np.uint64)
+        state["state"] = {"counter": counter, "key": key}
+        bit_gen.state = state
+        block.reshape(-1)[:] = bit_gen.random_raw(block.size)
     return words[:, :n_words]
 
 
@@ -390,7 +299,7 @@ def _gaussian_pairs(words: np.ndarray, out: np.ndarray, kept=None) -> None:
 
 def sample_vacuum(rng: RngStream, reps: int, modes: int,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Sample independent vacuum fields, one stream per repetition.
+    """Sample independent vacuum fields, rows keyed as in :func:`raw_words`.
 
     Returns the C-contiguous (reps, modes) complex128 array of amplitudes;
     each is a circular complex Gaussian with <E E*> = 1/2 and <E E> = 0, and
@@ -408,13 +317,11 @@ def sample_vacuum(rng: RngStream, reps: int, modes: int,
         raise ValueError(f"out must be a C-contiguous ({reps}, {modes}) complex128 "
                          f"array, got {out.dtype} {out.shape}")
     pairs = out.view(np.float64)  # re, im interleaved per mode
-    n_blocks = -(-modes // 2)
-    if _per_row_is_faster(reps, n_blocks):
-        _gaussian_pairs(raw_words(rng, reps, 2 * modes), pairs)
-        return out
+    row_words = _row_words(2 * modes)
+    kept = _kept if min(reps, CHUNK_ROWS) * row_words <= _KEPT_WORDS else None
     for p0 in range(0, reps, CHUNK_ROWS):
         n = min(CHUNK_ROWS, reps - p0)
         words = raw_words(RngStream(rng.seed, rng.stream_id + p0), n, 2 * modes,
-                          out=kept_array(_kept, "words", (n * 4 * n_blocks,), np.uint64))
-        _gaussian_pairs(words, pairs[p0:p0 + n], _kept)
+                          out=kept_array(kept, "words", (n * row_words,), np.uint64))
+        _gaussian_pairs(words, pairs[p0:p0 + n], kept)
     return out

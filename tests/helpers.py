@@ -91,10 +91,13 @@ def covariance_intensity(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate
         feature_moments(intensity_products, col_a, col_b))
 
 
-def correlation_coefficient(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
-    """Intensity correlation coefficient with normal-ordered variances."""
+def correlation_coefficient(col_a: np.ndarray, col_b: np.ndarray,
+                            vac_a: np.ndarray, vac_b: np.ndarray) -> MomentEstimate:
+    """Intensity correlation coefficient with normal-ordered variances;
+    ``vac_a`` and ``vac_b`` are the input vacua of the two columns (the
+    same draw and optics at zero gain), which its degeneracy guard reads."""
     return estimators.correlation_coefficient(
-        feature_moments(correlation_features, col_a, col_b))
+        feature_moments(correlation_features, col_a, col_b, vac_a, vac_b))
 
 
 def chsh_coefficient(e1p: np.ndarray, e1m: np.ndarray,
@@ -142,13 +145,15 @@ def hom_fields(config: ExperimentConfig):
 
 
 def bell_arms(config: ExperimentConfig):
-    """Polarisation-entangled fields at the two locations.
+    """Polarisation-entangled fields (e1x, e1y, e2x, e2y) at the two
+    locations.
 
     Two independent amplifiers pump the crossed polarisation pairs
     (1x, 2y) and (1y, 2x), which realises the maximally entangled
-    polarisation state for intensity correlations.
+    polarisation state for intensity correlations.  At G = 0 these are the
+    input vacua of the same seed's fields at any gain.
     """
-    return _whole_columns(_bell_chunk, config)
+    return _whole_columns(lambda *chunk: _bell_chunk(*chunk)[:4], config)
 
 
 @lru_cache(maxsize=8)

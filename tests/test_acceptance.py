@@ -75,14 +75,15 @@ def test_criterion_3_hom_null():
 
 
 def test_criterion_4_bell_correlation_law():
-    arms = bell_columns(1.0)
+    arms, vacua = bell_columns(1.0), bell_columns(0.0)
     max_dev = 0.0
     ok = True
     for k in range(8):
         total = k * math.pi / 8.0
         theta = total / 2.0
         e1p, _, e2p, _ = polarized_arms(arms, theta, theta)
-        est = correlation_coefficient(e1p, e2p)
+        v1p, _, v2p, _ = polarized_arms(vacua, theta, theta)
+        est = correlation_coefficient(e1p, e2p, v1p, v2p)
         oracle = theory.bell_correlation(theta, theta)
         ok &= est.deviation(oracle) < 5
         max_dev = max(max_dev, abs(est.value - oracle))

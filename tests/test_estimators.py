@@ -58,16 +58,15 @@ def test_covariance_intensity_oracles(twin_cache):
 
 def test_correlation_coefficient_oracles(twin_cache, bell_cache):
     es, ei = twin_cache(1.0)
-    rho = correlation_coefficient(es, ei)
+    rho = correlation_coefficient(es, ei, *twin_cache(0.0))
     assert rho.deviation(1.0) < 5
 
-    arms = bell_cache(1.0)
+    arms, vacua = bell_cache(1.0), bell_cache(0.0)
     theta = math.pi / 8
-    e1p, _, e2p, _ = polarized_arms(arms, theta, theta)
-    assert correlation_coefficient(e1p, e2p).deviation(0.5) < 5
-
-    e1p, _, e2p, _ = polarized_arms(arms, theta, -theta)
-    assert correlation_coefficient(e1p, e2p).deviation(0.0) < 5
+    for theta2, oracle in ((theta, 0.5), (-theta, 0.0)):
+        e1p, _, e2p, _ = polarized_arms(arms, theta, theta2)
+        v1p, _, v2p, _ = polarized_arms(vacua, theta, theta2)
+        assert correlation_coefficient(e1p, e2p, v1p, v2p).deviation(oracle) < 5
 
 
 def test_hom_dip_degenerate_without_input_coherence():
@@ -77,9 +76,10 @@ def test_hom_dip_degenerate_without_input_coherence():
 
 
 def test_correlation_degenerate_on_vacuum():
+    # vacuum fields are their own input vacua
     vac = _vacuum(reps=10_000)
     with pytest.raises(DegenerateStatisticError):
-        correlation_coefficient(vac[:, 0], vac[:, 1])
+        correlation_coefficient(vac[:, 0], vac[:, 1], vac[:, 0], vac[:, 1])
 
 
 def test_field_pair_moment_oracles(twin_cache):
@@ -219,14 +219,15 @@ def test_chunked_moments_equal_numpy_over_several_chunks():
 def _reference_features(a, b, c, d):
     """Each feature function's columns as the one-line expressions it
     evaluated before it wrote into ``out``."""
-    xa, xb = np.abs(a) ** 2, np.abs(b) ** 2
+    xa, xb, xc, xd = (np.abs(col) ** 2 for col in (a, b, c, d))
     i1p, i1m, i2p, i2m = (np.abs(col) ** 2 - 0.5 for col in (a, b, c, d))
     pairs = [a * np.conj(a), np.conj(b) * b, a * b]
     return {
         "intensity_products": (lambda **kw: intensity_products(a, b, **kw),
                                [xa, xb, xa * xb]),
-        "correlation_features": (lambda **kw: correlation_features(a, b, **kw),
-                                 [xa, xb, xa * xb, xa ** 2, xb ** 2]),
+        "correlation_features": (lambda **kw: correlation_features(a, b, c, d, **kw),
+                                 [xa, xb, xa * xb, xa ** 2, xb ** 2,
+                                  xc, xd, xc ** 2, xd ** 2]),
         "chsh_features": (lambda **kw: chsh_features(a, b, c, d, **kw),
                           [i1p * i2p + i1m * i2m - i1p * i2m - i1m * i2p,
                            i1p * i2p + i1m * i2m + i1p * i2m + i1m * i2p]),
@@ -280,6 +281,7 @@ def _delta_and_jackknife_cases(twin_cache, bell_cache):
     for G in (1.0, 0.01):
         arms = bell_cache(G, reps)
         e1p, e1m, e2p, e2m = polarized_arms(arms, math.pi / 8, math.pi / 8)
+        v1p, _, v2p, _ = polarized_arms(bell_cache(0.0, reps), math.pi / 8, math.pi / 8)
         i1p, i1m, i2p, i2m = (np.abs(c) ** 2 - 0.5 for c in (e1p, e1m, e2p, e2m))
         num = i1p * i2p + i1m * i2m - i1p * i2m - i1m * i2p
         den = i1p * i2p + i1m * i2m + i1p * i2m + i1m * i2p
@@ -287,7 +289,7 @@ def _delta_and_jackknife_cases(twin_cache, bell_cache):
                jackknife_se(lambda a, b: a / b, num, den))
 
         x1, x2 = np.abs(e1p) ** 2, np.abs(e2p) ** 2
-        yield (f"rho at G={G}", correlation_coefficient(e1p, e2p), jackknife_se(
+        yield (f"rho at G={G}", correlation_coefficient(e1p, e2p, v1p, v2p), jackknife_se(
             lambda a, b, aa, bb, ab: (ab - a * b) / np.sqrt((aa - a * a - 0.25)
                                                             * (bb - b * b - 0.25)),
             x1, x2, x1 ** 2, x2 ** 2, x1 * x2))

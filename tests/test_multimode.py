@@ -440,16 +440,16 @@ def test_image_rows_and_vacuum_reuse_the_full_synthesis():
 
 
 def test_run_hom2d_outputs_are_pinned():
-    # Recorded with the table-and-polynomial Box-Muller and the band-row
-    # sweep (one matrix product per band row over all tilts, closed-form
-    # delete-one sums), on OpenBLAS's SkylakeX kernel: its Haswell and
-    # Sandybridge kernels round the products differently and give other
-    # digests.  The plane-domain FFT sweep it replaced gave a curve within
-    # 3.9e-14 relative in amplitude and 6.1e-14 in standard error.
+    # Recorded with one Philox key per 16 of SMALL's 1024-word rows, the
+    # table-and-polynomial Box-Muller and the band-row sweep (one matrix
+    # product per band row over all tilts, closed-form delete-one sums), on
+    # OpenBLAS's SkylakeX kernel.  Other kernels give other digests, and
+    # not only by rounding: the SVD's basis inside the kernel's degenerate
+    # singular pairs is arbitrary, so the curve moves by up to O(SE).
     curve = run_hom2d(SMALL, SMALL_REPS, SMALL_SEED)
     digest = {name: hashlib.sha256(getattr(curve, name).tobytes()).hexdigest()
               for name in ("amplitude", "std_error")}
     assert digest == {
-        "amplitude": "b1de7857192a6e635b4ab1ccb11f6bc5c8c9d4fedae2281bb635f1cdb94a542f",
-        "std_error": "b97598e2017ccbbbe00f1fe808c65ffd8fd79fa8f5c806dc0c63cefef0c4154c",
+        "amplitude": "f1bb6291cce141d858b5ce5fd2d5210b19fd0d213209cb4f3317758cf37fb061",
+        "std_error": "c61577fcdb9b7c1cd29a9f1ad6cd4a975754e54d02d23c69b2820e5497e6d21c",
     }

@@ -8,7 +8,7 @@ import pytest
 
 from spdcsim import sampling
 from spdcsim.sampling import ORDERING, RngStream, raw_words, sample_vacuum
-from spdcsim.sampling import CHUNK_ROWS, _per_row_is_faster, _philox_block, _scratch
+from spdcsim.sampling import CHUNK_ROWS
 
 
 def test_ordering_constants_exact():
@@ -16,32 +16,73 @@ def test_ordering_constants_exact():
     assert ORDERING.variance_offset == 0.25
 
 
-@pytest.mark.parametrize("counter,seed,sid", [
-    (0, 0, 0), (1, 0, 0), (0, 42, 0), (3, 42, 7), (1234, 98765, 43210),
+def _key_rows(n_words):
+    """Rows of one Philox key: the largest power of two of rows of whole
+    four-word blocks that fit in 2**14 words, at least one."""
+    row_words = 4 * -(-n_words // 4)
+    k = 1
+    while 2 * k * row_words <= 1 << 14:
+        k *= 2
+    return k
+
+
+def _philox(seed, stream_id):
+    """numpy's Philox under the key (seed, stream_id) before counter block
+    0: it steps its counter before each block.  The key goes in as uint64,
+    since a list holding an int of 2**63 or more would become float64."""
+    key = np.array([seed, stream_id % 2 ** 64], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=2 ** 256 - 1)
+
+
+def _numpy_rows(seed, stream_id, reps, n_words):
+    """The rows of raw_words as numpy's Philox gives them: rows [b, b + K)
+    of a call are one random_raw under the key (seed, stream_id + b), from
+    counter block 0."""
+    row_words = 4 * -(-n_words // 4)
+    k = _key_rows(n_words)
+    blocks = []
+    for b in range(0, reps, k):
+        bit_gen = _philox(seed, stream_id + b)
+        n = min(k, reps - b)
+        blocks.append(bit_gen.random_raw(n * row_words).reshape(n, row_words))
+    return np.concatenate(blocks)[:, :n_words]
+
+
+@pytest.mark.parametrize("reps,n_words,key_rows", [
+    (5000, 4, 4096),        # twin, hom, fourfold rows: a second, short key block
+    (3000, 8, 2048),        # bell rows
+    (40, 1024, 16),         # a small hom2d geometry's rows
+    (20, 1001, 16),         # rows of 1004 words, 1001 returned
+    (3, 16384, 1),          # default hom2d rows: a key each
+    (2, 20000, 1),          # rows wider than a key block
+    (9, 3, 4096),
 ])
-def test_philox_block_matches_numpy(counter, seed, sid):
-    # numpy's Philox increments the counter before emitting its first block,
-    # so its block for counter c equals ours for counter c + 1.
-    bg = np.random.Philox(counter=[counter, 0, 0, 0],
-                          key=[np.uint64(seed), np.uint64(sid)])
-    ref = bg.random_raw(8)
-    sids = np.array([sid], dtype=np.uint64)
-    mine = []
-    with np.errstate(over="ignore"):
-        for c in (counter + 1, counter + 2):
-            mine.extend(w[0] for w in _philox_block(c, seed, sids))
-    assert np.array_equal(ref, np.array(mine, dtype=np.uint64))
+@pytest.mark.parametrize("seed,stream_id", [
+    (42, 5),
+    (42, 2 ** 64 - 3),              # stream ids wrap past 2**64 - 1 within the call
+    (2 ** 63, 0),                   # seeds that do not fit a signed 64-bit int
+    (2 ** 64 - 1, 2 ** 64 - 4096),
+])
+def test_raw_words_follow_block_layout(reps, n_words, key_rows, seed, stream_id):
+    assert _key_rows(n_words) == key_rows
+    words = raw_words(RngStream(seed, stream_id), reps, n_words)
+    assert words.shape == (reps, n_words)
+    assert np.array_equal(words, _numpy_rows(seed, stream_id, reps, n_words))
+    # row r: key block floor(r / K) K, at counter block (r mod K) blocks
+    blocks = -(-n_words // 4)
+    for r in {0, reps // 2, reps - 1}:
+        bit_gen = _philox(seed, stream_id + r - r % key_rows)
+        bit_gen.advance((r % key_rows) * blocks)
+        assert np.array_equal(words[r], bit_gen.random_raw(4 * blocks)[:n_words]), r
 
 
-def test_raw_words_follow_block_layout():
-    stream = RngStream(42, 5)
-    words = raw_words(stream, 3, 8)
-    sids = np.array([5, 6, 7], dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        blk0 = _philox_block(0, 42, sids)
-        blk1 = _philox_block(1, 42, sids)
-    expect = np.stack(blk0 + blk1, axis=1)
-    assert np.array_equal(words, expect)
+def test_default_hom2d_draw_is_unchanged():
+    # a default hom2d row (8192 modes, 16384 words) is a key block of its
+    # own, keyed (seed, stream_id + r) as when every row had its own key,
+    # so the criterion-8 curves keep their draw
+    draw = sample_vacuum(RngStream(42, 0), 100, 8192)
+    assert (hashlib.sha256(draw.tobytes()).hexdigest()
+            == "1eca5e5121f380eda265d74cd158f6ea02cc9a10619c7c04aaba309626f483aa")
 
 
 def test_vacuum_first_and_second_moments():
@@ -93,10 +134,12 @@ def test_one_stream_per_repetition():
     # a plain C-contiguous array, so its buffer is the whole ensemble
     assert type(ens) is np.ndarray and ens.flags.c_contiguous
     assert ens.shape == (100, 2) and ens.dtype == np.complex128
-    # repetition r of the ensemble equals the single-repetition ensemble of
-    # the stream derived for index r
-    row = sample_vacuum(RngStream(42, 57), 1, 2)
-    assert np.array_equal(ens[57], row[0])
+    # the first rows of a call do not depend on how many rows it draws
+    assert np.array_equal(ens[:58], sample_vacuum(RngStream(42, 0), 58, 2))
+    # rows as wide as a key block each have their own stream: repetition r
+    # equals the single-repetition ensemble of the stream derived for r
+    wide = sample_vacuum(RngStream(42, 0), 4, 8192)
+    assert np.array_equal(wide[3], sample_vacuum(RngStream(42, 3), 1, 8192)[0])
 
 
 def test_rng_stream_contract():
@@ -131,106 +174,36 @@ def _sha256(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-# The raw-word digests were recorded with the row-vectorised Philox, before
-# the per-row path existed, and both paths keep them; the vacuum digests
-# were recorded with the table-and-polynomial Box-Muller (cos and sin of
-# each drawn turn from a 1024-cell table plus a short polynomial).  Any
-# change to the words or to the Gaussians drawn from them shows here.
+# Recorded with one numpy Philox key per 2**14-word block of rows and the
+# table-and-polynomial Box-Muller (cos and sin of each drawn turn from a
+# 1024-cell table plus a short polynomial).  Any change to the words or to
+# the Gaussians drawn from them shows here.
 @pytest.mark.parametrize("draw,digest", [
-    (lambda: raw_words(RngStream(42, 0), 16, 4096),  # wide: per-row path
-     "641f3014536a566344c392f07df3d7eadc44f8d1a8e6fb571d79a06f0a1d5d25"),
-    (lambda: raw_words(RngStream(42, 5), 4096, 8),  # tall: vectorised path
-     "2bc14acd1c695d25973bf703967650e05b6eb42c840b81d5e38575ed1d86476f"),
+    (lambda: raw_words(RngStream(42, 0), 16, 4096),  # four rows a key
+     "9910e707ec624d4404a32041aa6c9568b91612b39a54963bf2442239d32fe757"),
+    (lambda: raw_words(RngStream(42, 5), 4096, 8),  # two keys of 2048 rows
+     "98e92094c29aeadd57c6adb5745ee16f375980c3d000a327f81696902f02a860"),
     (lambda: raw_words(RngStream(2 ** 64 - 1, 2 ** 64 - 7), 12, 1001),
-     "385fc0d5eb9a70c8953f32c435f14a0e9a56f45e41552abb382b78b700af238f"),
+     "83b0235ab5cb0826324d97d1dc023c97ff245ac00ff7434306ca00add4607e4d"),
     (lambda: sample_vacuum(RngStream(42, 0), 1000, 3),
-     "ed29a27e8373a41e67a175f43648f4e66ec9c4f7d5263190259c0c9c2463b040"),
+     "d41a50e8eed5099cd7957333c83f952b8c99d560c335c645c5fb8871834fe087"),
     (lambda: sample_vacuum(RngStream(7, 2 ** 64 - 3), 4, 1001),
-     "ba44e6a40e6543d0f5eb9586f5828fe4521bedcb23075a0af0659f1775150286"),
+     "a334ead308278a05e0256fe812a911d18f5cce47ed8ce683801d2c3c3fa6932c"),
 ], ids=["raw-wide", "raw-tall", "raw-wrapping", "vacuum-tall", "vacuum-wide"])
 def test_fixed_seed_output_is_pinned(draw, digest):
     assert _sha256(draw()) == digest
 
 
-def test_dispatch_keeps_tall_ensembles_vectorised():
-    # the pipelines hand sample_vacuum at most 16384 rows at a time
-    assert not _per_row_is_faster(1 << 16, 1)   # twin: one block per row
-    assert not _per_row_is_faster(1 << 16, 2)   # fourfold: two blocks
-    assert _per_row_is_faster(100, 4096)        # hom2d image planes
-    assert _per_row_is_faster(1, 1)
-
-
-def _both_paths(monkeypatch, stream, reps, n_words):
-    with monkeypatch.context() as m:
-        m.setattr(sampling, "_per_row_is_faster", lambda reps, n_blocks: True)
-        rows = raw_words(stream, reps, n_words)
-    with monkeypatch.context() as m:
-        m.setattr(sampling, "_per_row_is_faster", lambda reps, n_blocks: False)
-        vectorised = raw_words(stream, reps, n_words)
-    return rows, vectorised
-
-
-@pytest.mark.parametrize("reps,n_words", [
-    (100, 4 * 5), (100, 4 * 6), (100, 4 * 4), (1000, 4 * 36), (1000, 4 * 38),
-    (3, 7), (1, 1), (7, 4 * 64 + 3),
-])
-def test_per_row_and_vectorised_paths_agree(monkeypatch, reps, n_words):
-    stream = RngStream(42, 11)
-    rows, vectorised = _both_paths(monkeypatch, stream, reps, n_words)
-    assert rows.shape == vectorised.shape == (reps, n_words)
-    assert np.array_equal(rows, vectorised)
-    assert np.array_equal(raw_words(stream, reps, n_words), rows)
-
-
-@pytest.mark.parametrize("seed,stream_id", [
-    (42, 2 ** 64 - 3),          # stream ids wrap past 2**64 - 1 within the call
-    (2 ** 63, 0),               # seeds that do not fit a signed 64-bit int
-    (2 ** 64 - 1, 2 ** 63 + 5),
-    (2 ** 63 + 12345, 2 ** 64 - 1),
-])
-def test_paths_agree_on_large_seeds_and_wrapping_stream_ids(monkeypatch, seed,
-                                                             stream_id):
-    stream = RngStream(seed, stream_id)
-    rows, vectorised = _both_paths(monkeypatch, stream, 6, 4 * 9)
-    assert np.array_equal(rows, vectorised)
-    # row r belongs to the stream id stream_id + r modulo 2**64
-    wrapped = RngStream(seed, (stream_id + 4) % 2 ** 64)
-    assert np.array_equal(rows[4], raw_words(wrapped, 1, 4 * 9)[0])
-
-
-@pytest.mark.parametrize("stream_id,n_words", [
-    (11, 4), (11, 4 * 2 + 1),
-    (2 ** 64 - CHUNK_ROWS - 2, 4),  # the ids wrap inside the second chunk
-])
-def test_paths_agree_across_sub_blocks(monkeypatch, stream_id, n_words):
-    reps = 2 * CHUNK_ROWS + 5
-    rows, vectorised = _both_paths(monkeypatch, RngStream(42, stream_id), reps, n_words)
-    assert np.array_equal(rows, vectorised)
-
-
-@pytest.mark.parametrize("n_words", [4, 4 * 2 + 1])
-def test_row_range_of_a_call_is_the_call_from_its_first_row(n_words):
-    # rows [a, b) start and end inside chunks of the longer call
+@pytest.mark.parametrize("n_words,key_rows", [(4, 4096), (4 * 2 + 1, 1024)])
+def test_row_range_of_a_call_is_the_call_from_its_first_row(n_words, key_rows):
+    # rows [a, b) start at a key block inside a chunk and end inside another
     stream = RngStream(42, 3)
     words = raw_words(stream, 3 * CHUNK_ROWS, n_words)
-    a, b = CHUNK_ROWS + 100, 2 * CHUNK_ROWS + 300
-    part = raw_words(RngStream(42, 3 + a), b - a, n_words)
-    assert not _per_row_is_faster(b - a, -(-n_words // 4))
-    assert np.array_equal(words[a:b], part)
-
-
-def test_philox_block_reusing_wider_scratch_matches_numpy():
-    scratch = _scratch(64)
-    sids = np.array([0, 7, 2 ** 64 - 1], dtype=np.uint64)
-    seed = 2 ** 63 + 99
-    mine = [[] for _ in sids]
-    for c in (1, 2, 3):
-        for w in _philox_block(c, seed, sids, scratch):
-            for r, word in enumerate(w):
-                mine[r].append(word)
-    for r, sid in enumerate(sids):
-        bg = np.random.Philox(counter=[0, 0, 0, 0], key=[np.uint64(seed), sid])
-        assert np.array_equal(bg.random_raw(12), np.array(mine[r], dtype=np.uint64))
+    a, b = CHUNK_ROWS + key_rows, 2 * CHUNK_ROWS + 300
+    assert np.array_equal(words[a:b], raw_words(RngStream(42, 3 + a), b - a, n_words))
+    # a range that starts inside a key block is not the call from its first row
+    assert not np.array_equal(words[a + 1:b],
+                              raw_words(RngStream(42, 3 + a + 1), b - a - 1, n_words))
 
 
 def _one_draw(stream, reps, modes):
@@ -248,9 +221,18 @@ def _one_draw(stream, reps, modes):
 def test_passes_of_a_tall_draw_equal_one_draw(stream_id, modes):
     reps = 2 * CHUNK_ROWS + 5
     stream = RngStream(42, stream_id)
-    assert not _per_row_is_faster(reps, -(-modes // 2))
+    # a tall draw: a chunk at a time, through the thread's word buffer
+    assert CHUNK_ROWS * 4 * -(-modes // 2) <= sampling._KEPT_WORDS
     assert np.array_equal(sample_vacuum(stream, reps, modes),
                           _one_draw(stream, reps, modes))
+
+
+def test_chunks_of_a_wide_draw_equal_one_draw():
+    # a wide draw keeps no buffer, but it too is drawn a chunk at a time
+    reps, modes = CHUNK_ROWS + 3, 40
+    stream = RngStream(42, 11)
+    assert CHUNK_ROWS * 2 * modes > sampling._KEPT_WORDS
+    assert np.array_equal(sample_vacuum(stream, reps, modes), _one_draw(stream, reps, modes))
 
 
 @pytest.mark.parametrize("reps,modes", [(2 * CHUNK_ROWS + 5, 2), (3, 40)])  # tall, wide
