@@ -428,6 +428,9 @@ def _run_hom2d(config: ExperimentConfig) -> RunReport:
         "sigma_theta": curve.sigma_theta,
         "photons_per_pixel": curve.photons_per_pixel,
         "n_modes": curve.n_modes,
+        "band_pairs": curve.band_pairs,
+        "band_rows": curve.band_rows,
+        "schmidt_residual": curve.schmidt_residual,
         "config": asdict(mm),
     })
     return report

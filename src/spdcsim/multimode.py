@@ -42,11 +42,18 @@ Only the image rows that hold band pixels (and their mirrored partners)
 are synthesised, and only the band pixels are shifted, by one matrix
 product per band row with the shift matrices of every tilt; running sums
 over the pairs give each tilt's aggregate and its delete-one values in
-closed form.  The aggregate is normalised by the same statistic at a
+closed form.  Every matrix of the synthesis and of the sweep is real:
+the axis kernel is real, so are its Schmidt modes, and a shift matrix is
+real but for one rank-one Nyquist term.  So the fields are kept
+pixel-major (image row, image column, repetition), each complex
+contraction is a left multiplication by a real matrix, and each runs as
+a real matrix product on the (re, im) parts of the fields, at half the
+multiply-adds of a complex one; the Nyquist term rides along as one
+extra inner row.  The aggregate is normalised by the same statistic at a
 reference tilt far outside the phase-matching band, so the curve tends
-to 1 for distinguishable beams at every gain and to 0 at zero tilt.
-The ratio is not a function of merged feature means, so its standard
-error is the delete-one-repetition jackknife,
+to 1 for distinguishable beams at every gain and to 0 at zero tilt.  The
+ratio is not a function of merged feature means, so its standard error
+is the delete-one-repetition jackknife,
 :func:`~spdcsim.estimators.jackknife_se` of the ratios with one
 repetition left out.  A reference aggregate that is not positive and
 finite fails the run with a
@@ -339,38 +346,49 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int,
     The decomposition must keep the full axis basis (build it with
     ``floor=0.0``) so the product modes span the whole image plane; modes
     with vanishing singular value then simply pass vacuum through.
-    Returns ``(signal, idler)`` arrays of shape (reps, n, n).
+    Returns ``(signal, idler)`` pixel-major arrays of shape (n, n, reps):
+    image row, image column, repetition.
 
     ``rows`` (indices into the first image axis) restricts the synthesis
-    to those image rows, giving shape (reps, len(rows), n).  With
-    ``vacuum`` each array gains a leading axis of length 2: index 0 holds
-    the amplified fields, index 1 the unamplified input vacua of the same
-    draw sent through the same modes.
+    to those image rows, giving shape (len(rows), n, reps).  With
+    ``vacuum`` the last axis doubles to 2 reps: the amplified fields, then
+    the unamplified input vacua of the same draw sent through the same
+    modes.
+
+    One image at a time, the drawn mode amplitudes are amplified into one
+    (rep, i, j) buffer that both images reuse.  U and V are real, so both
+    contractions are real matrix products on the (re, im) float view of
+    the amplitudes: over i with the restricted rows of U (or V), one
+    repetition at a time, transposed to (row, j, samples); then over j,
+    one image row at a time.
     """
     n = dec.U.shape[0]
     if dec.n_modes != n or dec.V.shape[0] != n:
         raise ValueError("image synthesis needs the untruncated axis basis")
     g2 = _product_gains(dec)
     C = np.cosh(g2)
-    S = np.sinh(g2)
+    minus_iS = -1j * np.sinh(g2)
     ens = sample_vacuum(rng, reps, 2 * n * n)
     es0 = ens[:, :n * n].reshape(reps, n, n)
     ei0 = ens[:, n * n:].reshape(reps, n, n)
-    amp_s = C * es0 - 1j * S * np.conj(ei0)
-    amp_i = C * ei0 - 1j * S * np.conj(es0)
-    inputs = ((amp_s, amp_i), (es0, ei0)) if vacuum else ((amp_s, amp_i),)
     rows = slice(None) if rows is None else rows
-    Ur = dec.U[rows]
-    Vr = dec.V[rows]
-    shape = (len(inputs), reps, Ur.shape[0], n)
-    signal = np.empty(shape, dtype=complex)
-    idler = np.empty(shape, dtype=complex)
-    for k, (a_s, a_i) in enumerate(inputs):
-        np.einsum("xi,rij,yj->rxy", Ur, a_s, dec.U, out=signal[k],
-                  optimize=True)
-        np.einsum("xi,rij,yj->rxy", Vr, a_i, dec.V, out=idler[k],
-                  optimize=True)
-    return (signal, idler) if vacuum else (signal[0], idler[0])
+    amplified = np.empty_like(es0)
+    planes = []
+    for X, a, b in ((dec.U, es0, ei0), (dec.V, ei0, es0)):
+        np.conjugate(b, out=amplified)
+        amplified *= minus_iS
+        amplified += C * a
+        fields = (amplified, a) if vacuum else (amplified,)
+        Xr = X[rows]
+        # over i, one repetition at a time: (rows, i) @ (i, j), into (row, j, samples)
+        part = np.empty((Xr.shape[0], n, len(fields), reps), dtype=complex)
+        for k, field in enumerate(fields):
+            part[:, :, k] = (Xr @ field.view(float)).view(complex).transpose(1, 2, 0)
+        # over j, one image row at a time: (y, j) @ (j, samples)
+        plane = np.empty(part.shape[:2] + (len(fields) * reps,), dtype=complex)
+        np.matmul(X, part.reshape(plane.shape).view(float), out=plane.view(float))
+        planes.append(plane)
+    return tuple(planes)
 
 
 def shift_field(fields: np.ndarray, shift_px: float) -> np.ndarray:
@@ -383,6 +401,11 @@ def shift_field(fields: np.ndarray, shift_px: float) -> np.ndarray:
     identity it gives the shift as a matrix: ``f @ shift_field(np.eye(n),
     s)`` is ``shift_field(f, s)``, which is how :func:`run_hom2d` shifts
     only the band pixels.
+
+    That matrix T(s) is real but for one rank-one term from the Nyquist
+    frequency of an even n: Im T(s) = sin(pi s)/n a a^T with a_j = (-1)^j.
+    The other frequencies come in +/- pairs whose phases add to cosines.
+    For odd n or integer s, T(s) is real.
     """
     if shift_px == int(shift_px):
         return np.roll(fields, int(shift_px), axis=-1)
@@ -392,7 +415,13 @@ def shift_field(fields: np.ndarray, shift_px: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DipCurve:
-    """Normalised HOM dip amplitude against beam-splitter tilt."""
+    """Normalised HOM dip amplitude against beam-splitter tilt.
+
+    ``band_pairs`` counts the matched pixel pairs the dip aggregates,
+    ``band_rows`` the image rows synthesised for them (the rows holding
+    band pixels or their partners), and ``schmidt_residual`` is the
+    relative Frobenius residual of the axis kernel's decomposition.
+    """
 
     theta: np.ndarray
     amplitude: np.ndarray
@@ -401,6 +430,9 @@ class DipCurve:
     photons_per_pixel: float
     n_modes: int
     seed: int
+    band_pairs: int
+    band_rows: int
+    schmidt_residual: float
 
 
 def _ratio_with_jackknife(num, den):
@@ -412,64 +444,107 @@ def _ratio_with_jackknife(num, den):
         return value, jackknife_se(num[1] / den[1])
 
 
+def _reflected(shifts, n: int) -> np.ndarray:
+    """The shift matrices of ``shifts`` as real rows over n + 1 inputs,
+    shape (out pixel, shift, n + 1), times the splitter's 1/sqrt(2).
+
+    Row (c, t) holds column c of Re T(s_t) and, as its last entry, the
+    Nyquist coefficient sin(pi s_t)/n a_c of Im T(s_t) (zero for odd n),
+    both read off :func:`shift_field`.  With the input f stacked over
+    [i f; -(a . f)] (see :func:`_band_ports`), one real matrix product
+    gives i/sqrt(2) f T(s_t) at every shift.
+    """
+    rows = np.empty((n, len(shifts), n + 1))
+    nyquist = (-1.0) ** np.arange(n) if n % 2 == 0 else np.zeros(n)
+    for t, s in enumerate(shifts):
+        matrix = shift_field(np.eye(n), s)
+        rows[:, t, :n] = matrix.real.T
+        rows[:, t, n] = matrix.imag[0, 0] * nyquist
+    return rows / math.sqrt(2.0)
+
+
 def _band_ports(signal, idler, band_l, band_m, shifts):
     """Output-port fields at every tilt shift, one band row at a time.
 
+    ``signal`` and ``idler`` are pixel-major restricted planes (image row,
+    image column, samples), as :func:`sample_image_planes` returns them.
     Yields ``(e1, e2)`` per image row holding band pixels: e1 at the band
-    pixels of the row (flat indices ``band_l`` over the last two axes) and
-    e2 at their partners ``band_m`` in the mirrored row, both of shape
-    ``signal.shape[:-2] + (len(shifts), pixels)``.  The tilt displaces the
-    reflected beams by +/- shift along the horizontal axis (opposite senses,
-    as unitarity of a tilted splitter requires).  A row f displaced by s is
-    ``f @ shift_field(I, s)``, so one matrix product with the stacked
-    shift-matrix columns of the row's band pixels gives the reflected field
-    there at every shift, and no other pixel is computed.
+    pixels of the row (flat indices ``band_l`` over the first two axes)
+    and e2 at their partners ``band_m`` in the mirrored row, both real of
+    shape (pixels, len(shifts), 2, samples), the real part of the field
+    at index 0 of the third axis and the imaginary part at index 1.  The
+    tilt displaces the reflected beams by +/- shift along the horizontal
+    axis (opposite senses, as unitarity of a tilted splitter requires).  A
+    row f displaced by s is ``f @ T(s)`` with T(s) = ``shift_field(I,
+    s)``, and the splitter reflects it with a factor i/sqrt(2).  T(s) =
+    Re T(s) + i c(s) a a^T (see :func:`shift_field`), so i f T(s) = (i f)
+    Re T(s) + c(s) (-(a . f)) a^T: one real matrix product of the stacked
+    shift rows of the row's band pixels (:func:`_reflected`) with the
+    (re, im) planes of [i f; -(a . f)] gives the reflected field there at
+    every shift, and no other pixel is computed.
     """
-    n = signal.shape[-1]
+    n = signal.shape[1]
+    samples = signal.shape[2]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    # (pixel in, shift, pixel out), times the splitter's reflection i/sqrt(2)
-    plus = 1j * inv_sqrt2 * np.stack([shift_field(np.eye(n), s) for s in shifts], axis=1)
-    minus = 1j * inv_sqrt2 * np.stack([shift_field(np.eye(n), -s) for s in shifts], axis=1)
+    plus = _reflected(shifts, n)
+    minus = _reflected([-s for s in shifts], n)
+    alternating = (-1.0) ** np.arange(n)
+    stacked = np.empty((n + 1, 2, samples))
+
+    def port(rows, f, direct):
+        stacked[:n, 0] = -f.imag  # i f
+        stacked[:n, 1] = f.real
+        af = alternating @ f  # the Nyquist row is i (i (a . f)) = -(a . f)
+        stacked[n, 0] = -af.real
+        stacked[n, 1] = -af.imag
+        e = (rows.reshape(-1, n + 1) @ stacked.reshape(n + 1, -1)).reshape(
+            rows.shape[:2] + (2, samples))
+        e += inv_sqrt2 * np.stack((direct.real, direct.imag), axis=1)[:, None]
+        return e
+
     row_l, col_l = np.divmod(band_l, n)
     row_m, col_m = np.divmod(band_m, n)
-    for x in np.unique(row_l):
-        at = row_l == x
-        xm, cl, cm = row_m[at][0], col_l[at], col_m[at]
-        shape = signal.shape[:-2] + (len(shifts), cl.size)
-        e1 = (idler[..., x, :].reshape(-1, n) @ plus[..., cl].reshape(n, -1)).reshape(shape)
-        e1 += inv_sqrt2 * signal[..., x, cl][..., None, :]
-        e2 = (signal[..., xm, :].reshape(-1, n) @ minus[..., cm].reshape(n, -1)).reshape(shape)
-        e2 += inv_sqrt2 * idler[..., xm, cm][..., None, :]
-        yield e1, e2
+    # band_l is row-major, so each band row is one run of equal row_l
+    bounds = [0, *(np.flatnonzero(np.diff(row_l)) + 1), row_l.size]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        x, xm = row_l[start], row_m[start]
+        cl, cm = col_l[start:stop], col_m[start:stop]
+        yield (port(plus[cl], idler[x], signal[x, cl]),
+               port(minus[cm], signal[xm], idler[xm, cm]))
 
 
 def _coherence_sweep(signal, idler, band_l, band_m, shifts):
     """Pair-coherence aggregate at each shift, shape (shifts,), and its
     delete-one-repetition values, (reps, shifts).
 
-    ``signal`` and ``idler`` stack the restricted planes of the amplified
-    beams (index 0) on those of the input vacua (index 1).  The samples
-    z_ip of pair p are e1 e2* and e1 e2, each less its vacuum control
-    variate, whose mean is exactly zero: the vacua are independent and
-    circular and the shift is unitary (T- = T+^H), so the cross terms of
-    e1v e2v* cancel.  With m_p the mean over the n repetitions and, summed
-    over pairs and both products, M = sum |m_p|^2, c_i = sum Re(m_p* z_ip),
-    o_i = sum |z_ip|^2 and q = sum_i o_i / n, the unbiased aggregate
-    sum_p (n |m_p|^2 - mean_i |z_ip|^2)/(n - 1) of |<E1 E2*>|^2 +
-    |<E1 E2>|^2 is (n M - q)/(n - 1), and with repetition i left out it is
-    n (n M - 2 c_i + 2 o_i / n - q)/((n - 1)(n - 2)).
+    The last axis of ``signal`` and ``idler`` holds the restricted planes
+    of the amplified beams (its first half) and then those of the input
+    vacua, repetition by repetition.  With e1 = a + ib and e2 = c + id,
+    |<e1 e2*>|^2 + |<e1 e2>|^2 = 2 (<ac>^2 + <ad>^2 + <bc>^2 + <bd>^2), so
+    the samples z_ip of pair p are these four real products, each less
+    its vacuum control variate, whose mean is exactly zero: the vacua are
+    independent and circular and the shift is unitary (T- = T+^H), so the
+    cross terms of <e1v e2v*> cancel, and <e1v e2v> vanishes too.  With
+    m_p the mean over the n repetitions and, summed over pairs and
+    products, M = 2 sum m_p^2, c_i = 2 sum m_p z_ip, o_i = 2 sum z_ip^2
+    and q = sum_i o_i / n, the unbiased aggregate 2 sum_p (n m_p^2 -
+    mean_i z_ip^2)/(n - 1) is (n M - q)/(n - 1), and with repetition i
+    left out it is n (n M - 2 c_i + 2 o_i / n - q)/((n - 1)(n - 2)).
     """
-    reps = signal.shape[1]
+    reps = signal.shape[-1] // 2
     power = np.zeros(len(shifts))
-    cross, own = np.zeros((2, reps, len(shifts)))
+    cross, own = np.zeros((2, len(shifts), reps))
     for e1, e2 in _band_ports(signal, idler, band_l, band_m, shifts):
-        e2c = np.conj(e2)
-        for z in (e1[0] * e2c[0] - e1[1] * e2c[1], e1[0] * e2[0] - e1[1] * e2[1]):
-            z = z.view(float)  # Re(a* b) is the dot product of (re, im) pairs
-            m = z.mean(axis=0)
-            power += np.einsum("ti,ti->t", m, m)
-            cross += np.einsum("rti,ti->rt", z, m)
-            own += np.einsum("rti,rti->rt", z, z)
+        # (pixel, shift, re/im, amplified/vacuum, rep)
+        e1, e2 = (e.reshape(e.shape[:3] + (2, reps)) for e in (e1, e2))
+        e1[..., 1, :] *= -1.0  # the control variate is subtracted
+        z = np.einsum("ptxhr,ptyhr->xyptr", e1, e2)  # ac, ad, bc, bd
+        z = z.reshape(-1, len(shifts), reps)  # (pair samples, shift, rep)
+        m = z.mean(axis=-1)
+        power += np.einsum("pt,pt->t", m, m)
+        cross += np.einsum("ptr,pt->tr", z, m)
+        own += np.einsum("ptr,ptr->tr", z, z)
+    power, cross, own = 2.0 * power, 2.0 * cross.T, 2.0 * own.T
     q = own.mean(axis=0)
     value = (reps * power - q) / (reps - 1)
     loo = reps * (reps * power - 2.0 * cross + 2.0 * own / reps - q) / ((reps - 1) * (reps - 2))
@@ -547,7 +622,8 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
     sigma = _fit_dip_width(thetas, amps, errs)
     return DipCurve(theta=thetas, amplitude=amps, std_error=errs,
                     sigma_theta=sigma, photons_per_pixel=float(image.max()),
-                    n_modes=dec.n_modes ** 2, seed=seed)
+                    n_modes=dec.n_modes ** 2, seed=seed, band_pairs=int(band_l.size),
+                    band_rows=int(rows.size), schmidt_residual=dec.residual)
 
 
 def _fit_dip_width(thetas: np.ndarray, amps: np.ndarray,

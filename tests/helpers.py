@@ -302,8 +302,11 @@ def fft_reference_dip(config: Hom2dConfig, reps: int, seed: int):
     as ``run_hom2d``; only the sweep differs."""
     dec = schmidt_decompose(build_kernel(config), floor=0.0)
     rows, band_l, band_m = _band_pairs(image_mean_intensities(dec), config.band_floor)
-    signal, idler = sample_image_planes(dec, RngStream(seed, 0), reps,
-                                        rows=rows, vacuum=True)
+    signal, idler = (
+        # pixel-major (row, column, [amplified | vacuum] x rep) to (2, rep, row, column)
+        plane.reshape(plane.shape[:2] + (2, reps)).transpose(2, 3, 0, 1)
+        for plane in sample_image_planes(dec, RngStream(seed, 0), reps,
+                                         rows=rows, vacuum=True))
     ports = _port_sweep(signal, idler, band_l, band_m)
     ref = _aggregate_with_loo(_band_pair_stats(*ports(config.n_pixels // 2)))
     thetas = np.asarray(config.theta_sweep, dtype=float)

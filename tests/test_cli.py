@@ -427,6 +427,34 @@ def test_hom2d_outputs_curve_and_sidecar(tmp_path):
     assert sidecar["config"]["theta_sweep"] == [-1.8, -0.9, 0.0, 0.9, 1.8]
 
 
+def test_hom2d_metadata_records_the_band_and_the_schmidt_residual(tmp_path):
+    out = tmp_path / "dip.json"
+    code = run_cli(["hom2d", "--reps", "3", "--photons-per-pixel", "1",
+                    "--format", "json", "--out", str(out)])
+    assert code == 0
+    meta = json.loads(out.read_text())["metadata"]
+    assert (meta["band_pairs"], meta["band_rows"]) == (532, 26)
+    assert 0 <= meta["schmidt_residual"] < 1e-12
+
+
+def test_hom2d_run_does_not_import_numpy_ma(tmp_path):
+    # numpy.unique imports numpy.ma (about 15 ms and 1 MB); the sweep
+    # needs neither
+    script = f"""
+import sys
+from spdcsim import cli
+code = cli.main(["hom2d", "--reps", "5", "--n-pixels", "16", "--pitch", "0.6",
+                 "--out", {str(tmp_path / "dip.csv")!r}])
+print(code, "numpy.ma" in sys.modules)
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", script],
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].split() == ["0", "False"]
+
+
 def test_hom2d_csv_curve_refuses_a_json_path(tmp_path, capsys):
     # the curve's JSON sidecar would go to the same path and overwrite it
     out = tmp_path / "curve.json"
@@ -441,7 +469,8 @@ def test_hom2d_csv_curve_refuses_a_json_path(tmp_path, capsys):
 def test_emit_refuses_a_csv_curve_at_its_sidecar_path(tmp_path):
     curve = DipCurve(theta=np.array([0.0]), amplitude=np.array([0.1]),
                      std_error=np.array([0.01]), sigma_theta=None,
-                     photons_per_pixel=1.0, n_modes=4, seed=1)
+                     photons_per_pixel=1.0, n_modes=4, seed=1, band_pairs=2,
+                     band_rows=2, schmidt_residual=0.0)
     out = tmp_path / "curve.json"
     with pytest.raises(ValueError, match="sidecar"):
         emit_results(RunReport("hom2d", curve=curve), out, "csv")
@@ -479,7 +508,8 @@ def test_emit_rejects_unknown_format(tmp_path):
 def test_curve_json_roundtrip(tmp_path):
     curve = DipCurve(theta=np.array([0.0, 1.0]), amplitude=np.array([0.1, 0.9]),
                      std_error=np.array([0.01, 0.02]), sigma_theta=0.5,
-                     photons_per_pixel=1.0, n_modes=4, seed=1)
+                     photons_per_pixel=1.0, n_modes=4, seed=1, band_pairs=2,
+                     band_rows=2, schmidt_residual=0.0)
     report = RunReport("hom2d", rows=[], curve=curve,
                        metadata={"seed": 1})
     out = tmp_path / "curve.json"

@@ -180,14 +180,14 @@ def test_image_planes_reproduce_analytic_moments():
     img = image_mean_intensities(dec)
     n = cfg.n_pixels
     for (x, y) in ((n // 2, n // 2), (n // 2 - 2, n // 2 + 1), (2, 3)):
-        est = mean_intensity(sig[:, x, y])
+        est = mean_intensity(sig[x, y])
         assert est.deviation(img[x, y]) < 5
 
     K = build_kernel(cfg).matrix
     for (x, y) in ((n // 2, n // 2), (n // 2 - 1, n // 2 + 2)):
         mx, my = n - 1 - x, n - 1 - y
-        ia = np.abs(sig[:, x, y]) ** 2
-        ib = np.abs(idl[:, mx, my]) ** 2
+        ia = np.abs(sig[x, y]) ** 2
+        ib = np.abs(idl[mx, my]) ** 2
         prod = (ia - ia.mean()) * (ib - ib.mean())
         se = prod.std(ddof=1) / math.sqrt(prod.size)
         expect = abs(K[x, mx] * K[y, my]) ** 2
@@ -210,6 +210,16 @@ def test_shift_field_matches_roll_and_is_unitary():
     norm_in = np.linalg.norm(f, axis=-1)
     norm_out = np.linalg.norm(frac, axis=-1)
     assert np.allclose(norm_in, norm_out, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [9, 16, 64])
+@pytest.mark.parametrize("shift", [2.5, -1.8, 3, "half"])
+def test_shift_matrix_is_real_but_for_the_nyquist_term(n, shift):
+    s = n // 2 if shift == "half" else shift
+    matrix = shift_field(np.eye(n), s)
+    a = (-1.0) ** np.arange(n)
+    nyquist = math.sin(math.pi * s) / n * np.outer(a, a) if n % 2 == 0 else 0.0
+    assert np.max(np.abs(matrix - (matrix.real + 1j * nyquist))) < 1e-15
 
 
 def test_calibrate_gain_hits_target():
@@ -385,12 +395,38 @@ def test_vacuum_control_variate_has_zero_mean():
     signal, idler = sample_image_planes(dec, RngStream(13, 0), reps,
                                         rows=rows, vacuum=True)
     shifts = (3, 2.5, SMALL.n_pixels // 2)
-    for v1, v2 in _band_ports(signal[1], idler[1], band_l, band_m, shifts):
+    for e1, e2 in _band_ports(signal, idler, band_l, band_m, shifts):
+        # the vacuum half of the samples: (pixel, shift, rep)
+        v1, v2 = (e[:, :, 0, reps:] + 1j * e[:, :, 1, reps:] for e in (e1, e2))
         for product in (v1 * np.conj(v2), v1 * v2):
             for part in (product.real, product.imag):
-                se = part.std(axis=0, ddof=1) / math.sqrt(reps)
-                z = np.abs(part.mean(axis=0)) / se  # (shifts, pixels of the row)
-                assert np.all(z < 5), dict(zip(shifts, z.max(axis=1)))
+                se = part.std(axis=-1, ddof=1) / math.sqrt(reps)
+                z = np.abs(part.mean(axis=-1)) / se  # (pixels of the row, shifts)
+                assert np.all(z < 5), dict(zip(shifts, z.max(axis=0)))
+
+
+@pytest.mark.parametrize("n", [9, 16, 64])
+def test_band_ports_are_the_shifted_rows_through_the_splitter(n):
+    # the real products with the Nyquist row against the complex shift
+    # matrices themselves, at fractional, integer and half-grid shifts
+    rng = np.random.default_rng(n)
+    signal, idler = (rng.normal(size=(3, n, 2 * 7)).view(complex) for _ in range(2))
+    band_l = np.array([1, 2, n - 1, n + 3, 2 * n, 2 * n + 5])  # flat over (3, n)
+    band_m = np.array([2 * n + 4, 2 * n, 2 * n + 2, n + 1, 7, 0])  # one mirrored row each
+    shifts = (2.5, -1.8, 3, n // 2)
+    rows = iter([(0, [1, 2, n - 1], 2, [4, 0, 2]), (1, [3], 1, [1]),
+                 (2, [0, 5], 0, [7, 0])])
+    for e1, e2 in _band_ports(signal, idler, band_l, band_m, shifts):
+        x, cl, xm, cm = next(rows)
+        got1, got2 = (e[:, :, 0] + 1j * e[:, :, 1] for e in (e1, e2))
+        for t, s in enumerate(shifts):
+            want1 = (1j * (idler[x].T @ shift_field(np.eye(n), s)[:, cl])
+                     + signal[x, cl].T) / math.sqrt(2.0)
+            want2 = (1j * (signal[xm].T @ shift_field(np.eye(n), -s)[:, cm])
+                     + idler[xm, cm].T) / math.sqrt(2.0)
+            assert np.max(np.abs(got1[:, t] - want1.T)) < 1e-13
+            assert np.max(np.abs(got2[:, t] - want2.T)) < 1e-13
+    assert next(rows, None) is None
 
 
 @pytest.mark.parametrize("photons", [None, 1.0], ids=["small", "default-1ppp"])
@@ -427,29 +463,32 @@ def test_image_rows_and_vacuum_reuse_the_full_synthesis():
     cfg = Hom2dConfig(n_pixels=16, pitch=0.6, gain_scale=0.8)
     dec = schmidt_decompose(build_kernel(cfg), floor=0.0)
     full_s, full_i = sample_image_planes(dec, RngStream(5, 0), 50)
+    assert full_s.shape == full_i.shape == (cfg.n_pixels, cfg.n_pixels, 50)
     rows = [3, 4, 12]
     sig, idl = sample_image_planes(dec, RngStream(5, 0), 50, rows=rows,
                                    vacuum=True)
-    assert sig.shape == idl.shape == (2, 50, len(rows), cfg.n_pixels)
-    assert np.array_equal(sig[0], full_s[:, rows])
-    assert np.array_equal(idl[0], full_i[:, rows])
+    assert sig.shape == idl.shape == (len(rows), cfg.n_pixels, 2 * 50)
+    assert np.array_equal(sig[..., :50], full_s[rows])
+    assert np.array_equal(idl[..., :50], full_i[rows])
     unamplified = replace(dec, lam=np.zeros_like(dec.lam))
     vac_s, vac_i = sample_image_planes(unamplified, RngStream(5, 0), 50)
-    assert np.allclose(sig[1], vac_s[:, rows], atol=1e-12)
-    assert np.allclose(idl[1], vac_i[:, rows], atol=1e-12)
+    assert np.allclose(sig[..., 50:], vac_s[rows], atol=1e-12)
+    assert np.allclose(idl[..., 50:], vac_i[rows], atol=1e-12)
 
 
 def test_run_hom2d_outputs_are_pinned():
     # Recorded with one Philox key per 16 of SMALL's 1024-word rows, the
-    # table-and-polynomial Box-Muller and the band-row sweep (one matrix
-    # product per band row over all tilts, closed-form delete-one sums), on
-    # OpenBLAS's SkylakeX kernel.  Other kernels give other digests, and
+    # table-and-polynomial Box-Muller, the real-arithmetic synthesis on
+    # pixel-major rows and the band-row sweep (one real matrix product per
+    # band row and port over all tilts, the shift's Nyquist term as an
+    # extra inner row, closed-form delete-one sums), on OpenBLAS's SkylakeX
+    # kernel.  Other kernels give other digests, and
     # not only by rounding: the SVD's basis inside the kernel's degenerate
     # singular pairs is arbitrary, so the curve moves by up to O(SE).
     curve = run_hom2d(SMALL, SMALL_REPS, SMALL_SEED)
     digest = {name: hashlib.sha256(getattr(curve, name).tobytes()).hexdigest()
               for name in ("amplitude", "std_error")}
     assert digest == {
-        "amplitude": "f1bb6291cce141d858b5ce5fd2d5210b19fd0d213209cb4f3317758cf37fb061",
-        "std_error": "c61577fcdb9b7c1cd29a9f1ad6cd4a975754e54d02d23c69b2820e5497e6d21c",
+        "amplitude": "5286f1659146fd8218e499610ff7786b867c8d9c35a361c55d02597ec7ef6780",
+        "std_error": "01f785debfa73389be981b6df6f805849bacd03602b20fe492f7a13ee2120e68",
     }
