@@ -9,8 +9,9 @@ drawing, reduction and merging, so memory does not grow with ``reps``.  A
 chunk draws each vacuum lane in one call, propagates the fields through
 the elements, writes its features into the rows of a (k, rows) matrix and
 reduces that to its feature mean and centred Gram matrix.  Every array of
-it is a buffer that the worker keeps
-(:func:`~spdcsim.sampling.kept_array`) and reuses for its next chunk: a
+it, the vacuum draw's words and Box-Muller scratch included, is a buffer
+of the one namespace that the worker owns and passes down
+(:func:`~spdcsim.sampling.kept_array`), reused for its next chunk: a
 warm chunk allocates no fresh pages, and its working set stays in cache.
 The chunk at ``row0`` of vacuum lane ``L`` is
 ``sample_vacuum(RngStream(seed, L * LANE_STRIDE + row0), rows, modes)``,
@@ -131,8 +132,7 @@ class ExperimentConfig:
 def _vacuum(config: ExperimentConfig, lane: int, row0: int, rows: int, modes: int, kept):
     """Rows ``[row0, row0 + rows)`` of vacuum lane ``lane``, in the chunk
     buffer ``vacuum``: a lane drawn later in the chunk overwrites it."""
-    return sample_vacuum(RngStream(config.seed, lane * LANE_STRIDE + row0), rows, modes,
-                         out=kept_array(kept, "vacuum", (rows, modes)))
+    return sample_vacuum(RngStream(config.seed, lane * LANE_STRIDE + row0), rows, modes, kept)
 
 
 def _fields(kept, n: int, *names: str) -> tuple:

@@ -585,16 +585,27 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
     All tilts, the reference included, are swept at once, by band row
     (:func:`_coherence_sweep`).
 
-    Raises :class:`~spdcsim.estimators.DegenerateStatisticError` when the
+    Raises ValueError when a tilt's shift is the reference shift modulo
+    the grid, whose dip point would be 1 with no error to weight it by;
+    :class:`~spdcsim.estimators.DegenerateStatisticError` when the
     reference-tilt aggregate or one of its delete-one values is not
-    positive and finite, and ArithmeticError when an amplitude or its
-    standard error is not finite.
+    positive and finite, and ArithmeticError when an amplitude is not
+    finite or its standard error not positive and finite.
     """
     check_reps(reps)
     if config.n_pixels < 8:
         raise ValueError("the HOM sweep needs n_pixels >= 8")
     if not config.gain_scale > 0:
         raise ValueError("the HOM sweep needs gain_scale > 0")
+    n, ref_shift = config.n_pixels, config.n_pixels // 2
+    for theta in config.theta_sweep:
+        shift = 2.0 * float(theta) / config.pitch
+        offset = (shift - ref_shift) % n
+        if min(offset, n - offset) <= 1e-9:
+            raise ValueError(f"theta_sweep: theta = {theta:g} shifts the image by "
+                             f"{shift:.6g} pixels, the reference shift {ref_shift} "
+                             f"modulo n_pixels = {n}, so its dip point is 1 by "
+                             f"construction")
     kernel = build_kernel(config)
     dec = schmidt_decompose(kernel, floor=0.0)
     image = image_mean_intensities(dec)
@@ -603,7 +614,7 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
                                         rows=rows, vacuum=True)
 
     thetas = np.asarray(config.theta_sweep, dtype=float)
-    shifts = [*(2.0 * thetas / config.pitch), config.n_pixels // 2]
+    shifts = [*(2.0 * thetas / config.pitch), ref_shift]
     value, loo = _coherence_sweep(signal, idler, band_l, band_m, shifts)
     ref = value[-1], loo[:, -1]
     if not all(np.all(np.isfinite(x) & (x > 0)) for x in ref):
@@ -615,9 +626,10 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
     errs = np.empty_like(thetas)
     for j, theta in enumerate(thetas):
         amps[j], errs[j] = _ratio_with_jackknife((value[j], loo[:, j]), ref)
-        if not (math.isfinite(amps[j]) and math.isfinite(errs[j])):
+        if not (math.isfinite(amps[j]) and 0 < errs[j] < math.inf):
             raise ArithmeticError(f"the dip amplitude at theta = {theta:.6g} is "
-                                  f"{amps[j]:.6g} +- {errs[j]:.6g}, not finite")
+                                  f"{amps[j]:.6g} +- {errs[j]:.6g}, not a finite "
+                                  f"value with a positive standard error")
 
     sigma = _fit_dip_width(thetas, amps, errs)
     return DipCurve(theta=thetas, amplitude=amps, std_error=errs,
@@ -626,14 +638,13 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
                     band_rows=int(rows.size), schmidt_residual=dec.residual)
 
 
-def _fit_dip_width(thetas: np.ndarray, amps: np.ndarray,
-                   errs: np.ndarray | None = None) -> float | None:
+def _fit_dip_width(thetas: np.ndarray, amps: np.ndarray, errs: np.ndarray) -> float | None:
     """Width of the Gaussian-dip fit 1 - a exp(-theta^2 / 2 sigma^2); None
     if it fails.
 
     Minimises the weighted squared error sum w (1 - amp - a phi)^2, with
-    phi = exp(-theta^2 / 2 sigma^2) and w = 1/err^2 (w = 1 if any error is
-    not finite and positive), by variable projection (Golub & Pereyra
+    phi = exp(-theta^2 / 2 sigma^2) and w = 1/err^2 (the errors are
+    positive and finite), by variable projection (Golub & Pereyra
     1973): at fixed sigma the best amplitude is a = sum w r phi / sum w
     phi^2 with r = 1 - amp, which leaves a 1-D problem in log sigma.  A
     grid over log sigma, from a tenth of the smallest nonzero |theta| to
@@ -644,9 +655,7 @@ def _fit_dip_width(thetas: np.ndarray, amps: np.ndarray,
     """
     t2 = np.asarray(thetas, dtype=float) ** 2
     r = 1.0 - np.asarray(amps, dtype=float)
-    w = np.ones_like(r)
-    if errs is not None and np.all(np.isfinite(errs)) and np.all(errs > 0):
-        w = 1.0 / np.asarray(errs, dtype=float) ** 2
+    w = 1.0 / np.asarray(errs, dtype=float) ** 2
     if not (t2.size > 2 and np.any(t2 > 0) and np.all(np.isfinite(t2))
             and np.all(np.isfinite(r))):
         return None  # two parameters need three tilts, one of them nonzero

@@ -51,23 +51,23 @@ call to libm's cos or sin.  The transform runs in slabs of at most
 
 :func:`sample_vacuum` draws a :data:`CHUNK_ROWS` chunk at a time, each
 one :func:`raw_words` draw into a word buffer and one Box-Muller step, so
-its working set does not grow with the rows asked for.  On a tall call (a
-chunk's words fit in :data:`_KEPT_WORDS`) each thread keeps the word
-buffer and the Box-Muller scratch for its next call (:func:`kept_array`),
-so a repeated tall call allocates nothing beyond its result, and nothing
-at all when the caller hands it ``out``.  A wide call (hom2d's image
-planes) keeps nothing: its words and Box-Muller temporaries are freed on
-return.  The chunk is also the row block of the twin, hom, bell and
-fourfold pipelines and of the moment engine: each chunk is one call here
-per vacuum lane, drawn into a buffer that the worker keeps, and one
-reduction (see :mod:`spdcsim.experiments`); a single call here runs on the
-calling thread.
+its working set does not grow with the rows asked for.  This module keeps
+no state between calls: a draw's buffers (its result, the chunk's words
+and the Box-Muller scratch) belong to the caller.  Given an attribute
+namespace ``kept``, a draw takes them from it and leaves them there for
+the caller's next draw (:func:`kept_array`), so a warm draw allocates
+only one key block of ``random_raw`` output, whatever its shape; given
+None, every array is new and all but the result is freed on return.  The
+chunk is also the row block of the twin, hom, bell and fourfold pipelines
+and of the moment engine: each chunk is one call here per vacuum lane,
+through the namespace that the worker owns, and one reduction (see
+:mod:`spdcsim.experiments`); a single call here runs on the calling
+thread.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +116,8 @@ class RngStream:
         object.__setattr__(self, "stream_id", int(self.stream_id) & _MASK64)
 
 
-#: Rows per chunk, the one row block of the package: a tall draw takes its
-#: rows a chunk at a time, and the pipelines and the moment engine of
+#: Rows per chunk, the one row block of the package: a draw takes its rows
+#: a chunk at a time, and the pipelines and the moment engine of
 #: :mod:`spdcsim.estimators` draw, reduce and merge chunks of this size.
 #: Fixed, so that no result depends on the machine.
 CHUNK_ROWS = 1 << 14
@@ -131,23 +131,14 @@ CHUNK_ROWS = 1 << 14
 #: and 5% longer with 2**12 words a key.
 _KEY_WORDS = 1 << 14
 
-#: A draw is tall, its chunk buffers kept by each thread, when a chunk's
-#: words fit in 1 MB: pipeline rows of up to 8 words.  A wider draw (hom2d's
-#: 13 MB of image-plane words) keeps no buffer, so its memory is freed on
-#: return.
-_KEPT_WORDS = 1 << 17
-
-#: Buffers of tall draws that each thread keeps between calls.
-_kept = threading.local()
-
 
 def kept_array(kept, name: str, shape, dtype=np.complex128) -> np.ndarray:
     """A C-contiguous array of ``shape`` over the start of the flat buffer
     ``name`` of ``kept``, created or grown when it is smaller, so that the
     next call asking for it reuses its pages.
 
-    ``kept`` is an attribute namespace that one thread at a time uses (a
-    ``threading.local`` or a ``SimpleNamespace``); None gives a new array.
+    ``kept`` is an attribute namespace, such as a ``SimpleNamespace``,
+    that one thread at a time uses; None gives a new array.
     """
     if kept is None:
         return np.empty(shape, dtype=dtype)
@@ -164,20 +155,17 @@ def _row_words(n_words: int) -> int:
     return 4 * -(-n_words // 4)
 
 
-def raw_words(stream: RngStream, reps: int, n_words: int,
-              out: np.ndarray | None = None) -> np.ndarray:
+def raw_words(stream: RngStream, reps: int, n_words: int, kept=None) -> np.ndarray:
     """First ``n_words`` raw 64-bit words of each of ``reps`` rows, one
     ``numpy.random.Philox`` key per block of rows (see the module docstring).
 
-    With ``out``, a flat uint64 array of at least ``reps * 4 *
-    ceil(n_words / 4)`` elements, the words are written to its start and
-    the (reps, n_words) result is a view into it.
+    The rows, ``4 ceil(n_words / 4)`` words each, are drawn into the buffer
+    ``"words"`` of ``kept`` (see :func:`kept_array`) and the (reps,
+    n_words) result is a view into it.
     """
     row_words = _row_words(n_words)
     key_rows = 1 << max(0, (_KEY_WORDS // row_words).bit_length() - 1)
-    if out is None:
-        out = np.empty(reps * row_words, dtype=np.uint64)
-    words = out[:reps * row_words].reshape(reps, row_words)
+    words = kept_array(kept, "words", (reps, row_words), np.uint64)
     # numpy's Philox steps its counter before each block, so starting it at
     # 2**256 - 1 makes its first block counter 0.  One generator is rekeyed
     # per key block: building one per block would draw OS entropy for a seed
@@ -297,31 +285,22 @@ def _gaussian_pairs(words: np.ndarray, out: np.ndarray, kept=None) -> None:
                              out[r0:r0 + slab_rows, c0:c0 + slab_cols], scratch)
 
 
-def sample_vacuum(rng: RngStream, reps: int, modes: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def sample_vacuum(rng: RngStream, reps: int, modes: int, kept=None) -> np.ndarray:
     """Sample independent vacuum fields, rows keyed as in :func:`raw_words`.
 
     Returns the C-contiguous (reps, modes) complex128 array of amplitudes;
     each is a circular complex Gaussian with <E E*> = 1/2 and <E E> = 0, and
     distinct modes and repetitions are uncorrelated.  The result depends
-    only on ``rng`` and the shape.  With ``out``, an array of that shape,
-    dtype and layout, the amplitudes are written there and ``out`` is
-    returned.
+    only on ``rng`` and the shape.  It is the buffer ``"vacuum"`` of
+    ``kept``, drawn through its buffers ``"words"`` and ``"slab"`` (see
+    :func:`kept_array`); with None it is a new array.
     """
     if reps < 1 or modes < 1:
         raise ValueError("reps and modes must both be >= 1")
-    if out is None:
-        out = np.empty((reps, modes), dtype=np.complex128)
-    elif (out.shape != (reps, modes) or out.dtype != np.complex128
-          or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous ({reps}, {modes}) complex128 "
-                         f"array, got {out.dtype} {out.shape}")
+    out = kept_array(kept, "vacuum", (reps, modes))
     pairs = out.view(np.float64)  # re, im interleaved per mode
-    row_words = _row_words(2 * modes)
-    kept = _kept if min(reps, CHUNK_ROWS) * row_words <= _KEPT_WORDS else None
     for p0 in range(0, reps, CHUNK_ROWS):
         n = min(CHUNK_ROWS, reps - p0)
-        words = raw_words(RngStream(rng.seed, rng.stream_id + p0), n, 2 * modes,
-                          out=kept_array(kept, "words", (n * row_words,), np.uint64))
+        words = raw_words(RngStream(rng.seed, rng.stream_id + p0), n, 2 * modes, kept)
         _gaussian_pairs(words, pairs[p0:p0 + n], kept)
     return out

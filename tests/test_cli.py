@@ -140,6 +140,16 @@ def test_hom2d_bad_geometry_fails_before_the_run(argv, reason, monkeypatch, caps
     assert reason in capsys.readouterr().err
 
 
+def test_hom2d_tilt_at_the_reference_shift_is_a_usage_error(capsys):
+    # 2 * 2.1 / 0.6 = 7 pixels, the reference shift 15 // 2: that dip point
+    # would be 1 with a standard error of 0
+    sweep = ",".join(f"{t:.17g}" for t in np.linspace(-2.1, 2.1, 7))
+    assert run_cli(["hom2d", "--reps", "60", "--seed", "5", "--n-pixels", "15",
+                    "--pitch", "0.6", f"--theta-sweep={sweep}"]) == 2
+    err = capsys.readouterr().err
+    assert "theta = 2.1 " in err and "reference shift 7" in err, err
+
+
 def test_hom2d_zero_gain_is_a_usage_error(capsys):
     assert run_cli(["hom2d", "--reps", "3", "--gain-scale", "0"]) == 2
     assert "gain_scale" in capsys.readouterr().err

@@ -333,9 +333,6 @@ def test_fit_dip_width_matches_curve_fit_on_a_noisy_dip():
     amps = (1.0 - 0.9 * np.exp(-thetas ** 2 / (2.0 * 0.8 ** 2))
             + errs * rng.standard_normal(thetas.size))
     _assert_fit_matches_curve_fit(thetas, amps, errs)
-    # without usable errors the fit is unweighted
-    assert _fit_dip_width(thetas, amps, np.zeros_like(errs)) == pytest.approx(
-        _fit_dip_width(thetas, amps, np.ones_like(errs)), rel=1e-12)
 
 
 @pytest.mark.parametrize("thetas", [[0.0], [0.5], [-0.5, 0.5], [0.0, 0.0, 0.0]])

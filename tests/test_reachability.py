@@ -11,6 +11,9 @@ which run on import.  A name is reached when the code of a reached
 function, class or module-level assignment uses it, directly, through a
 ``from . import`` or as an attribute of an imported module.  Annotations
 do not count.
+
+A second walk keeps buffer ownership with the worker that passes its
+namespace down: no module binds a ``threading.local()`` at module level.
 """
 
 import ast
@@ -130,3 +133,32 @@ def test_every_traced_function_is_reached_from_a_command():
     idle = [f"{module}.{name}" for module, name in _traced() if (module, name) not in seen]
     assert not idle, ("perfbench's TRACED names functions that no command runs, "
                       f"so their metrics read 0: {', '.join(idle)}")
+
+
+def _thread_locals(tree: ast.Module):
+    """Line numbers of the ``threading.local()`` calls among the module-level
+    statements of ``tree``, function and class bodies left out."""
+    modules, functions = set(), set()  # local names of threading and its local
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "threading"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "threading":
+            functions |= {a.asname or a.name for a in node.names if a.name == "local"}
+    for node in tree.body:
+        if isinstance(node, _DEFINITIONS):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if (isinstance(f, ast.Attribute) and f.attr == "local"
+                    and isinstance(f.value, ast.Name) and f.value.id in modules
+                    or isinstance(f, ast.Name) and f.id in functions):
+                yield call.lineno
+
+
+def test_no_module_keeps_thread_local_state():
+    bound = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _thread_locals(ast.parse(path.read_text()))]
+    assert not bound, ("a draw's buffers belong to the namespace its caller passes "
+                       f"down, not to module-level thread-local state: {', '.join(bound)}")

@@ -2,6 +2,7 @@ import hashlib
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -221,33 +222,37 @@ def _one_draw(stream, reps, modes):
 def test_passes_of_a_tall_draw_equal_one_draw(stream_id, modes):
     reps = 2 * CHUNK_ROWS + 5
     stream = RngStream(42, stream_id)
-    # a tall draw: a chunk at a time, through the thread's word buffer
-    assert CHUNK_ROWS * 4 * -(-modes // 2) <= sampling._KEPT_WORDS
-    assert np.array_equal(sample_vacuum(stream, reps, modes),
-                          _one_draw(stream, reps, modes))
+    # a chunk at a time, through a namespace's word buffer and without one
+    expect = _one_draw(stream, reps, modes)
+    assert np.array_equal(sample_vacuum(stream, reps, modes, SimpleNamespace()), expect)
+    assert np.array_equal(sample_vacuum(stream, reps, modes), expect)
 
 
 def test_chunks_of_a_wide_draw_equal_one_draw():
-    # a wide draw keeps no buffer, but it too is drawn a chunk at a time
+    # a wide draw too is drawn a chunk at a time
     reps, modes = CHUNK_ROWS + 3, 40
     stream = RngStream(42, 11)
-    assert CHUNK_ROWS * 2 * modes > sampling._KEPT_WORDS
-    assert np.array_equal(sample_vacuum(stream, reps, modes), _one_draw(stream, reps, modes))
+    expect = _one_draw(stream, reps, modes)
+    assert np.array_equal(sample_vacuum(stream, reps, modes, SimpleNamespace()), expect)
+    assert np.array_equal(sample_vacuum(stream, reps, modes), expect)
 
 
 @pytest.mark.parametrize("reps,modes", [(2 * CHUNK_ROWS + 5, 2), (3, 40)])  # tall, wide
-def test_sample_vacuum_writes_its_out(reps, modes):
+def test_a_draw_through_a_namespace_returns_its_vacuum_buffer(reps, modes):
     stream = RngStream(42, 5)
-    out = np.full((reps, modes), np.nan, dtype=np.complex128)
-    assert sample_vacuum(stream, reps, modes, out=out) is out
+    kept = SimpleNamespace()
+    out = sample_vacuum(stream, reps, modes, kept)
+    assert out.base is kept.vacuum and out.flags.c_contiguous
     assert np.array_equal(out, sample_vacuum(stream, reps, modes))
-    for bad in (out[:-1], out.astype(np.complex64), np.asfortranarray(out)):
-        with pytest.raises(ValueError, match="out must be"):
-            sample_vacuum(stream, reps, modes, out=bad)
+    # the next draw reuses the buffer, and so does raw_words its words
+    assert sample_vacuum(RngStream(42, 6), reps, modes, kept).base is kept.vacuum
+    words = raw_words(stream, reps, 2 * modes, kept)
+    assert words.base is kept.words
+    assert np.array_equal(words, raw_words(stream, reps, 2 * modes))
 
 
 def test_threads_drawing_at_once_get_the_serial_draws():
-    # each thread keeps its own chunk buffers; shapes that need buffers of
+    # draws without a namespace share no buffer; shapes that need buffers of
     # different sizes are drawn at the same time, switching threads often
     shapes = [(RngStream(3, 0), CHUNK_ROWS + 9, 2), (RngStream(4, 0), 5000, 5),
               (RngStream(5, 0), 3000, 1)]
@@ -275,17 +280,41 @@ def test_threads_drawing_at_once_get_the_serial_draws():
     assert not failures
 
 
-@pytest.mark.parametrize("reps,modes", [(CHUNK_ROWS, 2), (CHUNK_ROWS, 4), (1 << 16, 2)])
-def test_repeated_tall_draw_allocates_little_beyond_its_result(reps, modes):
+#: Bytes of one Philox key block of ``random_raw`` output, the one array
+#: that a warm draw allocates.
+_KEY_BLOCK_BYTES = (1 << 14) * np.dtype(np.uint64).itemsize
+
+
+@pytest.mark.parametrize("reps,modes", [(CHUNK_ROWS, 2), (CHUNK_ROWS, 4), (1 << 16, 2),
+                                        (100, 8192)])  # pipeline chunks, hom2d's draw
+def test_a_warm_namespace_draw_allocates_one_key_block(reps, modes):
     stream = RngStream(42, 0)
-    sample_vacuum(stream, reps, modes)  # the thread's chunk buffers now exist
+    kept = SimpleNamespace()
+    sample_vacuum(stream, reps, modes, kept)  # the namespace's buffers now exist
     tracemalloc.start()
     try:
-        out = sample_vacuum(stream, reps, modes)
+        sample_vacuum(stream, reps, modes, kept)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * out.nbytes, (peak, out.nbytes)
+    assert peak <= 1.25 * _KEY_BLOCK_BYTES, peak
+
+
+@pytest.mark.parametrize("reps,modes", [(2 * CHUNK_ROWS + 5, 2), (100, 8192)])  # tall, wide
+def test_a_draw_without_a_namespace_keeps_nothing_but_its_result(reps, modes):
+    sample_vacuum(RngStream(42, 0), 1, 1)  # numpy's lazy set-up
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            out = sample_vacuum(RngStream(42, 0), reps, modes)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        blocks = [trace.size for trace in snapshot.traces]
+        assert [b for b in blocks if b >= 1024] == [out.nbytes], blocks
+    # beside it, only numpy's own small caches, filled by the first draw of
+    # the shape, which hold a few hundred bytes that vary with the process
+    assert sum(blocks) - out.nbytes < 2048, blocks
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -316,13 +345,13 @@ def test_box_muller_is_within_rounding_of_the_exact_transform():
 
 
 def test_a_wide_draw_allocates_no_full_size_float_temporaries():
-    # hom2d's draw: the raw words are its one full-size temporary
-    out = np.empty((100, 8192), dtype=np.complex128)
+    # hom2d's draw: beside its result, the raw words are its one full-size
+    # temporary
     tracemalloc.start()
     try:
-        sample_vacuum(RngStream(42, 0), 100, 8192, out=out)
+        out = sample_vacuum(RngStream(42, 0), 100, 8192)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     words = 100 * 2 * 8192 * np.dtype(np.uint64).itemsize
-    assert peak < 1.25 * words, (peak, words)
+    assert peak < out.nbytes + 1.25 * words, (peak, out.nbytes, words)

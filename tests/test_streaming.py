@@ -89,9 +89,9 @@ def test_chunks_are_made_as_they_are_reduced(threads, monkeypatch):
 def test_a_chunk_draws_each_vacuum_lane_once(kind, lanes, monkeypatch):
     draws = []
 
-    def counted(rng, reps, modes, out=None):
+    def counted(rng, reps, modes, kept=None):
         draws.append((rng.stream_id, reps))
-        return sample_vacuum(rng, reps, modes, out=out)
+        return sample_vacuum(rng, reps, modes, kept)
 
     monkeypatch.setattr(experiments, "sample_vacuum", counted)
     _chunk_reducer(CONFIGS[kind], SimpleNamespace())(CHUNK_ROWS, CHUNK_ROWS)
