@@ -212,20 +212,17 @@ def pair_parts(a, conj_a: bool, b, conj_b: bool, out, scratch) -> None:
     np.copyto(out[1], scratch.imag)
 
 
-def _variance(n: int, i: int, ii: int):
-    """Normal-ordered variance (n - 1 normalisation) from the means of x, x^2."""
-    return lambda m: (m[ii] - m[i] ** 2) * (n / (n - 1)) - ORDERING.variance_offset
-
-
 def mean_intensity(moments: FeatureMoments) -> MomentEstimate:
     """Normal-ordered mean intensity from the moments of (|E|^2,)."""
     return moments.estimate(lambda m: m[0] - ORDERING.intensity_offset)
 
 
 def variance_intensity(moments: FeatureMoments) -> MomentEstimate:
-    """Normal-ordered intensity variance from the moments of
-    :func:`intensity_products` of a column with itself."""
-    return moments.estimate(_variance(moments.n, 0, 2))
+    """Normal-ordered intensity variance (n - 1 normalisation) from the
+    moments of :func:`intensity_products` of a column with itself."""
+    n = moments.n
+    return moments.estimate(
+        lambda m: (m[2] - m[0] ** 2) * (n / (n - 1)) - ORDERING.variance_offset)
 
 
 def covariance_intensity(moments: FeatureMoments) -> MomentEstimate:
@@ -266,8 +263,8 @@ def correlation_coefficient(moments: FeatureMoments) -> MomentEstimate:
 
 
 def chsh_coefficient(moments: FeatureMoments) -> MomentEstimate:
-    """Polarisation correlation coefficient E from the moments of
-    :func:`chsh_products`.
+    """Polarisation correlation coefficient E, or the CHSH B, from the
+    moments of a numerator and the denominator of :func:`chsh_products`.
 
     The features are products of raw per-sample normal-ordered
     intensities; the product of mean intensities is deliberately not
@@ -288,32 +285,25 @@ def chsh_intensities(cols, out: np.ndarray) -> np.ndarray:
 
 
 def chsh_products(i1p, i1m, i2p, i2m, out, scratch) -> None:
-    """Per-repetition numerator and denominator of the coefficient E, into
-    the two float64 rows ``out``.
-
-    Products of the normal-ordered intensities (:func:`chsh_intensities`)
-    at the plus/minus outputs of the two polarisers; E is the ratio of
-    their means.  The float64 row ``scratch`` holds the last two products;
-    it may be ``i1p``, which is read for the last time before them.
-    """
-    num, den = out
-    # num = i1p i2p + i1m i2m - i1p i2m - i1m i2p and den the same with +,
-    # summed left to right.
-    np.multiply(i1p, i2p, out=num)
-    np.add(num, np.multiply(i1m, i2m, out=den), out=num)
-    np.copyto(den, num)
-    for i, j in ((i1p, i2m), (i1m, i2p)):
-        np.multiply(i, j, out=scratch)
-        np.subtract(num, scratch, out=num)
-        np.add(den, scratch, out=den)
+    """Per-repetition numerator (i1p - i1m)(i2p - i2m) and denominator
+    (i1p + i1m)(i2p + i2m) of E, the ratio of their means, into the float64
+    rows ``out`` (given one row, the numerator alone), from the normal-ordered
+    intensities (:func:`chsh_intensities`) at the polarisers' plus/minus
+    outputs.  The denominator, the total coincidence rate, is the same at
+    every setting (Clauser, Horne, Shimony & Holt 1969).  The float64 row
+    ``scratch`` may be ``i1p``, which is read for the last time before it."""
+    for row, combine in zip(out, (np.subtract, np.add)):
+        combine(i1p, i1m, out=row)
+    for row, combine in zip(out, (np.subtract, np.add)):
+        row *= combine(i2p, i2m, out=scratch)
 
 
 @dataclass(frozen=True)
 class FourfoldResult:
-    """Direct four-detector covariance plus its nine-term factorisation."""
+    """Direct four-detector covariance plus the estimates of its nine-term
+    factorisation, in total and by class."""
 
     direct: MomentEstimate
-    terms: np.ndarray
     term_classes: dict = field(default_factory=dict)
     terms_total: MomentEstimate | None = None
     class_estimates: dict = field(default_factory=dict)
@@ -336,8 +326,8 @@ class FourfoldPlan:
     The direct term <prod_k (I_k - <I_k>)> is the sum over detector subsets
     S of <prod_{k in S} I_k> prod_{k not in S} (-<I_k>), a smooth function of
     raw intensity moments, so its delta-method error accounts for the
-    estimated means.  Each distinct intensity monomial and each distinct
-    pair product is one feature: 8 + 6 features for ``(0, 0, 1, 1)``.
+    estimated means.  Each distinct intensity monomial and pair product is
+    one feature, E E* being E's intensity: 8 + 2 for ``(0, 0, 1, 1)``.
     """
 
     def __init__(self, pattern):
@@ -346,13 +336,15 @@ class FourfoldPlan:
         # sorted field indices of each distinct monomial -> its feature, by degree
         self._monomials = {key: j for j, key in enumerate(dict.fromkeys(
             self._monomial(s) for s in self._subsets[1:]))}
-        # (field, conjugated, field, conjugated) of each distinct pair product
+        # (field, conjugated, field, conjugated) of each distinct pair but E E*
         keys = [(self.pattern[p], cp, self.pattern[q], cq)
                 for (p, cp), (q, cq) in _FOURFOLD_PAIRS]
-        self._pairs = list(dict.fromkeys(keys))
-        self._pair_features = [len(self._monomials) + 2 * self._pairs.index(k) for k in keys]
+        self._pairs = list(dict.fromkeys(k for k in keys if k[0] != k[2] or k[1] == k[3]))
+        n = len(self._monomials)
+        self._pair_features = [n + 2 * self._pairs.index(k) if k in self._pairs
+                               else self._monomials[k[:1]] for k in keys]
         #: Number of features.
-        self.k = len(self._monomials) + 2 * len(self._pairs)
+        self.k = n + 2 * len(self._pairs)
 
     def _monomial(self, subset):
         return tuple(sorted(self.pattern[k] for k in subset))
@@ -381,7 +373,8 @@ class FourfoldPlan:
                    for s in self._subsets)
 
     def _pair_moments(self, m):
-        return [m[i] + 1j * m[i + 1] for i in self._pair_features]
+        n = len(self._monomials)
+        return [m[i] if i < n else m[i] + 1j * m[i + 1] for i in self._pair_features]
 
 
 def fourfold_covariance(plan: FourfoldPlan, moments: FeatureMoments) -> FourfoldResult:
@@ -395,14 +388,14 @@ def fourfold_covariance(plan: FourfoldPlan, moments: FeatureMoments) -> Fourfold
     for Gaussian fields are evaluated from the sampled field moments of the
     same rows and grouped into bunching / low-gain / mixed classes.
     """
-    terms, classes = theory.fourfold_terms(*plan._pair_moments(moments.mean))
+    classes = theory.fourfold_terms(*plan._pair_moments(moments.mean))[1]
 
     def terms_sum(idx):
         return moments.estimate(lambda m: theory.fourfold_terms(
             *plan._pair_moments(m))[0][idx].sum(axis=0).real)
 
     return FourfoldResult(
-        direct=moments.estimate(plan._direct), terms=terms, term_classes=classes,
+        direct=moments.estimate(plan._direct), term_classes=classes,
         terms_total=terms_sum(slice(None)),
         class_estimates={name: terms_sum(idx) for name, idx in classes.items()})
 

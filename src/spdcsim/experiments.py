@@ -18,14 +18,14 @@ The chunk at ``row0`` of vacuum lane ``L`` is
 which holds the same rows, bit for bit, as one draw of the whole lane:
 a Philox key covers 2**14 words of rows (4096 rows of two modes, 2048 of
 four), so ``row0``, a multiple of the chunk, starts a key block of the
-lane (see :mod:`~spdcsim.sampling`).  Every report row comes from
-the one merged :class:`~spdcsim.estimators.FeatureMoments`: a statistic
-of :mod:`~spdcsim.estimators` takes the moments of its features, and the
-hom dip and CHSH B, ratios of this module's own, take
-:meth:`~spdcsim.estimators.FeatureMoments.estimate`.  A row's
-closed-form oracle is computed before the draw, so an oracle that
-overflows fails the run at once; a value, standard error or oracle that is
-not finite fails the run where its row is made.
+lane (see :mod:`~spdcsim.sampling`).  Every report row comes from the
+one merged :class:`~spdcsim.estimators.FeatureMoments`, one feature per
+distinct moment: a statistic of :mod:`~spdcsim.estimators` takes the
+moments of its features (E and B share one denominator), and the hom dip,
+a ratio of this module's own, takes its ``estimate``.  A row's closed-form
+oracle is computed before the draw, so an oracle that overflows fails the
+run at once; a value, standard error or oracle that is not finite fails
+the run where its row is made.
 
 ``threads`` workers reduce whole chunks, at most two per worker in flight,
 and the merge takes their results strictly in row order, so a report does
@@ -106,13 +106,11 @@ class ExperimentConfig:
             raise ValueError("give either gl or G, not both")
         if self.reps < 2:
             raise ValueError("Monte Carlo experiments need reps >= 2")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
             raise ValueError("polariser angles must be finite")
-        _ = self.gain, self.splitter  # built now, so that bad values fail here
+        _ = self.gain, self.splitter, DetectorParams(self.eta)  # bad values fail here
         if self.kind == "hom2d":
             check_reps(self.reps)
 
@@ -276,41 +274,37 @@ def polarized_arms(arms, *angles, kept=None):
 _A, _AP, _B, _BP = theory.CHSH_ANGLES
 #: (theta1, theta2, sign) of the four terms of B at the standard angles.
 _CHSH_SETTINGS = ((_AP, _B, 1.0), (_AP, _BP, 1.0), (_A, _BP, 1.0), (_A, _B, -1.0))
-#: The (theta1, theta2) pairs of :data:`_CHSH_SETTINGS`, one after another.
-_B_ANGLES = tuple(theta for t1, t2, _ in _CHSH_SETTINGS for theta in (t1, t2))
 
 
-def _chsh_rows(arms, angles, out, kept=None):
-    """The :func:`chsh_products` of each (theta1, theta2) pair of
-    ``angles``, two rows of ``out`` a pair; returns the projected fields
-    (:func:`polarized_arms`).  Each distinct (location, angle) is projected
-    and squared once, into the chunk buffers of ``kept``."""
+def _chsh_rows(arms, theta1, theta2, out, kept=None):
+    """E's numerator and the denominator (:func:`chsh_products`) at
+    (theta1, theta2), then B's numerator, the signed sum of those at
+    :data:`_CHSH_SETTINGS`, into the three rows of ``out``.  Each distinct
+    (location, angle) is projected and squared once, into the chunk
+    buffers of ``kept``; returns the fields (:func:`polarized_arms`)."""
+    angles = (theta1, theta2, *(a for t1, t2, _ in _CHSH_SETTINGS for a in (t1, t2)))
     fields = polarized_arms(arms, *angles, kept=kept)
     keys = _polarizer_keys(angles)
     distinct = dict(zip(keys, fields))
     n = len(fields[0])
     intensity = dict(zip(distinct, chsh_intensities(
         distinct.values(), kept_array(kept, "intensities", (len(distinct), n), np.float64))))
-    t = kept_array(kept, "product", (n,), np.float64)
-    for j in range(0, len(keys), 4):
-        chsh_products(*(intensity[key] for key in keys[j:j + 4]),
-                      out=out[j // 2:j // 2 + 2], scratch=t)
+    num, t = (kept_array(kept, name, (n,), np.float64) for name in ("product", "factor"))
+    e, den, b = out
+    chsh_products(*(intensity[key] for key in keys[:4]), out=(e, den), scratch=t)
+    b.fill(0.0)
+    for j, (_, _, sign) in enumerate(_CHSH_SETTINGS, start=1):
+        chsh_products(*(intensity[key] for key in keys[4 * j:4 * j + 4]), out=(num,), scratch=t)
+        (np.add if sign > 0 else np.subtract)(b, num, out=b)
     return fields
-
-
-def _chsh_b(m):
-    return sum(sign * m[2 * j] / m[2 * j + 1]
-               for j, (_, _, sign) in enumerate(_CHSH_SETTINGS))
 
 
 def _bell_features(config, x, kept, *fields):
     """Rows 0-8 the correlation features of the (theta1, theta2) outputs
-    and of their input vacua, 9-10 their E features, 11-18 those of the
-    four settings of B; the five settings share their projections and
-    intensities."""
+    and of their input vacua, 9-11 those of E and B (:func:`_chsh_rows`):
+    the five settings share their projections, intensities and denominator."""
     arms, vacua = fields[:4], fields[4:]
-    e1p, _, e2p, _ = _chsh_rows(arms, (config.theta1, config.theta2, *_B_ANGLES),
-                                x[9:19], kept)[:4]
+    e1p, _, e2p, _ = _chsh_rows(arms, config.theta1, config.theta2, x[9:12], kept)[:4]
     n = len(e1p)
     t = _scratch(kept, n)
     v1p, v2p = _fields(kept, n, "vacuum1", "vacuum2")
@@ -326,7 +320,7 @@ def _run_bell(config: ExperimentConfig) -> RunReport:
     rows = [
         make_row("rho", correlation_coefficient(moments.select(range(9))), oracle["rho"]),
         make_row("E", chsh_coefficient(moments.select([9, 10])), oracle["E"]),
-        make_row("B", moments.select(range(11, 19)).estimate(_chsh_b), oracle["B"]),
+        make_row("B", chsh_coefficient(moments.select([11, 10])), oracle["B"]),
     ]
     report = RunReport("bell", rows=rows)
     report.metadata["threshold_G"] = oracle["threshold_G"]
@@ -368,7 +362,7 @@ def _run_fourfold(config: ExperimentConfig) -> RunReport:
 _STREAMED = {
     "twin": (_twin_chunk, _twin_features, 4),
     "hom": (_hom_chunk, _hom_features, 14),
-    "bell": (_bell_chunk, _bell_features, 19),
+    "bell": (_bell_chunk, _bell_features, 12),
     "fourfold": (_amplified_pair, _fourfold_features, _FOURFOLD.k),
 }
 
@@ -440,8 +434,6 @@ def oracle_table(table: str, values: tuple, eta: float):
     """Closed-form predictions of ``table`` ('twin', 'bell' or 'hom') at
     ``values`` (gains G, or transmittances for 'hom'; empty for the
     default set) and detector efficiency ``eta``; returns (header, rows)."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if table in ("bell", "hom") and eta != 1.0:
         raise ValueError(f"the {table} table has no detector efficiency; "
                          f"eta applies to the twin table only, got {eta}")

@@ -63,6 +63,7 @@ NaN point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -318,12 +319,14 @@ def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float) -> Hom2dConfig
     Solves max(image mean intensity)(g0) = ``photons_per_pixel`` for g0 in
     [1e-9, :data:`GAIN_SCALE_MAX`] with Brent's method (:func:`_brent_root`,
     absolute and relative tolerance 1e-12).  A target outside the photon
-    range that this bracket reaches is a ValueError naming that range.
+    range that this bracket reaches is a ValueError naming that range; the
+    search reuses that check's evaluations of the bracket ends.
     """
     if not (photons_per_pixel > 0 and math.isfinite(photons_per_pixel)):
         raise ValueError(
             f"photons_per_pixel must be positive and finite, got {photons_per_pixel}")
 
+    @functools.cache
     def brightest(g0):
         dec = schmidt_decompose(build_kernel(replace(config, gain_scale=g0)),
                                 floor=0.0)
@@ -558,10 +561,17 @@ def _band_pairs(image: np.ndarray, band_floor: float):
     brightest mean intensity; each pixel (x, y) pairs with its mirrored
     partner (n-1-x, n-1-y).  Returns ``(rows, band_l, band_m)``: the sorted
     rows holding band pixels or their partners, and the flat indices of
-    the pair members over the (len(rows), n) restricted image.
+    the pair members over the (len(rows), n) restricted image.  A ValueError
+    when over 3/4 of the band's intensity lies on pixels whose column n // 2
+    away (the reference shift) is band too: that tilt cannot part the beams.
     """
     n = image.shape[0]
     band = image >= band_floor * image.max()
+    overlap = image[band & np.roll(band, n // 2, axis=1)].sum()
+    if overlap > 0.75 * image[band].sum():
+        raise ValueError(f"the band reaches the reference shift of {n // 2} pixels: "
+                         f"{overlap / image[band].sum():.3g} of its intensity (over 0.75) "
+                         "overlaps it; lower gain_scale, or raise n_pixels or pitch")
     lx, ly = np.nonzero(band)
     keep = band.any(axis=1)
     keep |= keep[::-1]
@@ -585,8 +595,9 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
     All tilts, the reference included, are swept at once, by band row
     (:func:`_coherence_sweep`).
 
-    Raises ValueError when a tilt's shift is the reference shift modulo
-    the grid, whose dip point would be 1 with no error to weight it by;
+    Raises ValueError when a tilt's shift lies within half a pixel of the
+    reference shift modulo the grid, whose dip point would be about 1 with
+    a vanishing error, or when the band reaches it (:func:`_band_pairs`);
     :class:`~spdcsim.estimators.DegenerateStatisticError` when the
     reference-tilt aggregate or one of its delete-one values is not
     positive and finite, and ArithmeticError when an amplitude is not
@@ -598,23 +609,21 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
     if not config.gain_scale > 0:
         raise ValueError("the HOM sweep needs gain_scale > 0")
     n, ref_shift = config.n_pixels, config.n_pixels // 2
-    for theta in config.theta_sweep:
-        shift = 2.0 * float(theta) / config.pitch
+    thetas = np.asarray(config.theta_sweep, dtype=float)
+    shifts = [*(2.0 * thetas / config.pitch), ref_shift]
+    for theta, shift in zip(thetas, shifts):
         offset = (shift - ref_shift) % n
-        if min(offset, n - offset) <= 1e-9:
+        if min(offset, n - offset) < 0.5:
             raise ValueError(f"theta_sweep: theta = {theta:g} shifts the image by "
-                             f"{shift:.6g} pixels, the reference shift {ref_shift} "
-                             f"modulo n_pixels = {n}, so its dip point is 1 by "
-                             f"construction")
-    kernel = build_kernel(config)
-    dec = schmidt_decompose(kernel, floor=0.0)
+                             f"{shift:.6g} pixels, within 0.5 of the reference shift "
+                             f"{ref_shift} modulo n_pixels = {n}, so its dip point is "
+                             f"about 1 with an error that vanishes there")
+    dec = schmidt_decompose(build_kernel(config), floor=0.0)
     image = image_mean_intensities(dec)
     rows, band_l, band_m = _band_pairs(image, config.band_floor)
     signal, idler = sample_image_planes(dec, RngStream(seed, 0), reps,
                                         rows=rows, vacuum=True)
 
-    thetas = np.asarray(config.theta_sweep, dtype=float)
-    shifts = [*(2.0 * thetas / config.pitch), ref_shift]
     value, loo = _coherence_sweep(signal, idler, band_l, band_m, shifts)
     ref = value[-1], loo[:, -1]
     if not all(np.all(np.isfinite(x) & (x > 0)) for x in ref):

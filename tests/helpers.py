@@ -28,8 +28,8 @@ from spdcsim.estimators import (FeatureMoments, FourfoldPlan, FourfoldResult,
                                 MomentEstimate, chsh_intensities, chsh_products,
                                 correlation_features, intensity_products, merge_moments,
                                 row_chunks)
-from spdcsim.experiments import (ExperimentConfig, _B_ANGLES, _bell_chunk, _chsh_b,
-                                 _chsh_rows, _hom_chunk, _twin_chunk)
+from spdcsim.experiments import (ExperimentConfig, _bell_chunk, _chsh_rows, _hom_chunk,
+                                 _twin_chunk)
 from spdcsim.multimode import (Hom2dConfig, SchmidtDecomposition, _band_pairs,
                                _ratio_with_jackknife, build_kernel, image_mean_intensities,
                                sample_image_planes, schmidt_decompose, shift_field)
@@ -180,16 +180,21 @@ def chsh_features(e1p, e1m, e2p, e2m, out=None, scratch=None):
     return out
 
 
-def _chsh_b_features(*arms):
-    out = np.empty((len(_B_ANGLES), len(arms[0])))  # two rows per (theta1, theta2)
-    _chsh_rows(arms, _B_ANGLES, out)
+def chsh_rows(arms, theta1=math.pi / 8, theta2=math.pi / 8):
+    """The bell pipeline's CHSH feature rows of whole columns: E's
+    numerator at (theta1, theta2), the shared denominator and B's
+    numerator (``experiments._chsh_rows``)."""
+    out = np.empty((3, len(arms[0])))
+    _chsh_rows(arms, theta1, theta2, out)
     return out
 
 
-def chsh_b_estimate(arms):
-    """CHSH coefficient B at the standard angle set, from the same features
-    and function as the bell report's B row."""
-    return feature_moments(_chsh_b_features, *arms).estimate(_chsh_b)
+def chsh_b_estimate(arms, theta1=math.pi / 8, theta2=math.pi / 8):
+    """CHSH coefficient B at the standard angle set, from the same rows and
+    function as the bell report's B row, whose denominator is taken at the
+    report's setting (theta1, theta2), the command's default here."""
+    moments = feature_moments(lambda *a: chsh_rows(a, theta1, theta2), *arms)
+    return estimators.chsh_coefficient(moments.select([2, 1]))
 
 
 def field_pair_moment(col_a: np.ndarray, col_b: np.ndarray,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdcsim import cli, experiments
+from spdcsim import cli, experiments, multimode
 from spdcsim.estimators import MomentEstimate
 from spdcsim.experiments import ExperimentConfig
 from spdcsim.multimode import DipCurve, Hom2dConfig
@@ -148,6 +148,35 @@ def test_hom2d_tilt_at_the_reference_shift_is_a_usage_error(capsys):
                     "--pitch", "0.6", f"--theta-sweep={sweep}"]) == 2
     err = capsys.readouterr().err
     assert "theta = 2.1 " in err and "reference shift 7" in err, err
+
+
+def test_hom2d_tilt_near_the_reference_shift_is_a_usage_error(capsys):
+    # 2 * 2.103 / 0.6 = 7.01 pixels, 0.01 from the reference shift: that dip
+    # point would be 0.9999 +- 3.4e-4, and its weight would pull the width
+    # fit from 0.879 to 0.601
+    sweep = ",".join(f"{t:.17g}" for t in [*np.linspace(-2.1, 2.1, 7)[:-1], 2.1 + 3e-3])
+    assert run_cli(["hom2d", "--reps", "60", "--seed", "5", "--n-pixels", "15",
+                    "--pitch", "0.6", f"--theta-sweep={sweep}"]) == 2
+    err = capsys.readouterr().err
+    assert "theta = 2.103 " in err and "within 0.5 of the reference shift 7" in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom2d", "--reps", "60", "--n-pixels", "16"],
+    ["hom2d", "--reps", "5", "--n-pixels", "16", "--gain-scale", "9"],
+])
+def test_hom2d_band_reaching_the_reference_shift_is_a_usage_error(argv, monkeypatch,
+                                                                  capsys):
+    # at the default pitch the whole 16-pixel image is band, so the
+    # reference tilt does not separate the beams: the first exited 0 with
+    # wings of 0.45 and 0.69, the second 3 on a reference coherence of -2.2e29
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the images were drawn")
+
+    monkeypatch.setattr(multimode, "sample_image_planes", no_draw)
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "reaches the reference shift of 8 pixels" in err and "Traceback" not in err, err
 
 
 def test_hom2d_zero_gain_is_a_usage_error(capsys):
@@ -302,10 +331,10 @@ def test_oracle_eta_is_rejected_where_no_table_column_uses_it(capsys):
     (["twin", "--reps", "1e4"], "gain_gl = 0.8814", ["--G", "1"]),
     (["twin", "--reps", "1e4"], "G = 0.01", ["--gain-gl", "0.5"]),
     (["twin", "--reps", "1e4"], "gain-gl = 0.8814", ["--G=1"]),
-    (["hom2d", "--reps", "5", "--n-pixels", "16", "--pitch", "0.6"],
-     "gain_scale = 0.5", ["--photons-per-pixel", "1"]),
-    (["hom2d", "--reps", "5", "--n-pixels", "16", "--pitch", "0.6"],
-     "photons_per_pixel = 1", ["--gain-scale", "0.8814"]),
+    (["hom2d", "--reps", "5", "--n-pixels", "16", "--pitch", "0.6",
+      "--theta-sweep=-1.8,0,1.8"], "gain_scale = 0.5", ["--photons-per-pixel", "1"]),
+    (["hom2d", "--reps", "5", "--n-pixels", "16", "--pitch", "0.6",
+      "--theta-sweep=-1.8,0,1.8"], "photons_per_pixel = 1", ["--gain-scale", "0.8814"]),
 ])
 def test_command_line_flag_wins_over_file_entry_of_its_exclusive_partner(
         argv, entry, flags, tmp_path):
@@ -454,7 +483,7 @@ def test_hom2d_run_does_not_import_numpy_ma(tmp_path):
 import sys
 from spdcsim import cli
 code = cli.main(["hom2d", "--reps", "5", "--n-pixels", "16", "--pitch", "0.6",
-                 "--out", {str(tmp_path / "dip.csv")!r}])
+                 "--theta-sweep=-1.8,0,1.8", "--out", {str(tmp_path / "dip.csv")!r}])
 print(code, "numpy.ma" in sys.modules)
 """
     src = Path(cli.__file__).resolve().parents[1]

@@ -8,12 +8,13 @@ from spdcsim import theory
 from spdcsim.elements import BeamSplitterParams, GainParams, beam_split, parametric_amplify
 from spdcsim.estimators import (CHUNK_ROWS, DegenerateStatisticError, FourfoldPlan,
                                 correlation_features, intensity_products, intensity_snr)
-from spdcsim.experiments import ExperimentConfig, polarized_arms, run_experiment
+from spdcsim.experiments import (_CHSH_SETTINGS, ExperimentConfig, polarized_arms,
+                                 run_experiment)
 from spdcsim.sampling import RngStream, sample_vacuum
 
-from helpers import (chsh_b_estimate, chsh_coefficient, chsh_features, correlation_coefficient,
-                     covariance_intensity, feature_moments, field_pair_moment,
-                     fourfold_covariance, jackknife_se, mean_intensity,
+from helpers import (bell_arms, chsh_b_estimate, chsh_coefficient, chsh_features, chsh_rows,
+                     correlation_coefficient, covariance_intensity, feature_moments,
+                     field_pair_moment, fourfold_covariance, jackknife_se, mean_intensity,
                      moment_theorem_residual, variance_intensity)
 from wick import centered_intensity_product, twin_beam_moment_table
 
@@ -142,6 +143,40 @@ def test_chsh_degenerate_denominator():
         chsh_coefficient(*polarized_arms(arms, math.pi / 8, math.pi / 8))
 
 
+@pytest.mark.parametrize("G", [0.01, 1.0, 10.0])
+def test_every_chsh_setting_has_the_shared_denominator(G):
+    # (i1p + i1m)(i2p + i2m) is the total coincidence rate, which polarisers
+    # do not change: per repetition it agrees at every setting to rounding
+    arms = bell_arms(ExperimentConfig(kind="bell", G=G, reps=20_000))
+    shared = chsh_rows(arms)[1]  # at the bell command's (pi/8, pi/8)
+    e1x, e1y, e2x, e2y = arms
+    scale = (abs(e1x) ** 2 + abs(e1y) ** 2 + 1) * (abs(e2x) ** 2 + abs(e2y) ** 2 + 1)
+    for t1, t2 in [(t1, t2) for t1, t2, _ in _CHSH_SETTINGS] + [(0.3, 1.1)]:
+        den = chsh_features(*polarized_arms(arms, t1, t2))[1]
+        assert np.all(np.abs(den - shared) <= 16 * np.finfo(float).eps * scale), (t1, t2)
+
+
+def test_b_is_the_signed_sum_of_its_settings_coefficients():
+    config = ExperimentConfig(kind="bell", G=1.0, reps=50_000)
+    b = next(row for row in run_experiment(config).rows if row.name == "B")
+    arms = bell_arms(config)
+    total = sum(sign * chsh_coefficient(*polarized_arms(arms, t1, t2)).value
+                for t1, t2, sign in _CHSH_SETTINGS)
+    assert b.value == pytest.approx(total, rel=1e-12)
+    assert b.value == chsh_b_estimate(arms).value
+
+
+def test_fourfold_reads_each_fields_own_pair_from_its_intensity():
+    plan = FourfoldPlan((0, 0, 1, 1))
+    assert plan.k == 10  # 8 intensity monomials and one complex signal-idler product
+    es, ei = _twin(reps=3000)
+    moments = feature_moments(plan.features, es, ei)
+    m_ss, m_ii, *mu = plan._pair_moments(moments.mean)
+    assert (m_ss, m_ii) == (moments.mean[0], moments.mean[1])  # <|E_s|^2>, <|E_i|^2>
+    assert all(m == mu[0] for m in mu)
+    assert FourfoldPlan((0, 1, 2, 3)).k == 15 + 2 * 6  # no pair of a field with itself
+
+
 def test_fourfold_against_independent_enumeration(twin_cache):
     es, ei = twin_cache(1.0)
     res = fourfold_covariance(es, es, ei, ei)
@@ -221,7 +256,7 @@ def _reference_features(a, b, c, d):
     evaluated before it wrote into ``out``."""
     xa, xb, xc, xd = (np.abs(col) ** 2 for col in (a, b, c, d))
     i1p, i1m, i2p, i2m = (np.abs(col) ** 2 - 0.5 for col in (a, b, c, d))
-    pairs = [a * np.conj(a), np.conj(b) * b, a * b]
+    pair = a * b
     return {
         "intensity_products": (lambda **kw: intensity_products(a, b, **kw),
                                [xa, xb, xa * xb]),
@@ -229,11 +264,10 @@ def _reference_features(a, b, c, d):
                                  [xa, xb, xa * xb, xa ** 2, xb ** 2,
                                   xc, xd, xc ** 2, xd ** 2]),
         "chsh_features": (lambda **kw: chsh_features(a, b, c, d, **kw),
-                          [i1p * i2p + i1m * i2m - i1p * i2m - i1m * i2p,
-                           i1p * i2p + i1m * i2m + i1p * i2m + i1m * i2p]),
+                          [(i1p - i1m) * (i2p - i2m), (i1p + i1m) * (i2p + i2m)]),
         "fourfold": (lambda **kw: FourfoldPlan((0, 0, 1, 1)).features(a, b, **kw),
                      [xa, xb, xa * xa, xa * xb, xb * xb, xa * xa * xb, xa * xb * xb,
-                      xa * xa * xb * xb, *(part for p in pairs for part in (p.real, p.imag))]),
+                      xa * xa * xb * xb, pair.real, pair.imag]),
     }
 
 
@@ -283,8 +317,7 @@ def _delta_and_jackknife_cases(twin_cache, bell_cache):
         e1p, e1m, e2p, e2m = polarized_arms(arms, math.pi / 8, math.pi / 8)
         v1p, _, v2p, _ = polarized_arms(bell_cache(0.0, reps), math.pi / 8, math.pi / 8)
         i1p, i1m, i2p, i2m = (np.abs(c) ** 2 - 0.5 for c in (e1p, e1m, e2p, e2m))
-        num = i1p * i2p + i1m * i2m - i1p * i2m - i1m * i2p
-        den = i1p * i2p + i1m * i2m + i1p * i2m + i1m * i2p
+        num, den = (i1p - i1m) * (i2p - i2m), (i1p + i1m) * (i2p + i2m)
         yield (f"E at G={G}", chsh_coefficient(e1p, e1m, e2p, e2m),
                jackknife_se(lambda a, b: a / b, num, den))
 
@@ -294,15 +327,14 @@ def _delta_and_jackknife_cases(twin_cache, bell_cache):
                                                             * (bb - b * b - 0.25)),
             x1, x2, x1 ** 2, x2 ** 2, x1 * x2))
 
+        # B's numerator, the signed sum over its settings, over E's denominator
         a, ap, b, bp = theory.CHSH_ANGLES
-        cols = []
-        for t1, t2 in ((ap, b), (ap, bp), (a, bp), (a, b)):
+        b_num = 0.0
+        for t1, t2, sign in ((ap, b, 1), (ap, bp, 1), (a, bp, 1), (a, b, -1)):
             i1p, i1m, i2p, i2m = (np.abs(c) ** 2 - 0.5 for c in polarized_arms(arms, t1, t2))
-            cols += [i1p * i2p + i1m * i2m - i1p * i2m - i1m * i2p,
-                     i1p * i2p + i1m * i2m + i1p * i2m + i1m * i2p]
-        yield (f"B at G={G}", chsh_b_estimate(arms), jackknife_se(
-            lambda n1, d1, n2, d2, n3, d3, n4, d4: n1 / d1 + n2 / d2 + n3 / d3 - n4 / d4,
-            *cols))
+            b_num = b_num + sign * (i1p - i1m) * (i2p - i2m)
+        yield (f"B at G={G}", chsh_b_estimate(arms), jackknife_se(lambda n, d: n / d,
+                                                                  b_num, den))
 
 
 def test_delta_method_se_matches_jackknife(twin_cache, bell_cache):

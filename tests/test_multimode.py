@@ -285,6 +285,49 @@ def test_calibrate_gain_matches_scipy_brentq(photons):
     assert calibrate_gain(config, photons).gain_scale == expected
 
 
+@pytest.mark.parametrize("photons, kernels", [(1.0, 17), (0.01, 21)])
+def test_calibrate_gain_builds_each_kernel_once(photons, kernels, monkeypatch):
+    # the range check's two bracket ends are the root search's first two
+    # evaluations, so no gain is built twice (19 and 23 kernels before)
+    gains = []
+
+    def counting_kernel(config):
+        gains.append(config.gain_scale)
+        return build_kernel(config)
+
+    monkeypatch.setattr(multimode, "build_kernel", counting_kernel)
+    calibrate_gain(Hom2dConfig(), photons)
+    assert len(gains) == len(set(gains)) == kernels
+
+
+@pytest.mark.parametrize("config, photons, max_overlap", [
+    *((Hom2dConfig(), p, 0.05) for p in (0.01, 0.1, 1.0, 10.0)),
+    (SMALL, None, 0.15), (SMALL, 0.01, 0.01), (SMALL, 10.0, 0.55),
+], ids=["crit8-0.01", "crit8-0.1", "crit8-1", "crit8-10", "small", "small-0.01", "small-10"])
+def test_a_band_clear_of_the_reference_shift_has_exact_wings_near_1(config, photons,
+                                                                    max_overlap):
+    # the criterion-8 targets and SMALL pass the band check, and the exact
+    # curve at their sweep's end (tests/hom2d_oracle.py) is the
+    # distinguishable-beam limit within 5%
+    config = config if photons is None else calibrate_gain(config, photons)
+    dec = schmidt_decompose(build_kernel(config), floor=0.0)
+    image = image_mean_intensities(dec)
+    _band_pairs(image, config.band_floor)  # raises past the bound
+    band = image >= config.band_floor * image.max()
+    overlap = image[band & np.roll(band, config.n_pixels // 2, axis=1)].sum() / image[band].sum()
+    assert overlap <= max_overlap
+    wing = hom2d_oracle.dip_curve(dec, config.theta_sweep[:1], config.pitch, config.band_floor)
+    assert abs(wing[0] - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("gain", [0.5, 0.8814, 9.0])
+def test_a_band_reaching_the_reference_shift_is_refused(gain):
+    # 16 pixels at the default pitch put (nearly) the whole image in the
+    # band, so the reference shift of 8 pixels leaves the beams overlapping
+    with pytest.raises(ValueError, match="reaches the reference shift of 8 pixels"):
+        run_hom2d(Hom2dConfig(n_pixels=16, gain_scale=gain), 5, 42)
+
+
 def _curve_fit_width(thetas, amps, errs):
     """The dip fit by scipy's Levenberg-Marquardt, the reference for
     :func:`_fit_dip_width`; returns (a, sigma)."""
