@@ -19,8 +19,11 @@ the file's entry for the other flag of a mutually exclusive pair
 (``gain_gl``/``G``, ``photons_per_pixel``/``gain_scale``).  An unknown
 key is a usage error.
 
-Exit codes: 0 all statistics pass, 1 statistical failure, 2 usage error,
-3 numeric failure, out of memory or I/O error.
+Exit codes: 0 all statistics pass, 1 statistical failure, 2 usage error
+(a bad value found once the run starts and an unreadable ``--config``
+file included), 3 numeric failure, out of memory or an I/O error in
+writing ``--out``, which comes only after the whole run and its printed
+report.
 """
 
 from __future__ import annotations
@@ -203,11 +206,9 @@ def _print_report(report: RunReport) -> None:
             print(f"  theta {t:+8.4f}  amplitude {a:8.4f} +- {e:.4f}")
         return
     for r in report.rows:
-        line = f"  {r.name:26s} {r.value:+.6g} +- {r.std_error:.3g}"
-        if r.oracle is not None:
-            line += f"  oracle {r.oracle:+.6g}  dev {r.deviation_se:.2f} se"
-            line += "  PASS" if r.passed else "  FAIL"
-        print(line)
+        print(f"  {r.name:26s} {r.value:+.6g} +- {r.std_error:.3g}"
+              f"  oracle {r.oracle:+.6g}  dev {r.deviation_se:.2f} se"
+              f"  {'PASS' if r.passed else 'FAIL'}")
 
 
 def _write_oracle(header, rows, out: str | None, fmt: str) -> None:

@@ -82,10 +82,10 @@ class DegenerateStatisticError(ValueError):
 class MomentEstimate:
     """A statistic with its standard error."""
 
-    value: float | complex
+    value: float
     std_error: float
 
-    def deviation(self, oracle: float | complex) -> float:
+    def deviation(self, oracle: float) -> float:
         """Distance from an oracle value in units of the standard error."""
         if self.std_error <= 0:
             return float("inf")
@@ -98,11 +98,13 @@ def normal_intensities(col: np.ndarray) -> np.ndarray:
     return np.abs(col) ** 2 - ORDERING.intensity_offset
 
 
-def jackknife_se(delete_one_values) -> float:
-    """Delete-one jackknife standard error of a statistic from its n
-    delete-one values theta_i: sqrt((n - 1) mean((theta_i - theta_bar)^2))."""
+def jackknife_se(delete_one_values):
+    """Delete-one jackknife standard error from n delete-one values theta_i
+    on the last axis, sqrt((n - 1) mean((theta_i - theta_bar)^2)); a row
+    of a C-contiguous array gets the bits that it gets alone."""
     theta = np.asarray(delete_one_values, dtype=np.float64)
-    return math.sqrt((theta.shape[0] - 1) * np.mean((theta - theta.mean()) ** 2))
+    dev = theta - theta.mean(axis=-1, keepdims=True)
+    return np.sqrt((theta.shape[-1] - 1) * np.mean(dev ** 2, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -129,9 +131,9 @@ class FeatureMoments:
     def estimate(self, f) -> MomentEstimate:
         """``f`` of the feature means with its delta-method standard error.
 
-        ``f`` indexes the mean vector by feature (``m[0]``, ``m[1]``, ...) and
-        must broadcast over trailing axes: the gradient evaluates it on all 2k
-        shifted mean vectors at once.  A complex ``f`` gets sqrt(E|f_hat - f|^2).
+        ``f`` indexes the mean vector by feature (``m[0]``, ``m[1]``, ...),
+        is real, and must broadcast over trailing axes: the gradient
+        evaluates it on all 2k shifted mean vectors at once.
         """
         k = self.mean.shape[0]
         cov = self.gram / (self.n - 1)
@@ -140,9 +142,8 @@ class FeatureMoments:
         shifts = np.diag(h)
         shifted = np.asarray(f(self.mean[:, None] + np.hstack([shifts, -shifts])))
         grad = (shifted[:k] - shifted[k:]) / (2.0 * h)
-        var = float(np.real(np.conj(grad) @ cov @ grad)) / self.n
-        return MomentEstimate(np.asarray(f(self.mean)).item(),
-                              float(np.sqrt(max(var, 0.0))))
+        var = float(grad @ cov @ grad) / self.n
+        return MomentEstimate(float(f(self.mean)), float(np.sqrt(max(var, 0.0))))
 
 
 def merge_moments(chunks) -> FeatureMoments:

@@ -208,12 +208,11 @@ def build_kernel(config: Hom2dConfig) -> JointAmplitudeKernel:
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:
-    """Column-orthonormal mode matrices with singular values and mode gains."""
+    """Column-orthonormal mode matrices with their singular values."""
 
     U: np.ndarray
     V: np.ndarray
     lam: np.ndarray
-    g: np.ndarray
     residual: float
 
     @property
@@ -221,27 +220,17 @@ class SchmidtDecomposition:
         return self.lam.shape[0]
 
 
-def schmidt_decompose(kernel: JointAmplitudeKernel,
-                      floor: float = 1e-8) -> SchmidtDecomposition:
-    """SVD of the kernel with per-mode gains g_k = asinh(2 lambda_k)/2.
-
-    Modes whose singular value falls below ``floor`` times the largest are
-    truncated.  The kept factors satisfy K ~ U diag(lambda) V^T.
-    """
+def schmidt_decompose(kernel: JointAmplitudeKernel) -> SchmidtDecomposition:
+    """SVD of the kernel, K = U diag(lambda) V^T, every axis mode kept, with
+    the relative Frobenius residual of that product."""
     try:
         U, lam, Vh = np.linalg.svd(kernel.matrix)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"SVD of {kernel.matrix.shape} kernel failed: {exc}") from exc
-    lam_max = lam[0] if lam.size else 0.0
-    keep = lam > floor * lam_max if lam_max > 0 else np.zeros_like(lam, dtype=bool)
-    U = U[:, keep]
-    lam = lam[keep]
-    V = Vh[keep].T
-    g = 0.5 * np.arcsinh(2.0 * lam)
     norm = np.linalg.norm(kernel.matrix)
-    resid = np.linalg.norm((U * lam) @ V.T - kernel.matrix) / norm if norm > 0 else 0.0
-    return SchmidtDecomposition(U=U, V=V, lam=lam, g=g, residual=float(resid))
+    resid = np.linalg.norm((U * lam) @ Vh - kernel.matrix) / norm if norm > 0 else 0.0
+    return SchmidtDecomposition(U=U, V=Vh.T, lam=lam, residual=float(resid))
 
 
 def image_mean_intensities(dec: SchmidtDecomposition) -> np.ndarray:
@@ -328,8 +317,7 @@ def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float) -> Hom2dConfig
 
     @functools.cache
     def brightest(g0):
-        dec = schmidt_decompose(build_kernel(replace(config, gain_scale=g0)),
-                                floor=0.0)
+        dec = schmidt_decompose(build_kernel(replace(config, gain_scale=g0)))
         return image_mean_intensities(dec).max()
 
     lo, hi = brightest(1e-9), brightest(GAIN_SCALE_MAX)
@@ -342,21 +330,16 @@ def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float) -> Hom2dConfig
     return replace(config, gain_scale=float(g0))
 
 
-def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int,
-                        rows=None, vacuum: bool = False):
-    """Synthesise two-axis far-field images from the product Schmidt modes.
+def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int, rows):
+    """Synthesise the image rows ``rows`` (indices into the first image
+    axis) of the two-axis far-field images from the product Schmidt modes,
+    which span the whole image plane; modes with vanishing singular value
+    pass vacuum through.
 
-    The decomposition must keep the full axis basis (build it with
-    ``floor=0.0``) so the product modes span the whole image plane; modes
-    with vanishing singular value then simply pass vacuum through.
-    Returns ``(signal, idler)`` pixel-major arrays of shape (n, n, reps):
-    image row, image column, repetition.
-
-    ``rows`` (indices into the first image axis) restricts the synthesis
-    to those image rows, giving shape (len(rows), n, reps).  With
-    ``vacuum`` the last axis doubles to 2 reps: the amplified fields, then
-    the unamplified input vacua of the same draw sent through the same
-    modes.
+    Returns ``(signal, idler)`` pixel-major arrays of shape (len(rows), n,
+    2 reps): image row, image column, then the amplified fields of each
+    repetition followed by the unamplified input vacua of the same draw
+    sent through the same modes.
 
     One image at a time, the drawn mode amplitudes are amplified into one
     (rep, i, j) buffer that both images reuse.  U and V are real, so both
@@ -366,29 +349,25 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int,
     one image row at a time.
     """
     n = dec.U.shape[0]
-    if dec.n_modes != n or dec.V.shape[0] != n:
-        raise ValueError("image synthesis needs the untruncated axis basis")
     g2 = _product_gains(dec)
     C = np.cosh(g2)
     minus_iS = -1j * np.sinh(g2)
     ens = sample_vacuum(rng, reps, 2 * n * n)
     es0 = ens[:, :n * n].reshape(reps, n, n)
     ei0 = ens[:, n * n:].reshape(reps, n, n)
-    rows = slice(None) if rows is None else rows
     amplified = np.empty_like(es0)
     planes = []
     for X, a, b in ((dec.U, es0, ei0), (dec.V, ei0, es0)):
         np.conjugate(b, out=amplified)
         amplified *= minus_iS
         amplified += C * a
-        fields = (amplified, a) if vacuum else (amplified,)
         Xr = X[rows]
         # over i, one repetition at a time: (rows, i) @ (i, j), into (row, j, samples)
-        part = np.empty((Xr.shape[0], n, len(fields), reps), dtype=complex)
-        for k, field in enumerate(fields):
+        part = np.empty((Xr.shape[0], n, 2, reps), dtype=complex)
+        for k, field in enumerate((amplified, a)):
             part[:, :, k] = (Xr @ field.view(float)).view(complex).transpose(1, 2, 0)
         # over j, one image row at a time: (y, j) @ (j, samples)
-        plane = np.empty(part.shape[:2] + (len(fields) * reps,), dtype=complex)
+        plane = np.empty(part.shape[:2] + (2 * reps,), dtype=complex)
         np.matmul(X, part.reshape(plane.shape).view(float), out=plane.view(float))
         planes.append(plane)
     return tuple(planes)
@@ -420,10 +399,11 @@ def shift_field(fields: np.ndarray, shift_px: float) -> np.ndarray:
 class DipCurve:
     """Normalised HOM dip amplitude against beam-splitter tilt.
 
-    ``band_pairs`` counts the matched pixel pairs the dip aggregates,
-    ``band_rows`` the image rows synthesised for them (the rows holding
-    band pixels or their partners), and ``schmidt_residual`` is the
-    relative Frobenius residual of the axis kernel's decomposition.
+    ``n_modes`` is n_pixels^2, because every product mode is
+    synthesised.  ``band_pairs`` counts the matched pixel pairs the dip
+    aggregates, ``band_rows`` the image rows synthesised for them (the
+    rows holding band pixels or their partners), and ``schmidt_residual``
+    is the relative Frobenius residual of the axis kernel's decomposition.
     """
 
     theta: np.ndarray
@@ -436,15 +416,6 @@ class DipCurve:
     band_pairs: int
     band_rows: int
     schmidt_residual: float
-
-
-def _ratio_with_jackknife(num, den):
-    """Dip ratio at one tilt over the reference tilt, with a delete-one-rep
-    jackknife standard error; ``num`` and ``den`` are (aggregate, delete-one
-    values) from :func:`_coherence_sweep`; ``den`` is positive and finite."""
-    with np.errstate(all="ignore"):  # the caller rejects a ratio that is not finite
-        value = float(num[0] / den[0])
-        return value, jackknife_se(num[1] / den[1])
 
 
 def _reflected(shifts, n: int) -> np.ndarray:
@@ -518,7 +489,7 @@ def _band_ports(signal, idler, band_l, band_m, shifts):
 
 def _coherence_sweep(signal, idler, band_l, band_m, shifts):
     """Pair-coherence aggregate at each shift, shape (shifts,), and its
-    delete-one-repetition values, (reps, shifts).
+    delete-one-repetition values, (shifts, reps).
 
     The last axis of ``signal`` and ``idler`` holds the restricted planes
     of the amplified beams (its first half) and then those of the input
@@ -547,10 +518,11 @@ def _coherence_sweep(signal, idler, band_l, band_m, shifts):
         power += np.einsum("pt,pt->t", m, m)
         cross += np.einsum("ptr,pt->tr", z, m)
         own += np.einsum("ptr,ptr->tr", z, z)
-    power, cross, own = 2.0 * power, 2.0 * cross.T, 2.0 * own.T
-    q = own.mean(axis=0)
+    power, cross, own = 2.0 * power, 2.0 * cross, 2.0 * own
+    q = own.mean(axis=-1)
     value = (reps * power - q) / (reps - 1)
-    loo = reps * (reps * power - 2.0 * cross + 2.0 * own / reps - q) / ((reps - 1) * (reps - 2))
+    loo = (reps * (reps * power[:, None] - 2.0 * cross + 2.0 * own / reps - q[:, None])
+           / ((reps - 1) * (reps - 2)))
     return value, loo
 
 
@@ -597,7 +569,9 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
 
     Raises ValueError when a tilt's shift lies within half a pixel of the
     reference shift modulo the grid, whose dip point would be about 1 with
-    a vanishing error, or when the band reaches it (:func:`_band_pairs`);
+    a vanishing error, when the band reaches it (:func:`_band_pairs`), or
+    when a tilt shifts the image by more than half the grid, where the
+    circular shift wraps round and the curve would dip again;
     :class:`~spdcsim.estimators.DegenerateStatisticError` when the
     reference-tilt aggregate or one of its delete-one values is not
     positive and finite, and ArithmeticError when an amplitude is not
@@ -618,26 +592,31 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
                              f"{shift:.6g} pixels, within 0.5 of the reference shift "
                              f"{ref_shift} modulo n_pixels = {n}, so its dip point is "
                              f"about 1 with an error that vanishes there")
-    dec = schmidt_decompose(build_kernel(config), floor=0.0)
+    dec = schmidt_decompose(build_kernel(config))
     image = image_mean_intensities(dec)
     rows, band_l, band_m = _band_pairs(image, config.band_floor)
-    signal, idler = sample_image_planes(dec, RngStream(seed, 0), reps,
-                                        rows=rows, vacuum=True)
+    for theta, shift in zip(thetas, shifts):
+        if abs(shift) > n / 2:
+            raise ValueError(f"theta_sweep: theta = {theta:g} shifts the image by "
+                             f"{shift:.6g} pixels, more than half of n_pixels = {n}, "
+                             f"so the shift wraps round the grid and the curve dips "
+                             f"again; narrow the sweep, or raise n_pixels or pitch")
+    signal, idler = sample_image_planes(dec, RngStream(seed, 0), reps, rows)
 
     value, loo = _coherence_sweep(signal, idler, band_l, band_m, shifts)
-    ref = value[-1], loo[:, -1]
+    ref = value[-1], loo[-1]
     if not all(np.all(np.isfinite(x) & (x > 0)) for x in ref):
         raise DegenerateStatisticError(
             f"the pair coherence at the reference tilt (the dip's denominator) "
             f"is {ref[0]:.6g}, and its delete-one values lie in "
             f"[{ref[1].min():.6g}, {ref[1].max():.6g}]: not all positive and finite")
-    amps = np.empty_like(thetas)
-    errs = np.empty_like(thetas)
-    for j, theta in enumerate(thetas):
-        amps[j], errs[j] = _ratio_with_jackknife((value[j], loo[:, j]), ref)
-        if not (math.isfinite(amps[j]) and 0 < errs[j] < math.inf):
+    with np.errstate(all="ignore"):  # a ratio that is not finite is rejected below
+        amps = value[:-1] / ref[0]
+        errs = jackknife_se(loo[:-1] / ref[1])  # one row of reps a tilt
+    for theta, amp, err in zip(thetas, amps, errs):
+        if not (math.isfinite(amp) and 0 < err < math.inf):
             raise ArithmeticError(f"the dip amplitude at theta = {theta:.6g} is "
-                                  f"{amps[j]:.6g} +- {errs[j]:.6g}, not a finite "
+                                  f"{amp:.6g} +- {err:.6g}, not a finite "
                                   f"value with a positive standard error")
 
     sigma = _fit_dip_width(thetas, amps, errs)

@@ -18,28 +18,25 @@ PASS_THRESHOLD_SE = 5.0
 
 @dataclass(frozen=True)
 class StatisticRow:
-    """One Monte Carlo statistic with its oracle, if one exists."""
+    """One Monte Carlo statistic with its oracle."""
 
     name: str
     value: float
     std_error: float
-    oracle: float | None = None
-    deviation_se: float | None = None
-    passed: bool = True
+    oracle: float
+    deviation_se: float
+    passed: bool
 
 
-def make_row(name: str, est: MomentEstimate, oracle: float | None) -> StatisticRow:
+def make_row(name: str, est: MomentEstimate, oracle: float) -> StatisticRow:
     """The report row of statistic ``name``; an ArithmeticError naming it
     when its value, standard error or oracle is not a finite number."""
-    value = est.value.real if isinstance(est.value, complex) else est.value
-    for what, x in (("value", value), ("standard error", est.std_error),
+    for what, x in (("value", est.value), ("standard error", est.std_error),
                     ("oracle", oracle)):
-        if x is not None and not math.isfinite(x):
+        if not math.isfinite(x):
             raise ArithmeticError(f"statistic {name!r}: {what} is {x}, not a finite number")
-    if oracle is None:
-        return StatisticRow(name, float(value), est.std_error)
     dev = est.deviation(oracle)
-    return StatisticRow(name, float(value), est.std_error, float(oracle), dev,
+    return StatisticRow(name, float(est.value), est.std_error, float(oracle), dev,
                         dev < PASS_THRESHOLD_SE)
 
 
@@ -58,8 +55,6 @@ class RunReport:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     return f"{x:.12g}"
 
 

@@ -1,7 +1,7 @@
 """Test-only helpers: whole-column field draws and statistics, the
-reference jackknife, pair-moment statistics, single-axis multimode
-sampling, the plane-domain FFT reference of the hom2d sweep and report
-comparison.
+reference jackknife, pair-moment statistics, truncated single-axis Schmidt
+decomposition and multimode sampling, the plane-domain FFT reference of
+the hom2d sweep and report comparison.
 
 No command of ``spdcsim`` uses these, so they live with the tests.  The
 whole-column draws concatenate the chunks of the streamed pipelines
@@ -30,8 +30,8 @@ from spdcsim.estimators import (FeatureMoments, FourfoldPlan, FourfoldResult,
                                 row_chunks)
 from spdcsim.experiments import (ExperimentConfig, _bell_chunk, _chsh_rows, _hom_chunk,
                                  _twin_chunk)
-from spdcsim.multimode import (Hom2dConfig, SchmidtDecomposition, _band_pairs,
-                               _ratio_with_jackknife, build_kernel, image_mean_intensities,
+from spdcsim.multimode import (Hom2dConfig, JointAmplitudeKernel, SchmidtDecomposition,
+                               _band_pairs, build_kernel, image_mean_intensities,
                                sample_image_planes, schmidt_decompose, shift_field)
 from spdcsim.sampling import RngStream, sample_vacuum
 
@@ -199,12 +199,16 @@ def chsh_b_estimate(arms, theta1=math.pi / 8, theta2=math.pi / 8):
 
 def field_pair_moment(col_a: np.ndarray, col_b: np.ndarray,
                       conjugate_second: bool = False) -> MomentEstimate:
-    """Mean field product <E_a E_b> or <E_a E_b*> (symmetric order)."""
+    """Mean field product <E_a E_b> or <E_a E_b*> (symmetric order), a
+    complex value re + i im from the real estimates of its two parts, with
+    standard error sqrt(E|value_hat - value|^2), the hypot of theirs."""
     def features(a, b):
         prod = a * (np.conj(b) if conjugate_second else b)
         return prod.real, prod.imag
 
-    return feature_moments(features, col_a, col_b).estimate(lambda m: m[0] + 1j * m[1])
+    moments = feature_moments(features, col_a, col_b)
+    re, im = (moments.estimate(lambda m, k=k: m[k]) for k in (0, 1))
+    return MomentEstimate(complex(re.value, im.value), math.hypot(re.std_error, im.std_error))
 
 
 def moment_theorem_residual(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstimate:
@@ -224,12 +228,27 @@ def moment_theorem_residual(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstim
     return feature_moments(features, col_a, col_b).estimate(resid)
 
 
+def truncated_schmidt(kernel: JointAmplitudeKernel,
+                      floor: float = 1e-8) -> SchmidtDecomposition:
+    """Single-axis Schmidt decomposition of ``kernel`` less the modes whose
+    singular value falls below ``floor`` times the largest (every mode of a
+    zero kernel), with the relative Frobenius residual of the kept factors,
+    K ~ U diag(lambda) V^T."""
+    dec = schmidt_decompose(kernel)
+    keep = dec.lam > floor * dec.lam[0]
+    U, lam, V = dec.U[:, keep], dec.lam[keep], dec.V.T[keep].T
+    norm = np.linalg.norm(kernel.matrix)
+    resid = np.linalg.norm((U * lam) @ V.T - kernel.matrix) / norm if norm > 0 else 0.0
+    return SchmidtDecomposition(U=U, V=V, lam=lam, residual=float(resid))
+
+
 def sample_multimode(dec: SchmidtDecomposition, rng: RngStream, reps: int):
     """Synthesise single-axis pixel-plane field ensembles from Schmidt modes.
 
     Per repetition: draw a vacuum pair per Schmidt mode, amplify it with
-    the per-mode gain, map to pixels through U and V, and add the
-    orthogonal-complement vacuum so every pixel carries the full vacuum.
+    the per-mode gain g_k = asinh(2 lambda_k)/2, map to pixels through U
+    and V, and add the orthogonal-complement vacuum so every pixel carries
+    the full vacuum.  ``dec`` may be truncated (:func:`truncated_schmidt`).
     Returns ``(signal, idler)`` arrays of shape (reps, n_pixels).
     """
     K = dec.n_modes
@@ -240,8 +259,9 @@ def sample_multimode(dec: SchmidtDecomposition, rng: RngStream, reps: int):
     ei0 = ens[:, K:2 * K]
     vs = ens[:, 2 * K:2 * K + ns]
     vi = ens[:, 2 * K + ns:]
-    C = np.cosh(dec.g)
-    S = np.sinh(dec.g)
+    g = 0.5 * np.arcsinh(2.0 * dec.lam)
+    C = np.cosh(g)
+    S = np.sinh(g)
     amp_s = C * es0 - 1j * S * np.conj(ei0)
     amp_i = C * ei0 - 1j * S * np.conj(es0)
     signal = amp_s @ dec.U.T + vs - (vs @ np.conj(dec.U)) @ dec.U.T
@@ -305,20 +325,19 @@ def fft_reference_dip(config: Hom2dConfig, reps: int, seed: int):
     planes by FFT, read the band pairs, and form the delete-one aggregates
     from the six (reps x pairs) statistic arrays.  The same draw and band
     as ``run_hom2d``; only the sweep differs."""
-    dec = schmidt_decompose(build_kernel(config), floor=0.0)
+    dec = schmidt_decompose(build_kernel(config))
     rows, band_l, band_m = _band_pairs(image_mean_intensities(dec), config.band_floor)
     signal, idler = (
         # pixel-major (row, column, [amplified | vacuum] x rep) to (2, rep, row, column)
         plane.reshape(plane.shape[:2] + (2, reps)).transpose(2, 3, 0, 1)
-        for plane in sample_image_planes(dec, RngStream(seed, 0), reps,
-                                         rows=rows, vacuum=True))
+        for plane in sample_image_planes(dec, RngStream(seed, 0), reps, rows))
     ports = _port_sweep(signal, idler, band_l, band_m)
-    ref = _aggregate_with_loo(_band_pair_stats(*ports(config.n_pixels // 2)))
+    ref, ref_loo = _aggregate_with_loo(_band_pair_stats(*ports(config.n_pixels // 2)))
     thetas = np.asarray(config.theta_sweep, dtype=float)
     amps, errs = np.empty_like(thetas), np.empty_like(thetas)
     for j, theta in enumerate(thetas):
-        stats = _band_pair_stats(*ports(2.0 * theta / config.pitch))
-        amps[j], errs[j] = _ratio_with_jackknife(_aggregate_with_loo(stats), ref)
+        value, loo = _aggregate_with_loo(_band_pair_stats(*ports(2.0 * theta / config.pitch)))
+        amps[j], errs[j] = value / ref, estimators.jackknife_se(loo / ref_loo)
     return amps, errs
 
 

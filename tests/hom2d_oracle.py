@@ -85,7 +85,7 @@ def coherence(U, V, g2, pairs, shift_px: float) -> float:
 def dip_curve(dec, thetas, pitch: float, band_floor: float) -> np.ndarray:
     """Exact dip ratio at each tilt over the reference shift of half the grid.
 
-    ``dec`` is the untruncated Schmidt decomposition of the axis kernel.
+    ``dec`` is the Schmidt decomposition of the axis kernel.
     """
     U, V = dec.U, dec.V
     g2 = product_gains(dec.lam)

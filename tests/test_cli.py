@@ -179,6 +179,20 @@ def test_hom2d_band_reaching_the_reference_shift_is_a_usage_error(argv, monkeypa
     assert "reaches the reference shift of 8 pixels" in err and "Traceback" not in err, err
 
 
+def test_hom2d_tilt_beyond_half_the_grid_is_a_usage_error(monkeypatch, capsys):
+    # the default sweep's wings, theta = +-3.6 at pitch 0.25, shift by 28.8
+    # pixels: on 16 pixels the circular shift wraps that round to -3.2, and
+    # the curve dipped again at theta = +-2.025 (16.2 pixels, wrapped to 0.2)
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the images were drawn")
+
+    monkeypatch.setattr(multimode, "sample_image_planes", no_draw)
+    assert run_cli(["hom2d", "--n-pixels", "16", "--gain-scale", "0.1", "--reps", "40"]) == 2
+    err = capsys.readouterr().err
+    assert "theta = -3.6 " in err and "more than half of n_pixels = 16" in err, err
+    assert "Traceback" not in err, err
+
+
 def test_hom2d_zero_gain_is_a_usage_error(capsys):
     assert run_cli(["hom2d", "--reps", "3", "--gain-scale", "0"]) == 2
     assert "gain_scale" in capsys.readouterr().err

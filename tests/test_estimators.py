@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spdcsim import theory
+from spdcsim import estimators, theory
 from spdcsim.elements import BeamSplitterParams, GainParams, beam_split, parametric_amplify
 from spdcsim.estimators import (CHUNK_ROWS, DegenerateStatisticError, FourfoldPlan,
                                 correlation_features, intensity_products, intensity_snr)
@@ -218,6 +218,15 @@ def test_jackknife_matches_classic_se_for_mean():
     x = rng.normal(size=4000)
     se = jackknife_se(lambda m: m, x)
     assert se == pytest.approx(x.std(ddof=1) / math.sqrt(x.size), rel=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(33, 100), (3, 20_000), (1, 7)])
+def test_jackknife_se_of_each_row_is_its_1d_value_bit_for_bit(shape):
+    # run_hom2d takes every tilt's standard error from one (tilts, reps) array
+    theta = np.random.default_rng(sum(shape)).normal(1.0, 0.1, size=shape)
+    se = estimators.jackknife_se(theta)
+    assert se.shape == shape[:1]
+    assert se.tobytes() == np.array([estimators.jackknife_se(row) for row in theta]).tobytes()
 
 
 def test_intensity_snr_values(twin_cache):

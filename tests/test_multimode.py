@@ -14,12 +14,12 @@ from spdcsim.multimode import (Hom2dConfig, JointAmplitudeKernel, build_kernel,
                                calibrate_gain, image_mean_intensities, run_hom2d,
                                sample_image_planes, schmidt_decompose, shift_field)
 from spdcsim.multimode import (_band_pairs, _band_ports, _brent_root,
-                               _fit_dip_width)
+                               _fit_dip_width, _product_gains)
 from spdcsim.sampling import RngStream
 
 import hom2d_oracle
 from helpers import (fft_reference_dip, mean_intensity, moment_theorem_residual,
-                     sample_multimode)
+                     sample_multimode, truncated_schmidt)
 
 
 # 16 pixels at a coarser pitch so the amplified band keeps dark margins
@@ -90,7 +90,7 @@ def test_rank_one_kernel_recovers_mode():
     v[3] = 1.0
     lam = 1.7
     kernel = JointAmplitudeKernel(matrix=lam * np.outer(u, v))
-    dec = schmidt_decompose(kernel)
+    dec = truncated_schmidt(kernel)
     assert dec.n_modes == 1
     assert dec.lam[0] == pytest.approx(lam)
 
@@ -99,18 +99,23 @@ def test_diagonal_kernel_gains():
     kernel = JointAmplitudeKernel(matrix=np.diag([2.0, 1.0]).astype(complex))
     dec = schmidt_decompose(kernel)
     assert dec.lam == pytest.approx([2.0, 1.0])
-    assert dec.g == pytest.approx([math.asinh(4.0) / 2.0, math.asinh(2.0) / 2.0])
+    # product modes lambda_i lambda_j = 4, 2, 2, 1
+    assert _product_gains(dec) == pytest.approx(np.array(
+        [[math.asinh(8.0) / 2.0, math.asinh(4.0) / 2.0],
+         [math.asinh(4.0) / 2.0, math.asinh(2.0) / 2.0]]))
 
 
 def test_default_kernel_decomposition_invariants():
     dec = schmidt_decompose(build_kernel(Hom2dConfig()))
+    assert dec.n_modes == Hom2dConfig().n_pixels
     assert dec.residual < 1e-8
     eye_u = dec.U.conj().T @ dec.U
     eye_v = dec.V.conj().T @ dec.V
     assert np.allclose(eye_u, np.eye(dec.n_modes), atol=1e-10)
     assert np.allclose(eye_v, np.eye(dec.n_modes), atol=1e-10)
     assert np.all(np.diff(dec.lam) <= 0)
-    assert np.allclose(dec.lam, np.cosh(dec.g) * np.sinh(dec.g))
+    g2 = _product_gains(dec)
+    assert np.allclose(np.outer(dec.lam, dec.lam), np.cosh(g2) * np.sinh(g2))
 
 
 def test_single_mode_sampling_reproduces_pixel_intensities():
@@ -120,7 +125,7 @@ def test_single_mode_sampling_reproduces_pixel_intensities():
     v = np.roll(u, 1)
     lam = math.cosh(GL := math.asinh(1.0)) * math.sinh(GL)  # S^2 = 1
     kernel = JointAmplitudeKernel(matrix=lam * np.outer(u, v))
-    dec = schmidt_decompose(kernel)
+    dec = truncated_schmidt(kernel)
     signal, idler = sample_multimode(dec, RngStream(7, 0), 200_000)
     for pix, weight in ((2, 0.75), (3, 0.25)):
         est = mean_intensity(signal[:, pix])
@@ -131,7 +136,7 @@ def test_single_mode_sampling_reproduces_pixel_intensities():
 
 def test_zero_gain_sampling_is_pure_vacuum():
     cfg = replace(SMALL, gain_scale=0.0)
-    dec = schmidt_decompose(build_kernel(cfg))
+    dec = truncated_schmidt(build_kernel(cfg))
     assert dec.n_modes == 0
     signal, idler = sample_multimode(dec, RngStream(1, 0), 100_000)
     for col in (signal[:, 4], idler[:, 11]):
@@ -141,7 +146,7 @@ def test_zero_gain_sampling_is_pure_vacuum():
 def test_covariance_map_matches_kernel():
     cfg = replace(SMALL, gain_scale=0.9)
     kernel = build_kernel(cfg)
-    dec = schmidt_decompose(kernel)
+    dec = truncated_schmidt(kernel)
     signal, idler = sample_multimode(dec, RngStream(21, 0), 150_000)
     n = cfg.n_pixels
     for l, m in ((n // 2, n // 2 - 1), (n // 2 + 1, n // 2 - 2), (5, 10)):
@@ -155,18 +160,19 @@ def test_covariance_map_matches_kernel():
 
 def test_total_vacuum_budget():
     cfg = replace(SMALL, gain_scale=0.7)
-    dec = schmidt_decompose(build_kernel(cfg))
+    dec = truncated_schmidt(build_kernel(cfg))
     signal, _ = sample_multimode(dec, RngStream(9, 0), 150_000)
     total = (np.abs(signal) ** 2).sum(axis=1)
     se = total.std(ddof=1) / math.sqrt(total.size)
-    c2s2 = np.cosh(dec.g) ** 2 + np.sinh(dec.g) ** 2
+    g = 0.5 * np.arcsinh(2.0 * dec.lam)
+    c2s2 = np.cosh(g) ** 2 + np.sinh(g) ** 2
     expect = c2s2.sum() / 2.0 + (cfg.n_pixels - dec.n_modes) / 2.0
     assert abs(total.mean() - expect) < 5 * se
 
 
 def test_pixel_level_moment_theorem():
     cfg = replace(SMALL, gain_scale=0.9)
-    dec = schmidt_decompose(build_kernel(cfg))
+    dec = truncated_schmidt(build_kernel(cfg))
     signal, idler = sample_multimode(dec, RngStream(31, 0), 120_000)
     n = cfg.n_pixels
     for l, m in ((n // 2, n // 2 - 1), (6, 9)):
@@ -175,31 +181,25 @@ def test_pixel_level_moment_theorem():
 
 def test_image_planes_reproduce_analytic_moments():
     cfg = Hom2dConfig(n_pixels=16, pitch=0.6, gain_scale=0.8)
-    dec = schmidt_decompose(build_kernel(cfg), floor=0.0)
-    sig, idl = sample_image_planes(dec, RngStream(5, 0), 20_000)
+    dec = schmidt_decompose(build_kernel(cfg))
+    n, reps = cfg.n_pixels, 20_000
+    rows = [2, 6, 7, 8]  # the image rows read below, each the amplified half
+    sig, idl = ({x: row[:, :reps] for x, row in zip(rows, plane)}
+                for plane in sample_image_planes(dec, RngStream(5, 0), reps, rows))
     img = image_mean_intensities(dec)
-    n = cfg.n_pixels
     for (x, y) in ((n // 2, n // 2), (n // 2 - 2, n // 2 + 1), (2, 3)):
-        est = mean_intensity(sig[x, y])
+        est = mean_intensity(sig[x][y])
         assert est.deviation(img[x, y]) < 5
 
     K = build_kernel(cfg).matrix
     for (x, y) in ((n // 2, n // 2), (n // 2 - 1, n // 2 + 2)):
         mx, my = n - 1 - x, n - 1 - y
-        ia = np.abs(sig[x, y]) ** 2
-        ib = np.abs(idl[mx, my]) ** 2
+        ia = np.abs(sig[x][y]) ** 2
+        ib = np.abs(idl[mx][my]) ** 2
         prod = (ia - ia.mean()) * (ib - ib.mean())
         se = prod.std(ddof=1) / math.sqrt(prod.size)
         expect = abs(K[x, mx] * K[y, my]) ** 2
         assert abs(prod.mean() - expect) < 5 * se
-
-
-def test_image_planes_need_full_basis():
-    cfg = Hom2dConfig(n_pixels=16, pitch=0.6, gain_scale=0.8)
-    dec = schmidt_decompose(build_kernel(cfg), floor=1e-3)
-    if dec.n_modes < cfg.n_pixels:
-        with pytest.raises(ValueError):
-            sample_image_planes(dec, RngStream(1, 0), 10)
 
 
 def test_shift_field_matches_roll_and_is_unitary():
@@ -224,7 +224,7 @@ def test_shift_matrix_is_real_but_for_the_nyquist_term(n, shift):
 
 def test_calibrate_gain_hits_target():
     cfg = calibrate_gain(Hom2dConfig(), 1.0)
-    dec = schmidt_decompose(build_kernel(cfg), floor=0.0)
+    dec = schmidt_decompose(build_kernel(cfg))
     assert image_mean_intensities(dec).max() == pytest.approx(1.0, abs=1e-8)
     for bad in (-1.0, 0.0, math.nan, math.inf, 1e300):  # 1e300: out of reach
         with pytest.raises(ValueError):
@@ -277,8 +277,7 @@ def test_calibrate_gain_matches_scipy_brentq(photons):
     config = Hom2dConfig()
 
     def brightest(g0):
-        dec = schmidt_decompose(build_kernel(replace(config, gain_scale=g0)),
-                                floor=0.0)
+        dec = schmidt_decompose(build_kernel(replace(config, gain_scale=g0)))
         return image_mean_intensities(dec).max() - photons
 
     expected = brentq(brightest, 1e-9, 9.0, xtol=1e-12, rtol=1e-12)
@@ -310,7 +309,7 @@ def test_a_band_clear_of_the_reference_shift_has_exact_wings_near_1(config, phot
     # curve at their sweep's end (tests/hom2d_oracle.py) is the
     # distinguishable-beam limit within 5%
     config = config if photons is None else calibrate_gain(config, photons)
-    dec = schmidt_decompose(build_kernel(config), floor=0.0)
+    dec = schmidt_decompose(build_kernel(config))
     image = image_mean_intensities(dec)
     _band_pairs(image, config.band_floor)  # raises past the bound
     band = image >= config.band_floor * image.max()
@@ -419,7 +418,7 @@ def test_run_hom2d_needs_enough_pixels():
 @pytest.mark.parametrize("photons", [0.01, 10.0])
 def test_run_hom2d_matches_exact_gaussian_oracle(photons):
     cfg = calibrate_gain(SMALL, photons)
-    dec = schmidt_decompose(build_kernel(cfg), floor=0.0)
+    dec = schmidt_decompose(build_kernel(cfg))
     exact = hom2d_oracle.dip_curve(dec, cfg.theta_sweep, cfg.pitch,
                                    cfg.band_floor)
     curve = run_hom2d(cfg, SMALL_REPS, SMALL_SEED)
@@ -428,12 +427,11 @@ def test_run_hom2d_matches_exact_gaussian_oracle(photons):
 
 
 def test_vacuum_control_variate_has_zero_mean():
-    dec = schmidt_decompose(build_kernel(SMALL), floor=0.0)
+    dec = schmidt_decompose(build_kernel(SMALL))
     rows, band_l, band_m = _band_pairs(image_mean_intensities(dec),
                                        SMALL.band_floor)
     reps = 20_000
-    signal, idler = sample_image_planes(dec, RngStream(13, 0), reps,
-                                        rows=rows, vacuum=True)
+    signal, idler = sample_image_planes(dec, RngStream(13, 0), reps, rows)
     shifts = (3, 2.5, SMALL.n_pixels // 2)
     for e1, e2 in _band_ports(signal, idler, band_l, band_m, shifts):
         # the vacuum half of the samples: (pixel, shift, rep)
@@ -501,19 +499,20 @@ print(curve.amplitude.tobytes().hex(), curve.std_error.tobytes().hex())
 
 def test_image_rows_and_vacuum_reuse_the_full_synthesis():
     cfg = Hom2dConfig(n_pixels=16, pitch=0.6, gain_scale=0.8)
-    dec = schmidt_decompose(build_kernel(cfg), floor=0.0)
-    full_s, full_i = sample_image_planes(dec, RngStream(5, 0), 50)
-    assert full_s.shape == full_i.shape == (cfg.n_pixels, cfg.n_pixels, 50)
+    dec = schmidt_decompose(build_kernel(cfg))
+    n, reps = cfg.n_pixels, 50
+    full_s, full_i = sample_image_planes(dec, RngStream(5, 0), reps, np.arange(n))
+    assert full_s.shape == full_i.shape == (n, n, 2 * reps)
     rows = [3, 4, 12]
-    sig, idl = sample_image_planes(dec, RngStream(5, 0), 50, rows=rows,
-                                   vacuum=True)
-    assert sig.shape == idl.shape == (len(rows), cfg.n_pixels, 2 * 50)
-    assert np.array_equal(sig[..., :50], full_s[rows])
-    assert np.array_equal(idl[..., :50], full_i[rows])
+    sig, idl = sample_image_planes(dec, RngStream(5, 0), reps, rows)
+    assert sig.shape == idl.shape == (len(rows), n, 2 * reps)
+    assert np.array_equal(sig, full_s[rows])
+    assert np.array_equal(idl, full_i[rows])
+    # the second half is the first half of the same draw at zero gain
     unamplified = replace(dec, lam=np.zeros_like(dec.lam))
-    vac_s, vac_i = sample_image_planes(unamplified, RngStream(5, 0), 50)
-    assert np.allclose(sig[..., 50:], vac_s[rows], atol=1e-12)
-    assert np.allclose(idl[..., 50:], vac_i[rows], atol=1e-12)
+    vac_s, vac_i = sample_image_planes(unamplified, RngStream(5, 0), reps, rows)
+    assert np.allclose(sig[..., reps:], vac_s[..., :reps], atol=1e-12)
+    assert np.allclose(idl[..., reps:], vac_i[..., :reps], atol=1e-12)
 
 
 def test_run_hom2d_outputs_are_pinned():
