@@ -6,8 +6,9 @@ Subcommands: twin, hom, bell, fourfold, hom2d (Monte Carlo runs) and oracle
 default is that field's default: for --reps the subcommand's entry of
 ``DEFAULT_REPS``, and the environment variable SPDC_SEED replaces the
 default seed.  Every Monte Carlo subcommand takes --reps and --seed, and
-all but hom2d (which draws its repetitions as one chunk) take --threads;
-every subcommand takes --out, --format and --config.
+all but hom2d (which runs on the calling thread: it draws in chunks, but
+its sweep needs every repetition at once) take --threads; every
+subcommand takes --out, --format and --config.
 
 A ``--config`` file holds flat ``key = value`` lines (a TOML-compatible
 subset; ``#`` starts a comment line).  Its keys are the subcommand's long

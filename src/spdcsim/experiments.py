@@ -29,9 +29,9 @@ the run where its row is made.
 
 ``threads`` workers reduce whole chunks, at most two per worker in flight,
 and the merge takes their results strictly in row order, so a report does
-not depend on the thread count.  hom2d draws its repetitions as one block
-on the calling thread, so neither its command nor its report has
-``threads``.
+not depend on the thread count.  hom2d draws and synthesises its
+repetitions in chunks on the calling thread, and its sweep then reduces
+them all at once, so neither its command nor its report has ``threads``.
 """
 
 from __future__ import annotations
@@ -78,10 +78,12 @@ class ExperimentConfig:
     ``gl`` or as the mean photon number per mode ``G`` (mutually
     exclusive); angles are radians.  ``threads`` workers reduce the row
     chunks of the twin, hom, bell and fourfold pipelines in parallel; no
-    result depends on it, and hom2d, drawn as one chunk, does not read it.
-    ``reps`` and ``seed`` apply to every kind; ``reps`` left at None takes
-    the kind's :data:`DEFAULT_REPS`, and ``hom2d`` holds the hom2d geometry
-    alone.  The field defaults are the command line's defaults.
+    result depends on it, and hom2d, which runs on the calling thread,
+    does not read it.  ``reps`` and ``seed`` apply to every kind; ``reps``
+    left at None takes the kind's :data:`DEFAULT_REPS`, and every kind
+    needs at least three (:func:`~spdcsim.multimode.check_reps`).
+    ``hom2d`` holds the hom2d geometry alone.  The field defaults are the
+    command line's defaults.
     """
 
     kind: str
@@ -104,15 +106,12 @@ class ExperimentConfig:
             object.__setattr__(self, "reps", DEFAULT_REPS[self.kind])
         if self.gl is not None and self.G is not None:
             raise ValueError("give either gl or G, not both")
-        if self.reps < 2:
-            raise ValueError("Monte Carlo experiments need reps >= 2")
+        check_reps(self.reps)
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
             raise ValueError("polariser angles must be finite")
         _ = self.gain, self.splitter, DetectorParams(self.eta)  # bad values fail here
-        if self.kind == "hom2d":
-            check_reps(self.reps)
 
     @cached_property
     def gain(self) -> GainParams:

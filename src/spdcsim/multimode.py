@@ -39,12 +39,15 @@ splitter, and their pair products, whose mean is exactly zero, are
 subtracted.  At low gain the amplified fields are mostly that vacuum, so
 the difference keeps the expectation and sheds most of the variance.
 Only the image rows that hold band pixels (and their mirrored partners)
-are synthesised, and only the band pixels are shifted, by one matrix
-product per band row with the shift matrices of every tilt; running sums
-over the pairs give each tilt's aggregate and its delete-one values in
-closed form.  Every matrix of the synthesis and of the sweep is real:
-the axis kernel is real, so are its Schmidt modes, and a shift matrix is
-real but for one rank-one Nyquist term.  So the fields are kept
+are synthesised, a chunk of repetitions at a time, and only the band
+pixels are shifted, by one matrix product per band row with the shift
+matrices of every tilt, into buffers sized once; running sums over the
+pairs give each tilt's aggregate and its delete-one values in closed
+form.  So the working set is the restricted planes of all repetitions,
+one chunk's draw and one band row's ports.  Every matrix of the
+synthesis and of the sweep is real: the axis kernel is real, so are its
+Schmidt modes, and a shift matrix is real but for one rank-one Nyquist
+term.  So the fields are kept
 pixel-major (image row, image column, repetition), each complex
 contraction is a left multiplication by a real matrix, and each runs as
 a real matrix product on the (re, im) parts of the fields, at half the
@@ -66,11 +69,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .estimators import DegenerateStatisticError, jackknife_se
-from .sampling import RngStream, sample_vacuum
+from .sampling import RngStream, key_block_rows, kept_array, sample_vacuum
 
 __all__ = [
     "DipCurve",
@@ -99,6 +103,11 @@ GAIN_SCALE_MAX = 9.0
 #: are fourth order in the fields and summed over repetitions: 1e75 ** 4 =
 #: 1e300 leaves a factor 1e8 below the largest double.
 _KERNEL_NORM_MAX = 1e75
+
+#: Philox key blocks of repetitions that :func:`sample_image_planes` draws
+#: and synthesises at a time: 2**16 words, 4 repetitions at the default 64
+#: pixels and 64 at 16, so the draw's working set does not grow with reps.
+_CHUNK_KEYS = 4
 
 
 @dataclass(frozen=True)
@@ -151,10 +160,15 @@ class Hom2dConfig:
 
 
 def check_reps(reps: int) -> None:
-    """A ValueError unless a dip sweep can run ``reps`` repetitions: each
-    delete-one aggregate divides by its own reps - 1 = reps - 2."""
+    """A ValueError unless every kind of run can take ``reps`` repetitions.
+
+    With two, the standard errors degenerate: the delta-method variance of
+    a sampled variance is identically zero, and each of the dip's
+    delete-one aggregates divides by its own reps - 1 = reps - 2.
+    """
     if reps < 3:
-        raise ValueError("reps must be >= 3 for the dip's delete-one jackknife")
+        raise ValueError("reps must be >= 3: with fewer, the standard errors "
+                         "of variances and of the dip's jackknife degenerate")
 
 
 @dataclass(frozen=True)
@@ -341,36 +355,51 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int, ro
     repetition followed by the unamplified input vacua of the same draw
     sent through the same modes.
 
-    One image at a time, the drawn mode amplitudes are amplified into one
-    (rep, i, j) buffer that both images reuse.  U and V are real, so both
-    contractions are real matrix products on the (re, im) float view of
-    the amplitudes: over i with the restricted rows of U (or V), one
-    repetition at a time, transposed to (row, j, samples); then over j,
-    one image row at a time.
+    The repetitions are drawn, amplified and contracted over i in chunks
+    of :data:`_CHUNK_KEYS` Philox key blocks, each drawn as its own call
+    from the stream at the chunk's first row, which holds the rows of one
+    whole draw bit for bit (:mod:`~spdcsim.sampling`); every chunk reuses
+    the buffers of one namespace.  Each image is amplified in turn into
+    one (rep, i, j) buffer.  U and V are real, so both contractions are
+    real matrix products on the (re, im) float view of the amplitudes:
+    over i with the restricted rows of U (or V), one repetition at a time,
+    written into the (row, j, amplified/vacuum, rep) columns of the chunk;
+    then over j, one image row at a time over all repetitions (a product
+    per chunk would be narrower, and BLAS rounds a narrow one otherwise).
+    That second product runs in place: the chunks fill the rows one slot
+    on, and row y's product overwrites the slot of row y - 1's input, so
+    the working set is the result, one row, and one chunk's draw.
     """
-    n = dec.U.shape[0]
+    n, m = dec.U.shape[0], len(rows)
     g2 = _product_gains(dec)
     C = np.cosh(g2)
     minus_iS = -1j * np.sinh(g2)
-    ens = sample_vacuum(rng, reps, 2 * n * n)
-    es0 = ens[:, :n * n].reshape(reps, n, n)
-    ei0 = ens[:, n * n:].reshape(reps, n, n)
-    amplified = np.empty_like(es0)
-    planes = []
-    for X, a, b in ((dec.U, es0, ei0), (dec.V, ei0, es0)):
-        np.conjugate(b, out=amplified)
-        amplified *= minus_iS
-        amplified += C * a
-        Xr = X[rows]
-        # over i, one repetition at a time: (rows, i) @ (i, j), into (row, j, samples)
-        part = np.empty((Xr.shape[0], n, 2, reps), dtype=complex)
-        for k, field in enumerate((amplified, a)):
-            part[:, :, k] = (Xr @ field.view(float)).view(complex).transpose(1, 2, 0)
-        # over j, one image row at a time: (y, j) @ (j, samples)
-        plane = np.empty(part.shape[:2] + (2 * reps,), dtype=complex)
-        np.matmul(X, part.reshape(plane.shape).view(float), out=plane.view(float))
-        planes.append(plane)
-    return tuple(planes)
+    # slot y + 1 holds image row y's inputs, (j, amplified/vacuum, rep)
+    slots = [np.empty((m + 1, n, 2, reps), dtype=complex) for _ in range(2)]
+    restricted = [X[rows] for X in (dec.U, dec.V)]
+    chunk = _CHUNK_KEYS * key_block_rows(4 * n * n)  # 2 n^2 modes, 2 words each
+    kept = SimpleNamespace()
+    for r0 in range(0, reps, chunk):
+        c = min(chunk, reps - r0)
+        ens = sample_vacuum(RngStream(rng.seed, rng.stream_id + r0), c, 2 * n * n, kept)
+        es0 = ens[:, :n * n].reshape(c, n, n)
+        ei0 = ens[:, n * n:].reshape(c, n, n)
+        amplified, direct = (kept_array(kept, name, (c, n, n))
+                             for name in ("amplified", "direct"))
+        rows_of = kept_array(kept, "rows", (c, m, 2 * n), np.float64)
+        for Xr, part, a, b in zip(restricted, slots, (es0, ei0), (ei0, es0)):
+            np.conjugate(b, out=amplified)
+            amplified *= minus_iS
+            amplified += np.multiply(C, a, out=direct)
+            for k, field in enumerate((amplified, a)):
+                # (rows, i) @ (i, j) per repetition, into (row, j, rep)
+                np.matmul(Xr, field.view(float), out=rows_of)
+                part[1:, :, k, r0:r0 + c] = rows_of.view(complex).transpose(1, 2, 0)
+    for X, part in zip((dec.U, dec.V), slots):
+        flat = part.reshape(m + 1, n, 2 * reps).view(float)
+        for y in range(m):  # (y, j) @ (j, samples) into the consumed slot y
+            np.matmul(X, flat[y + 1], out=flat[y])
+    return tuple(part[:m].reshape(m, n, 2 * reps) for part in slots)
 
 
 def shift_field(fields: np.ndarray, shift_px: float) -> np.ndarray:
@@ -456,6 +485,10 @@ def _band_ports(signal, idler, band_l, band_m, shifts):
     shift rows of the row's band pixels (:func:`_reflected`) with the
     (re, im) planes of [i f; -(a . f)] gives the reflected field there at
     every shift, and no other pixel is computed.
+
+    No band row allocates an array of its size: the two ports and the
+    shift rows they take are written into buffers sized once, for the
+    widest band row, so each pair yielded is overwritten by the next row's.
     """
     n = signal.shape[1]
     samples = signal.shape[2]
@@ -463,28 +496,35 @@ def _band_ports(signal, idler, band_l, band_m, shifts):
     plus = _reflected(shifts, n)
     minus = _reflected([-s for s in shifts], n)
     alternating = (-1.0) ** np.arange(n)
+    row_l, col_l = np.divmod(band_l, n)
+    row_m, col_m = np.divmod(band_m, n)
+    # band_l is row-major, so each band row is one run of equal row_l
+    bounds = [0, *(np.flatnonzero(np.diff(row_l)) + 1), row_l.size]
+    size = int(np.diff(bounds).max()) * len(shifts)  # of the widest row
     stacked = np.empty((n + 1, 2, samples))
+    taken = np.empty(size * (n + 1))
+    ports = np.empty((2, size * 2 * samples))
 
-    def port(rows, f, direct):
+    def port(matrices, cols, f, direct, out):
         stacked[:n, 0] = -f.imag  # i f
         stacked[:n, 1] = f.real
         af = alternating @ f  # the Nyquist row is i (i (a . f)) = -(a . f)
         stacked[n, 0] = -af.real
         stacked[n, 1] = -af.imag
-        e = (rows.reshape(-1, n + 1) @ stacked.reshape(n + 1, -1)).reshape(
-            rows.shape[:2] + (2, samples))
+        p = cols.size * len(shifts)  # output rows, (pixel, shift)
+        rows = np.take(matrices, cols, axis=0, mode="clip",  # "raise" would buffer out
+                       out=taken[:p * (n + 1)].reshape(cols.size, len(shifts), n + 1))
+        e = out[:p * 2 * samples].reshape(cols.size, len(shifts), 2, samples)
+        np.matmul(rows.reshape(p, n + 1), stacked.reshape(n + 1, -1),
+                  out=e.reshape(p, 2 * samples))
         e += inv_sqrt2 * np.stack((direct.real, direct.imag), axis=1)[:, None]
         return e
 
-    row_l, col_l = np.divmod(band_l, n)
-    row_m, col_m = np.divmod(band_m, n)
-    # band_l is row-major, so each band row is one run of equal row_l
-    bounds = [0, *(np.flatnonzero(np.diff(row_l)) + 1), row_l.size]
     for start, stop in zip(bounds[:-1], bounds[1:]):
         x, xm = row_l[start], row_m[start]
         cl, cm = col_l[start:stop], col_m[start:stop]
-        yield (port(plus[cl], idler[x], signal[x, cl]),
-               port(minus[cm], signal[xm], idler[xm, cm]))
+        yield (port(plus, cl, idler[x], signal[x, cl], ports[0]),
+               port(minus, cm, signal[xm], idler[xm, cm], ports[1]))
 
 
 def _coherence_sweep(signal, idler, band_l, band_m, shifts):
@@ -504,15 +544,21 @@ def _coherence_sweep(signal, idler, band_l, band_m, shifts):
     and q = sum_i o_i / n, the unbiased aggregate 2 sum_p (n m_p^2 -
     mean_i z_ip^2)/(n - 1) is (n M - q)/(n - 1), and with repetition i
     left out it is n (n M - 2 c_i + 2 o_i / n - q)/((n - 1)(n - 2)).
+    The samples z of each band row go into one buffer sized once, for the
+    widest row, as :func:`_band_ports` writes its ports.
     """
     reps = signal.shape[-1] // 2
     power = np.zeros(len(shifts))
     cross, own = np.zeros((2, len(shifts), reps))
+    products = np.empty(4 * int(np.bincount(band_l // signal.shape[1]).max())
+                        * len(shifts) * reps)
     for e1, e2 in _band_ports(signal, idler, band_l, band_m, shifts):
         # (pixel, shift, re/im, amplified/vacuum, rep)
         e1, e2 = (e.reshape(e.shape[:3] + (2, reps)) for e in (e1, e2))
         e1[..., 1, :] *= -1.0  # the control variate is subtracted
-        z = np.einsum("ptxhr,ptyhr->xyptr", e1, e2)  # ac, ad, bc, bd
+        z = products[:4 * e1.shape[0] * len(shifts) * reps].reshape(
+            (2, 2) + e1.shape[:2] + (reps,))
+        np.einsum("ptxhr,ptyhr->xyptr", e1, e2, out=z)  # ac, ad, bc, bd
         z = z.reshape(-1, len(shifts), reps)  # (pair samples, shift, rep)
         m = z.mean(axis=-1)
         power += np.einsum("pt,pt->t", m, m)
@@ -562,8 +608,9 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
     balanced splitter; the bright matched pixel pairs of the two output
     images are correlated in aggregate and normalised by the same
     statistic at a reference tilt of half the grid.  Only the image rows
-    holding band pixels are synthesised, together with the unamplified
-    input vacua whose pair products serve as a zero-mean control variate.
+    holding band pixels are synthesised, a chunk of repetitions at a time
+    (:func:`sample_image_planes`), together with the unamplified input
+    vacua whose pair products serve as a zero-mean control variate.
     All tilts, the reference included, are swept at once, by band row
     (:func:`_coherence_sweep`).
 

@@ -155,6 +155,14 @@ def _row_words(n_words: int) -> int:
     return 4 * -(-n_words // 4)
 
 
+def key_block_rows(n_words: int) -> int:
+    """Rows of ``n_words`` words that one Philox key covers: the largest
+    power of two of rows whose words fit in :data:`_KEY_WORDS`, at least
+    one.  A draw that starts at a multiple of it holds the rows of one
+    whole draw (see the module docstring)."""
+    return 1 << max(0, (_KEY_WORDS // _row_words(n_words)).bit_length() - 1)
+
+
 def raw_words(stream: RngStream, reps: int, n_words: int, kept=None) -> np.ndarray:
     """First ``n_words`` raw 64-bit words of each of ``reps`` rows, one
     ``numpy.random.Philox`` key per block of rows (see the module docstring).
@@ -164,7 +172,7 @@ def raw_words(stream: RngStream, reps: int, n_words: int, kept=None) -> np.ndarr
     n_words) result is a view into it.
     """
     row_words = _row_words(n_words)
-    key_rows = 1 << max(0, (_KEY_WORDS // row_words).bit_length() - 1)
+    key_rows = key_block_rows(n_words)
     words = kept_array(kept, "words", (reps, row_words), np.uint64)
     # numpy's Philox steps its counter before each block, so starting it at
     # 2**256 - 1 makes its first block counter 0.  One generator is rekeyed

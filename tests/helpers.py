@@ -1,7 +1,8 @@
 """Test-only helpers: whole-column field draws and statistics, the
 reference jackknife, pair-moment statistics, truncated single-axis Schmidt
-decomposition and multimode sampling, the plane-domain FFT reference of
-the hom2d sweep and report comparison.
+decomposition and multimode sampling, the whole-block reference of the
+hom2d image synthesis, the plane-domain FFT reference of the hom2d sweep
+and report comparison.
 
 No command of ``spdcsim`` uses these, so they live with the tests.  The
 whole-column draws concatenate the chunks of the streamed pipelines
@@ -31,8 +32,9 @@ from spdcsim.estimators import (FeatureMoments, FourfoldPlan, FourfoldResult,
 from spdcsim.experiments import (ExperimentConfig, _bell_chunk, _chsh_rows, _hom_chunk,
                                  _twin_chunk)
 from spdcsim.multimode import (Hom2dConfig, JointAmplitudeKernel, SchmidtDecomposition,
-                               _band_pairs, build_kernel, image_mean_intensities,
-                               sample_image_planes, schmidt_decompose, shift_field)
+                               _band_pairs, _product_gains, build_kernel,
+                               image_mean_intensities, sample_image_planes,
+                               schmidt_decompose, shift_field)
 from spdcsim.sampling import RngStream, sample_vacuum
 
 #: Metadata keys that vary between runs and are excluded from reproducibility
@@ -267,6 +269,34 @@ def sample_multimode(dec: SchmidtDecomposition, rng: RngStream, reps: int):
     signal = amp_s @ dec.U.T + vs - (vs @ np.conj(dec.U)) @ dec.U.T
     idler = amp_i @ dec.V.T + vi - (vi @ np.conj(dec.V)) @ dec.V.T
     return signal, idler
+
+
+def whole_block_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int, rows):
+    """``spdcsim.multimode.sample_image_planes`` with every repetition in
+    one block: one draw of all of them, each image amplified whole and
+    contracted over i for all repetitions, then over j one image row at a
+    time.  The chunked synthesis must equal it bit for bit."""
+    n = dec.U.shape[0]
+    g2 = _product_gains(dec)
+    C = np.cosh(g2)
+    minus_iS = -1j * np.sinh(g2)
+    ens = sample_vacuum(rng, reps, 2 * n * n)
+    es0 = ens[:, :n * n].reshape(reps, n, n)
+    ei0 = ens[:, n * n:].reshape(reps, n, n)
+    amplified = np.empty_like(es0)
+    planes = []
+    for X, a, b in ((dec.U, es0, ei0), (dec.V, ei0, es0)):
+        np.conjugate(b, out=amplified)
+        amplified *= minus_iS
+        amplified += C * a
+        Xr = X[rows]
+        part = np.empty((Xr.shape[0], n, 2, reps), dtype=complex)
+        for k, field in enumerate((amplified, a)):
+            part[:, :, k] = (Xr @ field.view(float)).view(complex).transpose(1, 2, 0)
+        plane = np.empty(part.shape[:2] + (2 * reps,), dtype=complex)
+        np.matmul(X, part.reshape(plane.shape).view(float), out=plane.view(float))
+        planes.append(plane)
+    return tuple(planes)
 
 
 def _coherence_aggregate(n_eff, m1r, m1i, s1, m2r, m2i, s2):

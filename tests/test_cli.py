@@ -121,9 +121,13 @@ for argv in runs:
     assert result.returncode == 0, result.stderr
 
 
-def test_hom2d_needs_two_reps(capsys):
-    assert run_cli(["hom2d", "--reps", "1"]) == 2
-    assert "reps >= 2" in capsys.readouterr().err
+@pytest.mark.parametrize("kind, reps", [("twin", "2"), ("fourfold", "2"), ("hom", "2"),
+                                        ("bell", "2"), ("hom2d", "1")])
+def test_every_kind_needs_three_reps(kind, reps, capsys):
+    # with two rows the delta-method variance of a variance is identically
+    # zero, so twin and fourfold would report rows whose SE is exactly 0
+    assert run_cli([kind, "--reps", reps]) == 2
+    assert "reps must be >= 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -220,7 +224,7 @@ def test_hom2d_gain_beyond_double_range_is_a_usage_error(gain, capsys):
 
 
 def test_only_chunked_runs_report_threads(tmp_path):
-    # hom2d draws its repetitions as one chunk, so its report has no threads
+    # hom2d runs on the calling thread, so its report has no threads
     twin, dip = tmp_path / "twin.json", tmp_path / "dip.json"
     assert run_cli(["twin", "--reps", "1e4", "--format", "json",
                     "--out", str(twin)]) == 0

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from spdcsim.sampling import RngStream
 
 import hom2d_oracle
 from helpers import (fft_reference_dip, mean_intensity, moment_theorem_residual,
-                     sample_multimode, truncated_schmidt)
+                     sample_multimode, truncated_schmidt, whole_block_image_planes)
 
 
 # 16 pixels at a coarser pitch so the amplified band keeps dark margins
@@ -513,6 +514,58 @@ def test_image_rows_and_vacuum_reuse_the_full_synthesis():
     vac_s, vac_i = sample_image_planes(unamplified, RngStream(5, 0), reps, rows)
     assert np.allclose(sig[..., reps:], vac_s[..., :reps], atol=1e-12)
     assert np.allclose(idl[..., reps:], vac_i[..., :reps], atol=1e-12)
+
+
+@pytest.mark.parametrize("config, photons, reps, seed", [
+    # 16-row key blocks, so 64-repetition chunks, the last one partial
+    (SMALL, None, 437, 3),
+    # one key a repetition, so 4-repetition chunks, the last one of one
+    (Hom2dConfig(), 1.0, 101, 42),
+    # 900-word rows, 16 to a key
+    (Hom2dConfig(n_pixels=15, pitch=0.6), None, 150, 5),
+], ids=["small-437", "default-1ppp-101", "n15-150"])
+def test_chunked_synthesis_matches_the_whole_block_reference(config, photons, reps, seed):
+    config = config if photons is None else calibrate_gain(config, photons)
+    dec = schmidt_decompose(build_kernel(config))
+    rows, _, _ = _band_pairs(image_mean_intensities(dec), config.band_floor)
+    got = sample_image_planes(dec, RngStream(seed, 7), reps, rows)
+    want = whole_block_image_planes(dec, RngStream(seed, 7), reps, rows)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (rows.size, config.n_pixels, 2 * reps)
+        assert np.array_equal(g, w)
+
+
+def _traced_peak(f, *args):
+    """f(*args) and the peak of the memory traced while it ran, in bytes
+    above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("reps", [100, 400])
+def test_image_synthesis_working_set_is_its_result_and_one_chunk(reps):
+    # the draw, the amplified copy and the contraction over i take one
+    # chunk of repetitions at a time, and the contraction over j runs in
+    # place
+    config = calibrate_gain(Hom2dConfig(), 1.0)
+    dec = schmidt_decompose(build_kernel(config))
+    rows, _, _ = _band_pairs(image_mean_intensities(dec), config.band_floor)
+    planes, peak = _traced_peak(sample_image_planes, dec, RngStream(42, 0), reps, rows)
+    result = sum(p.nbytes for p in planes)
+    assert peak <= 1.6 * result + 2e6, (peak, result)
+
+
+def test_run_hom2d_working_set_is_bounded():
+    # the criterion-8 geometry at 1 ppp: 10.6 MB of restricted planes and
+    # the sweep's buffers, sized once for the widest band row
+    config = calibrate_gain(Hom2dConfig(), 1.0)
+    _, peak = _traced_peak(run_hom2d, config, 100, 42)
+    assert peak <= 28e6, peak
 
 
 def test_run_hom2d_outputs_are_pinned():
