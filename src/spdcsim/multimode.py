@@ -94,6 +94,15 @@ __all__ = [
 #: Crystal length (mm) at which ``pm_bandwidth`` is quoted.
 REFERENCE_LENGTH_MM = 0.8
 
+#: Exponent alpha and gain scale g_ref of the gain-guided broadening of the
+#: phase-matching bandwidth, qc_eff = qc (1 + g0/g_ref)^alpha.
+PM_BROADENING_EXPONENT = 1.1
+PM_BROADENING_GAIN = 0.7
+
+#: Fraction of the brightest mean intensity at or above which an image
+#: pixel belongs to the band whose matched pairs the dip aggregates.
+BAND_FLOOR = 0.05
+
 #: Upper end of the ``gain_scale`` bracket :func:`calibrate_gain` searches.
 GAIN_SCALE_MAX = 9.0
 
@@ -127,12 +136,9 @@ class Hom2dConfig:
     crystal_length_mm: float = 0.8
     pump_waist: float = 4.0
     pm_bandwidth: float = 0.7
-    pm_broadening_exponent: float = 1.1
-    pm_broadening_gain: float = 0.7
     phase_matching: str = "sinc"
     gain_scale: float = 0.8814
     theta_sweep: tuple = tuple(np.linspace(-3.6, 3.6, 33))
-    band_floor: float = 0.05
 
     def __post_init__(self):
         if self.n_pixels < 1:
@@ -141,13 +147,10 @@ class Hom2dConfig:
             raise ValueError("theta_sweep must not be empty")
         if not all(math.isfinite(t) for t in self.theta_sweep):
             raise ValueError("theta_sweep values must be finite")
-        scales = (self.pitch, self.crystal_length_mm, self.pump_waist,
-                  self.pm_bandwidth, self.pm_broadening_gain)
+        scales = (self.pitch, self.crystal_length_mm, self.pump_waist, self.pm_bandwidth)
         if not all(0 < x < math.inf for x in scales):
-            raise ValueError("pitch, crystal length, pump waist, bandwidth and "
-                             "broadening gain must be positive and finite")
-        if not math.isfinite(self.pm_broadening_exponent):
-            raise ValueError("pm_broadening_exponent must be finite")
+            raise ValueError("pitch, crystal length, pump waist and bandwidth "
+                             "must be positive and finite")
         if not 0 <= self.gain_scale < math.inf:
             raise ValueError("gain_scale must be finite and >= 0")
         if self.phase_matching not in ("sinc", "gaussian"):
@@ -205,7 +208,7 @@ def build_kernel(config: Hom2dConfig) -> JointAmplitudeKernel:
     with np.errstate(over="ignore", invalid="ignore"):
         # bandwidth narrows with crystal length, broadens with gain (gain guiding)
         qc = config.pm_bandwidth * math.sqrt(REFERENCE_LENGTH_MM / config.crystal_length_mm)
-        qc_eff = qc * (1.0 + g0 / config.pm_broadening_gain) ** config.pm_broadening_exponent
+        qc_eff = qc * (1.0 + g0 / PM_BROADENING_GAIN) ** PM_BROADENING_EXPONENT
         if config.phase_matching == "sinc":
             mismatch = (qbar / qc_eff) ** 2
             s_eff = g0 * _sinhc(np.sqrt((g0 ** 2 - mismatch ** 2).astype(complex)))
@@ -355,51 +358,47 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int, ro
     repetition followed by the unamplified input vacua of the same draw
     sent through the same modes.
 
-    The repetitions are drawn, amplified and contracted over i in chunks
-    of :data:`_CHUNK_KEYS` Philox key blocks, each drawn as its own call
-    from the stream at the chunk's first row, which holds the rows of one
-    whole draw bit for bit (:mod:`~spdcsim.sampling`); every chunk reuses
-    the buffers of one namespace.  Each image is amplified in turn into
-    one (rep, i, j) buffer.  U and V are real, so both contractions are
-    real matrix products on the (re, im) float view of the amplitudes:
-    over i with the restricted rows of U (or V), one repetition at a time,
-    written into the (row, j, amplified/vacuum, rep) columns of the chunk;
-    then over j, one image row at a time over all repetitions (a product
-    per chunk would be narrower, and BLAS rounds a narrow one otherwise).
-    That second product runs in place: the chunks fill the rows one slot
-    on, and row y's product overwrites the slot of row y - 1's input, so
-    the working set is the result, one row, and one chunk's draw.
+    The repetitions are drawn and synthesised in chunks of
+    :data:`_CHUNK_KEYS` Philox key blocks, each drawn as its own call from
+    the stream at the chunk's first row, which holds the rows of one whole
+    draw bit for bit (:mod:`~spdcsim.sampling`); every chunk reuses the
+    buffers of one namespace.  A chunk amplifies both images into one
+    (image, amplified/vacuum, rep, i, j) buffer.  U and V are real, so
+    both contractions are real matrix products on the (re, im) float view
+    of the amplitudes, one small product per image, half and repetition:
+    over i with the restricted rows of U (or V), then, transposed to (j,
+    row), over j with U (or V).  Every product has the same shape whatever
+    ``reps`` and the chunk, so each repetition's planes come from its own
+    draw alone: they do not change when more repetitions are drawn, nor
+    with the chunk or the BLAS threads.
     """
     n, m = dec.U.shape[0], len(rows)
     g2 = _product_gains(dec)
     C = np.cosh(g2)
     minus_iS = -1j * np.sinh(g2)
-    # slot y + 1 holds image row y's inputs, (j, amplified/vacuum, rep)
-    slots = [np.empty((m + 1, n, 2, reps), dtype=complex) for _ in range(2)]
-    restricted = [X[rows] for X in (dec.U, dec.V)]
+    modes = np.stack((dec.U, dec.V))[:, None, None]  # (image, 1, 1, y, j)
+    restricted = modes[..., rows, :]  # (image, 1, 1, row, i)
+    planes = np.empty((2, m, n, 2, reps), dtype=complex)  # (image, row, column, half, rep)
     chunk = _CHUNK_KEYS * key_block_rows(4 * n * n)  # 2 n^2 modes, 2 words each
     kept = SimpleNamespace()
     for r0 in range(0, reps, chunk):
         c = min(chunk, reps - r0)
         ens = sample_vacuum(RngStream(rng.seed, rng.stream_id + r0), c, 2 * n * n, kept)
-        es0 = ens[:, :n * n].reshape(c, n, n)
-        ei0 = ens[:, n * n:].reshape(c, n, n)
-        amplified, direct = (kept_array(kept, name, (c, n, n))
-                             for name in ("amplified", "direct"))
-        rows_of = kept_array(kept, "rows", (c, m, 2 * n), np.float64)
-        for Xr, part, a, b in zip(restricted, slots, (es0, ei0), (ei0, es0)):
-            np.conjugate(b, out=amplified)
-            amplified *= minus_iS
-            amplified += np.multiply(C, a, out=direct)
-            for k, field in enumerate((amplified, a)):
-                # (rows, i) @ (i, j) per repetition, into (row, j, rep)
-                np.matmul(Xr, field.view(float), out=rows_of)
-                part[1:, :, k, r0:r0 + c] = rows_of.view(complex).transpose(1, 2, 0)
-    for X, part in zip((dec.U, dec.V), slots):
-        flat = part.reshape(m + 1, n, 2 * reps).view(float)
-        for y in range(m):  # (y, j) @ (j, samples) into the consumed slot y
-            np.matmul(X, flat[y + 1], out=flat[y])
-    return tuple(part[:m].reshape(m, n, 2 * reps) for part in slots)
+        vacuum = ens.reshape(c, 2, n, n).transpose(1, 0, 2, 3)  # (image, rep, i, j)
+        fields = kept_array(kept, "fields", (2, 2, c, n, n))
+        np.conjugate(vacuum[::-1], out=fields[:, 0])  # each image's partner
+        fields[:, 0] *= minus_iS
+        fields[:, 0] += np.multiply(C, vacuum, out=fields[:, 1])
+        fields[:, 1] = vacuum
+        # (row, i) @ (i, j), then (y, j) @ (j, row), per image, half and repetition
+        by_row = kept_array(kept, "by_row", (2, 2, c, m, 2 * n), np.float64)
+        np.matmul(restricted, fields.view(float), out=by_row)
+        by_j = kept_array(kept, "by_j", (2, 2, c, n, m))
+        by_j[...] = by_row.view(complex).transpose(0, 1, 2, 4, 3)
+        by_y = kept_array(kept, "by_y", (2, 2, c, n, 2 * m), np.float64)
+        np.matmul(modes, by_j.view(float), out=by_y)
+        planes[..., r0:r0 + c] = by_y.view(complex).transpose(0, 4, 3, 1, 2)
+    return tuple(planes.reshape(2, m, n, 2 * reps))
 
 
 def shift_field(fields: np.ndarray, shift_px: float) -> np.ndarray:
@@ -572,10 +571,10 @@ def _coherence_sweep(signal, idler, band_l, band_m, shifts):
     return value, loo
 
 
-def _band_pairs(image: np.ndarray, band_floor: float):
+def _band_pairs(image: np.ndarray):
     """Image rows to synthesise and the matched band pairs within them.
 
-    The band holds the pixels at or above ``band_floor`` times the
+    The band holds the pixels at or above :data:`BAND_FLOOR` times the
     brightest mean intensity; each pixel (x, y) pairs with its mirrored
     partner (n-1-x, n-1-y).  Returns ``(rows, band_l, band_m)``: the sorted
     rows holding band pixels or their partners, and the flat indices of
@@ -584,7 +583,7 @@ def _band_pairs(image: np.ndarray, band_floor: float):
     away (the reference shift) is band too: that tilt cannot part the beams.
     """
     n = image.shape[0]
-    band = image >= band_floor * image.max()
+    band = image >= BAND_FLOOR * image.max()
     overlap = image[band & np.roll(band, n // 2, axis=1)].sum()
     if overlap > 0.75 * image[band].sum():
         raise ValueError(f"the band reaches the reference shift of {n // 2} pixels: "
@@ -641,7 +640,7 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
                              f"about 1 with an error that vanishes there")
     dec = schmidt_decompose(build_kernel(config))
     image = image_mean_intensities(dec)
-    rows, band_l, band_m = _band_pairs(image, config.band_floor)
+    rows, band_l, band_m = _band_pairs(image)
     for theta, shift in zip(thetas, shifts):
         if abs(shift) > n / 2:
             raise ValueError(f"theta_sweep: theta = {theta:g} shifts the image by "

@@ -273,9 +273,12 @@ def sample_multimode(dec: SchmidtDecomposition, rng: RngStream, reps: int):
 
 def whole_block_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int, rows):
     """``spdcsim.multimode.sample_image_planes`` with every repetition in
-    one block: one draw of all of them, each image amplified whole and
-    contracted over i for all repetitions, then over j one image row at a
-    time.  The chunked synthesis must equal it bit for bit."""
+    one block: one draw of all of them, then, one image and one half
+    (amplified, vacuum) at a time, every repetition contracted over i and
+    then over j, as the same real products per repetition.  The chunked
+    synthesis must equal it bit for bit.  The mode matrices are made
+    C-contiguous, as the synthesis stacks them: V is the transpose of the
+    SVD's Vh, and BLAS rounds a transposed operand otherwise."""
     n = dec.U.shape[0]
     g2 = _product_gains(dec)
     C = np.cosh(g2)
@@ -283,19 +286,19 @@ def whole_block_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: in
     ens = sample_vacuum(rng, reps, 2 * n * n)
     es0 = ens[:, :n * n].reshape(reps, n, n)
     ei0 = ens[:, n * n:].reshape(reps, n, n)
-    amplified = np.empty_like(es0)
     planes = []
     for X, a, b in ((dec.U, es0, ei0), (dec.V, ei0, es0)):
-        np.conjugate(b, out=amplified)
+        amplified = np.conjugate(b)
         amplified *= minus_iS
         amplified += C * a
-        Xr = X[rows]
-        part = np.empty((Xr.shape[0], n, 2, reps), dtype=complex)
-        for k, field in enumerate((amplified, a)):
-            part[:, :, k] = (Xr @ field.view(float)).view(complex).transpose(1, 2, 0)
-        plane = np.empty(part.shape[:2] + (2 * reps,), dtype=complex)
-        np.matmul(X, part.reshape(plane.shape).view(float), out=plane.view(float))
-        planes.append(plane)
+        X = np.ascontiguousarray(X)
+        halves = []
+        for field in (amplified, a):
+            by_row = (X[rows] @ field.view(float)).view(complex)  # (rep, row, j)
+            by_j = np.ascontiguousarray(by_row.transpose(0, 2, 1))  # (rep, j, row)
+            by_y = (X @ by_j.view(float)).view(complex)  # (rep, y, row)
+            halves.append(by_y.transpose(2, 1, 0))  # (row, y, rep)
+        planes.append(np.concatenate(halves, axis=-1))
     return tuple(planes)
 
 
@@ -356,7 +359,7 @@ def fft_reference_dip(config: Hom2dConfig, reps: int, seed: int):
     from the six (reps x pairs) statistic arrays.  The same draw and band
     as ``run_hom2d``; only the sweep differs."""
     dec = schmidt_decompose(build_kernel(config))
-    rows, band_l, band_m = _band_pairs(image_mean_intensities(dec), config.band_floor)
+    rows, band_l, band_m = _band_pairs(image_mean_intensities(dec))
     signal, idler = (
         # pixel-major (row, column, [amplified | vacuum] x rep) to (2, rep, row, column)
         plane.reshape(plane.shape[:2] + (2, reps)).transpose(2, 3, 0, 1)

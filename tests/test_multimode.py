@@ -41,13 +41,10 @@ def test_config_validation():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             Hom2dConfig(gain_scale=bad)
-    for field in ("pitch", "crystal_length_mm", "pump_waist", "pm_bandwidth",
-                  "pm_broadening_gain"):
+    for field in ("pitch", "crystal_length_mm", "pump_waist", "pm_bandwidth"):
         for bad in (0.0, -0.25, math.nan, math.inf):
             with pytest.raises(ValueError):
                 Hom2dConfig(**{field: bad})
-    with pytest.raises(ValueError):
-        Hom2dConfig(pm_broadening_exponent=math.nan)
     with pytest.raises(ValueError):
         Hom2dConfig(theta_sweep=(math.nan, 0.0, 1.0))
     with pytest.raises(ValueError):
@@ -74,9 +71,10 @@ def test_gaussian_phase_matching_kernel_matches_closed_form():
                       gain_scale=0.8, crystal_length_mm=1.6)
     matrix = build_kernel(cfg).matrix
     q = cfg.q_axis
-    # default bandwidth 0.7 at 0.8 mm, broadening gain 0.7, exponent 1.1;
-    # pump waist 4
-    qc = 0.7 * math.sqrt(0.8 / 1.6) * (1.0 + 0.8 / 0.7) ** 1.1
+    # default bandwidth 0.7 at 0.8 mm, broadened by the module's gain and
+    # exponent; pump waist 4
+    qc = (0.7 * math.sqrt(0.8 / 1.6)
+          * (1.0 + 0.8 / multimode.PM_BROADENING_GAIN) ** multimode.PM_BROADENING_EXPONENT)
     for i, j in ((0, 0), (7, 8), (3, 12), (15, 2), (10, 10)):
         qbar = 0.5 * (q[i] - q[j])
         x = 0.8 * math.exp(-qbar ** 2 / (2.0 * qc ** 2))
@@ -312,11 +310,12 @@ def test_a_band_clear_of_the_reference_shift_has_exact_wings_near_1(config, phot
     config = config if photons is None else calibrate_gain(config, photons)
     dec = schmidt_decompose(build_kernel(config))
     image = image_mean_intensities(dec)
-    _band_pairs(image, config.band_floor)  # raises past the bound
-    band = image >= config.band_floor * image.max()
+    _band_pairs(image)  # raises past the bound
+    band = image >= multimode.BAND_FLOOR * image.max()
     overlap = image[band & np.roll(band, config.n_pixels // 2, axis=1)].sum() / image[band].sum()
     assert overlap <= max_overlap
-    wing = hom2d_oracle.dip_curve(dec, config.theta_sweep[:1], config.pitch, config.band_floor)
+    wing = hom2d_oracle.dip_curve(dec, config.theta_sweep[:1], config.pitch,
+                                  multimode.BAND_FLOOR)
     assert abs(wing[0] - 1.0) < 0.05
 
 
@@ -421,7 +420,7 @@ def test_run_hom2d_matches_exact_gaussian_oracle(photons):
     cfg = calibrate_gain(SMALL, photons)
     dec = schmidt_decompose(build_kernel(cfg))
     exact = hom2d_oracle.dip_curve(dec, cfg.theta_sweep, cfg.pitch,
-                                   cfg.band_floor)
+                                   multimode.BAND_FLOOR)
     curve = run_hom2d(cfg, SMALL_REPS, SMALL_SEED)
     z = np.abs(curve.amplitude - exact) / curve.std_error
     assert np.all(z < 5), f"max deviation {z.max():.2f} se"
@@ -429,8 +428,7 @@ def test_run_hom2d_matches_exact_gaussian_oracle(photons):
 
 def test_vacuum_control_variate_has_zero_mean():
     dec = schmidt_decompose(build_kernel(SMALL))
-    rows, band_l, band_m = _band_pairs(image_mean_intensities(dec),
-                                       SMALL.band_floor)
+    rows, band_l, band_m = _band_pairs(image_mean_intensities(dec))
     reps = 20_000
     signal, idler = sample_image_planes(dec, RngStream(13, 0), reps, rows)
     shifts = (3, 2.5, SMALL.n_pixels // 2)
@@ -477,13 +475,19 @@ def test_run_hom2d_matches_the_plane_fft_reference(photons):
     assert curve.std_error == pytest.approx(std_error, rel=1e-10)
 
 
-def test_run_hom2d_is_the_same_at_one_and_two_blas_threads():
-    # the band sweep's matrix products go through BLAS, whose threads must
-    # not change a bit of the curve
+@pytest.mark.parametrize("config, photons, reps, seed", [
+    (SMALL, None, SMALL_REPS, SMALL_SEED),
+    # the last 4-repetition chunk holds one repetition
+    (Hom2dConfig(), 1.0, 101, 42),
+], ids=["small", "default-1ppp-101"])
+def test_run_hom2d_is_the_same_at_one_and_two_blas_threads(config, photons, reps, seed):
+    # the synthesis's and the band sweep's matrix products go through
+    # BLAS, whose threads must not change a bit of the curve
+    config = config if photons is None else calibrate_gain(config, photons)
     script = f"""
 import numpy as np
 from spdcsim.multimode import Hom2dConfig, run_hom2d
-curve = run_hom2d({SMALL!r}, {SMALL_REPS}, {SMALL_SEED})
+curve = run_hom2d({config!r}, {reps}, {seed})
 print(curve.amplitude.tobytes().hex(), curve.std_error.tobytes().hex())
 """
     src = Path(multimode.__file__).resolve().parents[1]
@@ -527,12 +531,31 @@ def test_image_rows_and_vacuum_reuse_the_full_synthesis():
 def test_chunked_synthesis_matches_the_whole_block_reference(config, photons, reps, seed):
     config = config if photons is None else calibrate_gain(config, photons)
     dec = schmidt_decompose(build_kernel(config))
-    rows, _, _ = _band_pairs(image_mean_intensities(dec), config.band_floor)
+    rows, _, _ = _band_pairs(image_mean_intensities(dec))
     got = sample_image_planes(dec, RngStream(seed, 7), reps, rows)
     want = whole_block_image_planes(dec, RngStream(seed, 7), reps, rows)
     for g, w in zip(got, want):
         assert g.shape == w.shape == (rows.size, config.n_pixels, 2 * reps)
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("config, photons, reps, prefix, seed", [
+    (SMALL, None, 437, 400, 3),
+    (Hom2dConfig(), 1.0, 101, 100, 42),
+    (Hom2dConfig(n_pixels=15, pitch=0.6), None, 150, 99, 5),
+], ids=["small-437", "default-1ppp-101", "n15-150"])
+def test_a_repetitions_planes_do_not_depend_on_later_repetitions(config, photons, reps,
+                                                                 prefix, seed):
+    # the first `prefix` repetitions of a longer synthesis, amplified and
+    # vacuum halves alike, are the shorter synthesis bit for bit
+    config = config if photons is None else calibrate_gain(config, photons)
+    dec = schmidt_decompose(build_kernel(config))
+    rows, _, _ = _band_pairs(image_mean_intensities(dec))
+    longer = sample_image_planes(dec, RngStream(seed, 7), reps, rows)
+    shorter = sample_image_planes(dec, RngStream(seed, 7), prefix, rows)
+    for a, b in zip(longer, shorter):
+        head = a.reshape(a.shape[:2] + (2, reps))[..., :prefix]
+        assert np.array_equal(head, b.reshape(head.shape))
 
 
 def _traced_peak(f, *args):
@@ -549,12 +572,11 @@ def _traced_peak(f, *args):
 
 @pytest.mark.parametrize("reps", [100, 400])
 def test_image_synthesis_working_set_is_its_result_and_one_chunk(reps):
-    # the draw, the amplified copy and the contraction over i take one
-    # chunk of repetitions at a time, and the contraction over j runs in
-    # place
+    # the draw, the amplified copy and both contractions take one chunk
+    # of repetitions at a time, into buffers reused by every chunk
     config = calibrate_gain(Hom2dConfig(), 1.0)
     dec = schmidt_decompose(build_kernel(config))
-    rows, _, _ = _band_pairs(image_mean_intensities(dec), config.band_floor)
+    rows, _, _ = _band_pairs(image_mean_intensities(dec))
     planes, peak = _traced_peak(sample_image_planes, dec, RngStream(42, 0), reps, rows)
     result = sum(p.nbytes for p in planes)
     assert peak <= 1.6 * result + 2e6, (peak, result)
@@ -570,7 +592,8 @@ def test_run_hom2d_working_set_is_bounded():
 
 def test_run_hom2d_outputs_are_pinned():
     # Recorded with one Philox key per 16 of SMALL's 1024-word rows, the
-    # table-and-polynomial Box-Muller, the real-arithmetic synthesis on
+    # table-and-polynomial Box-Muller, the real-arithmetic synthesis (both
+    # contractions one product per image, half and repetition) on
     # pixel-major rows and the band-row sweep (one real matrix product per
     # band row and port over all tilts, the shift's Nyquist term as an
     # extra inner row, closed-form delete-one sums), on OpenBLAS's SkylakeX
@@ -581,6 +604,6 @@ def test_run_hom2d_outputs_are_pinned():
     digest = {name: hashlib.sha256(getattr(curve, name).tobytes()).hexdigest()
               for name in ("amplitude", "std_error")}
     assert digest == {
-        "amplitude": "5286f1659146fd8218e499610ff7786b867c8d9c35a361c55d02597ec7ef6780",
-        "std_error": "01f785debfa73389be981b6df6f805849bacd03602b20fe492f7a13ee2120e68",
+        "amplitude": "5919ee057faa38279e4f462efeb6fce4847623d591a708db873f08ee7fa3525c",
+        "std_error": "722070c62e0937f11d7cc13dd4094764d001a7832bcb29e546b3a7570fdc7db9",
     }
