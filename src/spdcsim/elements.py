@@ -127,13 +127,6 @@ class BeamSplitterParams:
             raise ValueError("beam-splitter amplitudes are not unitary")
 
     @classmethod
-    def balanced(cls) -> "BeamSplitterParams":
-        """Symmetric 50/50 splitter: t = 1/sqrt(2), r = i/sqrt(2)."""
-        t = 1.0 / math.sqrt(2.0)
-        r = 1j / math.sqrt(2.0)
-        return cls(t_s1=t, r_s2=r, r_i1=r, t_i2=t)
-
-    @classmethod
     def from_transmittance(cls, T: float) -> "BeamSplitterParams":
         """Splitter with intensity transmittance T on both inputs."""
         if not 0.0 <= T <= 1.0:

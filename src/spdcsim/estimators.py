@@ -13,13 +13,21 @@ centred Gram matrix (:meth:`FeatureMoments.of_chunk`), and
 LeVeque 1979).  The experiment pipelines write a chunk's features straight
 into the rows of a (k, rows) matrix that the worker keeps: the feature
 functions (:func:`intensity_products`, :func:`correlation_features`,
-:func:`chsh_products`, :meth:`FourfoldPlan.features`, :func:`pair_parts`)
+:func:`stokes_products`, :meth:`FourfoldPlan.features`, :func:`pair_parts`)
 take ``out`` rows and scratch arrays, so a warm chunk allocates nothing.
 The statistics (:func:`mean_intensity`, :func:`variance_intensity`,
 :func:`covariance_intensity`, :func:`correlation_coefficient`,
 :func:`chsh_coefficient`, :func:`fourfold_covariance`) give f(mean) with
 the delta-method standard error, sqrt(grad f' Sigma grad f / n), from a
 central-difference gradient.
+
+CHSH takes raw normal-ordered intensity products, not covariances: a Bell
+test cannot subtract accidental coincidences (Clauser, Horne, Shimony &
+Holt 1969).  A polariser at theta has output intensities of difference
+cos 2 theta S1 + sin 2 theta S2 and sum S0 - 1, with the Stokes parameters
+S0, S1 = |E_x|^2 +- |E_y|^2 and S2 = 2 Re E_x E_y*.  So the means of the
+products S_j(1) S_k(2), one 2x2 tensor, give E's numerator at any angles
+and B's, and (S0(1) - 1)(S0(2) - 1) is their one denominator.
 
 hom2d's dip ratio is not a function of feature means; its standard error
 is the delete-one jackknife, :func:`jackknife_se` of the delete-one
@@ -46,8 +54,6 @@ __all__ = [
     "FourfoldResult",
     "MomentEstimate",
     "chsh_coefficient",
-    "chsh_intensities",
-    "chsh_products",
     "correlation_coefficient",
     "correlation_features",
     "covariance_intensity",
@@ -60,6 +66,7 @@ __all__ = [
     "normal_intensities",
     "pair_parts",
     "row_chunks",
+    "stokes_products",
     "variance_intensity",
 ]
 
@@ -127,6 +134,11 @@ class FeatureMoments:
         """Moments of the features ``idx`` (in that order; repeats allowed)."""
         idx = np.asarray(idx)
         return FeatureMoments(self.n, self.mean[idx], self.gram[np.ix_(idx, idx)])
+
+    def combine(self, weights: np.ndarray) -> "FeatureMoments":
+        """Moments of the features ``weights @ x``, one linear combination
+        of these features a row of ``weights``."""
+        return FeatureMoments(self.n, weights @ self.mean, weights @ self.gram @ weights.T)
 
     def estimate(self, f) -> MomentEstimate:
         """``f`` of the feature means with its delta-method standard error.
@@ -263,40 +275,41 @@ def correlation_coefficient(moments: FeatureMoments) -> MomentEstimate:
     return moments.estimate(rho)
 
 
-def chsh_coefficient(moments: FeatureMoments) -> MomentEstimate:
+def chsh_coefficient(moments: FeatureMoments, weights) -> MomentEstimate:
     """Polarisation correlation coefficient E, or the CHSH B, from the
-    moments of a numerator and the denominator of :func:`chsh_products`.
-
-    The features are products of raw per-sample normal-ordered
-    intensities; the product of mean intensities is deliberately not
-    subtracted (covariances are not a valid ingredient of this statistic).
-    """
-    den = moments.estimate(lambda m: m[1])
+    moments of :func:`stokes_products`: (w . m[:4]) / m[4].  E at angles
+    (theta1, theta2) weighs the products by w = a(theta1) (x) a(theta2),
+    a(theta) = (cos 2 theta, sin 2 theta), and B by the signed sum of its
+    settings' w.  The ratio is taken on the moments of its numerator and
+    denominator, so the gradient's step scales with the numerator, not
+    with a product whose mean is near zero."""
+    ratio = moments.combine(np.array([[*weights, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]]))
+    den = ratio.estimate(lambda m: m[1])
     if abs(den.value) < 5.0 * den.std_error:
         raise DegenerateStatisticError("intensity-product denominator consistent with zero")
-    return moments.estimate(lambda m: m[0] / m[1])
+    return ratio.estimate(lambda m: m[0] / m[1])
 
 
-def chsh_intensities(cols, out: np.ndarray) -> np.ndarray:
-    """Normal-ordered intensities |E|^2 - 1/2 of the fields ``cols``, one
-    to a row of the float64 ``out``: the inputs of :func:`chsh_products`."""
-    for col, row in zip(cols, out):
-        np.subtract(_intensity(col, row), ORDERING.intensity_offset, out=row)
+def stokes_products(e1x, e1y, e2x, e2y, out=None, scratch=None):
+    """Features of :func:`chsh_coefficient` from the fields of both
+    locations: the four products S_j(1) S_k(2), j, k = 1, 2 (j-major), and
+    (S0(1) - 1)(S0(2) - 1) (see the module docstring), through the (7, n)
+    float64 ``scratch`` (new when absent)."""
+    out = _rows(out, 5, e1x)
+    scratch = np.empty((7, len(e1x))) if scratch is None else scratch
+    t = scratch[6]
+    for (ex, ey), (s1, s2, s0) in zip(((e1x, e1y), (e2x, e2y)), (scratch[:3], scratch[3:6])):
+        _intensity(ex, s0)
+        np.subtract(s0, _intensity(ey, t), out=s1)
+        s0 += t
+        s0 -= 2.0 * ORDERING.intensity_offset
+        np.multiply(ex.real, ey.real, out=s2)
+        s2 += np.multiply(ex.imag, ey.imag, out=t)
+        s2 *= 2.0
+    s1, s2, d1, t1, t2, d2 = scratch[:6]
+    for row, (a, b) in zip(out, ((s1, t1), (s1, t2), (s2, t1), (s2, t2), (d1, d2))):
+        np.multiply(a, b, out=row)
     return out
-
-
-def chsh_products(i1p, i1m, i2p, i2m, out, scratch) -> None:
-    """Per-repetition numerator (i1p - i1m)(i2p - i2m) and denominator
-    (i1p + i1m)(i2p + i2m) of E, the ratio of their means, into the float64
-    rows ``out`` (given one row, the numerator alone), from the normal-ordered
-    intensities (:func:`chsh_intensities`) at the polarisers' plus/minus
-    outputs.  The denominator, the total coincidence rate, is the same at
-    every setting (Clauser, Horne, Shimony & Holt 1969).  The float64 row
-    ``scratch`` may be ``i1p``, which is read for the last time before it."""
-    for row, combine in zip(out, (np.subtract, np.add)):
-        combine(i1p, i1m, out=row)
-    for row, combine in zip(out, (np.subtract, np.add)):
-        row *= combine(i2p, i2m, out=scratch)
 
 
 @dataclass(frozen=True)

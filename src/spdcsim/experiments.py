@@ -21,8 +21,11 @@ four), so ``row0``, a multiple of the chunk, starts a key block of the
 lane (see :mod:`~spdcsim.sampling`).  Every report row comes from the
 one merged :class:`~spdcsim.estimators.FeatureMoments`, one feature per
 distinct moment: a statistic of :mod:`~spdcsim.estimators` takes the
-moments of its features (E and B share one denominator), and the hom dip,
-a ratio of this module's own, takes its ``estimate``.  A row's closed-form
+moments of its features, and the hom dip, a ratio of this module's own,
+takes its ``estimate``.  bell's 14 features are rho's nine, of the plus
+outputs at (theta1, theta2) and their input vacua, and the five Stokes
+products, whose weights give E and B: a chunk projects four fields
+whatever the settings.  A row's closed-form
 oracle is computed before the draw, so an oracle that overflows fails the
 run at once; a value, standard error or oracle that is not finite fails
 the run where its row is made.
@@ -52,10 +55,10 @@ from .elements import (BeamSplitterParams, DetectorParams, GainParams,
                        beam_split, detector_loss, parametric_amplify,
                        polarizer_project)
 from .estimators import (DegenerateStatisticError, FeatureMoments, FourfoldPlan,
-                         chsh_coefficient, chsh_intensities, chsh_products,
-                         correlation_coefficient, correlation_features, covariance_intensity,
-                         fourfold_covariance, intensity_products, mean_intensity,
-                         merge_moments, pair_parts, row_chunks, variance_intensity)
+                         chsh_coefficient, correlation_coefficient, correlation_features,
+                         covariance_intensity, fourfold_covariance, intensity_products,
+                         mean_intensity, merge_moments, pair_parts, row_chunks,
+                         stokes_products, variance_intensity)
 from .multimode import Hom2dConfig, calibrate_gain, check_reps, run_hom2d
 from .reporting import RunReport, make_row
 from .sampling import LANE_STRIDE, RngStream, kept_array, sample_vacuum
@@ -246,80 +249,47 @@ def _bell_chunk(config: ExperimentConfig, row0: int, rows: int, kept):
     return e1x, e1y, e2x, e2y, ens[:, 0], ens[:, 2], ens[:, 3], ens[:, 1]
 
 
-def _polarizer_keys(angles) -> list:
-    """(location, angle) of the outputs (e1p, e1m, e2p, e2m) of each
-    (theta1, theta2) pair of ``angles``, one pair after another."""
-    return [key for t1, t2 in zip(angles[0::2], angles[1::2])
-            for key in ((0, t1), (0, t1 + math.pi / 2.0), (1, t2), (1, t2 + math.pi / 2.0))]
-
-
-def polarized_arms(arms, *angles, kept=None):
-    """Project both locations onto the polariser axes (plus/minus outputs)
-    of each (theta1, theta2) pair of ``angles``; returns (e1p, e1m, e2p,
-    e2m) of each pair, one pair after another.  Each distinct (location,
-    angle) is projected once, into a row of a chunk buffer of ``kept`` (a
-    new array when None), and every pair that uses it gets that row."""
-    keys = _polarizer_keys(angles)
-    fields = dict.fromkeys(keys)
-    n = len(arms[0])
-    rows = kept_array(kept, "projections", (len(fields), n))
-    t = _scratch(kept, n)
-    for row, (loc, theta) in zip(rows, fields):
-        fields[loc, theta] = polarizer_project(arms[2 * loc], arms[2 * loc + 1], theta,
-                                               out=row, scratch=t)
-    return tuple(fields[key] for key in keys)
+def _chsh_weights(theta1: float, theta2: float) -> np.ndarray:
+    """Weights a(theta1) (x) a(theta2), a(theta) = (cos 2 theta, sin 2 theta),
+    of the four Stokes products in E's numerator at (theta1, theta2)."""
+    a1, a2 = ([math.cos(2.0 * t), math.sin(2.0 * t)] for t in (theta1, theta2))
+    return np.outer(a1, a2).ravel()
 
 
 _A, _AP, _B, _BP = theory.CHSH_ANGLES
 #: (theta1, theta2, sign) of the four terms of B at the standard angles.
 _CHSH_SETTINGS = ((_AP, _B, 1.0), (_AP, _BP, 1.0), (_A, _BP, 1.0), (_A, _B, -1.0))
-
-
-def _chsh_rows(arms, theta1, theta2, out, kept=None):
-    """E's numerator and the denominator (:func:`chsh_products`) at
-    (theta1, theta2), then B's numerator, the signed sum of those at
-    :data:`_CHSH_SETTINGS`, into the three rows of ``out``.  Each distinct
-    (location, angle) is projected and squared once, into the chunk
-    buffers of ``kept``; returns the fields (:func:`polarized_arms`)."""
-    angles = (theta1, theta2, *(a for t1, t2, _ in _CHSH_SETTINGS for a in (t1, t2)))
-    fields = polarized_arms(arms, *angles, kept=kept)
-    keys = _polarizer_keys(angles)
-    distinct = dict(zip(keys, fields))
-    n = len(fields[0])
-    intensity = dict(zip(distinct, chsh_intensities(
-        distinct.values(), kept_array(kept, "intensities", (len(distinct), n), np.float64))))
-    num, t = (kept_array(kept, name, (n,), np.float64) for name in ("product", "factor"))
-    e, den, b = out
-    chsh_products(*(intensity[key] for key in keys[:4]), out=(e, den), scratch=t)
-    b.fill(0.0)
-    for j, (_, _, sign) in enumerate(_CHSH_SETTINGS, start=1):
-        chsh_products(*(intensity[key] for key in keys[4 * j:4 * j + 4]), out=(num,), scratch=t)
-        (np.add if sign > 0 else np.subtract)(b, num, out=b)
-    return fields
+#: Weights of B's numerator: the signed sum of its settings' weights.
+_B_WEIGHTS = sum(sign * _chsh_weights(t1, t2) for t1, t2, sign in _CHSH_SETTINGS)
 
 
 def _bell_features(config, x, kept, *fields):
-    """Rows 0-8 the correlation features of the (theta1, theta2) outputs
-    and of their input vacua, 9-11 those of E and B (:func:`_chsh_rows`):
-    the five settings share their projections, intensities and denominator."""
+    """Rows 0-8 the correlation features of the polarisers' plus outputs at
+    (theta1, theta2) and of their input vacua, 9-13 the Stokes products of
+    the fields, whose weights give E at any angles and B."""
     arms, vacua = fields[:4], fields[4:]
-    e1p, _, e2p, _ = _chsh_rows(arms, config.theta1, config.theta2, x[9:12], kept)[:4]
-    n = len(e1p)
+    n = len(arms[0])
     t = _scratch(kept, n)
-    v1p, v2p = _fields(kept, n, "vacuum1", "vacuum2")
+    e1p, e2p, v1p, v2p = _fields(kept, n, "e1p", "e2p", "vacuum1", "vacuum2")
+    polarizer_project(*arms[:2], config.theta1, out=e1p, scratch=t)
+    polarizer_project(*arms[2:], config.theta2, out=e2p, scratch=t)
     polarizer_project(*vacua[:2], config.theta1, out=v1p, scratch=t)
     polarizer_project(*vacua[2:], config.theta2, out=v2p, scratch=t)
     correlation_features(e1p, e2p, v1p, v2p, out=x[0:9])
+    stokes_products(*arms, out=x[9:14],
+                    scratch=kept_array(kept, "stokes", (7, n), np.float64))
 
 
 def _run_bell(config: ExperimentConfig) -> RunReport:
     oracle = theory.bell_prediction(config.theta1, config.theta2,
                                     config.gain.mean_photons)
     moments = _moments(config)
+    chsh = moments.select(range(9, 14))
     rows = [
         make_row("rho", correlation_coefficient(moments.select(range(9))), oracle["rho"]),
-        make_row("E", chsh_coefficient(moments.select([9, 10])), oracle["E"]),
-        make_row("B", chsh_coefficient(moments.select([11, 10])), oracle["B"]),
+        make_row("E", chsh_coefficient(chsh, _chsh_weights(config.theta1, config.theta2)),
+                 oracle["E"]),
+        make_row("B", chsh_coefficient(chsh, _B_WEIGHTS), oracle["B"]),
     ]
     report = RunReport("bell", rows=rows)
     report.metadata["threshold_G"] = oracle["threshold_G"]
@@ -361,7 +331,7 @@ def _run_fourfold(config: ExperimentConfig) -> RunReport:
 _STREAMED = {
     "twin": (_twin_chunk, _twin_features, 4),
     "hom": (_hom_chunk, _hom_features, 14),
-    "bell": (_bell_chunk, _bell_features, 12),
+    "bell": (_bell_chunk, _bell_features, 14),
     "fourfold": (_amplified_pair, _fourfold_features, _FOURFOLD.k),
 }
 

@@ -32,6 +32,9 @@ CHSH_THRESHOLD_GAIN = (2.0 * math.sqrt(2.0) - 1.0) / 7.0
 #: Polariser settings (theta1, theta1', theta2, theta2') reaching B(0) = 2 sqrt(2)
 #: for sin^2-law correlations, combined as
 #:   B = E(theta1', theta2) + E(theta1', theta2') + E(theta1, theta2') - E(theta1, theta2).
+#: E's numerator weighs the Stokes products S_j(1) S_k(2) by a(theta1) (x) a(theta2),
+#: a(theta) = (cos 2 theta, sin 2 theta), so B's weights, the signed sum over the
+#: four settings, are sqrt(2) diag(-1, 1) to rounding.
 CHSH_ANGLES = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 
 

@@ -12,9 +12,12 @@ whole-column statistics (:func:`mean_intensity`, ...,
 :func:`fourfold_covariance`) reduce their columns in the same
 ``CHUNK_ROWS``-row chunks (:func:`feature_moments`) and hand the merged
 moments to the ``spdcsim.estimators`` statistic of the same name, so they
-give what the pipelines report for the same rows.  :func:`jackknife_se`
-of a function of sample means is the reference for the delta-method
-standard errors.
+give what the pipelines report for the same rows.  The CHSH statistics
+(:func:`chsh_coefficient`, :func:`chsh_b_estimate`) are the exception: an
+independent reference for the bell pipeline's one Stokes tensor, from
+fields projected at every setting (:func:`polarized_arms`) and plain
+numpy.  :func:`jackknife_se` of a function of sample means is the
+reference for the delta-method standard errors.
 """
 
 import json
@@ -24,13 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from spdcsim import estimators
+from spdcsim import estimators, theory
+from spdcsim.elements import polarizer_project
 from spdcsim.estimators import (FeatureMoments, FourfoldPlan, FourfoldResult,
-                                MomentEstimate, chsh_intensities, chsh_products,
-                                correlation_features, intensity_products, merge_moments,
-                                row_chunks)
-from spdcsim.experiments import (ExperimentConfig, _bell_chunk, _chsh_rows, _hom_chunk,
-                                 _twin_chunk)
+                                MomentEstimate, correlation_features, intensity_products,
+                                merge_moments, row_chunks, stokes_products)
+from spdcsim.experiments import ExperimentConfig, _bell_chunk, _hom_chunk, _twin_chunk
 from spdcsim.multimode import (Hom2dConfig, JointAmplitudeKernel, SchmidtDecomposition,
                                _band_pairs, _product_gains, build_kernel,
                                image_mean_intensities, sample_image_planes,
@@ -102,10 +104,21 @@ def correlation_coefficient(col_a: np.ndarray, col_b: np.ndarray,
         feature_moments(correlation_features, col_a, col_b, vac_a, vac_b))
 
 
+def _ratio_of_means(num: np.ndarray, den: np.ndarray) -> MomentEstimate:
+    """mean(num) / mean(den) with the delta-method standard error of its
+    exact gradient, in plain numpy."""
+    a, b = num.mean(), den.mean()
+    grad = np.array([1.0 / b, -a / b ** 2])
+    return MomentEstimate(float(a / b), float(np.sqrt(grad @ np.cov(num, den) @ grad
+                                                      / len(num))))
+
+
 def chsh_coefficient(e1p: np.ndarray, e1m: np.ndarray,
                      e2p: np.ndarray, e2m: np.ndarray) -> MomentEstimate:
-    """Polarisation correlation coefficient E from intensity products."""
-    return estimators.chsh_coefficient(feature_moments(chsh_features, e1p, e1m, e2p, e2m))
+    """Polarisation correlation coefficient E from the fields at the four
+    polariser outputs: the mean of (i1p - i1m)(i2p - i2m) over that of
+    (i1p + i1m)(i2p + i2m), i the normal-ordered output intensities."""
+    return _ratio_of_means(*chsh_numerator_denominator(e1p, e1m, e2p, e2m))
 
 
 def fourfold_covariance(s1: np.ndarray, s2: np.ndarray,
@@ -171,32 +184,42 @@ def bell_columns(G: float, reps: int = 1_000_000, seed: int = 42):
     return bell_arms(cfg)
 
 
-def chsh_features(e1p, e1m, e2p, e2m, out=None, scratch=None):
-    """The two feature rows of ``estimators.chsh_coefficient`` from the
-    fields at the four polariser outputs, into ``out`` (new when absent),
-    through the (4, n) float64 ``scratch`` (new when absent)."""
-    out = np.empty((2, len(e1p))) if out is None else out
-    scratch = np.empty((4, len(e1p))) if scratch is None else scratch
-    i = chsh_intensities((e1p, e1m, e2p, e2m), scratch)
-    chsh_products(*i, out=out, scratch=i[0])
-    return out
+def polarized_arms(arms, *angles):
+    """The fields (e1p, e1m, e2p, e2m) at the polarisers' plus and minus
+    outputs of each (theta1, theta2) pair of ``angles``, one pair after
+    another: both locations of ``arms`` (e1x, e1y, e2x, e2y) projected onto
+    the axes theta and theta + pi/2."""
+    return tuple(polarizer_project(arms[2 * loc], arms[2 * loc + 1], theta + turn)
+                 for t1, t2 in zip(angles[0::2], angles[1::2])
+                 for loc, theta in ((0, t1), (1, t2)) for turn in (0.0, math.pi / 2.0))
 
 
-def chsh_rows(arms, theta1=math.pi / 8, theta2=math.pi / 8):
-    """The bell pipeline's CHSH feature rows of whole columns: E's
-    numerator at (theta1, theta2), the shared denominator and B's
-    numerator (``experiments._chsh_rows``)."""
-    out = np.empty((3, len(arms[0])))
-    _chsh_rows(arms, theta1, theta2, out)
-    return out
+def chsh_numerator_denominator(e1p, e1m, e2p, e2m):
+    """Per-sample numerator (i1p - i1m)(i2p - i2m) and denominator
+    (i1p + i1m)(i2p + i2m) of E from the polarisers' output fields."""
+    i1p, i1m, i2p, i2m = (np.abs(c) ** 2 - 0.5 for c in (e1p, e1m, e2p, e2m))
+    return (i1p - i1m) * (i2p - i2m), (i1p + i1m) * (i2p + i2m)
+
+
+_A, _AP, _B, _BP = theory.CHSH_ANGLES
+#: (theta1, theta2, sign) of the four terms of B at the standard angles.
+CHSH_SETTINGS = ((_AP, _B, 1.0), (_AP, _BP, 1.0), (_A, _BP, 1.0), (_A, _B, -1.0))
 
 
 def chsh_b_estimate(arms, theta1=math.pi / 8, theta2=math.pi / 8):
-    """CHSH coefficient B at the standard angle set, from the same rows and
-    function as the bell report's B row, whose denominator is taken at the
-    report's setting (theta1, theta2), the command's default here."""
-    moments = feature_moments(lambda *a: chsh_rows(a, theta1, theta2), *arms)
-    return estimators.chsh_coefficient(moments.select([2, 1]))
+    """CHSH coefficient B at the standard angle set from projected
+    intensities: the signed sum of the settings' numerators over the
+    denominator at (theta1, theta2), the bell report's setting."""
+    num = sum(sign * chsh_numerator_denominator(*polarized_arms(arms, t1, t2))[0]
+              for t1, t2, sign in CHSH_SETTINGS)
+    return _ratio_of_means(num, chsh_numerator_denominator(
+        *polarized_arms(arms, theta1, theta2))[1])
+
+
+def stokes_moments(arms) -> FeatureMoments:
+    """Moments of ``estimators.stokes_products`` of the whole columns
+    (e1x, e1y, e2x, e2y), reduced in the bell pipeline's chunks."""
+    return feature_moments(stokes_products, *arms)
 
 
 def field_pair_moment(col_a: np.ndarray, col_b: np.ndarray,

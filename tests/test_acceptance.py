@@ -12,13 +12,13 @@ import pytest
 
 from spdcsim.elements import BeamSplitterParams, GainParams, parametric_amplify
 from spdcsim.estimators import intensity_snr
-from spdcsim.experiments import ExperimentConfig, polarized_arms, run_experiment
+from spdcsim.experiments import ExperimentConfig, run_experiment
 from spdcsim.sampling import RngStream, sample_vacuum
 from spdcsim import cli, theory
 
-from helpers import (bell_columns, chsh_b_estimate, comparable_text,
-                     correlation_coefficient, hom_fields, mean_intensity,
-                     moment_theorem_residual, twin_columns)
+from helpers import (bell_columns, comparable_text, correlation_coefficient, hom_fields,
+                     mean_intensity, moment_theorem_residual, polarized_arms,
+                     twin_columns)
 from wick import centered_intensity_product, twin_beam_moment_table
 
 GL_UNIT = math.asinh(1.0)
@@ -95,10 +95,10 @@ def test_criterion_5_chsh_gain_law():
     values = {}
     ok = True
     for G in (0.01, theory.CHSH_THRESHOLD_GAIN, 1.0, 10.0):
-        arms = bell_columns(G)
-        est = chsh_b_estimate(arms)
+        report = run_experiment(ExperimentConfig(kind="bell", G=G, reps=R, seed=SEED))
+        est = next(row for row in report.rows if row.name == "B")
         oracle = theory.chsh_b(G)
-        ok &= est.deviation(oracle) < 5
+        ok &= abs(est.value - oracle) < 5 * est.std_error
         values[G] = est.value
     ok &= abs(values[theory.CHSH_THRESHOLD_GAIN] - 2.0) <= 0.02
     ok &= values[0.01] > 2.7

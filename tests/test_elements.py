@@ -73,7 +73,7 @@ def test_amplifier_conserves_intensity_difference(gl, seed):
 
 def test_balanced_splitter_nulls_covariance():
     es, ei = _twin()
-    e1, e2 = beam_split(es, ei, BeamSplitterParams.balanced())
+    e1, e2 = beam_split(es, ei, BeamSplitterParams.from_transmittance(0.5))
     cov = covariance_intensity(e1, e2)
     assert cov.deviation(0.0) < 5
 
@@ -164,7 +164,7 @@ def test_detector_params_validation():
 
 def test_outputs_stay_finite_through_pipeline():
     es, ei = _twin(reps=10_000, gl=3.0)
-    e1, e2 = beam_split(es, ei, BeamSplitterParams.balanced())
+    e1, e2 = beam_split(es, ei, BeamSplitterParams.from_transmittance(0.5))
     vac = sample_vacuum(RngStream(5, 0), es.size, 1)
     d1 = detector_loss(e1, DetectorParams(0.3), vac[:, 0])
     for arr in (es, ei, e1, e2, d1):

@@ -3,19 +3,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdcsim import estimators, theory
 from spdcsim.elements import BeamSplitterParams, GainParams, beam_split, parametric_amplify
 from spdcsim.estimators import (CHUNK_ROWS, DegenerateStatisticError, FourfoldPlan,
-                                correlation_features, intensity_products, intensity_snr)
-from spdcsim.experiments import (_CHSH_SETTINGS, ExperimentConfig, polarized_arms,
+                                correlation_features, intensity_products, intensity_snr,
+                                stokes_products)
+from spdcsim.experiments import (_B_WEIGHTS, ExperimentConfig, _chsh_weights,
                                  run_experiment)
 from spdcsim.sampling import RngStream, sample_vacuum
 
-from helpers import (bell_arms, chsh_b_estimate, chsh_coefficient, chsh_features, chsh_rows,
-                     correlation_coefficient, covariance_intensity, feature_moments,
-                     field_pair_moment, fourfold_covariance, jackknife_se, mean_intensity,
-                     moment_theorem_residual, variance_intensity)
+from helpers import (CHSH_SETTINGS, bell_arms, chsh_b_estimate, chsh_coefficient,
+                     chsh_numerator_denominator, correlation_coefficient,
+                     covariance_intensity, feature_moments, field_pair_moment,
+                     fourfold_covariance, jackknife_se, mean_intensity,
+                     moment_theorem_residual, polarized_arms, stokes_moments,
+                     variance_intensity)
 from wick import centered_intensity_product, twin_beam_moment_table
 
 GL_UNIT = math.asinh(1.0)
@@ -53,7 +58,7 @@ def test_covariance_intensity_oracles(twin_cache):
     assert covariance_intensity(vac[:, 0], vac[:, 1]).deviation(0.0) < 5
     es, ei = twin_cache(1.0)
     assert covariance_intensity(es, ei).deviation(2.0) < 5
-    e1, e2 = beam_split(es, ei, BeamSplitterParams.balanced())
+    e1, e2 = beam_split(es, ei, BeamSplitterParams.from_transmittance(0.5))
     assert covariance_intensity(e1, e2).deviation(0.0) < 5
 
 
@@ -100,7 +105,7 @@ def test_moment_theorem_residuals(twin_cache):
     assert moment_theorem_residual(es, ei).deviation(0.0) < 5
     vac = _vacuum()
     assert moment_theorem_residual(vac[:, 0], vac[:, 1]).deviation(0.0) < 5
-    e1, e2 = beam_split(es, ei, BeamSplitterParams.balanced())
+    e1, e2 = beam_split(es, ei, BeamSplitterParams.from_transmittance(0.5))
     assert moment_theorem_residual(e1, e2).deviation(0.0) < 5
 
 
@@ -115,45 +120,49 @@ def test_input_validation():
 
 
 def test_chsh_coefficient_oracles(bell_cache):
-    arms = bell_cache(1.0)
     # theta1 + theta2 = pi/2: E -> (1+G)/(1+3G) = 0.5
-    cols = polarized_arms(arms, math.pi / 4, math.pi / 4)
-    est = chsh_coefficient(*cols)
+    est = estimators.chsh_coefficient(stokes_moments(bell_cache(1.0)),
+                                      _chsh_weights(math.pi / 4, math.pi / 4))
     assert est.deviation(0.5) < 5
 
     # near the zero-gain limit the equal-angles setting gives E -> 0
-    arms_low = bell_cache(0.01)
-    cols = polarized_arms(arms_low, math.pi / 8, math.pi / 8)
-    est = chsh_coefficient(*cols)
+    est = estimators.chsh_coefficient(stokes_moments(bell_cache(0.01)),
+                                      _chsh_weights(math.pi / 8, math.pi / 8))
     assert est.deviation(0.0) < 5
 
 
 def test_chsh_degenerate_denominator():
     vac = _vacuum(reps=50_000, modes=4)
+    weights = _chsh_weights(math.pi / 8, math.pi / 8)
     with pytest.raises(DegenerateStatisticError):
-        chsh_coefficient(*(vac[:, k] for k in range(4)))
+        estimators.chsh_coefficient(stokes_moments(vac.T), weights)
 
     # at gL = 0.01 the intensity-product denominator is itself consistent
     # with zero at this sample size, which the contract rejects
     ens = sample_vacuum(RngStream(5, 0), 200_000, 4)
     es1, ei1 = parametric_amplify(ens[:, 0], ens[:, 1], GainParams(0.01))
     es2, ei2 = parametric_amplify(ens[:, 2], ens[:, 3], GainParams(0.01))
-    arms = (es1, es2, ei1, ei2)
     with pytest.raises(DegenerateStatisticError):
-        chsh_coefficient(*polarized_arms(arms, math.pi / 8, math.pi / 8))
+        estimators.chsh_coefficient(stokes_moments((es1, es2, ei1, ei2)), weights)
 
 
-@pytest.mark.parametrize("G", [0.01, 1.0, 10.0])
-def test_every_chsh_setting_has_the_shared_denominator(G):
-    # (i1p + i1m)(i2p + i2m) is the total coincidence rate, which polarisers
-    # do not change: per repetition it agrees at every setting to rounding
-    arms = bell_arms(ExperimentConfig(kind="bell", G=G, reps=20_000))
-    shared = chsh_rows(arms)[1]  # at the bell command's (pi/8, pi/8)
+@settings(max_examples=25, deadline=None)
+@given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi), st.floats(0.0, 10.0))
+def test_stokes_tensor_gives_every_settings_numerator_and_denominator(theta1, theta2, G):
+    # per repetition, the projected numerator (i1p - i1m)(i2p - i2m) is the
+    # bilinear form a(theta1)' [S_j(1) S_k(2)] a(theta2), and the projected
+    # denominator (i1p + i1m)(i2p + i2m), the total coincidence rate, is
+    # (S0(1) - 1)(S0(2) - 1), which polarisers do not change
+    arms = bell_arms(ExperimentConfig(kind="bell", G=G, reps=2_000))
+    num, den = chsh_numerator_denominator(*polarized_arms(arms, theta1, theta2))
+    products = stokes_products(*arms)
+    a1, a2 = ((math.cos(2 * t), math.sin(2 * t)) for t in (theta1, theta2))
+    form = sum(a1[j] * a2[k] * products[2 * j + k] for j in (0, 1) for k in (0, 1))
     e1x, e1y, e2x, e2y = arms
     scale = (abs(e1x) ** 2 + abs(e1y) ** 2 + 1) * (abs(e2x) ** 2 + abs(e2y) ** 2 + 1)
-    for t1, t2 in [(t1, t2) for t1, t2, _ in _CHSH_SETTINGS] + [(0.3, 1.1)]:
-        den = chsh_features(*polarized_arms(arms, t1, t2))[1]
-        assert np.all(np.abs(den - shared) <= 16 * np.finfo(float).eps * scale), (t1, t2)
+    bound = 16 * np.finfo(float).eps * scale
+    assert np.all(np.abs(num - form) <= bound)
+    assert np.all(np.abs(den - products[4]) <= bound)
 
 
 def test_b_is_the_signed_sum_of_its_settings_coefficients():
@@ -161,9 +170,11 @@ def test_b_is_the_signed_sum_of_its_settings_coefficients():
     b = next(row for row in run_experiment(config).rows if row.name == "B")
     arms = bell_arms(config)
     total = sum(sign * chsh_coefficient(*polarized_arms(arms, t1, t2)).value
-                for t1, t2, sign in _CHSH_SETTINGS)
+                for t1, t2, sign in CHSH_SETTINGS)
     assert b.value == pytest.approx(total, rel=1e-12)
-    assert b.value == chsh_b_estimate(arms).value
+    assert b.value == pytest.approx(chsh_b_estimate(arms).value, rel=1e-12)
+    np.testing.assert_allclose(_B_WEIGHTS, math.sqrt(2) * np.array([-1, 0, 0, 1]),
+                               rtol=0, atol=1e-15)
 
 
 def test_fourfold_reads_each_fields_own_pair_from_its_intensity():
@@ -264,7 +275,8 @@ def _reference_features(a, b, c, d):
     """Each feature function's columns as the one-line expressions it
     evaluated before it wrote into ``out``."""
     xa, xb, xc, xd = (np.abs(col) ** 2 for col in (a, b, c, d))
-    i1p, i1m, i2p, i2m = (np.abs(col) ** 2 - 0.5 for col in (a, b, c, d))
+    s1, s2, d1 = xa - xb, 2 * (a.real * b.real + a.imag * b.imag), xa + xb - 1.0
+    t1, t2, d2 = xc - xd, 2 * (c.real * d.real + c.imag * d.imag), xc + xd - 1.0
     pair = a * b
     return {
         "intensity_products": (lambda **kw: intensity_products(a, b, **kw),
@@ -272,8 +284,8 @@ def _reference_features(a, b, c, d):
         "correlation_features": (lambda **kw: correlation_features(a, b, c, d, **kw),
                                  [xa, xb, xa * xb, xa ** 2, xb ** 2,
                                   xc, xd, xc ** 2, xd ** 2]),
-        "chsh_features": (lambda **kw: chsh_features(a, b, c, d, **kw),
-                          [(i1p - i1m) * (i2p - i2m), (i1p + i1m) * (i2p + i2m)]),
+        "stokes_products": (lambda **kw: stokes_products(a, b, c, d, **kw),
+                            [s1 * t1, s1 * t2, s2 * t1, s2 * t2, d1 * d2]),
         "fourfold": (lambda **kw: FourfoldPlan((0, 0, 1, 1)).features(a, b, **kw),
                      [xa, xb, xa * xa, xa * xb, xb * xb, xa * xa * xb, xa * xb * xb,
                       xa * xa * xb * xb, pair.real, pair.imag]),
@@ -281,14 +293,14 @@ def _reference_features(a, b, c, d):
 
 
 @pytest.mark.parametrize("name", ["intensity_products", "correlation_features",
-                                  "chsh_features", "fourfold"])
+                                  "stokes_products", "fourfold"])
 def test_feature_rows_equal_their_reference_expressions(name):
     ens = sample_vacuum(RngStream(9, 0), 3000, 4) * 3.0
     features, expect = _reference_features(*ens.T)[name]
     expect = np.array(expect).view(np.uint64)
     np.testing.assert_array_equal(features().view(np.uint64), expect)
     out = np.full(expect.shape, np.nan)
-    scratch = {"chsh_features": np.empty((4, 3000)),
+    scratch = {"stokes_products": np.empty((7, 3000)),
                "fourfold": np.empty(3000, dtype=np.complex128)}.get(name)
     given = features(out=out, **({} if scratch is None else {"scratch": scratch}))
     assert given is out
@@ -305,7 +317,7 @@ def _delta_and_jackknife_cases(twin_cache, bell_cache):
         lambda p, a, b, cr, ci, qr, qi: p - a * b - cr ** 2 - ci ** 2 - qr ** 2 - qi ** 2,
         xs * xi, xs, xi, cross.real, cross.imag, pair.real, pair.imag))
 
-    e1, e2 = beam_split(es, ei, BeamSplitterParams.balanced())
+    e1, e2 = beam_split(es, ei, BeamSplitterParams.from_transmittance(0.5))
     parts = [p for c in (e1 * np.conj(e2), e1 * e2, cross, pair) for p in (c.real, c.imag)]
     report = run_experiment(ExperimentConfig(kind="hom", gl=GL_UNIT, reps=reps))
     dip = next(r for r in report.rows if r.name == "dip_amplitude")
@@ -323,11 +335,12 @@ def _delta_and_jackknife_cases(twin_cache, bell_cache):
 
     for G in (1.0, 0.01):
         arms = bell_cache(G, reps)
+        moments = stokes_moments(arms)
         e1p, e1m, e2p, e2m = polarized_arms(arms, math.pi / 8, math.pi / 8)
         v1p, _, v2p, _ = polarized_arms(bell_cache(0.0, reps), math.pi / 8, math.pi / 8)
-        i1p, i1m, i2p, i2m = (np.abs(c) ** 2 - 0.5 for c in (e1p, e1m, e2p, e2m))
-        num, den = (i1p - i1m) * (i2p - i2m), (i1p + i1m) * (i2p + i2m)
-        yield (f"E at G={G}", chsh_coefficient(e1p, e1m, e2p, e2m),
+        num, den = chsh_numerator_denominator(e1p, e1m, e2p, e2m)
+        yield (f"E at G={G}",
+               estimators.chsh_coefficient(moments, _chsh_weights(math.pi / 8, math.pi / 8)),
                jackknife_se(lambda a, b: a / b, num, den))
 
         x1, x2 = np.abs(e1p) ** 2, np.abs(e2p) ** 2
@@ -337,13 +350,10 @@ def _delta_and_jackknife_cases(twin_cache, bell_cache):
             x1, x2, x1 ** 2, x2 ** 2, x1 * x2))
 
         # B's numerator, the signed sum over its settings, over E's denominator
-        a, ap, b, bp = theory.CHSH_ANGLES
-        b_num = 0.0
-        for t1, t2, sign in ((ap, b, 1), (ap, bp, 1), (a, bp, 1), (a, b, -1)):
-            i1p, i1m, i2p, i2m = (np.abs(c) ** 2 - 0.5 for c in polarized_arms(arms, t1, t2))
-            b_num = b_num + sign * (i1p - i1m) * (i2p - i2m)
-        yield (f"B at G={G}", chsh_b_estimate(arms), jackknife_se(lambda n, d: n / d,
-                                                                  b_num, den))
+        b_num = sum(sign * chsh_numerator_denominator(*polarized_arms(arms, t1, t2))[0]
+                    for t1, t2, sign in CHSH_SETTINGS)
+        yield (f"B at G={G}", estimators.chsh_coefficient(moments, _B_WEIGHTS),
+               jackknife_se(lambda n, d: n / d, b_num, den))
 
 
 def test_delta_method_se_matches_jackknife(twin_cache, bell_cache):

@@ -2,6 +2,7 @@
 memory does not grow with reps, and neither chunking nor threads change a
 result."""
 
+import math
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -11,17 +12,16 @@ import numpy as np
 import pytest
 
 from spdcsim.elements import (DetectorParams, beam_split, detector_loss,
-                              parametric_amplify)
+                              parametric_amplify, polarizer_project)
 from spdcsim import experiments
 from spdcsim.estimators import CHUNK_ROWS, FeatureMoments
-from spdcsim.experiments import (ExperimentConfig, _chunk_reducer, polarized_arms,
-                                 run_experiment)
+from spdcsim.experiments import ExperimentConfig, _chunk_reducer, run_experiment
 from spdcsim.sampling import LANE_STRIDE, RngStream, sample_vacuum
 
 from helpers import (VOLATILE_METADATA, bell_arms, chsh_b_estimate, chsh_coefficient,
                      correlation_coefficient, covariance_intensity,
-                     fourfold_covariance, hom_fields, mean_intensity, twin_fields,
-                     variance_intensity)
+                     fourfold_covariance, hom_fields, mean_intensity, polarized_arms,
+                     twin_fields, variance_intensity)
 
 #: Not a multiple of the chunk, so the last chunk is a short one.
 REPS = 8 * CHUNK_ROWS + 777
@@ -96,6 +96,23 @@ def test_a_chunk_draws_each_vacuum_lane_once(kind, lanes, monkeypatch):
     monkeypatch.setattr(experiments, "sample_vacuum", counted)
     _chunk_reducer(CONFIGS[kind], SimpleNamespace())(CHUNK_ROWS, CHUNK_ROWS)
     assert draws == [(lane * LANE_STRIDE + CHUNK_ROWS, CHUNK_ROWS) for lane in range(lanes)]
+
+
+@pytest.mark.parametrize("theta1,theta2", [(math.pi / 8, math.pi / 8), (0.3, 1.1),
+                                           (0.0, math.pi / 4)])
+def test_a_bell_chunk_projects_four_fields_whatever_the_angles(theta1, theta2, monkeypatch):
+    # rho's two outputs and their input vacua; E and B come from the Stokes
+    # products of the unprojected fields
+    angles = []
+
+    def counted(e_x, e_y, theta, **kwargs):
+        angles.append(theta)
+        return polarizer_project(e_x, e_y, theta, **kwargs)
+
+    monkeypatch.setattr(experiments, "polarizer_project", counted)
+    config = replace(CONFIGS["bell"], theta1=theta1, theta2=theta2)
+    _chunk_reducer(config, SimpleNamespace())(0, CHUNK_ROWS)
+    assert angles == [theta1, theta2, theta1, theta2]
 
 
 @pytest.mark.parametrize("kind", ["twin", "hom", "bell", "fourfold"])
@@ -178,11 +195,18 @@ def test_streamed_reports_equal_the_whole_column_api(kind):
     # Values are means of the same chunks, merged in the same order, so they
     # agree exactly.  A pipeline stacks several statistics' features in one
     # Gram matrix, and BLAS may sum an entry in another order for another
-    # matrix shape, so standard errors agree to rounding.
+    # matrix shape, so standard errors agree to rounding.  Bell's E and B
+    # come from the Stokes tensor, their references from fields projected at
+    # every setting and an exact gradient: the values agree to rounding, and
+    # the standard errors to the rounding of the central-difference gradient.
     config = replace(CONFIGS[kind], reps=REPS)
     rows = run_experiment(config).rows
     estimates = _whole_column_estimates(config)
     for row, est in zip(rows, estimates):
+        if kind == "bell" and row.name in ("E", "B"):
+            assert abs(row.value - est.value) <= 1e-12 * est.std_error, row.name
+            assert row.std_error == pytest.approx(est.std_error, rel=1e-8, abs=0), row.name
+            continue
         assert row.value == est.value, row.name
         assert row.std_error == pytest.approx(est.std_error, rel=1e-12, abs=0), row.name
     assert len(estimates) == len(rows) - (kind == "hom")  # hom's dip has no column API
@@ -192,7 +216,10 @@ def test_streamed_reports_equal_the_whole_column_api(kind):
 #: with 16384-row chunks, each drawn and reduced in one piece, and one
 #: Philox key per 2**14 words of rows.  REPS crosses chunk boundaries, so a
 #: change to how chunks are cut or merged shows here.  Bell's E and B are
-#: recorded with the factored CHSH rows and their one shared denominator.
+#: recorded from the Stokes products and their one denominator, the ratio
+#: taken on the moments of its numerator and denominator (E moved by 1.2e-16,
+#: 5.6e-14 SE, from the per-setting projected rows; B's value kept its bits;
+#: E's SE moved by 2.3e-14 relative, B's by 1.2e-11).
 PINNED_ROWS = {
     "twin": [
         ("mean", 0.4955902047134543, 0.0027326918670781035),
@@ -206,8 +233,8 @@ PINNED_ROWS = {
     ],
     "bell": [
         ("rho", 0.49952870626492396, 0.0032604921041114463),
-        ("E", -0.003205137583290969, 0.0021555098836139237),
-        ("B", 1.4105496258810606, 0.0038299444595447218),
+        ("E", -0.003205137583291089, 0.002155509883613875),
+        ("B", 1.4105496258810606, 0.0038299444594986215),
     ],
     "fourfold": [
         ("fourfold_direct", 38.69747930438864, 1.3976205149453707),

@@ -34,7 +34,8 @@ def test_twin_variance_equals_covariance_at_unit_efficiency():
 
 
 def test_hom_ratio_values():
-    assert hom_covariance_ratio(BeamSplitterParams.balanced()) == pytest.approx(0.0, abs=1e-15)
+    assert hom_covariance_ratio(BeamSplitterParams.from_transmittance(0.5)) \
+        == pytest.approx(0.0, abs=1e-15)
     assert hom_covariance_ratio(BeamSplitterParams.from_transmittance(1.0)) == 1.0
     assert hom_covariance_ratio(BeamSplitterParams.from_transmittance(0.9)) \
         == pytest.approx(0.64)
