@@ -11,7 +11,9 @@ samples may be negative; nothing here clamps them.
 Random number generation is fully deterministic and order-independent.
 :func:`raw_words` draws the 64-bit words of a call's rows from numpy's own
 Philox-4x64-10 bit generator (``numpy.random.Philox``), one key per block
-of rows:
+of rows, and returns each word ``w`` as its 53-bit uniform ``(w >> 11)
+2**-53`` in [0, 1), which ``numpy.random.Generator.random`` computes from
+the raw word in place:
 
 * a row takes ``4 ceil(n_words / 4)`` words, whole Philox blocks, of which
   the first ``n_words`` are returned;
@@ -19,10 +21,10 @@ of rows:
   :data:`_KEY_WORDS` = 2**14; a row of 2**14 words or more is a key block
   of its own;
 * rows ``[b, b + K)`` of a call from stream ``(seed, stream_id)``, with
-  ``b`` a multiple of the block size ``K``, are one ``random_raw`` of
-  ``numpy.random.Philox(key=[seed, stream_id + b])`` from counter block
-  0, so row ``b + j`` starts at counter block ``j`` times the blocks of a
-  row.
+  ``b`` a multiple of the block size ``K``, are the uniforms of one
+  ``random_raw`` of ``numpy.random.Philox(key=[seed, stream_id + b])``
+  from counter block 0, so row ``b + j`` starts at counter block ``j``
+  times the blocks of a row.
 
 Philox is a pure function of (key, counter) (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11), so rows ``[b, b + n)`` of
@@ -33,30 +35,34 @@ fourfold rows (4 words) take 4096 rows a key and bell rows (8 words)
 2048, so a :data:`CHUNK_ROWS` chunk is whole key blocks; a default hom2d
 row (16384 words) is its own key block, ``(seed, stream_id + r)``.
 
-The words are converted to Gaussians with the Box-Muller transform (word
-pair ``2t, 2t+1`` gives the cosine/sine pair).  Mode ``m`` of a repetition
-uses words ``2m`` and ``2m+1`` as its real and imaginary quadratures.  The
-radius word gives ``u1 = ((w >> 11) + 1) 2**-53`` in (0, 1] and the radius
-``sqrt(-0.5 ln u1)``, which folds the 1/2 scale of the quadratures into
-``0.5 sqrt(-2 ln u1)`` exactly.  The angle word ``w`` is the turn ``u2 =
-(w >> 11) 2**-53``, reduced exactly in integers: its top 10 bits pick one
-of 1024 cells, whose cosine and sine come from a table (:data:`_COS_TABLE`,
-:data:`_SIN_TABLE`, correct to half an ulp of 1), and its next 43 bits
-give the offset ``b`` in [0, 2 pi / 1024) into the cell.  A short Taylor
+The uniforms are converted to Gaussians with the Box-Muller transform
+(uniform pair ``2t, 2t+1`` gives the cosine/sine pair).  Mode ``m`` of a
+repetition uses uniforms ``2m`` and ``2m+1`` as its real and imaginary
+quadratures.  The radius uniform ``u`` gives ``u1 = u + 2**-53 = ((w >>
+11) + 1) 2**-53`` in (0, 1], exactly, and the radius ``sqrt(-0.5 ln
+u1)``, which folds the 1/2 scale of the quadratures into ``0.5 sqrt(-2 ln
+u1)`` exactly.  The angle uniform ``u2`` is the turn, reduced exactly:
+``1024 u2`` is exact, its integer part (the top 10 bits of ``w``) picks
+one of 1024 cells, whose cosine and sine come from a table
+(:data:`_COS_TABLE`, :data:`_SIN_TABLE`, correct to half an ulp of 1),
+and its fraction (the next 43 bits) times ``2 pi / 1024``, one rounding,
+gives the offset ``b`` in [0, 2 pi / 1024) into the cell.  A short Taylor
 polynomial gives ``sin b`` and ``cos b - 1``, and one angle addition the
 cosine and sine of the whole turn, to within 6e-16 of the radius, with no
-call to libm's cos or sin.  The transform runs in slabs of at most
-:data:`_SLAB_PAIRS` pairs, so that each of its temporaries takes at most
-256 KB and stays in L2 cache.
+call to libm's cos or sin.  These are the bits that the same steps on the
+integer words, shifted and masked, give.  The transform runs in slabs of
+at most :data:`_SLAB_PAIRS` pairs on an 8-row scratch (the radius, the
+cell index as int64 and six float64 temporaries), so that each row takes
+at most 256 KB and stays in L2 cache.
 
 :func:`sample_vacuum` draws a :data:`CHUNK_ROWS` chunk at a time, each
-one :func:`raw_words` draw into a word buffer and one Box-Muller step, so
-its working set does not grow with the rows asked for.  This module keeps
-no state between calls: a draw's buffers (its result, the chunk's words
-and the Box-Muller scratch) belong to the caller.  Given an attribute
-namespace ``kept``, a draw takes them from it and leaves them there for
-the caller's next draw (:func:`kept_array`), so a warm draw allocates
-only one key block of ``random_raw`` output, whatever its shape; given
+one :func:`raw_words` draw into a float64 word buffer and one Box-Muller
+step, so its working set does not grow with the rows asked for.  This
+module keeps no state between calls: a draw's buffers (its result, the
+chunk's words and the Box-Muller scratch) belong to the caller.  Given an
+attribute namespace ``kept``, a draw takes them from it and leaves them
+there for the caller's next draw (:func:`kept_array`), so a warm draw
+allocates nothing of the size of its rows, whatever its shape; given
 None, every array is new and all but the result is freed on return.  The
 chunk is also the row block of the twin, hom, bell and fourfold pipelines
 and of the moment engine: each chunk is one call here per vacuum lane,
@@ -79,11 +85,12 @@ __all__ = [
     "RngStream",
     "sample_vacuum",
     "LANE_STRIDE",
+    "raw_words",
+    "kept_array",
+    "key_block_rows",
 ]
 
-_U64 = np.uint64
 _MASK64 = (1 << 64) - 1
-_SH11 = _U64(11)
 _INV53 = 2.0 ** -53
 
 #: Offset between stream_id blocks reserved for independent vacuum lanes of
@@ -133,9 +140,9 @@ _KEY_WORDS = 1 << 14
 
 
 def kept_array(kept, name: str, shape, dtype=np.complex128) -> np.ndarray:
-    """A C-contiguous array of ``shape`` over the start of the flat buffer
-    ``name`` of ``kept``, created or grown when it is smaller, so that the
-    next call asking for it reuses its pages.
+    """A C-contiguous ``dtype`` array of ``shape`` over the start of the
+    flat buffer ``name`` of ``kept``, created anew when that is smaller or
+    of another dtype, so that the next call asking for it reuses its pages.
 
     ``kept`` is an attribute namespace, such as a ``SimpleNamespace``,
     that one thread at a time uses; None gives a new array.
@@ -144,7 +151,7 @@ def kept_array(kept, name: str, shape, dtype=np.complex128) -> np.ndarray:
         return np.empty(shape, dtype=dtype)
     size = math.prod(shape)
     buf = getattr(kept, name, None)
-    if buf is None or buf.size < size:
+    if buf is None or buf.size < size or buf.dtype != dtype:
         buf = np.empty(size, dtype=dtype)
         setattr(kept, name, buf)
     return buf[:size].reshape(shape)
@@ -164,41 +171,41 @@ def key_block_rows(n_words: int) -> int:
 
 
 def raw_words(stream: RngStream, reps: int, n_words: int, kept=None) -> np.ndarray:
-    """First ``n_words`` raw 64-bit words of each of ``reps`` rows, one
-    ``numpy.random.Philox`` key per block of rows (see the module docstring).
+    """The 53-bit uniforms ``(w >> 11) 2**-53`` of the first ``n_words`` raw
+    64-bit words ``w`` of each of ``reps`` rows, one ``numpy.random.Philox``
+    key per block of rows (see the module docstring).
 
-    The rows, ``4 ceil(n_words / 4)`` words each, are drawn into the buffer
-    ``"words"`` of ``kept`` (see :func:`kept_array`) and the (reps,
-    n_words) result is a view into it.
+    The rows, ``4 ceil(n_words / 4)`` words each, are drawn as float64 into
+    the buffer ``"words"`` of ``kept`` (see :func:`kept_array`) and the
+    (reps, n_words) result is a view into it.
     """
     row_words = _row_words(n_words)
     key_rows = key_block_rows(n_words)
-    words = kept_array(kept, "words", (reps, row_words), np.uint64)
+    words = kept_array(kept, "words", (reps, row_words), np.float64)
     # numpy's Philox steps its counter before each block, so starting it at
     # 2**256 - 1 makes its first block counter 0.  One generator is rekeyed
     # per key block: building one per block would draw OS entropy for a seed
-    # that the key then overrides.
+    # that the key then overrides.  Generator.random turns each word w into
+    # (w >> 11) 2**-53 (numpy's philox_next_double) in place.
     bit_gen = np.random.Philox(0)
+    gen = np.random.Generator(bit_gen)
     state = bit_gen.state
     counter = np.full(4, _MASK64, dtype=np.uint64)
     for r0 in range(0, reps, key_rows):
-        block = words[r0:r0 + key_rows]
         key = np.array([stream.seed, (stream.stream_id + r0) & _MASK64], dtype=np.uint64)
         state["state"] = {"counter": counter, "key": key}
         bit_gen.state = state
-        block.reshape(-1)[:] = bit_gen.random_raw(block.size)
+        gen.random(out=words[r0:r0 + key_rows])
     return words[:, :n_words]
 
 
-#: Pairs per Box-Muller slab: each of the slab's six float64 temporaries
-#: takes 256 KB, so the slab stays in L2 cache.
+#: Pairs per Box-Muller slab: each of the slab's eight scratch rows takes
+#: 256 KB, so the slab stays in L2 cache.
 _SLAB_PAIRS = 1 << 15
 
-#: Bits of the angle word that pick one of the table's cells, and the
-#: shift and mask that split the word into the cell and the rest of the turn.
-_CELL_BITS = 10
-_CELL_SHIFT = _U64(64 - _CELL_BITS)
-_CELL_REST = _U64((1 << (64 - _CELL_BITS)) - 1)
+#: Cells of the table of turns: the angle uniform times this, exact, has
+#: the cell as its integer part and the offset into it as the rest.
+_CELLS = 1 << 10
 
 
 def _turn_table(cells: int) -> tuple:
@@ -224,30 +231,28 @@ def _turn_table(cells: int) -> tuple:
     return cos, sin
 
 
-_COS_TABLE, _SIN_TABLE = _turn_table(1 << _CELL_BITS)
+_COS_TABLE, _SIN_TABLE = _turn_table(_CELLS)
 
 
-def _box_muller_slab(words: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+def _box_muller_slab(u: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """:func:`_gaussian_pairs` of one slab; ``scratch`` is float64 of shape
-    (6, >= the slab's pairs)."""
-    shape = (words.shape[0], words.shape[1] // 2)
-    t, ca, sa, b, z, p = (row[:math.prod(shape)].reshape(shape) for row in scratch)
-    ib = t.view(np.uint64)
-    r = out[:, 0::2]
-    np.right_shift(words[:, 0::2], _SH11, out=ib)
-    np.add(ib, _U64(1), out=ib)
-    np.multiply(ib, _INV53, out=r)          # u1 in (0, 1]
+    (8, >= the slab's pairs): six temporaries, the radius, which runs its
+    log and sqrt on a contiguous row, and the table cells, as int64."""
+    shape = (u.shape[0], u.shape[1] // 2)
+    t, ca, sa, b, z, p, r, cell = (row[:math.prod(shape)].reshape(shape) for row in scratch)
+    cell = cell.view(np.int64)
+    np.add(u[:, 0::2], _INV53, out=r)       # u1 in (0, 1], exact
     np.log(r, out=r)
     np.multiply(r, -0.5, out=r)
     np.sqrt(r, out=r)
-    turn = words[:, 1::2]
-    cell = np.right_shift(turn, _CELL_SHIFT, out=ib).view(np.int64)
+    np.multiply(u[:, 1::2], _CELLS, out=b)  # the turn in cells, exact
+    np.floor(b, out=t)
+    np.subtract(b, t, out=b)                # offset into the cell, exact
+    np.copyto(cell, t, casting="unsafe")
     # mode="raise" would make take buffer its out
     np.take(_COS_TABLE, cell, out=ca, mode="clip")
     np.take(_SIN_TABLE, cell, out=sa, mode="clip")
-    np.bitwise_and(turn, _CELL_REST, out=ib)
-    np.right_shift(ib, _SH11, out=ib)
-    np.multiply(ib, _INV53 * 2.0 * np.pi, out=b)    # b in [0, 2 pi / 1024)
+    np.multiply(b, 2.0 * np.pi / _CELLS, out=b)     # b in [0, 2 pi / 1024)
     np.multiply(b, b, out=z)
     # sin b = b - b^3/6 + b^5/120 - b^7/5040
     np.multiply(z, -1.0 / 5040.0, out=p)
@@ -273,20 +278,20 @@ def _box_muller_slab(words: np.ndarray, out: np.ndarray, scratch: np.ndarray) ->
     np.add(t, p, out=t)
     np.add(t, sa, out=t)
     np.multiply(r, t, out=out[:, 1::2])
-    np.multiply(r, z, out=r)
+    np.multiply(r, z, out=out[:, 0::2])
 
 
 def _gaussian_pairs(words: np.ndarray, out: np.ndarray, kept=None) -> None:
-    """Box-Muller transform of an even number of word columns into the
-    float64 array ``out`` of the same shape, scaled by 1/2: Gaussians of
-    variance 1/4.  It runs in slabs of at most :data:`_SLAB_PAIRS` pairs,
+    """Box-Muller transform of an even number of columns of 53-bit uniforms
+    (:func:`raw_words`) into the float64 array ``out`` of the same shape,
+    scaled by 1/2: Gaussians of variance 1/4.  It runs in slabs of at most :data:`_SLAB_PAIRS` pairs,
     whose scratch is the buffer ``"slab"`` of ``kept`` (see
     :func:`kept_array`)."""
     rows, cols = out.shape
     pairs = cols // 2
     slab_rows = max(1, _SLAB_PAIRS // pairs)
     slab_cols = 2 * min(pairs, _SLAB_PAIRS)
-    scratch = kept_array(kept, "slab", (6, min(rows, slab_rows) * slab_cols // 2), np.float64)
+    scratch = kept_array(kept, "slab", (8, min(rows, slab_rows) * slab_cols // 2), np.float64)
     for r0 in range(0, rows, slab_rows):
         for c0 in range(0, cols, slab_cols):
             _box_muller_slab(words[r0:r0 + slab_rows, c0:c0 + slab_cols],

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from helpers import integer_gaussian_pairs
 
 from spdcsim import sampling
 from spdcsim.sampling import ORDERING, RngStream, raw_words, sample_vacuum
@@ -49,6 +50,12 @@ def _numpy_rows(seed, stream_id, reps, n_words):
     return np.concatenate(blocks)[:, :n_words]
 
 
+def _uniforms(words):
+    """numpy's 53-bit uniforms of raw 64-bit words, as Generator.random
+    makes them: (w >> 11) 2**-53."""
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
 @pytest.mark.parametrize("reps,n_words,key_rows", [
     (5000, 4, 4096),        # twin, hom, fourfold rows: a second, short key block
     (3000, 8, 2048),        # bell rows
@@ -68,13 +75,13 @@ def test_raw_words_follow_block_layout(reps, n_words, key_rows, seed, stream_id)
     assert _key_rows(n_words) == key_rows
     words = raw_words(RngStream(seed, stream_id), reps, n_words)
     assert words.shape == (reps, n_words)
-    assert np.array_equal(words, _numpy_rows(seed, stream_id, reps, n_words))
+    assert np.array_equal(words, _uniforms(_numpy_rows(seed, stream_id, reps, n_words)))
     # row r: key block floor(r / K) K, at counter block (r mod K) blocks
     blocks = -(-n_words // 4)
     for r in {0, reps // 2, reps - 1}:
         bit_gen = _philox(seed, stream_id + r - r % key_rows)
         bit_gen.advance((r % key_rows) * blocks)
-        assert np.array_equal(words[r], bit_gen.random_raw(4 * blocks)[:n_words]), r
+        assert np.array_equal(words[r], _uniforms(bit_gen.random_raw(4 * blocks)[:n_words])), r
 
 
 def test_default_hom2d_draw_is_unchanged():
@@ -175,16 +182,26 @@ def _sha256(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
+def _raw_pin(seed, stream_id, reps, n_words):
+    """numpy's raw Philox words of a call, once raw_words is checked to be
+    their 53-bit uniforms bit for bit."""
+    reference = _numpy_rows(seed, stream_id, reps, n_words)
+    assert np.array_equal(raw_words(RngStream(seed, stream_id), reps, n_words),
+                          _uniforms(reference))
+    return reference
+
+
 # Recorded with one numpy Philox key per 2**14-word block of rows and the
 # table-and-polynomial Box-Muller (cos and sin of each drawn turn from a
-# 1024-cell table plus a short polynomial).  Any change to the words or to
-# the Gaussians drawn from them shows here.
+# 1024-cell table plus a short polynomial).  The raw digests hash the
+# uint64 words whose uniforms raw_words returns.  Any change to the words
+# or to the Gaussians drawn from them shows here.
 @pytest.mark.parametrize("draw,digest", [
-    (lambda: raw_words(RngStream(42, 0), 16, 4096),  # four rows a key
+    (lambda: _raw_pin(42, 0, 16, 4096),  # four rows a key
      "9910e707ec624d4404a32041aa6c9568b91612b39a54963bf2442239d32fe757"),
-    (lambda: raw_words(RngStream(42, 5), 4096, 8),  # two keys of 2048 rows
+    (lambda: _raw_pin(42, 5, 4096, 8),  # two keys of 2048 rows
      "98e92094c29aeadd57c6adb5745ee16f375980c3d000a327f81696902f02a860"),
-    (lambda: raw_words(RngStream(2 ** 64 - 1, 2 ** 64 - 7), 12, 1001),
+    (lambda: _raw_pin(2 ** 64 - 1, 2 ** 64 - 7, 12, 1001),
      "83b0235ab5cb0826324d97d1dc023c97ff245ac00ff7434306ca00add4607e4d"),
     (lambda: sample_vacuum(RngStream(42, 0), 1000, 3),
      "d41a50e8eed5099cd7957333c83f952b8c99d560c335c645c5fb8871834fe087"),
@@ -280,8 +297,8 @@ def test_threads_drawing_at_once_get_the_serial_draws():
     assert not failures
 
 
-#: Bytes of one Philox key block of ``random_raw`` output, the one array
-#: that a warm draw allocates.
+#: Bytes of one Philox key block of raw words: a warm draw fills its
+#: namespace's buffers in place and allocates less than this.
 _KEY_BLOCK_BYTES = (1 << 14) * np.dtype(np.uint64).itemsize
 
 
@@ -322,13 +339,13 @@ def test_a_draw_without_a_namespace_keeps_nothing_but_its_result(reps, modes):
 def test_box_muller_is_within_rounding_of_the_exact_transform():
     # 2**20 drawn pairs, and angle words at 0, 2**64 - 1, every table cell's
     # first turn and the last turn before it, each with a drawn radius word
-    words = raw_words(RngStream(42, 0), 1 << 20, 2)
+    words = _numpy_rows(42, 0, 1 << 20, 2)
     cells = np.arange(1024, dtype=np.uint64) << np.uint64(54)
     edges = np.concatenate([np.array([0, 2 ** 64 - 1], dtype=np.uint64),
                             cells, cells - np.uint64(2048)])
     words = np.concatenate([words, np.stack([words[:len(edges), 0], edges], axis=1)])
     out = np.empty(words.shape)
-    sampling._gaussian_pairs(words, out)
+    sampling._gaussian_pairs(_uniforms(words), out)
 
     bits = (words >> np.uint64(11)).astype(np.longdouble)
     radius = 0.5 * np.sqrt(-2 * np.log((bits[:, 0] + 1) * np.longdouble(2) ** -53))
@@ -342,6 +359,44 @@ def test_box_muller_is_within_rounding_of_the_exact_transform():
     angle = (words[:, 1] >> np.uint64(11)) * (2.0 ** -53 * 2.0 * np.pi)
     libm = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
     assert np.max(np.abs(out - libm)) <= 2e-15
+
+
+def _edge_pairs():
+    """2**20 drawn word pairs, then the edge words each as the angle word and
+    as the radius word of a drawn pair: 0, 2**64 - 1, 2047 and 2048 (either
+    side of the first nonzero uniform), (2**53 - 1) << 11 (u1 = 1, radius
+    0), and each table cell's first turn k << 54 and the last turn before
+    it, (k << 54) - 2048; drawn pairs pad the rows to a multiple of 8192."""
+    drawn = _numpy_rows(42, 0, (1 << 20) + 8192, 2)
+    cells = np.arange(1024, dtype=np.uint64) << np.uint64(54)
+    edges = np.concatenate([np.array([0, 2 ** 64 - 1, 2047, 2048, (2 ** 53 - 1) << 11],
+                                     dtype=np.uint64), cells, cells - np.uint64(2048)])
+    pad = drawn[1 << 20:]
+    words = np.concatenate([drawn[:1 << 20],
+                            np.stack([pad[:len(edges), 0], edges], axis=1),
+                            np.stack([edges, pad[:len(edges), 1]], axis=1)])
+    return np.concatenate([words, pad[len(edges):][:-len(words) % 8192]])
+
+
+@pytest.mark.parametrize("cols", [2, 16384])  # tall (twin's rows), wide (hom2d's rows)
+def test_box_muller_on_uniforms_equals_the_integer_path_bit_for_bit(cols):
+    words = _edge_pairs().reshape(-1, cols)
+    expect = np.empty(words.shape)
+    integer_gaussian_pairs(words, expect)
+    out = np.empty(words.shape)
+    sampling._gaussian_pairs(_uniforms(words), out)
+    assert np.array_equal(out.view(np.uint64), expect.view(np.uint64))
+
+
+def test_kept_array_holds_one_dtype_per_name():
+    kept = SimpleNamespace()
+    words = sampling.kept_array(kept, "words", (2, 4), np.uint64)
+    assert words.dtype == np.uint64
+    uniforms = sampling.kept_array(kept, "words", (2, 4), np.float64)
+    assert uniforms.dtype == np.float64 and kept.words.dtype == np.float64
+    # asked again with the same dtype, the name keeps its buffer
+    again = sampling.kept_array(kept, "words", (1, 4), np.float64)
+    assert again.dtype == np.float64 and again.base is uniforms.base is kept.words
 
 
 def test_a_wide_draw_allocates_no_full_size_float_temporaries():
