@@ -13,13 +13,19 @@ centred Gram matrix (:meth:`FeatureMoments.of_chunk`), and
 LeVeque 1979).  The experiment pipelines write a chunk's features straight
 into the rows of a (k, rows) matrix that the worker keeps: the feature
 functions (:func:`intensity_products`, :func:`correlation_features`,
-:func:`stokes_products`, :meth:`FourfoldPlan.features`, :func:`pair_parts`)
+:func:`stokes_products`, :func:`fourfold_features`, :func:`pair_parts`)
 take ``out`` rows and scratch arrays, so a warm chunk allocates nothing.
 The statistics (:func:`mean_intensity`, :func:`variance_intensity`,
 :func:`covariance_intensity`, :func:`correlation_coefficient`,
 :func:`chsh_coefficient`, :func:`fourfold_covariance`) give f(mean) with
-the delta-method standard error, sqrt(grad f' Sigma grad f / n), from a
-central-difference gradient.
+the delta-method standard error, sqrt(grad f' Sigma grad f / n).  The
+gradient is a complex step (Martins, Sturdza & Alonso 2003): grad_j is
+Im f(m + i h e_j) / h, one evaluation of f on k complex-shifted mean
+vectors, with no difference of two values of f to lose digits, so it is
+exact to rounding and a standard error is as stable as its value.  Its
+contract is that every f is real-analytic as written: arithmetic, powers
+and ``np.sqrt``, but no ``abs``, ``conj``, ``.real`` or comparison of
+the means.
 
 CHSH takes raw normal-ordered intensity products, not covariances: a Bell
 test cannot subtract accidental coincidences (Clauser, Horne, Shimony &
@@ -29,6 +35,15 @@ S0, S1 = |E_x|^2 +- |E_y|^2 and S2 = 2 Re E_x E_y*.  So the means of the
 products S_j(1) S_k(2), one 2x2 tensor, give E's numerator at any angles
 and B's, and (S0(1) - 1)(S0(2) - 1) is their one denominator.
 
+The fourfold run places both signal detectors on one field and both idler
+detectors on the other, (s, s, i, i).  Its direct term is
+<(I_s - <I_s>)^2 (I_i - <I_i>)^2>, a polynomial in eight raw intensity
+moments.  The nine Isserlis pair-moment products that give it for
+Gaussian fields (:func:`~spdcsim.theory.fourfold_terms`, the oracle's
+general form) then reduce to three classes of u = <I_s><I_i> and
+p = |<E_s E_i>|^2: bunching u^2, mixed 4 u p and low-gain 4 p^2, in total
+(u + 2 p)^2, all free of conjugates.
+
 hom2d's dip ratio is not a function of feature means; its standard error
 is the delete-one jackknife, :func:`jackknife_se` of the delete-one
 values.  :func:`intensity_snr` and :func:`normal_intensities` take one
@@ -37,20 +52,16 @@ ensemble column; no command calls them yet (criterion 9).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 import numpy as np
 
 from .sampling import CHUNK_ROWS, ORDERING
-from . import theory
 
 __all__ = [
     "CHUNK_ROWS",
     "DegenerateStatisticError",
     "FeatureMoments",
-    "FourfoldPlan",
     "FourfoldResult",
     "MomentEstimate",
     "chsh_coefficient",
@@ -58,6 +69,7 @@ __all__ = [
     "correlation_features",
     "covariance_intensity",
     "fourfold_covariance",
+    "fourfold_features",
     "intensity_products",
     "intensity_snr",
     "jackknife_se",
@@ -76,9 +88,10 @@ def row_chunks(n: int):
     return ((row0, min(CHUNK_ROWS, n - row0)) for row0 in range(0, n, CHUNK_ROWS))
 
 
-#: Central-difference step of the delta-method gradient, relative to the
-#: magnitude of each mean plus its standard error.
-_GRADIENT_STEP = 1e-6
+#: Complex step of the delta-method gradient, relative to the magnitude of
+#: each mean plus its standard error: far below rounding, so that the
+#: step's own O(h^2) error is nil.
+_COMPLEX_STEP = 1e-20
 
 
 class DegenerateStatisticError(ValueError):
@@ -135,25 +148,21 @@ class FeatureMoments:
         idx = np.asarray(idx)
         return FeatureMoments(self.n, self.mean[idx], self.gram[np.ix_(idx, idx)])
 
-    def combine(self, weights: np.ndarray) -> "FeatureMoments":
-        """Moments of the features ``weights @ x``, one linear combination
-        of these features a row of ``weights``."""
-        return FeatureMoments(self.n, weights @ self.mean, weights @ self.gram @ weights.T)
-
     def estimate(self, f) -> MomentEstimate:
         """``f`` of the feature means with its delta-method standard error.
 
-        ``f`` indexes the mean vector by feature (``m[0]``, ``m[1]``, ...),
-        is real, and must broadcast over trailing axes: the gradient
-        evaluates it on all 2k shifted mean vectors at once.
+        ``f`` indexes the mean vector by feature (``m[0]``, ``m[1]``, ...)
+        and must broadcast over trailing axes: the gradient evaluates it once
+        on the k mean vectors shifted by i h_j along each feature j, and
+        grad_j = Im f(m + i h_j e_j) / h_j (the complex step).  So ``f`` must
+        be real-analytic as written, with no ``abs``, ``conj``, ``.real`` or
+        comparison of its argument; then no two values of f are subtracted,
+        and the gradient is exact to rounding however small the step.
         """
-        k = self.mean.shape[0]
         cov = self.gram / (self.n - 1)
-        h = _GRADIENT_STEP * (np.abs(self.mean) + np.sqrt(np.diag(cov) / self.n))
-        h = np.where(h > 0, h, _GRADIENT_STEP)
-        shifts = np.diag(h)
-        shifted = np.asarray(f(self.mean[:, None] + np.hstack([shifts, -shifts])))
-        grad = (shifted[:k] - shifted[k:]) / (2.0 * h)
+        h = _COMPLEX_STEP * (np.abs(self.mean) + np.sqrt(np.diag(cov) / self.n))
+        h = np.where(h > 0, h, _COMPLEX_STEP)
+        grad = np.imag(f(self.mean[:, None] + np.diag(1j * h))) / h
         var = float(grad @ cov @ grad) / self.n
         return MomentEstimate(float(f(self.mean)), float(np.sqrt(max(var, 0.0))))
 
@@ -280,14 +289,12 @@ def chsh_coefficient(moments: FeatureMoments, weights) -> MomentEstimate:
     moments of :func:`stokes_products`: (w . m[:4]) / m[4].  E at angles
     (theta1, theta2) weighs the products by w = a(theta1) (x) a(theta2),
     a(theta) = (cos 2 theta, sin 2 theta), and B by the signed sum of its
-    settings' w.  The ratio is taken on the moments of its numerator and
-    denominator, so the gradient's step scales with the numerator, not
-    with a product whose mean is near zero."""
-    ratio = moments.combine(np.array([[*weights, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]]))
-    den = ratio.estimate(lambda m: m[1])
+    settings' w.  The denominator must be clear of zero by 5 standard
+    errors."""
+    den = moments.estimate(lambda m: m[4])
     if abs(den.value) < 5.0 * den.std_error:
         raise DegenerateStatisticError("intensity-product denominator consistent with zero")
-    return ratio.estimate(lambda m: m[0] / m[1])
+    return moments.estimate(lambda m: sum(w * m[j] for j, w in enumerate(weights)) / m[4])
 
 
 def stokes_products(e1x, e1y, e2x, e2y, out=None, scratch=None):
@@ -318,100 +325,71 @@ class FourfoldResult:
     factorisation, in total and by class."""
 
     direct: MomentEstimate
-    term_classes: dict = field(default_factory=dict)
-    terms_total: MomentEstimate | None = None
-    class_estimates: dict = field(default_factory=dict)
+    terms_total: MomentEstimate
+    class_estimates: dict
 
 
-#: The six pair moments of :func:`theory.fourfold_terms` as products of two
-#: detector fields, (detector, conjugated) each: <E_s1 E_s2*>, <E_i1* E_i2>,
-#: <E_s1 E_i1>, <E_s1 E_i2>, <E_s2 E_i1>, <E_s2 E_i2>.
-_FOURFOLD_PAIRS = (((0, False), (1, True)), ((2, True), (3, False)),
-                   ((0, False), (2, False)), ((0, False), (3, False)),
-                   ((1, False), (2, False)), ((1, False), (3, False)))
+def fourfold_features(es, ei, out=None, scratch=None):
+    """Features of :func:`fourfold_covariance` of detectors (s, s, i, i),
+    both signal detectors on the field ``es`` and both idler detectors on
+    ``ei``: the eight intensity monomials I_s, I_i, I_s^2, I_s I_i, I_i^2,
+    I_s^2 I_i, I_s I_i^2 and I_s^2 I_i^2 (symmetric order), then the real
+    and imaginary parts of E_s E_i through the complex128 ``scratch`` (new
+    when absent)."""
+    out = _rows(out, 10, es)
+    xs, xi, xss, xsi, xii, xssi, xsii, xssii = out[:8]
+    _intensity(es, xs)
+    _intensity(ei, xi)
+    np.multiply(xs, xs, out=xss)
+    np.multiply(xs, xi, out=xsi)
+    np.multiply(xi, xi, out=xii)
+    np.multiply(xss, xi, out=xssi)
+    np.multiply(xsi, xi, out=xsii)
+    np.multiply(xssi, xi, out=xssii)
+    scratch = np.empty(len(es), dtype=np.complex128) if scratch is None else scratch
+    pair_parts(es, False, ei, False, out[8:10], scratch)
+    return out
 
 
-class FourfoldPlan:
-    """Features of the four-fold covariance of detectors (s1, s2, i1, i2)
-    whose fields are the distinct columns ``pattern`` names:
-    ``(0, 0, 1, 1)`` when both signal and both idler detectors see the same
-    field, ``(0, 1, 2, 3)`` for four distinct fields.
-
-    The direct term <prod_k (I_k - <I_k>)> is the sum over detector subsets
-    S of <prod_{k in S} I_k> prod_{k not in S} (-<I_k>), a smooth function of
-    raw intensity moments, so its delta-method error accounts for the
-    estimated means.  Each distinct intensity monomial and pair product is
-    one feature, E E* being E's intensity: 8 + 2 for ``(0, 0, 1, 1)``.
-    """
-
-    def __init__(self, pattern):
-        self.pattern = tuple(pattern)
-        self._subsets = [s for r in range(5) for s in combinations(range(4), r)]
-        # sorted field indices of each distinct monomial -> its feature, by degree
-        self._monomials = {key: j for j, key in enumerate(dict.fromkeys(
-            self._monomial(s) for s in self._subsets[1:]))}
-        # (field, conjugated, field, conjugated) of each distinct pair but E E*
-        keys = [(self.pattern[p], cp, self.pattern[q], cq)
-                for (p, cp), (q, cq) in _FOURFOLD_PAIRS]
-        self._pairs = list(dict.fromkeys(k for k in keys if k[0] != k[2] or k[1] == k[3]))
-        n = len(self._monomials)
-        self._pair_features = [n + 2 * self._pairs.index(k) if k in self._pairs
-                               else self._monomials[k[:1]] for k in keys]
-        #: Number of features.
-        self.k = n + 2 * len(self._pairs)
-
-    def _monomial(self, subset):
-        return tuple(sorted(self.pattern[k] for k in subset))
-
-    def features(self, *cols, out=None, scratch=None):
-        """The features of the distinct field columns, as the rows of
-        ``out`` (see :func:`intensity_products`); each pair product passes
-        through the complex128 ``scratch``, new when absent."""
-        out = _rows(out, self.k, cols[0])
-        rows = dict(zip(self._monomials, out))
-        for key, row in rows.items():  # lower degrees first
-            if len(key) == 1:
-                _intensity(cols[key[0]], row)
-            else:
-                np.multiply(rows[key[:-1]], rows[key[-1:]], out=row)
-        if scratch is None:
-            scratch = np.empty(len(cols[0]), dtype=np.complex128)
-        for j, (p, cp, q, cq) in enumerate(self._pairs):
-            pair_parts(cols[p], cp, cols[q], cq, out[len(rows) + 2 * j:][:2], scratch)
-        return out
-
-    def _direct(self, m):
-        neg_means = [-m[self._monomials[(p,)]] for p in self.pattern]
-        return sum(math.prod((neg_means[k] for k in range(4) if k not in s),
-                             start=m[self._monomials[self._monomial(s)]] if s else 1.0)
-                   for s in self._subsets)
-
-    def _pair_moments(self, m):
-        n = len(self._monomials)
-        return [m[i] if i < n else m[i] + 1j * m[i + 1] for i in self._pair_features]
+def _fourfold_direct(m):
+    """<(I_s - a)^2 (I_i - b)^2>, a = <I_s> and b = <I_i>, as a polynomial
+    in the raw moments of :func:`fourfold_features`."""
+    a, b = m[0], m[1]
+    return (m[7] - 2.0 * b * m[5] - 2.0 * a * m[6] + b * b * m[2] + a * a * m[4]
+            + 4.0 * a * b * m[3] - 3.0 * a * a * b * b)
 
 
-def fourfold_covariance(plan: FourfoldPlan, moments: FeatureMoments) -> FourfoldResult:
-    """Four-fold intensity covariance <prod_k (I_k - <I_k>)> from the
-    moments of ``plan.features``.
+#: Each class of the nine pair-moment products of
+#: :func:`~spdcsim.theory.fourfold_terms` at detectors (s, s, i, i), as a
+#: function of u = <I_s><I_i> and p = |<E_s E_i>|^2; their total is
+#: (u + 2 p)^2.
+_FOURFOLD_CLASSES = {
+    "bunching": lambda u, p: u * u,
+    "mixed": lambda u, p: 4.0 * u * p,
+    "low_gain": lambda u, p: 4.0 * p * p,
+}
+
+
+def fourfold_covariance(moments: FeatureMoments) -> FourfoldResult:
+    """Four-fold intensity covariance <prod_k (I_k - <I_k>)> of detectors
+    (s, s, i, i) from the moments of :func:`fourfold_features`.
 
     The direct Monte Carlo estimate uses symmetric-order intensities
-    (centering cancels every ordering constant for four distinct
-    detectors) and is built from raw intensity moments, see
-    :class:`FourfoldPlan`.  The nine pair-moment products that reproduce it
-    for Gaussian fields are evaluated from the sampled field moments of the
-    same rows and grouped into bunching / low-gain / mixed classes.
+    (centering cancels every ordering constant) and is a polynomial in
+    raw intensity moments, so its delta-method error accounts for the
+    estimated means.  For Gaussian fields the nine pair-moment products
+    reproduce it; at these detectors <E_s E_s*> = <I_s>, <E_i* E_i> = <I_i>
+    and all four signal-idler moments are <E_s E_i>, so the products fall
+    into the bunching, mixed and low-gain classes of the module docstring,
+    evaluated from the sampled moments of the same rows.
     """
-    classes = theory.fourfold_terms(*plan._pair_moments(moments.mean))[1]
-
-    def terms_sum(idx):
-        return moments.estimate(lambda m: theory.fourfold_terms(
-            *plan._pair_moments(m))[0][idx].sum(axis=0).real)
+    def terms(cls):
+        return moments.estimate(lambda m: cls(m[0] * m[1], m[8] ** 2 + m[9] ** 2))
 
     return FourfoldResult(
-        direct=moments.estimate(plan._direct), term_classes=classes,
-        terms_total=terms_sum(slice(None)),
-        class_estimates={name: terms_sum(idx) for name, idx in classes.items()})
+        direct=moments.estimate(_fourfold_direct),
+        terms_total=terms(lambda u, p: (u + 2.0 * p) ** 2),
+        class_estimates={name: terms(cls) for name, cls in _FOURFOLD_CLASSES.items()})
 
 
 def intensity_snr(col: np.ndarray) -> float:

@@ -54,11 +54,11 @@ from . import __version__, theory
 from .elements import (BeamSplitterParams, DetectorParams, GainParams,
                        beam_split, detector_loss, parametric_amplify,
                        polarizer_project)
-from .estimators import (DegenerateStatisticError, FeatureMoments, FourfoldPlan,
-                         chsh_coefficient, correlation_coefficient, correlation_features,
-                         covariance_intensity, fourfold_covariance, intensity_products,
-                         mean_intensity, merge_moments, pair_parts, row_chunks,
-                         stokes_products, variance_intensity)
+from .estimators import (DegenerateStatisticError, FeatureMoments, chsh_coefficient,
+                         correlation_coefficient, correlation_features,
+                         covariance_intensity, fourfold_covariance, fourfold_features,
+                         intensity_products, mean_intensity, merge_moments, pair_parts,
+                         row_chunks, stokes_products, variance_intensity)
 from .multimode import Hom2dConfig, calibrate_gain, check_reps, run_hom2d
 from .reporting import RunReport, make_row
 from .sampling import LANE_STRIDE, RngStream, kept_array, sample_vacuum
@@ -296,12 +296,9 @@ def _run_bell(config: ExperimentConfig) -> RunReport:
     return report
 
 
-#: Both signal and both idler detectors of the fourfold run see the same field.
-_FOURFOLD = FourfoldPlan((0, 0, 1, 1))
-
-
 def _fourfold_features(config, x, kept, es, ei):
-    _FOURFOLD.features(es, ei, out=x, scratch=_scratch(kept, len(es)))
+    # both signal detectors see es, and both idler detectors ei
+    fourfold_features(es, ei, out=x, scratch=_scratch(kept, len(es)))
 
 
 def _run_fourfold(config: ExperimentConfig) -> RunReport:
@@ -313,7 +310,7 @@ def _run_fourfold(config: ExperimentConfig) -> RunReport:
     if not all(map(math.isfinite, (exact_total, *exact_classes.values()))):
         raise ArithmeticError(f"the fourfold oracle overflows: its closed-form total "
                               f"is {exact_total:.6g} at gl = {config.gain.gl:.6g}")
-    res = fourfold_covariance(_FOURFOLD, _moments(config))
+    res = fourfold_covariance(_moments(config))
 
     rows = [
         make_row("fourfold_direct", res.direct, exact_total),
@@ -332,7 +329,7 @@ _STREAMED = {
     "twin": (_twin_chunk, _twin_features, 4),
     "hom": (_hom_chunk, _hom_features, 14),
     "bell": (_bell_chunk, _bell_features, 14),
-    "fourfold": (_amplified_pair, _fourfold_features, _FOURFOLD.k),
+    "fourfold": (_amplified_pair, _fourfold_features, 10),
 }
 
 

@@ -16,8 +16,9 @@ give what the pipelines report for the same rows.  The CHSH statistics
 (:func:`chsh_coefficient`, :func:`chsh_b_estimate`) are the exception: an
 independent reference for the bell pipeline's one Stokes tensor, from
 fields projected at every setting (:func:`polarized_arms`) and plain
-numpy.  :func:`jackknife_se` of a function of sample means is the
-reference for the delta-method standard errors.
+numpy; so is :func:`fourfold_direct`, the four-fold covariance of four
+detector fields of any pattern.  :func:`jackknife_se` of a function of
+sample means is the reference for the delta-method standard errors.
 """
 
 import json
@@ -29,8 +30,8 @@ import numpy as np
 
 from spdcsim import estimators, theory
 from spdcsim.elements import polarizer_project
-from spdcsim.estimators import (FeatureMoments, FourfoldPlan, FourfoldResult,
-                                MomentEstimate, correlation_features, intensity_products,
+from spdcsim.estimators import (FeatureMoments, FourfoldResult, MomentEstimate,
+                                correlation_features, fourfold_features, intensity_products,
                                 merge_moments, row_chunks, stokes_products)
 from spdcsim.experiments import ExperimentConfig, _bell_chunk, _hom_chunk, _twin_chunk
 from spdcsim.multimode import (Hom2dConfig, JointAmplitudeKernel, SchmidtDecomposition,
@@ -122,14 +123,20 @@ def chsh_coefficient(e1p: np.ndarray, e1m: np.ndarray,
     return _ratio_of_means(*chsh_numerator_denominator(e1p, e1m, e2p, e2m))
 
 
-def fourfold_covariance(s1: np.ndarray, s2: np.ndarray,
-                        i1: np.ndarray, i2: np.ndarray) -> FourfoldResult:
-    """Four-fold intensity covariance of four detector columns.  A column
-    passed for two detectors (the same array object) is one field."""
-    cols = (s1, s2, i1, i2)
-    distinct = [c for k, c in enumerate(cols) if not any(c is d for d in cols[:k])]
-    plan = FourfoldPlan([next(j for j, d in enumerate(distinct) if d is c) for c in cols])
-    return estimators.fourfold_covariance(plan, feature_moments(plan.features, *distinct))
+def fourfold_covariance(es: np.ndarray, ei: np.ndarray) -> FourfoldResult:
+    """Four-fold intensity covariance of detectors (s, s, i, i), both
+    signal detectors on the field column ``es`` and both idler detectors
+    on ``ei``."""
+    return estimators.fourfold_covariance(feature_moments(fourfold_features, es, ei))
+
+
+def fourfold_direct(*cols: np.ndarray) -> MomentEstimate:
+    """Direct four-fold covariance <prod_k (I_k - <I_k>)> of four detector
+    field columns, any of them distinct, in plain numpy: the mean of the
+    product of the centred intensities, with its standard error as a mean
+    (the error of the estimated means is left out)."""
+    prod = np.prod([x - x.mean() for x in _intensities(*cols)], axis=0)
+    return MomentEstimate(float(prod.mean()), float(prod.std(ddof=1) / math.sqrt(len(prod))))
 
 
 def jackknife_se(func, *samples: np.ndarray) -> float:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from spdcsim import estimators, theory
 from spdcsim.elements import BeamSplitterParams, GainParams, beam_split, parametric_amplify
-from spdcsim.estimators import (CHUNK_ROWS, DegenerateStatisticError, FourfoldPlan,
-                                correlation_features, intensity_products, intensity_snr,
+from spdcsim.estimators import (CHUNK_ROWS, DegenerateStatisticError, correlation_features,
+                                fourfold_features, intensity_products, intensity_snr,
                                 stokes_products)
 from spdcsim.experiments import (_B_WEIGHTS, ExperimentConfig, _chsh_weights,
                                  run_experiment)
@@ -18,7 +18,7 @@ from spdcsim.sampling import RngStream, sample_vacuum
 from helpers import (CHSH_SETTINGS, bell_arms, chsh_b_estimate, chsh_coefficient,
                      chsh_numerator_denominator, correlation_coefficient,
                      covariance_intensity, feature_moments, field_pair_moment,
-                     fourfold_covariance, jackknife_se, mean_intensity,
+                     fourfold_covariance, fourfold_direct, jackknife_se, mean_intensity,
                      moment_theorem_residual, polarized_arms, stokes_moments,
                      variance_intensity)
 from wick import centered_intensity_product, twin_beam_moment_table
@@ -177,32 +177,38 @@ def test_b_is_the_signed_sum_of_its_settings_coefficients():
                                rtol=0, atol=1e-15)
 
 
-def test_fourfold_reads_each_fields_own_pair_from_its_intensity():
-    plan = FourfoldPlan((0, 0, 1, 1))
-    assert plan.k == 10  # 8 intensity monomials and one complex signal-idler product
-    es, ei = _twin(reps=3000)
-    moments = feature_moments(plan.features, es, ei)
-    m_ss, m_ii, *mu = plan._pair_moments(moments.mean)
-    assert (m_ss, m_ii) == (moments.mean[0], moments.mean[1])  # <|E_s|^2>, <|E_i|^2>
-    assert all(m == mu[0] for m in mu)
-    assert FourfoldPlan((0, 1, 2, 3)).k == 15 + 2 * 6  # no pair of a field with itself
+@pytest.mark.parametrize("gl", [0.1, GL_UNIT, 2.0])
+def test_fourfold_classes_equal_the_nine_terms_at_the_sampled_pair_moments(gl):
+    # at detectors (s, s, i, i) the six pair moments of the nine-term
+    # factorisation are <E_s E_s*> = <|E_s|^2>, <E_i* E_i> = <|E_i|^2> and
+    # <E_s E_i> four times; each closed-form class must give their sum
+    es, ei = _twin(reps=3000, gl=gl)
+    res = fourfold_covariance(es, ei)
+    pair = np.mean(es * ei)
+    terms, classes = theory.fourfold_terms(np.mean(np.abs(es) ** 2), np.mean(np.abs(ei) ** 2),
+                                           pair, pair, pair, pair)
+    assert res.terms_total.value == pytest.approx(np.sum(terms).real, rel=1e-13, abs=0)
+    assert res.class_estimates.keys() == classes.keys()
+    for name, idx in classes.items():
+        assert res.class_estimates[name].value == pytest.approx(
+            np.sum(terms[idx]).real, rel=1e-13, abs=0), name
 
 
 def test_fourfold_against_independent_enumeration(twin_cache):
     es, ei = twin_cache(1.0)
-    res = fourfold_covariance(es, es, ei, ei)
+    res = fourfold_covariance(es, ei)
     oracle = centered_intensity_product(
         ["s", "s", "i", "i"], twin_beam_moment_table(GL_UNIT)).real
     assert oracle == pytest.approx(39.0625)
     assert res.direct.deviation(oracle) < 5
     assert res.terms_total.deviation(oracle) < 5
-    assert sorted(len(v) for v in res.term_classes.values()) == [1, 4, 4]
+    # the raw-moment polynomial is the mean of the centred product
+    assert res.direct.value == pytest.approx(fourfold_direct(es, es, ei, ei).value, rel=1e-12)
 
 
 def test_fourfold_independent_vacua():
     vac = _vacuum(reps=1_000_000, modes=4)
-    res = fourfold_covariance(*(vac[:, k] for k in range(4)))
-    assert res.direct.deviation(0.0) < 5
+    assert fourfold_direct(*(vac[:, k] for k in range(4))).deviation(0.0) < 5
 
 
 def test_fourfold_bunching_scaling(twin_cache):
@@ -210,7 +216,7 @@ def test_fourfold_bunching_scaling(twin_cache):
     vals = {}
     for s2 in (5.0, 10.0):
         es, ei = twin_cache(s2)
-        res = fourfold_covariance(es, es, ei, ei)
+        res = fourfold_covariance(es, ei)
         vals[s2] = res.class_estimates["bunching"].value
     expect = (10.5 / 5.5) ** 4
     assert vals[10.0] / vals[5.0] == pytest.approx(expect, rel=0.10)
@@ -286,7 +292,7 @@ def _reference_features(a, b, c, d):
                                   xc, xd, xc ** 2, xd ** 2]),
         "stokes_products": (lambda **kw: stokes_products(a, b, c, d, **kw),
                             [s1 * t1, s1 * t2, s2 * t1, s2 * t2, d1 * d2]),
-        "fourfold": (lambda **kw: FourfoldPlan((0, 0, 1, 1)).features(a, b, **kw),
+        "fourfold": (lambda **kw: fourfold_features(a, b, **kw),
                      [xa, xb, xa * xa, xa * xb, xb * xb, xa * xa * xb, xa * xb * xb,
                       xa * xa * xb * xb, pair.real, pair.imag]),
     }
@@ -324,10 +330,11 @@ def _delta_and_jackknife_cases(twin_cache, bell_cache):
     yield ("hom dip", dip, jackknife_se(
         lambda *m: sum(v ** 2 for v in m[:4]) / sum(v ** 2 for v in m[4:]), *parts))
 
-    res = fourfold_covariance(es, es, ei, ei)
+    res = fourfold_covariance(es, ei)
     pm = [es * np.conj(es), np.conj(ei) * ei, es * ei, es * ei, es * ei, es * ei]
     parts = [p for c in pm for p in (c.real, c.imag)]
-    for name, idx in res.term_classes.items():
+    classes = theory.fourfold_terms(*[0.0] * 6)[1]  # the same partition at any moments
+    for name, idx in classes.items():
         def class_sum(*m, _idx=idx):
             moments = [m[2 * j] + 1j * m[2 * j + 1] for j in range(6)]
             return theory.fourfold_terms(*moments)[0][_idx].sum(axis=0).real
@@ -375,7 +382,7 @@ def test_fourfold_direct_se_matches_jackknife_of_raw_moments(twin_cache):
 
     cols = (xs, xi, xs * xs, xs * xi, xi * xi, xs * xs * xi, xs * xi * xi,
             xs * xs * xi * xi)
-    res = fourfold_covariance(es, es, ei, ei)
+    res = fourfold_covariance(es, ei)
     assert res.direct.value == pytest.approx(direct(*(c.mean() for c in cols)), rel=1e-12)
     assert res.direct.std_error == pytest.approx(jackknife_se(direct, *cols), rel=0.01)
 
@@ -384,7 +391,7 @@ def test_fourfold_memory_is_bounded_by_the_chunk(twin_cache):
     es, ei = twin_cache(1.0)
     tracemalloc.start()
     try:
-        fourfold_covariance(es, es, ei, ei)
+        fourfold_covariance(es, ei)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

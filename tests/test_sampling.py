@@ -297,14 +297,16 @@ def test_threads_drawing_at_once_get_the_serial_draws():
     assert not failures
 
 
-#: Bytes of one Philox key block of raw words: a warm draw fills its
-#: namespace's buffers in place and allocates less than this.
-_KEY_BLOCK_BYTES = (1 << 14) * np.dtype(np.uint64).itemsize
+#: Bytes that a warm draw may allocate: it fills its namespace's buffers in
+#: place, and numpy's small per-call objects take 3.5-4.4 KB, while one
+#: Philox key block of words, or one Box-Muller scratch row at any of the
+#: shapes below, takes 128 KB or more.
+_WARM_DRAW_BYTES = 8 * 1024
 
 
 @pytest.mark.parametrize("reps,modes", [(CHUNK_ROWS, 2), (CHUNK_ROWS, 4), (1 << 16, 2),
                                         (100, 8192)])  # pipeline chunks, hom2d's draw
-def test_a_warm_namespace_draw_allocates_one_key_block(reps, modes):
+def test_a_warm_namespace_draw_allocates_no_buffer(reps, modes):
     stream = RngStream(42, 0)
     kept = SimpleNamespace()
     sample_vacuum(stream, reps, modes, kept)  # the namespace's buffers now exist
@@ -314,7 +316,7 @@ def test_a_warm_namespace_draw_allocates_one_key_block(reps, modes):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * _KEY_BLOCK_BYTES, peak
+    assert peak <= _WARM_DRAW_BYTES, peak
 
 
 @pytest.mark.parametrize("reps,modes", [(2 * CHUNK_ROWS + 5, 2), (100, 8192)])  # tall, wide

@@ -14,7 +14,7 @@ import pytest
 from spdcsim.elements import (DetectorParams, beam_split, detector_loss,
                               parametric_amplify, polarizer_project)
 from spdcsim import experiments
-from spdcsim.estimators import CHUNK_ROWS, FeatureMoments
+from spdcsim.estimators import CHUNK_ROWS, FeatureMoments, merge_moments
 from spdcsim.experiments import ExperimentConfig, _chunk_reducer, run_experiment
 from spdcsim.sampling import LANE_STRIDE, RngStream, sample_vacuum
 
@@ -185,7 +185,7 @@ def _whole_column_estimates(config):
                 chsh_coefficient(e1p, e1m, e2p, e2m),
                 chsh_b_estimate(arms, config.theta1, config.theta2)]
     es, ei = twin_fields(replace(config, kind="twin"))
-    res = fourfold_covariance(es, es, ei, ei)
+    res = fourfold_covariance(es, ei)
     return [res.direct, res.terms_total,
             *(res.class_estimates[name] for name in ("bunching", "low_gain", "mixed"))]
 
@@ -197,51 +197,71 @@ def test_streamed_reports_equal_the_whole_column_api(kind):
     # Gram matrix, and BLAS may sum an entry in another order for another
     # matrix shape, so standard errors agree to rounding.  Bell's E and B
     # come from the Stokes tensor, their references from fields projected at
-    # every setting and an exact gradient: the values agree to rounding, and
-    # the standard errors to the rounding of the central-difference gradient.
+    # every setting and an exact gradient: both the values and the standard
+    # errors, whose complex-step gradient is exact too, agree to rounding.
     config = replace(CONFIGS[kind], reps=REPS)
     rows = run_experiment(config).rows
     estimates = _whole_column_estimates(config)
     for row, est in zip(rows, estimates):
         if kind == "bell" and row.name in ("E", "B"):
             assert abs(row.value - est.value) <= 1e-12 * est.std_error, row.name
-            assert row.std_error == pytest.approx(est.std_error, rel=1e-8, abs=0), row.name
+            assert row.std_error == pytest.approx(est.std_error, rel=1e-12, abs=0), row.name
             continue
         assert row.value == est.value, row.name
         assert row.std_error == pytest.approx(est.std_error, rel=1e-12, abs=0), row.name
     assert len(estimates) == len(rows) - (kind == "hom")  # hom's dip has no column API
 
 
+@pytest.mark.parametrize("kind", CONFIGS)
+def test_reports_merged_in_reverse_chunk_order_keep_their_standard_errors(kind, monkeypatch):
+    # The merge order moves each mean by rounding alone.  The delta-method
+    # gradient is exact to rounding, so every standard error moves by no
+    # more than its value does.
+    config = replace(CONFIGS[kind], reps=REPS)
+    forward = run_experiment(config).rows
+    monkeypatch.setattr(experiments, "merge_moments",
+                        lambda chunks: merge_moments(reversed(list(chunks))))
+    reverse = run_experiment(config).rows
+    assert [row.name for row in reverse] == [row.name for row in forward]
+    for back, row in zip(reverse, forward):
+        assert abs(back.value - row.value) <= 1e-12 * row.std_error, row.name
+        assert back.std_error == pytest.approx(row.std_error, rel=1e-13, abs=0), row.name
+
+
 #: (statistic, mc_value, mc_se) of each report at seed 42 and REPS, recorded
 #: with 16384-row chunks, each drawn and reduced in one piece, and one
 #: Philox key per 2**14 words of rows.  REPS crosses chunk boundaries, so a
 #: change to how chunks are cut or merged shows here.  Bell's E and B are
-#: recorded from the Stokes products and their one denominator, the ratio
-#: taken on the moments of its numerator and denominator (E moved by 1.2e-16,
-#: 5.6e-14 SE, from the per-setting projected rows; B's value kept its bits;
-#: E's SE moved by 2.3e-14 relative, B's by 1.2e-11).
+#: the weighted Stokes products over their one denominator.  The standard
+#: errors were re-recorded when the delta-method gradient became a complex
+#: step, exact to rounding: the central difference's rounding had moved
+#: them by up to 3.0e-10 relative (hom's dip).  The fourfold rows were
+#: re-recorded from the closed-form classes of detectors (s, s, i, i) and
+#: the raw-moment polynomial of the direct term: the direct term, the terms'
+#: total and the low-gain class moved by 5.1e-15, 1.7e-14 and 9.9e-15 SE.
+#: Every other value kept its bits.
 PINNED_ROWS = {
     "twin": [
-        ("mean", 0.4955902047134543, 0.0027326918670781035),
-        ("var", 0.7345962306168154, 0.0076366009614261664),
-        ("cov", 0.4933263066326145, 0.0052272677455546465),
+        ("mean", 0.4955902047134543, 0.002732691867099751),
+        ("var", 0.7345962306168154, 0.007636600961193972),
+        ("cov", 0.4933263066326145, 0.005227267745337304),
     ],
     "hom": [
-        ("cov_input", 1.9815751488416011, 0.016239568267045094),
-        ("cov_output", 0.3048788248759421, 0.011188637949531365),
-        ("dip_amplitude", 0.15993827243652606, 0.0005059736611700678),
+        ("cov_input", 1.9815751488416011, 0.01623956826500664),
+        ("cov_output", 0.3048788248759421, 0.011188637949723544),
+        ("dip_amplitude", 0.15993827243652606, 0.0005059736610195629),
     ],
     "bell": [
-        ("rho", 0.49952870626492396, 0.0032604921041114463),
-        ("E", -0.003205137583291089, 0.002155509883613875),
-        ("B", 1.4105496258810606, 0.0038299444594986215),
+        ("rho", 0.49952870626492396, 0.003260492103914201),
+        ("E", -0.003205137583291089, 0.0021555098836046243),
+        ("B", 1.4105496258810606, 0.0038299444594635254),
     ],
     "fourfold": [
-        ("fourfold_direct", 38.69747930438864, 1.3976205149453707),
-        ("fourfold_terms_total", 38.80915397645817, 0.43019493591589586),
-        ("bunching_terms", 5.026463978385682, 0.053663982994606375),
-        ("low_gain_terms", 15.901923999744362, 0.18003076117200642),
-        ("mixed_terms", 17.880765998328126, 0.19658293168995272),
+        ("fourfold_direct", 38.697479304388644, 1.3976205149408574),
+        ("fourfold_terms_total", 38.80915397645816, 0.4301949358987393),
+        ("bunching_terms", 5.026463978385682, 0.05366398299117934),
+        ("low_gain_terms", 15.90192399974436, 0.18003076117885217),
+        ("mixed_terms", 17.880765998328126, 0.1965829316849065),
     ],
 }
 
