@@ -5,10 +5,12 @@ Subcommands: twin, hom, bell, fourfold, hom2d (Monte Carlo runs) and oracle
 ``ExperimentConfig`` or, for the hom2d geometry, of ``Hom2dConfig``, and its
 default is that field's default: for --reps the subcommand's entry of
 ``DEFAULT_REPS``, and the environment variable SPDC_SEED replaces the
-default seed.  Every Monte Carlo subcommand takes --reps and --seed, and
-all but hom2d (which runs on the calling thread: it draws in chunks, but
-its sweep needs every repetition at once) take --threads; every
-subcommand takes --out, --format and --config.
+default seed; a seed is an integer in [0, 2**64).  Every Monte Carlo
+subcommand takes --reps and --seed, and all but hom2d (which runs on the
+calling thread: it draws in chunks, but its sweep needs every repetition
+at once) take --threads; every subcommand takes --out, --format and
+--config.  Without --out, oracle prints its table in --format.  Every
+report and table is written or printed by :mod:`spdcsim.reporting`.
 
 A ``--config`` file holds flat ``key = value`` lines (a TOML-compatible
 subset; ``#`` starts a comment line).  Its keys are the subcommand's long
@@ -30,7 +32,6 @@ report.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import fields
@@ -39,7 +40,7 @@ from pathlib import Path
 from .estimators import DegenerateStatisticError
 from .experiments import DEFAULT_REPS, ExperimentConfig, oracle_table, run_experiment
 from .multimode import Hom2dConfig
-from .reporting import RunReport, curve_sidecar, emit_results
+from .reporting import curve_sidecar, emit_results, emit_table, print_report
 
 __all__ = ["main", "entry", "load_config_file"]
 
@@ -196,41 +197,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(kind=args.command, **run)
 
 
-def _print_report(report: RunReport) -> None:
-    print(f"experiment: {report.experiment}")
-    if report.curve is not None:
-        c = report.curve
-        sigma = "n/a" if c.sigma_theta is None else f"{c.sigma_theta:.4g}"
-        print(f"  photons/pixel {c.photons_per_pixel:.4g}  modes {c.n_modes}  "
-              f"sigma_theta {sigma}")
-        for t, a, e in zip(c.theta, c.amplitude, c.std_error):
-            print(f"  theta {t:+8.4f}  amplitude {a:8.4f} +- {e:.4f}")
-        return
-    for r in report.rows:
-        print(f"  {r.name:26s} {r.value:+.6g} +- {r.std_error:.3g}"
-              f"  oracle {r.oracle:+.6g}  dev {r.deviation_se:.2f} se"
-              f"  {'PASS' if r.passed else 'FAIL'}")
-
-
-def _write_oracle(header, rows, out: str | None, fmt: str) -> None:
-    if out is None:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(f"{x:.12g}" for x in row))
-        return
-    path = Path(out)
-    if fmt == "json":
-        import json
-        path.write_text(json.dumps([dict(zip(header, row)) for row in rows],
-                                   indent=2) + "\n")
-    else:
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([f"{x:.12g}" for x in row])
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -251,10 +217,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "oracle":
             header, rows = oracle_table(args.table, args.values, args.eta)
-            _write_oracle(header, rows, args.out, args.fmt)
+            emit_table(header, rows, args.out, args.fmt)
             return 0
         report = run_experiment(config)
-        _print_report(report)
+        print_report(report)
         if args.out is not None:
             emit_results(report, args.out, args.fmt)
     except DegenerateStatisticError as exc:

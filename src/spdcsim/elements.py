@@ -50,7 +50,11 @@ class GainParams:
     def __post_init__(self):
         if not (self.gl >= 0.0 and math.isfinite(self.gl)):
             raise ValueError(f"gain-length product must be finite and >= 0, got {self.gl}")
-        object.__setattr__(self, "C", math.cosh(self.gl))
+        try:
+            object.__setattr__(self, "C", math.cosh(self.gl))
+        except OverflowError:
+            raise ValueError(f"gain-length product gL = {self.gl} is too large: cosh(gL) "
+                             "overflows a double for gL above about 710.48") from None
         object.__setattr__(self, "S", math.sinh(self.gl))
 
     @classmethod

@@ -223,11 +223,10 @@ def correlation_features(a, b, va, vb, out=None):
     return out
 
 
-def pair_parts(a, conj_a: bool, b, conj_b: bool, out, scratch) -> None:
-    """Real and imaginary parts of the product a b, either factor
-    conjugated when its flag says so, into the two float64 rows ``out``,
-    through the complex128 ``scratch`` (not both factors conjugated)."""
-    a = np.conjugate(a, out=scratch) if conj_a else a
+def pair_parts(a, b, conj_b: bool, out, scratch) -> None:
+    """Real and imaginary parts of the product a b, or a b* when ``conj_b``
+    says so, into the two float64 rows ``out``, through the complex128
+    ``scratch``."""
     b = np.conjugate(b, out=scratch) if conj_b else b
     np.multiply(a, b, out=scratch)
     np.copyto(out[0], scratch.real)
@@ -347,7 +346,7 @@ def fourfold_features(es, ei, out=None, scratch=None):
     np.multiply(xsi, xi, out=xsii)
     np.multiply(xssi, xi, out=xssii)
     scratch = np.empty(len(es), dtype=np.complex128) if scratch is None else scratch
-    pair_parts(es, False, ei, False, out[8:10], scratch)
+    pair_parts(es, ei, False, out[8:10], scratch)
     return out
 
 

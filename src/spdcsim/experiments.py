@@ -110,6 +110,8 @@ class ExperimentConfig:
         if self.gl is not None and self.G is not None:
             raise ValueError("give either gl or G, not both")
         check_reps(self.reps)
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
@@ -197,7 +199,7 @@ def _hom_features(config, x, kept, es, ei, e1, e2):
     intensity_products(e1, e2, out=x[3:6])
     pairs = ((e1, e2, True), (e1, e2, False), (es, ei, True), (es, ei, False))
     for j, (a, b, conj_b) in enumerate(pairs):
-        pair_parts(a, False, b, conj_b, x[6 + 2 * j:8 + 2 * j], _scratch(kept, len(a)))
+        pair_parts(a, b, conj_b, x[6 + 2 * j:8 + 2 * j], _scratch(kept, len(a)))
 
 
 def _coherence(m):

@@ -1,19 +1,30 @@
-"""Run reports: Monte Carlo statistics paired with oracles, CSV/JSON output."""
+"""Run reports: Monte Carlo statistics paired with oracles, and every output.
+
+The printed report, statistic rows and dip curves (:func:`emit_results`)
+and closed-form oracle tables (:func:`emit_table`) all leave from here,
+each file or stdout table through one CSV writer and one JSON writer.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from contextlib import nullcontext
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 from .estimators import MomentEstimate
 from .multimode import DipCurve
 
-__all__ = ["RunReport", "StatisticRow", "curve_sidecar", "emit_results", "make_row"]
+__all__ = ["RunReport", "StatisticRow", "curve_sidecar", "emit_results", "emit_table",
+           "make_row", "print_report"]
 
 PASS_THRESHOLD_SE = 5.0
+
+#: The CSV columns and JSON row keys of the :class:`StatisticRow` fields.
+ROW_FIELDS = ("statistic", "mc_value", "mc_se", "oracle", "deviation_se", "pass")
 
 
 @dataclass(frozen=True)
@@ -54,10 +65,6 @@ class RunReport:
         return all(r.passed for r in self.rows)
 
 
-def _fmt(x) -> str:
-    return f"{x:.12g}"
-
-
 def _curve_dict(curve: DipCurve) -> dict:
     return {
         "theta": [float(t) for t in curve.theta],
@@ -68,6 +75,32 @@ def _curve_dict(curve: DipCurve) -> dict:
         "n_modes": curve.n_modes,
         "seed": curve.seed,
     }
+
+
+def _cell(x) -> str:
+    if isinstance(x, str):
+        return x
+    return str(x).lower() if isinstance(x, bool) else f"{x:.12g}"
+
+
+def _opened(path):
+    """The file ``path`` opened for text with untranslated line ends, or stdout."""
+    return nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+
+
+def _write_csv(header, rows, path) -> None:
+    """The one CSV writer: numbers as ``%.12g``, booleans as ``true``/``false``,
+    to the file ``path`` with ``\\r\\n`` line ends or to stdout with ``\\n``."""
+    with _opened(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n" if path is None else "\r\n")
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+
+
+def _write_json(payload, path) -> None:
+    """The one JSON writer, to the file ``path`` or to stdout."""
+    with _opened(path) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def curve_sidecar(path: str | Path) -> Path:
@@ -94,49 +127,48 @@ def emit_results(report: RunReport, path: str | Path, fmt: str = "csv") -> Path:
     pixel, mode count, seed, configuration echo) in a JSON sidecar next to
     the CSV.
     """
-    path = Path(path)
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format: {fmt!r}")
+    rows = [astuple(r) for r in report.rows]
+    curve = report.curve
     if fmt == "json":
-        payload = {
-            "experiment": report.experiment,
-            "rows": [
-                {
-                    "statistic": r.name,
-                    "mc_value": r.value,
-                    "mc_se": r.std_error,
-                    "oracle": r.oracle,
-                    "deviation_se": r.deviation_se,
-                    "pass": r.passed,
-                }
-                for r in report.rows
-            ],
-            "metadata": report.metadata,
-        }
-        if report.curve is not None:
-            payload["curve"] = _curve_dict(report.curve)
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        return path
-
-    if report.curve is not None:
+        payload = {"experiment": report.experiment,
+                   "rows": [dict(zip(ROW_FIELDS, r)) for r in rows],
+                   "metadata": report.metadata}
+        if curve is not None:
+            payload["curve"] = _curve_dict(curve)
+        _write_json(payload, path)
+    elif curve is None:
+        _write_csv(ROW_FIELDS, rows, path)
+    else:
         sidecar = curve_sidecar(path)  # checked before the table is written
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if report.curve is not None:
-            writer.writerow(["theta", "amplitude", "std_error"])
-            for t, a, e in zip(report.curve.theta, report.curve.amplitude,
-                               report.curve.std_error):
-                writer.writerow([_fmt(t), _fmt(a), _fmt(e)])
-        else:
-            writer.writerow(["statistic", "mc_value", "mc_se", "oracle",
-                             "deviation_se", "pass"])
-            for r in report.rows:
-                writer.writerow([r.name, _fmt(r.value), _fmt(r.std_error),
-                                 _fmt(r.oracle), _fmt(r.deviation_se),
-                                 str(r.passed).lower()])
-    if report.curve is not None:
-        meta = dict(report.metadata)
-        meta.update(_curve_dict(report.curve))
-        sidecar.write_text(json.dumps(meta, indent=2) + "\n")
-    return path
+        _write_csv(("theta", "amplitude", "std_error"),
+                   zip(curve.theta, curve.amplitude, curve.std_error), path)
+        _write_json({**report.metadata, **_curve_dict(curve)}, sidecar)
+    return Path(path)
 
+
+def emit_table(header, rows, path: str | Path | None, fmt: str) -> None:
+    """Write an oracle table, ``header`` and its numeric ``rows``, to
+    ``path`` or, when None, to stdout, as CSV or a JSON list of row records."""
+    if fmt == "json":
+        _write_json([dict(zip(header, row)) for row in rows], path)
+    else:
+        _write_csv(header, rows, path)
+
+
+def print_report(report: RunReport) -> None:
+    """Print one line per statistic, or a dip curve's results and tilts."""
+    print(f"experiment: {report.experiment}")
+    if report.curve is not None:
+        c = report.curve
+        sigma = "n/a" if c.sigma_theta is None else f"{c.sigma_theta:.4g}"
+        print(f"  photons/pixel {c.photons_per_pixel:.4g}  modes {c.n_modes}  "
+              f"sigma_theta {sigma}")
+        for t, a, e in zip(c.theta, c.amplitude, c.std_error):
+            print(f"  theta {t:+8.4f}  amplitude {a:8.4f} +- {e:.4f}")
+        return
+    for r in report.rows:
+        print(f"  {r.name:26s} {r.value:+.6g} +- {r.std_error:.3g}"
+              f"  oracle {r.oracle:+.6g}  dev {r.deviation_se:.2f} se"
+              f"  {'PASS' if r.passed else 'FAIL'}")

@@ -83,6 +83,37 @@ def test_bad_input_is_a_usage_error_with_a_reason(argv, capsys):
     assert "spdcsim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64 + 42])
+@pytest.mark.parametrize("given", ["flag", "env", "config"])
+def test_seed_outside_64_bits_is_a_usage_error(seed, given, tmp_path, monkeypatch, capsys):
+    # the streams take 64-bit seeds: 2**64 + 42 must not run as seed 42
+    argv = ["twin", "--reps", "100"]
+    if given == "flag":
+        argv += ["--seed", str(seed)]
+    elif given == "env":
+        monkeypatch.setenv("SPDC_SEED", str(seed))
+    else:
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(f"seed = {seed}\n")
+        argv += ["--config", str(cfg)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"spdcsim: seed must be in [0, 2**64), got {seed}\n"
+
+
+def test_largest_seed_runs(tmp_path):
+    out = tmp_path / "twin.csv"
+    assert run_cli(["twin", "--reps", "1000", "--seed", str(2 ** 64 - 1),
+                    "--out", str(out)]) == 0
+    assert [r[0] for r in read_csv(out)[1:]] == ["mean", "var", "cov"]
+
+
+def test_gain_beyond_cosh_range_is_a_usage_error_naming_it(capsys):
+    assert run_cli(["twin", "--reps", "100", "--gain-gl", "1000"]) == 2
+    assert capsys.readouterr().err == (
+        "spdcsim: gain-length product gL = 1000.0 is too large: cosh(gL) "
+        "overflows a double for gL above about 710.48\n")
+
+
 @pytest.mark.parametrize("photons", ["1e300", "0", "-1", "nan", "inf"])
 def test_hom2d_bad_photon_target_is_a_usage_error(photons, capsys):
     code = run_cli(["hom2d", "--reps", "3", "--photons-per-pixel", photons])
@@ -547,6 +578,15 @@ def test_oracle_tables(tmp_path, capsys):
     printed = capsys.readouterr().out.strip().splitlines()
     assert printed[0] == "transmittance,cov_ratio"
     assert float(printed[1].split(",")[1]) == pytest.approx(0.64)
+
+
+@pytest.mark.parametrize("table", ["twin", "bell", "hom"])
+def test_oracle_json_on_stdout_is_the_json_file(table, tmp_path, capsys):
+    out = tmp_path / "table.json"
+    argv = ["oracle", "--table", table, "--format", "json"]
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_empty_report_emits_header_only(tmp_path):
