@@ -6,8 +6,8 @@ for covariances) so that reported values are normal-ordered observables.
 
 Every statistic is a smooth function f of the means of per-repetition
 feature columns, and each takes the merged moments of its features.  The
-engine reduces each chunk of at most :data:`CHUNK_ROWS` = 16384 rows (the
-sampler's chunk, see :mod:`spdcsim.sampling`) to its mean vector and
+engine reduces each chunk of at most :data:`CHUNK_ROWS` = 16384 rows (a
+draw block of two-mode rows, :mod:`spdcsim.sampling`) to its mean vector and
 centred Gram matrix (:meth:`FeatureMoments.of_chunk`), and
 :func:`merge_moments` merges the chunks in row order (Chan, Golub &
 LeVeque 1979).  The experiment pipelines write a chunk's features straight
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import CHUNK_ROWS, ORDERING
+from .sampling import ORDERING
 
 __all__ = [
     "CHUNK_ROWS",
@@ -81,6 +81,11 @@ __all__ = [
     "stokes_products",
     "variance_intensity",
 ]
+
+#: Rows per chunk that the pipelines and the moment engine draw, reduce
+#: and merge; fixed, so that no result depends on the machine.
+CHUNK_ROWS = 1 << 14
+
 
 def row_chunks(n: int):
     """(row0, rows) of each :data:`CHUNK_ROWS`-row chunk of ``n`` rows, in

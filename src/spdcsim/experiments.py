@@ -4,11 +4,13 @@ The twin, hom, bell and fourfold pipelines stream their ensemble: each is a
 draw function, giving the fields of rows ``[row0, row0 + rows)``, plus one
 feature function covering every statistic of its report (``_STREAMED``).
 The chunks of :func:`~spdcsim.estimators.row_chunks`, at most
-:data:`~spdcsim.sampling.CHUNK_ROWS` = 16384 rows, are the one unit of
+:data:`~spdcsim.estimators.CHUNK_ROWS` = 16384 rows, are the one unit of
 drawing, reduction and merging, so memory does not grow with ``reps``.  A
-chunk draws each vacuum lane in one call, propagates the fields through
-the elements, writes its features into the rows of a (k, rows) matrix and
-reduces that to its feature mean and centred Gram matrix.  Every array of
+chunk draws each vacuum lane in one call (one draw block of the sampler
+for two-mode rows, see :func:`~spdcsim.sampling.block_rows`), propagates
+the fields through the elements, writes its features into the rows of a
+(k, rows) matrix and reduces that to its feature mean and centred Gram
+matrix.  Every array of
 it, the vacuum draw's words and Box-Muller scratch included, is a buffer
 of the one namespace that the worker owns and passes down
 (:func:`~spdcsim.sampling.kept_array`), reused for its next chunk: a
@@ -33,8 +35,9 @@ the run where its row is made.
 ``threads`` workers reduce whole chunks, at most two per worker in flight,
 and the merge takes their results strictly in row order, so a report does
 not depend on the thread count.  hom2d draws and synthesises its
-repetitions in chunks on the calling thread, and its sweep then reduces
-them all at once, so neither its command nor its report has ``threads``.
+repetitions on the calling thread, one draw block of the sampler at a
+time, and its sweep then reduces them all at once, so neither its
+command nor its report has ``threads``.
 """
 
 from __future__ import annotations
@@ -110,13 +113,12 @@ class ExperimentConfig:
         if self.gl is not None and self.G is not None:
             raise ValueError("give either gl or G, not both")
         check_reps(self.reps)
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
             raise ValueError("polariser angles must be finite")
-        _ = self.gain, self.splitter, DetectorParams(self.eta)  # bad values fail here
+        # bad values, the seed's included, fail here
+        _ = self.gain, self.splitter, DetectorParams(self.eta), RngStream(self.seed, 0)
 
     @cached_property
     def gain(self) -> GainParams:

@@ -74,7 +74,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .estimators import DegenerateStatisticError, jackknife_se
-from .sampling import RngStream, key_block_rows, kept_array, sample_vacuum
+from .sampling import RngStream, block_rows, kept_array, sample_vacuum
 
 __all__ = [
     "DipCurve",
@@ -112,12 +112,6 @@ GAIN_SCALE_MAX = 9.0
 #: are fourth order in the fields and summed over repetitions: 1e75 ** 4 =
 #: 1e300 leaves a factor 1e8 below the largest double.
 _KERNEL_NORM_MAX = 1e75
-
-#: Philox key blocks of repetitions that :func:`sample_image_planes` draws
-#: and synthesises at a time: 2**16 words, 4 repetitions at the default 64
-#: pixels and 64 at 16, so the draw's working set does not grow with reps.
-_CHUNK_KEYS = 4
-
 
 @dataclass(frozen=True)
 class Hom2dConfig:
@@ -358,11 +352,13 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int, ro
     repetition followed by the unamplified input vacua of the same draw
     sent through the same modes.
 
-    The repetitions are drawn and synthesised in chunks of
-    :data:`_CHUNK_KEYS` Philox key blocks, each drawn as its own call from
-    the stream at the chunk's first row, which holds the rows of one whole
-    draw bit for bit (:mod:`~spdcsim.sampling`); every chunk reuses the
-    buffers of one namespace.  A chunk amplifies both images into one
+    The repetitions are drawn and synthesised a chunk at a time: the
+    sampler's draw block (:func:`~spdcsim.sampling.block_rows`), 4
+    repetitions at the default 64 pixels and 64 at 16, so the draw's
+    working set does not grow with ``reps``.  Each chunk is drawn as its own
+    call from the stream at its first row, which holds the rows of one
+    whole draw bit for bit (:mod:`~spdcsim.sampling`); every chunk reuses
+    the buffers of one namespace.  A chunk amplifies both images into one
     (image, amplified/vacuum, rep, i, j) buffer.  U and V are real, so
     both contractions are real matrix products on the (re, im) float view
     of the amplitudes, one small product per image, half and repetition:
@@ -379,7 +375,7 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int, ro
     modes = np.stack((dec.U, dec.V))[:, None, None]  # (image, 1, 1, y, j)
     restricted = modes[..., rows, :]  # (image, 1, 1, row, i)
     planes = np.empty((2, m, n, 2, reps), dtype=complex)  # (image, row, column, half, rep)
-    chunk = _CHUNK_KEYS * key_block_rows(4 * n * n)  # 2 n^2 modes, 2 words each
+    chunk = block_rows(2 * n * n)
     kept = SimpleNamespace()
     for r0 in range(0, reps, chunk):
         c = min(chunk, reps - r0)
@@ -624,6 +620,7 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
     finite or its standard error not positive and finite.
     """
     check_reps(reps)
+    rng = RngStream(seed, 0)
     if config.n_pixels < 8:
         raise ValueError("the HOM sweep needs n_pixels >= 8")
     if not config.gain_scale > 0:
@@ -647,7 +644,7 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
                              f"{shift:.6g} pixels, more than half of n_pixels = {n}, "
                              f"so the shift wraps round the grid and the curve dips "
                              f"again; narrow the sweep, or raise n_pixels or pitch")
-    signal, idler = sample_image_planes(dec, RngStream(seed, 0), reps, rows)
+    signal, idler = sample_image_planes(dec, rng, reps, rows)
 
     value, loo = _coherence_sweep(signal, idler, band_l, band_m, shifts)
     ref = value[-1], loo[-1]

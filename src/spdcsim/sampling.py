@@ -32,8 +32,8 @@ a stream ``(seed, s)``, with ``b`` a multiple of ``K``, are the call from
 ``RngStream(seed, s + b)``: any number of workers can fill key-aligned row
 ranges and produce the same ensemble as a serial run.  Twin, hom and
 fourfold rows (4 words) take 4096 rows a key and bell rows (8 words)
-2048, so a :data:`CHUNK_ROWS` chunk is whole key blocks; a default hom2d
-row (16384 words) is its own key block, ``(seed, stream_id + r)``.
+2048; a default hom2d row (16384 words) is its own key block, ``(seed,
+stream_id + r)``.
 
 The uniforms are converted to Gaussians with the Box-Muller transform
 (uniform pair ``2t, 2t+1`` gives the cosine/sine pair).  Mode ``m`` of a
@@ -50,36 +50,38 @@ gives the offset ``b`` in [0, 2 pi / 1024) into the cell.  A short Taylor
 polynomial gives ``sin b`` and ``cos b - 1``, and one angle addition the
 cosine and sine of the whole turn, to within 6e-16 of the radius, with no
 call to libm's cos or sin.  These are the bits that the same steps on the
-integer words, shifted and masked, give.  The transform runs in slabs of
-at most :data:`_SLAB_PAIRS` pairs on an 8-row scratch (the radius, the
-cell index as int64 and six float64 temporaries), so that each row takes
-at most 256 KB and stays in L2 cache.
+integer words, shifted and masked, give.  Each step is elementwise, so a
+word's Gaussians do not depend on the block that transforms them.
 
-:func:`sample_vacuum` draws a :data:`CHUNK_ROWS` chunk at a time, each
-one :func:`raw_words` draw into a float64 word buffer and one Box-Muller
-step, so its working set does not grow with the rows asked for.  This
-module keeps no state between calls: a draw's buffers (its result, the
-chunk's words and the Box-Muller scratch) belong to the caller.  Given an
-attribute namespace ``kept``, a draw takes them from it and leaves them
-there for the caller's next draw (:func:`kept_array`), so a warm draw
-allocates nothing of the size of its rows, whatever its shape; given
-None, every array is new and all but the result is freed on return.  The
-chunk is also the row block of the twin, hom, bell and fourfold pipelines
-and of the moment engine: each chunk is one call here per vacuum lane,
-through the namespace that the worker owns, and one reduction (see
-:mod:`spdcsim.experiments`); a single call here runs on the calling
-thread.
+:func:`sample_vacuum` has one unit, the draw block (:func:`block_rows`):
+the largest power of two of rows whose words fit in :data:`_BLOCK_WORDS`
+= 2**16, or one row when a row alone is wider, so whole key blocks.  A
+block is one :func:`raw_words` call into a float64 word buffer and one
+Box-Muller call into the result's rows, on eight scratch rows of its
+pairs (the radius, the table cells as int64 and six temporaries).  So
+beside its result a draw holds one block's words (512 KB) and scratch (2
+MB, more only for a row wider than a block), whatever the rows asked for.
+This module keeps no state between calls: a draw's buffers (its result,
+the block's words and the Box-Muller scratch) belong to the caller.
+Given an attribute namespace ``kept``, a draw takes them from it and
+leaves them there for the caller's next draw (:func:`kept_array`), so a
+warm draw allocates nothing of the size of its rows, whatever its shape;
+given None, every array is new and all but the result is freed on
+return.  A 16384-row pipeline chunk (:mod:`spdcsim.experiments`) is one
+block of two-mode rows (twin, hom, fourfold) and two of bell's four, and
+hom2d synthesises its repetitions a block at a time; a call runs on the
+calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "CHUNK_ROWS",
     "ORDERING",
     "OrderingConstants",
     "RngStream",
@@ -87,7 +89,7 @@ __all__ = [
     "LANE_STRIDE",
     "raw_words",
     "kept_array",
-    "key_block_rows",
+    "block_rows",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -112,31 +114,32 @@ class RngStream:
     """Identifier of one deterministic random stream.
 
     Identical ``(seed, stream_id)`` pairs reproduce bit-identical samples;
-    distinct stream ids yield statistically independent streams.
+    distinct stream ids yield statistically independent streams.  A seed
+    is an integer in [0, 2**64), so no two alias; stream ids wrap to 64 bits.
     """
 
     seed: int
     stream_id: int
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed <= _MASK64):
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "stream_id", int(self.stream_id) & _MASK64)
 
 
-#: Rows per chunk, the one row block of the package: a draw takes its rows
-#: a chunk at a time, and the pipelines and the moment engine of
-#: :mod:`spdcsim.estimators` draw, reduce and merge chunks of this size.
-#: Fixed, so that no result depends on the machine.
-CHUNK_ROWS = 1 << 14
-
 #: Words of one Philox key: a key block is the largest power of two of rows
 #: whose words fit in it (one row when a row alone is wider).  A row takes
-#: at least four words, so a key block is at most 4096 rows and a
-#: :data:`CHUNK_ROWS` chunk is whole key blocks.  A default hom2d row is
-#: 2**14 words, so it keeps a key of its own.  Measured per chunk of two
-#: modes, :func:`sample_vacuum` takes about as long with one key per chunk,
-#: and 5% longer with 2**12 words a key.
+#: at least four words, so a key block is at most 4096 rows.  A default
+#: hom2d row is 2**14 words, so it keeps a key of its own.  Measured per
+#: 16384-row draw of two modes, :func:`sample_vacuum` takes about as long
+#: with one key per draw, and 5% longer with 2**12 words a key.
 _KEY_WORDS = 1 << 14
+
+#: Words of one draw block, the unit of :func:`sample_vacuum` (see the
+#: module docstring): 512 KB of words, and eight Box-Muller scratch rows of
+#: 256 KB, each of which stays in L2 cache.
+_BLOCK_WORDS = 1 << 16
 
 
 def kept_array(kept, name: str, shape, dtype=np.complex128) -> np.ndarray:
@@ -162,12 +165,16 @@ def _row_words(n_words: int) -> int:
     return 4 * -(-n_words // 4)
 
 
-def key_block_rows(n_words: int) -> int:
-    """Rows of ``n_words`` words that one Philox key covers: the largest
-    power of two of rows whose words fit in :data:`_KEY_WORDS`, at least
-    one.  A draw that starts at a multiple of it holds the rows of one
-    whole draw (see the module docstring)."""
-    return 1 << max(0, (_KEY_WORDS // _row_words(n_words)).bit_length() - 1)
+def _rows_within(words: int, n_words: int) -> int:
+    """The largest power of two of rows of ``n_words`` in ``words``, at least one."""
+    return 1 << max(0, (words // _row_words(n_words)).bit_length() - 1)
+
+
+def block_rows(modes: int) -> int:
+    """Rows of ``modes`` modes in one draw block of :func:`sample_vacuum`:
+    whole Philox key blocks, so a draw that starts at a multiple of it
+    holds the rows of one whole draw (see the module docstring)."""
+    return _rows_within(_BLOCK_WORDS, 2 * modes)
 
 
 def raw_words(stream: RngStream, reps: int, n_words: int, kept=None) -> np.ndarray:
@@ -180,7 +187,7 @@ def raw_words(stream: RngStream, reps: int, n_words: int, kept=None) -> np.ndarr
     (reps, n_words) result is a view into it.
     """
     row_words = _row_words(n_words)
-    key_rows = key_block_rows(n_words)
+    key_rows = _rows_within(_KEY_WORDS, n_words)
     words = kept_array(kept, "words", (reps, row_words), np.float64)
     # numpy's Philox steps its counter before each block, so starting it at
     # 2**256 - 1 makes its first block counter 0.  One generator is rekeyed
@@ -198,10 +205,6 @@ def raw_words(stream: RngStream, reps: int, n_words: int, kept=None) -> np.ndarr
         gen.random(out=words[r0:r0 + key_rows])
     return words[:, :n_words]
 
-
-#: Pairs per Box-Muller slab: each of the slab's eight scratch rows takes
-#: 256 KB, so the slab stays in L2 cache.
-_SLAB_PAIRS = 1 << 15
 
 #: Cells of the table of turns: the angle uniform times this, exact, has
 #: the cell as its integer part and the offset into it as the rest.
@@ -234,12 +237,15 @@ def _turn_table(cells: int) -> tuple:
 _COS_TABLE, _SIN_TABLE = _turn_table(_CELLS)
 
 
-def _box_muller_slab(u: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """:func:`_gaussian_pairs` of one slab; ``scratch`` is float64 of shape
-    (8, >= the slab's pairs): six temporaries, the radius, which runs its
-    log and sqrt on a contiguous row, and the table cells, as int64."""
+def _box_muller(u: np.ndarray, out: np.ndarray, kept=None) -> None:
+    """Box-Muller transform of an even number of columns of 53-bit uniforms
+    (:func:`raw_words`) into the float64 array ``out`` of the same shape,
+    scaled by 1/2: Gaussians of variance 1/4.  Its scratch is the buffer
+    ``"box_muller"`` of ``kept`` (see :func:`kept_array`), eight rows of the
+    pairs: six temporaries, the radius, which runs its log and sqrt on a
+    contiguous row, and the table cells, as int64."""
     shape = (u.shape[0], u.shape[1] // 2)
-    t, ca, sa, b, z, p, r, cell = (row[:math.prod(shape)].reshape(shape) for row in scratch)
+    t, ca, sa, b, z, p, r, cell = kept_array(kept, "box_muller", (8, *shape), np.float64)
     cell = cell.view(np.int64)
     np.add(u[:, 0::2], _INV53, out=r)       # u1 in (0, 1], exact
     np.log(r, out=r)
@@ -281,23 +287,6 @@ def _box_muller_slab(u: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> Non
     np.multiply(r, z, out=out[:, 0::2])
 
 
-def _gaussian_pairs(words: np.ndarray, out: np.ndarray, kept=None) -> None:
-    """Box-Muller transform of an even number of columns of 53-bit uniforms
-    (:func:`raw_words`) into the float64 array ``out`` of the same shape,
-    scaled by 1/2: Gaussians of variance 1/4.  It runs in slabs of at most :data:`_SLAB_PAIRS` pairs,
-    whose scratch is the buffer ``"slab"`` of ``kept`` (see
-    :func:`kept_array`)."""
-    rows, cols = out.shape
-    pairs = cols // 2
-    slab_rows = max(1, _SLAB_PAIRS // pairs)
-    slab_cols = 2 * min(pairs, _SLAB_PAIRS)
-    scratch = kept_array(kept, "slab", (8, min(rows, slab_rows) * slab_cols // 2), np.float64)
-    for r0 in range(0, rows, slab_rows):
-        for c0 in range(0, cols, slab_cols):
-            _box_muller_slab(words[r0:r0 + slab_rows, c0:c0 + slab_cols],
-                             out[r0:r0 + slab_rows, c0:c0 + slab_cols], scratch)
-
-
 def sample_vacuum(rng: RngStream, reps: int, modes: int, kept=None) -> np.ndarray:
     """Sample independent vacuum fields, rows keyed as in :func:`raw_words`.
 
@@ -305,15 +294,17 @@ def sample_vacuum(rng: RngStream, reps: int, modes: int, kept=None) -> np.ndarra
     each is a circular complex Gaussian with <E E*> = 1/2 and <E E> = 0, and
     distinct modes and repetitions are uncorrelated.  The result depends
     only on ``rng`` and the shape.  It is the buffer ``"vacuum"`` of
-    ``kept``, drawn through its buffers ``"words"`` and ``"slab"`` (see
-    :func:`kept_array`); with None it is a new array.
+    ``kept``, drawn a block at a time (:func:`block_rows`) through its
+    buffers ``"words"`` and ``"box_muller"`` (see :func:`kept_array`); with
+    None it is a new array.
     """
     if reps < 1 or modes < 1:
         raise ValueError("reps and modes must both be >= 1")
     out = kept_array(kept, "vacuum", (reps, modes))
     pairs = out.view(np.float64)  # re, im interleaved per mode
-    for p0 in range(0, reps, CHUNK_ROWS):
-        n = min(CHUNK_ROWS, reps - p0)
-        words = raw_words(RngStream(rng.seed, rng.stream_id + p0), n, 2 * modes, kept)
-        _gaussian_pairs(words, pairs[p0:p0 + n], kept)
+    block = block_rows(modes)
+    for b0 in range(0, reps, block):
+        words = raw_words(RngStream(rng.seed, rng.stream_id + b0), min(block, reps - b0),
+                          2 * modes, kept)
+        _box_muller(words, pairs[b0:b0 + block], kept)
     return out

@@ -406,62 +406,53 @@ def fft_reference_dip(config: Hom2dConfig, reps: int, seed: int):
 
 
 def integer_gaussian_pairs(words: np.ndarray, out: np.ndarray) -> None:
-    """``spdcsim.sampling._gaussian_pairs`` on the raw uint64 Philox words
-    ``w`` themselves rather than their 53-bit uniforms: the radius from
-    ``((w >> 11) + 1) 2**-53``, and the table cell and the offset into it
-    split off the angle word by shifts and a mask, in integers; then the
-    same tables, polynomials and angle addition, in the same slabs.  The
-    uniform path must equal it bit for bit."""
+    """``spdcsim.sampling._box_muller`` on the raw uint64 Philox words ``w``
+    themselves rather than their 53-bit uniforms: the radius from ``((w >>
+    11) + 1) 2**-53``, and the table cell and the offset into it split off
+    the angle word by shifts and a mask, in integers; then the same tables,
+    polynomials and angle addition.  The uniform path must equal it bit for
+    bit."""
     u64 = np.uint64
-    rows, cols = out.shape
-    pairs = cols // 2
-    slab_rows = max(1, sampling._SLAB_PAIRS // pairs)
-    slab_cols = 2 * min(pairs, sampling._SLAB_PAIRS)
-    scratch = np.empty((6, min(rows, slab_rows) * slab_cols // 2))
-    for r0 in range(0, rows, slab_rows):
-        for c0 in range(0, cols, slab_cols):
-            w = words[r0:r0 + slab_rows, c0:c0 + slab_cols]
-            o = out[r0:r0 + slab_rows, c0:c0 + slab_cols]
-            shape = (w.shape[0], w.shape[1] // 2)
-            t, ca, sa, b, z, p = (row[:math.prod(shape)].reshape(shape) for row in scratch)
-            ib = t.view(u64)
-            r = o[:, 0::2]
-            np.right_shift(w[:, 0::2], u64(11), out=ib)
-            np.add(ib, u64(1), out=ib)
-            np.multiply(ib, 2.0 ** -53, out=r)
-            np.log(r, out=r)
-            np.multiply(r, -0.5, out=r)
-            np.sqrt(r, out=r)
-            turn = w[:, 1::2]
-            cell = np.right_shift(turn, u64(54), out=ib).view(np.int64)
-            np.take(sampling._COS_TABLE, cell, out=ca, mode="clip")
-            np.take(sampling._SIN_TABLE, cell, out=sa, mode="clip")
-            np.bitwise_and(turn, u64((1 << 54) - 1), out=ib)
-            np.right_shift(ib, u64(11), out=ib)
-            np.multiply(ib, 2.0 ** -53 * 2.0 * np.pi, out=b)
-            np.multiply(b, b, out=z)
-            np.multiply(z, -1.0 / 5040.0, out=p)
-            np.add(p, 1.0 / 120.0, out=p)
-            np.multiply(p, z, out=p)
-            np.add(p, -1.0 / 6.0, out=p)
-            np.multiply(p, z, out=p)
-            np.multiply(p, b, out=p)
-            np.add(b, p, out=b)
-            np.multiply(z, -1.0 / 720.0, out=p)
-            np.add(p, 1.0 / 24.0, out=p)
-            np.multiply(p, z, out=p)
-            np.add(p, -0.5, out=p)
-            np.multiply(p, z, out=p)
-            np.multiply(ca, p, out=z)
-            np.multiply(sa, b, out=t)
-            np.subtract(z, t, out=z)
-            np.add(z, ca, out=z)
-            np.multiply(sa, p, out=t)
-            np.multiply(ca, b, out=p)
-            np.add(t, p, out=t)
-            np.add(t, sa, out=t)
-            np.multiply(r, t, out=o[:, 1::2])
-            np.multiply(r, z, out=r)
+    shape = (words.shape[0], words.shape[1] // 2)
+    t, ca, sa, b, z, p = np.empty((6, *shape))
+    ib = t.view(u64)
+    r = out[:, 0::2]
+    np.right_shift(words[:, 0::2], u64(11), out=ib)
+    np.add(ib, u64(1), out=ib)
+    np.multiply(ib, 2.0 ** -53, out=r)
+    np.log(r, out=r)
+    np.multiply(r, -0.5, out=r)
+    np.sqrt(r, out=r)
+    turn = words[:, 1::2]
+    cell = np.right_shift(turn, u64(54), out=ib).view(np.int64)
+    np.take(sampling._COS_TABLE, cell, out=ca, mode="clip")
+    np.take(sampling._SIN_TABLE, cell, out=sa, mode="clip")
+    np.bitwise_and(turn, u64((1 << 54) - 1), out=ib)
+    np.right_shift(ib, u64(11), out=ib)
+    np.multiply(ib, 2.0 ** -53 * 2.0 * np.pi, out=b)
+    np.multiply(b, b, out=z)
+    np.multiply(z, -1.0 / 5040.0, out=p)
+    np.add(p, 1.0 / 120.0, out=p)
+    np.multiply(p, z, out=p)
+    np.add(p, -1.0 / 6.0, out=p)
+    np.multiply(p, z, out=p)
+    np.multiply(p, b, out=p)
+    np.add(b, p, out=b)
+    np.multiply(z, -1.0 / 720.0, out=p)
+    np.add(p, 1.0 / 24.0, out=p)
+    np.multiply(p, z, out=p)
+    np.add(p, -0.5, out=p)
+    np.multiply(p, z, out=p)
+    np.multiply(ca, p, out=z)
+    np.multiply(sa, b, out=t)
+    np.subtract(z, t, out=z)
+    np.add(z, ca, out=z)
+    np.multiply(sa, p, out=t)
+    np.multiply(ca, b, out=p)
+    np.add(t, p, out=t)
+    np.add(t, sa, out=t)
+    np.multiply(r, t, out=out[:, 1::2])
+    np.multiply(r, z, out=r)
 
 
 def comparable_text(path: Path) -> str:

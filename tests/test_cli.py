@@ -100,6 +100,13 @@ def test_seed_outside_64_bits_is_a_usage_error(seed, given, tmp_path, monkeypatc
     assert capsys.readouterr().err == f"spdcsim: seed must be in [0, 2**64), got {seed}\n"
 
 
+def test_a_fractional_seed_is_rejected_not_truncated():
+    # the streams own the seed range: 42.5 must not run as seed 42 while
+    # the report records 42.5
+    with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\), got 42.5$"):
+        ExperimentConfig(kind="twin", seed=42.5)
+
+
 def test_largest_seed_runs(tmp_path):
     out = tmp_path / "twin.csv"
     assert run_cli(["twin", "--reps", "1000", "--seed", str(2 ** 64 - 1),

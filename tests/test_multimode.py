@@ -36,6 +36,9 @@ def test_config_validation():
     for reps in (0, 1, 2):  # the delete-one jackknife divides by reps - 2
         with pytest.raises(ValueError, match="reps must be >= 3"):
             run_hom2d(Hom2dConfig(), reps, 42)
+    for seed in (-1, 2 ** 64 + 42):  # not run as seed 42 while the curve records it
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\)"):
+            run_hom2d(Hom2dConfig(), 3, seed)
     with pytest.raises(ValueError):
         Hom2dConfig(theta_sweep=())
     for bad in (-1.0, math.nan, math.inf):

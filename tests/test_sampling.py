@@ -9,8 +9,8 @@ import pytest
 from helpers import integer_gaussian_pairs
 
 from spdcsim import sampling
+from spdcsim.estimators import CHUNK_ROWS
 from spdcsim.sampling import ORDERING, RngStream, raw_words, sample_vacuum
-from spdcsim.sampling import CHUNK_ROWS
 
 
 def test_ordering_constants_exact():
@@ -158,6 +158,9 @@ def test_rng_stream_contract():
     same_idx = sample_vacuum(RngStream(7, 3), 1, 1)[0, 0]
     assert first != other
     assert same_idx != different_seed
+    for seed in (-1, 2 ** 64 + 42, 42.5):  # no seed aliases another, as 42 would
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\)"):
+            RngStream(seed, 0)
 
 
 def test_invalid_shapes_rejected():
@@ -168,8 +171,7 @@ def test_invalid_shapes_rejected():
 
 
 def test_stream_ids_wrap_to_uint64():
-    s = RngStream(seed=-1, stream_id=2 ** 64 + 5)
-    assert s.seed == 2 ** 64 - 1
+    s = RngStream(seed=42, stream_id=2 ** 64 + 5)
     assert s.stream_id == 5
 
 
@@ -225,33 +227,35 @@ def test_row_range_of_a_call_is_the_call_from_its_first_row(n_words, key_rows):
 
 
 def _one_draw(stream, reps, modes):
-    """sample_vacuum as one raw_words draw and one Box-Muller step."""
+    """sample_vacuum as one raw_words draw and one Box-Muller step on the
+    whole draw."""
     out = np.empty((reps, modes), dtype=np.complex128)
-    sampling._gaussian_pairs(raw_words(stream, reps, 2 * modes), out.view(np.float64))
+    sampling._box_muller(raw_words(stream, reps, 2 * modes), out.view(np.float64))
     return out
 
 
 @pytest.mark.parametrize("stream_id,modes", [
     (11, 2),
     (11, 1), (11, 3),                   # 2 and 6 words a row: not whole blocks
-    (2 ** 64 - CHUNK_ROWS - 2, 2),      # the ids wrap inside the second chunk
+    (2 ** 64 - CHUNK_ROWS - 2, 2),      # the ids wrap inside the second block
 ])
 def test_passes_of_a_tall_draw_equal_one_draw(stream_id, modes):
     reps = 2 * CHUNK_ROWS + 5
     stream = RngStream(42, stream_id)
-    # a chunk at a time, through a namespace's word buffer and without one
+    # a block at a time, through a namespace's buffers and without one
     expect = _one_draw(stream, reps, modes)
     assert np.array_equal(sample_vacuum(stream, reps, modes, SimpleNamespace()), expect)
     assert np.array_equal(sample_vacuum(stream, reps, modes), expect)
 
 
 def test_chunks_of_a_wide_draw_equal_one_draw():
-    # a wide draw too is drawn a chunk at a time
-    reps, modes = CHUNK_ROWS + 3, 40
+    # a wide draw too is drawn a block at a time, and rows wider than a
+    # block one row at a time
     stream = RngStream(42, 11)
-    expect = _one_draw(stream, reps, modes)
-    assert np.array_equal(sample_vacuum(stream, reps, modes, SimpleNamespace()), expect)
-    assert np.array_equal(sample_vacuum(stream, reps, modes), expect)
+    for reps, modes in [(CHUNK_ROWS + 3, 40), (3, 40000)]:
+        expect = _one_draw(stream, reps, modes)
+        assert np.array_equal(sample_vacuum(stream, reps, modes, SimpleNamespace()), expect)
+        assert np.array_equal(sample_vacuum(stream, reps, modes), expect)
 
 
 @pytest.mark.parametrize("reps,modes", [(2 * CHUNK_ROWS + 5, 2), (3, 40)])  # tall, wide
@@ -347,7 +351,7 @@ def test_box_muller_is_within_rounding_of_the_exact_transform():
                             cells, cells - np.uint64(2048)])
     words = np.concatenate([words, np.stack([words[:len(edges), 0], edges], axis=1)])
     out = np.empty(words.shape)
-    sampling._gaussian_pairs(_uniforms(words), out)
+    sampling._box_muller(_uniforms(words), out)
 
     bits = (words >> np.uint64(11)).astype(np.longdouble)
     radius = 0.5 * np.sqrt(-2 * np.log((bits[:, 0] + 1) * np.longdouble(2) ** -53))
@@ -386,7 +390,7 @@ def test_box_muller_on_uniforms_equals_the_integer_path_bit_for_bit(cols):
     expect = np.empty(words.shape)
     integer_gaussian_pairs(words, expect)
     out = np.empty(words.shape)
-    sampling._gaussian_pairs(_uniforms(words), out)
+    sampling._box_muller(_uniforms(words), out)
     assert np.array_equal(out.view(np.uint64), expect.view(np.uint64))
 
 
@@ -402,13 +406,13 @@ def test_kept_array_holds_one_dtype_per_name():
 
 
 def test_a_wide_draw_allocates_no_full_size_float_temporaries():
-    # hom2d's draw: beside its result, the raw words are its one full-size
-    # temporary
+    # hom2d's draw: beside its result, it holds one draw block's words
+    # (2**16 of them, 512 KB) and Box-Muller scratch (8 rows of 2**15
+    # pairs, 2 MB), whatever the rows asked for
     tracemalloc.start()
     try:
         out = sample_vacuum(RngStream(42, 0), 100, 8192)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    words = 100 * 2 * 8192 * np.dtype(np.uint64).itemsize
-    assert peak < out.nbytes + 1.25 * words, (peak, out.nbytes, words)
+    assert peak < out.nbytes + 4 * 2 ** 20, (peak, out.nbytes)
