@@ -135,19 +135,19 @@ class ExperimentConfig:
 
 def _vacuum(config: ExperimentConfig, lane: int, row0: int, rows: int, modes: int, kept):
     """Rows ``[row0, row0 + rows)`` of vacuum lane ``lane``, in the chunk
-    buffer ``vacuum``: a lane drawn later in the chunk overwrites it."""
+    buffer ``sampling_vacuum``: a lane drawn later in the chunk overwrites it."""
     return sample_vacuum(RngStream(config.seed, lane * LANE_STRIDE + row0), rows, modes, kept)
 
 
 def _fields(kept, n: int, *names: str) -> tuple:
     """The complex chunk buffers ``names`` of ``n`` rows."""
-    return tuple(kept_array(kept, name, (n,)) for name in names)
+    return tuple(kept_array(kept, "experiments_" + name, (n,)) for name in names)
 
 
 def _scratch(kept, n: int) -> np.ndarray:
     """The complex chunk buffer that each element or pair product uses for
     its intermediate term and leaves free again."""
-    return kept_array(kept, "scratch", (n,))
+    return kept_array(kept, "experiments_scratch", (n,))
 
 
 def _amplified_pair(config: ExperimentConfig, row0: int, rows: int, kept):
@@ -281,7 +281,7 @@ def _bell_features(config, x, kept, *fields):
     polarizer_project(*vacua[2:], config.theta2, out=v2p, scratch=t)
     correlation_features(e1p, e2p, v1p, v2p, out=x[0:9])
     stokes_products(*arms, out=x[9:14],
-                    scratch=kept_array(kept, "stokes", (7, n), np.float64))
+                    scratch=kept_array(kept, "experiments_stokes", (7, n), np.float64))
 
 
 def _run_bell(config: ExperimentConfig) -> RunReport:
@@ -340,14 +340,14 @@ _STREAMED = {
 def _chunk_reducer(config: ExperimentConfig, kept):
     """``reduce(row0, rows)``: the moments of that chunk of the streamed
     pipeline ``config.kind``.  It draws, propagates and featurises the rows
-    into the buffers of ``kept``, the features into the (k, rows) matrix
-    ``features``; one thread at a time may use ``kept``, and the next chunk
-    reduced with it reuses them.  numpy's floating-point warnings are off:
-    a statistic that overflows fails where its report row is made."""
+    into the buffers of ``kept`` (the features into the (k, rows) matrix
+    ``experiments_features``), which one thread at a time may use and the
+    next chunk reduced with it reuses.  numpy's floating-point warnings are
+    off: a statistic that overflows fails where its report row is made."""
     draw, features, k = _STREAMED[config.kind]
 
     def reduce(row0, rows):
-        x = kept_array(kept, "features", (k, rows), np.float64)
+        x = kept_array(kept, "experiments_features", (k, rows), np.float64)
         with np.errstate(all="ignore"):
             features(config, x, kept, *draw(config, row0, rows, kept))
             return FeatureMoments.of_chunk(x)

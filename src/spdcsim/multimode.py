@@ -39,24 +39,22 @@ splitter, and their pair products, whose mean is exactly zero, are
 subtracted.  At low gain the amplified fields are mostly that vacuum, so
 the difference keeps the expectation and sheds most of the variance.
 Only the image rows that hold band pixels (and their mirrored partners)
-are synthesised, a chunk of repetitions at a time, and only the band
-pixels are shifted, by one matrix product per band row with the shift
-matrices of every tilt, into buffers sized once; running sums over the
-pairs give each tilt's aggregate and its delete-one values in closed
-form.  So the working set is the restricted planes of all repetitions,
-one chunk's draw and one band row's ports.  Every matrix of the
-synthesis and of the sweep is real: the axis kernel is real, so are its
-Schmidt modes, and a shift matrix is real but for one rank-one Nyquist
-term.  So the fields are kept
-pixel-major (image row, image column, repetition), each complex
-contraction is a left multiplication by a real matrix, and each runs as
-a real matrix product on the (re, im) parts of the fields, at half the
-multiply-adds of a complex one; the Nyquist term rides along as one
-extra inner row.  The aggregate is normalised by the same statistic at a
-reference tilt far outside the phase-matching band, so the curve tends
-to 1 for distinguishable beams at every gain and to 0 at zero tilt.  The
-ratio is not a function of merged feature means, so its standard error
-is the delete-one-repetition jackknife,
+are synthesised, a chunk of repetitions at a time, into planes laid out
+(image row, half, repetition, image column).  Every matrix of the
+synthesis and of the sweep is real (the axis kernel and its Schmidt modes
+are, and a shift matrix is but for one rank-one Nyquist term, one extra
+inner row), so each complex contraction is a real matrix product on the
+(re, im) parts of the fields, at half the multiply-adds.  Only the band
+pixels are shifted, by band row and tile of tilts, and one set of shift
+rows serves both output ports, since a band pixel's partner is its mirror
+image (:func:`_band_ports`).  Running sums over the pairs give each tilt's
+aggregate and its delete-one values in closed form.  So the working set is
+the planes and, beside them, one chunk's draw or one tile's shift rows,
+ports and pair products.  The aggregate is normalised by the same
+statistic at a reference tilt far outside the phase-matching band, so the
+curve tends to 1 for distinguishable beams at every gain and to 0 at zero
+tilt.  The ratio is not a function of merged feature means, so its
+standard error is the delete-one-repetition jackknife,
 :func:`~spdcsim.estimators.jackknife_se` of the ratios with one
 repetition left out.  A reference aggregate that is not positive and
 finite fails the run with a
@@ -112,6 +110,11 @@ GAIN_SCALE_MAX = 9.0
 #: are fourth order in the fields and summed over repetitions: 1e75 ** 4 =
 #: 1e300 leaves a factor 1e8 below the largest double.
 _KERNEL_NORM_MAX = 1e75
+
+#: Bytes of one tilt tile of the band sweep (:func:`_band_ports`): the
+#: shift rows, ports and pair products of the widest band row at the
+#: tile's tilts, which then stay in L2 cache.
+_TILE_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class Hom2dConfig:
@@ -347,10 +350,10 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int, ro
     which span the whole image plane; modes with vanishing singular value
     pass vacuum through.
 
-    Returns ``(signal, idler)`` pixel-major arrays of shape (len(rows), n,
-    2 reps): image row, image column, then the amplified fields of each
-    repetition followed by the unamplified input vacua of the same draw
-    sent through the same modes.
+    Returns ``(signal, idler)`` arrays of shape (len(rows), 2, reps, n):
+    image row, half, repetition and image column, the column innermost.
+    Half 0 holds the amplified fields of each repetition, half 1 the
+    unamplified input vacua of the same draw sent through the same modes.
 
     The repetitions are drawn and synthesised a chunk at a time: the
     sampler's draw block (:func:`~spdcsim.sampling.block_rows`), 4
@@ -366,35 +369,35 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int, ro
     row), over j with U (or V).  Every product has the same shape whatever
     ``reps`` and the chunk, so each repetition's planes come from its own
     draw alone: they do not change when more repetitions are drawn, nor
-    with the chunk or the BLAS threads.
+    with the chunk or the BLAS threads.  A chunk writes whole image rows.
     """
     n, m = dec.U.shape[0], len(rows)
     g2 = _product_gains(dec)
-    C = np.cosh(g2)
+    C = np.cosh(g2).astype(complex)  # as the fields, so numpy buffers no cast
     minus_iS = -1j * np.sinh(g2)
     modes = np.stack((dec.U, dec.V))[:, None, None]  # (image, 1, 1, y, j)
     restricted = modes[..., rows, :]  # (image, 1, 1, row, i)
-    planes = np.empty((2, m, n, 2, reps), dtype=complex)  # (image, row, column, half, rep)
+    planes = np.empty((2, m, 2, reps, n), dtype=complex)  # (image, row, half, rep, column)
     chunk = block_rows(2 * n * n)
     kept = SimpleNamespace()
     for r0 in range(0, reps, chunk):
         c = min(chunk, reps - r0)
         ens = sample_vacuum(RngStream(rng.seed, rng.stream_id + r0), c, 2 * n * n, kept)
         vacuum = ens.reshape(c, 2, n, n).transpose(1, 0, 2, 3)  # (image, rep, i, j)
-        fields = kept_array(kept, "fields", (2, 2, c, n, n))
+        fields = kept_array(kept, "multimode_fields", (2, 2, c, n, n))
         np.conjugate(vacuum[::-1], out=fields[:, 0])  # each image's partner
         fields[:, 0] *= minus_iS
         fields[:, 0] += np.multiply(C, vacuum, out=fields[:, 1])
         fields[:, 1] = vacuum
         # (row, i) @ (i, j), then (y, j) @ (j, row), per image, half and repetition
-        by_row = kept_array(kept, "by_row", (2, 2, c, m, 2 * n), np.float64)
+        by_row = kept_array(kept, "multimode_by_row", (2, 2, c, m, 2 * n), np.float64)
         np.matmul(restricted, fields.view(float), out=by_row)
-        by_j = kept_array(kept, "by_j", (2, 2, c, n, m))
+        by_j = kept_array(kept, "multimode_by_j", (2, 2, c, n, m))
         by_j[...] = by_row.view(complex).transpose(0, 1, 2, 4, 3)
-        by_y = kept_array(kept, "by_y", (2, 2, c, n, 2 * m), np.float64)
+        by_y = kept_array(kept, "multimode_by_y", (2, 2, c, n, 2 * m), np.float64)
         np.matmul(modes, by_j.view(float), out=by_y)
-        planes[..., r0:r0 + c] = by_y.view(complex).transpose(0, 4, 3, 1, 2)
-    return tuple(planes.reshape(2, m, n, 2 * reps))
+        planes[:, :, :, r0:r0 + c] = by_y.view(complex).transpose(0, 4, 1, 2, 3)
+    return tuple(planes)
 
 
 def shift_field(fields: np.ndarray, shift_px: float) -> np.ndarray:
@@ -444,123 +447,116 @@ class DipCurve:
 
 def _reflected(shifts, n: int) -> np.ndarray:
     """The shift matrices of ``shifts`` as real rows over n + 1 inputs,
-    shape (out pixel, shift, n + 1), times the splitter's 1/sqrt(2).
+    shape (shift, out pixel, n + 1), times the splitter's 1/sqrt(2).
 
-    Row (c, t) holds column c of Re T(s_t) and, as its last entry, the
+    Row (t, c) holds column c of Re T(s_t) and, as its last entry, the
     Nyquist coefficient sin(pi s_t)/n a_c of Im T(s_t) (zero for odd n),
-    both read off :func:`shift_field`.  With the input f stacked over
-    [i f; -(a . f)] (see :func:`_band_ports`), one real matrix product
-    gives i/sqrt(2) f T(s_t) at every shift.
+    both read off :func:`shift_field`.  Times f stacked over [i f; -(a .
+    f)] (see :func:`_band_ports`), they give i/sqrt(2) f T(s_t).
     """
-    rows = np.empty((n, len(shifts), n + 1))
+    rows = np.empty((len(shifts), n, n + 1))
     nyquist = (-1.0) ** np.arange(n) if n % 2 == 0 else np.zeros(n)
     for t, s in enumerate(shifts):
         matrix = shift_field(np.eye(n), s)
-        rows[:, t, :n] = matrix.real.T
-        rows[:, t, n] = matrix.imag[0, 0] * nyquist
+        rows[t, :, :n] = matrix.real.T
+        rows[t, :, n] = matrix.imag[0, 0] * nyquist
     return rows / math.sqrt(2.0)
 
 
 def _band_ports(signal, idler, band_l, band_m, shifts):
-    """Output-port fields at every tilt shift, one band row at a time.
+    """Output-port fields at every tilt shift, by band row and tilt tile.
 
-    ``signal`` and ``idler`` are pixel-major restricted planes (image row,
-    image column, samples), as :func:`sample_image_planes` returns them.
-    Yields ``(e1, e2)`` per image row holding band pixels: e1 at the band
-    pixels of the row (flat indices ``band_l`` over the first two axes)
-    and e2 at their partners ``band_m`` in the mirrored row, both real of
-    shape (pixels, len(shifts), 2, samples), the real part of the field
-    at index 0 of the third axis and the imaginary part at index 1.  The
-    tilt displaces the reflected beams by +/- shift along the horizontal
-    axis (opposite senses, as unitarity of a tilted splitter requires).  A
-    row f displaced by s is ``f @ T(s)`` with T(s) = ``shift_field(I,
-    s)``, and the splitter reflects it with a factor i/sqrt(2).  T(s) =
-    Re T(s) + i c(s) a a^T (see :func:`shift_field`), so i f T(s) = (i f)
-    Re T(s) + c(s) (-(a . f)) a^T: one real matrix product of the stacked
-    shift rows of the row's band pixels (:func:`_reflected`) with the
-    (re, im) planes of [i f; -(a . f)] gives the reflected field there at
-    every shift, and no other pixel is computed.
+    Yields ``(tile, e1, e2, products)`` per image row holding band pixels
+    and slice ``tile`` of ``shifts``: e1 at the row's band pixels (flat
+    indices ``band_l`` over the planes' rows and columns) and e2 at their
+    mirrored partners ``band_m``, both real, (re/im, half, tilt, pixel,
+    rep), the vacuum half of e1 negated so that its products with e2
+    subtract the control variate; and an empty (tilt, 2, 2, pixel, rep)
+    buffer for their pair products.  A tile has as many tilts (at least
+    one) as :data:`_TILE_BYTES` holds of the widest band row's shift rows,
+    ports and pair products.
 
-    No band row allocates an array of its size: the two ports and the
-    shift rows they take are written into buffers sized once, for the
-    widest band row, so each pair yielded is overwritten by the next row's.
+    The tilt displaces the reflected beams by +/- shift along the
+    horizontal axis (opposite senses, as unitarity of a tilted splitter
+    requires), and the splitter reflects them with a factor i/sqrt(2).  A
+    row f displaced by s is ``f @ T(s)`` (:func:`shift_field`), and i f
+    T(s) = (i f) Re T(s) + c(s) (-(a . f)) a^T, so the band pixels' shift
+    rows (:func:`_reflected`) times [i f; -(a . f)] give the reflected
+    field there.  Column n - 1 - c, the partner of column c, of Re T(-s)
+    is column c of Re T(s) with its input reversed, and the Nyquist input
+    changes sign for even n, so port 2 is port 1's rows times [i g'; a .
+    g'] of the reversed signal row g'.  The inputs are stacked, transposed
+    to (column, rep), as eight (port, re/im, half) blocks, and each
+    block's product with the tile's rows is one contiguous (tilt, pixel,
+    rep) block of the ports.  Every buffer is sized once, for the widest
+    band row and tile, and each yield is overwritten by the next.
     """
-    n = signal.shape[1]
-    samples = signal.shape[2]
+    n, reps = signal.shape[-1], signal.shape[-2]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    plus = _reflected(shifts, n)
-    minus = _reflected([-s for s in shifts], n)
     alternating = (-1.0) ** np.arange(n)
-    row_l, col_l = np.divmod(band_l, n)
-    row_m, col_m = np.divmod(band_m, n)
+    (row_l, col_l), row_m = np.divmod(band_l, n), band_m // n
     # band_l is row-major, so each band row is one run of equal row_l
     bounds = [0, *(np.flatnonzero(np.diff(row_l)) + 1), row_l.size]
-    size = int(np.diff(bounds).max()) * len(shifts)  # of the widest row
-    stacked = np.empty((n + 1, 2, samples))
-    taken = np.empty(size * (n + 1))
-    ports = np.empty((2, size * 2 * samples))
-
-    def port(matrices, cols, f, direct, out):
-        stacked[:n, 0] = -f.imag  # i f
-        stacked[:n, 1] = f.real
-        af = alternating @ f  # the Nyquist row is i (i (a . f)) = -(a . f)
-        stacked[n, 0] = -af.real
-        stacked[n, 1] = -af.imag
-        p = cols.size * len(shifts)  # output rows, (pixel, shift)
-        rows = np.take(matrices, cols, axis=0, mode="clip",  # "raise" would buffer out
-                       out=taken[:p * (n + 1)].reshape(cols.size, len(shifts), n + 1))
-        e = out[:p * 2 * samples].reshape(cols.size, len(shifts), 2, samples)
-        np.matmul(rows.reshape(p, n + 1), stacked.reshape(n + 1, -1),
-                  out=e.reshape(p, 2 * samples))
-        e += inv_sqrt2 * np.stack((direct.real, direct.imag), axis=1)[:, None]
-        return e
-
+    widest = int(np.diff(bounds).max())
+    count = -(-len(shifts) // max(1, _TILE_BYTES // (8 * widest * (n + 1 + 12 * reps))))
+    size = -(-len(shifts) // count)  # tilts of a tile
+    tiles = [slice(t0, t0 + size) for t0 in range(0, len(shifts), size)]
+    tiled = [_reflected(shifts[tile], n) for tile in tiles]
+    stacked = np.empty((2, 2, 2, n + 1, reps))  # (port, re/im, half, input, rep)
+    direct = np.empty((2, 2, 2, widest, reps))  # (port, re/im, half, pixel, rep)
+    taken, ports, products = (np.empty(widest * size * k) for k in (n + 1, 8 * reps, 4 * reps))
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        x, xm = row_l[start], row_m[start]
-        cl, cm = col_l[start:stop], col_m[start:stop]
-        yield (port(plus, cl, idler[x], signal[x, cl], ports[0]),
-               port(minus, cm, signal[xm], idler[xm, cm], ports[1]))
+        x, xm, cols = row_l[start], row_m[start], col_l[start:stop]
+        for port, f, d in ((0, idler[x], signal[x][..., cols]),
+                           (1, signal[xm][..., ::-1], idler[xm][..., n - 1 - cols])):
+            nyquist = (2 * port - 1) * (f @ alternating)  # -(a . f), or a . g'
+            np.negative(f.imag.transpose(0, 2, 1), out=stacked[port, 0, :, :n])  # i f
+            stacked[port, 1, :, :n] = f.real.transpose(0, 2, 1)
+            stacked[port, 0, :, n], stacked[port, 1, :, n] = nyquist.real, nyquist.imag
+            direct[port, :, :, :cols.size] = inv_sqrt2 * np.stack((d.real, d.imag)).swapaxes(2, 3)
+        stacked[0, :, 1] *= -1.0  # the vacuum half of e1
+        direct[0, :, 1] *= -1.0
+        for tile, matrices in zip(tiles, tiled):
+            p = matrices.shape[0] * cols.size  # output rows, (tilt, pixel)
+            rows = np.take(matrices, cols, axis=1, mode="clip",  # "raise" buffers out
+                           out=taken[:p * (n + 1)].reshape(-1, cols.size, n + 1))
+            e = ports[:p * 8 * reps].reshape(8, -1, cols.size, reps)
+            for block, out in zip(stacked.reshape(8, n + 1, reps), e):
+                np.matmul(rows.reshape(p, n + 1), block, out=out.reshape(p, reps))
+            e += direct.reshape(8, widest, reps)[:, None, :cols.size]
+            e = e.reshape(2, 2, 2, -1, cols.size, reps)
+            yield tile, e[0], e[1], products[:p * 4 * reps].reshape(-1, 2, 2, cols.size, reps)
 
 
 def _coherence_sweep(signal, idler, band_l, band_m, shifts):
     """Pair-coherence aggregate at each shift, shape (shifts,), and its
     delete-one-repetition values, (shifts, reps).
 
-    The last axis of ``signal`` and ``idler`` holds the restricted planes
-    of the amplified beams (its first half) and then those of the input
-    vacua, repetition by repetition.  With e1 = a + ib and e2 = c + id,
-    |<e1 e2*>|^2 + |<e1 e2>|^2 = 2 (<ac>^2 + <ad>^2 + <bc>^2 + <bd>^2), so
-    the samples z_ip of pair p are these four real products, each less
-    its vacuum control variate, whose mean is exactly zero: the vacua are
-    independent and circular and the shift is unitary (T- = T+^H), so the
-    cross terms of <e1v e2v*> cancel, and <e1v e2v> vanishes too.  With
-    m_p the mean over the n repetitions and, summed over pairs and
-    products, M = 2 sum m_p^2, c_i = 2 sum m_p z_ip, o_i = 2 sum z_ip^2
-    and q = sum_i o_i / n, the unbiased aggregate 2 sum_p (n m_p^2 -
-    mean_i z_ip^2)/(n - 1) is (n M - q)/(n - 1), and with repetition i
-    left out it is n (n M - 2 c_i + 2 o_i / n - q)/((n - 1)(n - 2)).
-    The samples z of each band row go into one buffer sized once, for the
-    widest row, as :func:`_band_ports` writes its ports.
+    With e1 = a + ib and e2 = c + id, |<e1 e2*>|^2 + |<e1 e2>|^2 = 2
+    (<ac>^2 + <ad>^2 + <bc>^2 + <bd>^2), so the samples z_ip of pair p are
+    these four real products, each less its vacuum control variate, whose
+    mean is exactly zero: the vacua are independent and circular and the
+    shift is unitary (T- = T+^H), so the cross terms of <e1v e2v*> cancel,
+    and <e1v e2v> vanishes too.  With m_p the mean over the n repetitions
+    and, summed over pairs and products, c_i = 2 sum m_p z_ip, o_i = 2 sum
+    z_ip^2, M = 2 sum m_p^2 = sum_i c_i / n and q = sum_i o_i / n, the
+    unbiased aggregate 2 sum_p (n m_p^2 - mean_i z_ip^2)/(n - 1) is (n M -
+    q)/(n - 1), and with repetition i left out it is n (n M - 2 c_i + 2
+    o_i / n - q)/((n - 1)(n - 2)).  The pair products of a band row and
+    tile are (tilt, product and pixel, rep) blocks, and m, c and o each
+    take one matrix-vector product per tilt.
     """
-    reps = signal.shape[-1] // 2
-    power = np.zeros(len(shifts))
+    reps = signal.shape[-2]
     cross, own = np.zeros((2, len(shifts), reps))
-    products = np.empty(4 * int(np.bincount(band_l // signal.shape[1]).max())
-                        * len(shifts) * reps)
-    for e1, e2 in _band_ports(signal, idler, band_l, band_m, shifts):
-        # (pixel, shift, re/im, amplified/vacuum, rep)
-        e1, e2 = (e.reshape(e.shape[:3] + (2, reps)) for e in (e1, e2))
-        e1[..., 1, :] *= -1.0  # the control variate is subtracted
-        z = products[:4 * e1.shape[0] * len(shifts) * reps].reshape(
-            (2, 2) + e1.shape[:2] + (reps,))
-        np.einsum("ptxhr,ptyhr->xyptr", e1, e2, out=z)  # ac, ad, bc, bd
-        z = z.reshape(-1, len(shifts), reps)  # (pair samples, shift, rep)
-        m = z.mean(axis=-1)
-        power += np.einsum("pt,pt->t", m, m)
-        cross += np.einsum("ptr,pt->tr", z, m)
-        own += np.einsum("ptr,ptr->tr", z, z)
-    power, cross, own = 2.0 * power, 2.0 * cross, 2.0 * own
-    q = own.mean(axis=-1)
+    for tile, e1, e2, z in _band_ports(signal, idler, band_l, band_m, shifts):
+        np.einsum("xhtpr,yhtpr->txypr", e1, e2, out=z)
+        z = z.reshape(len(z), -1, reps)  # ac, ad, bc, bd of each pixel
+        m = np.matmul(z, np.ones(reps)) / reps
+        cross[tile] += np.matmul(m[:, None], z)[:, 0]
+        squares = np.multiply(z, z, out=e1.reshape(z.shape))  # into spent e1
+        own[tile] += np.matmul(np.ones(z.shape[1]), squares)
+    cross, own = 2.0 * cross, 2.0 * own
+    power, q = cross.mean(axis=-1), own.mean(axis=-1)
     value = (reps * power - q) / (reps - 1)
     loo = (reps * (reps * power[:, None] - 2.0 * cross + 2.0 * own / reps - q[:, None])
            / ((reps - 1) * (reps - 2)))

@@ -114,8 +114,8 @@ class RngStream:
     """Identifier of one deterministic random stream.
 
     Identical ``(seed, stream_id)`` pairs reproduce bit-identical samples;
-    distinct stream ids yield statistically independent streams.  A seed
-    is an integer in [0, 2**64), so no two alias; stream ids wrap to 64 bits.
+    distinct stream ids yield statistically independent streams.  Both are
+    integers: a seed in [0, 2**64), so no two alias; stream ids wrap to 64 bits.
     """
 
     seed: int
@@ -124,6 +124,8 @@ class RngStream:
     def __post_init__(self):
         if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed <= _MASK64):
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        if not isinstance(self.stream_id, numbers.Integral):
+            raise ValueError(f"stream_id must be an integer, got {self.stream_id!r}")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "stream_id", int(self.stream_id) & _MASK64)
 
@@ -148,7 +150,8 @@ def kept_array(kept, name: str, shape, dtype=np.complex128) -> np.ndarray:
     of another dtype, so that the next call asking for it reuses its pages.
 
     ``kept`` is an attribute namespace, such as a ``SimpleNamespace``,
-    that one thread at a time uses; None gives a new array.
+    that one thread at a time uses; None gives a new array.  Each name
+    starts with its module's, so that modules sharing ``kept`` never clash.
     """
     if kept is None:
         return np.empty(shape, dtype=dtype)
@@ -183,12 +186,12 @@ def raw_words(stream: RngStream, reps: int, n_words: int, kept=None) -> np.ndarr
     key per block of rows (see the module docstring).
 
     The rows, ``4 ceil(n_words / 4)`` words each, are drawn as float64 into
-    the buffer ``"words"`` of ``kept`` (see :func:`kept_array`) and the
-    (reps, n_words) result is a view into it.
+    the buffer ``"sampling_words"`` of ``kept`` (see :func:`kept_array`),
+    and the (reps, n_words) result is a view into it.
     """
     row_words = _row_words(n_words)
     key_rows = _rows_within(_KEY_WORDS, n_words)
-    words = kept_array(kept, "words", (reps, row_words), np.float64)
+    words = kept_array(kept, "sampling_words", (reps, row_words), np.float64)
     # numpy's Philox steps its counter before each block, so starting it at
     # 2**256 - 1 makes its first block counter 0.  One generator is rekeyed
     # per key block: building one per block would draw OS entropy for a seed
@@ -241,11 +244,11 @@ def _box_muller(u: np.ndarray, out: np.ndarray, kept=None) -> None:
     """Box-Muller transform of an even number of columns of 53-bit uniforms
     (:func:`raw_words`) into the float64 array ``out`` of the same shape,
     scaled by 1/2: Gaussians of variance 1/4.  Its scratch is the buffer
-    ``"box_muller"`` of ``kept`` (see :func:`kept_array`), eight rows of the
-    pairs: six temporaries, the radius, which runs its log and sqrt on a
-    contiguous row, and the table cells, as int64."""
+    ``"sampling_box_muller"`` of ``kept`` (see :func:`kept_array`), eight
+    rows of the pairs: six temporaries, the radius, which runs its log and
+    sqrt on a contiguous row, and the table cells, as int64."""
     shape = (u.shape[0], u.shape[1] // 2)
-    t, ca, sa, b, z, p, r, cell = kept_array(kept, "box_muller", (8, *shape), np.float64)
+    t, ca, sa, b, z, p, r, cell = kept_array(kept, "sampling_box_muller", (8, *shape), np.float64)
     cell = cell.view(np.int64)
     np.add(u[:, 0::2], _INV53, out=r)       # u1 in (0, 1], exact
     np.log(r, out=r)
@@ -293,14 +296,14 @@ def sample_vacuum(rng: RngStream, reps: int, modes: int, kept=None) -> np.ndarra
     Returns the C-contiguous (reps, modes) complex128 array of amplitudes;
     each is a circular complex Gaussian with <E E*> = 1/2 and <E E> = 0, and
     distinct modes and repetitions are uncorrelated.  The result depends
-    only on ``rng`` and the shape.  It is the buffer ``"vacuum"`` of
-    ``kept``, drawn a block at a time (:func:`block_rows`) through its
-    buffers ``"words"`` and ``"box_muller"`` (see :func:`kept_array`); with
-    None it is a new array.
+    only on ``rng`` and the shape.  It is the buffer ``"sampling_vacuum"``
+    of ``kept``, drawn a block at a time (:func:`block_rows`) through its
+    buffers ``"sampling_words"`` and ``"sampling_box_muller"`` (see
+    :func:`kept_array`); with None it is a new array.
     """
     if reps < 1 or modes < 1:
         raise ValueError("reps and modes must both be >= 1")
-    out = kept_array(kept, "vacuum", (reps, modes))
+    out = kept_array(kept, "sampling_vacuum", (reps, modes))
     pairs = out.view(np.float64)  # re, im interleaved per mode
     block = block_rows(modes)
     for b0 in range(0, reps, block):

@@ -328,8 +328,8 @@ def whole_block_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: in
             by_row = (X[rows] @ field.view(float)).view(complex)  # (rep, row, j)
             by_j = np.ascontiguousarray(by_row.transpose(0, 2, 1))  # (rep, j, row)
             by_y = (X @ by_j.view(float)).view(complex)  # (rep, y, row)
-            halves.append(by_y.transpose(2, 1, 0))  # (row, y, rep)
-        planes.append(np.concatenate(halves, axis=-1))
+            halves.append(by_y.transpose(2, 0, 1))  # (row, rep, y)
+        planes.append(np.stack(halves, axis=1))  # (row, half, rep, y)
     return tuple(planes)
 
 
@@ -392,8 +392,8 @@ def fft_reference_dip(config: Hom2dConfig, reps: int, seed: int):
     dec = schmidt_decompose(build_kernel(config))
     rows, band_l, band_m = _band_pairs(image_mean_intensities(dec))
     signal, idler = (
-        # pixel-major (row, column, [amplified | vacuum] x rep) to (2, rep, row, column)
-        plane.reshape(plane.shape[:2] + (2, reps)).transpose(2, 3, 0, 1)
+        # (row, half, rep, column) to (half, rep, row, column)
+        plane.transpose(1, 2, 0, 3)
         for plane in sample_image_planes(dec, RngStream(seed, 0), reps, rows))
     ports = _port_sweep(signal, idler, band_l, band_m)
     ref, ref_loo = _aggregate_with_loo(_band_pair_stats(*ports(config.n_pixels // 2)))

@@ -14,7 +14,7 @@ from spdcsim import multimode
 from spdcsim.multimode import (Hom2dConfig, JointAmplitudeKernel, build_kernel,
                                calibrate_gain, image_mean_intensities, run_hom2d,
                                sample_image_planes, schmidt_decompose, shift_field)
-from spdcsim.multimode import (_band_pairs, _band_ports, _brent_root,
+from spdcsim.multimode import (_band_pairs, _band_ports, _brent_root, _coherence_sweep,
                                _fit_dip_width, _product_gains)
 from spdcsim.sampling import RngStream
 
@@ -186,7 +186,7 @@ def test_image_planes_reproduce_analytic_moments():
     dec = schmidt_decompose(build_kernel(cfg))
     n, reps = cfg.n_pixels, 20_000
     rows = [2, 6, 7, 8]  # the image rows read below, each the amplified half
-    sig, idl = ({x: row[:, :reps] for x, row in zip(rows, plane)}
+    sig, idl = ({x: row[0].T for x, row in zip(rows, plane)}
                 for plane in sample_image_planes(dec, RngStream(5, 0), reps, rows))
     img = image_mean_intensities(dec)
     for (x, y) in ((n // 2, n // 2), (n // 2 - 2, n // 2 + 1), (2, 3)):
@@ -435,38 +435,48 @@ def test_vacuum_control_variate_has_zero_mean():
     reps = 20_000
     signal, idler = sample_image_planes(dec, RngStream(13, 0), reps, rows)
     shifts = (3, 2.5, SMALL.n_pixels // 2)
-    for e1, e2 in _band_ports(signal, idler, band_l, band_m, shifts):
-        # the vacuum half of the samples: (pixel, shift, rep)
-        v1, v2 = (e[:, :, 0, reps:] + 1j * e[:, :, 1, reps:] for e in (e1, e2))
+    for tile, e1, e2, _ in _band_ports(signal, idler, band_l, band_m, shifts):
+        # the vacuum half of the samples, (shift, pixel, rep), that of e1 negated
+        v1, v2 = (e[0, 1] + 1j * e[1, 1] for e in (-e1, e2))
         for product in (v1 * np.conj(v2), v1 * v2):
             for part in (product.real, product.imag):
                 se = part.std(axis=-1, ddof=1) / math.sqrt(reps)
-                z = np.abs(part.mean(axis=-1)) / se  # (pixels of the row, shifts)
-                assert np.all(z < 5), dict(zip(shifts, z.max(axis=0)))
+                z = np.abs(part.mean(axis=-1)) / se  # (shifts, pixels of the row)
+                assert np.all(z < 5), dict(zip(shifts[tile], z.max(axis=1)))
 
 
 @pytest.mark.parametrize("n", [9, 16, 64])
-def test_band_ports_are_the_shifted_rows_through_the_splitter(n):
-    # the real products with the Nyquist row against the complex shift
-    # matrices themselves, at fractional, integer and half-grid shifts
+def test_band_ports_are_the_shifted_rows_through_the_splitter(n, monkeypatch):
+    # both ports of the one product of port 1's shift rows against the
+    # complex shift matrices themselves, at fractional, integer and
+    # half-grid shifts, in one tile and in tiles of one tilt; port 2's
+    # shift is the opposite of port 1's
     rng = np.random.default_rng(n)
-    signal, idler = (rng.normal(size=(3, n, 2 * 7)).view(complex) for _ in range(2))
-    band_l = np.array([1, 2, n - 1, n + 3, 2 * n, 2 * n + 5])  # flat over (3, n)
-    band_m = np.array([2 * n + 4, 2 * n, 2 * n + 2, n + 1, 7, 0])  # one mirrored row each
+    # (row, half, rep, column)
+    signal, idler = (rng.normal(size=(3, 2, 7, 2 * n)).view(complex) for _ in range(2))
+    # flat over (3, n), each pixel's partner mirrored through the centre
+    band_l = np.array([1, 2, n - 1, n + 3, 2 * n, 2 * n + 5])
+    band_m = 3 * n - 1 - band_l
     shifts = (2.5, -1.8, 3, n // 2)
-    rows = iter([(0, [1, 2, n - 1], 2, [4, 0, 2]), (1, [3], 1, [1]),
-                 (2, [0, 5], 0, [7, 0])])
-    for e1, e2 in _band_ports(signal, idler, band_l, band_m, shifts):
-        x, cl, xm, cm = next(rows)
-        got1, got2 = (e[:, :, 0] + 1j * e[:, :, 1] for e in (e1, e2))
-        for t, s in enumerate(shifts):
-            want1 = (1j * (idler[x].T @ shift_field(np.eye(n), s)[:, cl])
-                     + signal[x, cl].T) / math.sqrt(2.0)
-            want2 = (1j * (signal[xm].T @ shift_field(np.eye(n), -s)[:, cm])
-                     + idler[xm, cm].T) / math.sqrt(2.0)
-            assert np.max(np.abs(got1[:, t] - want1.T)) < 1e-13
-            assert np.max(np.abs(got2[:, t] - want2.T)) < 1e-13
-    assert next(rows, None) is None
+    for tile_bytes, tiles in ((multimode._TILE_BYTES, 1), (1, len(shifts))):
+        monkeypatch.setattr(multimode, "_TILE_BYTES", tile_bytes)
+        rows = iter([(0, [1, 2, n - 1], 2, [n - 2, n - 3, 0]), (1, [3], 1, [n - 4]),
+                     (2, [0, 5], 0, [n - 1, n - 6])])
+        yields = 0
+        for tile, e1, e2, _ in _band_ports(signal, idler, band_l, band_m, shifts):
+            if tile.start == 0:
+                x, cl, xm, cm = next(rows)
+            yields += 1
+            got1, got2 = (e[0] + 1j * e[1] for e in (e1, e2))  # (half, shift, pixel, rep)
+            got1[1] *= -1.0  # e1's vacuum half is negated
+            for t, s in enumerate(shifts[tile]):
+                want1 = (1j * (idler[x] @ shift_field(np.eye(n), s)[:, cl])
+                         + signal[x][..., cl]) / math.sqrt(2.0)
+                want2 = (1j * (signal[xm] @ shift_field(np.eye(n), -s)[:, cm])
+                         + idler[xm][..., cm]) / math.sqrt(2.0)
+                assert np.max(np.abs(got1[:, t] - want1.transpose(0, 2, 1))) < 1e-13
+                assert np.max(np.abs(got2[:, t] - want2.transpose(0, 2, 1))) < 1e-13
+        assert next(rows, None) is None and yields == 3 * tiles
 
 
 @pytest.mark.parametrize("photons", [None, 1.0], ids=["small", "default-1ppp"])
@@ -476,6 +486,33 @@ def test_run_hom2d_matches_the_plane_fft_reference(photons):
     amplitude, std_error = fft_reference_dip(config, 100, 42)
     assert curve.amplitude == pytest.approx(amplitude, rel=1e-12)
     assert curve.std_error == pytest.approx(std_error, rel=1e-10)
+
+
+@pytest.mark.parametrize("photons", [None, 1.0], ids=["small", "default-1ppp"])
+def test_the_sweep_does_not_depend_on_its_tilt_tiles(photons, monkeypatch):
+    # every tile size the byte budget can pick, from one tilt a tile to one
+    # tile of all tilts, against one tile of all.  On OpenBLAS's Haswell
+    # kernel every tiling gives the same bits.  Its SkylakeX kernel runs
+    # small products through another kernel, which rounds them otherwise:
+    # at 1 ppp, tiles of up to five tilts differ from one tile by up to
+    # 2.2e-16 relative in the values and 4.4e-16 in the delete-one values.
+    config = SMALL if photons is None else calibrate_gain(Hom2dConfig(), photons)
+    reps, seed = (SMALL_REPS, SMALL_SEED) if photons is None else (100, 42)
+    dec = schmidt_decompose(build_kernel(config))
+    rows, band_l, band_m = _band_pairs(image_mean_intensities(dec))
+    signal, idler = sample_image_planes(dec, RngStream(seed, 0), reps, rows)
+    shifts = [*(2.0 * np.asarray(config.theta_sweep) / config.pitch), config.n_pixels // 2]
+    monkeypatch.setattr(multimode, "_TILE_BYTES", 1 << 40)
+    value, loo = _coherence_sweep(signal, idler, band_l, band_m, shifts)
+    sizes = set()
+    for budget in [1, *(int(1.5 ** k) for k in range(28, 42))]:
+        monkeypatch.setattr(multimode, "_TILE_BYTES", budget)
+        tile = next(_band_ports(signal, idler, band_l, band_m, shifts))[0]
+        sizes.add(len(shifts[tile]))
+        tiled = _coherence_sweep(signal, idler, band_l, band_m, shifts)
+        np.testing.assert_allclose(tiled[0], value, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(tiled[1], loo, rtol=1e-14, atol=0)
+    assert {1, 2, len(shifts)} <= sizes and len(sizes) >= 5, sizes
 
 
 @pytest.mark.parametrize("config, photons, reps, seed", [
@@ -510,17 +547,17 @@ def test_image_rows_and_vacuum_reuse_the_full_synthesis():
     dec = schmidt_decompose(build_kernel(cfg))
     n, reps = cfg.n_pixels, 50
     full_s, full_i = sample_image_planes(dec, RngStream(5, 0), reps, np.arange(n))
-    assert full_s.shape == full_i.shape == (n, n, 2 * reps)
+    assert full_s.shape == full_i.shape == (n, 2, reps, n)
     rows = [3, 4, 12]
     sig, idl = sample_image_planes(dec, RngStream(5, 0), reps, rows)
-    assert sig.shape == idl.shape == (len(rows), n, 2 * reps)
+    assert sig.shape == idl.shape == (len(rows), 2, reps, n)
     assert np.array_equal(sig, full_s[rows])
     assert np.array_equal(idl, full_i[rows])
     # the second half is the first half of the same draw at zero gain
     unamplified = replace(dec, lam=np.zeros_like(dec.lam))
     vac_s, vac_i = sample_image_planes(unamplified, RngStream(5, 0), reps, rows)
-    assert np.allclose(sig[..., reps:], vac_s[..., :reps], atol=1e-12)
-    assert np.allclose(idl[..., reps:], vac_i[..., :reps], atol=1e-12)
+    assert np.allclose(sig[:, 1], vac_s[:, 0], atol=1e-12)
+    assert np.allclose(idl[:, 1], vac_i[:, 0], atol=1e-12)
 
 
 @pytest.mark.parametrize("config, photons, reps, seed", [
@@ -538,7 +575,7 @@ def test_chunked_synthesis_matches_the_whole_block_reference(config, photons, re
     got = sample_image_planes(dec, RngStream(seed, 7), reps, rows)
     want = whole_block_image_planes(dec, RngStream(seed, 7), reps, rows)
     for g, w in zip(got, want):
-        assert g.shape == w.shape == (rows.size, config.n_pixels, 2 * reps)
+        assert g.shape == w.shape == (rows.size, 2, reps, config.n_pixels)
         assert np.array_equal(g, w)
 
 
@@ -557,8 +594,7 @@ def test_a_repetitions_planes_do_not_depend_on_later_repetitions(config, photons
     longer = sample_image_planes(dec, RngStream(seed, 7), reps, rows)
     shorter = sample_image_planes(dec, RngStream(seed, 7), prefix, rows)
     for a, b in zip(longer, shorter):
-        head = a.reshape(a.shape[:2] + (2, reps))[..., :prefix]
-        assert np.array_equal(head, b.reshape(head.shape))
+        assert np.array_equal(a[:, :, :prefix], b)
 
 
 def _traced_peak(f, *args):
@@ -585,28 +621,56 @@ def test_image_synthesis_working_set_is_its_result_and_one_chunk(reps):
     assert peak <= 1.6 * result + 2e6, (peak, result)
 
 
+def test_a_warm_synthesis_chunk_allocates_no_buffer(monkeypatch):
+    # every chunk after the first takes its draw and its products from the
+    # buffers the first chunk made (the smallest, 426 KB), so a buffer name
+    # that two modules used at two shapes, which would reallocate it on
+    # every chunk, fails here.  numpy buffers a conjugating or broadcast
+    # complex ufunc in blocks of 8192 elements, 128 KB
+    config = calibrate_gain(Hom2dConfig(), 1.0)  # 4-repetition chunks
+    dec = schmidt_decompose(build_kernel(config))
+    rows, _, _ = _band_pairs(image_mean_intensities(dec))
+    draw = multimode.sample_vacuum
+    starts, chunks = [], []  # traced memory at each chunk's start, and its peak above that
+
+    def traced(*args):
+        current, peak = tracemalloc.get_traced_memory()
+        if starts:
+            chunks.append(peak - starts[-1])
+        tracemalloc.reset_peak()
+        starts.append(current)
+        return draw(*args)
+
+    monkeypatch.setattr(multimode, "sample_vacuum", traced)
+    _traced_peak(sample_image_planes, dec, RngStream(42, 0), 12, rows)
+    assert len(chunks) == 2 and chunks[0] > 4e6 and chunks[1] <= 2 * 8192 * 16, chunks
+
+
 def test_run_hom2d_working_set_is_bounded():
-    # the criterion-8 geometry at 1 ppp: 10.6 MB of restricted planes and
-    # the sweep's buffers, sized once for the widest band row
+    # the criterion-8 geometry at 1 ppp: 10.6 MB of restricted planes, then
+    # one synthesis chunk's buffers or one tilt tile of the sweep.  Traced
+    # peak 17.5 MB (23.4 MB before the sweep was tiled); 2.5 MB of margin
     config = calibrate_gain(Hom2dConfig(), 1.0)
     _, peak = _traced_peak(run_hom2d, config, 100, 42)
-    assert peak <= 28e6, peak
+    assert peak <= 20e6, peak
 
 
 def test_run_hom2d_outputs_are_pinned():
     # Recorded with one Philox key per 16 of SMALL's 1024-word rows, the
     # table-and-polynomial Box-Muller, the real-arithmetic synthesis (both
-    # contractions one product per image, half and repetition) on
-    # pixel-major rows and the band-row sweep (one real matrix product per
-    # band row and port over all tilts, the shift's Nyquist term as an
-    # extra inner row, closed-form delete-one sums), on OpenBLAS's SkylakeX
-    # kernel.  Other kernels give other digests, and
-    # not only by rounding: the SVD's basis inside the kernel's degenerate
-    # singular pairs is arbitrary, so the curve moves by up to O(SE).
+    # contractions one product per image, half and repetition) into (row,
+    # half, rep, column) planes and the tiled band sweep (one set of shift
+    # rows for both ports, the shift's Nyquist term as an extra inner row,
+    # one real matrix product per band row, tilt tile and (port, re/im,
+    # half) block, pair sums as matrix-vector products, closed-form
+    # delete-one sums), on OpenBLAS's SkylakeX kernel.  Other kernels give
+    # other digests, and not only by rounding: the SVD's basis inside the
+    # kernel's degenerate singular pairs is arbitrary, so the curve moves
+    # by up to O(SE).
     curve = run_hom2d(SMALL, SMALL_REPS, SMALL_SEED)
     digest = {name: hashlib.sha256(getattr(curve, name).tobytes()).hexdigest()
               for name in ("amplitude", "std_error")}
     assert digest == {
-        "amplitude": "5919ee057faa38279e4f462efeb6fce4847623d591a708db873f08ee7fa3525c",
-        "std_error": "722070c62e0937f11d7cc13dd4094764d001a7832bcb29e546b3a7570fdc7db9",
+        "amplitude": "937eafcd2281b20a6c387e39632a322f96d4222fd5b9db9132ca4bfa42892482",
+        "std_error": "ad8399392eabeabf406b0d39c5a410282f43fc6630b6b19b9a07c9ba5f084130",
     }

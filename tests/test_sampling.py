@@ -173,6 +173,14 @@ def test_invalid_shapes_rejected():
 def test_stream_ids_wrap_to_uint64():
     s = RngStream(seed=42, stream_id=2 ** 64 + 5)
     assert s.stream_id == 5
+    assert RngStream(42, np.uint64(7)) == RngStream(42, 7)
+
+
+@pytest.mark.parametrize("stream_id", [0.5, "7"])
+def test_a_stream_id_that_is_not_an_integer_is_rejected(stream_id):
+    # int() would truncate 0.5 to stream 0 and parse "7"
+    with pytest.raises(ValueError, match=r"^stream_id must be an integer"):
+        RngStream(42, stream_id)
 
 
 def test_samples_finite():
@@ -263,12 +271,12 @@ def test_a_draw_through_a_namespace_returns_its_vacuum_buffer(reps, modes):
     stream = RngStream(42, 5)
     kept = SimpleNamespace()
     out = sample_vacuum(stream, reps, modes, kept)
-    assert out.base is kept.vacuum and out.flags.c_contiguous
+    assert out.base is kept.sampling_vacuum and out.flags.c_contiguous
     assert np.array_equal(out, sample_vacuum(stream, reps, modes))
     # the next draw reuses the buffer, and so does raw_words its words
-    assert sample_vacuum(RngStream(42, 6), reps, modes, kept).base is kept.vacuum
+    assert sample_vacuum(RngStream(42, 6), reps, modes, kept).base is kept.sampling_vacuum
     words = raw_words(stream, reps, 2 * modes, kept)
-    assert words.base is kept.words
+    assert words.base is kept.sampling_words
     assert np.array_equal(words, raw_words(stream, reps, 2 * modes))
 
 
