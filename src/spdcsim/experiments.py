@@ -34,10 +34,12 @@ the run where its row is made.
 
 ``threads`` workers reduce whole chunks, at most two per worker in flight,
 and the merge takes their results strictly in row order, so a report does
-not depend on the thread count.  hom2d draws and synthesises its
-repetitions on the calling thread, one draw block of the sampler at a
-time, and its sweep then reduces them all at once, so neither its
-command nor its report has ``threads``.
+not depend on the thread count.  One thread reduces them on the calling
+thread: ``concurrent.futures`` is imported only when ``threads`` > 1, so
+a one-thread run does not pay for its import.  hom2d draws and
+synthesises its repetitions on the calling thread, one draw block of the
+sampler at a time, and its sweep then reduces them all at once, so
+neither its command nor its report has ``threads``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import math
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -378,6 +379,7 @@ def _moments(config: ExperimentConfig) -> FeatureMoments:
     chunks = row_chunks(config.reps)
     if config.threads == 1:
         return merge_moments(reduce(*chunk) for chunk in chunks)
+    from concurrent.futures import ThreadPoolExecutor  # only here: see the module docstring
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         return merge_moments(_in_order(pool, reduce, chunks, 2 * config.threads))
 

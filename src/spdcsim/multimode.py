@@ -17,7 +17,10 @@ phase-matching bandwidth, qc_eff = qc (1 + g0/g_ref)^alpha: at high gain
 amplification confines the near field towards the pump-waist centre, so
 the emitted far field broadens.  ``lambda = S_eff sqrt(1 + S_eff^2)``
 equals C*S of an equivalent per-mode squeezer.  A purely Gaussian envelope
-(exp(-M/2) in place of the sinhc profile) is kept as an option.
+(exp(-M/2) in place of the sinhc profile) is kept as an option.  The
+pixels lie exactly symmetrically about q = 0 and K depends on q_s ± q_i
+through their squares only, so K = K^T = J K J exactly (J reverses the
+axis), and :func:`build_kernel` evaluates a quarter of the pixel pairs.
 
 Two-dimensional far-field images (n_pixels x n_pixels per detection plane)
 use the separable product of the two axis kernels, so the Schmidt modes of
@@ -192,11 +195,26 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
     return out.real
 
 
+@functools.cache
+def _kernel_quarter(n: int) -> tuple:
+    """The pixel pairs (j, k), j <= k and j + k <= n - 1, of an (n, n) axis
+    kernel, and the flat indices of their four mirror images, which cover it."""
+    j, k = np.triu_indices(n)
+    quarter = j + k <= n - 1
+    j, k = j[quarter], k[quarter]
+    r = n - 1
+    return j, k, np.stack([j * n + k, k * n + j, (r - j) * n + (r - k), (r - k) * n + (r - j)])
+
+
 def build_kernel(config: Hom2dConfig) -> JointAmplitudeKernel:
-    """Deterministic axis kernel for the configured geometry and gain."""
+    """Deterministic axis kernel for the configured geometry and gain,
+    evaluated on a quarter of the pixel pairs and mirrored (K = K^T = J K
+    J, see the module docstring): bit for bit the full grid's values."""
+    n = config.n_pixels
+    j, k, images = _kernel_quarter(n)
     q = config.q_axis
-    qs = q[:, None]
-    qi = q[None, :]
+    qs = q[j]
+    qi = q[k]
     qbar = 0.5 * (qs - qi)
     g0 = np.float64(config.gain_scale)  # overflows to inf, not OverflowError
     sigma_pump = 1.0 / config.pump_waist
@@ -211,7 +229,10 @@ def build_kernel(config: Hom2dConfig) -> JointAmplitudeKernel:
             s_eff = g0 * _sinhc(np.sqrt((g0 ** 2 - mismatch ** 2).astype(complex)))
         else:
             s_eff = np.sinh(g0 * np.exp(-(qbar ** 2) / (2.0 * qc_eff ** 2)))
-        matrix = pump * (np.abs(s_eff) * np.sqrt(1.0 + s_eff ** 2))
+        values = pump * (np.abs(s_eff) * np.sqrt(1.0 + s_eff ** 2))
+        matrix = np.empty(n * n)
+        matrix[images] = values
+        matrix = matrix.reshape(n, n)
         norm = np.linalg.norm(matrix)
     if not norm < _KERNEL_NORM_MAX:
         raise ValueError(f"gain_scale {g0:g} is too large: the kernel norm {norm:.3g} is "

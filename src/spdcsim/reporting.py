@@ -7,7 +7,6 @@ each file or stdout table through one CSV writer and one JSON writer.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -91,6 +90,7 @@ def _opened(path):
 def _write_csv(header, rows, path) -> None:
     """The one CSV writer: numbers as ``%.12g``, booleans as ``true``/``false``,
     to the file ``path`` with ``\\r\\n`` line ends or to stdout with ``\\n``."""
+    import csv  # here: a JSON run does not pay for its import
     with _opened(path) as fh:
         writer = csv.writer(fh, lineterminator="\n" if path is None else "\r\n")
         writer.writerow(header)

@@ -62,12 +62,13 @@ pairs (the radius, the table cells as int64 and six temporaries).  So
 beside its result a draw holds one block's words (512 KB) and scratch (2
 MB, more only for a row wider than a block), whatever the rows asked for.
 This module keeps no state between calls: a draw's buffers (its result,
-the block's words and the Box-Muller scratch) belong to the caller.
-Given an attribute namespace ``kept``, a draw takes them from it and
-leaves them there for the caller's next draw (:func:`kept_array`), so a
-warm draw allocates nothing of the size of its rows, whatever its shape;
-given None, every array is new and all but the result is freed on
-return.  A 16384-row pipeline chunk (:mod:`spdcsim.experiments`) is one
+the block's words and the Box-Muller scratch) and its Philox generator
+belong to the caller.  Given an attribute namespace ``kept``, a draw
+takes them from it and leaves them there for the caller's next draw
+(:func:`kept_array`), so a warm draw allocates nothing of the size of its
+rows, whatever its shape, and only rekeys its generator; given None,
+every array and the generator are new, and all but the result is freed
+on return.  A 16384-row pipeline chunk (:mod:`spdcsim.experiments`) is one
 block of two-mode rows (twin, hom, fourfold) and two of bell's four, and
 hom2d synthesises its repetitions a block at a time; a call runs on the
 calling thread.
@@ -75,6 +76,7 @@ calling thread.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -180,6 +182,13 @@ def block_rows(modes: int) -> int:
     return _rows_within(_BLOCK_WORDS, 2 * modes)
 
 
+@functools.cache
+def _fresh_state() -> dict:
+    """A new ``numpy.random.Philox``'s state, empty buffer and all, made on
+    first use: numpy imports ``numpy.random`` only then."""
+    return np.random.Philox(0).state
+
+
 def raw_words(stream: RngStream, reps: int, n_words: int, kept=None) -> np.ndarray:
     """The 53-bit uniforms ``(w >> 11) 2**-53`` of the first ``n_words`` raw
     64-bit words ``w`` of each of ``reps`` rows, one ``numpy.random.Philox``
@@ -187,24 +196,30 @@ def raw_words(stream: RngStream, reps: int, n_words: int, kept=None) -> np.ndarr
 
     The rows, ``4 ceil(n_words / 4)`` words each, are drawn as float64 into
     the buffer ``"sampling_words"`` of ``kept`` (see :func:`kept_array`),
-    and the (reps, n_words) result is a view into it.
+    and the (reps, n_words) result is a view into it.  Its Philox
+    ``numpy.random.Generator`` is ``kept.sampling_generator``, rekeyed per
+    key block; with None it is new.
     """
     row_words = _row_words(n_words)
     key_rows = _rows_within(_KEY_WORDS, n_words)
     words = kept_array(kept, "sampling_words", (reps, row_words), np.float64)
+    gen = getattr(kept, "sampling_generator", None)
+    if gen is None:
+        # seeded, since a seed left to OS entropy would be drawn, then rekeyed
+        gen = np.random.Generator(np.random.Philox(0))
+        if kept is not None:
+            kept.sampling_generator = gen
     # numpy's Philox steps its counter before each block, so starting it at
-    # 2**256 - 1 makes its first block counter 0.  One generator is rekeyed
-    # per key block: building one per block would draw OS entropy for a seed
-    # that the key then overrides.  Generator.random turns each word w into
-    # (w >> 11) 2**-53 (numpy's philox_next_double) in place.
-    bit_gen = np.random.Philox(0)
-    gen = np.random.Generator(bit_gen)
-    state = bit_gen.state
+    # 2**256 - 1 makes its first block counter 0.  Each key block sets the
+    # whole fresh state, so no word depends on what the generator drew
+    # before.  Generator.random turns each word w into (w >> 11) 2**-53
+    # (numpy's philox_next_double) in place.
+    state = dict(_fresh_state())
     counter = np.full(4, _MASK64, dtype=np.uint64)
     for r0 in range(0, reps, key_rows):
         key = np.array([stream.seed, (stream.stream_id + r0) & _MASK64], dtype=np.uint64)
         state["state"] = {"counter": counter, "key": key}
-        bit_gen.state = state
+        gen.bit_generator.state = state
         gen.random(out=words[r0:r0 + key_rows])
     return words[:, :n_words]
 

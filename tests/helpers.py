@@ -1,7 +1,7 @@
 """Test-only helpers: whole-column field draws and statistics, the
 reference jackknife, pair-moment statistics, truncated single-axis Schmidt
-decomposition and multimode sampling, the whole-block reference of the
-hom2d image synthesis, the plane-domain FFT reference of the hom2d sweep,
+decomposition and multimode sampling, the full-grid reference of the hom2d
+axis kernel, the whole-block reference of the hom2d image synthesis, the plane-domain FFT reference of the hom2d sweep,
 the integer-path Box-Muller reference and report comparison.
 
 No command of ``spdcsim`` uses these, so they live with the tests.  The
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spdcsim import estimators, theory
+from spdcsim import estimators, multimode, theory
 from spdcsim.elements import polarizer_project
 from spdcsim.estimators import (FeatureMoments, FourfoldResult, MomentEstimate,
                                 correlation_features, fourfold_features, intensity_products,
@@ -259,6 +259,27 @@ def moment_theorem_residual(col_a: np.ndarray, col_b: np.ndarray) -> MomentEstim
         return m[2] - m[0] * m[1] - (m[3] ** 2 + m[4] ** 2) - (m[5] ** 2 + m[6] ** 2)
 
     return feature_moments(features, col_a, col_b).estimate(resid)
+
+
+def full_grid_kernel(config: Hom2dConfig) -> np.ndarray:
+    """The axis kernel of ``multimode.build_kernel`` evaluated on every
+    pixel pair of the (n, n) grid, as broadcasts of the pixel axis, in
+    place of its symmetric quarter; without its norm check."""
+    q = config.q_axis
+    qs, qi = q[:, None], q[None, :]
+    qbar = 0.5 * (qs - qi)
+    g0 = np.float64(config.gain_scale)
+    pump = np.exp(-((qs + qi) ** 2) / (2.0 * (1.0 / config.pump_waist) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        qc = config.pm_bandwidth * math.sqrt(multimode.REFERENCE_LENGTH_MM
+                                             / config.crystal_length_mm)
+        qc_eff = qc * (1.0 + g0 / multimode.PM_BROADENING_GAIN) ** multimode.PM_BROADENING_EXPONENT
+        if config.phase_matching == "sinc":
+            mismatch = (qbar / qc_eff) ** 2
+            s_eff = g0 * multimode._sinhc(np.sqrt((g0 ** 2 - mismatch ** 2).astype(complex)))
+        else:
+            s_eff = np.sinh(g0 * np.exp(-(qbar ** 2) / (2.0 * qc_eff ** 2)))
+        return pump * (np.abs(s_eff) * np.sqrt(1.0 + s_eff ** 2))
 
 
 def truncated_schmidt(kernel: JointAmplitudeKernel,

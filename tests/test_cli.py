@@ -550,6 +550,29 @@ print(code, "numpy.ma" in sys.modules)
     assert result.stdout.splitlines()[-1].split() == ["0", "False"]
 
 
+def test_a_one_thread_json_run_imports_no_thread_pool_or_csv_writer(tmp_path):
+    # concurrent.futures (with logging, queue and traceback) and csv are
+    # imported where a run uses them, so neither the import of the command
+    # line nor a one-thread JSON run pays for them; numpy.random is
+    # imported by the first draw, not by the import
+    script = f"""
+import sys
+import spdcsim.cli
+print(*(m in sys.modules for m in ("concurrent.futures", "csv", "numpy.random")))
+code = spdcsim.cli.main(["twin", "--reps", "20000", "--format", "json",
+                         "--out", {str(tmp_path / "twin.json")!r}])
+print(code, *(m in sys.modules for m in ("concurrent.futures", "csv")))
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", script],
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()  # the report is printed between them
+    assert lines[0].split() == ["False", "False", "False"]
+    assert lines[-1].split() == ["0", "False", "False"]
+
+
 def test_hom2d_csv_curve_refuses_a_json_path(tmp_path, capsys):
     # the curve's JSON sidecar would go to the same path and overwrite it
     out = tmp_path / "curve.json"

@@ -19,8 +19,9 @@ from spdcsim.multimode import (_band_pairs, _band_ports, _brent_root, _coherence
 from spdcsim.sampling import RngStream
 
 import hom2d_oracle
-from helpers import (fft_reference_dip, mean_intensity, moment_theorem_residual,
-                     sample_multimode, truncated_schmidt, whole_block_image_planes)
+from helpers import (fft_reference_dip, full_grid_kernel, mean_intensity,
+                     moment_theorem_residual, sample_multimode, truncated_schmidt,
+                     whole_block_image_planes)
 
 
 # 16 pixels at a coarser pitch so the amplified band keeps dark margins
@@ -84,6 +85,20 @@ def test_gaussian_phase_matching_kernel_matches_closed_form():
         pump = math.exp(-((q[i] + q[j]) * 4.0) ** 2 / 2.0)
         assert matrix[i, j] == pytest.approx(0.5 * math.sinh(2.0 * x) * pump,
                                              rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("phase_matching", ["sinc", "gaussian"])
+@pytest.mark.parametrize("n_pixels", [16, 63, 64])
+@pytest.mark.parametrize("pitch", [0.25, 0.1, 0.3137])
+def test_kernel_from_its_symmetric_quarter_is_the_full_grid(pitch, n_pixels, phase_matching):
+    # K = K^T = J K J exactly, so the quarter's values mirrored are the
+    # values of every pixel pair, bit for bit
+    for g0 in (1e-9, 1e-3, 0.1, 0.8814, 2.0, 5.0, 9.0):
+        cfg = Hom2dConfig(n_pixels=n_pixels, pitch=pitch, phase_matching=phase_matching,
+                          gain_scale=g0)
+        matrix, full = build_kernel(cfg).matrix, full_grid_kernel(cfg)
+        assert matrix.dtype == full.dtype and matrix.flags.c_contiguous
+        assert np.array_equal(matrix, full), g0
 
 
 def test_rank_one_kernel_recovers_mode():

@@ -280,6 +280,23 @@ def test_a_draw_through_a_namespace_returns_its_vacuum_buffer(reps, modes):
     assert np.array_equal(words, raw_words(stream, reps, 2 * modes))
 
 
+@pytest.mark.parametrize("reps,modes", [(CHUNK_ROWS, 2), (100, 8192), (7, 40000)])
+def test_a_warm_namespace_draw_reuses_its_generator(reps, modes):
+    # the first draw through a namespace keeps its Philox generator there,
+    # and the next rekeys it from a fresh state: the bits of a draw without
+    # a namespace, whatever the kept generator drew before
+    kept = SimpleNamespace()
+    sample_vacuum(RngStream(42, 1), reps, modes, kept)
+    gen = kept.sampling_generator
+    out = sample_vacuum(RngStream(42, 2), reps, modes, kept)
+    assert kept.sampling_generator is gen
+    assert np.array_equal(out, sample_vacuum(RngStream(42, 2), reps, modes))
+    gen.random(3)  # leaves a word in Philox's buffer
+    assert np.array_equal(raw_words(RngStream(7, 9), reps, 3, kept),
+                          raw_words(RngStream(7, 9), reps, 3))
+    assert kept.sampling_generator is gen
+
+
 def test_threads_drawing_at_once_get_the_serial_draws():
     # draws without a namespace share no buffer; shapes that need buffers of
     # different sizes are drawn at the same time, switching threads often
