@@ -11,15 +11,14 @@ __version__ = "0.1.0"
 from .elements import (BeamSplitterParams, DetectorParams, GainParams,
                        beam_split, detector_loss, parametric_amplify,
                        polarizer_project)
-from .estimators import (DegenerateStatisticError, FeatureMoments, FourfoldResult,
-                         MomentEstimate, chsh_coefficient, correlation_coefficient,
-                         covariance_intensity, fourfold_covariance, intensity_snr,
-                         mean_intensity, normal_intensities, variance_intensity)
+from .estimators import (DegenerateStatisticError, FeatureMoments, MomentEstimate,
+                         chsh_coefficient, correlation_coefficient, covariance_intensity,
+                         fourfold_covariance, intensity_snr, mean_intensity,
+                         normal_intensities, variance_intensity)
 from .experiments import ExperimentConfig, run_experiment
-from .multimode import (DipCurve, Hom2dConfig, JointAmplitudeKernel,
-                        SchmidtDecomposition, build_kernel, calibrate_gain,
-                        image_mean_intensities, run_hom2d, sample_image_planes,
-                        schmidt_decompose, shift_field)
+from .multimode import (DipCurve, Hom2dConfig, SchmidtDecomposition, build_kernel,
+                        calibrate_gain, image_mean_intensities, run_hom2d,
+                        sample_image_planes, schmidt_decompose, shift_field)
 from .reporting import RunReport, StatisticRow, emit_results
-from .sampling import ORDERING, OrderingConstants, RngStream, sample_vacuum
+from .sampling import RngStream, sample_vacuum
 from . import theory

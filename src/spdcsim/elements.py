@@ -14,7 +14,7 @@ broadcast shape:
 * ``scratch``: one complex128 array holding the intermediate term of an
   output; a new one when absent.
 
-So a caller that keeps these arrays, as the pipelines do for each pass,
+So a caller that keeps these arrays, as the pipelines do for each chunk,
 propagates without allocating.  ``out`` and ``scratch`` are only written,
 after every read of an input they would overwrite: an ``out`` or
 ``scratch`` that may share memory with an input, or with one another, is

@@ -56,14 +56,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import ORDERING
-
 __all__ = [
     "CHUNK_ROWS",
     "DegenerateStatisticError",
     "FeatureMoments",
-    "FourfoldResult",
+    "INTENSITY_OFFSET",
     "MomentEstimate",
+    "VARIANCE_OFFSET",
     "chsh_coefficient",
     "correlation_coefficient",
     "correlation_features",
@@ -85,6 +84,10 @@ __all__ = [
 #: Rows per chunk that the pipelines and the moment engine draw, reduce
 #: and merge; fixed, so that no result depends on the machine.
 CHUNK_ROWS = 1 << 14
+
+#: Normal order's offsets of a sampled mean intensity and intensity variance.
+INTENSITY_OFFSET = 0.5
+VARIANCE_OFFSET = 0.25
 
 
 def row_chunks(n: int):
@@ -120,7 +123,7 @@ class MomentEstimate:
 def normal_intensities(col: np.ndarray) -> np.ndarray:
     """Per-sample normal-ordered intensities |E|^2 - 1/2 (may be negative)."""
     col = np.asarray(col)
-    return np.abs(col) ** 2 - ORDERING.intensity_offset
+    return np.abs(col) ** 2 - INTENSITY_OFFSET
 
 
 def jackknife_se(delete_one_values):
@@ -240,7 +243,7 @@ def pair_parts(a, b, conj_b: bool, out, scratch) -> None:
 
 def mean_intensity(moments: FeatureMoments) -> MomentEstimate:
     """Normal-ordered mean intensity from the moments of (|E|^2,)."""
-    return moments.estimate(lambda m: m[0] - ORDERING.intensity_offset)
+    return moments.estimate(lambda m: m[0] - INTENSITY_OFFSET)
 
 
 def variance_intensity(moments: FeatureMoments) -> MomentEstimate:
@@ -248,7 +251,7 @@ def variance_intensity(moments: FeatureMoments) -> MomentEstimate:
     moments of :func:`intensity_products` of a column with itself."""
     n = moments.n
     return moments.estimate(
-        lambda m: (m[2] - m[0] ** 2) * (n / (n - 1)) - ORDERING.variance_offset)
+        lambda m: (m[2] - m[0] ** 2) * (n / (n - 1)) - VARIANCE_OFFSET)
 
 
 def covariance_intensity(moments: FeatureMoments) -> MomentEstimate:
@@ -271,18 +274,17 @@ def correlation_coefficient(moments: FeatureMoments) -> MomentEstimate:
     standard error.
     """
     n = moments.n
-    off = ORDERING.variance_offset
 
     def rho(m):
-        va = m[3] - m[0] ** 2 - off
-        vb = m[4] - m[1] ** 2 - off
+        va = m[3] - m[0] ** 2 - VARIANCE_OFFSET
+        vb = m[4] - m[1] ** 2 - VARIANCE_OFFSET
         return (m[2] - m[0] * m[1]) / np.sqrt(va * vb)
 
     mean = moments.mean
     for i, ii, v, vv in ((0, 3, 5, 7), (1, 4, 6, 8)):
         excess = moments.estimate(
             lambda m: ((m[ii] - m[i] ** 2) - (m[vv] - m[v] ** 2)) * (n / (n - 1)))
-        if mean[ii] - mean[i] ** 2 - off <= 0 or excess.value <= 5.0 * excess.std_error:
+        if mean[ii] - mean[i] ** 2 - VARIANCE_OFFSET <= 0 or excess.value <= 5.0 * excess.std_error:
             raise DegenerateStatisticError(
                 "normal-ordered variance consistent with zero")
     return moments.estimate(rho)
@@ -313,7 +315,7 @@ def stokes_products(e1x, e1y, e2x, e2y, out=None, scratch=None):
         _intensity(ex, s0)
         np.subtract(s0, _intensity(ey, t), out=s1)
         s0 += t
-        s0 -= 2.0 * ORDERING.intensity_offset
+        s0 -= 2.0 * INTENSITY_OFFSET
         np.multiply(ex.real, ey.real, out=s2)
         s2 += np.multiply(ex.imag, ey.imag, out=t)
         s2 *= 2.0
@@ -321,16 +323,6 @@ def stokes_products(e1x, e1y, e2x, e2y, out=None, scratch=None):
     for row, (a, b) in zip(out, ((s1, t1), (s1, t2), (s2, t1), (s2, t2), (d1, d2))):
         np.multiply(a, b, out=row)
     return out
-
-
-@dataclass(frozen=True)
-class FourfoldResult:
-    """Direct four-detector covariance plus the estimates of its nine-term
-    factorisation, in total and by class."""
-
-    direct: MomentEstimate
-    terms_total: MomentEstimate
-    class_estimates: dict
 
 
 def fourfold_features(es, ei, out=None, scratch=None):
@@ -369,12 +361,12 @@ def _fourfold_direct(m):
 #: (u + 2 p)^2.
 _FOURFOLD_CLASSES = {
     "bunching": lambda u, p: u * u,
-    "mixed": lambda u, p: 4.0 * u * p,
     "low_gain": lambda u, p: 4.0 * p * p,
+    "mixed": lambda u, p: 4.0 * u * p,
 }
 
 
-def fourfold_covariance(moments: FeatureMoments) -> FourfoldResult:
+def fourfold_covariance(moments: FeatureMoments) -> dict:
     """Four-fold intensity covariance <prod_k (I_k - <I_k>)> of detectors
     (s, s, i, i) from the moments of :func:`fourfold_features`.
 
@@ -385,15 +377,15 @@ def fourfold_covariance(moments: FeatureMoments) -> FourfoldResult:
     reproduce it; at these detectors <E_s E_s*> = <I_s>, <E_i* E_i> = <I_i>
     and all four signal-idler moments are <E_s E_i>, so the products fall
     into the bunching, mixed and low-gain classes of the module docstring,
-    evaluated from the sampled moments of the same rows.
+    evaluated from the sampled moments of the same rows.  Returns the five
+    estimates keyed by the fourfold report's row names, in its row order.
     """
     def terms(cls):
         return moments.estimate(lambda m: cls(m[0] * m[1], m[8] ** 2 + m[9] ** 2))
 
-    return FourfoldResult(
-        direct=moments.estimate(_fourfold_direct),
-        terms_total=terms(lambda u, p: (u + 2.0 * p) ** 2),
-        class_estimates={name: terms(cls) for name, cls in _FOURFOLD_CLASSES.items()})
+    return {"fourfold_direct": moments.estimate(_fourfold_direct),
+            "fourfold_terms_total": terms(lambda u, p: (u + 2.0 * p) ** 2),
+            **{f"{name}_terms": terms(cls) for name, cls in _FOURFOLD_CLASSES.items()}}
 
 
 def intensity_snr(col: np.ndarray) -> float:

@@ -83,10 +83,11 @@ class ExperimentConfig:
 
     The amplifier strength is given either as the gain-length product
     ``gl`` or as the mean photon number per mode ``G`` (mutually
-    exclusive); angles are radians.  ``threads`` workers reduce the row
-    chunks of the twin, hom, bell and fourfold pipelines in parallel; no
-    result depends on it, and hom2d, which runs on the calling thread,
-    does not read it.  ``reps`` and ``seed`` apply to every kind; ``reps``
+    exclusive); angles are radians.  Only twin has detector loss, so
+    every other kind refuses an ``eta`` other than 1.  ``threads`` workers
+    reduce the row chunks of the twin, hom, bell and fourfold pipelines in
+    parallel; no result depends on it, and hom2d, which runs on the calling
+    thread, does not read it.  ``reps`` and ``seed`` apply to every kind; ``reps``
     left at None takes the kind's :data:`DEFAULT_REPS`, and every kind
     needs at least three (:func:`~spdcsim.multimode.check_reps`).
     ``hom2d`` holds the hom2d geometry alone.  The field defaults are the
@@ -109,6 +110,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
+        if self.kind != "twin" and self.eta != 1.0:
+            raise ValueError(f"the {self.kind} run has no detector loss; eta applies "
+                             f"to twin runs only, got {self.eta}")
         if self.reps is None:  # a frozen field, set once here
             object.__setattr__(self, "reps", DEFAULT_REPS[self.kind])
         if self.gl is not None and self.G is not None:
@@ -310,20 +314,15 @@ def _run_fourfold(config: ExperimentConfig) -> RunReport:
     exact_terms, classes = theory.fourfold_terms(
         **theory.coincident_fourfold_moments(config.gain))
     exact_total = float(np.sum(exact_terms).real)
-    exact_classes = {name: float(sum(exact_terms[i] for i in classes[name]).real)
-                     for name in ("bunching", "low_gain", "mixed")}
-    if not all(map(math.isfinite, (exact_total, *exact_classes.values()))):
+    oracle = {"fourfold_direct": exact_total, "fourfold_terms_total": exact_total,
+              **{f"{name}_terms": float(sum(exact_terms[i] for i in classes[name]).real)
+                 for name in ("bunching", "low_gain", "mixed")}}
+    if not all(map(math.isfinite, oracle.values())):
         raise ArithmeticError(f"the fourfold oracle overflows: its closed-form total "
                               f"is {exact_total:.6g} at gl = {config.gain.gl:.6g}")
-    res = fourfold_covariance(_moments(config))
-
-    rows = [
-        make_row("fourfold_direct", res.direct, exact_total),
-        make_row("fourfold_terms_total", res.terms_total, exact_total),
-    ]
-    for name, exact in exact_classes.items():
-        rows.append(make_row(f"{name}_terms", res.class_estimates[name], exact))
-    return RunReport("fourfold", rows=rows)
+    estimates = fourfold_covariance(_moments(config))
+    return RunReport("fourfold", rows=[make_row(name, estimates[name], exact)
+                                       for name, exact in oracle.items()])
 
 
 #: (draw, features, k) of one chunk of each streamed pipeline:

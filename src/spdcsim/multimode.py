@@ -80,7 +80,6 @@ from .sampling import RngStream, block_rows, kept_array, sample_vacuum
 __all__ = [
     "DipCurve",
     "Hom2dConfig",
-    "JointAmplitudeKernel",
     "SchmidtDecomposition",
     "build_kernel",
     "calibrate_gain",
@@ -174,19 +173,6 @@ def check_reps(reps: int) -> None:
                          "of variances and of the dip's jackknife degenerate")
 
 
-@dataclass(frozen=True)
-class JointAmplitudeKernel:
-    """Joint signal-idler field-moment matrix over one momentum axis."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.matrix.ndim != 2:
-            raise ValueError("kernel must be a 2-D matrix")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("kernel entries must be finite")
-
-
 def _sinhc(x: np.ndarray) -> np.ndarray:
     """sinh(x)/x continued through imaginary arguments (sin(y)/y)."""
     out = np.ones_like(x, dtype=complex)
@@ -206,10 +192,10 @@ def _kernel_quarter(n: int) -> tuple:
     return j, k, np.stack([j * n + k, k * n + j, (r - j) * n + (r - k), (r - k) * n + (r - j)])
 
 
-def build_kernel(config: Hom2dConfig) -> JointAmplitudeKernel:
-    """Deterministic axis kernel for the configured geometry and gain,
-    evaluated on a quarter of the pixel pairs and mirrored (K = K^T = J K
-    J, see the module docstring): bit for bit the full grid's values."""
+def build_kernel(config: Hom2dConfig) -> np.ndarray:
+    """Deterministic (n, n) axis kernel for the configured geometry and
+    gain, evaluated on a quarter of the pixel pairs and mirrored (K = K^T =
+    J K J, see the module docstring): bit for bit the full grid's values."""
     n = config.n_pixels
     j, k, images = _kernel_quarter(n)
     q = config.q_axis
@@ -238,7 +224,7 @@ def build_kernel(config: Hom2dConfig) -> JointAmplitudeKernel:
         raise ValueError(f"gain_scale {g0:g} is too large: the kernel norm {norm:.3g} is "
                          f"not below the {_KERNEL_NORM_MAX:g} that keeps the dip's "
                          "fourth-order pair statistics finite")
-    return JointAmplitudeKernel(matrix=matrix)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -255,16 +241,15 @@ class SchmidtDecomposition:
         return self.lam.shape[0]
 
 
-def schmidt_decompose(kernel: JointAmplitudeKernel) -> SchmidtDecomposition:
-    """SVD of the kernel, K = U diag(lambda) V^T, every axis mode kept, with
-    the relative Frobenius residual of that product."""
+def schmidt_decompose(kernel: np.ndarray) -> SchmidtDecomposition:
+    """SVD of the kernel matrix, K = U diag(lambda) V^T, every axis mode
+    kept, with the relative Frobenius residual of that product."""
     try:
-        U, lam, Vh = np.linalg.svd(kernel.matrix)
+        U, lam, Vh = np.linalg.svd(kernel)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"SVD of {kernel.matrix.shape} kernel failed: {exc}") from exc
-    norm = np.linalg.norm(kernel.matrix)
-    resid = np.linalg.norm((U * lam) @ Vh - kernel.matrix) / norm if norm > 0 else 0.0
+        raise RuntimeError(f"SVD of {kernel.shape} kernel failed: {exc}") from exc
+    norm = np.linalg.norm(kernel)
+    resid = np.linalg.norm((U * lam) @ Vh - kernel) / norm if norm > 0 else 0.0
     return SchmidtDecomposition(U=U, V=Vh.T, lam=lam, residual=float(resid))
 
 
@@ -484,18 +469,20 @@ def _reflected(shifts, n: int) -> np.ndarray:
     return rows / math.sqrt(2.0)
 
 
-def _band_ports(signal, idler, band_l, band_m, shifts):
+def _band_ports(signal, idler, band_l, shifts):
     """Output-port fields at every tilt shift, by band row and tilt tile.
 
     Yields ``(tile, e1, e2, products)`` per image row holding band pixels
     and slice ``tile`` of ``shifts``: e1 at the row's band pixels (flat
-    indices ``band_l`` over the planes' rows and columns) and e2 at their
-    mirrored partners ``band_m``, both real, (re/im, half, tilt, pixel,
-    rep), the vacuum half of e1 negated so that its products with e2
-    subtract the control variate; and an empty (tilt, 2, 2, pixel, rep)
-    buffer for their pair products.  A tile has as many tilts (at least
-    one) as :data:`_TILE_BYTES` holds of the widest band row's shift rows,
-    ports and pair products.
+    indices ``band_l`` over the planes' m rows and n columns) and e2 at
+    their mirrored partners, both real, (re/im, half, tilt, pixel, rep),
+    the vacuum half of e1 negated so that its products with e2 subtract
+    the control variate; and an empty (tilt, 2, 2, pixel, rep) buffer for
+    their pair products.  The rows are symmetric (:func:`_band_pairs`), so
+    the partner of flat index l = x n + c is m n - 1 - l, in row m - 1 - x
+    and column n - 1 - c.  A tile has as many tilts (at least one) as
+    :data:`_TILE_BYTES` holds of the widest band row's shift rows, ports
+    and pair products.
 
     The tilt displaces the reflected beams by +/- shift along the
     horizontal axis (opposite senses, as unitarity of a tilted splitter
@@ -515,7 +502,7 @@ def _band_ports(signal, idler, band_l, band_m, shifts):
     n, reps = signal.shape[-1], signal.shape[-2]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     alternating = (-1.0) ** np.arange(n)
-    (row_l, col_l), row_m = np.divmod(band_l, n), band_m // n
+    row_l, col_l = np.divmod(band_l, n)
     # band_l is row-major, so each band row is one run of equal row_l
     bounds = [0, *(np.flatnonzero(np.diff(row_l)) + 1), row_l.size]
     widest = int(np.diff(bounds).max())
@@ -527,7 +514,8 @@ def _band_ports(signal, idler, band_l, band_m, shifts):
     direct = np.empty((2, 2, 2, widest, reps))  # (port, re/im, half, pixel, rep)
     taken, ports, products = (np.empty(widest * size * k) for k in (n + 1, 8 * reps, 4 * reps))
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        x, xm, cols = row_l[start], row_m[start], col_l[start:stop]
+        x, cols = row_l[start], col_l[start:stop]
+        xm = len(signal) - 1 - x
         for port, f, d in ((0, idler[x], signal[x][..., cols]),
                            (1, signal[xm][..., ::-1], idler[xm][..., n - 1 - cols])):
             nyquist = (2 * port - 1) * (f @ alternating)  # -(a . f), or a . g'
@@ -549,7 +537,7 @@ def _band_ports(signal, idler, band_l, band_m, shifts):
             yield tile, e[0], e[1], products[:p * 4 * reps].reshape(-1, 2, 2, cols.size, reps)
 
 
-def _coherence_sweep(signal, idler, band_l, band_m, shifts):
+def _coherence_sweep(signal, idler, band_l, shifts):
     """Pair-coherence aggregate at each shift, shape (shifts,), and its
     delete-one-repetition values, (shifts, reps).
 
@@ -569,7 +557,7 @@ def _coherence_sweep(signal, idler, band_l, band_m, shifts):
     """
     reps = signal.shape[-2]
     cross, own = np.zeros((2, len(shifts), reps))
-    for tile, e1, e2, z in _band_ports(signal, idler, band_l, band_m, shifts):
+    for tile, e1, e2, z in _band_ports(signal, idler, band_l, shifts):
         np.einsum("xhtpr,yhtpr->txypr", e1, e2, out=z)
         z = z.reshape(len(z), -1, reps)  # ac, ad, bc, bd of each pixel
         m = np.matmul(z, np.ones(reps)) / reps
@@ -589,11 +577,13 @@ def _band_pairs(image: np.ndarray):
 
     The band holds the pixels at or above :data:`BAND_FLOOR` times the
     brightest mean intensity; each pixel (x, y) pairs with its mirrored
-    partner (n-1-x, n-1-y).  Returns ``(rows, band_l, band_m)``: the sorted
-    rows holding band pixels or their partners, and the flat indices of
-    the pair members over the (len(rows), n) restricted image.  A ValueError
-    when over 3/4 of the band's intensity lies on pixels whose column n // 2
-    away (the reference shift) is band too: that tilt cannot part the beams.
+    partner (n-1-x, n-1-y).  Returns ``(rows, band_l)``: the sorted rows
+    holding band pixels or their partners, symmetric (``rows == n - 1 -
+    rows[::-1]``), and the band pixels' flat indices l over the (len(rows),
+    n) restricted image, whose partners sit at len(rows) n - 1 - l.  A
+    ValueError when over 3/4 of the band's intensity lies on pixels whose
+    column n // 2 away (the reference shift) is band too: that tilt cannot
+    part the beams.
     """
     n = image.shape[0]
     band = image >= BAND_FLOOR * image.max()
@@ -606,9 +596,7 @@ def _band_pairs(image: np.ndarray):
     keep = band.any(axis=1)
     keep |= keep[::-1]
     position = np.cumsum(keep) - 1  # of each kept row in the restricted image
-    band_l = position[lx] * n + ly
-    band_m = position[n - 1 - lx] * n + (n - 1 - ly)
-    return np.flatnonzero(keep), band_l, band_m
+    return np.flatnonzero(keep), position[lx] * n + ly
 
 
 def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
@@ -654,7 +642,7 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
                              f"about 1 with an error that vanishes there")
     dec = schmidt_decompose(build_kernel(config))
     image = image_mean_intensities(dec)
-    rows, band_l, band_m = _band_pairs(image)
+    rows, band_l = _band_pairs(image)
     for theta, shift in zip(thetas, shifts):
         if abs(shift) > n / 2:
             raise ValueError(f"theta_sweep: theta = {theta:g} shifts the image by "
@@ -663,7 +651,7 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
                              f"again; narrow the sweep, or raise n_pixels or pitch")
     signal, idler = sample_image_planes(dec, rng, reps, rows)
 
-    value, loo = _coherence_sweep(signal, idler, band_l, band_m, shifts)
+    value, loo = _coherence_sweep(signal, idler, band_l, shifts)
     ref = value[-1], loo[-1]
     if not all(np.all(np.isfinite(x) & (x > 0)) for x in ref):
         raise DegenerateStatisticError(

@@ -5,7 +5,8 @@ are independent zero-mean Gaussians with variance 1/4, so each vacuum mode
 carries a mean intensity <|E|^2> = 1/2 (units of photons per mode).
 Expectations of sampled intensities are symmetric-order moments; converting
 to normal order requires subtracting 1/2 from intensities and 1/4 from
-intensity variances (see :data:`ORDERING`).  Individual normal-ordered
+intensity variances (see :data:`~spdcsim.estimators.INTENSITY_OFFSET` and
+:data:`~spdcsim.estimators.VARIANCE_OFFSET`).  Individual normal-ordered
 samples may be negative; nothing here clamps them.
 
 Random number generation is fully deterministic and order-independent.
@@ -84,8 +85,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ORDERING",
-    "OrderingConstants",
     "RngStream",
     "sample_vacuum",
     "LANE_STRIDE",
@@ -100,16 +99,6 @@ _INV53 = 2.0 ** -53
 #: Offset between stream_id blocks reserved for independent vacuum lanes of
 #: a single experiment (e.g. amplifier inputs vs. detector-loss vacua).
 LANE_STRIDE = 1 << 40
-
-#: Constants converting symmetric-order sampled moments to normal order.
-@dataclass(frozen=True)
-class OrderingConstants:
-    intensity_offset: float = 0.5
-    variance_offset: float = 0.25
-
-
-ORDERING = OrderingConstants()
-
 
 @dataclass(frozen=True)
 class RngStream:

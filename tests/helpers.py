@@ -30,11 +30,11 @@ import numpy as np
 
 from spdcsim import estimators, multimode, theory
 from spdcsim.elements import polarizer_project
-from spdcsim.estimators import (FeatureMoments, FourfoldResult, MomentEstimate,
+from spdcsim.estimators import (FeatureMoments, MomentEstimate,
                                 correlation_features, fourfold_features, intensity_products,
                                 merge_moments, row_chunks, stokes_products)
 from spdcsim.experiments import ExperimentConfig, _bell_chunk, _hom_chunk, _twin_chunk
-from spdcsim.multimode import (Hom2dConfig, JointAmplitudeKernel, SchmidtDecomposition,
+from spdcsim.multimode import (Hom2dConfig, SchmidtDecomposition,
                                _band_pairs, _product_gains, build_kernel,
                                image_mean_intensities, sample_image_planes,
                                schmidt_decompose, shift_field)
@@ -123,7 +123,7 @@ def chsh_coefficient(e1p: np.ndarray, e1m: np.ndarray,
     return _ratio_of_means(*chsh_numerator_denominator(e1p, e1m, e2p, e2m))
 
 
-def fourfold_covariance(es: np.ndarray, ei: np.ndarray) -> FourfoldResult:
+def fourfold_covariance(es: np.ndarray, ei: np.ndarray) -> dict:
     """Four-fold intensity covariance of detectors (s, s, i, i), both
     signal detectors on the field column ``es`` and both idler detectors
     on ``ei``."""
@@ -282,7 +282,7 @@ def full_grid_kernel(config: Hom2dConfig) -> np.ndarray:
         return pump * (np.abs(s_eff) * np.sqrt(1.0 + s_eff ** 2))
 
 
-def truncated_schmidt(kernel: JointAmplitudeKernel,
+def truncated_schmidt(kernel: np.ndarray,
                       floor: float = 1e-8) -> SchmidtDecomposition:
     """Single-axis Schmidt decomposition of ``kernel`` less the modes whose
     singular value falls below ``floor`` times the largest (every mode of a
@@ -291,8 +291,8 @@ def truncated_schmidt(kernel: JointAmplitudeKernel,
     dec = schmidt_decompose(kernel)
     keep = dec.lam > floor * dec.lam[0]
     U, lam, V = dec.U[:, keep], dec.lam[keep], dec.V.T[keep].T
-    norm = np.linalg.norm(kernel.matrix)
-    resid = np.linalg.norm((U * lam) @ V.T - kernel.matrix) / norm if norm > 0 else 0.0
+    norm = np.linalg.norm(kernel)
+    resid = np.linalg.norm((U * lam) @ V.T - kernel) / norm if norm > 0 else 0.0
     return SchmidtDecomposition(U=U, V=V, lam=lam, residual=float(resid))
 
 
@@ -409,9 +409,17 @@ def fft_reference_dip(config: Hom2dConfig, reps: int, seed: int):
     by the plane-domain route: at each tilt, shift both whole restricted
     planes by FFT, read the band pairs, and form the delete-one aggregates
     from the six (reps x pairs) statistic arrays.  The same draw and band
-    as ``run_hom2d``; only the sweep differs."""
+    as ``run_hom2d``; only the sweep differs, and each band pixel's
+    partner comes from its pixel coordinates (x, y), as (n-1-x, n-1-y)
+    looked up in the restricted rows, not from the sweep's mirror of its
+    flat index."""
+    n = config.n_pixels
     dec = schmidt_decompose(build_kernel(config))
-    rows, band_l, band_m = _band_pairs(image_mean_intensities(dec))
+    rows, band_l = _band_pairs(image_mean_intensities(dec))
+    x, y = rows[band_l // n], band_l % n
+    partner_row = np.searchsorted(rows, n - 1 - x)
+    assert np.array_equal(rows[partner_row], n - 1 - x), "a partner's row is not synthesised"
+    band_m = partner_row * n + (n - 1 - y)
     signal, idler = (
         # (row, half, rep, column) to (half, rep, row, column)
         plane.transpose(1, 2, 0, 3)

@@ -383,6 +383,19 @@ def test_oracle_eta_is_rejected_where_no_table_column_uses_it(capsys):
     assert run_cli(["oracle", "--table", "twin", "--values", "1", "--eta", "0.5"]) == 0
 
 
+@pytest.mark.parametrize("kind", ["hom", "bell", "fourfold", "hom2d"])
+@pytest.mark.parametrize("eta", [0.5, 0.0, math.nan])
+def test_eta_is_refused_by_every_kind_without_detector_loss(kind, eta):
+    # only twin has lossy detectors: any other kind would run lossless and
+    # still record the eta it was given in its report
+    with pytest.raises(ValueError, match=f"^the {kind} run has no detector loss; "
+                                         "eta applies to twin runs only"):
+        ExperimentConfig(kind=kind, eta=eta)
+    assert ExperimentConfig(kind=kind, eta=1.0).eta == 1.0
+    if math.isfinite(eta):
+        assert ExperimentConfig(kind="twin", eta=eta).eta == eta
+
+
 @pytest.mark.parametrize("argv, entry, flags", [
     (["twin", "--reps", "1e4"], "gain_gl = 0.8814", ["--G", "1"]),
     (["twin", "--reps", "1e4"], "G = 0.01", ["--gain-gl", "0.5"]),

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from spdcsim import estimators, theory
 from spdcsim.elements import BeamSplitterParams, GainParams, beam_split, parametric_amplify
-from spdcsim.estimators import (CHUNK_ROWS, DegenerateStatisticError, correlation_features,
+from spdcsim.estimators import (CHUNK_ROWS, INTENSITY_OFFSET, VARIANCE_OFFSET,
+                                DegenerateStatisticError, correlation_features,
                                 fourfold_features, intensity_products, intensity_snr,
                                 stokes_products)
 from spdcsim.experiments import (_B_WEIGHTS, ExperimentConfig, _chsh_weights,
@@ -33,6 +34,11 @@ def _twin(reps=1_000_000, seed=42, gl=GL_UNIT):
 
 def _vacuum(reps=1_000_000, seed=11, modes=2):
     return sample_vacuum(RngStream(seed, 0), reps, modes)
+
+
+def test_ordering_constants_exact():
+    assert INTENSITY_OFFSET == 0.5
+    assert VARIANCE_OFFSET == 0.25
 
 
 def test_mean_intensity_oracles(twin_cache):
@@ -187,10 +193,14 @@ def test_fourfold_classes_equal_the_nine_terms_at_the_sampled_pair_moments(gl):
     pair = np.mean(es * ei)
     terms, classes = theory.fourfold_terms(np.mean(np.abs(es) ** 2), np.mean(np.abs(ei) ** 2),
                                            pair, pair, pair, pair)
-    assert res.terms_total.value == pytest.approx(np.sum(terms).real, rel=1e-13, abs=0)
-    assert res.class_estimates.keys() == classes.keys()
+    assert res["fourfold_terms_total"].value == pytest.approx(np.sum(terms).real,
+                                                               rel=1e-13, abs=0)
+    # the report's row names, in its order
+    assert list(res) == ["fourfold_direct", "fourfold_terms_total", "bunching_terms",
+                         "low_gain_terms", "mixed_terms"]
+    assert classes.keys() == {"bunching", "low_gain", "mixed"}
     for name, idx in classes.items():
-        assert res.class_estimates[name].value == pytest.approx(
+        assert res[f"{name}_terms"].value == pytest.approx(
             np.sum(terms[idx]).real, rel=1e-13, abs=0), name
 
 
@@ -200,10 +210,11 @@ def test_fourfold_against_independent_enumeration(twin_cache):
     oracle = centered_intensity_product(
         ["s", "s", "i", "i"], twin_beam_moment_table(GL_UNIT)).real
     assert oracle == pytest.approx(39.0625)
-    assert res.direct.deviation(oracle) < 5
-    assert res.terms_total.deviation(oracle) < 5
+    assert res["fourfold_direct"].deviation(oracle) < 5
+    assert res["fourfold_terms_total"].deviation(oracle) < 5
     # the raw-moment polynomial is the mean of the centred product
-    assert res.direct.value == pytest.approx(fourfold_direct(es, es, ei, ei).value, rel=1e-12)
+    assert res["fourfold_direct"].value == pytest.approx(fourfold_direct(es, es, ei, ei).value,
+                                                         rel=1e-12)
 
 
 def test_fourfold_independent_vacua():
@@ -217,7 +228,7 @@ def test_fourfold_bunching_scaling(twin_cache):
     for s2 in (5.0, 10.0):
         es, ei = twin_cache(s2)
         res = fourfold_covariance(es, ei)
-        vals[s2] = res.class_estimates["bunching"].value
+        vals[s2] = res["bunching_terms"].value
     expect = (10.5 / 5.5) ** 4
     assert vals[10.0] / vals[5.0] == pytest.approx(expect, rel=0.10)
 
@@ -338,7 +349,7 @@ def _delta_and_jackknife_cases(twin_cache, bell_cache):
         def class_sum(*m, _idx=idx):
             moments = [m[2 * j] + 1j * m[2 * j + 1] for j in range(6)]
             return theory.fourfold_terms(*moments)[0][_idx].sum(axis=0).real
-        yield (f"fourfold {name}", res.class_estimates[name], jackknife_se(class_sum, *parts))
+        yield (f"fourfold {name}", res[f"{name}_terms"], jackknife_se(class_sum, *parts))
 
     for G in (1.0, 0.01):
         arms = bell_cache(G, reps)
@@ -383,8 +394,10 @@ def test_fourfold_direct_se_matches_jackknife_of_raw_moments(twin_cache):
     cols = (xs, xi, xs * xs, xs * xi, xi * xi, xs * xs * xi, xs * xi * xi,
             xs * xs * xi * xi)
     res = fourfold_covariance(es, ei)
-    assert res.direct.value == pytest.approx(direct(*(c.mean() for c in cols)), rel=1e-12)
-    assert res.direct.std_error == pytest.approx(jackknife_se(direct, *cols), rel=0.01)
+    assert res["fourfold_direct"].value == pytest.approx(direct(*(c.mean() for c in cols)),
+                                                         rel=1e-12)
+    assert res["fourfold_direct"].std_error == pytest.approx(jackknife_se(direct, *cols),
+                                                             rel=0.01)
 
 
 def test_fourfold_memory_is_bounded_by_the_chunk(twin_cache):

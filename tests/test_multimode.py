@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from spdcsim import multimode
-from spdcsim.multimode import (Hom2dConfig, JointAmplitudeKernel, build_kernel,
-                               calibrate_gain, image_mean_intensities, run_hom2d,
-                               sample_image_planes, schmidt_decompose, shift_field)
+from spdcsim.multimode import (Hom2dConfig, build_kernel, calibrate_gain,
+                               image_mean_intensities, run_hom2d, sample_image_planes,
+                               schmidt_decompose, shift_field)
 from spdcsim.multimode import (_band_pairs, _band_ports, _brent_root, _coherence_sweep,
                                _fit_dip_width, _product_gains)
 from spdcsim.sampling import RngStream
@@ -58,13 +58,13 @@ def test_config_validation():
 def test_single_pixel_kernel_reduces_to_single_mode():
     cfg = Hom2dConfig(n_pixels=1, gain_scale=0.8)
     k = build_kernel(cfg)
-    assert k.matrix.shape == (1, 1)
-    assert k.matrix[0, 0] == pytest.approx(math.cosh(0.8) * math.sinh(0.8))
+    assert k.shape == (1, 1)
+    assert k[0, 0] == pytest.approx(math.cosh(0.8) * math.sinh(0.8))
 
 
 def test_zero_gain_kernel_is_zero():
     cfg = Hom2dConfig(gain_scale=0.0)
-    assert np.all(build_kernel(cfg).matrix == 0.0)
+    assert np.all(build_kernel(cfg) == 0.0)
 
 
 def test_gaussian_phase_matching_kernel_matches_closed_form():
@@ -73,7 +73,7 @@ def test_gaussian_phase_matching_kernel_matches_closed_form():
     # Gaussian pump envelope of qs + qi.
     cfg = Hom2dConfig(n_pixels=16, pitch=0.6, phase_matching="gaussian",
                       gain_scale=0.8, crystal_length_mm=1.6)
-    matrix = build_kernel(cfg).matrix
+    matrix = build_kernel(cfg)
     q = cfg.q_axis
     # default bandwidth 0.7 at 0.8 mm, broadened by the module's gain and
     # exponent; pump waist 4
@@ -96,7 +96,7 @@ def test_kernel_from_its_symmetric_quarter_is_the_full_grid(pitch, n_pixels, pha
     for g0 in (1e-9, 1e-3, 0.1, 0.8814, 2.0, 5.0, 9.0):
         cfg = Hom2dConfig(n_pixels=n_pixels, pitch=pitch, phase_matching=phase_matching,
                           gain_scale=g0)
-        matrix, full = build_kernel(cfg).matrix, full_grid_kernel(cfg)
+        matrix, full = build_kernel(cfg), full_grid_kernel(cfg)
         assert matrix.dtype == full.dtype and matrix.flags.c_contiguous
         assert np.array_equal(matrix, full), g0
 
@@ -106,14 +106,14 @@ def test_rank_one_kernel_recovers_mode():
     v = np.zeros(8, dtype=complex)
     v[3] = 1.0
     lam = 1.7
-    kernel = JointAmplitudeKernel(matrix=lam * np.outer(u, v))
+    kernel = lam * np.outer(u, v)
     dec = truncated_schmidt(kernel)
     assert dec.n_modes == 1
     assert dec.lam[0] == pytest.approx(lam)
 
 
 def test_diagonal_kernel_gains():
-    kernel = JointAmplitudeKernel(matrix=np.diag([2.0, 1.0]).astype(complex))
+    kernel = np.diag([2.0, 1.0]).astype(complex)
     dec = schmidt_decompose(kernel)
     assert dec.lam == pytest.approx([2.0, 1.0])
     # product modes lambda_i lambda_j = 4, 2, 2, 1
@@ -141,7 +141,7 @@ def test_single_mode_sampling_reproduces_pixel_intensities():
     u[3] = math.sqrt(0.25)
     v = np.roll(u, 1)
     lam = math.cosh(GL := math.asinh(1.0)) * math.sinh(GL)  # S^2 = 1
-    kernel = JointAmplitudeKernel(matrix=lam * np.outer(u, v))
+    kernel = lam * np.outer(u, v)
     dec = truncated_schmidt(kernel)
     signal, idler = sample_multimode(dec, RngStream(7, 0), 200_000)
     for pix, weight in ((2, 0.75), (3, 0.25)):
@@ -171,7 +171,7 @@ def test_covariance_map_matches_kernel():
         xb = np.abs(idler[:, m]) ** 2
         prod = (xa - xa.mean()) * (xb - xb.mean())
         se = prod.std(ddof=1) / math.sqrt(prod.size)
-        expect = abs(kernel.matrix[l, m]) ** 2
+        expect = abs(kernel[l, m]) ** 2
         assert abs(prod.mean() - expect) < 5 * se
 
 
@@ -208,7 +208,7 @@ def test_image_planes_reproduce_analytic_moments():
         est = mean_intensity(sig[x][y])
         assert est.deviation(img[x, y]) < 5
 
-    K = build_kernel(cfg).matrix
+    K = build_kernel(cfg)
     for (x, y) in ((n // 2, n // 2), (n // 2 - 1, n // 2 + 2)):
         mx, my = n - 1 - x, n - 1 - y
         ia = np.abs(sig[x][y]) ** 2
@@ -446,11 +446,11 @@ def test_run_hom2d_matches_exact_gaussian_oracle(photons):
 
 def test_vacuum_control_variate_has_zero_mean():
     dec = schmidt_decompose(build_kernel(SMALL))
-    rows, band_l, band_m = _band_pairs(image_mean_intensities(dec))
+    rows, band_l = _band_pairs(image_mean_intensities(dec))
     reps = 20_000
     signal, idler = sample_image_planes(dec, RngStream(13, 0), reps, rows)
     shifts = (3, 2.5, SMALL.n_pixels // 2)
-    for tile, e1, e2, _ in _band_ports(signal, idler, band_l, band_m, shifts):
+    for tile, e1, e2, _ in _band_ports(signal, idler, band_l, shifts):
         # the vacuum half of the samples, (shift, pixel, rep), that of e1 negated
         v1, v2 = (e[0, 1] + 1j * e[1, 1] for e in (-e1, e2))
         for product in (v1 * np.conj(v2), v1 * v2):
@@ -458,6 +458,30 @@ def test_vacuum_control_variate_has_zero_mean():
                 se = part.std(axis=-1, ddof=1) / math.sqrt(reps)
                 z = np.abs(part.mean(axis=-1)) / se  # (shifts, pixels of the row)
                 assert np.all(z < 5), dict(zip(shifts[tile], z.max(axis=1)))
+
+
+@pytest.mark.parametrize("photons", [0.01, 1.0])
+@pytest.mark.parametrize("n_pixels, pitch", [(16, 0.6), (63, 0.25), (64, 0.25)])
+@pytest.mark.parametrize("phase_matching", ["sinc", "gaussian"])
+def test_band_pairs_mirror_through_the_restricted_image(phase_matching, n_pixels, pitch,
+                                                        photons):
+    # the sweep takes the partner of the band pixel at restricted flat index
+    # l at len(rows) n - 1 - l: the synthesised rows are symmetric about the
+    # image centre, and the mirror (n-1-x, n-1-y) of a band pixel is one too
+    config = calibrate_gain(Hom2dConfig(n_pixels=n_pixels, pitch=pitch,
+                                        phase_matching=phase_matching), photons)
+    image = image_mean_intensities(schmidt_decompose(build_kernel(config)))
+    rows, band_l = _band_pairs(image)
+    n = n_pixels
+    assert np.array_equal(rows, n - 1 - rows[::-1])
+    x, y = rows[band_l // n], band_l % n
+    band = image >= multimode.BAND_FLOOR * image.max()
+    assert band[x, y].all() and band_l.size == np.count_nonzero(band)
+    assert band[n - 1 - x, n - 1 - y].all()
+    mirror = len(rows) * n - 1 - band_l
+    assert np.array_equal(rows[mirror // n], n - 1 - x)
+    assert np.array_equal(mirror % n, n - 1 - y)
+    assert np.isin(mirror, band_l).all()
 
 
 @pytest.mark.parametrize("n", [9, 16, 64])
@@ -471,14 +495,13 @@ def test_band_ports_are_the_shifted_rows_through_the_splitter(n, monkeypatch):
     signal, idler = (rng.normal(size=(3, 2, 7, 2 * n)).view(complex) for _ in range(2))
     # flat over (3, n), each pixel's partner mirrored through the centre
     band_l = np.array([1, 2, n - 1, n + 3, 2 * n, 2 * n + 5])
-    band_m = 3 * n - 1 - band_l
     shifts = (2.5, -1.8, 3, n // 2)
     for tile_bytes, tiles in ((multimode._TILE_BYTES, 1), (1, len(shifts))):
         monkeypatch.setattr(multimode, "_TILE_BYTES", tile_bytes)
         rows = iter([(0, [1, 2, n - 1], 2, [n - 2, n - 3, 0]), (1, [3], 1, [n - 4]),
                      (2, [0, 5], 0, [n - 1, n - 6])])
         yields = 0
-        for tile, e1, e2, _ in _band_ports(signal, idler, band_l, band_m, shifts):
+        for tile, e1, e2, _ in _band_ports(signal, idler, band_l, shifts):
             if tile.start == 0:
                 x, cl, xm, cm = next(rows)
             yields += 1
@@ -514,17 +537,17 @@ def test_the_sweep_does_not_depend_on_its_tilt_tiles(photons, monkeypatch):
     config = SMALL if photons is None else calibrate_gain(Hom2dConfig(), photons)
     reps, seed = (SMALL_REPS, SMALL_SEED) if photons is None else (100, 42)
     dec = schmidt_decompose(build_kernel(config))
-    rows, band_l, band_m = _band_pairs(image_mean_intensities(dec))
+    rows, band_l = _band_pairs(image_mean_intensities(dec))
     signal, idler = sample_image_planes(dec, RngStream(seed, 0), reps, rows)
     shifts = [*(2.0 * np.asarray(config.theta_sweep) / config.pitch), config.n_pixels // 2]
     monkeypatch.setattr(multimode, "_TILE_BYTES", 1 << 40)
-    value, loo = _coherence_sweep(signal, idler, band_l, band_m, shifts)
+    value, loo = _coherence_sweep(signal, idler, band_l, shifts)
     sizes = set()
     for budget in [1, *(int(1.5 ** k) for k in range(28, 42))]:
         monkeypatch.setattr(multimode, "_TILE_BYTES", budget)
-        tile = next(_band_ports(signal, idler, band_l, band_m, shifts))[0]
+        tile = next(_band_ports(signal, idler, band_l, shifts))[0]
         sizes.add(len(shifts[tile]))
-        tiled = _coherence_sweep(signal, idler, band_l, band_m, shifts)
+        tiled = _coherence_sweep(signal, idler, band_l, shifts)
         np.testing.assert_allclose(tiled[0], value, rtol=1e-14, atol=0)
         np.testing.assert_allclose(tiled[1], loo, rtol=1e-14, atol=0)
     assert {1, 2, len(shifts)} <= sizes and len(sizes) >= 5, sizes
@@ -586,7 +609,7 @@ def test_image_rows_and_vacuum_reuse_the_full_synthesis():
 def test_chunked_synthesis_matches_the_whole_block_reference(config, photons, reps, seed):
     config = config if photons is None else calibrate_gain(config, photons)
     dec = schmidt_decompose(build_kernel(config))
-    rows, _, _ = _band_pairs(image_mean_intensities(dec))
+    rows, _ = _band_pairs(image_mean_intensities(dec))
     got = sample_image_planes(dec, RngStream(seed, 7), reps, rows)
     want = whole_block_image_planes(dec, RngStream(seed, 7), reps, rows)
     for g, w in zip(got, want):
@@ -605,7 +628,7 @@ def test_a_repetitions_planes_do_not_depend_on_later_repetitions(config, photons
     # vacuum halves alike, are the shorter synthesis bit for bit
     config = config if photons is None else calibrate_gain(config, photons)
     dec = schmidt_decompose(build_kernel(config))
-    rows, _, _ = _band_pairs(image_mean_intensities(dec))
+    rows, _ = _band_pairs(image_mean_intensities(dec))
     longer = sample_image_planes(dec, RngStream(seed, 7), reps, rows)
     shorter = sample_image_planes(dec, RngStream(seed, 7), prefix, rows)
     for a, b in zip(longer, shorter):
@@ -630,7 +653,7 @@ def test_image_synthesis_working_set_is_its_result_and_one_chunk(reps):
     # of repetitions at a time, into buffers reused by every chunk
     config = calibrate_gain(Hom2dConfig(), 1.0)
     dec = schmidt_decompose(build_kernel(config))
-    rows, _, _ = _band_pairs(image_mean_intensities(dec))
+    rows, _ = _band_pairs(image_mean_intensities(dec))
     planes, peak = _traced_peak(sample_image_planes, dec, RngStream(42, 0), reps, rows)
     result = sum(p.nbytes for p in planes)
     assert peak <= 1.6 * result + 2e6, (peak, result)
@@ -644,7 +667,7 @@ def test_a_warm_synthesis_chunk_allocates_no_buffer(monkeypatch):
     # complex ufunc in blocks of 8192 elements, 128 KB
     config = calibrate_gain(Hom2dConfig(), 1.0)  # 4-repetition chunks
     dec = schmidt_decompose(build_kernel(config))
-    rows, _, _ = _band_pairs(image_mean_intensities(dec))
+    rows, _ = _band_pairs(image_mean_intensities(dec))
     draw = multimode.sample_vacuum
     starts, chunks = [], []  # traced memory at each chunk's start, and its peak above that
 

@@ -10,12 +10,7 @@ from helpers import integer_gaussian_pairs
 
 from spdcsim import sampling
 from spdcsim.estimators import CHUNK_ROWS
-from spdcsim.sampling import ORDERING, RngStream, raw_words, sample_vacuum
-
-
-def test_ordering_constants_exact():
-    assert ORDERING.intensity_offset == 0.5
-    assert ORDERING.variance_offset == 0.25
+from spdcsim.sampling import RngStream, raw_words, sample_vacuum
 
 
 def _key_rows(n_words):

@@ -186,8 +186,8 @@ def _whole_column_estimates(config):
                 chsh_b_estimate(arms, config.theta1, config.theta2)]
     es, ei = twin_fields(replace(config, kind="twin"))
     res = fourfold_covariance(es, ei)
-    return [res.direct, res.terms_total,
-            *(res.class_estimates[name] for name in ("bunching", "low_gain", "mixed"))]
+    return [res[name] for name in ("fourfold_direct", "fourfold_terms_total",
+                                   "bunching_terms", "low_gain_terms", "mixed_terms")]
 
 
 @pytest.mark.parametrize("kind", CONFIGS)
