@@ -5,11 +5,10 @@ Subcommands: twin, hom, bell, fourfold, hom2d (Monte Carlo runs) and oracle
 ``ExperimentConfig`` or, for the hom2d geometry, of ``Hom2dConfig``, and its
 default is that field's default: for --reps the subcommand's entry of
 ``DEFAULT_REPS``, and the environment variable SPDC_SEED replaces the
-default seed; a seed is an integer in [0, 2**64).  Every Monte Carlo
-subcommand takes --reps and --seed, and all but hom2d (which runs on the
-calling thread: it draws in chunks, but its sweep needs every repetition
-at once) take --threads; every subcommand takes --out, --format and
---config.  Without --out, oracle prints its table in --format.  Every
+default seed; a seed is an integer in [0, 2**64).  A Monte Carlo
+subcommand takes --reps, --seed and the flags of the fields its kind
+reads (``experiments.READS``); every subcommand takes --out, --format
+and --config.  Without --out, oracle prints its table in --format.  Every
 report and table is written or printed by :mod:`spdcsim.reporting`.
 
 A ``--config`` file holds flat ``key = value`` lines (a TOML-compatible
@@ -38,7 +37,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .estimators import DegenerateStatisticError
-from .experiments import DEFAULT_REPS, ExperimentConfig, oracle_table, run_experiment
+from .experiments import DEFAULT_REPS, READS, ExperimentConfig, oracle_table, run_experiment
 from .multimode import Hom2dConfig
 from .reporting import curve_sidecar, emit_results, emit_table, print_report
 
@@ -84,11 +83,12 @@ def _float_list(text: str) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser.  Each subcommand's ``config_keys`` default holds the
-    keys its config file may use, and ``exclusive`` one ``{key: dest}`` per
-    mutually exclusive group.  A group's flags default to absent, so that
-    a parsed namespace shows which one the command line gave; the config
-    dataclass supplies the default."""
+    """The CLI parser.  A run subcommand has the flags of the fields its
+    kind reads (:data:`~spdcsim.experiments.READS`).  Each subcommand's
+    ``config_keys`` default holds the keys its config file may use, and
+    ``exclusive`` one ``{key: dest}`` per mutually exclusive group.  A
+    group's flags default to absent, so that a parsed namespace shows which
+    one the command line gave; the config dataclass supplies the default."""
     parser = argparse.ArgumentParser(
         prog="spdcsim",
         description="Monte Carlo simulator of Gaussian quantum-optics experiments "
@@ -99,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         flags = []
         groups = {}
+        reads = READS.get(command, ())
 
         def add(flag, owner=None, name=None, to=p, **kwargs):
             """Add ``flag``; with ``owner`` it sets field ``name`` of that
@@ -128,25 +129,26 @@ def build_parser() -> argparse.ArgumentParser:
             add("--seed", ExperimentConfig, "seed", type=int,
                 default=os.environ.get("SPDC_SEED") or ExperimentConfig.seed,
                 help="RNG seed (default $SPDC_SEED, else %(default)s)")
-        if command in ("twin", "hom", "bell", "fourfold"):
+        if "threads" in reads:
             add("--threads", ExperimentConfig, "threads", type=int,
                 help="chunk workers; results do not depend on it (default %(default)s)")
+        if "gl" in reads:
             gain = p.add_mutually_exclusive_group()
             add("--gain-gl", ExperimentConfig, "gl", to=gain,
                 help="gain-length product gL")
             add("--G", ExperimentConfig, "G", to=gain,
                 help="mean photons per mode, sinh^2(gL) (default 1)")
-        if command == "twin":
+        if "eta" in reads:
             add("--eta", ExperimentConfig, "eta",
                 help="detector quantum efficiency (default %(default)s)")
-        elif command == "hom":
+        if "transmittance" in reads:
             add("--transmittance", ExperimentConfig, "transmittance",
                 help="splitter intensity transmittance (default %(default)s)")
-        elif command == "bell":
-            for n in (1, 2):
+        for n in (1, 2):
+            if f"theta{n}" in reads:
                 add(f"--theta{n}", ExperimentConfig, f"theta{n}",
                     help=f"polariser angle at location {n}, radians (default pi/8)")
-        elif command == "hom2d":
+        if "hom2d" in reads:
             gain = p.add_mutually_exclusive_group()
             add("--photons-per-pixel", ExperimentConfig, "photons_per_pixel", to=gain,
                 help="calibrate the gain to this brightest-pixel intensity")
@@ -190,7 +192,7 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     options = vars(args)
     run = {f.name: options[f.name] for f in fields(ExperimentConfig)
            if f.name in options}
-    if args.command == "hom2d":
+    if "hom2d" in READS[args.command]:
         geometry = {f.name: options[f.name] for f in fields(Hom2dConfig)
                     if f.name in options}
         run["hom2d"] = Hom2dConfig(**geometry)

@@ -1,21 +1,25 @@
 """Experiment pipelines binding configurations to sampled statistics.
 
-The twin, hom, bell and fourfold pipelines stream their ensemble: each is a
-draw function, giving the fields of rows ``[row0, row0 + rows)``, plus one
-feature function covering every statistic of its report (``_STREAMED``).
-The chunks of :func:`~spdcsim.estimators.row_chunks`, at most
+:data:`READS` names the fields each kind reads besides ``kind``, ``reps``
+and ``seed``: a config refuses any other field off its default, a report's
+metadata records exactly those, and the command line has their flags.
+
+The twin, hom, bell and fourfold pipelines run one path, each through its
+entry of ``_STREAMED``.  The oracle is computed before the draw, so one
+that overflows fails the run at once; a value, standard error or oracle
+that is not finite fails the run where its row is made.  The chunks of
+:func:`~spdcsim.estimators.row_chunks`, at most
 :data:`~spdcsim.estimators.CHUNK_ROWS` = 16384 rows, are the one unit of
 drawing, reduction and merging, so memory does not grow with ``reps``.  A
 chunk draws each vacuum lane in one call (one draw block of the sampler
 for two-mode rows, see :func:`~spdcsim.sampling.block_rows`), propagates
 the fields through the elements, writes its features into the rows of a
 (k, rows) matrix and reduces that to its feature mean and centred Gram
-matrix.  Every array of
-it, the vacuum draw's words and Box-Muller scratch included, is a buffer
-of the one namespace that the worker owns and passes down
-(:func:`~spdcsim.sampling.kept_array`), reused for its next chunk: a
-warm chunk allocates no fresh pages, and its working set stays in cache.
-The chunk at ``row0`` of vacuum lane ``L`` is
+matrix.  Every array of it, the vacuum draw's words and Box-Muller
+scratch included, is a buffer of the one namespace that the worker owns
+and passes down (:func:`~spdcsim.sampling.kept_array`), reused for its
+next chunk: a warm chunk allocates no fresh pages, and its working set
+stays in cache.  The chunk at ``row0`` of vacuum lane ``L`` is
 ``sample_vacuum(RngStream(seed, L * LANE_STRIDE + row0), rows, modes)``,
 which holds the same rows, bit for bit, as one draw of the whole lane:
 a Philox key covers 2**14 words of rows (4096 rows of two modes, 2048 of
@@ -27,10 +31,7 @@ moments of its features, and the hom dip, a ratio of this module's own,
 takes its ``estimate``.  bell's 14 features are rho's nine, of the plus
 outputs at (theta1, theta2) and their input vacua, and the five Stokes
 products, whose weights give E and B: a chunk projects four fields
-whatever the settings.  A row's closed-form
-oracle is computed before the draw, so an oracle that overflows fails the
-run at once; a value, standard error or oracle that is not finite fails
-the run where its row is made.
+whatever the settings.
 
 ``threads`` workers reduce whole chunks, at most two per worker in flight,
 and the merge takes their results strictly in row order, so a report does
@@ -38,8 +39,7 @@ not depend on the thread count.  One thread reduces them on the calling
 thread: ``concurrent.futures`` is imported only when ``threads`` > 1, so
 a one-thread run does not pay for its import.  hom2d draws and
 synthesises its repetitions on the calling thread, one draw block of the
-sampler at a time, and its sweep then reduces them all at once, so
-neither its command nor its report has ``threads``.
+sampler at a time, and its sweep then reduces them all at once.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ import math
 import threading
 import time
 from collections import deque
-from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -68,9 +67,18 @@ from .reporting import RunReport, make_row
 from .sampling import LANE_STRIDE, RngStream, kept_array, sample_vacuum
 
 __all__ = ["ExperimentConfig", "run_experiment", "oracle_table", "EXPERIMENT_KINDS",
-           "DEFAULT_REPS"]
+           "DEFAULT_REPS", "READS"]
 
-EXPERIMENT_KINDS = ("twin", "hom", "bell", "hom2d", "fourfold")
+#: The fields of :class:`ExperimentConfig` each kind reads besides
+#: ``kind``, ``reps`` and ``seed``, in the order its metadata records them.
+READS = {
+    "twin": ("threads", "gl", "G", "eta"),
+    "hom": ("threads", "gl", "G", "transmittance"),
+    "bell": ("threads", "gl", "G", "theta1", "theta2"),
+    "hom2d": ("photons_per_pixel", "hom2d"),
+    "fourfold": ("threads", "gl", "G"),
+}
+EXPERIMENT_KINDS = tuple(READS)
 
 #: Default ``reps`` of each kind.  A hom2d repetition is a pair of whole
 #: images, 8192 complex vacuum amplitudes at the default geometry.
@@ -81,17 +89,15 @@ DEFAULT_REPS = {**dict.fromkeys(EXPERIMENT_KINDS, 1_000_000), "hom2d": 100}
 class ExperimentConfig:
     """Configuration of one experiment run.
 
-    The amplifier strength is given either as the gain-length product
-    ``gl`` or as the mean photon number per mode ``G`` (mutually
-    exclusive); angles are radians.  Only twin has detector loss, so
-    every other kind refuses an ``eta`` other than 1.  ``threads`` workers
-    reduce the row chunks of the twin, hom, bell and fourfold pipelines in
-    parallel; no result depends on it, and hom2d, which runs on the calling
-    thread, does not read it.  ``reps`` and ``seed`` apply to every kind; ``reps``
-    left at None takes the kind's :data:`DEFAULT_REPS`, and every kind
-    needs at least three (:func:`~spdcsim.multimode.check_reps`).
-    ``hom2d`` holds the hom2d geometry alone.  The field defaults are the
-    command line's defaults.
+    ``reps`` and ``seed`` apply to every kind, and every other field to the
+    kinds of :data:`READS` that name it: any other kind refuses it off its
+    default, so a run never ignores a setting.  ``reps`` left at None takes
+    the kind's :data:`DEFAULT_REPS`; every kind needs at least three
+    (:func:`~spdcsim.multimode.check_reps`).  The gain is the gain-length
+    product ``gl`` or the mean photons per mode ``G``, and hom2d's its
+    geometry's ``gain_scale`` or calibrated to ``photons_per_pixel`` (each
+    pair mutually exclusive); angles are radians.  No result depends on
+    ``threads``.  The field defaults are the command line's defaults.
     """
 
     kind: str
@@ -108,15 +114,21 @@ class ExperimentConfig:
     hom2d: Hom2dConfig = Hom2dConfig()
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in READS:
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
-        if self.kind != "twin" and self.eta != 1.0:
-            raise ValueError(f"the {self.kind} run has no detector loss; eta applies "
-                             f"to twin runs only, got {self.eta}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in (*READS[self.kind], "kind", "reps", "seed") and value != f.default:
+                readers = ", ".join(k for k, names in READS.items() if f.name in names)
+                raise ValueError(f"the {self.kind} run does not read {f.name}, got {value}; "
+                                 f"{f.name} applies to {readers} runs only")
         if self.reps is None:  # a frozen field, set once here
             object.__setattr__(self, "reps", DEFAULT_REPS[self.kind])
         if self.gl is not None and self.G is not None:
             raise ValueError("give either gl or G, not both")
+        if (self.photons_per_pixel is not None
+                and self.hom2d.gain_scale != Hom2dConfig.gain_scale):
+            raise ValueError("give either photons_per_pixel or gain_scale, not both")
         check_reps(self.reps)
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
@@ -179,15 +191,10 @@ def _twin_features(config, x, kept, es, ei):
     np.multiply(xs, xs, out=xss)
 
 
-def _run_twin(config: ExperimentConfig) -> RunReport:
-    oracle = theory.twin_beam_moments(config.gain, config.eta)
-    moments = _moments(config)
-    rows = [
-        make_row("mean", mean_intensity(moments.select([0])), oracle["mean"]),
-        make_row("var", variance_intensity(moments.select([0, 0, 2])), oracle["var"]),
-        make_row("cov", covariance_intensity(moments.select([0, 1, 3])), oracle["cov"]),
-    ]
-    return RunReport("twin", rows=rows)
+def _twin_rows(config, moments):
+    return {"mean": mean_intensity(moments.select([0])),
+            "var": variance_intensity(moments.select([0, 0, 2])),
+            "cov": covariance_intensity(moments.select([0, 1, 3]))}
 
 
 def _hom_chunk(config: ExperimentConfig, row0: int, rows: int, kept):
@@ -218,7 +225,7 @@ def _coherence_ratio(m):
     return _coherence(m[:4]) / _coherence(m[4:])
 
 
-def _run_hom(config: ExperimentConfig) -> RunReport:
+def _hom_oracle(config):
     try:
         cov_in_oracle = (config.gain.C * config.gain.S) ** 2
     except OverflowError:
@@ -226,20 +233,18 @@ def _run_hom(config: ExperimentConfig) -> RunReport:
                               f"{config.gain.C * config.gain.S:.6g} squared is out "
                               f"of float range") from None
     ratio_oracle = theory.hom_covariance_ratio(config.splitter)
-    moments = _moments(config)
+    return {"cov_input": cov_in_oracle, "cov_output": ratio_oracle * cov_in_oracle,
+            "dip_amplitude": ratio_oracle}
+
+
+def _hom_rows(config, moments):
     coherence_in = moments.select(range(10, 14)).estimate(_coherence)
     if coherence_in.value < 5.0 * coherence_in.std_error:
         raise DegenerateStatisticError(
             "input field coherence (the dip's denominator) consistent with zero")
-    rows = [
-        make_row("cov_input", covariance_intensity(moments.select([0, 1, 2])),
-                 cov_in_oracle),
-        make_row("cov_output", covariance_intensity(moments.select([3, 4, 5])),
-                 ratio_oracle * cov_in_oracle),
-        make_row("dip_amplitude",
-                 moments.select(range(6, 14)).estimate(_coherence_ratio), ratio_oracle),
-    ]
-    return RunReport("hom", rows=rows)
+    return {"cov_input": covariance_intensity(moments.select([0, 1, 2])),
+            "cov_output": covariance_intensity(moments.select([3, 4, 5])),
+            "dip_amplitude": moments.select(range(6, 14)).estimate(_coherence_ratio)}
 
 
 def _bell_chunk(config: ExperimentConfig, row0: int, rows: int, kept):
@@ -289,20 +294,11 @@ def _bell_features(config, x, kept, *fields):
                     scratch=kept_array(kept, "experiments_stokes", (7, n), np.float64))
 
 
-def _run_bell(config: ExperimentConfig) -> RunReport:
-    oracle = theory.bell_prediction(config.theta1, config.theta2,
-                                    config.gain.mean_photons)
-    moments = _moments(config)
+def _bell_rows(config, moments):
     chsh = moments.select(range(9, 14))
-    rows = [
-        make_row("rho", correlation_coefficient(moments.select(range(9))), oracle["rho"]),
-        make_row("E", chsh_coefficient(chsh, _chsh_weights(config.theta1, config.theta2)),
-                 oracle["E"]),
-        make_row("B", chsh_coefficient(chsh, _B_WEIGHTS), oracle["B"]),
-    ]
-    report = RunReport("bell", rows=rows)
-    report.metadata["threshold_G"] = oracle["threshold_G"]
-    return report
+    return {"rho": correlation_coefficient(moments.select(range(9))),
+            "E": chsh_coefficient(chsh, _chsh_weights(config.theta1, config.theta2)),
+            "B": chsh_coefficient(chsh, _B_WEIGHTS)}
 
 
 def _fourfold_features(config, x, kept, es, ei):
@@ -310,30 +306,30 @@ def _fourfold_features(config, x, kept, es, ei):
     fourfold_features(es, ei, out=x, scratch=_scratch(kept, len(es)))
 
 
-def _run_fourfold(config: ExperimentConfig) -> RunReport:
+def _fourfold_oracle(config):
     exact_terms, classes = theory.fourfold_terms(
         **theory.coincident_fourfold_moments(config.gain))
     exact_total = float(np.sum(exact_terms).real)
-    oracle = {"fourfold_direct": exact_total, "fourfold_terms_total": exact_total,
-              **{f"{name}_terms": float(sum(exact_terms[i] for i in classes[name]).real)
-                 for name in ("bunching", "low_gain", "mixed")}}
-    if not all(map(math.isfinite, oracle.values())):
-        raise ArithmeticError(f"the fourfold oracle overflows: its closed-form total "
-                              f"is {exact_total:.6g} at gl = {config.gain.gl:.6g}")
-    estimates = fourfold_covariance(_moments(config))
-    return RunReport("fourfold", rows=[make_row(name, estimates[name], exact)
-                                       for name, exact in oracle.items()])
+    return {"fourfold_direct": exact_total, "fourfold_terms_total": exact_total,
+            **{f"{name}_terms": float(sum(exact_terms[i] for i in classes[name]).real)
+               for name in ("bunching", "low_gain", "mixed")}}
 
 
-#: (draw, features, k) of one chunk of each streamed pipeline:
-#: ``draw(config, row0, rows, kept)`` gives the fields of those rows and
+#: (draw, features, k, oracle, rows) of each streamed pipeline:
+#: ``draw(config, row0, rows, kept)`` gives the fields of a chunk's rows,
 #: ``features(config, x, kept, *fields)`` writes their k features into the
-#: chunk's (k, rows) feature matrix ``x``.
+#: chunk's (k, rows) feature matrix ``x``, ``oracle(config)`` the value of
+#: each report row (bell's also its metadata's ``threshold_G``), and
+#: ``rows(config, moments)`` each row's estimate from all rows' moments.
 _STREAMED = {
-    "twin": (_twin_chunk, _twin_features, 4),
-    "hom": (_hom_chunk, _hom_features, 14),
-    "bell": (_bell_chunk, _bell_features, 14),
-    "fourfold": (_amplified_pair, _fourfold_features, 10),
+    "twin": (_twin_chunk, _twin_features, 4,
+             lambda config: theory.twin_beam_moments(config.gain, config.eta), _twin_rows),
+    "hom": (_hom_chunk, _hom_features, 14, _hom_oracle, _hom_rows),
+    "bell": (_bell_chunk, _bell_features, 14,
+             lambda config: theory.bell_prediction(config.theta1, config.theta2,
+                                                   config.gain.mean_photons), _bell_rows),
+    "fourfold": (_amplified_pair, _fourfold_features, 10, _fourfold_oracle,
+                 lambda config, moments: fourfold_covariance(moments)),
 }
 
 
@@ -344,7 +340,7 @@ def _chunk_reducer(config: ExperimentConfig, kept):
     ``experiments_features``), which one thread at a time may use and the
     next chunk reduced with it reuses.  numpy's floating-point warnings are
     off: a statistic that overflows fails where its report row is made."""
-    draw, features, k = _STREAMED[config.kind]
+    draw, features, k = _STREAMED[config.kind][:3]
 
     def reduce(row0, rows):
         x = kept_array(kept, "experiments_features", (k, rows), np.float64)
@@ -383,6 +379,23 @@ def _moments(config: ExperimentConfig) -> FeatureMoments:
         return merge_moments(_in_order(pool, reduce, chunks, 2 * config.threads))
 
 
+def _run_streamed(config: ExperimentConfig) -> RunReport:
+    """The report of the streamed pipeline ``config.kind``, with numpy's
+    floating-point warnings off: see the module docstring."""
+    *_, oracle, rows = _STREAMED[config.kind]
+    with np.errstate(all="ignore"):
+        exact = oracle(config)
+        for name, value in exact.items():
+            if not math.isfinite(value):
+                raise ArithmeticError(f"the {config.kind} oracle overflows: {name} is "
+                                      f"{value} at gl = {config.gain.gl:.6g}")
+        estimates = rows(config, _moments(config))
+        report = RunReport(config.kind, rows=[make_row(name, est, exact[name])
+                                              for name, est in estimates.items()])
+    report.metadata.update({name: v for name, v in exact.items() if name not in estimates})
+    return report
+
+
 def _run_hom2d(config: ExperimentConfig) -> RunReport:
     mm = config.hom2d
     if config.photons_per_pixel is not None:
@@ -405,9 +418,10 @@ def oracle_table(table: str, values: tuple, eta: float):
     """Closed-form predictions of ``table`` ('twin', 'bell' or 'hom') at
     ``values`` (gains G, or transmittances for 'hom'; empty for the
     default set) and detector efficiency ``eta``; returns (header, rows)."""
-    if table in ("bell", "hom") and eta != 1.0:
+    if table in READS and "eta" not in READS[table] and eta != 1.0:
+        readers = ", ".join(k for k, names in READS.items() if "eta" in names)
         raise ValueError(f"the {table} table has no detector efficiency; "
-                         f"eta applies to the twin table only, got {eta}")
+                         f"eta applies to the {readers} table only, got {eta}")
     if table == "twin":
         values = values or (0.01, 0.1, theory.CHSH_THRESHOLD_GAIN, 1.0, 10.0)
         header = ["G", "gl", "eta", "mean", "var", "cov"]
@@ -435,35 +449,21 @@ def oracle_table(table: str, values: tuple, eta: float):
     raise ValueError(f"unknown oracle table: {table!r}")
 
 
-_PIPELINES = {
-    "twin": _run_twin,
-    "hom": _run_hom,
-    "bell": _run_bell,
-    "fourfold": _run_fourfold,
-    "hom2d": _run_hom2d,
-}
+_PIPELINES = {**dict.fromkeys(_STREAMED, _run_streamed), "hom2d": _run_hom2d}
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute the configured pipeline; deterministic under a fixed seed."""
     start = time.perf_counter()
-    # A streamed statistic or oracle that overflows fails where its report
-    # row is made, so numpy's floating-point warnings are off for them.
-    with np.errstate(all="ignore") if config.kind in _STREAMED else nullcontext():
-        report = _PIPELINES[config.kind](config)
+    report = _PIPELINES[config.kind](config)
     meta = report.metadata
     meta.setdefault("experiment", config.kind)
-    meta.update({
-        "seed": config.seed,
-        "reps": config.reps,
-    })
-    if config.kind != "hom2d":  # hom2d's gain is its geometry's gain_scale
-        meta.update({
-            "threads": config.threads,
-            "gl": config.gain.gl,
-            "G": config.gain.mean_photons,
-            "eta": config.eta,
-        })
+    meta.update({"seed": config.seed, "reps": config.reps})
+    # the fields the kind reads, as the run used them: gl and G as its gain's;
+    # hom2d's two as calibrated, which its pipeline records (the geometry as config)
+    gain = {"gl": config.gain.gl, "G": config.gain.mean_photons}
+    meta.update({name: gain[name] if name in gain else getattr(config, name)
+                 for name in READS[config.kind] if name not in meta and name != "hom2d"})
     meta.update({
         "version": __version__,
         "wall_time_s": time.perf_counter() - start,

@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ from spdcsim.experiments import ExperimentConfig
 from spdcsim.multimode import DipCurve, Hom2dConfig
 from spdcsim.reporting import RunReport, emit_results, make_row
 
-from helpers import comparable_text
+from helpers import VOLATILE_METADATA, comparable_text
 
 
 def run_cli(args):
@@ -388,12 +388,108 @@ def test_oracle_eta_is_rejected_where_no_table_column_uses_it(capsys):
 def test_eta_is_refused_by_every_kind_without_detector_loss(kind, eta):
     # only twin has lossy detectors: any other kind would run lossless and
     # still record the eta it was given in its report
-    with pytest.raises(ValueError, match=f"^the {kind} run has no detector loss; "
-                                         "eta applies to twin runs only"):
+    with pytest.raises(ValueError, match=f"^the {kind} run does not read eta, got .*; "
+                                         "eta applies to twin runs only$"):
         ExperimentConfig(kind=kind, eta=eta)
     assert ExperimentConfig(kind=kind, eta=1.0).eta == 1.0
     if math.isfinite(eta):
         assert ExperimentConfig(kind="twin", eta=eta).eta == eta
+
+
+#: Each field of ExperimentConfig but kind, reps and seed: a value off its
+#: default, and the kinds that read it.
+FIELD_READERS = {
+    "gl": (0.5, "twin, hom, bell, fourfold"),
+    "G": (5.0, "twin, hom, bell, fourfold"),
+    "eta": (0.5, "twin"),
+    "theta1": (1.0, "bell"),
+    "theta2": (1.0, "bell"),
+    "transmittance": (0.3, "hom"),
+    "threads": (4, "twin, hom, bell, fourfold"),
+    "photons_per_pixel": (1.0, "hom2d"),
+    "hom2d": (Hom2dConfig(n_pixels=16, pitch=0.6, theta_sweep=(-1.8, 0.0, 1.8)), "hom2d"),
+}
+
+
+def test_field_readers_cover_every_field_and_agree_with_reads():
+    assert set(FIELD_READERS) == {f.name for f in fields(ExperimentConfig)} - {
+        "kind", "reps", "seed"}
+    for name, (_, readers) in FIELD_READERS.items():
+        assert readers.split(", ") == [kind for kind in experiments.EXPERIMENT_KINDS
+                                       if name in experiments.READS[kind]]
+
+
+@pytest.mark.parametrize("kind, name", [
+    (kind, name) for name, (_, readers) in FIELD_READERS.items()
+    for kind in experiments.EXPERIMENT_KINDS if kind not in readers.split(", ")])
+def test_every_kind_refuses_the_fields_it_does_not_read(kind, name):
+    # a run that ignored a field would still be taken to have checked it
+    value, readers = FIELD_READERS[name]
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig(kind=kind, **{name: value})
+    assert str(exc.value) == (f"the {kind} run does not read {name}, got {value}; "
+                              f"{name} applies to {readers} runs only")
+    for reader in readers.split(", "):
+        assert getattr(ExperimentConfig(kind=reader, **{name: value}), name) == value
+
+
+def test_hom2d_refuses_photons_per_pixel_with_a_gain_scale():
+    geometry = Hom2dConfig(n_pixels=16, pitch=0.6, gain_scale=2.0)
+    with pytest.raises(ValueError, match="^give either photons_per_pixel or gain_scale, "
+                                         "not both$"):
+        ExperimentConfig(kind="hom2d", photons_per_pixel=1.0, hom2d=geometry)
+    assert ExperimentConfig(kind="hom2d", hom2d=geometry).hom2d.gain_scale == 2.0
+    assert ExperimentConfig(kind="hom2d", photons_per_pixel=1.0).photons_per_pixel == 1.0
+
+
+#: The metadata keys of each kind's report, in order, less the volatile
+#: ones: the fields it reads between reps and version, hom2d's as
+#: calibrated (its geometry as "config") after its diagnostics.
+METADATA_KEYS = {
+    "twin": ["experiment", "seed", "reps", "threads", "gl", "G", "eta", "version"],
+    "hom": ["experiment", "seed", "reps", "threads", "gl", "G", "transmittance", "version"],
+    "bell": ["threshold_G", "experiment", "seed", "reps", "threads", "gl", "G",
+             "theta1", "theta2", "version"],
+    "fourfold": ["experiment", "seed", "reps", "threads", "gl", "G", "version"],
+    "hom2d": ["sigma_theta", "photons_per_pixel", "n_modes", "band_pairs", "band_rows",
+              "schmidt_residual", "config", "experiment", "seed", "reps", "version"],
+}
+
+
+@pytest.mark.parametrize("kind, settings, recorded", [
+    ("twin", {"eta": 0.5}, {"eta": 0.5}),
+    ("hom", {"transmittance": 0.3}, {"transmittance": 0.3}),
+    ("bell", {"theta1": 0.3, "theta2": 1.1}, {"theta1": 0.3, "theta2": 1.1}),
+    ("fourfold", {"gl": 0.5}, {"gl": 0.5}),
+    ("hom2d", {"photons_per_pixel": 1.0, "hom2d": FIELD_READERS["hom2d"][0]}, {}),
+])
+def test_each_report_records_exactly_the_fields_its_kind_reads(kind, settings, recorded):
+    config = ExperimentConfig(kind=kind, reps=3 if kind == "hom2d" else 5000, **settings)
+    meta = json.loads(json.dumps(experiments.run_experiment(config).metadata))
+    keys = [k for k in meta if k not in VOLATILE_METADATA]
+    assert keys == METADATA_KEYS[kind]
+    if kind == "hom2d":
+        # as calibrated: the brightest pixel's intensity, and the geometry
+        # at the gain found
+        assert experiments.READS[kind] == ("photons_per_pixel", "hom2d")
+        assert meta["photons_per_pixel"] == pytest.approx(1.0, rel=1e-3)
+        geometry = replace(settings["hom2d"], gain_scale=meta["config"]["gain_scale"])
+        assert meta["config"] == json.loads(json.dumps(asdict(geometry)))
+    else:
+        assert tuple(keys[keys.index("reps") + 1:keys.index("version")]) == \
+            experiments.READS[kind]
+    assert {k: meta[k] for k in recorded} == recorded
+
+
+@pytest.mark.parametrize("command", experiments.EXPERIMENT_KINDS)
+def test_each_subcommand_takes_the_flags_of_the_fields_its_kind_reads(command):
+    args = cli.build_parser().parse_args([command])
+    geometry = [{"crystal_length_mm": "crystal_length"}.get(f.name, f.name)
+                for f in fields(Hom2dConfig)]
+    flags = {"gl": ["gain_gl"], "hom2d": geometry}
+    expected = ["out", "format", "reps", "seed",
+                *(key for name in experiments.READS[command] for key in flags.get(name, [name]))]
+    assert sorted(args.config_keys) == sorted(expected)
 
 
 @pytest.mark.parametrize("argv, entry, flags", [
