@@ -8,8 +8,7 @@ reduced to intensity-moment statistics that closed-form predictions verify.
 # Defined before the submodule imports: ``experiments`` reads it.
 __version__ = "0.1.0"
 
-from .elements import (BeamSplitterParams, DetectorParams, GainParams,
-                       beam_split, detector_loss, parametric_amplify,
+from .elements import (GainParams, beam_split, detector_loss, parametric_amplify,
                        polarizer_project)
 from .estimators import (DegenerateStatisticError, FeatureMoments, MomentEstimate,
                          chsh_coefficient, correlation_coefficient, covariance_intensity,

@@ -19,6 +19,14 @@ propagates without allocating.  ``out`` and ``scratch`` are only written,
 after every read of an input they would overwrite: an ``out`` or
 ``scratch`` that may share memory with an input, or with one another, is
 a ValueError, never a silently wrong field.
+
+Each element takes the numbers it reads as plain floats, as its callers
+hold them: the splitter its intensity transmittance T, the polariser its
+angle theta, the detector its quantum efficiency eta.  The splitter and
+the detector check theirs on every call, one comparison a chunk.  The
+amplifier alone takes a :class:`GainParams`, which derives cosh gL and
+sinh gL once per run, not once per chunk, and names the cosh overflow
+where the gain is set.
 """
 
 from __future__ import annotations
@@ -29,13 +37,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "BeamSplitterParams",
-    "DetectorParams",
     "GainParams",
     "beam_split",
+    "check_unit_interval",
     "detector_loss",
     "parametric_amplify",
     "polarizer_project",
+    "splitter_amplitudes",
 ]
 
 
@@ -106,38 +114,19 @@ def parametric_amplify(es0, ei0, gain: GainParams, out=None, scratch=None):
     return es, ei
 
 
-_UNITARITY_TOL = 1e-12
+def check_unit_interval(name: str, value: float) -> None:
+    """Refuse the setting ``name`` unless its ``value`` lies in [0, 1]; the
+    ValueError names both, and NaN is refused too."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class BeamSplitterParams:
-    """Complex transmission/reflection amplitudes of a lossless splitter.
-
-    ``t_s1`` (``r_s2``) couples input s to output 1 (2); ``t_i2``
-    (``r_i1``) couples input i to output 2 (1).
-    """
-
-    t_s1: complex
-    r_s2: complex
-    r_i1: complex
-    t_i2: complex
-
-    def __post_init__(self):
-        a1 = abs(self.t_s1) ** 2 + abs(self.r_s2) ** 2
-        a2 = abs(self.t_i2) ** 2 + abs(self.r_i1) ** 2
-        cross = self.t_s1 * np.conj(self.r_s2) + self.r_i1 * np.conj(self.t_i2)
-        if abs(a1 - 1.0) > _UNITARITY_TOL or abs(a2 - 1.0) > _UNITARITY_TOL \
-                or abs(cross) > _UNITARITY_TOL:
-            raise ValueError("beam-splitter amplitudes are not unitary")
-
-    @classmethod
-    def from_transmittance(cls, T: float) -> "BeamSplitterParams":
-        """Splitter with intensity transmittance T on both inputs."""
-        if not 0.0 <= T <= 1.0:
-            raise ValueError("transmittance must lie in [0, 1]")
-        t = math.sqrt(T)
-        r = 1j * math.sqrt(1.0 - T)
-        return cls(t_s1=t, r_s2=r, r_i1=r, t_i2=t)
+def splitter_amplitudes(transmittance: float) -> tuple:
+    """Amplitudes ``(t, r) = (sqrt(T), i sqrt(1 - T))`` of a lossless
+    splitter of intensity transmittance T on both inputs: ``t`` a float,
+    ``r`` a complex.  The one place the splitter's phase convention lives."""
+    check_unit_interval("transmittance", transmittance)
+    return math.sqrt(transmittance), 1j * math.sqrt(1.0 - transmittance)
 
 
 def _mix(a, x, b, y, out, t):
@@ -147,15 +136,17 @@ def _mix(a, x, b, y, out, t):
     return out
 
 
-def beam_split(e_s, e_i, bs: BeamSplitterParams, out=None, scratch=None):
-    """Mix two fields on a lossless splitter; conserves |E1|^2 + |E2|^2.
+def beam_split(e_s, e_i, transmittance: float, out=None, scratch=None):
+    """Mix two fields on a lossless splitter of intensity transmittance T;
+    conserves |E1|^2 + |E2|^2.
 
-    Returns ``(t_s1 e_s + r_i1 e_i, r_s2 e_s + t_i2 e_i)``, in ``out`` when
-    given (see the module docstring).
+    Returns ``(t e_s + r e_i, r e_s + t e_i)`` with ``(t, r)`` of
+    :func:`splitter_amplitudes`, in ``out`` when given (see the module
+    docstring).  A T outside [0, 1] is a ValueError.
     """
-    (e1, e2), t = _buffers((e_s, e_i), out, 2, scratch)
-    return (_mix(bs.t_s1, e_s, bs.r_i1, e_i, e1, t),
-            _mix(bs.r_s2, e_s, bs.t_i2, e_i, e2, t))
+    t, r = splitter_amplitudes(transmittance)
+    (e1, e2), tmp = _buffers((e_s, e_i), out, 2, scratch)
+    return _mix(t, e_s, r, e_i, e1, tmp), _mix(r, e_s, t, e_i, e2, tmp)
 
 
 def polarizer_project(e_x, e_y, theta: float, out=None, scratch=None):
@@ -169,23 +160,14 @@ def polarizer_project(e_x, e_y, theta: float, out=None, scratch=None):
     return _mix(np.cos(theta), e_x, np.sin(theta), e_y, out, t)
 
 
-@dataclass(frozen=True)
-class DetectorParams:
-    """Quantum efficiency of a detector, modelled as vacuum admixture."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"quantum efficiency must lie in [0, 1], got {self.eta}")
-
-
-def detector_loss(e, det: DetectorParams, vac, out=None, scratch=None):
-    """Mix a field with fresh vacuum: sqrt(eta) e + sqrt(1-eta) vac, in
-    ``out`` when given (see the module docstring).
+def detector_loss(e, eta: float, vac, out=None, scratch=None):
+    """Mix a field with fresh vacuum at quantum efficiency eta:
+    sqrt(eta) e + sqrt(1-eta) vac, in ``out`` when given (see the module
+    docstring).  An eta outside [0, 1] is a ValueError.
 
     ``vac`` must come from an independent vacuum stream, one per detector;
     vacua are never shared between call sites.
     """
+    check_unit_interval("eta", eta)
     (out,), t = _buffers((e, vac), None if out is None else (out,), 1, scratch)
-    return _mix(math.sqrt(det.eta), e, math.sqrt(1.0 - det.eta), vac, out, t)
+    return _mix(math.sqrt(eta), e, math.sqrt(1.0 - eta), vac, out, t)

@@ -54,9 +54,8 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__, theory
-from .elements import (BeamSplitterParams, DetectorParams, GainParams,
-                       beam_split, detector_loss, parametric_amplify,
-                       polarizer_project)
+from .elements import (GainParams, beam_split, check_unit_interval, detector_loss,
+                       parametric_amplify, polarizer_project, splitter_amplitudes)
 from .estimators import (DegenerateStatisticError, FeatureMoments, chsh_coefficient,
                          correlation_coefficient, correlation_features,
                          covariance_intensity, fourfold_covariance, fourfold_features,
@@ -83,6 +82,11 @@ EXPERIMENT_KINDS = tuple(READS)
 #: Default ``reps`` of each kind.  A hom2d repetition is a pair of whole
 #: images, 8192 complex vacuum amplitudes at the default geometry.
 DEFAULT_REPS = {**dict.fromkeys(EXPERIMENT_KINDS, 1_000_000), "hom2d": 100}
+
+
+def _readers(name: str) -> str:
+    """The kinds of :data:`READS` that read the field ``name``, as text."""
+    return ", ".join(kind for kind, names in READS.items() if name in names)
 
 
 @dataclass(frozen=True)
@@ -119,9 +123,8 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name not in (*READS[self.kind], "kind", "reps", "seed") and value != f.default:
-                readers = ", ".join(k for k, names in READS.items() if f.name in names)
                 raise ValueError(f"the {self.kind} run does not read {f.name}, got {value}; "
-                                 f"{f.name} applies to {readers} runs only")
+                                 f"{f.name} applies to {_readers(f.name)} runs only")
         if self.reps is None:  # a frozen field, set once here
             object.__setattr__(self, "reps", DEFAULT_REPS[self.kind])
         if self.gl is not None and self.G is not None:
@@ -135,7 +138,8 @@ class ExperimentConfig:
         if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
             raise ValueError("polariser angles must be finite")
         # bad values, the seed's included, fail here
-        _ = self.gain, self.splitter, DetectorParams(self.eta), RngStream(self.seed, 0)
+        _ = (self.gain, splitter_amplitudes(self.transmittance),
+             check_unit_interval("eta", self.eta), RngStream(self.seed, 0))
 
     @cached_property
     def gain(self) -> GainParams:
@@ -144,10 +148,6 @@ class ExperimentConfig:
         if self.gl is not None:
             return GainParams(self.gl)
         return GainParams(math.asinh(1.0))  # S^2 = 1 default
-
-    @cached_property
-    def splitter(self) -> BeamSplitterParams:
-        return BeamSplitterParams.from_transmittance(self.transmittance)
 
 
 def _vacuum(config: ExperimentConfig, lane: int, row0: int, rows: int, modes: int, kept):
@@ -177,11 +177,10 @@ def _amplified_pair(config: ExperimentConfig, row0: int, rows: int, kept):
 def _twin_chunk(config: ExperimentConfig, row0: int, rows: int, kept):
     es, ei = _amplified_pair(config, row0, rows, kept)
     if config.eta < 1.0:
-        det = DetectorParams(config.eta)
         vac = _vacuum(config, 1, row0, rows, 2, kept)
         ds, di = _fields(kept, rows, "detected_signal", "detected_idler")
-        es = detector_loss(es, det, vac[:, 0], out=ds, scratch=_scratch(kept, rows))
-        ei = detector_loss(ei, det, vac[:, 1], out=di, scratch=_scratch(kept, rows))
+        es = detector_loss(es, config.eta, vac[:, 0], out=ds, scratch=_scratch(kept, rows))
+        ei = detector_loss(ei, config.eta, vac[:, 1], out=di, scratch=_scratch(kept, rows))
     return es, ei
 
 
@@ -199,8 +198,8 @@ def _twin_rows(config, moments):
 
 def _hom_chunk(config: ExperimentConfig, row0: int, rows: int, kept):
     es, ei = _amplified_pair(config, row0, rows, kept)
-    e1, e2 = beam_split(es, ei, config.splitter, out=_fields(kept, rows, "port1", "port2"),
-                        scratch=_scratch(kept, rows))
+    e1, e2 = beam_split(es, ei, config.transmittance,
+                        out=_fields(kept, rows, "port1", "port2"), scratch=_scratch(kept, rows))
     return es, ei, e1, e2
 
 
@@ -232,7 +231,7 @@ def _hom_oracle(config):
         raise ArithmeticError(f"the hom cov_input oracle overflows: C S = "
                               f"{config.gain.C * config.gain.S:.6g} squared is out "
                               f"of float range") from None
-    ratio_oracle = theory.hom_covariance_ratio(config.splitter)
+    ratio_oracle = theory.hom_covariance_ratio(config.transmittance)
     return {"cov_input": cov_in_oracle, "cov_output": ratio_oracle * cov_in_oracle,
             "dip_amplitude": ratio_oracle}
 
@@ -419,9 +418,8 @@ def oracle_table(table: str, values: tuple, eta: float):
     ``values`` (gains G, or transmittances for 'hom'; empty for the
     default set) and detector efficiency ``eta``; returns (header, rows)."""
     if table in READS and "eta" not in READS[table] and eta != 1.0:
-        readers = ", ".join(k for k, names in READS.items() if "eta" in names)
         raise ValueError(f"the {table} table has no detector efficiency; "
-                         f"eta applies to the {readers} table only, got {eta}")
+                         f"eta applies to the {_readers('eta')} table only, got {eta}")
     if table == "twin":
         values = values or (0.01, 0.1, theory.CHSH_THRESHOLD_GAIN, 1.0, 10.0)
         header = ["G", "gl", "eta", "mean", "var", "cov"]
@@ -442,10 +440,7 @@ def oracle_table(table: str, values: tuple, eta: float):
     if table == "hom":
         values = values or (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
         header = ["transmittance", "cov_ratio"]
-        return header, [
-            [T, theory.hom_covariance_ratio(BeamSplitterParams.from_transmittance(T))]
-            for T in values
-        ]
+        return header, [[T, theory.hom_covariance_ratio(T)] for T in values]
     raise ValueError(f"unknown oracle table: {table!r}")
 
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .elements import BeamSplitterParams, GainParams
+from .elements import GainParams, check_unit_interval, splitter_amplitudes
 
 __all__ = [
     "CHSH_ANGLES",
@@ -40,8 +40,7 @@ CHSH_ANGLES = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 
 def twin_beam_moments(gain: GainParams, eta: float = 1.0) -> dict:
     """Mean, variance and covariance of twin-beam intensities at efficiency eta."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    check_unit_interval("eta", eta)
     s2 = gain.S ** 2
     try:
         return {
@@ -54,9 +53,12 @@ def twin_beam_moments(gain: GainParams, eta: float = 1.0) -> dict:
                               f"S^2 = {s2:.6g} squared is out of float range") from None
 
 
-def hom_covariance_ratio(bs: BeamSplitterParams) -> float:
-    """Covariance suppression factor |t_s1 t_i2 + r_i1 r_s2|^2 of a splitter."""
-    return float(abs(bs.t_s1 * bs.t_i2 + bs.r_i1 * bs.r_s2) ** 2)
+def hom_covariance_ratio(transmittance: float) -> float:
+    """Covariance suppression factor |t^2 + r^2|^2 = (2T - 1)^2 of a splitter
+    of intensity transmittance T, with ``(t, r)`` of
+    :func:`~spdcsim.elements.splitter_amplitudes`."""
+    t, r = splitter_amplitudes(transmittance)
+    return float(abs(t * t + r * r) ** 2)
 
 
 def chsh_gain_factor(G: float) -> float:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from spdcsim.elements import BeamSplitterParams, GainParams, parametric_amplify
+from spdcsim.elements import GainParams, parametric_amplify
 from spdcsim.estimators import intensity_snr
 from spdcsim.experiments import ExperimentConfig, run_experiment
 from spdcsim.sampling import RngStream, sample_vacuum

@@ -61,6 +61,8 @@ def test_usage_error_exit_code():
     ["twin", "--reps", "100", "--G", "nan"],
     ["twin", "--reps", "100", "--gain-gl", "nan"],
     ["hom", "--reps", "100", "--transmittance", "1.5"],
+    ["hom", "--reps", "100", "--transmittance", "nan"],
+    ["twin", "--reps", "100", "--eta", "nan"],
     ["bell", "--reps", "100", "--theta1", "nan"],
     ["hom2d", "--reps", "3", "--n-pixels", "4"],
     ["hom2d", "--reps", "2"],
@@ -73,14 +75,33 @@ def test_usage_error_exit_code():
     ["hom2d", "--reps", "3", "--gain-scale", "0.8", "--photons-per-pixel", "1"],
     ["oracle", "--table", "bell", "--values", "1", "--eta", "0.5"],
     ["oracle", "--table", "hom", "--values", "0.5", "--eta", "0.9"],
+    ["oracle", "--table", "twin", "--eta", "1.5"],
+    ["oracle", "--table", "hom", "--values", "1.5"],
 ])
 def test_bad_input_is_a_usage_error_with_a_reason(argv, capsys):
     try:
         code = run_cli(argv)
     except SystemExit as exc:  # argparse rejects the --reps value itself
         code = exc.code
+        assert code == 2
+        assert "spdcsim" in capsys.readouterr().err
+        return
     assert code == 2
-    assert "spdcsim" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("spdcsim: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["hom", "--transmittance", "1.5"], "transmittance must lie in [0, 1], got 1.5"),
+    (["hom", "--transmittance", "nan"], "transmittance must lie in [0, 1], got nan"),
+    (["twin", "--eta", "nan"], "eta must lie in [0, 1], got nan"),
+    (["oracle", "--table", "twin", "--eta", "1.5"], "eta must lie in [0, 1], got 1.5"),
+    (["oracle", "--table", "hom", "--values", "1.5"],
+     "transmittance must lie in [0, 1], got 1.5"),
+])
+def test_unit_interval_refusals_name_the_setting_and_its_value(argv, reason, capsys):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"spdcsim: {reason}\n"
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64 + 42])

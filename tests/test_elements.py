@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdcsim.elements import (BeamSplitterParams, DetectorParams, GainParams,
-                              beam_split, detector_loss, parametric_amplify,
-                              polarizer_project)
+from spdcsim.elements import (GainParams, beam_split, detector_loss, parametric_amplify,
+                              polarizer_project, splitter_amplitudes)
 from spdcsim.sampling import RngStream, sample_vacuum
 
 from helpers import (covariance_intensity, field_pair_moment, mean_intensity,
@@ -73,15 +72,14 @@ def test_amplifier_conserves_intensity_difference(gl, seed):
 
 def test_balanced_splitter_nulls_covariance():
     es, ei = _twin()
-    e1, e2 = beam_split(es, ei, BeamSplitterParams.from_transmittance(0.5))
+    e1, e2 = beam_split(es, ei, 0.5)
     cov = covariance_intensity(e1, e2)
     assert cov.deviation(0.0) < 5
 
 
 def test_transparent_splitter_passes_input():
     es, ei = _twin(reps=1000)
-    bs = BeamSplitterParams.from_transmittance(1.0)
-    e1, _ = beam_split(es, ei, bs)
+    e1, _ = beam_split(es, ei, 1.0)
     assert np.array_equal(e1, es)
 
 
@@ -90,7 +88,7 @@ def test_unbalanced_splitter_covariance_ratio():
     T = 0.9
     expect = (2 * T - 1) ** 2
     es, ei = _twin()
-    e1, e2 = beam_split(es, ei, BeamSplitterParams.from_transmittance(T))
+    e1, e2 = beam_split(es, ei, T)
     cov_out = covariance_intensity(e1, e2)
     cov_in = covariance_intensity(es, ei)
     ratio = cov_out.value / cov_in.value
@@ -102,10 +100,10 @@ def test_unbalanced_splitter_covariance_ratio():
 @settings(max_examples=100)
 @given(st.floats(0.0, 1.0))
 def test_splitter_unitarity_invariants(T):
-    bs = BeamSplitterParams.from_transmittance(T)
-    assert abs(abs(bs.t_s1) ** 2 + abs(bs.r_s2) ** 2 - 1) < 1e-12
-    assert abs(abs(bs.t_i2) ** 2 + abs(bs.r_i1) ** 2 - 1) < 1e-12
-    assert abs(bs.t_s1 * np.conj(bs.r_s2) + bs.r_i1 * np.conj(bs.t_i2)) < 1e-12
+    # beam_split's matrix [[t, r], [r, t]]: unit columns, orthogonal to each other
+    t, r = splitter_amplitudes(T)
+    assert abs(abs(t) ** 2 + abs(r) ** 2 - 1) < 1e-12
+    assert abs(t * np.conj(r) + r * np.conj(t)) < 1e-12
 
 
 @settings(max_examples=30)
@@ -113,19 +111,17 @@ def test_splitter_unitarity_invariants(T):
 def test_splitter_conserves_energy_per_sample(T, seed):
     ens = sample_vacuum(RngStream(seed, 0), 128, 2)
     es, ei = parametric_amplify(ens[:, 0], ens[:, 1], GainParams(1.0))
-    e1, e2 = beam_split(es, ei, BeamSplitterParams.from_transmittance(T))
+    e1, e2 = beam_split(es, ei, T)
     before = np.abs(es) ** 2 + np.abs(ei) ** 2
     after = np.abs(e1) ** 2 + np.abs(e2) ** 2
     assert np.all(np.abs(after - before) < 1e-12 * np.maximum(before, 1.0))
 
 
-def test_non_unitary_splitter_rejected():
-    with pytest.raises(ValueError):
-        BeamSplitterParams(t_s1=1.0, r_s2=0.5, r_i1=0.0, t_i2=1.0)
-    with pytest.raises(ValueError):
-        # amplitudes normalised but interference condition broken
-        BeamSplitterParams(t_s1=1 / math.sqrt(2), r_s2=1 / math.sqrt(2),
-                           r_i1=1 / math.sqrt(2), t_i2=1 / math.sqrt(2))
+def test_splitter_refuses_transmittance_outside_unit_interval():
+    es, ei = _twin(reps=8)
+    for T in (-0.01, 1.01, math.nan):
+        with pytest.raises(ValueError, match=rf"^transmittance must lie in \[0, 1\], got {T}$"):
+            beam_split(es, ei, T)
 
 
 def test_polarizer_projections():
@@ -140,33 +136,31 @@ def test_polarizer_projections():
 def test_detector_loss_limits_and_moments():
     es, ei = _twin()
     vac = sample_vacuum(RngStream(99, 0), es.size, 2)
-    det_full = DetectorParams(1.0)
-    assert np.allclose(detector_loss(es, det_full, vac[:, 0]), es)
+    assert np.allclose(detector_loss(es, 1.0, vac[:, 0]), es)
 
-    det_none = DetectorParams(0.0)
-    dark = detector_loss(es, det_none, vac[:, 0])
+    dark = detector_loss(es, 0.0, vac[:, 0])
     assert mean_intensity(dark).deviation(0.0) < 5
 
-    det = DetectorParams(0.5)
-    d1 = detector_loss(es, det, vac[:, 0])
-    d2 = detector_loss(ei, det, vac[:, 1])
+    d1 = detector_loss(es, 0.5, vac[:, 0])
+    d2 = detector_loss(ei, 0.5, vac[:, 1])
     assert mean_intensity(d1).deviation(0.5) < 5
     assert variance_intensity(d1).deviation(0.75) < 5
     assert covariance_intensity(d1, d2).deviation(0.5) < 5
 
 
-def test_detector_params_validation():
-    with pytest.raises(ValueError):
-        DetectorParams(-0.01)
-    with pytest.raises(ValueError):
-        DetectorParams(1.01)
+def test_detector_loss_refuses_eta_outside_unit_interval():
+    es, _ = _twin(reps=8)
+    vac = sample_vacuum(RngStream(99, 0), es.size, 1)
+    for eta in (-0.01, 1.01, math.nan):
+        with pytest.raises(ValueError, match=rf"^eta must lie in \[0, 1\], got {eta}$"):
+            detector_loss(es, eta, vac[:, 0])
 
 
 def test_outputs_stay_finite_through_pipeline():
     es, ei = _twin(reps=10_000, gl=3.0)
-    e1, e2 = beam_split(es, ei, BeamSplitterParams.from_transmittance(0.5))
+    e1, e2 = beam_split(es, ei, 0.5)
     vac = sample_vacuum(RngStream(5, 0), es.size, 1)
-    d1 = detector_loss(e1, DetectorParams(0.3), vac[:, 0])
+    d1 = detector_loss(e1, 0.3, vac[:, 0])
     for arr in (es, ei, e1, e2, d1):
         assert np.all(np.isfinite(arr.view(np.float64)))
 
@@ -176,22 +170,20 @@ def test_outputs_stay_finite_through_pipeline():
 #: ``out``; the ufuncs, operands and their order are the same, so the
 #: doubles are too.
 _GAIN = GainParams(0.7)
-_SPLITTER = BeamSplitterParams.from_transmittance(0.3)
-_DETECTOR = DetectorParams(0.6)
 ELEMENTS = {
     "parametric_amplify": (
         lambda a, b, **kw: parametric_amplify(a, b, _GAIN, **kw), 2,
         lambda a, b: (_GAIN.C * a - 1j * _GAIN.S * np.conj(b),
                       _GAIN.C * b - 1j * _GAIN.S * np.conj(a))),
     "beam_split": (
-        lambda a, b, **kw: beam_split(a, b, _SPLITTER, **kw), 2,
-        lambda a, b: (_SPLITTER.t_s1 * a + _SPLITTER.r_i1 * b,
-                      _SPLITTER.r_s2 * a + _SPLITTER.t_i2 * b)),
+        lambda a, b, **kw: beam_split(a, b, 0.3, **kw), 2,
+        lambda a, b: (math.sqrt(0.3) * a + 1j * math.sqrt(1.0 - 0.3) * b,
+                      1j * math.sqrt(1.0 - 0.3) * a + math.sqrt(0.3) * b)),
     "polarizer_project": (
         lambda a, b, **kw: polarizer_project(a, b, 0.4, **kw), 1,
         lambda a, b: (np.cos(0.4) * a + np.sin(0.4) * b,)),
     "detector_loss": (
-        lambda a, b, **kw: detector_loss(a, _DETECTOR, b, **kw), 1,
+        lambda a, b, **kw: detector_loss(a, 0.6, b, **kw), 1,
         lambda a, b: (math.sqrt(0.6) * a + math.sqrt(0.4) * b,)),
 }
 

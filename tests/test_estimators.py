@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdcsim import estimators, theory
-from spdcsim.elements import BeamSplitterParams, GainParams, beam_split, parametric_amplify
+from spdcsim.elements import GainParams, beam_split, parametric_amplify
 from spdcsim.estimators import (CHUNK_ROWS, INTENSITY_OFFSET, VARIANCE_OFFSET,
                                 DegenerateStatisticError, correlation_features,
                                 fourfold_features, intensity_products, intensity_snr,
@@ -64,7 +64,7 @@ def test_covariance_intensity_oracles(twin_cache):
     assert covariance_intensity(vac[:, 0], vac[:, 1]).deviation(0.0) < 5
     es, ei = twin_cache(1.0)
     assert covariance_intensity(es, ei).deviation(2.0) < 5
-    e1, e2 = beam_split(es, ei, BeamSplitterParams.from_transmittance(0.5))
+    e1, e2 = beam_split(es, ei, 0.5)
     assert covariance_intensity(e1, e2).deviation(0.0) < 5
 
 
@@ -111,7 +111,7 @@ def test_moment_theorem_residuals(twin_cache):
     assert moment_theorem_residual(es, ei).deviation(0.0) < 5
     vac = _vacuum()
     assert moment_theorem_residual(vac[:, 0], vac[:, 1]).deviation(0.0) < 5
-    e1, e2 = beam_split(es, ei, BeamSplitterParams.from_transmittance(0.5))
+    e1, e2 = beam_split(es, ei, 0.5)
     assert moment_theorem_residual(e1, e2).deviation(0.0) < 5
 
 
@@ -334,7 +334,7 @@ def _delta_and_jackknife_cases(twin_cache, bell_cache):
         lambda p, a, b, cr, ci, qr, qi: p - a * b - cr ** 2 - ci ** 2 - qr ** 2 - qi ** 2,
         xs * xi, xs, xi, cross.real, cross.imag, pair.real, pair.imag))
 
-    e1, e2 = beam_split(es, ei, BeamSplitterParams.from_transmittance(0.5))
+    e1, e2 = beam_split(es, ei, 0.5)
     parts = [p for c in (e1 * np.conj(e2), e1 * e2, cross, pair) for p in (c.real, c.imag)]
     report = run_experiment(ExperimentConfig(kind="hom", gl=GL_UNIT, reps=reps))
     dip = next(r for r in report.rows if r.name == "dip_amplitude")

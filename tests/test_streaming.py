@@ -11,8 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spdcsim.elements import (DetectorParams, beam_split, detector_loss,
-                              parametric_amplify, polarizer_project)
+from spdcsim.elements import beam_split, detector_loss, parametric_amplify, polarizer_project
 from spdcsim import experiments
 from spdcsim.estimators import CHUNK_ROWS, FeatureMoments, merge_moments
 from spdcsim.experiments import ExperimentConfig, _chunk_reducer, run_experiment
@@ -148,15 +147,14 @@ def test_whole_column_helpers_equal_one_draw_of_each_lane():
     twin = replace(CONFIGS["twin"], reps=REPS)
     ens, vac = _whole_lane(twin, 0, 2), _whole_lane(twin, 1, 2)
     es, ei = parametric_amplify(ens[:, 0], ens[:, 1], twin.gain)
-    det = DetectorParams(twin.eta)
-    expect = (detector_loss(es, det, vac[:, 0]), detector_loss(ei, det, vac[:, 1]))
+    expect = (detector_loss(es, twin.eta, vac[:, 0]), detector_loss(ei, twin.eta, vac[:, 1]))
     for got, want in zip(twin_fields(twin), expect, strict=True):
         np.testing.assert_array_equal(got, want)
 
     hom = replace(CONFIGS["hom"], reps=REPS)
     ens = _whole_lane(hom, 0, 2)
     es, ei = parametric_amplify(ens[:, 0], ens[:, 1], hom.gain)
-    expect = (es, ei, *beam_split(es, ei, hom.splitter))
+    expect = (es, ei, *beam_split(es, ei, hom.transmittance))
     for got, want in zip(hom_fields(hom), expect, strict=True):
         np.testing.assert_array_equal(got, want)
 
@@ -228,51 +226,55 @@ def test_reports_merged_in_reverse_chunk_order_keep_their_standard_errors(kind, 
         assert back.std_error == pytest.approx(row.std_error, rel=1e-13, abs=0), row.name
 
 
-#: (statistic, mc_value, mc_se) of each report at seed 42 and REPS, recorded
-#: with 16384-row chunks, each drawn and reduced in one piece, and one
-#: Philox key per 2**14 words of rows.  REPS crosses chunk boundaries, so a
-#: change to how chunks are cut or merged shows here.  Bell's E and B are
-#: the weighted Stokes products over their one denominator.  The standard
-#: errors were re-recorded when the delta-method gradient became a complex
-#: step, exact to rounding: the central difference's rounding had moved
-#: them by up to 3.0e-10 relative (hom's dip).  The fourfold rows were
-#: re-recorded from the closed-form classes of detectors (s, s, i, i) and
-#: the raw-moment polynomial of the direct term: the direct term, the terms'
-#: total and the low-gain class moved by 5.1e-15, 1.7e-14 and 9.9e-15 SE.
-#: Every other value kept its bits.
+#: (statistic, mc_value, mc_se, oracle) of each report at seed 42 and
+#: REPS, recorded with 16384-row chunks, each drawn and reduced in one
+#: piece, and one Philox key per 2**14 words of rows.  REPS crosses chunk
+#: boundaries, so a change to how chunks are cut or merged shows here.
+#: Bell's E and B are the weighted Stokes products over their one
+#: denominator.  The standard errors were re-recorded when the delta-method
+#: gradient became a complex step, exact to rounding: the central
+#: difference's rounding had moved them by up to 3.0e-10 relative (hom's
+#: dip).  The fourfold rows were re-recorded from the closed-form classes
+#: of detectors (s, s, i, i) and the raw-moment polynomial of the direct
+#: term: the direct term, the terms' total and the low-gain class moved by
+#: 5.1e-15, 1.7e-14 and 9.9e-15 SE.  Every other value kept its bits.  The
+#: oracles are pinned exactly, as recorded with the earlier splitter
+#: dataclass: hom runs at T = 0.3, so its three oracles pin the splitter's
+#: amplitudes bit for bit.
 PINNED_ROWS = {
     "twin": [
-        ("mean", 0.4955902047134543, 0.002732691867099751),
-        ("var", 0.7345962306168154, 0.007636600961193972),
-        ("cov", 0.4933263066326145, 0.005227267745337304),
+        ("mean", 0.4955902047134543, 0.002732691867099751, 0.5),
+        ("var", 0.7345962306168154, 0.007636600961193972, 0.75),
+        ("cov", 0.4933263066326145, 0.005227267745337304, 0.5),
     ],
     "hom": [
-        ("cov_input", 1.9815751488416011, 0.01623956826500664),
-        ("cov_output", 0.3048788248759421, 0.011188637949723544),
-        ("dip_amplitude", 0.15993827243652606, 0.0005059736610195629),
+        ("cov_input", 1.9815751488416011, 0.01623956826500664, 1.9999999999999996),
+        ("cov_output", 0.3048788248759421, 0.011188637949723544, 0.3200000000000002),
+        ("dip_amplitude", 0.15993827243652606, 0.0005059736610195629, 0.16000000000000011),
     ],
     "bell": [
-        ("rho", 0.49952870626492396, 0.003260492103914201),
-        ("E", -0.003205137583291089, 0.0021555098836046243),
-        ("B", 1.4105496258810606, 0.0038299444594635254),
+        ("rho", 0.49952870626492396, 0.003260492103914201, 0.4999999999999999),
+        ("E", -0.003205137583291089, 0.0021555098836046243, -1.1102230246251565e-16),
+        ("B", 1.4105496258810606, 0.0038299444594635254, 1.4142135623730951),
     ],
     "fourfold": [
-        ("fourfold_direct", 38.697479304388644, 1.3976205149408574),
-        ("fourfold_terms_total", 38.80915397645816, 0.4301949358987393),
-        ("bunching_terms", 5.026463978385682, 0.05366398299117934),
-        ("low_gain_terms", 15.90192399974436, 0.18003076117885217),
-        ("mixed_terms", 17.880765998328126, 0.1965829316849065),
+        ("fourfold_direct", 38.697479304388644, 1.3976205149408574, 39.06249999999999),
+        ("fourfold_terms_total", 38.80915397645816, 0.4301949358987393, 39.06249999999999),
+        ("bunching_terms", 5.026463978385682, 0.05366398299117934, 5.0625),
+        ("low_gain_terms", 15.90192399974436, 0.18003076117885217, 15.999999999999995),
+        ("mixed_terms", 17.880765998328126, 0.1965829316849065, 17.999999999999996),
     ],
 }
 
 
 @pytest.mark.parametrize("kind", CONFIGS)
 def test_streamed_reports_are_pinned(kind):
-    # A value is a function of the feature means alone, so it is exact; a
-    # standard error also goes through the BLAS Gram matrix, so it agrees
-    # to rounding.
+    # A value is a function of the feature means alone, so it is exact, and
+    # so is an oracle; a standard error also goes through the BLAS Gram
+    # matrix, so it agrees to rounding.
     rows = run_experiment(replace(CONFIGS[kind], reps=REPS)).rows
-    assert [row.name for row in rows] == [name for name, _, _ in PINNED_ROWS[kind]]
-    for row, (name, value, se) in zip(rows, PINNED_ROWS[kind]):
+    assert [row.name for row in rows] == [name for name, *_ in PINNED_ROWS[kind]]
+    for row, (name, value, se, oracle) in zip(rows, PINNED_ROWS[kind]):
         assert row.value == value, name
         assert row.std_error == pytest.approx(se, rel=1e-12, abs=0), name
+        assert row.oracle == oracle, name

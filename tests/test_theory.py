@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from spdcsim.elements import BeamSplitterParams, GainParams
+from spdcsim.elements import GainParams
 from spdcsim.theory import (CHSH_ANGLES, CHSH_B0, CHSH_THRESHOLD_GAIN,
                             bell_chsh_coefficient, bell_correlation,
                             bell_prediction, chsh_b, chsh_gain_factor,
@@ -34,11 +34,9 @@ def test_twin_variance_equals_covariance_at_unit_efficiency():
 
 
 def test_hom_ratio_values():
-    assert hom_covariance_ratio(BeamSplitterParams.from_transmittance(0.5)) \
-        == pytest.approx(0.0, abs=1e-15)
-    assert hom_covariance_ratio(BeamSplitterParams.from_transmittance(1.0)) == 1.0
-    assert hom_covariance_ratio(BeamSplitterParams.from_transmittance(0.9)) \
-        == pytest.approx(0.64)
+    assert hom_covariance_ratio(0.5) == pytest.approx(0.0, abs=1e-15)
+    assert hom_covariance_ratio(1.0) == 1.0
+    assert hom_covariance_ratio(0.9) == pytest.approx(0.64)
 
 
 def test_bell_prediction_values():
