@@ -22,11 +22,11 @@ a ValueError, never a silently wrong field.
 
 Each element takes the numbers it reads as plain floats, as its callers
 hold them: the splitter its intensity transmittance T, the polariser its
-angle theta, the detector its quantum efficiency eta.  The splitter and
-the detector check theirs on every call, one comparison a chunk.  The
-amplifier alone takes a :class:`GainParams`, which derives cosh gL and
-sinh gL once per run, not once per chunk, and names the cosh overflow
-where the gain is set.
+angle theta, the detector its quantum efficiency eta, the amplifier cosh
+gL and sinh gL (arrays of them for a gain per mode).  The splitter and
+the detector check theirs on every call, one comparison a chunk.  A run
+derives cosh gL and sinh gL once, in a :class:`GainParams`, which names
+the cosh overflow where the gain is set.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class GainParams:
 
     def __post_init__(self):
         if not (self.gl >= 0.0 and math.isfinite(self.gl)):
-            raise ValueError(f"gain-length product must be finite and >= 0, got {self.gl}")
+            raise ValueError(f"gl must be finite and >= 0, got {self.gl}")
         try:
             object.__setattr__(self, "C", math.cosh(self.gl))
         except OverflowError:
@@ -67,9 +67,9 @@ class GainParams:
 
     @classmethod
     def from_mean_photons(cls, G: float) -> "GainParams":
-        """Gain producing G = sinh^2(gL) photons per mode."""
-        if G < 0:
-            raise ValueError("mean photon number must be >= 0")
+        """Gain producing G = sinh^2(gL) photons per mode, G finite and >= 0."""
+        if not (G >= 0.0 and math.isfinite(G)):
+            raise ValueError(f"G must be finite and >= 0, got {G}")
         return cls(gl=math.asinh(math.sqrt(G)))
 
     @property
@@ -95,22 +95,22 @@ def _buffers(inputs, out, n_out: int, scratch):
     return out, scratch
 
 
-def parametric_amplify(es0, ei0, gain: GainParams, out=None, scratch=None):
-    """Amplify a signal/idler pair of vacuum inputs.
+def parametric_amplify(es0, ei0, C, S, out=None, scratch=None):
+    """Amplify a signal/idler pair of vacuum inputs at cosh gL = ``C`` and
+    sinh gL = ``S``, floats or arrays that broadcast against the fields.
 
     Returns ``(C es0 - i S conj(ei0), C ei0 - i S conj(es0))``, in ``out``
     when given (see the module docstring).  The transform is linear and
     deterministic; the sample-wise difference |E_s|^2 - |E_i|^2 is
-    conserved exactly.
+    conserved exactly.  For a real S, -i S conj(x) = conj(i S x), which
+    spares numpy a buffer for a strided x.
     """
     (es, ei), t = _buffers((es0, ei0), out, 2, scratch)
-    coupling = 1j * gain.S
-    np.multiply(gain.C, es0, out=es)
-    np.multiply(coupling, np.conjugate(ei0, out=t), out=t)
-    np.subtract(es, t, out=es)
-    np.multiply(gain.C, ei0, out=ei)
-    np.multiply(coupling, np.conjugate(es0, out=t), out=t)
-    np.subtract(ei, t, out=ei)
+    for field, own, partner in ((es, es0, ei0), (ei, ei0, es0)):
+        np.multiply(C, own, out=field)
+        np.multiply(S, partner, out=t)
+        np.conjugate(np.multiply(1j, t, out=t), out=t)
+        np.add(field, t, out=field)
     return es, ei
 
 

@@ -63,6 +63,7 @@ __all__ = [
     "INTENSITY_OFFSET",
     "MomentEstimate",
     "VARIANCE_OFFSET",
+    "check_reps",
     "chsh_coefficient",
     "correlation_coefficient",
     "correlation_features",
@@ -124,6 +125,18 @@ def normal_intensities(col: np.ndarray) -> np.ndarray:
     """Per-sample normal-ordered intensities |E|^2 - 1/2 (may be negative)."""
     col = np.asarray(col)
     return np.abs(col) ** 2 - INTENSITY_OFFSET
+
+
+def check_reps(reps: int) -> None:
+    """A ValueError unless every kind of run can take ``reps`` repetitions.
+
+    With two, the standard errors degenerate: the delta-method variance of
+    a sampled variance is identically zero, and each of the dip's
+    delete-one aggregates divides by its own reps - 1 = reps - 2.
+    """
+    if reps < 3:
+        raise ValueError("reps must be >= 3: with fewer, the standard errors "
+                         "of variances and of the dip's jackknife degenerate")
 
 
 def jackknife_se(delete_one_values):

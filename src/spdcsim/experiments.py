@@ -3,6 +3,7 @@
 :data:`READS` names the fields each kind reads besides ``kind``, ``reps``
 and ``seed``: a config refuses any other field off its default, a report's
 metadata records exactly those, and the command line has their flags.
+``reps`` is at least three (:func:`~spdcsim.estimators.check_reps`).
 
 The twin, hom, bell and fourfold pipelines run one path, each through its
 entry of ``_STREAMED``.  The oracle is computed before the draw, so one
@@ -56,12 +57,12 @@ import numpy as np
 from . import __version__, theory
 from .elements import (GainParams, beam_split, check_unit_interval, detector_loss,
                        parametric_amplify, polarizer_project, splitter_amplitudes)
-from .estimators import (DegenerateStatisticError, FeatureMoments, chsh_coefficient,
-                         correlation_coefficient, correlation_features,
+from .estimators import (DegenerateStatisticError, FeatureMoments, check_reps,
+                         chsh_coefficient, correlation_coefficient, correlation_features,
                          covariance_intensity, fourfold_covariance, fourfold_features,
                          intensity_products, mean_intensity, merge_moments, pair_parts,
                          row_chunks, stokes_products, variance_intensity)
-from .multimode import Hom2dConfig, calibrate_gain, check_reps, run_hom2d
+from .multimode import Hom2dConfig, calibrate_gain, run_hom2d
 from .reporting import RunReport, make_row
 from .sampling import LANE_STRIDE, RngStream, kept_array, sample_vacuum
 
@@ -97,7 +98,7 @@ class ExperimentConfig:
     kinds of :data:`READS` that name it: any other kind refuses it off its
     default, so a run never ignores a setting.  ``reps`` left at None takes
     the kind's :data:`DEFAULT_REPS`; every kind needs at least three
-    (:func:`~spdcsim.multimode.check_reps`).  The gain is the gain-length
+    (:func:`~spdcsim.estimators.check_reps`).  The gain is the gain-length
     product ``gl`` or the mean photons per mode ``G``, and hom2d's its
     geometry's ``gain_scale`` or calibrated to ``photons_per_pixel`` (each
     pair mutually exclusive); angles are radians.  No result depends on
@@ -134,7 +135,7 @@ class ExperimentConfig:
             raise ValueError("give either photons_per_pixel or gain_scale, not both")
         check_reps(self.reps)
         if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
             raise ValueError("polariser angles must be finite")
         # bad values, the seed's included, fail here
@@ -169,7 +170,7 @@ def _scratch(kept, n: int) -> np.ndarray:
 
 def _amplified_pair(config: ExperimentConfig, row0: int, rows: int, kept):
     ens = _vacuum(config, 0, row0, rows, 2, kept)
-    return parametric_amplify(ens[:, 0], ens[:, 1], config.gain,
+    return parametric_amplify(ens[:, 0], ens[:, 1], config.gain.C, config.gain.S,
                               out=_fields(kept, rows, "signal", "idler"),
                               scratch=_scratch(kept, rows))
 
@@ -253,10 +254,10 @@ def _bell_chunk(config: ExperimentConfig, row0: int, rows: int, kept):
     pairs (1x, 2y) and (1y, 2x), which realises the maximally entangled
     polarisation state for intensity correlations."""
     ens = _vacuum(config, 0, row0, rows, 4, kept)
-    e1x, e2y = parametric_amplify(ens[:, 0], ens[:, 1], config.gain,
+    e1x, e2y = parametric_amplify(ens[:, 0], ens[:, 1], config.gain.C, config.gain.S,
                                   out=_fields(kept, rows, "e1x", "e2y"),
                                   scratch=_scratch(kept, rows))
-    e1y, e2x = parametric_amplify(ens[:, 2], ens[:, 3], config.gain,
+    e1y, e2x = parametric_amplify(ens[:, 2], ens[:, 3], config.gain.C, config.gain.S,
                                   out=_fields(kept, rows, "e1y", "e2x"),
                                   scratch=_scratch(kept, rows))
     return e1x, e1y, e2x, e2y, ens[:, 0], ens[:, 2], ens[:, 3], ens[:, 1]

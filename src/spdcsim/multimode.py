@@ -27,7 +27,9 @@ use the separable product of the two axis kernels, so the Schmidt modes of
 the image planes are products of axis modes with lambda_ij = lambda_i
 lambda_j and per-mode gains g_ij = asinh(2 lambda_ij)/2.  This keeps the
 decomposition at axis size while the image statistics aggregate every
-pixel pair.
+pixel pair.  Each product mode is amplified at its own gain by
+:func:`~spdcsim.elements.parametric_amplify`, and the balanced splitter
+has the amplitudes of :func:`~spdcsim.elements.splitter_amplitudes`.
 
 The HOM dip ordinate aggregates the cross-port field coherence
 |<E1 E2*>|^2 + |<E1 E2>|^2 over the bright matched pixel pairs (signal
@@ -74,7 +76,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .estimators import DegenerateStatisticError, jackknife_se
+from .elements import parametric_amplify, splitter_amplitudes
+from .estimators import DegenerateStatisticError, check_reps, jackknife_se
 from .sampling import RngStream, block_rows, kept_array, sample_vacuum
 
 __all__ = [
@@ -83,7 +86,6 @@ __all__ = [
     "SchmidtDecomposition",
     "build_kernel",
     "calibrate_gain",
-    "check_reps",
     "image_mean_intensities",
     "run_hom2d",
     "sample_image_planes",
@@ -151,7 +153,7 @@ class Hom2dConfig:
             raise ValueError("pitch, crystal length, pump waist and bandwidth "
                              "must be positive and finite")
         if not 0 <= self.gain_scale < math.inf:
-            raise ValueError("gain_scale must be finite and >= 0")
+            raise ValueError(f"gain_scale must be finite and >= 0, got {self.gain_scale}")
         if self.phase_matching not in ("sinc", "gaussian"):
             raise ValueError("phase_matching must be 'sinc' or 'gaussian'")
 
@@ -159,18 +161,6 @@ class Hom2dConfig:
     def q_axis(self) -> np.ndarray:
         n = self.n_pixels
         return (np.arange(n) - (n - 1) / 2.0) * self.pitch
-
-
-def check_reps(reps: int) -> None:
-    """A ValueError unless every kind of run can take ``reps`` repetitions.
-
-    With two, the standard errors degenerate: the delta-method variance of
-    a sampled variance is identically zero, and each of the dip's
-    delete-one aggregates divides by its own reps - 1 = reps - 2.
-    """
-    if reps < 3:
-        raise ValueError("reps must be >= 3: with fewer, the standard errors "
-                         "of variances and of the dip's jackknife degenerate")
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:
@@ -379,8 +369,8 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int, ro
     """
     n, m = dec.U.shape[0], len(rows)
     g2 = _product_gains(dec)
-    C = np.cosh(g2).astype(complex)  # as the fields, so numpy buffers no cast
-    minus_iS = -1j * np.sinh(g2)
+    # complex as the fields, so numpy buffers no cast
+    C, S = np.cosh(g2).astype(complex), np.sinh(g2).astype(complex)
     modes = np.stack((dec.U, dec.V))[:, None, None]  # (image, 1, 1, y, j)
     restricted = modes[..., rows, :]  # (image, 1, 1, row, i)
     planes = np.empty((2, m, 2, reps, n), dtype=complex)  # (image, row, half, rep, column)
@@ -391,9 +381,8 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int, ro
         ens = sample_vacuum(RngStream(rng.seed, rng.stream_id + r0), c, 2 * n * n, kept)
         vacuum = ens.reshape(c, 2, n, n).transpose(1, 0, 2, 3)  # (image, rep, i, j)
         fields = kept_array(kept, "multimode_fields", (2, 2, c, n, n))
-        np.conjugate(vacuum[::-1], out=fields[:, 0])  # each image's partner
-        fields[:, 0] *= minus_iS
-        fields[:, 0] += np.multiply(C, vacuum, out=fields[:, 1])
+        parametric_amplify(vacuum[0], vacuum[1], C, S,
+                           out=(fields[0, 0], fields[1, 0]), scratch=fields[0, 1])
         fields[:, 1] = vacuum
         # (row, i) @ (i, j), then (y, j) @ (j, row), per image, half and repetition
         by_row = kept_array(kept, "multimode_by_row", (2, 2, c, m, 2 * n), np.float64)
@@ -451,24 +440,6 @@ class DipCurve:
     schmidt_residual: float
 
 
-def _reflected(shifts, n: int) -> np.ndarray:
-    """The shift matrices of ``shifts`` as real rows over n + 1 inputs,
-    shape (shift, out pixel, n + 1), times the splitter's 1/sqrt(2).
-
-    Row (t, c) holds column c of Re T(s_t) and, as its last entry, the
-    Nyquist coefficient sin(pi s_t)/n a_c of Im T(s_t) (zero for odd n),
-    both read off :func:`shift_field`.  Times f stacked over [i f; -(a .
-    f)] (see :func:`_band_ports`), they give i/sqrt(2) f T(s_t).
-    """
-    rows = np.empty((len(shifts), n, n + 1))
-    nyquist = (-1.0) ** np.arange(n) if n % 2 == 0 else np.zeros(n)
-    for t, s in enumerate(shifts):
-        matrix = shift_field(np.eye(n), s)
-        rows[t, :, :n] = matrix.real.T
-        rows[t, :, n] = matrix.imag[0, 0] * nyquist
-    return rows / math.sqrt(2.0)
-
-
 def _band_ports(signal, idler, band_l, shifts):
     """Output-port fields at every tilt shift, by band row and tilt tile.
 
@@ -484,23 +455,26 @@ def _band_ports(signal, idler, band_l, shifts):
     :data:`_TILE_BYTES` holds of the widest band row's shift rows, ports
     and pair products.
 
-    The tilt displaces the reflected beams by +/- shift along the
-    horizontal axis (opposite senses, as unitarity of a tilted splitter
-    requires), and the splitter reflects them with a factor i/sqrt(2).  A
-    row f displaced by s is ``f @ T(s)`` (:func:`shift_field`), and i f
-    T(s) = (i f) Re T(s) + c(s) (-(a . f)) a^T, so the band pixels' shift
-    rows (:func:`_reflected`) times [i f; -(a . f)] give the reflected
-    field there.  Column n - 1 - c, the partner of column c, of Re T(-s)
-    is column c of Re T(s) with its input reversed, and the Nyquist input
-    changes sign for even n, so port 2 is port 1's rows times [i g'; a .
-    g'] of the reversed signal row g'.  The inputs are stacked, transposed
-    to (column, rep), as eight (port, re/im, half) blocks, and each
-    block's product with the tile's rows is one contiguous (tilt, pixel,
-    rep) block of the ports.  Every buffer is sized once, for the widest
-    band row and tile, and each yield is overwritten by the next.
+    The tilt displaces the reflected beams by +/- shift along the horizontal
+    axis (opposite senses, as unitarity of a tilted splitter requires).  A
+    row f displaced by s is ``f @ T(s)``, and Im T(s) = c(s) a a^T
+    (:func:`shift_field`; c = 0 for odd n), so i f T(s) = (i f) Re T(s) +
+    c(s) (-(a . f)) a^T: a tilt's shift rows, the columns of Re T(s) with
+    c(s) a as an (n + 1)-th input, times [i f; -(a . f)] give i times the
+    displaced row.  The balanced splitter's amplitudes are ``(t, r)`` of
+    :func:`~spdcsim.elements.splitter_amplitudes` at T = 1/2: t scales the
+    transmitted pixels, Im r the shift rows, and the i of r is the stacked
+    input i f.  Column n - 1 - c, the partner of column c, of Re T(-s) is
+    column c of Re T(s) with its input reversed, and the Nyquist input
+    changes sign for even n, so port 2 is port 1's rows times [i g'; a . g']
+    of the reversed signal row g'.  The inputs are stacked, transposed to
+    (column, rep), as eight (port, re/im, half) blocks, and each block's
+    product with the tile's rows is one contiguous (tilt, pixel, rep) block
+    of the ports.  Every buffer is sized once, for the widest band row and
+    tile, and each yield is overwritten by the next.
     """
     n, reps = signal.shape[-1], signal.shape[-2]
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    t, r = splitter_amplitudes(0.5)
     alternating = (-1.0) ** np.arange(n)
     row_l, col_l = np.divmod(band_l, n)
     # band_l is row-major, so each band row is one run of equal row_l
@@ -509,7 +483,14 @@ def _band_ports(signal, idler, band_l, shifts):
     count = -(-len(shifts) // max(1, _TILE_BYTES // (8 * widest * (n + 1 + 12 * reps))))
     size = -(-len(shifts) // count)  # tilts of a tile
     tiles = [slice(t0, t0 + size) for t0 in range(0, len(shifts), size)]
-    tiled = [_reflected(shifts[tile], n) for tile in tiles]
+    reflected = np.empty((len(shifts), n, n + 1))  # (tilt, out pixel, input)
+    a = alternating if n % 2 == 0 else np.zeros(n)
+    for k, s in enumerate(shifts):
+        matrix = shift_field(np.eye(n), s)
+        reflected[k, :, :n] = matrix.real.T
+        reflected[k, :, n] = matrix.imag[0, 0] * a  # c(s) a
+    reflected *= r.imag
+    tiled = [reflected[tile] for tile in tiles]
     stacked = np.empty((2, 2, 2, n + 1, reps))  # (port, re/im, half, input, rep)
     direct = np.empty((2, 2, 2, widest, reps))  # (port, re/im, half, pixel, rep)
     taken, ports, products = (np.empty(widest * size * k) for k in (n + 1, 8 * reps, 4 * reps))
@@ -522,7 +503,7 @@ def _band_ports(signal, idler, band_l, shifts):
             np.negative(f.imag.transpose(0, 2, 1), out=stacked[port, 0, :, :n])  # i f
             stacked[port, 1, :, :n] = f.real.transpose(0, 2, 1)
             stacked[port, 0, :, n], stacked[port, 1, :, n] = nyquist.real, nyquist.imag
-            direct[port, :, :, :cols.size] = inv_sqrt2 * np.stack((d.real, d.imag)).swapaxes(2, 3)
+            direct[port, :, :, :cols.size] = t * np.stack((d.real, d.imag)).swapaxes(2, 3)
         stacked[0, :, 1] *= -1.0  # the vacuum half of e1
         direct[0, :, 1] *= -1.0
         for tile, matrices in zip(tiles, tiled):

@@ -132,7 +132,8 @@ def test_criterion_7_fourfold_covariance():
 
     reps = 10_000_000
     ens = sample_vacuum(RngStream(SEED, 0), reps, 2)
-    es, ei = parametric_amplify(ens[:, 0], ens[:, 1], GainParams(GL_UNIT))
+    g = GainParams(GL_UNIT)
+    es, ei = parametric_amplify(ens[:, 0], ens[:, 1], g.C, g.S)
     xs = np.abs(es) ** 2
     xi = np.abs(ei) ** 2
     ds = xs - xs.mean()

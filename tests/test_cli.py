@@ -104,6 +104,21 @@ def test_unit_interval_refusals_name_the_setting_and_its_value(argv, reason, cap
     assert capsys.readouterr().err == f"spdcsim: {reason}\n"
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["twin", "--G", "-1"], "G must be finite and >= 0, got -1.0"),
+    (["twin", "--G", "nan"], "G must be finite and >= 0, got nan"),
+    (["twin", "--G", "inf"], "G must be finite and >= 0, got inf"),
+    (["oracle", "--table", "twin", "--values", "-1"], "G must be finite and >= 0, got -1.0"),
+    (["twin", "--gain-gl", "-1"], "gl must be finite and >= 0, got -1.0"),
+    (["hom", "--threads", "0"], "threads must be >= 1, got 0"),
+    (["hom2d", "--gain-scale", "-1"], "gain_scale must be finite and >= 0, got -1.0"),
+    (["hom2d", "--gain-scale", "nan"], "gain_scale must be finite and >= 0, got nan"),
+])
+def test_gain_and_thread_refusals_name_the_setting_and_its_value(argv, reason, capsys):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"spdcsim: {reason}\n"
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64 + 42])
 @pytest.mark.parametrize("given", ["flag", "env", "config"])
 def test_seed_outside_64_bits_is_a_usage_error(seed, given, tmp_path, monkeypatch, capsys):

@@ -17,7 +17,8 @@ GL_UNIT = math.asinh(1.0)  # S^2 = 1
 
 def _twin(reps=1_000_000, seed=42, gl=GL_UNIT):
     ens = sample_vacuum(RngStream(seed, 0), reps, 2)
-    return parametric_amplify(ens[:, 0], ens[:, 1], GainParams(gl))
+    g = GainParams(gl)
+    return parametric_amplify(ens[:, 0], ens[:, 1], g.C, g.S)
 
 
 def test_gain_params_validation_and_identity():
@@ -38,7 +39,8 @@ def test_gain_params_hyperbolic_identity(gl):
 
 def test_amplifier_zero_gain_is_identity():
     ens = sample_vacuum(RngStream(1, 0), 1000, 2)
-    es, ei = parametric_amplify(ens[:, 0], ens[:, 1], GainParams(0.0))
+    g = GainParams(0.0)
+    es, ei = parametric_amplify(ens[:, 0], ens[:, 1], g.C, g.S)
     assert np.array_equal(es, ens[:, 0])
     assert np.array_equal(ei, ens[:, 1])
 
@@ -63,11 +65,29 @@ def test_amplifier_vanishing_moments():
 def test_amplifier_conserves_intensity_difference(gl, seed):
     ens = sample_vacuum(RngStream(seed, 0), 64, 2)
     es0, ei0 = ens[:, 0], ens[:, 1]
-    es, ei = parametric_amplify(es0, ei0, GainParams(gl))
+    g = GainParams(gl)
+    es, ei = parametric_amplify(es0, ei0, g.C, g.S)
     before = np.abs(es0) ** 2 - np.abs(ei0) ** 2
     after = np.abs(es) ** 2 - np.abs(ei) ** 2
     scale = np.maximum(np.abs(es) ** 2 + np.abs(ei) ** 2, 1.0)
     assert np.all(np.abs(after - before) < 1e-10 * scale)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_amplifier_gain_per_mode_equals_the_scalar_call_mode_by_mode(dtype):
+    # one (C, S) per (n, n) mode, broadcast over (reps, n, n) fields as the
+    # hom2d synthesis passes them (complex there, so numpy casts nothing)
+    n, reps = 5, 7
+    gl = np.linspace(0.0, 3.0, n * n).reshape(n, n)
+    C, S = np.cosh(gl).astype(dtype), np.sinh(gl).astype(dtype)
+    ens = sample_vacuum(RngStream(8, 0), reps, 2 * n * n).reshape(reps, 2, n, n)
+    want = np.empty((2, reps, n, n), dtype=complex)
+    for j, k in np.ndindex(n, n):
+        want[:, :, j, k] = parametric_amplify(ens[:, 0, j, k], ens[:, 1, j, k],
+                                              float(C[j, k].real), float(S[j, k].real))
+    got = parametric_amplify(ens[:, 0], ens[:, 1], C, S)
+    for g, w in zip(_bits(got), _bits(want), strict=True):
+        np.testing.assert_array_equal(g, w)
 
 
 def test_balanced_splitter_nulls_covariance():
@@ -110,7 +130,8 @@ def test_splitter_unitarity_invariants(T):
 @given(st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
 def test_splitter_conserves_energy_per_sample(T, seed):
     ens = sample_vacuum(RngStream(seed, 0), 128, 2)
-    es, ei = parametric_amplify(ens[:, 0], ens[:, 1], GainParams(1.0))
+    g = GainParams(1.0)
+    es, ei = parametric_amplify(ens[:, 0], ens[:, 1], g.C, g.S)
     e1, e2 = beam_split(es, ei, T)
     before = np.abs(es) ** 2 + np.abs(ei) ** 2
     after = np.abs(e1) ** 2 + np.abs(e2) ** 2
@@ -168,11 +189,13 @@ def test_outputs_stay_finite_through_pipeline():
 #: Each element at fixed parameters, its number of outputs, and the one-line
 #: expression of its outputs that the element evaluated before it took
 #: ``out``; the ufuncs, operands and their order are the same, so the
-#: doubles are too.
+#: doubles are too.  The amplifier now forms i S conj(b) as -conj(i S b),
+#: which for a real S rounds alike: each complex product has a factor
+#: whose other part is zero.
 _GAIN = GainParams(0.7)
 ELEMENTS = {
     "parametric_amplify": (
-        lambda a, b, **kw: parametric_amplify(a, b, _GAIN, **kw), 2,
+        lambda a, b, **kw: parametric_amplify(a, b, _GAIN.C, _GAIN.S, **kw), 2,
         lambda a, b: (_GAIN.C * a - 1j * _GAIN.S * np.conj(b),
                       _GAIN.C * b - 1j * _GAIN.S * np.conj(a))),
     "beam_split": (

@@ -29,7 +29,8 @@ GL_UNIT = math.asinh(1.0)
 
 def _twin(reps=1_000_000, seed=42, gl=GL_UNIT):
     ens = sample_vacuum(RngStream(seed, 0), reps, 2)
-    return parametric_amplify(ens[:, 0], ens[:, 1], GainParams(gl))
+    g = GainParams(gl)
+    return parametric_amplify(ens[:, 0], ens[:, 1], g.C, g.S)
 
 
 def _vacuum(reps=1_000_000, seed=11, modes=2):
@@ -146,8 +147,9 @@ def test_chsh_degenerate_denominator():
     # at gL = 0.01 the intensity-product denominator is itself consistent
     # with zero at this sample size, which the contract rejects
     ens = sample_vacuum(RngStream(5, 0), 200_000, 4)
-    es1, ei1 = parametric_amplify(ens[:, 0], ens[:, 1], GainParams(0.01))
-    es2, ei2 = parametric_amplify(ens[:, 2], ens[:, 3], GainParams(0.01))
+    g = GainParams(0.01)
+    es1, ei1 = parametric_amplify(ens[:, 0], ens[:, 1], g.C, g.S)
+    es2, ei2 = parametric_amplify(ens[:, 2], ens[:, 3], g.C, g.S)
     with pytest.raises(DegenerateStatisticError):
         estimators.chsh_coefficient(stokes_moments((es1, es2, ei1, ei2)), weights)
 

@@ -146,22 +146,22 @@ def _whole_lane(config, lane, modes):
 def test_whole_column_helpers_equal_one_draw_of_each_lane():
     twin = replace(CONFIGS["twin"], reps=REPS)
     ens, vac = _whole_lane(twin, 0, 2), _whole_lane(twin, 1, 2)
-    es, ei = parametric_amplify(ens[:, 0], ens[:, 1], twin.gain)
+    es, ei = parametric_amplify(ens[:, 0], ens[:, 1], twin.gain.C, twin.gain.S)
     expect = (detector_loss(es, twin.eta, vac[:, 0]), detector_loss(ei, twin.eta, vac[:, 1]))
     for got, want in zip(twin_fields(twin), expect, strict=True):
         np.testing.assert_array_equal(got, want)
 
     hom = replace(CONFIGS["hom"], reps=REPS)
     ens = _whole_lane(hom, 0, 2)
-    es, ei = parametric_amplify(ens[:, 0], ens[:, 1], hom.gain)
+    es, ei = parametric_amplify(ens[:, 0], ens[:, 1], hom.gain.C, hom.gain.S)
     expect = (es, ei, *beam_split(es, ei, hom.transmittance))
     for got, want in zip(hom_fields(hom), expect, strict=True):
         np.testing.assert_array_equal(got, want)
 
     bell = replace(CONFIGS["bell"], reps=REPS)
     ens = _whole_lane(bell, 0, 4)
-    e1x, e2y = parametric_amplify(ens[:, 0], ens[:, 1], bell.gain)
-    e1y, e2x = parametric_amplify(ens[:, 2], ens[:, 3], bell.gain)
+    e1x, e2y = parametric_amplify(ens[:, 0], ens[:, 1], bell.gain.C, bell.gain.S)
+    e1y, e2x = parametric_amplify(ens[:, 2], ens[:, 3], bell.gain.C, bell.gain.S)
     for got, want in zip(bell_arms(bell), (e1x, e1y, e2x, e2y), strict=True):
         np.testing.assert_array_equal(got, want)
 
