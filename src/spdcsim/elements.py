@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class GainParams:
     """Parametric-amplifier gain triple (gL, cosh gL, sinh gL)."""
 

@@ -107,7 +107,7 @@ class DegenerateStatisticError(ValueError):
     """Raised when a ratio statistic has no usable denominator."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class MomentEstimate:
     """A statistic with its standard error."""
 
@@ -148,7 +148,7 @@ def jackknife_se(delete_one_values):
     return np.sqrt((theta.shape[-1] - 1) * np.mean(dev ** 2, axis=-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMoments:
     """Mean vector and centred Gram matrix of k feature columns over n rows."""
 

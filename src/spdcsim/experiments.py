@@ -136,8 +136,9 @@ class ExperimentConfig:
         check_reps(self.reps)
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
-            raise ValueError("polariser angles must be finite")
+        for name in ("theta1", "theta2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # bad values, the seed's included, fail here
         _ = (self.gain, splitter_amplitudes(self.transmittance),
              check_unit_interval("eta", self.eta), RngStream(self.seed, 0))

@@ -143,19 +143,45 @@ class Hom2dConfig:
 
     def __post_init__(self):
         if self.n_pixels < 1:
-            raise ValueError("n_pixels must be >= 1")
+            raise ValueError(f"n_pixels must be >= 1, got {self.n_pixels}")
         if len(self.theta_sweep) == 0:
             raise ValueError("theta_sweep must not be empty")
-        if not all(math.isfinite(t) for t in self.theta_sweep):
-            raise ValueError("theta_sweep values must be finite")
-        scales = (self.pitch, self.crystal_length_mm, self.pump_waist, self.pm_bandwidth)
-        if not all(0 < x < math.inf for x in scales):
-            raise ValueError("pitch, crystal length, pump waist and bandwidth "
-                             "must be positive and finite")
+        for t in self.theta_sweep:
+            if not math.isfinite(t):
+                raise ValueError(f"theta_sweep values must be finite, got {t}")
+        for name in ("pitch", "crystal_length_mm", "pump_waist", "pm_bandwidth"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0 <= self.gain_scale < math.inf:
             raise ValueError(f"gain_scale must be finite and >= 0, got {self.gain_scale}")
         if self.phase_matching not in ("sinc", "gaussian"):
-            raise ValueError("phase_matching must be 'sinc' or 'gaussian'")
+            raise ValueError("phase_matching must be 'sinc' or 'gaussian', "
+                             f"got {self.phase_matching!r}")
+        # the kernel's terms stay in double range: the momentum axis's span
+        # squared, the pump's 2 / pump_waist^2 and the phase mismatch
+        # (qbar / qc)^2 squared at the axis's edge (a product of Python
+        # floats overflows to inf; only ** raises)
+        span = (self.n_pixels - 1) * self.pitch
+        if not span * span < math.inf:
+            raise ValueError(f"pitch {self.pitch:g} is too large: the span of the "
+                             f"{self.n_pixels}-pixel momentum axis, squared, overflows")
+        width = 1.0 / self.pump_waist
+        if not 0 < 2.0 * width * width < math.inf:
+            raise ValueError(f"pump_waist {self.pump_waist:g} is out of range: "
+                             "2 / pump_waist^2 is not positive and finite")
+        qc = self.qc
+        edge = 0.5 * span / qc if qc * qc > 0 else math.inf
+        if not (edge * edge) * (edge * edge) < math.inf:
+            raise ValueError(f"pm_bandwidth {self.pm_bandwidth:g} at crystal_length_mm "
+                             f"{self.crystal_length_mm:g} is too narrow for the "
+                             f"{self.n_pixels}-pixel axis at pitch {self.pitch:g}: "
+                             "the phase mismatch at its edge overflows")
+
+    @property
+    def qc(self) -> float:
+        """Phase-matching bandwidth at zero gain: ``pm_bandwidth``, quoted at
+        ``REFERENCE_LENGTH_MM``, narrows with the crystal length."""
+        return self.pm_bandwidth * math.sqrt(REFERENCE_LENGTH_MM / self.crystal_length_mm)
 
     @property
     def q_axis(self) -> np.ndarray:
@@ -194,12 +220,13 @@ def build_kernel(config: Hom2dConfig) -> np.ndarray:
     qbar = 0.5 * (qs - qi)
     g0 = np.float64(config.gain_scale)  # overflows to inf, not OverflowError
     sigma_pump = 1.0 / config.pump_waist
-    pump = np.exp(-((qs + qi) ** 2) / (2.0 * sigma_pump ** 2))
-    # a gain too large overflows here; the norm check below names it
+    # a gain too large overflows here, and the norm check below names it;
+    # Hom2dConfig keeps the geometry's terms finite, so a pump exponent that
+    # overflows only sends a far pixel pair's pump to 0
     with np.errstate(over="ignore", invalid="ignore"):
-        # bandwidth narrows with crystal length, broadens with gain (gain guiding)
-        qc = config.pm_bandwidth * math.sqrt(REFERENCE_LENGTH_MM / config.crystal_length_mm)
-        qc_eff = qc * (1.0 + g0 / PM_BROADENING_GAIN) ** PM_BROADENING_EXPONENT
+        pump = np.exp(-((qs + qi) ** 2) / (2.0 * sigma_pump ** 2))
+        # the bandwidth broadens with gain (gain guiding)
+        qc_eff = config.qc * (1.0 + g0 / PM_BROADENING_GAIN) ** PM_BROADENING_EXPONENT
         if config.phase_matching == "sinc":
             mismatch = (qbar / qc_eff) ** 2
             s_eff = g0 * _sinhc(np.sqrt((g0 ** 2 - mismatch ** 2).astype(complex)))
@@ -217,7 +244,7 @@ def build_kernel(config: Hom2dConfig) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Column-orthonormal mode matrices with their singular values."""
 
@@ -417,7 +444,7 @@ def shift_field(fields: np.ndarray, shift_px: float) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(fields, axis=-1) * ramp, axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DipCurve:
     """Normalised HOM dip amplitude against beam-splitter tilt.
 

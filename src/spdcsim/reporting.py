@@ -50,7 +50,7 @@ def make_row(name: str, est: MomentEstimate, oracle: float) -> StatisticRow:
                         dev < PASS_THRESHOLD_SE)
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class RunReport:
     """Outcome of one experiment pipeline."""
 

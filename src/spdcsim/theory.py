@@ -64,7 +64,7 @@ def hom_covariance_ratio(transmittance: float) -> float:
 def chsh_gain_factor(G: float) -> float:
     """Multiplicative reduction (1+G)/(1+3G) of the CHSH coefficient at gain G."""
     if not (G >= 0 and math.isfinite(G)):
-        raise ValueError(f"gain G must be finite and >= 0, got {G}")
+        raise ValueError(f"G must be finite and >= 0, got {G}")
     return (1.0 + G) / (1.0 + 3.0 * G)
 
 

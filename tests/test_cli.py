@@ -1,15 +1,19 @@
 import csv
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdcsim
 from spdcsim import cli, experiments, multimode
 from spdcsim.estimators import MomentEstimate
 from spdcsim.experiments import ExperimentConfig
@@ -77,6 +81,7 @@ def test_usage_error_exit_code():
     ["oracle", "--table", "hom", "--values", "0.5", "--eta", "0.9"],
     ["oracle", "--table", "twin", "--eta", "1.5"],
     ["oracle", "--table", "hom", "--values", "1.5"],
+    ["hom2d", "--reps", "3", "--phase-matching", "rect"],
 ])
 def test_bad_input_is_a_usage_error_with_a_reason(argv, capsys):
     try:
@@ -113,6 +118,19 @@ def test_unit_interval_refusals_name_the_setting_and_its_value(argv, reason, cap
     (["hom", "--threads", "0"], "threads must be >= 1, got 0"),
     (["hom2d", "--gain-scale", "-1"], "gain_scale must be finite and >= 0, got -1.0"),
     (["hom2d", "--gain-scale", "nan"], "gain_scale must be finite and >= 0, got nan"),
+    (["oracle", "--table", "bell", "--values", "-1"], "G must be finite and >= 0, got -1.0"),
+    (["bell", "--theta1", "nan"], "theta1 must be finite, got nan"),
+    (["hom2d", "--n-pixels", "0"], "n_pixels must be >= 1, got 0"),
+    (["hom2d", "--pitch", "-1"], "pitch must be positive and finite, got -1.0"),
+    # a geometry whose kernel terms leave double range: no overflow
+    # warning, and no blame on the gain
+    (["hom2d", "--reps", "3", "--pump-waist", "1e-300"],
+     "pump_waist 1e-300 is out of range: 2 / pump_waist^2 is not positive and finite"),
+    (["hom2d", "--reps", "3", "--n-pixels", "8", "--pitch", "1e308"],
+     "pitch 1e+308 is too large: the span of the 8-pixel momentum axis, squared, overflows"),
+    (["hom2d", "--reps", "3", "--pm-bandwidth", "1e-300"],
+     "pm_bandwidth 1e-300 at crystal_length_mm 0.8 is too narrow for the 64-pixel axis "
+     "at pitch 0.25: the phase mismatch at its edge overflows"),
 ])
 def test_gain_and_thread_refusals_name_the_setting_and_its_value(argv, reason, capsys):
     assert run_cli(argv) == 2
@@ -716,6 +734,23 @@ print(code, *(m in sys.modules for m in ("concurrent.futures", "csv")))
     lines = result.stdout.splitlines()  # the report is printed between them
     assert lines[0].split() == ["False", "False", "False"]
     assert lines[-1].split() == ["0", "False", "False"]
+
+
+def test_the_records_generate_only_the_methods_that_something_uses():
+    # dataclasses compile each method they generate with exec (code from
+    # "<string>"; __repr__ comes wrapped), the bulk of the package's import
+    # from cached bytecode.  The records with ndarray fields compare by
+    # identity, since a generated __eq__ would raise on their arrays, and
+    # GainParams, MomentEstimate and RunReport neither print nor compare
+    generated = {}
+    for info in pkgutil.iter_modules(spdcsim.__path__):
+        module = importlib.import_module(f"spdcsim.{info.name}")
+        for cls in vars(module).values():
+            if is_dataclass(cls) and cls.__module__ == module.__name__:
+                generated[cls.__name__] = sorted(
+                    name for name, f in vars(cls).items() if inspect.isfunction(f)
+                    and inspect.unwrap(f).__code__.co_filename == "<string>")
+    assert sum(map(len, generated.values())) == 43, generated
 
 
 def test_hom2d_csv_curve_refuses_a_json_path(tmp_path, capsys):

@@ -52,8 +52,18 @@ def test_config_validation():
                 Hom2dConfig(**{field: bad})
     with pytest.raises(ValueError):
         Hom2dConfig(theta_sweep=(math.nan, 0.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^phase_matching must be 'sinc' or 'gaussian', "
+                                         "got 'rect'$"):
         Hom2dConfig(phase_matching="rect")
+
+
+def test_a_pump_exponent_beyond_double_range_sends_far_pairs_to_zero():
+    # 2 / pump_waist^2 is subnormal, so every pair off the anti-diagonal
+    # (q_s + q_i != 0) has an exponent that overflows: its pump is 0, with
+    # no warning, and the anti-diagonal keeps its gain profile
+    k = build_kernel(Hom2dConfig(n_pixels=8, pump_waist=1e160))
+    j, i = np.indices(k.shape)
+    assert np.all(k[i + j != 7] == 0) and np.all(k[i + j == 7] > 1)
 
 
 def test_single_pixel_kernel_reduces_to_single_mode():
@@ -664,8 +674,9 @@ def test_a_warm_synthesis_chunk_allocates_no_buffer(monkeypatch):
     # every chunk after the first takes its draw and its products from the
     # buffers the first chunk made (the smallest, 426 KB), so a buffer name
     # that two modules used at two shapes, which would reallocate it on
-    # every chunk, fails here.  numpy buffers a conjugating or broadcast
-    # complex ufunc in blocks of 8192 elements, 128 KB
+    # every chunk, fails here.  So does a ufunc that numpy buffers (a
+    # conjugating or broadcast complex one, in blocks of 8192 elements,
+    # 128 KB): a warm chunk allocates about 3 KB, and the bound is 32 KB
     config = calibrate_gain(Hom2dConfig(), 1.0)  # 4-repetition chunks
     dec = schmidt_decompose(build_kernel(config))
     rows, _ = _band_pairs(image_mean_intensities(dec))
@@ -682,7 +693,7 @@ def test_a_warm_synthesis_chunk_allocates_no_buffer(monkeypatch):
 
     monkeypatch.setattr(multimode, "sample_vacuum", traced)
     _traced_peak(sample_image_planes, dec, RngStream(42, 0), 12, rows)
-    assert len(chunks) == 2 and chunks[0] > 4e6 and chunks[1] <= 2 * 8192 * 16, chunks
+    assert len(chunks) == 2 and chunks[0] > 4e6 and chunks[1] <= 32 * 1024, chunks
 
 
 def test_run_hom2d_working_set_is_bounded():
