@@ -32,7 +32,7 @@ the cosh overflow where the gain is set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -47,23 +47,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class GainParams:
-    """Parametric-amplifier gain triple (gL, cosh gL, sinh gL)."""
+class GainParams(namedtuple("GainParams", "gl C S")):
+    """Parametric-amplifier gain triple (gL, cosh gL, sinh gL), made from gL."""
 
-    gl: float
-    C: float = field(init=False)
-    S: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.gl >= 0.0 and math.isfinite(self.gl)):
-            raise ValueError(f"gl must be finite and >= 0, got {self.gl}")
+    def __new__(cls, gl: float):
+        if not (gl >= 0.0 and math.isfinite(gl)):
+            raise ValueError(f"gl must be finite and >= 0, got {gl}")
         try:
-            object.__setattr__(self, "C", math.cosh(self.gl))
+            C = math.cosh(gl)
         except OverflowError:
-            raise ValueError(f"gain-length product gL = {self.gl} is too large: cosh(gL) "
+            raise ValueError(f"gain-length product gL = {gl} is too large: cosh(gL) "
                              "overflows a double for gL above about 710.48") from None
-        object.__setattr__(self, "S", math.sinh(self.gl))
+        return super().__new__(cls, gl, C, math.sinh(gl))
+
+    # A copy, an unpickled gain and _replace's result are made from gL alone,
+    # so that C and S match it; _replace refuses to set C or S.
+    def __getnewargs__(self):
+        return (self.gl,)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(next(iter(fields)))
 
     @classmethod
     def from_mean_photons(cls, G: float) -> "GainParams":

@@ -52,7 +52,7 @@ ensemble column; no command calls them yet (criterion 9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -107,12 +107,10 @@ class DegenerateStatisticError(ValueError):
     """Raised when a ratio statistic has no usable denominator."""
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class MomentEstimate:
+class MomentEstimate(namedtuple("MomentEstimate", "value std_error")):
     """A statistic with its standard error."""
 
-    value: float
-    std_error: float
+    __slots__ = ()
 
     def deviation(self, oracle: float) -> float:
         """Distance from an oracle value in units of the standard error."""
@@ -148,13 +146,11 @@ def jackknife_se(delete_one_values):
     return np.sqrt((theta.shape[-1] - 1) * np.mean(dev ** 2, axis=-1))
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureMoments:
-    """Mean vector and centred Gram matrix of k feature columns over n rows."""
+class FeatureMoments(namedtuple("FeatureMoments", "n mean gram")):
+    """Mean vector and centred Gram matrix of k feature columns over n rows:
+    the int ``n`` and the float64 arrays ``mean`` (k) and ``gram`` (k, k)."""
 
-    n: int
-    mean: np.ndarray
-    gram: np.ndarray
+    __slots__ = ()
 
     @classmethod
     def of_chunk(cls, x: np.ndarray) -> "FeatureMoments":

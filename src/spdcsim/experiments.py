@@ -90,7 +90,7 @@ def _readers(name: str) -> str:
     return ", ".join(kind for kind, names in READS.items() if name in names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ExperimentConfig:
     """Configuration of one experiment run.
 

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -244,14 +245,11 @@ def build_kernel(config: Hom2dConfig) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
-    """Column-orthonormal mode matrices with their singular values."""
+class SchmidtDecomposition(namedtuple("SchmidtDecomposition", "U V lam residual")):
+    """Column-orthonormal mode matrices ``U`` and ``V`` with their singular
+    values ``lam`` and the float ``residual`` of the decomposition."""
 
-    U: np.ndarray
-    V: np.ndarray
-    lam: np.ndarray
-    residual: float
+    __slots__ = ()
 
     @property
     def n_modes(self) -> int:
@@ -444,27 +442,21 @@ def shift_field(fields: np.ndarray, shift_px: float) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(fields, axis=-1) * ramp, axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class DipCurve:
+class DipCurve(namedtuple("DipCurve", "theta amplitude std_error sigma_theta "
+                                       "photons_per_pixel n_modes seed band_pairs "
+                                       "band_rows schmidt_residual")):
     """Normalised HOM dip amplitude against beam-splitter tilt.
 
-    ``n_modes`` is n_pixels^2, because every product mode is
-    synthesised.  ``band_pairs`` counts the matched pixel pairs the dip
+    ``theta``, ``amplitude`` and ``std_error`` are arrays with one entry
+    per tilt, and ``sigma_theta`` is the width of the Gaussian-dip fit, None
+    when the fit fails.  ``n_modes`` is n_pixels^2, because every product
+    mode is synthesised.  ``band_pairs`` counts the matched pixel pairs the dip
     aggregates, ``band_rows`` the image rows synthesised for them (the
     rows holding band pixels or their partners), and ``schmidt_residual``
     is the relative Frobenius residual of the axis kernel's decomposition.
     """
 
-    theta: np.ndarray
-    amplitude: np.ndarray
-    std_error: np.ndarray
-    sigma_theta: float | None
-    photons_per_pixel: float
-    n_modes: int
-    seed: int
-    band_pairs: int
-    band_rows: int
-    schmidt_residual: float
+    __slots__ = ()
 
 
 def _band_ports(signal, idler, band_l, shifts):

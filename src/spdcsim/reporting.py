@@ -10,12 +10,14 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
-from dataclasses import astuple, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .estimators import MomentEstimate
-from .multimode import DipCurve
+if TYPE_CHECKING:  # annotations only: at run time reporting imports nothing of the package
+    from .estimators import MomentEstimate
+    from .multimode import DipCurve
 
 __all__ = ["RunReport", "StatisticRow", "curve_sidecar", "emit_results", "emit_table",
            "make_row", "print_report"]
@@ -26,16 +28,12 @@ PASS_THRESHOLD_SE = 5.0
 ROW_FIELDS = ("statistic", "mc_value", "mc_se", "oracle", "deviation_se", "pass")
 
 
-@dataclass(frozen=True)
-class StatisticRow:
-    """One Monte Carlo statistic with its oracle."""
+class StatisticRow(namedtuple("StatisticRow", "name value std_error oracle "
+                                               "deviation_se passed")):
+    """One Monte Carlo statistic with its oracle, in the order of
+    :data:`ROW_FIELDS`."""
 
-    name: str
-    value: float
-    std_error: float
-    oracle: float
-    deviation_se: float
-    passed: bool
+    __slots__ = ()
 
 
 def make_row(name: str, est: MomentEstimate, oracle: float) -> StatisticRow:
@@ -50,14 +48,18 @@ def make_row(name: str, est: MomentEstimate, oracle: float) -> StatisticRow:
                         dev < PASS_THRESHOLD_SE)
 
 
-@dataclass(repr=False, eq=False)
 class RunReport:
-    """Outcome of one experiment pipeline."""
+    """Outcome of one experiment pipeline: its :class:`StatisticRow` list,
+    its metadata and, for hom2d, its dip curve."""
 
-    experiment: str
-    rows: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-    curve: DipCurve | None = None
+    __slots__ = ("experiment", "rows", "metadata", "curve")
+
+    def __init__(self, experiment: str, rows: list | None = None,
+                 metadata: dict | None = None, curve: DipCurve | None = None):
+        self.experiment = experiment
+        self.rows = [] if rows is None else rows
+        self.metadata = {} if metadata is None else metadata
+        self.curve = curve
 
     @property
     def all_passed(self) -> bool:
@@ -129,17 +131,16 @@ def emit_results(report: RunReport, path: str | Path, fmt: str = "csv") -> Path:
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format: {fmt!r}")
-    rows = [astuple(r) for r in report.rows]
     curve = report.curve
     if fmt == "json":
         payload = {"experiment": report.experiment,
-                   "rows": [dict(zip(ROW_FIELDS, r)) for r in rows],
+                   "rows": [dict(zip(ROW_FIELDS, r)) for r in report.rows],
                    "metadata": report.metadata}
         if curve is not None:
             payload["curve"] = _curve_dict(curve)
         _write_json(payload, path)
     elif curve is None:
-        _write_csv(ROW_FIELDS, rows, path)
+        _write_csv(ROW_FIELDS, report.rows, path)
     else:
         sidecar = curve_sidecar(path)  # checked before the table is written
         _write_csv(("theta", "amplitude", "std_error"),

@@ -80,7 +80,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -100,8 +100,7 @@ _INV53 = 2.0 ** -53
 #: a single experiment (e.g. amplifier inputs vs. detector-loss vacua).
 LANE_STRIDE = 1 << 40
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(namedtuple("RngStream", "seed stream_id")):
     """Identifier of one deterministic random stream.
 
     Identical ``(seed, stream_id)`` pairs reproduce bit-identical samples;
@@ -109,16 +108,18 @@ class RngStream:
     integers: a seed in [0, 2**64), so no two alias; stream ids wrap to 64 bits.
     """
 
-    seed: int
-    stream_id: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed <= _MASK64):
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if not isinstance(self.stream_id, numbers.Integral):
-            raise ValueError(f"stream_id must be an integer, got {self.stream_id!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "stream_id", int(self.stream_id) & _MASK64)
+    def __new__(cls, seed: int, stream_id: int):
+        if not (isinstance(seed, numbers.Integral) and 0 <= seed <= _MASK64):
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        if not isinstance(stream_id, numbers.Integral):
+            raise ValueError(f"stream_id must be an integer, got {stream_id!r}")
+        return super().__new__(cls, int(seed), int(stream_id) & _MASK64)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates too
+        return cls(*fields)
 
 
 #: Words of one Philox key: a key block is the largest power of two of rows
@@ -233,12 +234,12 @@ def _turn_table(cells: int) -> tuple:
     step = 2.0 * math.pi / cells
     hi = math.ldexp(math.floor(math.ldexp(step, 50)), -50)
     lo = (step - hi) + 2.4492935982947064e-16 / cells
-    cos, sin = np.empty(cells), np.empty(cells)
+    cos, sin = [], []
     for k in range(cells):
         c, s, tail = math.cos(k * hi), math.sin(k * hi), k * lo
-        cos[k] = c - s * tail
-        sin[k] = s + c * tail
-    return cos, sin
+        cos.append(c - s * tail)
+        sin.append(s + c * tail)
+    return np.array(cos), np.array(sin)
 
 
 _COS_TABLE, _SIN_TABLE = _turn_table(_CELLS)

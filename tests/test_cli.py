@@ -7,7 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +15,12 @@ import pytest
 
 import spdcsim
 from spdcsim import cli, experiments, multimode
-from spdcsim.estimators import MomentEstimate
+from spdcsim.elements import GainParams
+from spdcsim.estimators import FeatureMoments, MomentEstimate
 from spdcsim.experiments import ExperimentConfig
-from spdcsim.multimode import DipCurve, Hom2dConfig
+from spdcsim.multimode import DipCurve, Hom2dConfig, schmidt_decompose
 from spdcsim.reporting import RunReport, emit_results, make_row
+from spdcsim.sampling import RngStream
 
 from helpers import VOLATILE_METADATA, comparable_text
 
@@ -737,20 +739,57 @@ print(code, *(m in sys.modules for m in ("concurrent.futures", "csv")))
 
 
 def test_the_records_generate_only_the_methods_that_something_uses():
-    # dataclasses compile each method they generate with exec (code from
-    # "<string>"; __repr__ comes wrapped), the bulk of the package's import
-    # from cached bytecode.  The records with ndarray fields compare by
-    # identity, since a generated __eq__ would raise on their arrays, and
-    # GainParams, MomentEstimate and RunReport neither print nor compare
+    # Every run pays for the code that the import compiles from "<string>"
+    # with exec or eval: each method a dataclass generates (__repr__ comes
+    # wrapped) and the __new__ of each namedtuple base.  Only the two configs stay dataclasses: cli reads their fields(),
+    # the hom2d report asdict()s its geometry and calibrate_gain replace()s
+    # it, ExperimentConfig compares its hom2d field to the default
+    # Hom2dConfig, and the tests print a Hom2dConfig's repr; no caller
+    # compares or prints an ExperimentConfig.  The immutable records are
+    # namedtuples, one generated __new__ each, and RunReport a slotted class.
     generated = {}
     for info in pkgutil.iter_modules(spdcsim.__path__):
         module = importlib.import_module(f"spdcsim.{info.name}")
         for cls in vars(module).values():
-            if is_dataclass(cls) and cls.__module__ == module.__name__:
-                generated[cls.__name__] = sorted(
-                    name for name, f in vars(cls).items() if inspect.isfunction(f)
+            if not (inspect.isclass(cls) and cls.__module__ == module.__name__):
+                continue
+            for klass in cls.__mro__:  # a namedtuple base too
+                names = sorted(
+                    name for name, attr in vars(klass).items()
+                    if inspect.isfunction(f := getattr(attr, "__func__", attr))
                     and inspect.unwrap(f).__code__.co_filename == "<string>")
-    assert sum(map(len, generated.values())) == 43, generated
+                if klass.__module__.startswith("spdcsim.") and names:
+                    generated[klass] = names
+    assert sum(map(len, generated.values())) == 16, {
+        f"{k.__module__}.{k.__qualname__}": v for k, v in generated.items()}
+
+
+FROZEN_RECORDS = {
+    "GainParams": (lambda: GainParams(0.5), "gl"),
+    "MomentEstimate": (lambda: MomentEstimate(1.0, 0.1), "value"),
+    "FeatureMoments": (lambda: FeatureMoments.of_chunk(np.ones((2, 3))), "mean"),
+    "SchmidtDecomposition": (lambda: schmidt_decompose(np.eye(2)), "lam"),
+    "DipCurve": (lambda: DipCurve(np.zeros(1), np.zeros(1), np.ones(1), None, 1.0,
+                                  4, 1, 2, 2, 0.0), "amplitude"),
+    "StatisticRow": (lambda: make_row("mean", MomentEstimate(1.0, 0.1), 1.0), "passed"),
+    "RngStream": (lambda: RngStream(42, 0), "stream_id"),
+    "ExperimentConfig": (lambda: ExperimentConfig(kind="twin"), "reps"),
+    "Hom2dConfig": (lambda: Hom2dConfig(), "n_pixels"),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_RECORDS)
+def test_a_frozen_record_refuses_attribute_assignment(name):
+    make, field = FROZEN_RECORDS[name]
+    record = make()
+    before = getattr(record, field)
+    for attribute in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, 1)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
+    assert not hasattr(record, "extra")
 
 
 def test_hom2d_csv_curve_refuses_a_json_path(tmp_path, capsys):

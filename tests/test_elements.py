@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -29,6 +31,13 @@ def test_gain_params_validation_and_identity():
     with pytest.raises(ValueError):
         GainParams(float("nan"))
     assert GainParams.from_mean_photons(1.0).gl == pytest.approx(GL_UNIT)
+    g = GainParams(0.7)
+    assert copy.deepcopy(g) == pickle.loads(pickle.dumps(g)) == g
+    assert g._replace(gl=1.0) == GainParams(1.0)  # cosh and sinh made anew
+    with pytest.raises(ValueError):
+        g._replace(gl=-1.0)
+    with pytest.raises(ValueError):
+        g._replace(C=1.0)
 
 
 @given(st.floats(0.0, 5.0))

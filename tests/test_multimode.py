@@ -603,7 +603,7 @@ def test_image_rows_and_vacuum_reuse_the_full_synthesis():
     assert np.array_equal(sig, full_s[rows])
     assert np.array_equal(idl, full_i[rows])
     # the second half is the first half of the same draw at zero gain
-    unamplified = replace(dec, lam=np.zeros_like(dec.lam))
+    unamplified = dec._replace(lam=np.zeros_like(dec.lam))
     vac_s, vac_i = sample_image_planes(unamplified, RngStream(5, 0), reps, rows)
     assert np.allclose(sig[:, 1], vac_s[:, 0], atol=1e-12)
     assert np.allclose(idl[:, 1], vac_i[:, 0], atol=1e-12)

@@ -162,3 +162,12 @@ def test_no_module_keeps_thread_local_state():
              for line in _thread_locals(ast.parse(path.read_text()))]
     assert not bound, ("a draw's buffers belong to the namespace its caller passes "
                        f"down, not to module-level thread-local state: {', '.join(bound)}")
+
+
+def test_reporting_imports_nothing_from_the_package():
+    # the estimators' and multimode's records appear in its annotations only,
+    # imported under TYPE_CHECKING, so reporting runs without either module
+    tree = ast.parse((PACKAGE / "reporting.py").read_text())
+    relative = [node.lineno for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level]
+    assert not relative, f"reporting.py imports from the package at lines {relative}"

@@ -171,6 +171,19 @@ def test_stream_ids_wrap_to_uint64():
     assert RngStream(42, np.uint64(7)) == RngStream(42, 7)
 
 
+def test_a_stream_compares_and_hashes_by_value():
+    # seed and stream id are kept as Python ints, so numpy integers name the
+    # same stream: equal, with one hash, one key of a set
+    a, b = RngStream(42, 7), RngStream(np.uint64(42), np.uint64(7))
+    assert a == b and hash(a) == hash(b) and len({a, b, RngStream(42, 7)}) == 1
+    assert type(b.seed) is int and type(b.stream_id) is int
+    assert a != RngStream(42, 8) and a != RngStream(43, 7)
+    assert hash(RngStream(42, 2 ** 64 + 7)) == hash(a)
+    assert a._replace(stream_id=2 ** 64 + 8) == RngStream(42, 8)
+    with pytest.raises(ValueError, match=r"^seed must be in"):
+        a._replace(seed=-1)
+
+
 @pytest.mark.parametrize("stream_id", [0.5, "7"])
 def test_a_stream_id_that_is_not_an_integer_is_rejected(stream_id):
     # int() would truncate 0.5 to stream 0 and parse "7"
