@@ -49,20 +49,24 @@ are synthesised, a chunk of repetitions at a time, into planes laid out
 synthesis and of the sweep is real (the axis kernel and its Schmidt modes
 are, and a shift matrix is but for one rank-one Nyquist term, one extra
 inner row), so each complex contraction is a real matrix product on the
-(re, im) parts of the fields, at half the multiply-adds.  Only the band
-pixels are shifted, by band row and tile of tilts, and one set of shift
-rows serves both output ports, since a band pixel's partner is its mirror
-image (:func:`_band_ports`).  Running sums over the pairs give each tilt's
+(re, im) parts of the fields, at half the multiply-adds; the vacuum half
+is contracted straight from the draw.  Only the band pixels are shifted,
+by band row and tile of tilts, and one set of shift rows serves both
+output ports, since a band pixel's partner is its mirror image: a tile's
+eight (port, re/im, half) input blocks take one batched product
+(:func:`_band_ports`).  Running sums over the pairs give each tilt's
 aggregate and its delete-one values in closed form.  So the working set is
 the planes and, beside them, one chunk's draw or one tile's shift rows,
-ports and pair products.  The aggregate is normalised by the same
-statistic at a reference tilt far outside the phase-matching band, so the
-curve tends to 1 for distinguishable beams at every gain and to 0 at zero
-tilt.  The ratio is not a function of merged feature means, so its
-standard error is the delete-one-repetition jackknife,
-:func:`~spdcsim.estimators.jackknife_se` of the ratios with one
-repetition left out.  A reference aggregate that is not positive and
-finite fails the run with a
+ports and pair products.  Neither the batching nor the uncopied operands
+change a product: each is the BLAS call it would be alone, on the same
+values, so they leave every fixed-seed output's bits as they were.  The
+aggregate is normalised by the same statistic at a reference tilt far
+outside the phase-matching band, so the curve tends to 1 for
+distinguishable beams at every gain and to 0 at zero tilt.  The ratio is
+not a function of merged feature means, so its standard error is the
+delete-one-repetition jackknife, :func:`~spdcsim.estimators.jackknife_se`
+of the ratios with one repetition left out.  A reference aggregate that
+is not positive and finite fails the run with a
 :class:`~spdcsim.estimators.DegenerateStatisticError`, so no curve has a
 NaN point.
 """
@@ -256,13 +260,18 @@ class SchmidtDecomposition(namedtuple("SchmidtDecomposition", "U V lam residual"
         return self.lam.shape[0]
 
 
+def _svd(kernel: np.ndarray) -> tuple:
+    """``(U, lambda, V^T)`` of the kernel, K = U diag(lambda) V^T."""
+    try:
+        return np.linalg.svd(kernel)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"SVD of {kernel.shape} kernel failed: {exc}") from exc
+
+
 def schmidt_decompose(kernel: np.ndarray) -> SchmidtDecomposition:
     """SVD of the kernel matrix, K = U diag(lambda) V^T, every axis mode
     kept, with the relative Frobenius residual of that product."""
-    try:
-        U, lam, Vh = np.linalg.svd(kernel)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"SVD of {kernel.shape} kernel failed: {exc}") from exc
+    U, lam, Vh = _svd(kernel)
     norm = np.linalg.norm(kernel)
     resid = np.linalg.norm((U * lam) @ Vh - kernel) / norm if norm > 0 else 0.0
     return SchmidtDecomposition(U=U, V=Vh.T, lam=lam, residual=float(resid))
@@ -270,14 +279,21 @@ def schmidt_decompose(kernel: np.ndarray) -> SchmidtDecomposition:
 
 def image_mean_intensities(dec: SchmidtDecomposition) -> np.ndarray:
     """Mean intensity image of the separable two-axis synthesis."""
-    s2 = np.sinh(_product_gains(dec)) ** 2
-    w = np.abs(dec.U) ** 2
+    return _mean_image(dec.U, dec.lam)
+
+
+def _mean_image(U: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """:func:`image_mean_intensities` of the axis modes ``U`` and their
+    singular values ``lam``."""
+    s2 = np.sinh(_product_gains(lam)) ** 2
+    w = np.abs(U) ** 2
     return w @ s2 @ w.T
 
 
-def _product_gains(dec: SchmidtDecomposition) -> np.ndarray:
-    """Per-mode gains of the product modes of two identical axes."""
-    lam2 = np.outer(dec.lam, dec.lam)
+def _product_gains(lam: np.ndarray) -> np.ndarray:
+    """Per-mode gains of the product modes of two identical axes with
+    singular values ``lam``."""
+    lam2 = np.outer(lam, lam)
     return 0.5 * np.arcsinh(2.0 * lam2)
 
 
@@ -344,7 +360,10 @@ def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float) -> Hom2dConfig
     [1e-9, :data:`GAIN_SCALE_MAX`] with Brent's method (:func:`_brent_root`,
     absolute and relative tolerance 1e-12).  A target outside the photon
     range that this bracket reaches is a ValueError naming that range; the
-    search reuses that check's evaluations of the bracket ends.
+    search reuses that check's evaluations of the bracket ends.  Each
+    evaluation takes U and lambda from one SVD of its kernel, the call of
+    :func:`schmidt_decompose`, but forms no residual: only
+    :func:`run_hom2d`'s decomposition reports one.
     """
     if not (photons_per_pixel > 0 and math.isfinite(photons_per_pixel)):
         raise ValueError(
@@ -352,8 +371,8 @@ def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float) -> Hom2dConfig
 
     @functools.cache
     def brightest(g0):
-        dec = schmidt_decompose(build_kernel(replace(config, gain_scale=g0)))
-        return image_mean_intensities(dec).max()
+        U, lam, _ = _svd(build_kernel(replace(config, gain_scale=g0)))
+        return _mean_image(U, lam).max()
 
     lo, hi = brightest(1e-9), brightest(GAIN_SCALE_MAX)
     if not lo <= photons_per_pixel <= hi:
@@ -383,21 +402,23 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int, ro
     call from the stream at its first row, which holds the rows of one
     whole draw bit for bit (:mod:`~spdcsim.sampling`); every chunk reuses
     the buffers of one namespace.  A chunk amplifies both images into one
-    (image, amplified/vacuum, rep, i, j) buffer.  U and V are real, so
-    both contractions are real matrix products on the (re, im) float view
-    of the amplitudes, one small product per image, half and repetition:
-    over i with the restricted rows of U (or V), then, transposed to (j,
-    row), over j with U (or V).  Every product has the same shape whatever
+    (image, rep, i, j) buffer.  U and V are real, so both contractions are
+    real matrix products on the (re, im) float view of the amplitudes, one
+    small product per image, half and repetition: over i with the
+    restricted rows of U (or V), then, transposed to (j, row), over j with
+    U (or V).  The vacuum half is contracted over i straight from the
+    draw's (image, rep, i, j) view, whose (i, j) blocks are contiguous, so
+    it is never copied.  Every product has the same shape whatever
     ``reps`` and the chunk, so each repetition's planes come from its own
     draw alone: they do not change when more repetitions are drawn, nor
     with the chunk or the BLAS threads.  A chunk writes whole image rows.
     """
     n, m = dec.U.shape[0], len(rows)
-    g2 = _product_gains(dec)
+    g2 = _product_gains(dec.lam)
     # complex as the fields, so numpy buffers no cast
     C, S = np.cosh(g2).astype(complex), np.sinh(g2).astype(complex)
     modes = np.stack((dec.U, dec.V))[:, None, None]  # (image, 1, 1, y, j)
-    restricted = modes[..., rows, :]  # (image, 1, 1, row, i)
+    restricted = modes[:, 0][..., rows, :]  # (image, 1, row, i)
     planes = np.empty((2, m, 2, reps, n), dtype=complex)  # (image, row, half, rep, column)
     chunk = block_rows(2 * n * n)
     kept = SimpleNamespace()
@@ -405,13 +426,13 @@ def sample_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: int, ro
         c = min(chunk, reps - r0)
         ens = sample_vacuum(RngStream(rng.seed, rng.stream_id + r0), c, 2 * n * n, kept)
         vacuum = ens.reshape(c, 2, n, n).transpose(1, 0, 2, 3)  # (image, rep, i, j)
-        fields = kept_array(kept, "multimode_fields", (2, 2, c, n, n))
-        parametric_amplify(vacuum[0], vacuum[1], C, S,
-                           out=(fields[0, 0], fields[1, 0]), scratch=fields[0, 1])
-        fields[:, 1] = vacuum
+        fields = kept_array(kept, "multimode_fields", (3, c, n, n))  # amplified, scratch
+        parametric_amplify(vacuum[0], vacuum[1], C, S, out=tuple(fields[:2]),
+                           scratch=fields[2])
         # (row, i) @ (i, j), then (y, j) @ (j, row), per image, half and repetition
         by_row = kept_array(kept, "multimode_by_row", (2, 2, c, m, 2 * n), np.float64)
-        np.matmul(restricted, fields.view(float), out=by_row)
+        for half, source in enumerate((fields[:2], vacuum)):
+            np.matmul(restricted, source.view(float), out=by_row[:, half])
         by_j = kept_array(kept, "multimode_by_j", (2, 2, c, n, m))
         by_j[...] = by_row.view(complex).transpose(0, 1, 2, 4, 3)
         by_y = kept_array(kept, "multimode_by_y", (2, 2, c, n, 2 * m), np.float64)
@@ -487,10 +508,14 @@ def _band_ports(signal, idler, band_l, shifts):
     column c of Re T(s) with its input reversed, and the Nyquist input
     changes sign for even n, so port 2 is port 1's rows times [i g'; a . g']
     of the reversed signal row g'.  The inputs are stacked, transposed to
-    (column, rep), as eight (port, re/im, half) blocks, and each block's
-    product with the tile's rows is one contiguous (tilt, pixel, rep) block
-    of the ports.  Every buffer is sized once, for the widest band row and
-    tile, and each yield is overwritten by the next.
+    (column, rep), as eight (port, re/im, half) blocks, and one batched
+    product of the tile's rows with the eight blocks gives each block's
+    product, a contiguous (tilt, pixel, rep) block of the ports: the same
+    BLAS call on the same operands as a product of its own.  The stacked
+    inputs, the Nyquist entries and the transmitted terms are written into
+    their buffers in place.  Every buffer is sized once, for the widest
+    band row and tile, so a band row allocates no array of its own, and
+    each yield is overwritten by the next.
     """
     n, reps = signal.shape[-1], signal.shape[-2]
     t, r = splitter_amplitudes(0.5)
@@ -511,18 +536,29 @@ def _band_ports(signal, idler, band_l, shifts):
     reflected *= r.imag
     tiled = [reflected[tile] for tile in tiles]
     stacked = np.empty((2, 2, 2, n + 1, reps))  # (port, re/im, half, input, rep)
-    direct = np.empty((2, 2, 2, widest, reps))  # (port, re/im, half, pixel, rep)
+    nyquist = np.empty((2, reps), dtype=complex)  # (half, rep)
+    gathered = np.empty(2 * widest * reps, dtype=complex)  # (half, rep, pixel)
+    transmitted = np.empty(8 * widest * reps)  # (port, re/im, half, pixel, rep)
     taken, ports, products = (np.empty(widest * size * k) for k in (n + 1, 8 * reps, 4 * reps))
     for start, stop in zip(bounds[:-1], bounds[1:]):
         x, cols = row_l[start], col_l[start:stop]
         xm = len(signal) - 1 - x
-        for port, f, d in ((0, idler[x], signal[x][..., cols]),
-                           (1, signal[xm][..., ::-1], idler[xm][..., n - 1 - cols])):
-            nyquist = (2 * port - 1) * (f @ alternating)  # -(a . f), or a . g'
-            np.negative(f.imag.transpose(0, 2, 1), out=stacked[port, 0, :, :n])  # i f
-            stacked[port, 1, :, :n] = f.real.transpose(0, 2, 1)
+        # the terms are copied in, then scaled in place, for numpy buffers a
+        # ufunc whose operands differ in layout or are strided views
+        direct = transmitted[:8 * cols.size * reps].reshape(2, 2, 2, cols.size, reps)
+        for port, f, plane, at in ((0, idler[x], signal[x], cols),
+                                   (1, signal[xm][..., ::-1], idler[xm], n - 1 - cols)):
+            inputs = stacked[port, :, :, :n]
+            inputs[0], inputs[1] = f.imag.transpose(0, 2, 1), f.real.transpose(0, 2, 1)
+            np.negative(inputs[0], out=inputs[0])  # i f
+            np.matmul(f, alternating, out=nyquist)
+            if port == 0:
+                np.negative(nyquist, out=nyquist)  # -(a . f); port 2 takes a . g'
             stacked[port, 0, :, n], stacked[port, 1, :, n] = nyquist.real, nyquist.imag
-            direct[port, :, :, :cols.size] = t * np.stack((d.real, d.imag)).swapaxes(2, 3)
+            d = np.take(plane, at, axis=-1, mode="clip",
+                        out=gathered[:2 * cols.size * reps].reshape(2, reps, cols.size))
+            direct[port, 0], direct[port, 1] = d.real.swapaxes(1, 2), d.imag.swapaxes(1, 2)
+        np.multiply(direct, t, out=direct)
         stacked[0, :, 1] *= -1.0  # the vacuum half of e1
         direct[0, :, 1] *= -1.0
         for tile, matrices in zip(tiles, tiled):
@@ -530,9 +566,9 @@ def _band_ports(signal, idler, band_l, shifts):
             rows = np.take(matrices, cols, axis=1, mode="clip",  # "raise" buffers out
                            out=taken[:p * (n + 1)].reshape(-1, cols.size, n + 1))
             e = ports[:p * 8 * reps].reshape(8, -1, cols.size, reps)
-            for block, out in zip(stacked.reshape(8, n + 1, reps), e):
-                np.matmul(rows.reshape(p, n + 1), block, out=out.reshape(p, reps))
-            e += direct.reshape(8, widest, reps)[:, None, :cols.size]
+            np.matmul(rows.reshape(p, n + 1), stacked.reshape(8, n + 1, reps),
+                      out=e.reshape(8, p, reps))
+            e += direct.reshape(8, 1, cols.size, reps)
             e = e.reshape(2, 2, 2, -1, cols.size, reps)
             yield tile, e[0], e[1], products[:p * 4 * reps].reshape(-1, 2, 2, cols.size, reps)
 
@@ -556,14 +592,16 @@ def _coherence_sweep(signal, idler, band_l, shifts):
     take one matrix-vector product per tilt.
     """
     reps = signal.shape[-2]
+    ones = np.ones(max(reps, 4 * band_l.size))
     cross, own = np.zeros((2, len(shifts), reps))
     for tile, e1, e2, z in _band_ports(signal, idler, band_l, shifts):
         np.einsum("xhtpr,yhtpr->txypr", e1, e2, out=z)
         z = z.reshape(len(z), -1, reps)  # ac, ad, bc, bd of each pixel
-        m = np.matmul(z, np.ones(reps)) / reps
+        m = np.matmul(z, ones[:reps])
+        m /= reps
         cross[tile] += np.matmul(m[:, None], z)[:, 0]
         squares = np.multiply(z, z, out=e1.reshape(z.shape))  # into spent e1
-        own[tile] += np.matmul(np.ones(z.shape[1]), squares)
+        own[tile] += np.matmul(ones[:z.shape[1]], squares)
     cross, own = 2.0 * cross, 2.0 * own
     power, q = cross.mean(axis=-1), own.mean(axis=-1)
     value = (reps * power - q) / (reps - 1)

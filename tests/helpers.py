@@ -332,7 +332,7 @@ def whole_block_image_planes(dec: SchmidtDecomposition, rng: RngStream, reps: in
     C-contiguous, as the synthesis stacks them: V is the transpose of the
     SVD's Vh, and BLAS rounds a transposed operand otherwise."""
     n = dec.U.shape[0]
-    g2 = _product_gains(dec)
+    g2 = _product_gains(dec.lam)
     C = np.cosh(g2)
     minus_iS = -1j * np.sinh(g2)
     ens = sample_vacuum(rng, reps, 2 * n * n)

@@ -16,8 +16,10 @@ environment switch:
   real-arithmetic band sweep against its complex references (the
   plane-domain FFT sweep, the exact Gaussian oracle, the complex shift
   matrices), its BLAS-thread invariance and its independence of the tile
-  size, and the chunked image synthesis against the whole-block reference
-  and against a synthesis of more repetitions;
+  size, the chunked image synthesis against the whole-block reference
+  and against a synthesis of more repetitions, and the batched tile
+  products and the vacuum half contracted from the draw against separate
+  products and a copied half, bit for bit;
 - ``NPY_DISABLE_CPU_FEATURES`` (numpy's AVX2 loops on an AVX-512 host) over
   the raw-word layout, the Box-Muller on uniforms against the integer-word
   reference, tall and wide draws a block at a time against one draw, a warm
@@ -58,7 +60,8 @@ RERUNS = {
         {"OPENBLAS_CORETYPE": "Haswell"},
         ["tests/test_multimode.py"],
         ["plane_fft_reference", "exact_gaussian_oracle", "blas_threads", "band_ports",
-         "tilt_tiles", "whole_block_reference", "later_repetitions"]),
+         "tilt_tiles", "whole_block_reference", "later_repetitions",
+         "batched_tile_products"]),
     "avx2-dispatch": (
         {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
         ["tests/test_sampling.py", "tests/test_multimode.py"],

@@ -17,7 +17,7 @@ from spdcsim.multimode import (Hom2dConfig, build_kernel, calibrate_gain,
                                schmidt_decompose, shift_field)
 from spdcsim.multimode import (_band_pairs, _band_ports, _brent_root, _coherence_sweep,
                                _fit_dip_width, _product_gains)
-from spdcsim.sampling import RngStream
+from spdcsim.sampling import RngStream, block_rows
 
 import hom2d_oracle
 from helpers import (fft_reference_dip, full_grid_kernel, mean_intensity,
@@ -128,7 +128,7 @@ def test_diagonal_kernel_gains():
     dec = schmidt_decompose(kernel)
     assert dec.lam == pytest.approx([2.0, 1.0])
     # product modes lambda_i lambda_j = 4, 2, 2, 1
-    assert _product_gains(dec) == pytest.approx(np.array(
+    assert _product_gains(dec.lam) == pytest.approx(np.array(
         [[math.asinh(8.0) / 2.0, math.asinh(4.0) / 2.0],
          [math.asinh(4.0) / 2.0, math.asinh(2.0) / 2.0]]))
 
@@ -142,7 +142,7 @@ def test_default_kernel_decomposition_invariants():
     assert np.allclose(eye_u, np.eye(dec.n_modes), atol=1e-10)
     assert np.allclose(eye_v, np.eye(dec.n_modes), atol=1e-10)
     assert np.all(np.diff(dec.lam) <= 0)
-    g2 = _product_gains(dec)
+    g2 = _product_gains(dec.lam)
     assert np.allclose(np.outer(dec.lam, dec.lam), np.cosh(g2) * np.sinh(g2))
 
 
@@ -564,6 +564,54 @@ def test_the_sweep_does_not_depend_on_its_tilt_tiles(photons, monkeypatch):
     assert {1, 2, len(shifts)} <= sizes and len(sizes) >= 5, sizes
 
 
+class _ProductSpy:
+    """numpy for :mod:`spdcsim.multimode`, but for a ``matmul`` that checks
+    each product of a tile's rows with the eight (port, re/im, half) input
+    blocks of the sweep against eight products, and each product on a
+    strided 4-D operand, the draw's vacuum half, against the same product
+    on a contiguous copy of it: bit for bit.  ``checked`` counts both."""
+
+    def __init__(self):
+        self.checked = {"tile": 0, "strided": 0}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out=None):
+        result = np.matmul(a, b, out=out)
+        if a.ndim == 2 and b.ndim == 3 and len(b) == 8:
+            assert np.array_equal(result, np.stack([np.matmul(a, block) for block in b]))
+            self.checked["tile"] += 1
+        elif b.ndim == 4 and not b.flags.c_contiguous:
+            assert np.array_equal(result, np.matmul(a, b.copy()))
+            self.checked["strided"] += 1
+        return result
+
+
+@pytest.mark.parametrize("photons", [None, 1.0], ids=["small", "default-1ppp"])
+def test_batched_tile_products_and_the_drawn_vacuum_half_keep_the_bits_of_copies(
+        photons, monkeypatch):
+    # the sweep takes a tile's eight products in one batched matmul, and
+    # the synthesis contracts the vacuum half from the draw's own (image,
+    # rep, i, j) view: each must round as the separate products and as the
+    # product on a copied half, on every BLAS kernel
+    config = SMALL if photons is None else calibrate_gain(Hom2dConfig(), photons)
+    reps, seed = (SMALL_REPS, SMALL_SEED) if photons is None else (100, 42)
+    dec = schmidt_decompose(build_kernel(config))
+    rows, band_l = _band_pairs(image_mean_intensities(dec))
+    shifts = [*(2.0 * np.asarray(config.theta_sweep) / config.pitch), config.n_pixels // 2]
+    spy = _ProductSpy()
+    monkeypatch.setattr(multimode, "np", spy)
+    signal, idler = sample_image_planes(dec, RngStream(seed, 0), reps, rows)
+    chunks = -(-reps // block_rows(2 * config.n_pixels ** 2))
+    assert spy.checked == {"tile": 0, "strided": chunks}
+    for tile_bytes in (multimode._TILE_BYTES, 1):  # one tile of every tilt, and one tilt a tile
+        monkeypatch.setattr(multimode, "_TILE_BYTES", tile_bytes)
+        spy.checked["tile"] = 0
+        tiles = sum(1 for _ in _band_ports(signal, idler, band_l, shifts))
+        assert spy.checked["tile"] == tiles > 0
+
+
 @pytest.mark.parametrize("config, photons, reps, seed", [
     (SMALL, None, SMALL_REPS, SMALL_SEED),
     # the last 4-repetition chunk holds one repetition
@@ -696,6 +744,44 @@ def test_a_warm_synthesis_chunk_allocates_no_buffer(monkeypatch):
     assert len(chunks) == 2 and chunks[0] > 4e6 and chunks[1] <= 32 * 1024, chunks
 
 
+def test_a_warm_band_row_allocates_no_buffer(monkeypatch):
+    # every band row stacks its inputs into, and takes its tiles' products,
+    # pair products and sums from, buffers made before the first row.  One
+    # tile of the default geometry's widest row is about 1 MiB and a (port,
+    # re/im, half) block's product 0.7 MB, and a scaled, stacked copy of
+    # the row's transmitted pixels takes two temporaries of 83 KB, so a
+    # product buffer or such a copy fails here.  A row allocates 49-65 KB:
+    # numpy's buffer (8192 elements at most) for the add of the transmitted
+    # terms, broadcast over the tile's tilts
+    config = calibrate_gain(Hom2dConfig(), 1.0)
+    dec = schmidt_decompose(build_kernel(config))
+    rows, band_l = _band_pairs(image_mean_intensities(dec))
+    signal, idler = sample_image_planes(dec, RngStream(42, 0), 100, rows)
+    shifts = [*(2.0 * np.asarray(config.theta_sweep) / config.pitch), config.n_pixels // 2]
+    ports = multimode._band_ports
+    starts, peaks = [], []  # traced memory at each row's first tile, and the peak above that
+
+    def mark():
+        current, peak = tracemalloc.get_traced_memory()
+        if starts:
+            peaks.append(peak - starts[-1])
+        tracemalloc.reset_peak()
+        starts.append(current)
+
+    def traced(*args):
+        for item in ports(*args):
+            if item[0].start == 0:
+                mark()
+            yield item
+        mark()
+
+    monkeypatch.setattr(multimode, "_band_ports", traced)
+    _traced_peak(_coherence_sweep, signal, idler, band_l, shifts)
+    # one peak a row: its tiles' pair sums, then the next row's stacking
+    assert len(peaks) == np.unique(band_l // config.n_pixels).size, peaks
+    assert max(peaks) <= 128 * 1024, peaks
+
+
 def test_run_hom2d_working_set_is_bounded():
     # the criterion-8 geometry at 1 ppp: 10.6 MB of restricted planes, then
     # one synthesis chunk's buffers or one tilt tile of the sweep.  Traced
@@ -713,7 +799,10 @@ def test_run_hom2d_outputs_are_pinned():
     # rows for both ports, the shift's Nyquist term as an extra inner row,
     # one real matrix product per band row, tilt tile and (port, re/im,
     # half) block, pair sums as matrix-vector products, closed-form
-    # delete-one sums), on OpenBLAS's SkylakeX kernel.  Other kernels give
+    # delete-one sums), on OpenBLAS's SkylakeX kernel.  The products have
+    # since been batched, eight blocks of a tile to one matmul, and the
+    # vacuum half is contracted from the draw uncopied: the same BLAS calls
+    # on the same operands, which kept these digests.  Other kernels give
     # other digests, and not only by rounding: the SVD's basis inside the
     # kernel's degenerate singular pairs is arbitrary, so the curve moves
     # by up to O(SE).  The digests also follow from the splitter constant:
