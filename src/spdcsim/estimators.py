@@ -52,6 +52,7 @@ ensemble column; no command calls them yet (criterion 9).
 
 from __future__ import annotations
 
+import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -130,8 +131,11 @@ def check_reps(reps: int) -> None:
 
     With two, the standard errors degenerate: the delta-method variance of
     a sampled variance is identically zero, and each of the dip's
-    delete-one aggregates divides by its own reps - 1 = reps - 2.
+    delete-one aggregates divides by its own reps - 1 = reps - 2.  A count
+    that is not an integer, 1e4 included, is refused too.
     """
+    if not isinstance(reps, numbers.Integral):
+        raise ValueError(f"reps must be an integer, got {reps!r}")
     if reps < 3:
         raise ValueError("reps must be >= 3: with fewer, the standard errors "
                          "of variances and of the dip's jackknife degenerate")

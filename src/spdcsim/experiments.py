@@ -46,6 +46,7 @@ sampler at a time, and its sweep then reduces them all at once.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 import time
 from collections import deque
@@ -134,6 +135,8 @@ class ExperimentConfig:
                 and self.hom2d.gain_scale != Hom2dConfig.gain_scale):
             raise ValueError("give either photons_per_pixel or gain_scale, not both")
         check_reps(self.reps)
+        if not isinstance(self.threads, numbers.Integral):
+            raise ValueError(f"threads must be an integer, got {self.threads!r}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         for name in ("theta1", "theta2"):

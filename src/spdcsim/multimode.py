@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -134,7 +135,8 @@ class Hom2dConfig:
     the defaults of ``spdcsim hom2d``.  The repetitions and seed of a run
     are not settings of the geometry: :func:`run_hom2d` takes them, and
     :class:`~spdcsim.experiments.ExperimentConfig` holds them for every
-    kind of run.
+    kind of run.  ``theta_sweep``, any sequence of reals, is kept as a
+    tuple of Python floats, which a report can write out.
     """
 
     n_pixels: int = 64
@@ -147,6 +149,8 @@ class Hom2dConfig:
     theta_sweep: tuple = tuple(np.linspace(-3.6, 3.6, 33))
 
     def __post_init__(self):
+        if not isinstance(self.n_pixels, numbers.Integral):
+            raise ValueError(f"n_pixels must be an integer, got {self.n_pixels!r}")
         if self.n_pixels < 1:
             raise ValueError(f"n_pixels must be >= 1, got {self.n_pixels}")
         if len(self.theta_sweep) == 0:
@@ -154,6 +158,7 @@ class Hom2dConfig:
         for t in self.theta_sweep:
             if not math.isfinite(t):
                 raise ValueError(f"theta_sweep values must be finite, got {t}")
+        object.__setattr__(self, "theta_sweep", tuple(map(float, self.theta_sweep)))
         for name in ("pitch", "crystal_length_mm", "pump_waist", "pm_bandwidth"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
@@ -249,9 +254,9 @@ def build_kernel(config: Hom2dConfig) -> np.ndarray:
     return matrix
 
 
-class SchmidtDecomposition(namedtuple("SchmidtDecomposition", "U V lam residual")):
+class SchmidtDecomposition(namedtuple("SchmidtDecomposition", "U V lam")):
     """Column-orthonormal mode matrices ``U`` and ``V`` with their singular
-    values ``lam`` and the float ``residual`` of the decomposition."""
+    values ``lam``, K = U diag(lam) V^T."""
 
     __slots__ = ()
 
@@ -260,33 +265,20 @@ class SchmidtDecomposition(namedtuple("SchmidtDecomposition", "U V lam residual"
         return self.lam.shape[0]
 
 
-def _svd(kernel: np.ndarray) -> tuple:
-    """``(U, lambda, V^T)`` of the kernel, K = U diag(lambda) V^T."""
-    try:
-        return np.linalg.svd(kernel)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"SVD of {kernel.shape} kernel failed: {exc}") from exc
-
-
 def schmidt_decompose(kernel: np.ndarray) -> SchmidtDecomposition:
     """SVD of the kernel matrix, K = U diag(lambda) V^T, every axis mode
-    kept, with the relative Frobenius residual of that product."""
-    U, lam, Vh = _svd(kernel)
-    norm = np.linalg.norm(kernel)
-    resid = np.linalg.norm((U * lam) @ Vh - kernel) / norm if norm > 0 else 0.0
-    return SchmidtDecomposition(U=U, V=Vh.T, lam=lam, residual=float(resid))
+    kept; :func:`run_hom2d` alone forms the residual of that product."""
+    try:
+        U, lam, Vh = np.linalg.svd(kernel)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"SVD of {kernel.shape} kernel failed: {exc}") from exc
+    return SchmidtDecomposition(U=U, V=Vh.T, lam=lam)
 
 
 def image_mean_intensities(dec: SchmidtDecomposition) -> np.ndarray:
     """Mean intensity image of the separable two-axis synthesis."""
-    return _mean_image(dec.U, dec.lam)
-
-
-def _mean_image(U: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """:func:`image_mean_intensities` of the axis modes ``U`` and their
-    singular values ``lam``."""
-    s2 = np.sinh(_product_gains(lam)) ** 2
-    w = np.abs(U) ** 2
+    s2 = np.sinh(_product_gains(dec.lam)) ** 2
+    w = np.abs(dec.U) ** 2
     return w @ s2 @ w.T
 
 
@@ -361,9 +353,9 @@ def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float) -> Hom2dConfig
     absolute and relative tolerance 1e-12).  A target outside the photon
     range that this bracket reaches is a ValueError naming that range; the
     search reuses that check's evaluations of the bracket ends.  Each
-    evaluation takes U and lambda from one SVD of its kernel, the call of
-    :func:`schmidt_decompose`, but forms no residual: only
-    :func:`run_hom2d`'s decomposition reports one.
+    evaluation is :func:`image_mean_intensities` of
+    :func:`schmidt_decompose` of its kernel, the model stage of
+    :func:`run_hom2d`.
     """
     if not (photons_per_pixel > 0 and math.isfinite(photons_per_pixel)):
         raise ValueError(
@@ -371,8 +363,8 @@ def calibrate_gain(config: Hom2dConfig, photons_per_pixel: float) -> Hom2dConfig
 
     @functools.cache
     def brightest(g0):
-        U, lam, _ = _svd(build_kernel(replace(config, gain_scale=g0)))
-        return _mean_image(U, lam).max()
+        return image_mean_intensities(
+            schmidt_decompose(build_kernel(replace(config, gain_scale=g0)))).max()
 
     lo, hi = brightest(1e-9), brightest(GAIN_SCALE_MAX)
     if not lo <= photons_per_pixel <= hi:
@@ -474,7 +466,8 @@ class DipCurve(namedtuple("DipCurve", "theta amplitude std_error sigma_theta "
     mode is synthesised.  ``band_pairs`` counts the matched pixel pairs the dip
     aggregates, ``band_rows`` the image rows synthesised for them (the
     rows holding band pixels or their partners), and ``schmidt_residual``
-    is the relative Frobenius residual of the axis kernel's decomposition.
+    is the relative Frobenius residual of the decomposition the run
+    sampled from, ||U diag(lambda) V^T - K|| / ||K||.
     """
 
     __slots__ = ()
@@ -678,7 +671,10 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
                              f"{shift:.6g} pixels, within 0.5 of the reference shift "
                              f"{ref_shift} modulo n_pixels = {n}, so its dip point is "
                              f"about 1 with an error that vanishes there")
-    dec = schmidt_decompose(build_kernel(config))
+    kernel = build_kernel(config)
+    dec = schmidt_decompose(kernel)
+    norm = np.linalg.norm(kernel)
+    residual = np.linalg.norm((dec.U * dec.lam) @ dec.V.T - kernel) / norm if norm > 0 else 0.0
     image = image_mean_intensities(dec)
     rows, band_l = _band_pairs(image)
     for theta, shift in zip(thetas, shifts):
@@ -709,7 +705,7 @@ def run_hom2d(config: Hom2dConfig, reps: int, seed: int) -> DipCurve:
     return DipCurve(theta=thetas, amplitude=amps, std_error=errs,
                     sigma_theta=sigma, photons_per_pixel=float(image.max()),
                     n_modes=dec.n_modes ** 2, seed=seed, band_pairs=int(band_l.size),
-                    band_rows=int(rows.size), schmidt_residual=dec.residual)
+                    band_rows=int(rows.size), schmidt_residual=float(residual))
 
 
 def _fit_dip_width(thetas: np.ndarray, amps: np.ndarray, errs: np.ndarray) -> float | None:

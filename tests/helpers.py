@@ -286,14 +286,10 @@ def truncated_schmidt(kernel: np.ndarray,
                       floor: float = 1e-8) -> SchmidtDecomposition:
     """Single-axis Schmidt decomposition of ``kernel`` less the modes whose
     singular value falls below ``floor`` times the largest (every mode of a
-    zero kernel), with the relative Frobenius residual of the kept factors,
-    K ~ U diag(lambda) V^T."""
+    zero kernel), K ~ U diag(lambda) V^T."""
     dec = schmidt_decompose(kernel)
     keep = dec.lam > floor * dec.lam[0]
-    U, lam, V = dec.U[:, keep], dec.lam[keep], dec.V.T[keep].T
-    norm = np.linalg.norm(kernel)
-    resid = np.linalg.norm((U * lam) @ V.T - kernel) / norm if norm > 0 else 0.0
-    return SchmidtDecomposition(U=U, V=V, lam=lam, residual=float(resid))
+    return SchmidtDecomposition(U=dec.U[:, keep], V=dec.V.T[keep].T, lam=dec.lam[keep])
 
 
 def sample_multimode(dec: SchmidtDecomposition, rng: RngStream, reps: int):

@@ -664,6 +664,19 @@ def test_api_defaults_are_the_command_line_defaults(command, monkeypatch):
     assert {"reps", "seed"}.isdisjoint(f.name for f in fields(Hom2dConfig))
 
 
+@pytest.mark.parametrize("make, reason", [
+    (lambda: ExperimentConfig(kind="twin", reps=1e4), "reps must be an integer, got 10000.0"),
+    (lambda: multimode.run_hom2d(Hom2dConfig(), 5.0, 1), "reps must be an integer, got 5.0"),
+    (lambda: ExperimentConfig(kind="hom", threads=1.5), "threads must be an integer, got 1.5"),
+    (lambda: Hom2dConfig(n_pixels=16.0), "n_pixels must be an integer, got 16.0"),
+], ids=["reps", "hom2d-reps", "threads", "n_pixels"])
+def test_a_non_integer_count_is_refused(make, reason):
+    # a float count that passes the range checks would otherwise fail
+    # later with a TypeError, or, as threads, run and be recorded
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        make()
+
+
 def test_io_failure_exit_code(tmp_path):
     out = tmp_path / "no-such-dir" / "x.csv"
     code = run_cli(["twin", "--reps", "1e4", "--out", str(out)])
@@ -685,6 +698,20 @@ def test_hom2d_outputs_curve_and_sidecar(tmp_path):
         assert key in sidecar
     assert "G" not in sidecar  # hom2d's gain is config.gain_scale
     assert sidecar["config"]["theta_sweep"] == [-1.8, -0.9, 0.0, 0.9, 1.8]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_ndarray_theta_sweep_gives_a_complete_report(fmt, tmp_path):
+    sweep = np.array([-1.8, -0.9, 0.0, 0.9, 1.8])
+    geometry = Hom2dConfig(n_pixels=16, pitch=0.6, gain_scale=0.8, theta_sweep=sweep)
+    report = experiments.run_experiment(
+        ExperimentConfig(kind="hom2d", reps=30, seed=11, hom2d=geometry))
+    out = emit_results(report, tmp_path / f"dip.{fmt}", fmt)
+    if fmt == "csv":
+        assert len(read_csv(out)) - 1 == sweep.size
+        out = out.with_suffix(".json")
+    payload = json.loads(out.read_text())
+    assert payload.get("metadata", payload)["config"]["theta_sweep"] == sweep.tolist()
 
 
 def test_hom2d_metadata_records_the_band_and_the_schmidt_residual(tmp_path):

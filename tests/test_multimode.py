@@ -136,7 +136,8 @@ def test_diagonal_kernel_gains():
 def test_default_kernel_decomposition_invariants():
     dec = schmidt_decompose(build_kernel(Hom2dConfig()))
     assert dec.n_modes == Hom2dConfig().n_pixels
-    assert dec.residual < 1e-8
+    # the run reports the residual of the decomposition it samples from
+    assert 0 <= run_hom2d(Hom2dConfig(), 3, 42).schmidt_residual < 1e-8
     eye_u = dec.U.conj().T @ dec.U
     eye_v = dec.V.conj().T @ dec.V
     assert np.allclose(eye_u, np.eye(dec.n_modes), atol=1e-10)
@@ -315,16 +316,22 @@ def test_calibrate_gain_matches_scipy_brentq(photons):
 @pytest.mark.parametrize("photons, kernels", [(1.0, 17), (0.01, 21)])
 def test_calibrate_gain_builds_each_kernel_once(photons, kernels, monkeypatch):
     # the range check's two bracket ends are the root search's first two
-    # evaluations, so no gain is built twice (19 and 23 kernels before)
-    gains = []
+    # evaluations, so no gain is built twice (19 and 23 kernels before), and
+    # each kernel is decomposed by schmidt_decompose, the run's model stage
+    gains, decompositions = [], []
 
     def counting_kernel(config):
         gains.append(config.gain_scale)
         return build_kernel(config)
 
+    def counting_decompose(kernel):
+        decompositions.append(kernel)
+        return schmidt_decompose(kernel)
+
     monkeypatch.setattr(multimode, "build_kernel", counting_kernel)
+    monkeypatch.setattr(multimode, "schmidt_decompose", counting_decompose)
     calibrate_gain(Hom2dConfig(), photons)
-    assert len(gains) == len(set(gains)) == kernels
+    assert len(gains) == len(set(gains)) == len(decompositions) == kernels
 
 
 @pytest.mark.parametrize("config, photons, max_overlap", [
